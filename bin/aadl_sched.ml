@@ -302,6 +302,40 @@ let handle_errors f =
   | Aadl.Instance_xml.Error msg ->
       Fmt.epr "instance XML error: %s@." msg;
       exit 2
+  | Aadl.Xml.Error (msg, offset) ->
+      Fmt.epr "XML error (offset %d): %s@." offset msg;
+      exit 2
+  | Aadl.Decls.Duplicate_declaration name ->
+      Fmt.epr "declaration error: %s is declared more than once@." name;
+      exit 2
+  | Aadl.Decls.Unknown_classifier name ->
+      Fmt.epr "declaration error: unknown classifier %s@." name;
+      exit 2
+  | Aadl.Decls.Category_mismatch (name, expected, found) ->
+      Fmt.epr "declaration error: %s is a %a, expected a %a@." name
+        Aadl.Ast.pp_category found Aadl.Ast.pp_category expected;
+      exit 2
+  | Aadl.Binding.Unbound msg ->
+      Fmt.epr "binding error: %s@." msg;
+      exit 2
+  | Aadl.Props.Bad_property (name, msg) ->
+      Fmt.epr "property error: %s: %s@." name msg;
+      exit 2
+  | Aadl.Semconn.Unresolved msg ->
+      Fmt.epr "connection error: %s@." msg;
+      exit 2
+  | Aadl.Time.Subnanosecond value ->
+      Fmt.epr "time error: %s is not a whole number of nanoseconds@." value;
+      exit 2
+  | Aadl.Check.Failed diags ->
+      (match diags with
+      | [] -> Fmt.epr "check failed@."
+      | d :: rest ->
+          Fmt.epr "check failed: %a%s@." Aadl.Check.pp_diagnostic d
+            (match rest with
+            | [] -> ""
+            | _ -> Fmt.str " (and %d more)" (List.length rest)));
+      exit 2
 
 (* {1 check} *)
 

@@ -113,16 +113,27 @@ let node_equal n1 n2 =
       _ ) ->
       false
 
-(* {1 The sharded intern table} *)
+(* {1 The sharded intern table}
+
+   [intern] uses a node's hash twice: its low [shard_bits] bits pick the
+   shard, and the shard's [Node_tbl] picks a bucket from the low bits of
+   the hash it is given.  The two indices must come from disjoint bits.
+   Every node in a shard agrees on the bits that chose the shard, so a
+   bucket index that included them could never vary in those bits: with
+   6 overlapping bits only 1 bucket in 64 is ever used, chains hold
+   64-128 nodes whatever the table's size, and every intern walks one
+   with [node_equal].  So the table hashes [h lsr shard_bits] and never
+   sees the shard bits, however large it grows. *)
+
+let shard_bits = 6
+let num_shards = 1 lsl shard_bits
 
 module Node_tbl = Hashtbl.Make (struct
   type nonrec t = node
 
   let equal = node_equal
-  let hash = node_hash
+  let hash n = node_hash n lsr shard_bits
 end)
-
-let num_shards = 64 (* power of two *)
 
 type shard = { lock : Mutex.t; tbl : t Node_tbl.t }
 
@@ -134,7 +145,7 @@ let next_id = Atomic.make 0
 
 let intern node =
   let h = node_hash node in
-  let shard = shards.((h lsr 3) land (num_shards - 1)) in
+  let shard = shards.(h land (num_shards - 1)) in
   Mutex.lock shard.lock;
   match Node_tbl.find_opt shard.tbl node with
   | Some t ->
@@ -147,6 +158,30 @@ let intern node =
       t
 
 let table_size () = Atomic.get next_id
+
+type table_stats = {
+  nodes : int;
+  buckets : int;
+  nonempty_buckets : int;
+  max_chain : int;
+}
+
+let table_stats () =
+  Array.fold_left
+    (fun acc shard ->
+      Mutex.lock shard.lock;
+      let s = Node_tbl.stats shard.tbl in
+      Mutex.unlock shard.lock;
+      {
+        nodes = acc.nodes + s.Hashtbl.num_bindings;
+        buckets = acc.buckets + s.Hashtbl.num_buckets;
+        nonempty_buckets =
+          acc.nonempty_buckets + s.Hashtbl.num_buckets
+          - s.Hashtbl.bucket_histogram.(0);
+        max_chain = max acc.max_chain s.Hashtbl.max_bucket_length;
+      })
+    { nodes = 0; buckets = 0; nonempty_buckets = 0; max_chain = 0 }
+    shards
 
 (* {1 Constructors}
 

@@ -1,8 +1,13 @@
 (** Hash-consed ACSR process terms.
 
     Every distinct term has a unique physical representative: nodes are
-    interned bottom-up into a global, sharded (domain-safe) table, and each
-    node memoizes a full-depth structural hash.  {!equal} is pointer
+    interned bottom-up into a global, domain-safe table, and each node
+    memoizes a full-depth structural hash.  The table is split into
+    mutex-guarded shards.  The shard index and the bucket index within a
+    shard come from disjoint bits of the hash: if they overlapped, every
+    node in a shard would share the overlapping bucket bits, most buckets
+    would stay empty and each intern would walk a chain of about a
+    hundred nodes.  {!table_stats} exposes the spread.  {!equal} is pointer
     equality, {!hash} is a field read, and {!id} keys the state tables of
     {!Versa.Lts} in O(1) — this is what makes exhaustive state-space
     exploration scale (cf. the VERSA tool, paper Section 5).
@@ -87,5 +92,18 @@ val to_proc : t -> Proc.t
 val table_size : unit -> int
 (** Number of distinct nodes interned so far (the table is global and grows
     monotonically for the lifetime of the process). *)
+
+type table_stats = {
+  nodes : int;  (** interned nodes *)
+  buckets : int;  (** buckets, summed over shards *)
+  nonempty_buckets : int;  (** buckets holding at least one node *)
+  max_chain : int;  (** longest bucket chain in any shard *)
+}
+
+val table_stats : unit -> table_stats
+(** Shape of the intern table, summed over shards.  With a well-spread
+    hash, [nonempty_buckets] is close to
+    [buckets * (1 - exp (-nodes / buckets))] and [max_chain] stays small
+    however large the table grows. *)
 
 val pp : t Fmt.t

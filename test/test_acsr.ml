@@ -421,6 +421,29 @@ let test_expr_subst_keeps_free () =
   Alcotest.(check int) "eval after completing env" 6
     (Expr.eval Expr.Env.(empty |> add "b" 6) r)
 
+(* {1 Hash-cons intern table} *)
+
+(* About 100k distinct parallel compositions, each hashed from its
+   children's memoized hashes as exploration states are.  A uniform hash
+   leaves [buckets * (1 - e^(-nodes/buckets))] buckets non-empty and
+   chains of a few nodes.  Chance alone never gets below half that
+   spread or above chains of 16; shard and bucket indices that share
+   hash bits use 1 bucket in 64 and build chains of over 100. *)
+let test_intern_table_spread () =
+  let leaves name n = Array.init n (fun i -> Hproc.call name [ e_int i ]) in
+  let a = leaves "a" 320 and b = leaves "b" 313 in
+  Array.iter (fun x -> Array.iter (fun y -> ignore (Hproc.par x y)) b) a;
+  let s = Hproc.table_stats () in
+  Alcotest.(check bool) "at least 100k nodes" true (s.nodes >= 100_000);
+  let load = float_of_int s.nodes /. float_of_int s.buckets in
+  let expected = float_of_int s.buckets *. (1. -. exp (-.load)) in
+  if float_of_int s.nonempty_buckets < 0.5 *. expected then
+    Alcotest.failf "%d of %d buckets used for %d nodes (uniform: %.0f)"
+      s.nonempty_buckets s.buckets s.nodes expected;
+  if s.max_chain > 16 then
+    Alcotest.failf "longest bucket chain %d (at most 16 expected)"
+      s.max_chain
+
 (* {1 Property-based tests} *)
 
 let resources = [| Resource.make "r0"; Resource.make "r1"; Resource.make "r2" |]
@@ -562,6 +585,11 @@ let () =
           Alcotest.test_case "unguarded recursion" `Quick
             test_unguarded_recursion_detected;
           Alcotest.test_case "not closed" `Quick test_not_closed_detected;
+        ] );
+      ( "hproc",
+        [
+          Alcotest.test_case "intern table spread" `Quick
+            test_intern_table_spread;
         ] );
       ("properties", qcheck_cases);
     ]
