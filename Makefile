@@ -4,7 +4,7 @@
 # ocamlformat are dev-time tools, not build dependencies — the gate
 # degrades gracefully where they are absent).
 
-.PHONY: all build test test-faults lint-invariants doc fmt-check check bench-explore bench-scaling bench-service bench-sweep bench-smoke bench-obs bench-reduction bench-dist clean
+.PHONY: all build test test-faults lint-invariants doc fmt-check check bench-explore bench-scaling bench-service bench-sweep bench-obs bench-reduction bench-dist clean
 
 all: build
 
@@ -63,10 +63,11 @@ fmt-check:
 	  echo "ocamlformat not installed; skipping format check"; \
 	fi
 
-check: build lint-invariants test test-faults bench-smoke bench-obs doc fmt-check
+check: build lint-invariants test test-faults bench-obs doc fmt-check
 
-# Regenerate the exploration-engine telemetry (BENCH_explore.json),
-# including the work-stealing jobs x model scaling table.  Doubles as
+# Regenerate the exploration telemetry in BENCH_explore.json (runs with
+# and without successor rows, early exit, the work-stealing jobs x model
+# scaling table), merged so the reduction section survives.  Doubles as
 # the scaling gate: exits non-zero when jobs4/jobs1 < 2.0 on the
 # largest bench model (enforced only on hosts with >= 4 cores) or when
 # results differ across jobs.
@@ -87,12 +88,6 @@ bench-service:
 # cet sweeps with the fragment cache on vs off, verdicts asserted equal.
 bench-sweep:
 	dune exec bench/main.exe -- sweep
-
-# Fast engine-agreement gate: both exploration engines must report
-# identical verdicts, counts and failing scenarios (seconds, not
-# minutes — part of `make check`).
-bench-smoke:
-	dune exec bench/main.exe -- smoke
 
 # Orbit (symmetry) reduction gate: explores the reference models and the
 # generated replicated EDF families with the reduction off vs on, and

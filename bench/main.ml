@@ -23,7 +23,6 @@ let analyze_text ?protocol ?quantum ?(max_states = 2_000_000)
       max_states;
       all_violations = false;
       jobs = 1;
-      engine = Versa.Explorer.On_the_fly;
       deadline = None;
       poll = None;
       symmetry;
@@ -514,13 +513,12 @@ let bechamel_section () =
         (Test.elements test))
     tests
 
-(* {1 Exploration engines: baseline structural hashing vs hash-consing}
+(* {1 Explore: the exploration loop with and without successor rows}
 
-   Runs the seed explorer ([Baseline.explore]) and the current engine at
-   jobs=1 and jobs=4 on the larger examples, exhaustively, and records
-   the telemetry in BENCH_explore.json.  The engines must agree exactly
-   on states, transitions and deadlocks — the speedup is only meaningful
-   if the answer is identical. *)
+   Explores the larger examples exhaustively, keeping successor rows
+   ([full], jobs 1 and 4) and not keeping them ([on_the_fly], jobs 1),
+   and records the telemetry in BENCH_explore.json.  The runs must
+   agree exactly on states, transitions and deadlocks. *)
 
 type engine_sample = {
   engine : string;
@@ -533,7 +531,7 @@ type engine_sample = {
 
 let time_run f =
   (* settle GC debt from previous runs so single-shot timings don't
-     charge one engine with another's garbage *)
+     charge one run with another's garbage *)
   Gc.full_major ();
   let t0 = Timed.Clock.gettimeofday () in
   let r = f () in
@@ -544,66 +542,76 @@ let translate_text text =
   let tr = Translate.Pipeline.translate root in
   (tr.Translate.Pipeline.defs, tr.Translate.Pipeline.system)
 
+let exhaustive =
+  {
+    Versa.Lts.default_config with
+    max_states = Some 2_000_000;
+    stop_at_deadlock = false;
+  }
+
+(* Writes [json] to [path], replacing the file. *)
+let write_json path json =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Service.Json.to_string json);
+      output_char oc '\n');
+  Fmt.pr "telemetry written to %s@." path
+
+(* Read-modify-write of a JSON object file: each of [fields] replaces
+   the top-level section of the same name in place, or is appended;
+   every other section survives. *)
+let merge_json path fields =
+  let open Service.Json in
+  let base =
+    if Sys.file_exists path then
+      match parse (In_channel.with_open_text path In_channel.input_all) with
+      | Ok (Obj base) -> base
+      | Ok _ | Error _ -> []
+    else []
+  in
+  let kept =
+    List.map
+      (fun (k, v) -> (k, Option.value (List.assoc_opt k fields) ~default:v))
+      base
+  in
+  write_json path
+    (Obj
+       (kept @ List.filter (fun (k, _) -> not (List.mem_assoc k base)) fields))
+
 let explore_model (name, text) =
   let defs, system = translate_text text in
-  let config =
-    {
-      Versa.Lts.default_config with
-      max_states = Some 2_000_000;
-      stop_at_deadlock = false;
-    }
-  in
-  (* Warm the global hash-cons table before timing: the first engine to
+  (* Warm the global hash-cons table before timing: the first run to
      intern a model's terms would otherwise be charged the one-time
      shard-resize cost of growing the shared table — a process-global
-     side effect, not an engine property. *)
-  ignore (Versa.Lts.check ~config defs system);
-  let base_r, base_wall = time_run (fun () -> Baseline.explore defs system) in
-  let base =
-    {
-      engine = "baseline_structural";
-      states = base_r.Baseline.states;
-      transitions = base_r.Baseline.transitions;
-      deadlocks = base_r.Baseline.deadlocks;
-      wall_s = base_wall;
-      states_per_sec = float_of_int base_r.Baseline.states /. max base_wall 1e-9;
-    }
-  in
-  let run_jobs jobs =
+     side effect, not a property of the run. *)
+  ignore (Versa.Lts.build ~config:exhaustive ~edges:false defs system);
+  let run engine ~edges jobs =
     Gc.full_major ();
-    let lts = Versa.Lts.build ~config ~jobs defs system in
-    let st = Versa.Lts.stats lts in
+    let st =
+      Versa.Lts.stats
+        (Versa.Lts.build ~config:exhaustive ~edges ~jobs defs system)
+    in
     {
-      engine = Printf.sprintf "hashcons_jobs%d" jobs;
-      states = Versa.Lts.num_states lts;
-      transitions = Versa.Lts.num_transitions lts;
-      deadlocks = List.length (Versa.Lts.deadlocks lts);
+      engine = Printf.sprintf "%s_jobs%d" engine jobs;
+      states = st.Versa.Lts.num_states;
+      transitions = st.Versa.Lts.num_transitions;
+      deadlocks = st.Versa.Lts.num_deadlocks;
       wall_s = st.Versa.Lts.wall_s;
       states_per_sec = Versa.Lts.states_per_sec st;
     }
   in
-  (* the on-the-fly checker, run exhaustively so its counts must coincide
-     with the graph builders' *)
-  let run_otf jobs =
-    Gc.full_major ();
-    let c = Versa.Lts.check ~config ~jobs defs system in
-    let st = Versa.Lts.check_stats c in
-    {
-      engine = Printf.sprintf "on_the_fly_jobs%d" jobs;
-      states = Versa.Lts.check_num_states c;
-      transitions = Versa.Lts.check_num_transitions c;
-      deadlocks = List.length (Versa.Lts.check_deadlocks c);
-      wall_s = st.Versa.Lts.wall_s;
-      states_per_sec = Versa.Lts.states_per_sec st;
-    }
+  let samples =
+    [
+      run "full" ~edges:true 1;
+      run "full" ~edges:true 4;
+      run "on_the_fly" ~edges:false 1;
+    ]
   in
-  let samples = [ base; run_jobs 1; run_jobs 4; run_otf 1 ] in
-  let agree f = List.for_all (fun s -> f s = f base) samples in
-  (name, samples, agree (fun s -> s.states) && agree (fun s -> s.transitions),
-   agree (fun s -> s.deadlocks > 0))
+  let counts s = (s.states, s.transitions, s.deadlocks) in
+  let first = counts (List.hd samples) in
+  (name, samples, List.for_all (fun s -> counts s = first) samples)
 
 (* Early exit: the unschedulable variant of the largest model.  The full
-   graph is built exhaustively; the on-the-fly checker stops at the first
+   graph is built exhaustively; the early-exit run stops at the first
    deadlock and must visit a strict fraction of the space while raising
    the identical shortest failing scenario. *)
 type early_exit_sample = {
@@ -617,36 +625,21 @@ type early_exit_sample = {
 
 let early_exit_model text =
   let defs, system = translate_text text in
-  let full_cfg =
-    {
-      Versa.Lts.default_config with
-      max_states = Some 2_000_000;
-      stop_at_deadlock = false;
-    }
-  in
   let full, ee_full_wall =
-    time_run (fun () -> Versa.Lts.build ~config:full_cfg defs system)
+    time_run (fun () -> Versa.Lts.build ~config:exhaustive defs system)
   in
   let otf, ee_otf_wall =
     time_run (fun () ->
-        Versa.Lts.check
-          ~config:{ full_cfg with stop_at_deadlock = true }
-          defs system)
+        Versa.Lts.build
+          ~config:{ exhaustive with stop_at_deadlock = true }
+          ~edges:false defs system)
   in
   let ee_full_states = Versa.Lts.num_states full in
-  let ee_otf_states = Versa.Lts.check_num_states otf in
-  let steps_full =
-    match Versa.Lts.deadlocks full with
+  let ee_otf_states = Versa.Lts.num_states otf in
+  let first_steps lts =
+    match Versa.Lts.deadlocks lts with
     | [] -> None
-    | d :: _ -> Some (Versa.Trace.steps (Versa.Trace.to_deadlock full d))
-  in
-  let steps_otf =
-    match Versa.Lts.check_deadlocks otf with
-    | [] -> None
-    | d :: _ ->
-        Some
-          (Versa.Trace.steps
-             (Versa.Trace.of_path (Versa.Lts.check_path_to otf d)))
+    | d :: _ -> Some (Versa.Trace.steps (Versa.Trace.to_deadlock lts d))
   in
   {
     ee_full_states;
@@ -654,12 +647,13 @@ let early_exit_model text =
     ee_otf_states;
     ee_otf_wall;
     ee_fraction = float_of_int ee_otf_states /. float_of_int ee_full_states;
-    ee_traces_agree = steps_full <> None && steps_full = steps_otf;
+    ee_traces_agree =
+      first_steps full <> None && first_steps full = first_steps otf;
   }
 
 (* {1 Scaling: work-stealing speedup, jobs x model}
 
-   The on-the-fly checker run exhaustively at jobs 1, 2 and 4 over
+   Exhaustive explorations without edges at jobs 1, 2 and 4 over
    models of increasing size.  Every run must report identical states,
    transitions and deadlock ids — the speedup table is only meaningful
    under bit-identical results, which the work-stealing engine
@@ -697,43 +691,36 @@ let scaling_gate_threshold = 2.0
 
 let scaling_row (name, text) =
   let defs, system = translate_text text in
-  let config =
-    {
-      Versa.Lts.default_config with
-      max_states = Some 2_000_000;
-      stop_at_deadlock = false;
-    }
+  let explore jobs =
+    Versa.Lts.build ~config:exhaustive ~jobs ~edges:false defs system
   in
   (* warm the global hash-cons table once so the jobs=1 run (always
      first) is not charged the one-time intern-table growth *)
-  ignore (Versa.Lts.check ~config defs system);
+  ignore (explore 1);
   let runs =
     List.map
       (fun jobs ->
         Gc.full_major ();
-        let c = Versa.Lts.check ~config ~jobs defs system in
-        (jobs, c, (Versa.Lts.check_stats c).Versa.Lts.wall_s))
+        let c = explore jobs in
+        (jobs, c, (Versa.Lts.stats c).Versa.Lts.wall_s))
       scaling_jobs
   in
   let _, c1, _ = List.hd runs in
   let fingerprint c =
-    ( Versa.Lts.check_num_states c,
-      Versa.Lts.check_num_transitions c,
-      Versa.Lts.check_deadlocks c )
+    (Versa.Lts.num_states c, Versa.Lts.num_transitions c, Versa.Lts.deadlocks c)
   in
   {
     sc_model = name;
-    sc_states = Versa.Lts.check_num_states c1;
-    sc_transitions = Versa.Lts.check_num_transitions c1;
-    sc_deadlocks = List.length (Versa.Lts.check_deadlocks c1);
+    sc_states = Versa.Lts.num_states c1;
+    sc_transitions = Versa.Lts.num_transitions c1;
+    sc_deadlocks = List.length (Versa.Lts.deadlocks c1);
     sc_samples =
       List.map
         (fun (jobs, c, wall) ->
           {
             sj_jobs = jobs;
             sj_wall = wall;
-            sj_per_sec =
-              float_of_int (Versa.Lts.check_num_states c) /. max wall 1e-9;
+            sj_per_sec = float_of_int (Versa.Lts.num_states c) /. max wall 1e-9;
           })
         runs;
     sc_identical =
@@ -796,44 +783,40 @@ let print_scaling r =
         row.sc_identical)
     r.sr_rows
 
-(* Emits the scaling object ({ "cores": ..., "models": [...] }); [indent]
-   is the prefix of the lines inside the object, the closing brace sits
-   at [indent] minus one level (matching the manual-JSON style above). *)
-let bprint_scaling buf ~indent r =
-  let pf fmt = Printf.bprintf buf fmt in
-  pf "{\n";
-  pf "%s  \"cores\": %d,\n" indent r.sr_cores;
-  pf "%s  \"jobs\": [%s],\n" indent
-    (String.concat ", " (List.map string_of_int scaling_jobs));
-  pf "%s  \"gate\": %S,\n" indent (scaling_gate_label r.sr_gate);
-  pf "%s  \"gate_threshold_jobs4_vs_jobs1\": %.1f,\n" indent
-    scaling_gate_threshold;
-  pf "%s  \"largest_model\": %S,\n" indent r.sr_largest;
-  pf "%s  \"largest_speedup_jobs4_vs_jobs1\": %.3f,\n" indent r.sr_speedup4;
-  pf "%s  \"models\": [\n" indent;
-  List.iteri
-    (fun i row ->
-      pf "%s    {\n" indent;
-      pf "%s      \"model\": %S,\n" indent row.sc_model;
-      pf "%s      \"states\": %d, \"transitions\": %d, \"deadlocks\": %d,\n"
-        indent row.sc_states row.sc_transitions row.sc_deadlocks;
-      pf "%s      \"identical_across_jobs\": %b,\n" indent row.sc_identical;
-      pf "%s      \"samples\": [\n" indent;
-      List.iteri
-        (fun j s ->
-          pf
-            "%s        { \"jobs\": %d, \"wall_s\": %.6f, \"states_per_sec\": \
-             %.1f, \"speedup_vs_jobs1\": %.3f }%s\n"
-            indent s.sj_jobs s.sj_wall s.sj_per_sec
-            (scaling_speedup row s.sj_jobs)
-            (if j < List.length row.sc_samples - 1 then "," else ""))
-        row.sc_samples;
-      pf "%s      ]\n" indent;
-      pf "%s    }%s\n" indent
-        (if i < List.length r.sr_rows - 1 then "," else ""))
-    r.sr_rows;
-  pf "%s  ]\n" indent;
-  pf "%s}" indent
+let scaling_json r =
+  let open Service.Json in
+  let sample row s =
+    Obj
+      [
+        ("jobs", Int s.sj_jobs);
+        ("wall_s", Float s.sj_wall);
+        ("states_per_sec", Float s.sj_per_sec);
+        ("speedup_vs_jobs1", Float (scaling_speedup row s.sj_jobs));
+      ]
+  in
+  Obj
+    [
+      ("cores", Int r.sr_cores);
+      ("jobs", List (List.map (fun j -> Int j) scaling_jobs));
+      ("gate", String (scaling_gate_label r.sr_gate));
+      ("gate_threshold_jobs4_vs_jobs1", Float scaling_gate_threshold);
+      ("largest_model", String r.sr_largest);
+      ("largest_speedup_jobs4_vs_jobs1", Float r.sr_speedup4);
+      ( "models",
+        List
+          (List.map
+             (fun row ->
+               Obj
+                 [
+                   ("model", String row.sc_model);
+                   ("states", Int row.sc_states);
+                   ("transitions", Int row.sc_transitions);
+                   ("deadlocks", Int row.sc_deadlocks);
+                   ("identical_across_jobs", Bool row.sc_identical);
+                   ("samples", List (List.map (sample row) row.sc_samples));
+                 ])
+             r.sr_rows) );
+    ]
 
 (* Prints the verdict and exits non-zero on a failed gate; call last so
    the telemetry file is written even when the gate trips. *)
@@ -862,24 +845,21 @@ let enforce_scaling_gate r =
 let scaling_section ~json_path () =
   let r = measure_scaling () in
   print_scaling r;
-  let buf = Buffer.create 2048 in
-  let pf fmt = Printf.bprintf buf fmt in
-  pf "{\n  \"benchmark\": \"work-stealing scaling\",\n";
-  pf "  \"note\": \"exhaustive on-the-fly checks at jobs 1/2/4; results \
-      asserted identical across jobs; the gate is enforced only on hosts \
-      with >= 4 cores\",\n";
-  pf "  \"scaling\": ";
-  bprint_scaling buf ~indent:"  " r;
-  pf "\n}\n";
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Buffer.contents buf));
-  Fmt.pr "telemetry written to %s@." json_path;
+  write_json json_path
+    (Service.Json.Obj
+       [
+         ("benchmark", Service.Json.String "work-stealing scaling");
+         ( "note",
+           Service.Json.String
+             "exhaustive explorations without edges at jobs 1/2/4; results \
+              asserted identical across jobs; the gate is enforced only on \
+              hosts with >= 4 cores" );
+         ("scaling", scaling_json r);
+       ]);
   enforce_scaling_gate r
 
 let explore_section ~json_path () =
-  hr "EXPLORE: baseline (structural hashing) vs hash-consed engine";
+  hr "EXPLORE: exhaustive exploration with and without successor rows";
   let results =
     List.map explore_model
       [
@@ -897,76 +877,63 @@ let explore_section ~json_path () =
   Fmt.pr "%-16s %-20s %8s %11s %9s %12s@." "model" "engine" "states"
     "transitions" "wall (s)" "states/sec";
   List.iter
-    (fun (name, samples, _, _) ->
+    (fun (name, samples, agree) ->
       List.iter
         (fun s ->
           Fmt.pr "%-16s %-20s %8d %11d %9.3f %12.0f@." name s.engine s.states
             s.transitions s.wall_s s.states_per_sec)
-        samples)
-    results;
-  List.iter
-    (fun (name, samples, counts_ok, verdicts_ok) ->
-      let per e = (List.nth samples e).states_per_sec in
-      Fmt.pr
-        "%s: speedup jobs1=%.2fx jobs4=%.2fx vs baseline; counts agree: %b; \
-         verdicts agree: %b@."
-        name
-        (per 1 /. per 0)
-        (per 2 /. per 0)
-        counts_ok verdicts_ok)
+        samples;
+      Fmt.pr "%s: counts agree: %b@." name agree)
     results;
   Fmt.pr
-    "%s: full %d states (%.3fs) vs on-the-fly early exit %d states \
+    "%s: full %d states (%.3fs) vs early exit without edges %d states \
      (%.3fs) — %.1f%% of the space visited; scenarios agree: %b@."
     ee_name ee.ee_full_states ee.ee_full_wall ee.ee_otf_states ee.ee_otf_wall
     (100. *. ee.ee_fraction) ee.ee_traces_agree;
   print_scaling scaling;
-  (* manual JSON — no JSON library in the dependency set *)
-  let buf = Buffer.create 2048 in
-  let pf fmt = Printf.bprintf buf fmt in
-  pf "{\n  \"benchmark\": \"exploration engines\",\n";
-  pf "  \"note\": \"exhaustive prioritized exploration; baseline is the \
-      pre-hash-consing structural-Hashtbl explorer\",\n";
-  pf "  \"models\": [\n";
-  List.iteri
-    (fun i (name, samples, counts_ok, verdicts_ok) ->
-      let per e = (List.nth samples e).states_per_sec in
-      pf "    {\n      \"model\": %S,\n      \"engines\": [\n" name;
-      List.iteri
-        (fun j s ->
-          pf
-            "        { \"engine\": %S, \"states\": %d, \"transitions\": %d, \
-             \"deadlocks\": %d, \"wall_s\": %.6f, \"states_per_sec\": %.1f \
-             }%s\n"
-            s.engine s.states s.transitions s.deadlocks s.wall_s
-            s.states_per_sec
-            (if j < List.length samples - 1 then "," else ""))
-        samples;
-      pf "      ],\n";
-      pf "      \"speedup_jobs1_vs_baseline\": %.3f,\n" (per 1 /. per 0);
-      pf "      \"speedup_jobs4_vs_baseline\": %.3f,\n" (per 2 /. per 0);
-      pf "      \"state_counts_agree\": %b,\n" counts_ok;
-      pf "      \"verdicts_agree\": %b\n" verdicts_ok;
-      pf "    }%s\n" (if i < List.length results - 1 then "," else ""))
-    results;
-  pf "  ],\n";
-  pf "  \"early_exit\": {\n";
-  pf "    \"model\": %S,\n" ee_name;
-  pf "    \"full_states\": %d, \"full_wall_s\": %.6f,\n" ee.ee_full_states
-    ee.ee_full_wall;
-  pf "    \"on_the_fly_states\": %d, \"on_the_fly_wall_s\": %.6f,\n"
-    ee.ee_otf_states ee.ee_otf_wall;
-  pf "    \"visited_fraction\": %.4f,\n" ee.ee_fraction;
-  pf "    \"scenarios_agree\": %b\n" ee.ee_traces_agree;
-  pf "  },\n";
-  pf "  \"scaling\": ";
-  bprint_scaling buf ~indent:"  " scaling;
-  pf "\n}\n";
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Buffer.contents buf));
-  Fmt.pr "telemetry written to %s@." json_path;
+  let open Service.Json in
+  let sample s =
+    Obj
+      [
+        ("engine", String s.engine);
+        ("states", Int s.states);
+        ("transitions", Int s.transitions);
+        ("deadlocks", Int s.deadlocks);
+        ("wall_s", Float s.wall_s);
+        ("states_per_sec", Float s.states_per_sec);
+      ]
+  in
+  merge_json json_path
+    [
+      ("benchmark", String "exploration engines");
+      ( "note",
+        String
+          "exhaustive prioritized exploration keeping successor rows (full) \
+           or not (on_the_fly)" );
+      ( "models",
+        List
+          (List.map
+             (fun (name, samples, agree) ->
+               Obj
+                 [
+                   ("model", String name);
+                   ("engines", List (List.map sample samples));
+                   ("counts_agree", Bool agree);
+                 ])
+             results) );
+      ( "early_exit",
+        Obj
+          [
+            ("model", String ee_name);
+            ("full_states", Int ee.ee_full_states);
+            ("full_wall_s", Float ee.ee_full_wall);
+            ("on_the_fly_states", Int ee.ee_otf_states);
+            ("on_the_fly_wall_s", Float ee.ee_otf_wall);
+            ("visited_fraction", Float ee.ee_fraction);
+            ("scenarios_agree", Bool ee.ee_traces_agree);
+          ] );
+      ("scaling", scaling_json scaling);
+    ];
   enforce_scaling_gate scaling
 
 (* {1 Service: batch throughput with the verdict cache on vs off}
@@ -1103,13 +1070,7 @@ let service_section ~json_path () =
         ("verdicts_agree", Service.Json.Bool verdicts_agree);
       ]
   in
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Service.Json.to_string json);
-      output_char oc '\n');
-  Fmt.pr "telemetry written to %s@." json_path
+  write_json json_path json
 
 (* {1 Dist: shard-count throughput over loopback sockets (the
    [make bench-dist] target)}
@@ -1331,27 +1292,7 @@ let dist_section ~json_path () =
         ("ok", Bool ok);
       ]
   in
-  (* merge into BENCH_service.json, preserving the other sections *)
-  let base_fields =
-    if Sys.file_exists json_path then
-      match
-        parse (In_channel.with_open_text json_path In_channel.input_all)
-      with
-      | Ok (Obj fields) -> fields
-      | Ok _ | Error _ -> []
-    else []
-  in
-  let fields =
-    List.filter (fun (k, _) -> not (String.equal k "dist")) base_fields
-    @ [ ("dist", dist) ]
-  in
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (to_string (Obj fields));
-      output_char oc '\n');
-  Fmt.pr "telemetry merged into %s@." json_path;
+  merge_json json_path [ ("dist", dist) ];
   if not ok then exit 1
 
 (* {1 Sweep: incremental sensitivity with fragment reuse on vs off}
@@ -1466,13 +1407,7 @@ let sweep_section ~json_path () =
                runs) );
       ]
   in
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Service.Json.to_string json);
-      output_char oc '\n');
-  Fmt.pr "telemetry written to %s@." json_path
+  write_json json_path json
 
 (* {1 Obs: instrumentation overhead gate (the [make bench-obs] target)}
 
@@ -1502,15 +1437,11 @@ let obs_gauge name =
 let obs_section ~json_path () =
   hr "OBS: instrumentation overhead (muted vs metrics vs metrics+tracing)";
   let defs, system = translate_text (e6_unsched 6) in
-  let config =
-    {
-      Versa.Lts.default_config with
-      max_states = Some 2_000_000;
-      stop_at_deadlock = false;
-    }
+  let check () =
+    ignore (Versa.Lts.build ~config:exhaustive ~edges:false defs system)
   in
   (* warm the hash-cons table and code paths outside the timings *)
-  ignore (Versa.Lts.check ~config defs system);
+  check ();
   (* a warm exploration takes about 0.45 s on a 2-vCPU VM; two per
      sample keep every timed sample well above half a second *)
   let rounds = 9 and checks_per_sample = 2 in
@@ -1518,7 +1449,7 @@ let obs_section ~json_path () =
     Gc.full_major ();
     let t0 = Timed.Clock.gettimeofday () in
     for _ = 1 to checks_per_sample do
-      ignore (Versa.Lts.check ~config defs system)
+      check ()
     done;
     Timed.Clock.gettimeofday () -. t0
   in
@@ -1617,87 +1548,8 @@ let obs_section ~json_path () =
         ("ok", Service.Json.Bool ok);
       ]
   in
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (Service.Json.to_string json);
-      output_char oc '\n');
-  Fmt.pr "telemetry written to %s@." json_path;
+  write_json json_path json;
   if not ok then exit 1
-
-(* {1 Smoke: fast engine-agreement gate (the [make bench-smoke] target)}
-
-   Runs in seconds, not minutes: both engines on a handful of small
-   schedulable and unschedulable models, with early exit on and off,
-   asserting identical verdicts, state/transition counts, deadlock ids
-   and failing-scenario steps.  Exits non-zero on any mismatch. *)
-
-let smoke () =
-  hr "SMOKE: full vs on-the-fly engine agreement";
-  let failures = ref 0 in
-  let models =
-    [
-      ("cruise", Gen.cruise_control ());
-      ("cruise_overloaded", Gen.cruise_control ~overload:true ());
-      ("crossover", Gen.periodic_system Gen.crossover_set);
-      ("e6_four_threads", e6_model 4);
-      ("e6_four_unsched", e6_unsched 4);
-    ]
-  in
-  List.iter
-    (fun (name, text) ->
-      let defs, system = translate_text text in
-      List.iter
-        (fun stop ->
-          let run engine =
-            Versa.Explorer.check_deadlock ~engine ~stop_at_deadlock:stop defs
-              system
-          in
-          let rf = run Versa.Explorer.Full in
-          let ro = run Versa.Explorer.On_the_fly in
-          let verdicts_agree =
-            match (rf.Versa.Explorer.verdict, ro.Versa.Explorer.verdict) with
-            | Versa.Explorer.Deadlock_free, Versa.Explorer.Deadlock_free ->
-                true
-            | Versa.Explorer.Deadlock a, Versa.Explorer.Deadlock b ->
-                a.state = b.state
-                && Versa.Trace.steps a.trace = Versa.Trace.steps b.trace
-            | Versa.Explorer.Inconclusive _, Versa.Explorer.Inconclusive _ ->
-                true
-            | _ -> false
-          in
-          let counts_agree =
-            Versa.Explorer.num_states rf = Versa.Explorer.num_states ro
-            && Versa.Explorer.num_transitions rf
-               = Versa.Explorer.num_transitions ro
-            && Versa.Explorer.deadlocks rf = Versa.Explorer.deadlocks ro
-          in
-          let ok = verdicts_agree && counts_agree in
-          if not ok then incr failures;
-          Fmt.pr "%-18s stop_at_deadlock=%-5b %s@." name stop
-            (if ok then "OK" else "MISMATCH"))
-        [ true; false ])
-    models;
-  (* parallelism must not change on-the-fly results either *)
-  let defs, system = translate_text (e6_model 4) in
-  let otf jobs =
-    Versa.Explorer.check_deadlock ~engine:Versa.Explorer.On_the_fly
-      ~stop_at_deadlock:false ~jobs defs system
-  in
-  let r1 = otf 1 and r4 = otf 4 in
-  let jobs_ok =
-    Versa.Explorer.num_states r1 = Versa.Explorer.num_states r4
-    && Versa.Explorer.deadlocks r1 = Versa.Explorer.deadlocks r4
-  in
-  if not jobs_ok then incr failures;
-  Fmt.pr "%-18s jobs1-vs-jobs4        %s@." "e6_four_threads"
-    (if jobs_ok then "OK" else "MISMATCH");
-  if !failures = 0 then Fmt.pr "smoke: all engines agree@."
-  else begin
-    Fmt.pr "smoke: %d mismatches@." !failures;
-    exit 1
-  end
 
 (* {1 Reduction: the orbit (symmetry) reduction gate (the
    [make bench-reduction] target)}
@@ -1746,7 +1598,7 @@ let reduction_run ?(max_states = 2_000_000) ~symmetry text =
       | Versa.Explorer.Deadlock_free -> "schedulable"
       | Versa.Explorer.Deadlock _ -> "not schedulable"
       | Versa.Explorer.Inconclusive _ -> "inconclusive");
-    red_truncated = Versa.Explorer.truncated r;
+    red_truncated = Versa.Lts.truncated r.Versa.Explorer.lts;
   }
 
 let reduction_section ~json_path () =
@@ -1812,7 +1664,6 @@ let reduction_section ~json_path () =
      else Fmt.str "%d states (completed)" demo_raw.red_states)
     (if demo_ok then "OK" else "FAIL");
   let ok = !failures = 0 in
-  (* merge into BENCH_explore.json, preserving the other sections *)
   let open Service.Json in
   let reduction =
     Obj
@@ -1857,26 +1708,7 @@ let reduction_section ~json_path () =
         ("ok", Bool ok);
       ]
   in
-  let base_fields =
-    if Sys.file_exists json_path then
-      match
-        parse (In_channel.with_open_text json_path In_channel.input_all)
-      with
-      | Ok (Obj fields) -> fields
-      | Ok _ | Error _ -> []
-    else []
-  in
-  let fields =
-    List.filter (fun (k, _) -> not (String.equal k "reduction")) base_fields
-    @ [ ("reduction", reduction) ]
-  in
-  let oc = open_out json_path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc (to_string (Obj fields));
-      output_char oc '\n');
-  Fmt.pr "telemetry merged into %s@." json_path;
+  merge_json json_path [ ("reduction", reduction) ];
   if not ok then exit 1
 
 (* {1 Gen: print a parametric replicated family to stdout}
@@ -1915,7 +1747,6 @@ let gen_family rest =
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: "smoke" :: _ -> smoke ()
   | _ :: "gen" :: rest -> gen_family rest
   | _ :: "reduction" :: rest ->
       let json_path =

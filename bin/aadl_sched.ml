@@ -223,30 +223,6 @@ let print_registry () =
           Fmt.pr "%s count=%d sum=%g@." s.Obs.name count sum)
     (Obs.snapshot ())
 
-let engine_conv =
-  let parse s =
-    match String.lowercase_ascii s with
-    | "on-the-fly" | "otf" -> Ok Versa.Explorer.On_the_fly
-    | "full" -> Ok Versa.Explorer.Full
-    | other -> Error (`Msg (Fmt.str "unknown engine %S" other))
-  in
-  let print ppf = function
-    | Versa.Explorer.On_the_fly -> Fmt.string ppf "on-the-fly"
-    | Versa.Explorer.Full -> Fmt.string ppf "full"
-  in
-  Arg.conv (parse, print)
-
-let engine_arg =
-  Arg.(
-    value
-    & opt engine_conv Versa.Explorer.On_the_fly
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:
-          "Exploration engine: $(b,on-the-fly) (default) detects deadlocks \
-           with a compact parent-pointer store and exits at the first \
-           violation; $(b,full) materializes the whole graph.  Verdicts and \
-           failing scenarios are identical.")
-
 let symmetry_conv =
   let parse s =
     match String.lowercase_ascii s with
@@ -445,8 +421,8 @@ let translate_cmd =
 
 (* {1 analyze} *)
 
-let run_analyze file root_name quantum protocol max_states jobs engine
-    timeout stats trace all baselines symmetry virtual_time =
+let run_analyze file root_name quantum protocol max_states jobs timeout
+    stats trace all baselines symmetry virtual_time =
   handle_errors @@ fun () ->
   with_virtual_clock virtual_time @@ fun () ->
   with_trace trace @@ fun () ->
@@ -458,7 +434,6 @@ let run_analyze file root_name quantum protocol max_states jobs engine
       max_states;
       all_violations = all;
       jobs;
-      engine;
       deadline = Option.map (fun s -> Timed.Clock.gettimeofday () +. s) timeout;
       poll = None;
       symmetry;
@@ -513,7 +488,7 @@ let analyze_cmd =
           detection.")
     Term.(
       const run_analyze $ file_arg $ root_arg $ quantum_arg $ protocol_arg
-      $ max_states_arg $ jobs_arg $ engine_arg $ timeout_arg $ stats_arg
+      $ max_states_arg $ jobs_arg $ timeout_arg $ stats_arg
       $ trace_arg $ all_arg $ baselines_arg $ symmetry_arg $ virtual_time_arg)
 
 (* {1 simulate} *)
@@ -579,7 +554,6 @@ let run_latency file root_name quantum protocol jobs trace from_thread
       Analysis.Latency.translation_options = translation_options quantum protocol;
       max_states = 2_000_000;
       jobs;
-      engine = Analysis.Latency.default_options.Analysis.Latency.engine;
     }
   in
   let result =
@@ -719,7 +693,7 @@ let sensitivity_cmd =
 
 (* {1 report} *)
 
-let run_report file root_name quantum protocol max_states jobs engine
+let run_report file root_name quantum protocol max_states jobs
     with_responses output =
   handle_errors @@ fun () ->
   let root = load_root file root_name in
@@ -732,7 +706,6 @@ let run_report file root_name quantum protocol max_states jobs engine
           max_states;
           all_violations = false;
           jobs;
-          engine;
           deadline = None;
           poll = None;
           symmetry = true;
@@ -769,7 +742,7 @@ let report_cmd =
        ~doc:"Produce a self-contained markdown analysis report.")
     Term.(
       const run_report $ file_arg $ root_arg $ quantum_arg $ protocol_arg
-      $ max_states_arg $ jobs_arg $ engine_arg $ with_responses_arg
+      $ max_states_arg $ jobs_arg $ with_responses_arg
       $ report_output_arg)
 
 (* {1 acsr: analyze a textual ACSR model directly (VERSA-style)} *)
@@ -868,13 +841,9 @@ let acsr_cmd =
 
 (* {1 batch / serve: the analysis service layer} *)
 
-let service_config engine no_cache cache_size exploration_jobs =
+let service_config no_cache cache_size exploration_jobs =
   let config =
-    {
-      Service.Runner.default_config with
-      engine;
-      jobs = exploration_jobs;
-    }
+    { Service.Runner.default_config with jobs = exploration_jobs }
   in
   if no_cache then config
   else Service.Runner.with_cache ~capacity:cache_size config
@@ -1048,7 +1017,7 @@ let run_batch_connect addr requests stats =
   then 1
   else 0
 
-let run_batch manifest workers engine no_cache cache_size timeout stats trace
+let run_batch manifest workers no_cache cache_size timeout stats trace
     connect log_json =
   with_log_json log_json @@ fun () ->
   with_trace trace @@ fun () ->
@@ -1086,7 +1055,7 @@ let run_batch manifest workers engine no_cache cache_size timeout stats trace
       match connect with
       | Some addr -> run_batch_connect addr requests stats
       | None ->
-      let config = service_config engine no_cache cache_size 1 in
+      let config = service_config no_cache cache_size 1 in
       let scheduler = Service.Scheduler.create ~workers config in
       List.iter
         (fun r -> ignore (Service.Scheduler.submit scheduler r))
@@ -1165,9 +1134,9 @@ let batch_cmd =
           Budget-exhausted jobs degrade to analytic bounds.  With \
           $(b,--connect) the jobs run on a live service instead.")
     Term.(
-      const run_batch $ manifest_arg $ workers_arg $ engine_arg
-      $ no_cache_arg $ cache_size_arg $ timeout_arg $ stats_arg $ trace_arg
-      $ connect_arg $ log_json_arg)
+      const run_batch $ manifest_arg $ workers_arg $ no_cache_arg
+      $ cache_size_arg $ timeout_arg $ stats_arg $ trace_arg $ connect_arg
+      $ log_json_arg)
 
 (* {2 distributed mode: socket endpoints} *)
 
@@ -1261,7 +1230,7 @@ let start_scrape socket metrics_listen ~health =
           Fmt.epr "metrics-listen: %s: %s@." addr (Unix.error_message e);
           exit 2)
 
-let run_serve engine no_cache cache_size exploration_jobs trace listen
+let run_serve no_cache cache_size exploration_jobs trace listen
     route_to journal metrics_listen log_json =
   with_log_json log_json @@ fun () ->
   with_trace trace @@ fun () ->
@@ -1303,7 +1272,7 @@ let run_serve engine no_cache cache_size exploration_jobs trace listen
           (* stdio conversation, but with the shard stack so verdicts
              persist across sessions *)
           let base =
-            { Service.Runner.default_config with engine; jobs = exploration_jobs }
+            { Service.Runner.default_config with jobs = exploration_jobs }
           in
           match
             Service.Shard.create ?journal ~capacity:cache_size ~name:"serve"
@@ -1323,7 +1292,7 @@ let run_serve engine no_cache cache_size exploration_jobs trace listen
               0)
       | None ->
           let config =
-            service_config engine no_cache cache_size exploration_jobs
+            service_config no_cache cache_size exploration_jobs
           in
           (* The scrape health view shares [config] — and so the live
              cache — with the serving loop's own protocol instance. *)
@@ -1340,7 +1309,7 @@ let run_serve engine no_cache cache_size exploration_jobs trace listen
              journal replays into the cache); --no-cache is a stdio-only
              knob. *)
           let base =
-            { Service.Runner.default_config with engine; jobs = exploration_jobs }
+            { Service.Runner.default_config with jobs = exploration_jobs }
           in
           match
             Service.Shard.create ?journal ~capacity:cache_size ~name:addr base
@@ -1391,16 +1360,16 @@ let serve_cmd =
           $(b,--metrics-listen) additionally serves the process metrics \
           over HTTP for scraping.")
     Term.(
-      const run_serve $ engine_arg $ no_cache_arg $ cache_size_arg $ jobs_arg
+      const run_serve $ no_cache_arg $ cache_size_arg $ jobs_arg
       $ trace_arg $ listen_arg $ route_to_arg $ journal_arg
       $ metrics_listen_arg $ log_json_arg)
 
-let run_shard listen journal shard_name cache_size engine exploration_jobs
+let run_shard listen journal shard_name cache_size exploration_jobs
     trace metrics_listen log_json =
   with_log_json log_json @@ fun () ->
   with_trace trace @@ fun () ->
   let base =
-    { Service.Runner.default_config with engine; jobs = exploration_jobs }
+    { Service.Runner.default_config with jobs = exploration_jobs }
   in
   let name = Option.value ~default:listen shard_name in
   (* Node names end up in trace-context headers, which are split on
@@ -1452,7 +1421,7 @@ let shard_cmd =
           & opt (some string) None
           & info [ "listen" ] ~docv:"ADDR"
               ~doc:"Socket address to serve: unix:PATH or tcp:HOST:PORT.")
-      $ journal_arg $ shard_name_arg $ cache_size_arg $ engine_arg $ jobs_arg
+      $ journal_arg $ shard_name_arg $ cache_size_arg $ jobs_arg
       $ trace_arg $ metrics_listen_arg $ log_json_arg)
 
 (* {1 cluster-stats} *)

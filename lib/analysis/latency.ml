@@ -59,7 +59,6 @@ type options = {
   translation_options : Translate.Pipeline.options;
   max_states : int;
   jobs : int;  (** domains for parallel exploration *)
-  engine : Versa.Explorer.engine;
 }
 
 let default_options =
@@ -67,7 +66,6 @@ let default_options =
     translation_options = Translate.Pipeline.default_options;
     max_states = 2_000_000;
     jobs = 1;
-    engine = Versa.Explorer.On_the_fly;
   }
 
 exception Error of string
@@ -127,14 +125,12 @@ let check ?(options = default_options) ~(from_thread : string list)
       (Proc.par tr.Translate.Pipeline.system (Proc.call observer_name []))
   in
   (* The observer question is plain reachability of the deadlocked
-     observer state, so the compact on-the-fly engine is the default:
-     both engines produce identical verdicts and shortest
-     counterexamples, and no caller walks the graph afterwards
-     ([Response.worst_response] bisects over verdicts only).  [Full]
-     remains available for graph consumers (DOT export). *)
+     observer state: no caller walks the graph afterwards
+     ([Response.worst_response] bisects over verdicts only), so no
+     successor rows are kept. *)
   let exploration =
-    Versa.Explorer.check_deadlock ~engine:options.engine
-      ~max_states:options.max_states ~jobs:options.jobs defs system
+    Versa.Explorer.check_deadlock ~max_states:options.max_states
+      ~jobs:options.jobs defs system
   in
   let verdict =
     match exploration.Versa.Explorer.verdict with

@@ -21,11 +21,6 @@ type options = {
   translation_options : Translate.Pipeline.options;
   max_states : int;
   jobs : int;  (** domains for parallel exploration (default 1) *)
-  engine : Versa.Explorer.engine;
-      (** the observer only needs reachability of its blocked state, so
-          the compact [On_the_fly] engine is the default (identical
-          verdicts and counterexamples); pass [Full] to materialize the
-          graph for inspection afterwards *)
 }
 
 val default_options : options

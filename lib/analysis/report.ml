@@ -79,8 +79,8 @@ let verdict ppf (result : Schedulability.t) =
   section ppf "Schedulability (ACSR exploration)";
   pf ppf "translation: %a@.@." Translate.Pipeline.pp_summary
     result.Schedulability.translation;
-  pf ppf "state space: %a in %.3fs@.@." Versa.Explorer.pp_space
-    result.Schedulability.exploration.Versa.Explorer.space
+  pf ppf "state space: %a in %.3fs@.@." Versa.Lts.pp_summary
+    result.Schedulability.exploration.Versa.Explorer.lts
     result.Schedulability.exploration.Versa.Explorer.elapsed;
   match result.Schedulability.verdict with
   | Schedulability.Schedulable ->
@@ -121,7 +121,6 @@ let responses ppf ~options (root : Aadl.Instance.t)
                 options.schedulability.Schedulability.translation_options;
               max_states = options.schedulability.Schedulability.max_states;
               jobs = options.schedulability.Schedulability.jobs;
-              engine = Latency.default_options.Latency.engine;
             }
           ~thread:t.Translate.Workload.path root
       with

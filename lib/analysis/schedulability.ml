@@ -24,10 +24,6 @@ type options = {
   all_violations : bool;
       (** explore exhaustively instead of stopping at the first deadlock *)
   jobs : int;  (** domains for parallel successor computation *)
-  engine : Versa.Explorer.engine;
-      (** [On_the_fly] (the default) answers the yes/no question with the
-          compact early-exit engine; [Full] materializes the graph for
-          callers that walk it afterwards (latency queries, DOT export) *)
   deadline : float option;
       (** absolute wall-clock budget for the exploration
           ({!Versa.Lts.build_config}); past it the verdict is
@@ -51,7 +47,6 @@ let default_options =
     max_states = 2_000_000;
     all_violations = false;
     jobs = 1;
-    engine = Versa.Explorer.On_the_fly;
     deadline = None;
     poll = None;
     symmetry = true;
@@ -63,8 +58,7 @@ let analyze_translation ~options (tr : Translate.Pipeline.t) : t =
     else Acsr.Symmetry.empty
   in
   let exploration =
-    Versa.Explorer.check_deadlock ~engine:options.engine
-      ~max_states:options.max_states
+    Versa.Explorer.check_deadlock ~max_states:options.max_states
       ~stop_at_deadlock:(not options.all_violations)
       ~jobs:options.jobs ?deadline:options.deadline ?poll:options.poll
       ~symmetry tr.Translate.Pipeline.defs tr.Translate.Pipeline.system
@@ -96,13 +90,13 @@ let is_schedulable t =
   | Not_schedulable _ | Inconclusive _ -> false
 
 (* All deadline-violation scenarios of an exhaustive exploration, one per
-   deadlock state.  Both engines retain enough to rebuild every shortest
-   counterexample path. *)
+   deadlock state.  The exploration retains enough to rebuild every
+   shortest counterexample path. *)
 let all_scenarios t =
   List.map
     (fun state ->
       Raise_trace.raise_trace ~registry:t.translation.Translate.Pipeline.registry
-        (Versa.Explorer.trace_to t.exploration state))
+        (Versa.Trace.to_deadlock t.exploration.Versa.Explorer.lts state))
     (Versa.Explorer.deadlocks t.exploration)
 
 let pp_verdict ppf = function
@@ -116,6 +110,6 @@ let pp_verdict ppf = function
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a@,state space: %a (%.3fs)@,%a@]"
-    Translate.Pipeline.pp_summary t.translation Versa.Explorer.pp_space
-    t.exploration.Versa.Explorer.space t.exploration.Versa.Explorer.elapsed
+    Translate.Pipeline.pp_summary t.translation Versa.Lts.pp_summary
+    t.exploration.Versa.Explorer.lts t.exploration.Versa.Explorer.elapsed
     pp_verdict t.verdict

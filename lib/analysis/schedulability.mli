@@ -20,10 +20,6 @@ type options = {
   max_states : int;
   all_violations : bool;
   jobs : int;  (** domains for parallel exploration (default 1) *)
-  engine : Versa.Explorer.engine;
-      (** exploration engine (default [On_the_fly]): the compact
-          early-exit checker for plain verdicts, or [Full] when the
-          caller needs the materialized graph *)
   deadline : float option;
       (** absolute wall-clock budget (ambient [Timed.Clock] scale,
           default none): past it the exploration truncates and the verdict is

@@ -51,7 +51,6 @@ let create_attribution () =
 type config = {
   cache : Job.outcome Lru.t option;
   jobs : int;
-  engine : Versa.Explorer.engine;
   fragments : Translate.Fragment_cache.t option;
   attribution : attribution option;
   on_store : (string -> Job.outcome -> unit) option;
@@ -61,7 +60,6 @@ let default_config =
   {
     cache = None;
     jobs = 1;
-    engine = Versa.Explorer.On_the_fly;
     fragments = None;
     attribution = None;
     on_store = None;
@@ -162,7 +160,6 @@ let analysis_options (config : config) (req : Job.request) ~now ~cancel =
     max_states = req.max_states;
     all_violations = false;
     jobs = config.jobs;
-    engine = config.engine;
     deadline = Option.map (fun s -> now +. s) req.timeout_s;
     poll = cancel;
     symmetry = true;

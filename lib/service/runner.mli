@@ -36,7 +36,6 @@ type config = {
   cache : Job.outcome Lru.t option;
       (** shared verdict cache; [None] disables caching *)
   jobs : int;  (** domains for parallel exploration within one job *)
-  engine : Versa.Explorer.engine;
   fragments : Translate.Fragment_cache.t option;
       (** shared translation-fragment cache; [None] re-generates every
           fragment per job *)
@@ -51,7 +50,7 @@ type config = {
 }
 
 val default_config : config
-(** No caches, no attribution, [jobs = 1], on-the-fly engine. *)
+(** No caches, no attribution, [jobs = 1]. *)
 
 val with_cache : ?capacity:int -> config -> config
 (** [default: 256] — attach a fresh verdict cache, a fresh fragment

@@ -23,7 +23,7 @@ val create :
   Runner.config ->
   (t, string) result
 (** [create ~name config] builds a shard called [name] on [config]'s
-    engine/jobs settings, always with its own verdict cache (LRU
+    jobs setting, always with its own verdict cache (LRU
     [capacity], default 256), fragment cache and miss attribution —
     whatever caches [config] carried are replaced.  With [?journal]
     the file at that path is opened ({!Journal.open_}, creating it if

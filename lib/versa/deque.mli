@@ -15,9 +15,9 @@
     steals).
 
     Determinism note: the deque orders {e work}, never {e results}.  The
-    explorer's replay pass ({!Lts.build}/{!Lts.check}) assigns state ids
-    in sequential BFS order regardless of which domain computed a row or
-    in what order, so steal interleavings are invisible in the output —
+    explorer's replay pass ({!Lts.build}) assigns state ids in
+    sequential BFS order regardless of which domain computed a row or in
+    what order, so steal interleavings are invisible in the output —
     see the determinism contract in {!Lts}. *)
 
 type 'a t

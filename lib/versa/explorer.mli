@@ -3,16 +3,16 @@
     This is the bridge between the process-algebraic substrate and the
     schedulability question of the paper: a missed deadline manifests as a
     deadlocked state, so "is the model schedulable?" becomes "is the
-    prioritized LTS deadlock-free?" (Section 5). *)
+    prioritized LTS deadlock-free?" (Section 5).  The exploration is
+    {!Lts.build}; the result carries its {!Lts.t}. *)
 
 open Acsr
 
 type engine =
-  | Full  (** materialize the whole graph with {!Lts.build} *)
+  | Full  (** keep every successor row ([Lts.build ~edges:true]) *)
   | On_the_fly
-      (** compact parent-pointer exploration with {!Lts.check}; with
-          [stop_at_deadlock] it terminates at the first reachable
-          deadlock *)
+      (** keep only the per-state term, parent and step
+          ([~edges:false]); counts, deadlocks and traces are the same *)
 
 type verdict =
   | Deadlock_free
@@ -24,14 +24,7 @@ type verdict =
   | Inconclusive of string
       (** exploration was truncated before finding a deadlock *)
 
-type space =
-  | Graph of Lts.t
-      (** full build: callers may walk successors, export DOT, run
-          observer/latency queries *)
-  | Summary of Lts.check_result
-      (** on-the-fly: counts, deadlocks and counterexample paths only *)
-
-type result = { space : space; verdict : verdict; elapsed : float }
+type result = { lts : Lts.t; verdict : verdict; elapsed : float }
 
 val check_deadlock :
   ?engine:engine ->
@@ -46,14 +39,14 @@ val check_deadlock :
   result
 (** Explore the prioritized state space of a closed term and report the
     first deadlock found (with its shortest trace) or deadlock-freedom.
-    [engine] defaults to [Full]; both engines produce identical verdicts
-    and traces under the same budgets.  [stop_at_deadlock] (default
-    [true]) stops at the first deadlock; with [false] the space is
-    explored exhaustively (up to [max_states], default 2M).
+    [engine] defaults to [On_the_fly]; [Full] additionally keeps the
+    successor rows for callers that walk the graph.  [stop_at_deadlock]
+    (default [true]) stops at the first deadlock; with [false] the space
+    is explored exhaustively (up to [max_states], default 2M).
 
     [jobs] (default 1) is the number of work-stealing worker domains
-    prefetching successor rows, forwarded to {!Lts.build}/{!Lts.check};
-    it changes throughput only — verdicts, deadlock ids and traces are
+    prefetching successor rows, forwarded to {!Lts.build}; it changes
+    throughput only — verdicts, deadlock ids and traces are
     bit-identical at any [jobs] (the determinism contract in {!Lts}).
 
     [deadline] is an absolute bound on the ambient {!Timed.Clock}
@@ -63,32 +56,20 @@ val check_deadlock :
     ({!Lts.build_config}).
 
     [symmetry] (default {!Acsr.Symmetry.empty}) enables orbit reduction
-    in either engine — see the {!Lts} preamble.  Verdicts and trace
-    lengths are unchanged; traces are de-canonicalized before being
-    returned, so failing scenarios name the real model's threads. *)
+    — see the {!Lts} preamble.  Verdicts and trace lengths are
+    unchanged; traces are de-canonicalized before being returned, so
+    failing scenarios name the real model's threads. *)
 
 val deadlock_verdict : Lts.t -> verdict
-(** Derive the verdict from an already-built LTS. *)
+(** Derive the verdict from an already-explored LTS. *)
 
 val is_deadlock_free : result -> bool
 
-(** {1 Engine-independent accessors} *)
-
-val lts : result -> Lts.t option
-(** The full graph, when the [Full] engine produced one. *)
+(** {1 Shorthands for [Lts] accessors on [result.lts]} *)
 
 val num_states : result -> int
 val num_transitions : result -> int
 val deadlocks : result -> Lts.state_id list
-val truncated : result -> bool
 val stats : result -> Lts.stats
 
-val trace_to : result -> Lts.state_id -> Trace.t
-(** Shortest trace to a visited state, from either engine's store. *)
-
-val pp_space : space Fmt.t
-(** One-line state-space summary ({!Lts.pp_summary} or
-    {!Lts.pp_check_summary}). *)
-
 val pp_verdict : verdict Fmt.t
-val pp_result : result Fmt.t

@@ -3,9 +3,10 @@
 
    States are closed process terms, interned into integer ids in BFS
    discovery order (the initial state has id 0).  Each state records its
-   outgoing (step, successor) row and its BFS parent, so that shortest
-   diagnostic traces can be rebuilt without re-exploration — this mirrors
-   what the VERSA tool reports to the user (paper, Section 5).
+   BFS parent and arriving step, so that shortest diagnostic traces can
+   be rebuilt without re-exploration — this mirrors what the VERSA tool
+   reports to the user (paper, Section 5).  Outgoing (step, successor)
+   rows are kept only when the caller asks for edges.
 
    Terms are hash-consed ([Acsr.Hproc]), so the state table keys on an
    integer id and every successor comparison is O(1).
@@ -378,51 +379,136 @@ module Sym = struct
       path
 end
 
+(* The state store: flat growable arrays indexed by state id.  Per state
+   it keeps the hash-consed term (one pointer into the global intern
+   table), the BFS parent id and the arriving step — enough to rebuild
+   every shortest counterexample path.  Successor rows, indexed by the
+   expanded state's id, are kept only when the caller asks for edges;
+   without them the store holds nothing per transition, which is what
+   plain schedulability queries need. *)
+module Store = struct
+  type t = {
+    ids : (int, state_id) Hashtbl.t;  (* Hproc id -> state id *)
+    edges : bool;
+    mutable terms : Hproc.t array;
+    mutable pred : int array;  (* BFS parent; -1 for the root *)
+    mutable steps : Step.t array;  (* step from pred; slot 0 is a dummy *)
+    mutable rows : (Step.t * state_id) array array;
+        (* successor rows of the expanded states; empty without edges *)
+    mutable len : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let dummy_step = Step.Tau (None, 0)
+
+  let create ~edges =
+    {
+      ids = Hashtbl.create 4096;
+      edges;
+      terms = Array.make 1024 Hproc.nil;
+      pred = Array.make 1024 (-1);
+      steps = Array.make 1024 dummy_step;
+      rows = (if edges then Array.make 1024 [||] else [||]);
+      len = 0;
+      hits = 0;
+      misses = 0;
+    }
+
+  let double dummy src =
+    let n = Array.length src in
+    let bigger = Array.make (2 * n) dummy in
+    Array.blit src 0 bigger 0 n;
+    bigger
+
+  (* Intern a successor; parent/step are recorded only on first
+     discovery, so the parent pointers always form the BFS tree. *)
+  let intern st term ~pred ~step =
+    match Hashtbl.find_opt st.ids (Hproc.id term) with
+    | Some id ->
+        st.hits <- st.hits + 1;
+        id
+    | None ->
+        st.misses <- st.misses + 1;
+        if st.len = Array.length st.terms then begin
+          st.terms <- double Hproc.nil st.terms;
+          st.pred <- double (-1) st.pred;
+          st.steps <- double dummy_step st.steps
+        end;
+        let id = st.len in
+        st.terms.(id) <- term;
+        st.pred.(id) <- pred;
+        st.steps.(id) <- step;
+        Hashtbl.add st.ids (Hproc.id term) id;
+        st.len <- st.len + 1;
+        id
+
+  (* Intern the successors of state [id], the next one to expand, in row
+     order; with edges, also keep its row. *)
+  let expand st id succs =
+    if st.edges then begin
+      let row =
+        List.map (fun (step, t) -> (step, intern st t ~pred:id ~step)) succs
+      in
+      if id = Array.length st.rows then st.rows <- double [||] st.rows;
+      st.rows.(id) <- Array.of_list row
+    end
+    else List.iter (fun (step, t) -> ignore (intern st t ~pred:id ~step)) succs
+end
+
 type t = {
-  term_of : Hproc.t array;  (** state id -> term *)
-  edges : (Step.t * state_id) array array;  (** outgoing transitions *)
-  expanded : bool array;
-      (** whether the state's successors were computed; frontier states of
-          a truncated exploration are not expanded *)
-  parent : (state_id * Step.t) option array;  (** BFS tree, for traces *)
-  depth : int array;  (** BFS depth *)
+  store : Store.t;
+  expanded : int;
+      (** states [0, expanded) had their successors computed; the rest
+          are the unexpanded frontier of a truncated exploration *)
   truncated : bool;  (** true if exploration stopped before exhaustion *)
   semantics : semantics;
-  transitions : int;  (** cached at build time *)
-  deadlock_ids : state_id list;  (** cached at build time, discovery order *)
+  transitions : int;
+  deadlock_ids : state_id list;  (** discovery order *)
   stats : stats;
   sym : Sym.t option;  (** present when symmetry reduction was active *)
 }
 
-let num_states lts = Array.length lts.term_of
+let num_states lts = lts.store.Store.len
 let num_transitions lts = lts.transitions
 
 let initial (_ : t) : state_id = 0
-let term lts id = Hproc.to_proc lts.term_of.(id)
-let successors lts id = lts.edges.(id)
-let depth lts id = lts.depth.(id)
+let term lts id = Hproc.to_proc lts.store.Store.terms.(id)
+let has_edges lts = lts.store.Store.edges
 let truncated lts = lts.truncated
 let semantics_of lts = lts.semantics
 let stats lts = lts.stats
-
-let is_deadlock lts id = lts.expanded.(id) && Array.length lts.edges.(id) = 0
-
 let deadlocks lts = lts.deadlock_ids
+
+let successors lts id =
+  if not (has_edges lts) then
+    invalid_arg "Lts.successors: explored without ~edges";
+  if id < lts.expanded then lts.store.Store.rows.(id) else [||]
+
+let is_deadlock lts id =
+  id < lts.expanded && Array.length (successors lts id) = 0
+
+let depth lts id =
+  let rec up id d =
+    let p = lts.store.Store.pred.(id) in
+    if p < 0 then d else up p (d + 1)
+  in
+  up id 0
 
 (* Rebuild the BFS-shortest path from the initial state to [id] as a list
    of (step, reached state). *)
 let path_to lts id =
+  let st = lts.store in
   let rec up id acc =
-    match lts.parent.(id) with
-    | None -> acc
-    | Some (pred, step) -> up pred ((step, id) :: acc)
+    let p = st.Store.pred.(id) in
+    if p < 0 then acc else up p ((st.Store.steps.(id), id) :: acc)
   in
   let path = up id [] in
   match lts.sym with
   | None -> path
   | Some s ->
       Sym.decanon_steps s ~semantics:lts.semantics
-        ~term_at:(fun i -> lts.term_of.(i))
+        ~term_at:(fun i -> st.Store.terms.(i))
         path
 
 type build_config = {
@@ -446,10 +532,10 @@ let default_config =
   { max_states = Some 2_000_000; stop_at_deadlock = false;
     parallel_cutover = 512; deadline = None; poll = None }
 
-(* The stop predicate shared by [build] and [check].  [deadline] and
-   [poll] are evaluated in the sequential merge only, so they cannot
-   perturb parallel expansion; both are [None] on the default path and
-   then cost nothing. *)
+(* The exploration's stop predicate.  [deadline] and [poll] are
+   evaluated in the sequential merge only, so they cannot perturb
+   parallel expansion; both are [None] on the default path and then cost
+   nothing. *)
 let budget_stop config ~len ~deadline_hit () =
   (match config.max_states with Some m -> len >= m | None -> false)
   || (match config.deadline with
@@ -459,7 +545,7 @@ let budget_stop config ~len ~deadline_hit () =
      | Some _ | None -> false)
   || (match config.poll with Some p -> p () | None -> false)
 
-(* Work-stealing prefetch oracle shared by [build] and [check].
+(* Work-stealing prefetch oracle behind [build]'s replay loop.
 
    The replay (the caller's sequential BFS loop) asks [successors] for
    one row at a time, in queue order.  Sequentially ([jobs] = 1, or a
@@ -756,58 +842,6 @@ let publish_contention (tl : Oracle.tally) =
       (float_of_int tl.Oracle.t_contended /. float_of_int tl.Oracle.t_acquired)
   end
 
-(* Growable state table, keyed by the hash-cons id of the term. *)
-module Table = struct
-  type entry = {
-    mutable row : (Step.t * state_id) array;
-    mutable was_expanded : bool;
-    mutable par : (state_id * Step.t) option;
-    mutable dep : int;
-    tm : Hproc.t;
-  }
-
-  type nonrec t = {
-    ids : (int, state_id) Hashtbl.t;  (* Hproc id -> state id *)
-    mutable entries : entry array;
-    mutable len : int;
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let dummy_entry =
-    { row = [||]; was_expanded = false; par = None; dep = 0; tm = Hproc.nil }
-
-  let create () =
-    {
-      ids = Hashtbl.create 4096;
-      entries = Array.make 1024 dummy_entry;
-      len = 0;
-      hits = 0;
-      misses = 0;
-    }
-
-  let get t id = t.entries.(id)
-
-  let intern t term =
-    match Hashtbl.find_opt t.ids (Hproc.id term) with
-    | Some id ->
-        t.hits <- t.hits + 1;
-        (id, false)
-    | None ->
-        t.misses <- t.misses + 1;
-        if t.len = Array.length t.entries then begin
-          let bigger = Array.make (2 * t.len) dummy_entry in
-          Array.blit t.entries 0 bigger 0 t.len;
-          t.entries <- bigger
-        end;
-        let id = t.len in
-        t.entries.(id) <-
-          { row = [||]; was_expanded = false; par = None; dep = 0; tm = term };
-        Hashtbl.add t.ids (Hproc.id term) id;
-        t.len <- t.len + 1;
-        (id, true)
-end
-
 let pp_semantics ppf = function
   | Prioritized -> Fmt.string ppf "prioritized"
   | Unprioritized -> Fmt.string ppf "unprioritized"
@@ -817,9 +851,11 @@ let span_attrs semantics jobs =
     ("jobs", string_of_int jobs) ]
 
 let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
-    ?(symmetry = Symmetry.empty) defs root =
+    ?(symmetry = Symmetry.empty) ?(edges = true) defs root =
   let jobs = max 1 jobs in
-  Obs.Span.with_ ~name:"lts.build" ~attrs:(span_attrs semantics jobs)
+  Obs.Span.with_
+    ~name:(if edges then "lts.build" else "lts.check")
+    ~attrs:(span_attrs semantics jobs)
   @@ fun () ->
   let t_start = Timed.Clock.gettimeofday () in
   let cache = Semantics.make_cache () in
@@ -829,245 +865,7 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   let next =
     match sym with None -> raw_next | Some s -> Sym.wrap s raw_next
   in
-  let table = Table.create () in
-  let truncated = ref false in
-  let deadlock_found = ref false in
-  let deadlock_ids_rev = ref [] in
-  let transitions = ref 0 in
-  let peak_frontier = ref 0 in
-  let root_id, _ =
-    Table.intern table
-      (match sym with None -> raw_root | Some s -> Sym.root s)
-  in
-  ignore root_id;
-  let deadline_hit = ref false in
-  let over_budget () =
-    budget_stop config ~len:table.Table.len ~deadline_hit ()
-  in
-  let o =
-    Oracle.create ~jobs ~cutover:config.parallel_cutover
-      ~max_states:config.max_states next
-  in
-  Fun.protect
-    ~finally:(fun () -> Oracle.shutdown o)
-    (fun () ->
-      (* The BFS queue is implicit: state ids are assigned in discovery
-         order, so the queue contents are exactly the ids [head .. len).
-         This loop is the replay: it is the sequential exploration, with
-         [next] routed through the oracle (a no-op route until a
-         frontier crosses the cutover and the workers spin up). *)
-      let head = ref 0 in
-      let stop = ref false in
-      while (not !stop) && !head < table.Table.len do
-        let frontier = table.Table.len - !head in
-        if frontier > !peak_frontier then peak_frontier := frontier;
-        Obs.Histogram.observe Metrics.frontier (float_of_int frontier);
-        Oracle.maybe_activate o
-          ~term_of:(fun i -> (Table.get table i).Table.tm)
-          ~len:table.Table.len ~head:!head;
-        if (config.stop_at_deadlock && !deadlock_found) || over_budget ()
-        then begin
-          (* leave this state (and every later one) unexpanded; the
-             exploration is incomplete *)
-          truncated := true;
-          stop := true
-        end
-        else begin
-          let id = !head in
-          let entry = Table.get table id in
-          let s = Oracle.successors o entry.Table.tm in
-          if s = [] then begin
-            deadlock_found := true;
-            deadlock_ids_rev := id :: !deadlock_ids_rev
-          end;
-          (* Interning, parent/depth assignment and the truncation
-             checks above are order-sensitive and replicate the
-             sequential exploration exactly. *)
-          let row =
-            List.map
-              (fun (step, term') ->
-                let id', fresh = Table.intern table term' in
-                if fresh then begin
-                  let e' = Table.get table id' in
-                  e'.Table.par <- Some (id, step);
-                  e'.Table.dep <- entry.Table.dep + 1
-                end;
-                (step, id'))
-              s
-          in
-          entry.Table.row <- Array.of_list row;
-          entry.Table.was_expanded <- true;
-          transitions := !transitions + Array.length entry.Table.row;
-          incr head
-        end
-      done);
-  let n = table.Table.len in
-  let entry i = table.Table.entries.(i) in
-  let depth = Array.init n (fun i -> (entry i).Table.dep) in
-  let wall_s = Timed.Clock.gettimeofday () -. t_start in
-  let tl = Oracle.tally o in
-  let stats =
-    {
-      jobs;
-      wall_s;
-      expand_s = o.Oracle.expand_s;
-      merge_s = wall_s -. o.Oracle.expand_s;
-      num_states = n;
-      num_transitions = !transitions;
-      num_deadlocks = List.length !deadlock_ids_rev;
-      peak_frontier = !peak_frontier;
-      depth_levels = 1 + Array.fold_left max 0 depth;
-      intern_hits = table.Table.hits;
-      intern_misses = table.Table.misses;
-      hashcons_nodes = Hproc.table_size ();
-      (* per state: entry record + entries/term_of/edges/expanded/parent/
-         depth array slots + hashtable binding + parent option box; per
-         transition: a (step, id) tuple in a row.  An estimate, counted
-         in words. *)
-      store_bytes = 8 * ((21 * n) + (3 * !transitions));
-      early_exit_depth =
-        (match (config.stop_at_deadlock, List.rev !deadlock_ids_rev) with
-        | true, d :: _ -> Some (entry d).Table.dep
-        | _ -> None);
-      deadline_expired = !deadline_hit;
-      steals = tl.Oracle.t_steals;
-      steal_attempts = tl.Oracle.t_steal_attempts;
-      prefetch_hits = tl.Oracle.t_hits;
-      prefetch_misses = tl.Oracle.t_misses;
-      orbit_hits = (match sym with None -> 0 | Some s -> Sym.hits s);
-      orbit_misses = (match sym with None -> 0 | Some s -> Sym.misses s);
-      canon_s = (match sym with None -> 0. | Some s -> Sym.canon_s s);
-    }
-  in
-  publish_stats stats;
-  publish_contention tl;
-  Option.iter Sym.observe_sizes sym;
-  {
-    term_of = Array.init n (fun i -> (entry i).Table.tm);
-    edges = Array.init n (fun i -> (entry i).Table.row);
-    expanded = Array.init n (fun i -> (entry i).Table.was_expanded);
-    parent = Array.init n (fun i -> (entry i).Table.par);
-    depth;
-    truncated = !truncated;
-    semantics;
-    transitions = !transitions;
-    deadlock_ids = List.rev !deadlock_ids_rev;
-    stats;
-    sym;
-  }
-
-(* {1 On-the-fly checking}
-
-   The paper reduces schedulability to reachability of a deadlocked
-   state, so for an unschedulable model nothing past the first deadlock
-   is ever needed — and even for exhaustive sweeps, the successor rows
-   are only needed transiently.  [check] explores the same prioritized
-   transition system as [build], in the same order, but stores per state
-   only the hash-consed term (one pointer into the global intern table),
-   the BFS parent id and the arriving step — enough to rebuild the
-   shortest counterexample path — in flat growable arrays.  No successor
-   rows, no expansion flags, no per-state records. *)
-
-module Store = struct
-  type t = {
-    ids : (int, state_id) Hashtbl.t;  (* Hproc id -> state id *)
-    mutable terms : Hproc.t array;
-    mutable pred : int array;  (* BFS parent; -1 for the root *)
-    mutable steps : Step.t array;  (* step from pred; slot 0 is a dummy *)
-    mutable len : int;
-    mutable hits : int;
-    mutable misses : int;
-  }
-
-  let dummy_step = Step.Tau (None, 0)
-
-  let create () =
-    {
-      ids = Hashtbl.create 4096;
-      terms = Array.make 1024 Hproc.nil;
-      pred = Array.make 1024 (-1);
-      steps = Array.make 1024 dummy_step;
-      len = 0;
-      hits = 0;
-      misses = 0;
-    }
-
-  let grow st =
-    let n = Array.length st.terms in
-    let copy dummy src =
-      let bigger = Array.make (2 * n) dummy in
-      Array.blit src 0 bigger 0 n;
-      bigger
-    in
-    st.terms <- copy Hproc.nil st.terms;
-    st.pred <- copy (-1) st.pred;
-    st.steps <- copy dummy_step st.steps
-
-  (* Intern a successor; parent/step are recorded only on first
-     discovery, so the parent pointers always form the BFS tree. *)
-  let intern st term ~pred ~step =
-    match Hashtbl.find_opt st.ids (Hproc.id term) with
-    | Some id ->
-        st.hits <- st.hits + 1;
-        id
-    | None ->
-        st.misses <- st.misses + 1;
-        if st.len = Array.length st.terms then grow st;
-        let id = st.len in
-        st.terms.(id) <- term;
-        st.pred.(id) <- pred;
-        st.steps.(id) <- step;
-        Hashtbl.add st.ids (Hproc.id term) id;
-        st.len <- st.len + 1;
-        id
-end
-
-type check_result = {
-  c_store : Store.t;
-  c_truncated : bool;
-  c_deadlocks : state_id list;  (* discovery order *)
-  c_transitions : int;
-  c_semantics : semantics;
-  c_stats : stats;
-  c_sym : Sym.t option;
-}
-
-let check_num_states c = c.c_store.Store.len
-let check_num_transitions c = c.c_transitions
-let check_truncated c = c.c_truncated
-let check_deadlocks c = c.c_deadlocks
-let check_semantics c = c.c_semantics
-let check_stats c = c.c_stats
-let check_term c id = Hproc.to_proc c.c_store.Store.terms.(id)
-
-let check_path_to c id =
-  let st = c.c_store in
-  let rec up id acc =
-    let p = st.Store.pred.(id) in
-    if p < 0 then acc else up p ((st.Store.steps.(id), id) :: acc)
-  in
-  let path = up id [] in
-  match c.c_sym with
-  | None -> path
-  | Some s ->
-      Sym.decanon_steps s ~semantics:c.c_semantics
-        ~term_at:(fun i -> st.Store.terms.(i))
-        path
-
-let check ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
-    ?(symmetry = Symmetry.empty) defs root =
-  let jobs = max 1 jobs in
-  Obs.Span.with_ ~name:"lts.check" ~attrs:(span_attrs semantics jobs)
-  @@ fun () ->
-  let t_start = Timed.Clock.gettimeofday () in
-  let cache = Semantics.make_cache () in
-  let raw_next = step_function semantics cache defs in
-  let raw_root = Hproc.of_proc root in
-  let sym = Sym.of_spec symmetry ~raw_root ~defs in
-  let next =
-    match sym with None -> raw_next | Some s -> Sym.wrap s raw_next
-  in
-  let store = Store.create () in
+  let store = Store.create ~edges in
   let truncated = ref false in
   let deadlock_found = ref false in
   let deadlock_ids_rev = ref [] in
@@ -1089,18 +887,20 @@ let check ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
      order), so depth tracking needs two counters, not an array: when the
      merge crosses [level_end], every state of the current depth has been
      expanded and the states discovered so far are exactly the next
-     level. *)
+     level.  [depth_levels] therefore counts expanded levels only. *)
   let depth = ref 0 in
   let level_end = ref 1 in
   let early_exit_depth = ref None in
+  let head = ref 0 in
   Fun.protect
     ~finally:(fun () -> Oracle.shutdown o)
     (fun () ->
-      (* The replay again: the same decisions in the same order as
-         [build], so visited-state counts, deadlock ids and parent
-         pointers coincide exactly with a [build] under the same config
-         (asserted by the test suite). *)
-      let head = ref 0 in
+      (* The BFS queue is implicit: the queue contents are exactly the
+         ids [head .. len).  This loop is the replay: it is the
+         sequential exploration, with [next] routed through the oracle (a
+         no-op route until a frontier crosses the cutover and the workers
+         spin up).  Interning, parent assignment and the stop checks are
+         order-sensitive and happen here only. *)
       let stop = ref false in
       while (not !stop) && !head < store.Store.len do
         let frontier = store.Store.len - !head in
@@ -1111,6 +911,8 @@ let check ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
           ~len:store.Store.len ~head:!head;
         if (config.stop_at_deadlock && !deadlock_found) || over_budget ()
         then begin
+          (* leave this state (and every later one) unexpanded; the
+             exploration is incomplete *)
           truncated := true;
           stop := true
         end
@@ -1127,11 +929,8 @@ let check ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
             if config.stop_at_deadlock && !early_exit_depth = None then
               early_exit_depth := Some !depth
           end;
-          List.iter
-            (fun (step, term') ->
-              ignore (Store.intern store term' ~pred:id ~step);
-              incr transitions)
-            s;
+          Store.expand store id s;
+          transitions := !transitions + List.length s;
           incr head
         end
       done);
@@ -1153,8 +952,13 @@ let check ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
       intern_misses = store.Store.misses;
       hashcons_nodes = Hproc.table_size ();
       (* per state: term pointer + pred int + step pointer array slots,
-         plus a hashtable binding.  An estimate, counted in words. *)
-      store_bytes = 8 * 7 * n;
+         plus a hashtable binding; with edges, per expanded state a rows
+         slot and a row header, per transition a row slot and a (step,
+         id) tuple.  An estimate, counted in words. *)
+      store_bytes =
+        8
+        * ((7 * n)
+          + if edges then (2 * !head) + (4 * !transitions) else 0);
       early_exit_depth = !early_exit_depth;
       deadline_expired = !deadline_hit;
       steals = tl.Oracle.t_steals;
@@ -1170,28 +974,26 @@ let check ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   publish_contention tl;
   Option.iter Sym.observe_sizes sym;
   {
-    c_store = store;
-    c_truncated = !truncated;
-    c_deadlocks = List.rev !deadlock_ids_rev;
-    c_transitions = !transitions;
-    c_semantics = semantics;
-    c_stats = stats;
-    c_sym = sym;
+    store;
+    expanded = !head;
+    truncated = !truncated;
+    semantics;
+    transitions = !transitions;
+    deadlock_ids = List.rev !deadlock_ids_rev;
+    stats;
+    sym;
   }
 
-let pp_check_summary ppf c =
-  Fmt.pf ppf "%d states, %d transitions%s (%a semantics, on-the-fly)"
-    (check_num_states c) (check_num_transitions c)
-    (if c.c_truncated then
-       if c.c_deadlocks <> [] then " [early exit]" else " [truncated]"
-     else "")
-    pp_semantics c.c_semantics
-
+(* A truncated run was stopped either by [stop_at_deadlock] (an early
+   exit, which [early_exit_depth] records) or by a budget. *)
 let pp_summary ppf lts =
-  Fmt.pf ppf "%d states, %d transitions%s (%a semantics)" (num_states lts)
+  Fmt.pf ppf "%d states, %d transitions%s (%a semantics%s)" (num_states lts)
     (num_transitions lts)
-    (if lts.truncated then " [truncated]" else "")
+    (if not lts.truncated then ""
+     else if lts.stats.early_exit_depth <> None then " [early exit]"
+     else " [truncated]")
     pp_semantics lts.semantics
+    (if has_edges lts then "" else ", on-the-fly")
 
 let pp_stats ppf s =
   Fmt.pf ppf

@@ -1,11 +1,21 @@
-(** Explicit labeled transition systems of ACSR terms, built by breadth-first
-    state-space exploration.
+(** Labeled transition systems of ACSR terms, explored breadth-first.
 
     States are closed process terms interned in BFS discovery order (the
     initial state is always id 0); this is the substrate on which
     schedulability analysis performs VERSA-style deadlock detection
     (paper, Section 5).  Terms are hash-consed ({!Acsr.Hproc}), so state
     interning and successor deduplication cost O(1) per comparison.
+
+    There is one exploration loop, {!build}.  Per state it keeps the
+    hash-consed term, the BFS parent and the arriving step in flat
+    arrays — enough for counts, deadlocks and every shortest
+    counterexample path.  Successor rows are kept only with
+    [~edges:true] (the default), for callers that walk the graph
+    afterwards (DOT export, bisimulation); a plain schedulability query
+    passes [~edges:false] and retains nothing per transition.  With
+    [stop_at_deadlock] the loop stops at the first deadlock, so an
+    unschedulable model is decided in time proportional to the distance
+    to the first deadline miss.
 
     {2 Parallel exploration and the determinism contract}
 
@@ -44,8 +54,8 @@
     product of the orbit class factorials.  Canonicalization happens
     inside the successor function, which workers and replay share, so
     reduction composes with [jobs] and the bit-identity contract above
-    is unchanged for any fixed [symmetry] spec.  {!path_to} and
-    {!check_path_to} de-canonicalize the stored steps (composing the
+    is unchanged for any fixed [symmetry] spec.  {!path_to}
+    de-canonicalizes the stored steps (composing the
     permutation witnesses along the path), so diagnostic traces name the
     real system's threads; state ids in the returned path index the
     canonical store.  Note that a reduced run's state {e numbering}
@@ -75,15 +85,16 @@ type stats = {
   num_transitions : int;
   num_deadlocks : int;
   peak_frontier : int;  (** max states discovered but not yet expanded *)
-  depth_levels : int;  (** deepest BFS level reached + 1 *)
+  depth_levels : int;
+      (** deepest {e expanded} BFS level + 1; the unexpanded frontier of a
+          truncated run does not count *)
   intern_hits : int;  (** successor interns that found an existing state *)
   intern_misses : int;  (** interns that discovered a new state *)
   hashcons_nodes : int;  (** global hash-cons table size after the build *)
   store_bytes : int;
-      (** estimated bytes retained by the state store (successor rows and
-          bookkeeping for {!build}; flat id/parent/step arrays for
-          {!check}) — the figure behind the compact engine's
-          bytes-per-state win *)
+      (** estimated bytes retained by the state store: the flat
+          term/parent/step arrays, plus the successor rows with
+          [~edges:true] *)
   early_exit_depth : int option;
       (** BFS depth of the first deadlock when [stop_at_deadlock] fired:
           the distance to the first deadline miss, which bounds the work
@@ -148,12 +159,18 @@ val initial : t -> state_id
 val term : t -> state_id -> Proc.t
 (** The process term of a state (rebuilt from its hash-consed form). *)
 
+val has_edges : t -> bool
+(** Whether successor rows were kept ([build ~edges]). *)
+
 val successors : t -> state_id -> (Step.t * state_id) array
 (** Outgoing transitions, in the canonical successor order (sorted by
-    step, then structurally by target term). *)
+    step, then structurally by target term); empty for an unexpanded
+    frontier state.
+    @raise Invalid_argument when explored with [~edges:false]. *)
 
 val depth : t -> state_id -> int
-(** BFS depth: the length of the shortest path from the initial state. *)
+(** BFS depth: the length of the shortest path from the initial state,
+    walked up the parent pointers. *)
 
 val truncated : t -> bool
 (** True when exploration stopped early (state budget exhausted or
@@ -162,10 +179,12 @@ val truncated : t -> bool
 val semantics_of : t -> semantics
 
 val is_deadlock : t -> state_id -> bool
-(** The state was expanded and has no outgoing transition. *)
+(** The state was expanded and has no outgoing transition.
+    @raise Invalid_argument when explored with [~edges:false]. *)
 
 val deadlocks : t -> state_id list
-(** All deadlock states, in discovery order.  Cached at build time: O(1). *)
+(** Deadlocks among the visited states, in discovery order.  Complete
+    exactly when [not (truncated lts)].  Cached at build time: O(1). *)
 
 val path_to : t -> state_id -> (Step.t * state_id) list
 (** BFS-shortest path from the initial state, as (step, reached state). *)
@@ -212,11 +231,19 @@ val build :
   ?semantics:semantics ->
   ?jobs:int ->
   ?symmetry:Symmetry.spec ->
+  ?edges:bool ->
   Defs.t ->
   Proc.t ->
   t
 (** Explore the state space of a closed term breadth-first.  [semantics]
     defaults to [Prioritized].
+
+    [edges] (default [true]) keeps every expanded state's successor row
+    for {!successors}; with [false] the store holds only the per-state
+    term, parent and step.  Everything else — ids, counts, deadlocks,
+    paths and every non-timing {!stats} field except [store_bytes] — is
+    the same either way.  The run is traced as an [lts.build] span with
+    edges and an [lts.check] span without.
 
     [symmetry] (default {!Acsr.Symmetry.empty}, i.e. off) enables orbit
     reduction — see the module preamble.  The spec must describe the
@@ -236,61 +263,7 @@ val build :
     [versa_pool_worker_failures_total]). *)
 
 val pp_summary : t Fmt.t
-(** One-line summary: state/transition counts, truncation, semantics. *)
-
-(** {1 On-the-fly checking}
-
-    Deadlock detection without materializing the graph: {!check} walks
-    the same transition system in the same BFS order as {!build} but
-    retains, per state, only the hash-consed term pointer, the BFS parent
-    id and the arriving step, in flat growable arrays — no successor
-    rows, no per-state records.  With [stop_at_deadlock] it answers
-    unschedulable-model queries in time (and memory) proportional to the
-    distance to the first deadline miss rather than to the whole state
-    space; run to exhaustion it yields the same verdict, deadlock ids and
-    shortest counterexample paths as a full build (asserted by the test
-    suite and the [bench-smoke] gate). *)
-
-type check_result
-(** Outcome of an on-the-fly exploration: verdict data plus the compact
-    parent-pointer store, sufficient to rebuild counterexample paths. *)
-
-val check :
-  ?config:build_config ->
-  ?semantics:semantics ->
-  ?jobs:int ->
-  ?symmetry:Symmetry.spec ->
-  Defs.t ->
-  Proc.t ->
-  check_result
-(** Same exploration order, budgets and parallelism contract as
-    {!build}; visited-state counts, deadlock ids and shortest paths
-    coincide exactly with a [build] under the same [config]. *)
-
-val check_num_states : check_result -> int
-(** States visited (discovered); for an early-exit run this is the
-    explored prefix, not the full space. *)
-
-val check_num_transitions : check_result -> int
-
-val check_truncated : check_result -> bool
-(** Exploration stopped early (budget or [stop_at_deadlock]). *)
-
-val check_deadlocks : check_result -> state_id list
-(** Deadlocks among the visited states, in discovery order.  Complete
-    exactly when [not (check_truncated c)]. *)
-
-val check_semantics : check_result -> semantics
-val check_stats : check_result -> stats
-
-val check_path_to : check_result -> state_id -> (Step.t * state_id) list
-(** BFS-shortest path from the initial state, rebuilt from the parent
-    pointers; same shape as {!path_to}. *)
-
-val check_term : check_result -> state_id -> Proc.t
-(** The process term of a visited state. *)
-
-val pp_check_summary : check_result Fmt.t
-(** One-line summary, matching {!pp_summary}'s format plus an
-    [on-the-fly] marker (and [early exit] when a deadlock stopped the
-    run). *)
+(** One-line summary: state/transition counts, [[early exit]] when
+    [stop_at_deadlock] stopped the run or [[truncated]] when a budget
+    did, the semantics, and an [on-the-fly] marker when explored without
+    edges. *)

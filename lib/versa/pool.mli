@@ -8,9 +8,8 @@
       the service layer's batch scheduler.
     - {b Launches} ({!launch}/{!await}): one long-lived task per worker,
       each invoked with its own domain index.  Used by the work-stealing
-      explorer ({!Lts.build}/{!Lts.check}), where every worker runs a
-      steal loop over the per-domain deques until the coordinator raises
-      a stop flag.
+      explorer ({!Lts.build}), where every worker runs a steal loop over
+      the per-domain deques until the coordinator raises a stop flag.
 
     Workers live for the lifetime of the pool, so issuing a batch or a
     launch costs a condition-variable broadcast, not a domain spawn.

@@ -31,8 +31,8 @@
 
     The store never decides state identity or order — it only
     deduplicates {e work}.  State ids are assigned by the explorer's
-    sequential replay in BFS order ({!Lts.build}/{!Lts.check}), so the
-    racy interleaving of claims and publishes is invisible in results;
+    sequential replay in BFS order ({!Lts.build}), so the racy
+    interleaving of claims and publishes is invisible in results;
     see the determinism contract in {!Lts}. *)
 
 open Acsr

@@ -13,9 +13,7 @@ type entry = { step : Step.t; state : Lts.state_id }
 type t = { entries : entry list }
 
 (* A trace is just the path data: it does not retain the LTS it was
-   extracted from, so the on-the-fly checker ([Lts.check]) can produce
-   traces from its compact parent-pointer store without ever
-   materializing a graph. *)
+   extracted from, so a trace outlives the exploration's store. *)
 let of_path path =
   { entries = List.map (fun (step, state) -> { step; state }) path }
 

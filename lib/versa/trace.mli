@@ -8,13 +8,10 @@ type entry = { step : Step.t; state : Lts.state_id }
 
 type t = { entries : entry list }
 (** An execution starting at the initial state (id 0).  Traces carry the
-    path only — not the LTS it came from — so both the full builder
-    ({!Lts.build}) and the on-the-fly checker ({!Lts.check}) produce
-    them. *)
+    path only — not the LTS it came from. *)
 
 val of_path : (Step.t * Lts.state_id) list -> t
-(** Wrap a path (as returned by {!Lts.path_to} or {!Lts.check_path_to})
-    as a trace. *)
+(** Wrap a path (as returned by {!Lts.path_to}) as a trace. *)
 
 val to_deadlock : Lts.t -> Lts.state_id -> t
 (** Shortest trace from the initial state to the given state. *)

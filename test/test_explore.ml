@@ -127,44 +127,135 @@ let test_engines_agree_on_reachable_states () =
       done)
     [ List.nth (reference_models ()) 0; List.nth (reference_models ()) 1 ]
 
-(* {1 On-the-fly checker vs the full builder}
+(* {1 Exploring with and without edges}
 
-   [Lts.check] must agree with [Lts.build] under the same config on
-   everything both can answer: visited-state and transition counts,
-   truncation, deadlock ids and shortest counterexample paths. *)
+   [Lts.build ~edges:false] keeps no successor rows but must agree with
+   [~edges:true] under the same config on everything else: visited-state
+   and transition counts, truncation, deadlock ids, shortest
+   counterexample paths, terms, the summary label and every non-timing
+   [stats] field except [store_bytes].  Inputs include a budget-truncated
+   run, and five small schedulable and unschedulable models explored
+   with early exit on and off. *)
 
-let check_otf_matches_build name (lts : Versa.Lts.t)
-    (c : Versa.Lts.check_result) =
+let e6_model n =
+  Gen.periodic_system
+    (List.init n (fun i ->
+         Gen.simple_spec
+           ~name:(Printf.sprintf "t%d" (i + 1))
+           ~period_ms:(4 + (2 * i))
+           ~cet_ms:1 ()))
+
+(* t1's execution time ranges over [1,3]: its worst case starves t2 out
+   of its first deadline, while its best case stays schedulable. *)
+let e6_unsched n =
+  Gen.periodic_system
+    (List.init n (fun i ->
+         if i = 0 then
+           {
+             Gen.name = "t1";
+             period_ms = 4;
+             cet_min_ms = 1;
+             cet_max_ms = 3;
+             deadline_ms = 4;
+           }
+         else
+           Gen.simple_spec
+             ~name:(Printf.sprintf "t%d" (i + 1))
+             ~period_ms:(4 + (2 * i))
+             ~cet_ms:1 ()))
+
+let agreement_inputs () =
+  let models =
+    [
+      ("cruise", Gen.cruise_control ());
+      ("cruise_overloaded", Gen.cruise_control ~overload:true ());
+      ("crossover", Gen.periodic_system Gen.crossover_set);
+      ("e6_four_threads", e6_model 4);
+      ("e6_four_unsched", e6_unsched 4);
+    ]
+  in
+  reference_models ()
+  @ List.concat_map
+      (fun (name, text) ->
+        let tr = tr_of text in
+        List.map
+          (fun stop ->
+            ( Fmt.str "%s stop_at_deadlock=%b" name stop,
+              tr,
+              { Versa.Lts.default_config with stop_at_deadlock = stop } ))
+          [ true; false ])
+      models
+
+(* The [stats] fields that do not measure time or memory. *)
+let stats_fingerprint (s : Versa.Lts.stats) =
+  let open Versa.Lts in
+  ( [
+      s.jobs;
+      s.num_states;
+      s.num_transitions;
+      s.num_deadlocks;
+      s.peak_frontier;
+      s.depth_levels;
+      s.intern_hits;
+      s.intern_misses;
+      s.hashcons_nodes;
+      s.steals;
+      s.steal_attempts;
+      s.prefetch_hits;
+      s.prefetch_misses;
+      s.orbit_hits;
+      s.orbit_misses;
+    ],
+    s.early_exit_depth,
+    s.deadline_expired )
+
+let check_edges_agree name (full : Versa.Lts.t) (compact : Versa.Lts.t) =
+  Alcotest.(check bool) (name ^ ": edges kept") true
+    (Versa.Lts.has_edges full);
+  Alcotest.(check bool) (name ^ ": no edges") false
+    (Versa.Lts.has_edges compact);
   Alcotest.(check int)
-    (name ^ ": states") (Versa.Lts.num_states lts)
-    (Versa.Lts.check_num_states c);
+    (name ^ ": states") (Versa.Lts.num_states full)
+    (Versa.Lts.num_states compact);
   Alcotest.(check int)
     (name ^ ": transitions")
-    (Versa.Lts.num_transitions lts)
-    (Versa.Lts.check_num_transitions c);
+    (Versa.Lts.num_transitions full)
+    (Versa.Lts.num_transitions compact);
   Alcotest.(check bool)
-    (name ^ ": truncated") (Versa.Lts.truncated lts)
-    (Versa.Lts.check_truncated c);
+    (name ^ ": truncated") (Versa.Lts.truncated full)
+    (Versa.Lts.truncated compact);
   Alcotest.(check (list int))
-    (name ^ ": deadlocks") (Versa.Lts.deadlocks lts)
-    (Versa.Lts.check_deadlocks c);
+    (name ^ ": deadlocks") (Versa.Lts.deadlocks full)
+    (Versa.Lts.deadlocks compact);
   List.iter
     (fun d ->
-      if Versa.Lts.path_to lts d <> Versa.Lts.check_path_to c d then
+      if Versa.Lts.path_to full d <> Versa.Lts.path_to compact d then
         Alcotest.failf "%s: shortest path to deadlock %d differs" name d)
-    (Versa.Lts.deadlocks lts);
-  for id = 0 to min 20 (Versa.Lts.num_states lts - 1) do
-    if Versa.Lts.term lts id <> Versa.Lts.check_term c id then
-      Alcotest.failf "%s: term of state %d differs" name id
-  done
+    (Versa.Lts.deadlocks full);
+  for id = 0 to min 20 (Versa.Lts.num_states full - 1) do
+    if Versa.Lts.term full id <> Versa.Lts.term compact id then
+      Alcotest.failf "%s: term of state %d differs" name id;
+    if Versa.Lts.depth full id <> Versa.Lts.depth compact id then
+      Alcotest.failf "%s: depth of state %d differs" name id
+  done;
+  let full_summary = Fmt.str "%a" Versa.Lts.pp_summary full in
+  Alcotest.(check string)
+    (name ^ ": summary")
+    (String.sub full_summary 0 (String.length full_summary - 1)
+    ^ ", on-the-fly)")
+    (Fmt.str "%a" Versa.Lts.pp_summary compact);
+  if
+    stats_fingerprint (Versa.Lts.stats full)
+    <> stats_fingerprint (Versa.Lts.stats compact)
+  then Alcotest.failf "%s: non-timing stats differ" name
 
 let test_check_matches_build () =
   List.iter
     (fun (name, (defs, system), config) ->
-      let lts = Versa.Lts.build ~config defs system in
-      let c = Versa.Lts.check ~config defs system in
-      check_otf_matches_build name lts c)
-    (reference_models ())
+      let full = Versa.Lts.build ~config defs system in
+      let compact = Versa.Lts.build ~config ~edges:false defs system in
+      check_edges_agree name full compact)
+    (agreement_inputs ())
 
 (* A cutover of 1 forces every multi-state frontier through the domain
    pool, exercising the parallel path even on small models. *)
@@ -172,43 +263,68 @@ let test_check_parallel_identical () =
   List.iter
     (fun (name, (defs, system), config) ->
       let eager = { config with Versa.Lts.parallel_cutover = 1 } in
-      let seq = Versa.Lts.check ~config ~jobs:1 defs system in
-      let par = Versa.Lts.check ~config:eager ~jobs:4 defs system in
+      let seq = Versa.Lts.build ~config ~jobs:1 ~edges:false defs system in
+      let par =
+        Versa.Lts.build ~config:eager ~jobs:4 ~edges:false defs system
+      in
       Alcotest.(check int)
         (name ^ ": states")
-        (Versa.Lts.check_num_states seq)
-        (Versa.Lts.check_num_states par);
+        (Versa.Lts.num_states seq) (Versa.Lts.num_states par);
       Alcotest.(check (list int))
         (name ^ ": deadlocks")
-        (Versa.Lts.check_deadlocks seq)
-        (Versa.Lts.check_deadlocks par);
+        (Versa.Lts.deadlocks seq) (Versa.Lts.deadlocks par);
       List.iter
         (fun d ->
-          if Versa.Lts.check_path_to seq d <> Versa.Lts.check_path_to par d
-          then Alcotest.failf "%s: path to deadlock %d differs" name d)
-        (Versa.Lts.check_deadlocks seq))
-    (reference_models ())
+          if Versa.Lts.path_to seq d <> Versa.Lts.path_to par d then
+            Alcotest.failf "%s: path to deadlock %d differs" name d)
+        (Versa.Lts.deadlocks seq))
+    (agreement_inputs ())
 
-(* {1 Engine agreement on every example AADL model}
+(* The summary says which stop fired: [early exit] only when
+   [stop_at_deadlock] ended the run, [truncated] when the state budget
+   did, even after deadlocks were found. *)
+let test_summary_labels () =
+  let defs, system = tr_of (e6_unsched 4) in
+  let check name ~stop ~max_states label =
+    let config =
+      {
+        Versa.Lts.default_config with
+        stop_at_deadlock = stop;
+        max_states = Some max_states;
+      }
+    in
+    let lts = Versa.Lts.build ~config ~edges:false defs system in
+    Alcotest.(check bool) (name ^ ": deadlocks found") true
+      (Versa.Lts.deadlocks lts <> []);
+    Alcotest.(check string) name
+      (Fmt.str "%d states, %d transitions%s (prioritized semantics, on-the-fly)"
+         (Versa.Lts.num_states lts)
+         (Versa.Lts.num_transitions lts)
+         label)
+      (Fmt.str "%a" Versa.Lts.pp_summary lts)
+  in
+  let all = Versa.Lts.num_states (Versa.Lts.build ~edges:false defs system) in
+  check "early exit" ~stop:true ~max_states:(2 * all) " [early exit]";
+  check "budget after deadlocks" ~stop:false ~max_states:(all / 2)
+    " [truncated]";
+  check "exhaustive" ~stop:false ~max_states:(2 * all) ""
 
-   Both engines must report the same verdict, the same raised AADL
-   scenario and — explored exhaustively — the same deadlock count, on
-   every model shipped in examples/models. *)
+(* {1 With and without edges on every example AADL model}
+
+   [Explorer.check_deadlock] with [Full] and [On_the_fly] must report
+   the same verdict, the same raised AADL scenario and — explored
+   exhaustively — the same deadlocks, on every model shipped in
+   examples/models. *)
 
 let example_models_dir () =
   List.find_opt Sys.file_exists
     [ "../examples/models"; "examples/models" ]
 
-let analyze_with engine ~all root =
-  Analysis.Schedulability.analyze
-    ~options:
-      {
-        Analysis.Schedulability.default_options with
-        max_states = 300_000;
-        all_violations = all;
-        engine;
-      }
-    root
+let read_model dir file =
+  let ic = open_in_bin (Filename.concat dir file) in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
 let test_example_models_agree () =
   match example_models_dir () with
@@ -222,39 +338,43 @@ let test_example_models_agree () =
       Alcotest.(check bool) "found example models" true (models <> []);
       List.iter
         (fun file ->
-          let contents =
-            let ic = open_in_bin (Filename.concat dir file) in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
+          let root = Aadl.Instantiate.of_string (read_model dir file) in
+          let tr = Translate.Pipeline.translate root in
+          let run engine ~all =
+            Versa.Explorer.check_deadlock ~engine ~max_states:300_000
+              ~stop_at_deadlock:(not all)
+              ~symmetry:tr.Translate.Pipeline.symmetry
+              tr.Translate.Pipeline.defs tr.Translate.Pipeline.system
           in
-          let root = Aadl.Instantiate.of_string contents in
-          let full = analyze_with Versa.Explorer.Full ~all:false root in
-          let otf = analyze_with Versa.Explorer.On_the_fly ~all:false root in
-          let describe (r : Analysis.Schedulability.t) =
-            match r.Analysis.Schedulability.verdict with
-            | Analysis.Schedulability.Schedulable -> "schedulable"
-            | Analysis.Schedulability.Not_schedulable { scenario; trace } ->
-                Fmt.str "NOT schedulable at t=%d: %a (steps %a)"
-                  scenario.Analysis.Raise_trace.violation_time
+          let describe (r : Versa.Explorer.result) =
+            match r.Versa.Explorer.verdict with
+            | Versa.Explorer.Deadlock_free -> "schedulable"
+            | Versa.Explorer.Deadlock { state; trace } ->
+                let scenario =
+                  Analysis.Raise_trace.raise_trace
+                    ~registry:tr.Translate.Pipeline.registry trace
+                in
+                Fmt.str "NOT schedulable at state %d: %a (steps %a)" state
                   Analysis.Raise_trace.pp scenario
                   Fmt.(list ~sep:semi Acsr.Step.pp)
                   (Versa.Trace.steps trace)
-            | Analysis.Schedulability.Inconclusive why -> "inconclusive: " ^ why
+            | Versa.Explorer.Inconclusive why -> "inconclusive: " ^ why
           in
+          let full = run Versa.Explorer.Full ~all:false in
+          let otf = run Versa.Explorer.On_the_fly ~all:false in
           Alcotest.(check string)
             (file ^ ": verdict and scenario") (describe full) (describe otf);
-          (* exhaustively: same number of violation states *)
-          let full_x = analyze_with Versa.Explorer.Full ~all:true root in
-          let otf_x = analyze_with Versa.Explorer.On_the_fly ~all:true root in
+          (* exhaustively: same violation states *)
+          let full_x = run Versa.Explorer.Full ~all:true in
+          let otf_x = run Versa.Explorer.On_the_fly ~all:true in
           Alcotest.(check (list int))
             (file ^ ": deadlock ids (exhaustive)")
-            (Versa.Explorer.deadlocks full_x.Analysis.Schedulability.exploration)
-            (Versa.Explorer.deadlocks otf_x.Analysis.Schedulability.exploration);
+            (Versa.Explorer.deadlocks full_x)
+            (Versa.Explorer.deadlocks otf_x);
           Alcotest.(check int)
             (file ^ ": states (exhaustive)")
-            (Versa.Explorer.num_states full_x.Analysis.Schedulability.exploration)
-            (Versa.Explorer.num_states otf_x.Analysis.Schedulability.exploration))
+            (Versa.Explorer.num_states full_x)
+            (Versa.Explorer.num_states otf_x))
         models
 
 (* Work-stealing exploration across every example model: at jobs 2 and
@@ -274,13 +394,7 @@ let test_example_models_workstealing_identical () =
       Alcotest.(check bool) "found example models" true (models <> []);
       List.iter
         (fun file ->
-          let contents =
-            let ic = open_in_bin (Filename.concat dir file) in
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () -> really_input_string ic (in_channel_length ic))
-          in
-          let root = Aadl.Instantiate.of_string contents in
+          let root = Aadl.Instantiate.of_string (read_model dir file) in
           let tr = Translate.Pipeline.translate root in
           let defs = tr.Translate.Pipeline.defs in
           let system = tr.Translate.Pipeline.system in
@@ -291,29 +405,29 @@ let test_example_models_workstealing_identical () =
               parallel_cutover = 1;
             }
           in
-          let c1 = Versa.Lts.check ~config:eager ~jobs:1 defs system in
+          let explore jobs =
+            Versa.Lts.build ~config:eager ~jobs ~edges:false defs system
+          in
+          let c1 = explore 1 in
           List.iter
             (fun jobs ->
-              let c = Versa.Lts.check ~config:eager ~jobs defs system in
+              let c = explore jobs in
               Alcotest.(check int)
                 (Fmt.str "%s: states (jobs=%d)" file jobs)
-                (Versa.Lts.check_num_states c1)
-                (Versa.Lts.check_num_states c);
+                (Versa.Lts.num_states c1) (Versa.Lts.num_states c);
               Alcotest.(check int)
                 (Fmt.str "%s: transitions (jobs=%d)" file jobs)
-                (Versa.Lts.check_num_transitions c1)
-                (Versa.Lts.check_num_transitions c);
+                (Versa.Lts.num_transitions c1)
+                (Versa.Lts.num_transitions c);
               Alcotest.(check (list int))
                 (Fmt.str "%s: deadlocks (jobs=%d)" file jobs)
-                (Versa.Lts.check_deadlocks c1)
-                (Versa.Lts.check_deadlocks c);
+                (Versa.Lts.deadlocks c1) (Versa.Lts.deadlocks c);
               List.iter
                 (fun d ->
-                  if Versa.Lts.check_path_to c1 d <> Versa.Lts.check_path_to c d
-                  then
+                  if Versa.Lts.path_to c1 d <> Versa.Lts.path_to c d then
                     Alcotest.failf "%s: path to deadlock %d differs (jobs=%d)"
                       file d jobs)
-                (Versa.Lts.check_deadlocks c1))
+                (Versa.Lts.deadlocks c1))
             [ 2; 4 ];
           (* the raised scenario reported by the analysis layer is
              jobs-invariant too *)
@@ -323,7 +437,6 @@ let test_example_models_workstealing_identical () =
                 {
                   Analysis.Schedulability.default_options with
                   max_states = 300_000;
-                  engine = Versa.Explorer.On_the_fly;
                   jobs;
                 }
               root
@@ -461,12 +574,12 @@ let prop_check_agrees_with_build =
   QCheck2.Test.make ~name:"check = build on random terms" ~count:50
     gen_proc_full (fun p ->
       let lts = Versa.Lts.build Defs.empty p in
-      let c = Versa.Lts.check Defs.empty p in
-      Versa.Lts.num_states lts = Versa.Lts.check_num_states c
-      && Versa.Lts.num_transitions lts = Versa.Lts.check_num_transitions c
-      && Versa.Lts.deadlocks lts = Versa.Lts.check_deadlocks c
+      let c = Versa.Lts.build ~edges:false Defs.empty p in
+      Versa.Lts.num_states lts = Versa.Lts.num_states c
+      && Versa.Lts.num_transitions lts = Versa.Lts.num_transitions c
+      && Versa.Lts.deadlocks lts = Versa.Lts.deadlocks c
       && List.for_all
-           (fun d -> Versa.Lts.path_to lts d = Versa.Lts.check_path_to c d)
+           (fun d -> Versa.Lts.path_to lts d = Versa.Lts.path_to c d)
            (Versa.Lts.deadlocks lts))
 
 let prop_check_early_exit_sound =
@@ -477,13 +590,12 @@ let prop_check_early_exit_sound =
       let stop =
         { Versa.Lts.default_config with stop_at_deadlock = true }
       in
-      let c = Versa.Lts.check ~config:stop Defs.empty p in
+      let c = Versa.Lts.build ~config:stop ~edges:false Defs.empty p in
       let lts = Versa.Lts.build Defs.empty p in
-      match (Versa.Lts.check_deadlocks c, Versa.Lts.deadlocks lts) with
+      match (Versa.Lts.deadlocks c, Versa.Lts.deadlocks lts) with
       | [], [] -> true
       | d :: _, d' :: _ ->
-          d = d'
-          && Versa.Lts.check_path_to c d = Versa.Lts.path_to lts d'
+          d = d' && Versa.Lts.path_to c d = Versa.Lts.path_to lts d'
       | [], _ :: _ | _ :: _, [] -> false)
 
 let prop_parallel_build_agrees =
@@ -543,19 +655,20 @@ let prop_workstealing_early_exit_identical =
           stop_at_deadlock = true;
         }
       in
-      let c1 = Versa.Lts.check ~config:eager ~jobs:1 Defs.empty p in
+      let explore jobs =
+        Versa.Lts.build ~config:eager ~jobs ~edges:false Defs.empty p
+      in
+      let c1 = explore 1 in
       List.for_all
         (fun jobs ->
-          let c = Versa.Lts.check ~config:eager ~jobs Defs.empty p in
-          Versa.Lts.check_num_states c1 = Versa.Lts.check_num_states c
-          && Versa.Lts.check_num_transitions c1
-             = Versa.Lts.check_num_transitions c
-          && Versa.Lts.check_truncated c1 = Versa.Lts.check_truncated c
-          && Versa.Lts.check_deadlocks c1 = Versa.Lts.check_deadlocks c
+          let c = explore jobs in
+          Versa.Lts.num_states c1 = Versa.Lts.num_states c
+          && Versa.Lts.num_transitions c1 = Versa.Lts.num_transitions c
+          && Versa.Lts.truncated c1 = Versa.Lts.truncated c
+          && Versa.Lts.deadlocks c1 = Versa.Lts.deadlocks c
           && List.for_all
-               (fun d ->
-                 Versa.Lts.check_path_to c1 d = Versa.Lts.check_path_to c d)
-               (Versa.Lts.check_deadlocks c1))
+               (fun d -> Versa.Lts.path_to c1 d = Versa.Lts.path_to c d)
+               (Versa.Lts.deadlocks c1))
         [ 2; 4 ])
 
 let qcheck_cases =
@@ -585,18 +698,19 @@ let test_deadline_budget_truncates () =
       deadline = Some (Timed.Clock.gettimeofday () -. 1.);
     }
   in
-  (* an already-expired budget: both engines must truncate at the first
-     merge step and flag it in the stats, never hang *)
+  (* an already-expired budget: with or without edges the run must
+     truncate at the first merge step and flag it in the stats, never
+     hang *)
   let lts = Versa.Lts.build ~config:expired defs system in
   Alcotest.(check bool) "build truncated" true (Versa.Lts.truncated lts);
   Alcotest.(check bool)
     "build stats flag" true
     (Versa.Lts.stats lts).Versa.Lts.deadline_expired;
-  let c = Versa.Lts.check ~config:expired defs system in
-  Alcotest.(check bool) "check truncated" true (Versa.Lts.check_truncated c);
+  let c = Versa.Lts.build ~config:expired ~edges:false defs system in
+  Alcotest.(check bool) "check truncated" true (Versa.Lts.truncated c);
   Alcotest.(check bool)
     "check stats flag" true
-    (Versa.Lts.check_stats c).Versa.Lts.deadline_expired;
+    (Versa.Lts.stats c).Versa.Lts.deadline_expired;
   (* a generous budget must not perturb the exploration *)
   let roomy =
     {
@@ -628,10 +742,10 @@ let test_virtual_deadline_is_deterministic () =
         deadline = Some (Timed.Clock.gettimeofday () +. 2.5);
       }
     in
-    let c = Versa.Lts.check ~config defs system in
-    ( Versa.Lts.check_truncated c,
-      (Versa.Lts.check_stats c).Versa.Lts.deadline_expired,
-      Versa.Lts.check_num_states c )
+    let c = Versa.Lts.build ~config ~edges:false defs system in
+    ( Versa.Lts.truncated c,
+      (Versa.Lts.stats c).Versa.Lts.deadline_expired,
+      Versa.Lts.num_states c )
   in
   let t0 = Timed.Clock.now Timed.Clock.real in
   let truncated, expired, states = explore () in
@@ -660,9 +774,9 @@ let test_poll_cancels () =
   Alcotest.(check bool)
     "cancellation is not a deadline" false
     (Versa.Lts.stats lts).Versa.Lts.deadline_expired;
-  let c = Versa.Lts.check ~config defs system in
+  let c = Versa.Lts.build ~config ~edges:false defs system in
   Alcotest.(check bool) "cancelled check truncated" true
-    (Versa.Lts.check_truncated c)
+    (Versa.Lts.truncated c)
 
 let () =
   Alcotest.run "explore"
@@ -685,6 +799,8 @@ let () =
             test_check_matches_build;
           Alcotest.test_case "parallel check is identical" `Quick
             test_check_parallel_identical;
+          Alcotest.test_case "summary names the stop" `Quick
+            test_summary_labels;
           Alcotest.test_case "engines agree on example models" `Slow
             test_example_models_agree;
           Alcotest.test_case "work stealing is identical on example models"

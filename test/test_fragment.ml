@@ -183,33 +183,6 @@ let test_sweep_unknown_thread_rejected () =
   | exception Analysis.Sensitivity.Error _ -> ()
   | _ -> Alcotest.fail "unknown thread must be rejected"
 
-(* {1 Latency: the on-the-fly default agrees with the full engine} *)
-
-let test_latency_engines_agree () =
-  let root = Aadl.Instantiate.of_string (Gen.cruise_control ()) in
-  let check engine bound_ms =
-    Analysis.Latency.check
-      ~options:{ Analysis.Latency.default_options with engine }
-      ~from_thread:[ "hci"; "button_panel" ]
-      ~to_thread:[ "ccl"; "cruise2" ]
-      ~bound:(Aadl.Time.of_ms bound_ms) root
-  in
-  List.iter
-    (fun bound_ms ->
-      let otf = check Versa.Explorer.On_the_fly bound_ms in
-      let full = check Versa.Explorer.Full bound_ms in
-      let show (r : Analysis.Latency.t) =
-        match r.Analysis.Latency.verdict with
-        | Analysis.Latency.Latency_met -> "met"
-        | Analysis.Latency.Latency_violated { scenario; trace = _ } ->
-            Fmt.str "violated: %a" Analysis.Raise_trace.pp scenario
-        | Analysis.Latency.Latency_inconclusive why -> "inconclusive: " ^ why
-      in
-      Alcotest.(check string)
-        (Fmt.str "bound %d ms" bound_ms)
-        (show full) (show otf))
-    [ 20; 500 ]
-
 let () =
   Alcotest.run "fragment"
     [
@@ -229,9 +202,5 @@ let () =
             test_incremental_sweep_matches;
           Alcotest.test_case "unknown thread rejected" `Quick
             test_sweep_unknown_thread_rejected;
-        ] );
-      ( "latency",
-        [
-          Alcotest.test_case "engines agree" `Quick test_latency_engines_agree;
         ] );
     ]
