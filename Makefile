@@ -99,9 +99,11 @@ bench-reduction:
 	dune exec bench/main.exe -- reduction
 
 # Observability overhead gate: exploring e6_unsched 6 exhaustively
-# (samples over 0.8 s) with the metrics registry enabled, and again with
-# span tracing active on top, must each cost no more than 5% over a
-# muted registry, a purely relative bound.  Writes both rows into
+# with the metrics registry enabled, and again with span tracing active
+# on top, must each cost no more than 5% over a muted registry, a
+# purely relative bound.  Samples are sized from a timed warm check to
+# last at least 0.8 s; the gate reads the median over 15 rounds of each
+# row's paired ratio to the muted row.  Writes both rows into
 # BENCH_obs.json; exits non-zero past the tolerance — part of
 # `make check`.
 bench-obs:

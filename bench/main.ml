@@ -1414,15 +1414,17 @@ let sweep_section ~json_path () =
    The observability layer must be effectively free when nobody is
    looking: counters/histograms are always on (sharded atomics), spans
    cost one atomic load while tracing is inactive.  This gate explores
-   [e6_unsched 6] exhaustively (31537 states; each timed sample is two
-   checks, over 0.8 s) with the registry muted ([Obs.set_enabled
-   false]), with metrics enabled, and with span tracing on top, and
-   fails if either instrumented row is more than 5% slower than the
-   muted one.  The bound is purely relative: the samples are long enough
-   that millisecond noise cannot reach 5%, so a real regression can fail
-   it.  Each row keeps its best of [rounds] samples.  Run shape is read
-   back from the registry itself — the same counters `--stats` and the
-   serve 'metrics' op render. *)
+   [e6_unsched 6] exhaustively (31537 states) with the registry muted
+   ([Obs.set_enabled false]), with metrics enabled, and with span tracing
+   on top, and fails if either instrumented row is more than 5% slower
+   than the muted one.  A sample is as many checks as take at least
+   [min_sample_s], sized from a timed warm check, so millisecond noise
+   cannot reach 5% and a real regression can fail the gate.  Each round
+   samples every row once, back to back; the estimate is the median over
+   rounds of the paired ratio instrumented / muted, which a slow spell on
+   a shared host moves less than it moves the rows' separate minima.
+   Run shape is read back from the registry itself — the same counters
+   `--stats` and the serve 'metrics' op render. *)
 
 let obs_counter name =
   match Obs.find name with
@@ -1434,71 +1436,93 @@ let obs_gauge name =
   | Some { Obs.value = Obs.Gauge_value v; _ } -> v
   | _ -> 0.
 
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
 let obs_section ~json_path () =
   hr "OBS: instrumentation overhead (muted vs metrics vs metrics+tracing)";
   let defs, system = translate_text (e6_unsched 6) in
   let check () =
     ignore (Versa.Lts.build ~config:exhaustive ~edges:false defs system)
   in
-  (* warm the hash-cons table and code paths outside the timings *)
+  (* the first check fills the hash-cons table and warms the code paths;
+     the second, warm, sizes the samples *)
   check ();
-  (* a warm exploration takes about 0.45 s on a 2-vCPU VM; two per
-     sample keep every timed sample well above half a second *)
-  let rounds = 9 and checks_per_sample = 2 in
-  let timed () =
-    Gc.full_major ();
-    let t0 = Timed.Clock.gettimeofday () in
-    for _ = 1 to checks_per_sample do
-      check ()
-    done;
-    Timed.Clock.gettimeofday () -. t0
+  let warm_s = snd (time_run check) in
+  let min_sample_s = 0.8 in
+  let rounds = 15 in
+  (* aim a quarter above the floor: later checks can run faster than
+     the one that sized them *)
+  let checks_per_sample =
+    max 1 (int_of_float (Float.ceil (1.25 *. min_sample_s /. warm_s)))
   in
-  let wall_off = ref infinity
-  and wall_on = ref infinity
-  and wall_trace = ref infinity in
-  let sample best = best := Float.min !best (timed ()) in
+  let sample () =
+    snd
+      (time_run (fun () ->
+           for _ = 1 to checks_per_sample do
+             check ()
+           done))
+  in
   let rows =
     [|
       (fun () ->
         Obs.set_enabled false;
-        sample wall_off;
-        Obs.set_enabled true);
-      (fun () -> sample wall_on);
+        let t = sample () in
+        Obs.set_enabled true;
+        t);
+      sample;
       (* metrics AND span tracing on — the tracer buffers events in
          memory, and buffering a full exploration must also stay inside
          the same envelope *)
       (fun () ->
         Obs.Trace.start ();
-        sample wall_trace;
-        Obs.Trace.stop ());
+        let t = sample () in
+        Obs.Trace.stop ();
+        t);
     |]
   in
   let states_before = obs_counter "versa_explore_states_total" in
   (* each round runs every row once, starting one row later than the
      round before, so neither a slow host nor a row's place in the
      round favours one row *)
-  for r = 0 to rounds - 1 do
-    for i = 0 to 2 do
-      rows.((r + i) mod 3) ()
-    done
-  done;
-  let wall_off = !wall_off and wall_on = !wall_on and wall_trace = !wall_trace in
+  let walls =
+    List.init rounds (fun r ->
+        let w = Array.make 3 0. in
+        for i = 0 to 2 do
+          let row = (r + i) mod 3 in
+          w.(row) <- rows.(row) ()
+        done;
+        w)
+  in
   let states_per_run =
     (obs_counter "versa_explore_states_total" - states_before)
     / (2 * rounds * checks_per_sample)
   in
-  let overhead = (wall_on -. wall_off) /. wall_off in
-  let overhead_trace = (wall_trace -. wall_off) /. wall_off in
+  let row_median i = median (List.map (fun w -> w.(i)) walls) in
+  let ratios i = List.map (fun w -> w.(i) /. w.(0)) walls in
+  let overhead_of i = median (ratios i) -. 1. in
+  let wall_off = row_median 0 and wall_on = row_median 1 in
+  let wall_trace = row_median 2 in
+  let min_wall =
+    List.fold_left (fun m w -> Array.fold_left Float.min m w) infinity walls
+  in
+  let overhead = overhead_of 1 and overhead_trace = overhead_of 2 in
   let ok_metrics = overhead <= 0.05 in
   let ok_trace = overhead_trace <= 0.05 in
   let ok = ok_metrics && ok_trace in
   Fmt.pr "model: e6_unsched 6, %d states per exhaustive check (from registry)@."
     states_per_run;
-  Fmt.pr "sample: %d exhaustive checks@." checks_per_sample;
-  Fmt.pr "metrics on:    best of %d  %.3fs@." rounds wall_on;
-  Fmt.pr "metrics muted: best of %d  %.3fs@." rounds wall_off;
-  Fmt.pr "tracing on:    best of %d  %.3fs@." rounds wall_trace;
-  Fmt.pr "overhead: metrics %+.1f%%, tracing %+.1f%% (gate: <= 5%%) — %s@."
+  Fmt.pr "sample: %d exhaustive checks (warm check %.3fs; shortest sample \
+          %.3fs, floor %.1fs)@."
+    checks_per_sample warm_s min_wall min_sample_s;
+  Fmt.pr "metrics on:    median of %d  %.3fs@." rounds wall_on;
+  Fmt.pr "metrics muted: median of %d  %.3fs@." rounds wall_off;
+  Fmt.pr "tracing on:    median of %d  %.3fs@." rounds wall_trace;
+  Fmt.pr "overhead (median paired ratio): metrics %+.1f%%, tracing %+.1f%% \
+          (gate: <= 5%%) — %s@."
     (100. *. overhead)
     (100. *. overhead_trace)
     (if ok then "OK" else "FAIL");
@@ -1515,12 +1539,18 @@ let obs_section ~json_path () =
           Service.Json.String
             "exhaustive on-the-fly check of e6_unsched 6: metrics \
              registry muted vs enabled vs enabled-with-span-tracing; \
-             rounds alternate the rows, best-of-N wall times, each \
-             instrumented row gated against the muted baseline by the \
-             relative tolerance alone" );
+             samples sized from a warm check to last at least \
+             min_sample_s; rounds alternate the rows; each instrumented \
+             row gated by the median over rounds of its paired ratio to \
+             the muted row, against the relative tolerance alone; wall \
+             times are per-row medians" );
         ("model", Service.Json.String "e6_unsched 6");
+        ("cores", Service.Json.Int (Domain.recommended_domain_count ()));
         ("rounds", Service.Json.Int rounds);
+        ("warm_check_s", Service.Json.Float warm_s);
+        ("min_sample_s", Service.Json.Float min_sample_s);
         ("checks_per_sample", Service.Json.Int checks_per_sample);
+        ("shortest_sample_s", Service.Json.Float min_wall);
         ("states_per_run", Service.Json.Int states_per_run);
         ("wall_on_s", Service.Json.Float wall_on);
         ("wall_off_s", Service.Json.Float wall_off);
@@ -1535,6 +1565,10 @@ let obs_section ~json_path () =
                   ("row", Service.Json.String "metrics");
                   ("wall_s", Service.Json.Float wall_on);
                   ("overhead_fraction", Service.Json.Float overhead);
+                  ( "paired_ratios",
+                    Service.Json.List
+                      (List.map (fun r -> Service.Json.Float r) (ratios 1))
+                  );
                   ("ok", Service.Json.Bool ok_metrics);
                 ];
               Service.Json.Obj
@@ -1542,6 +1576,10 @@ let obs_section ~json_path () =
                   ("row", Service.Json.String "metrics+tracing");
                   ("wall_s", Service.Json.Float wall_trace);
                   ("overhead_fraction", Service.Json.Float overhead_trace);
+                  ( "paired_ratios",
+                    Service.Json.List
+                      (List.map (fun r -> Service.Json.Float r) (ratios 2))
+                  );
                   ("ok", Service.Json.Bool ok_trace);
                 ];
             ] );

@@ -87,9 +87,20 @@ module Ground = struct
      Consequently any action using a resource at non-zero priority preempts
      the idling action. *)
   let preempts (b : t) (a : t) =
-    Resource.Set.subset (resources a) (resources b)
-    && List.for_all (fun (r, pa) -> priority_of b r >= pa) a
-    && List.exists (fun (r, pb) -> pb > priority_of a r) b
+    (* One merge walk over the two resource-sorted lists, allocating
+       nothing: [strict] records whether some resource of [b] seen so far
+       has a priority strictly above its priority in [a]. *)
+    let rec walk b a strict =
+      match (b, a) with
+      | _, [] -> strict || List.exists (fun (_, pb) -> pb > 0) b
+      | [], _ :: _ -> false
+      | (rb, pb) :: b', (ra, pa) :: a' ->
+          let c = Resource.compare rb ra in
+          if c < 0 then walk b' a (strict || pb > 0)
+          else if c > 0 then false
+          else pb >= pa && walk b' a' (strict || pb > pa)
+    in
+    walk b a false
 
   let pp = pp_ground
 end

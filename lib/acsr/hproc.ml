@@ -202,6 +202,43 @@ let close r k = intern (Close (r, k))
 let if_ g k = intern (If (g, k))
 let call n args = intern (Call (n, args))
 
+(* {1 Parallel trees}
+
+   A translated system is [Restrict (L, P_0 || ... || P_{n-1})]; the
+   successor kernel in [Semantics] and the orbit canonicalization in
+   [Symmetry] both see the parallel tree as its leaf slots.  A leaf is a
+   maximal subterm that is not a [Par]. *)
+
+let rec num_leaves t =
+  match t.node with Par (a, b) -> num_leaves a + num_leaves b | _ -> 1
+
+let leaves t =
+  let out = Array.make (num_leaves t) t in
+  let rec fill i t =
+    match t.node with
+    | Par (a, b) -> fill (fill i a) b
+    | _ ->
+        out.(i) <- t;
+        i + 1
+  in
+  ignore (fill 0 t);
+  out
+
+let map_leaves f t =
+  let next = ref 0 in
+  let rec go t =
+    match t.node with
+    | Par (a, b) ->
+        let a' = go a in
+        let b' = go b in
+        if a' == a && b' == b then t else par a' b'
+    | _ ->
+        let i = !next in
+        next := i + 1;
+        f i t
+  in
+  go t
+
 (* {1 Conversions} *)
 
 let rec of_proc (p : Proc.t) : t =

@@ -80,6 +80,20 @@ val close : Resource.Set.t -> t -> t
 val if_ : Guard.t -> t -> t
 val call : string -> Expr.t list -> t
 
+(** {1 Parallel trees}
+
+    The leaves of a term are the maximal subterms of its [Par] tree that
+    are not themselves [Par], left to right; a term that is not a [Par]
+    is its own only leaf. *)
+
+val leaves : t -> t array
+
+val map_leaves : (int -> t -> t) -> t -> t
+(** [map_leaves f t] is [t] with leaf [i] replaced by [f i leaf], keeping
+    the tree's shape.  [f] is called once per leaf, left to right.  Only
+    the paths above changed leaves are rebuilt; a subtree whose leaves all
+    come back physically equal is returned as is, without interning. *)
+
 (** {1 Conversions} *)
 
 val of_proc : Proc.t -> t

@@ -172,11 +172,13 @@ let is_deadlocked defs p = steps defs p = []
 
 (* {1 The hash-consed engine}
 
-   A mirror of [steps_at] over [Hproc.t].  Successors are built with the
-   raw (non-simplifying) [Hproc] constructors, so each successor is the
-   hash-consed image of exactly the term the reference engine above would
-   build — the two engines agree term-for-term, which the test suite
-   checks by property.  The payoff: deduplication and the LTS state table
+   A mirror of [steps_at] over [Hproc.t], except that a parallel
+   composition is composed as a whole tree of slots rather than one
+   binary Par at a time (see the system kernel below).  Successors are
+   built with the raw (non-simplifying) [Hproc] constructors, so each
+   successor is the hash-consed image of exactly the term the reference
+   engine above would build — the two engines agree term-for-term, which
+   the test suite checks by property.  The payoff: deduplication and the LTS state table
    compare terms in O(1) instead of re-walking them.
 
    Call unfolding (substitute evaluated arguments through the definition
@@ -193,9 +195,10 @@ type cache = {
           step set is a pure function of the term (and the fixed [defs]
           the cache is used with), and hash-consing makes the key O(1).
           This is where hash-consing pays off most: the per-thread
-          subterms of a translated AADL system recur across nearly every
+          slots of a translated AADL system recur across nearly every
           global state, so their step sets are computed once instead of
-          once per state. *)
+          once per state.  System roots and their parallel trees, new in
+          nearly every state, are not memoized (see [system_steps]). *)
 }
 
 let make_cache () =
@@ -237,6 +240,80 @@ let unfold_call cache defs name values =
       Mutex.unlock cache.lock;
       h
 
+(* The canonical successor order: identical to the reference engine's
+   [sort_uniq Stdlib.compare] over [(Step.t * Proc.t)] pairs, because
+   [Hproc.compare_structural] mirrors [Stdlib.compare] on [Proc.t]. *)
+let h_pair_compare (s1, t1) (s2, t2) =
+  let c = Stdlib.compare (s1 : Step.t) s2 in
+  if c <> 0 then c else Hproc.compare_structural t1 t2
+
+let h_dedup steps = List.sort_uniq h_pair_compare steps
+
+(* {2 The system kernel}
+
+   A translated system is [Restrict (L, P_0 || ... || P_{n-1})].  Following
+   the binary Par rule down the tree would build and intern a successor
+   for every offer at every level, most of which the restriction (an
+   unsynchronized event on a label of [L]) or preemption (a timed step
+   beaten by another) then discard.  The kernel instead treats the tree
+   as its n leaf slots, each with its memoized step set, and composes
+   labels only, remembering which slots move and to what:
+   - each slot's event and tau steps, events on labels of [L] dropped;
+   - each pair of complementary events in slots i < j, as [tau@l];
+   - each choice of one timed step per slot with pairwise-disjoint
+     resources (none if some slot has no timed step).
+   Every pair of leaves meets at exactly one Par node, so these are the
+   binary rule's steps at the root, label for label and successor for
+   successor.  Preemption is then applied to the labels, and only the
+   survivors' successors are interned: the changed paths of the tree,
+   under the restriction.  Preemption reads the set of enabled labels
+   alone, so filtering before sorting and deduplicating yields exactly
+   the list [h_dedup] and [Step.prioritize] give on the binary rule.
+
+   With preemption on, an enabled tau of priority > 0 preempts every
+   timed step, so the product of timed steps is not built at all.
+
+   The kernel is the engine's only Par rule.  A [Par] below the root —
+   inside a slot, or under a root that is not a system — goes through it
+   too, with no restriction and no preemption, and [h_steps_at] memoizes
+   its result like any other composite subterm's. *)
+
+type move =
+  | One of int * Hproc.t  (** slot i moves to the term *)
+  | Two of int * Hproc.t * int * Hproc.t  (** slots i < j synchronize *)
+  | All of Hproc.t list  (** every slot moves, in slot order *)
+
+let is_system p =
+  match Hproc.node p with
+  | Hproc.Par _ -> true
+  | Hproc.Restrict (_, k) -> (
+      match Hproc.node k with Hproc.Par _ -> true | _ -> false)
+  | _ -> false
+
+(* Every choice of one timed step per slot, with pairwise-disjoint
+   resources, as (combined action, successors in slot order).  Built
+   from the last slot to the first so each successor list is consed in
+   order. *)
+let timed_product slot_steps =
+  let extend acc steps =
+    List.fold_left
+      (fun out (s, k) ->
+        match s with
+        | Step.Action a ->
+            List.fold_left
+              (fun out (u, ks) ->
+                if Action.Ground.disjoint a u then
+                  (Action.Ground.union a u, k :: ks) :: out
+                else out)
+              out acc
+        | Step.Event _ | Step.Tau _ -> out)
+      [] steps
+  in
+  let rec go i acc =
+    if i < 0 || acc = [] then acc else go (i - 1) (extend acc slot_steps.(i))
+  in
+  go (Array.length slot_steps - 1) [ (Action.Ground.idle, []) ]
+
 let rec h_steps_at cache depth (defs : Defs.t) (p : Hproc.t) :
     (Step.t * Hproc.t) list =
   match Hproc.node p with
@@ -266,7 +343,7 @@ and h_steps_node cache depth (defs : Defs.t) (p : Hproc.t) :
   | Hproc.Nil | Hproc.Act _ | Hproc.Ev _ -> assert false (* handled above *)
   | Hproc.Choice (a, b) ->
       h_steps_at cache depth defs a @ h_steps_at cache depth defs b
-  | Hproc.Par (a, b) -> h_par_steps cache depth defs a b
+  | Hproc.Par _ -> system_steps cache depth defs ~prioritize:false p
   | Hproc.Scope s -> h_scope_steps cache depth defs s
   | Hproc.Restrict (forbidden, k) ->
       let keep (step, _) =
@@ -304,59 +381,6 @@ and h_steps_node cache depth (defs : Defs.t) (p : Hproc.t) :
       if depth > max_unfold_depth then raise (Unguarded_recursion name);
       let values = List.map (eval_expr name) args in
       h_steps_at cache (depth + 1) defs (unfold_call cache defs name values)
-
-and h_par_steps cache depth defs a b =
-  let sa = h_steps_at cache depth defs a
-  and sb = h_steps_at cache depth defs b in
-  let left =
-    List.filter_map
-      (fun (s, a') ->
-        match s with
-        | Step.Event _ | Step.Tau _ -> Some (s, Hproc.par a' b)
-        | Step.Action _ -> None)
-      sa
-  and right =
-    List.filter_map
-      (fun (s, b') ->
-        match s with
-        | Step.Event _ | Step.Tau _ -> Some (s, Hproc.par a b')
-        | Step.Action _ -> None)
-      sb
-  in
-  let timed =
-    List.concat_map
-      (fun (s, a') ->
-        match s with
-        | Step.Action aa ->
-            List.filter_map
-              (fun (s', b') ->
-                match s' with
-                | Step.Action ab when Action.Ground.disjoint aa ab ->
-                    Some
-                      ( Step.Action (Action.Ground.union aa ab),
-                        Hproc.par a' b' )
-                | Step.Action _ | Step.Event _ | Step.Tau _ -> None)
-              sb
-        | Step.Event _ | Step.Tau _ -> [])
-      sa
-  in
-  let sync =
-    List.concat_map
-      (fun (s, a') ->
-        match s with
-        | Step.Event (l, da, pa) ->
-            List.filter_map
-              (fun (s', b') ->
-                match s' with
-                | Step.Event (l', db, pb)
-                  when Label.equal l l' && da <> db ->
-                    Some (Step.Tau (Some l, pa + pb), Hproc.par a' b')
-                | Step.Event _ | Step.Action _ | Step.Tau _ -> None)
-              sb
-        | Step.Action _ | Step.Tau _ -> [])
-      sa
-  in
-  left @ right @ timed @ sync
 
 and h_scope_steps cache depth defs (s : Hproc.scope) =
   let bound = Option.map (eval_expr "scope bound") s.Hproc.bound in
@@ -396,20 +420,81 @@ and h_scope_steps cache depth defs (s : Hproc.scope) =
       in
       body_steps @ interrupt_steps
 
-(* The canonical successor order: identical to the reference engine's
-   [sort_uniq Stdlib.compare] over [(Step.t * Proc.t)] pairs, because
-   [Hproc.compare_structural] mirrors [Stdlib.compare] on [Proc.t]. *)
-let h_pair_compare (s1, t1) (s2, t2) =
-  let c = Stdlib.compare (s1 : Step.t) s2 in
-  if c <> 0 then c else Hproc.compare_structural t1 t2
-
-let h_dedup steps = List.sort_uniq h_pair_compare steps
+and system_steps cache depth defs ~prioritize root =
+  let forbidden, tree =
+    match Hproc.node root with
+    | Hproc.Restrict (l, k) -> (Some l, k)
+    | _ -> (None, root)
+  in
+  let slots = Hproc.leaves tree in
+  let slot_steps = Array.map (h_steps_at cache depth defs) slots in
+  let visible l =
+    match forbidden with Some f -> not (Label.Set.mem l f) | None -> true
+  in
+  let cands = ref [] and urgent = ref false in
+  let add s m = cands := (s, m) :: !cands in
+  (* event offers of the slots before the current one, for syncs *)
+  let offers = ref [] in
+  Array.iteri
+    (fun i steps ->
+      let earlier = !offers in
+      List.iter
+        (fun ((s, k) as sk) ->
+          match s with
+          | Step.Event (l, d, p) ->
+              List.iter
+                (fun (j, (s', k')) ->
+                  match s' with
+                  | Step.Event (l', d', p') when d <> d' && Label.equal l l'
+                    ->
+                      if p' + p > 0 then urgent := true;
+                      add (Step.Tau (Some l, p' + p)) (Two (j, k', i, k))
+                  | Step.Event _ | Step.Action _ | Step.Tau _ -> ())
+                earlier;
+              offers := (i, sk) :: !offers;
+              if visible l then add s (One (i, k))
+          | Step.Tau (_, p) ->
+              if p > 0 then urgent := true;
+              add s (One (i, k))
+          | Step.Action _ -> ())
+        steps)
+    slot_steps;
+  if not (prioritize && !urgent) then
+    List.iter
+      (fun (u, ks) -> add (Step.Action u) (All ks))
+      (timed_product slot_steps);
+  let survivors = if prioritize then Step.prioritize !cands else !cands in
+  let successor = function
+    | One (i, k) -> Hproc.map_leaves (fun x l -> if x = i then k else l) tree
+    | Two (i, a, j, b) ->
+        Hproc.map_leaves
+          (fun x l -> if x = i then a else if x = j then b else l)
+          tree
+    | All ks ->
+        let rest = ref ks in
+        Hproc.map_leaves
+          (fun _ _ ->
+            match !rest with
+            | k :: ks ->
+                rest := ks;
+                k
+            | [] -> assert false)
+          tree
+  in
+  let under k =
+    match forbidden with Some l -> Hproc.restrict l k | None -> k
+  in
+  h_dedup (List.map (fun (s, m) -> (s, under (successor m))) survivors)
 
 let h_steps ?cache defs p =
   let cache = match cache with Some c -> c | None -> make_cache () in
-  h_dedup (h_steps_at cache 0 defs p)
+  if is_system p then system_steps cache 0 defs ~prioritize:false p
+  else h_dedup (h_steps_at cache 0 defs p)
 
-let h_prioritized ?cache defs p = Step.prioritize (h_steps ?cache defs p)
+let h_prioritized ?cache defs p =
+  let cache = match cache with Some c -> c | None -> make_cache () in
+  if is_system p then system_steps cache 0 defs ~prioritize:true p
+  else Step.prioritize (h_dedup (h_steps_at cache 0 defs p))
 
 (* A process is time-stopped when no enabled (prioritized) step advances
    time; deadlocks are a special case.  Useful as a diagnostic. *)

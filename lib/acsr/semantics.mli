@@ -30,14 +30,23 @@ val is_time_stopped : Defs.t -> Proc.t -> bool
     deduplication and state-table interning become O(1) per comparison.
     Produces, term for term and in the same canonical order, the
     hash-consed image of what {!steps}/{!prioritized} return — the test
-    suite checks the two engines against each other by property. *)
+    suite checks the two engines against each other by property.
+
+    A system root — [Restrict (L, tree)] or a bare [tree], where [tree]
+    is a [Par] — goes through one flat kernel: the tree is taken as its
+    leaf slots ({!Hproc.leaves}), their steps are composed as labels,
+    restriction and preemption are applied to the labels, and only the
+    surviving successors are interned.  A [Par] nested inside a slot is
+    composed by the same kernel, without those two filters. *)
 
 type cache
 (** Memo tables for the hash-consed engine: definition unfolding, keyed
-    by (name, argument values), and per-subterm step sets, keyed by
-    interned id.  Sound only for a fixed [Defs.t] — create one cache per
-    definition environment.  Mutex-protected: one cache may be shared by
-    several domains. *)
+    by (name, argument values), and step sets, keyed by interned id, of
+    the slots of system roots and of every composite subterm below them.
+    The parallel tree of a system root and the root itself are not
+    memoized: they are new in nearly every state.  Sound only for a
+    fixed [Defs.t] — create one cache per definition environment.
+    Mutex-protected: one cache may be shared by several domains. *)
 
 val make_cache : unit -> cache
 

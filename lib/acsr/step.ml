@@ -43,8 +43,7 @@ let preempts (b : t) (a : t) =
 (* Keep only the maximal steps with respect to preemption: this implements
    the prioritized transition relation. *)
 let prioritize (steps : (t * 'a) list) =
-  let enabled = List.map fst steps in
-  let preempted s = List.exists (fun s' -> preempts s' s) enabled in
+  let preempted s = List.exists (fun (s', _) -> preempts s' s) steps in
   List.filter (fun (s, _) -> not (preempted s)) steps
 
 let pp ppf = function

@@ -190,33 +190,19 @@ let pp ppf s =
 (* ------------------------------------------------------------------ *)
 
 (* Split the left-associated spine [Par (... Par (p0, p1) ..., p_{n-1})]
-   into exactly [n] slots.  Any other shape (including deeper nesting,
-   which would make a blind flatten unsound) is rejected. *)
-let split_spine n spine =
-  if n <= 0 then None
-  else begin
-    let slots = Array.make n spine in
-    let rec go i h =
-      if i = 0 then begin
-        slots.(0) <- h;
-        true
-      end
-      else
-        match Hproc.node h with
-        | Hproc.Par (a, b) ->
-            slots.(i) <- b;
-            go (i - 1) a
-        | _ -> false
-    in
-    if go (n - 1) spine then Some slots else None
-  end
+   into exactly [n] slots.  Any other shape (another slot count, a slot
+   that is itself a [Par], a tree that is not left-deep) is rejected. *)
+let rec left_deep h =
+  match Hproc.node h with
+  | Hproc.Par (a, b) -> (
+      match Hproc.node b with Hproc.Par _ -> false | _ -> left_deep a)
+  | _ -> true
 
-let rebuild_spine slots =
-  let acc = ref slots.(0) in
-  for i = 1 to Array.length slots - 1 do
-    acc := Hproc.par !acc slots.(i)
-  done;
-  !acc
+let split_spine n spine =
+  let slots = Hproc.leaves spine in
+  if Array.length slots = n && left_deep spine then Some slots else None
+
+let rebuild_spine spine slots = Hproc.map_leaves (fun i _ -> slots.(i)) spine
 
 let compare_tuples a b =
   let n = Array.length a in
@@ -280,7 +266,8 @@ let canon_compute spec h =
                 end
               done)
             spec.classes;
-          if !changed then (Hproc.restrict lset (rebuild_spine slots), !rho)
+          if !changed then
+            (Hproc.restrict lset (rebuild_spine spine slots), !rho)
           else (h, identity))
   | _ -> (h, identity)
 

@@ -477,6 +477,20 @@ let prop_preempts_transitive =
         Action.Ground.preempts a c
       else true)
 
+(* The definition of [Action.Ground.preempts] over resource sets, as the
+   paper states it; the library walks the sorted lists instead. *)
+let preempts_by_sets b a =
+  let priority_of x r = Option.value ~default:0 (List.assoc_opt r x) in
+  Resource.Set.subset (Action.Ground.resources a) (Action.Ground.resources b)
+  && List.for_all (fun (r, pa) -> priority_of b r >= pa) a
+  && List.exists (fun (r, pb) -> pb > priority_of a r) b
+
+let prop_preempts_matches_sets =
+  QCheck2.Test.make ~name:"action preemption matches the set definition"
+    ~count:2000
+    QCheck2.Gen.(pair gen_ground_action gen_ground_action)
+    (fun (b, a) -> Action.Ground.preempts b a = preempts_by_sets b a)
+
 let prop_prioritize_nonempty =
   QCheck2.Test.make ~name:"prioritize keeps at least one step" ~count:500
     QCheck2.Gen.(list_size (int_range 1 6) gen_ground_action)
@@ -502,6 +516,7 @@ let qcheck_cases =
       prop_preempts_irreflexive;
       prop_preempts_antisymmetric;
       prop_preempts_transitive;
+      prop_preempts_matches_sets;
       prop_prioritize_nonempty;
       prop_prioritize_subset;
       prop_union_idle_neutral;

@@ -46,6 +46,33 @@ let tr_of text =
   let tr = Translate.Pipeline.translate (Aadl.Instantiate.of_string text) in
   (tr.Translate.Pipeline.defs, tr.Translate.Pipeline.system)
 
+let e6_model n =
+  Gen.periodic_system
+    (List.init n (fun i ->
+         Gen.simple_spec
+           ~name:(Printf.sprintf "t%d" (i + 1))
+           ~period_ms:(4 + (2 * i))
+           ~cet_ms:1 ()))
+
+(* t1's execution time ranges over [1,3]: its worst case starves t2 out
+   of its first deadline, while its best case stays schedulable. *)
+let e6_unsched n =
+  Gen.periodic_system
+    (List.init n (fun i ->
+         if i = 0 then
+           {
+             Gen.name = "t1";
+             period_ms = 4;
+             cet_min_ms = 1;
+             cet_max_ms = 3;
+             deadline_ms = 4;
+           }
+         else
+           Gen.simple_spec
+             ~name:(Printf.sprintf "t%d" (i + 1))
+             ~period_ms:(4 + (2 * i))
+             ~cet_ms:1 ()))
+
 let reference_models () =
   let exhaustive =
     {
@@ -127,6 +154,30 @@ let test_engines_agree_on_reachable_states () =
       done)
     [ List.nth (reference_models ()) 0; List.nth (reference_models ()) 1 ]
 
+(* {1 Interned nodes per state}
+
+   The successor kernel interns only the successors that survive
+   restriction and preemption, and memoizes step sets per slot, not per
+   node of the parallel tree: exploring [e6_model 5] grows the global
+   hash-cons table by a few nodes per discovered state.  Following the
+   binary Par rule level by level interned about 24. *)
+
+let test_nodes_per_state () =
+  let defs, system = tr_of (e6_model 5) in
+  let before = Hproc.table_size () in
+  let lts =
+    Versa.Lts.build
+      ~config:{ Versa.Lts.default_config with stop_at_deadlock = false }
+      ~edges:false defs system
+  in
+  let per_state =
+    float_of_int (Hproc.table_size () - before)
+    /. float_of_int (Versa.Lts.num_states lts)
+  in
+  if per_state > 8. then
+    Alcotest.failf "%.1f hash-cons nodes per state over %d states (at most 8)"
+      per_state (Versa.Lts.num_states lts)
+
 (* {1 Exploring with and without edges}
 
    [Lts.build ~edges:false] keeps no successor rows but must agree with
@@ -136,33 +187,6 @@ let test_engines_agree_on_reachable_states () =
    [stats] field except [store_bytes].  Inputs include a budget-truncated
    run, and five small schedulable and unschedulable models explored
    with early exit on and off. *)
-
-let e6_model n =
-  Gen.periodic_system
-    (List.init n (fun i ->
-         Gen.simple_spec
-           ~name:(Printf.sprintf "t%d" (i + 1))
-           ~period_ms:(4 + (2 * i))
-           ~cet_ms:1 ()))
-
-(* t1's execution time ranges over [1,3]: its worst case starves t2 out
-   of its first deadline, while its best case stays schedulable. *)
-let e6_unsched n =
-  Gen.periodic_system
-    (List.init n (fun i ->
-         if i = 0 then
-           {
-             Gen.name = "t1";
-             period_ms = 4;
-             cet_min_ms = 1;
-             cet_max_ms = 3;
-             deadline_ms = 4;
-           }
-         else
-           Gen.simple_spec
-             ~name:(Printf.sprintf "t%d" (i + 1))
-             ~period_ms:(4 + (2 * i))
-             ~cet_ms:1 ()))
 
 let agreement_inputs () =
   let models =
@@ -466,7 +490,9 @@ let test_example_models_workstealing_identical () =
 
 (* A generator covering every [Proc] constructor except [Call] (the terms
    must stay closed under an empty environment): actions, events, choice,
-   parallel, restriction, closure, guards and temporal scopes. *)
+   parallel, restriction, closure, guards and temporal scopes.  Events
+   carry priorities, so synchronizations yield taus that preempt timed
+   steps. *)
 let gen_proc_full : Proc.t QCheck2.Gen.t =
   let open QCheck2.Gen in
   sized_size (int_range 0 6)
@@ -487,9 +513,11 @@ let gen_proc_full : Proc.t QCheck2.Gen.t =
                  let* p = self (n - 1) in
                  let* l = oneofl [ "a"; "b" ] in
                  let* out = bool in
+                 let* prio = int_range 0 2 in
+                 let prio = e_int prio in
                  return
-                   (if out then Proc.send (Label.make l) p
-                    else Proc.receive (Label.make l) p) );
+                   (if out then Proc.send ~prio (Label.make l) p
+                    else Proc.receive ~prio (Label.make l) p) );
                ( 2,
                  let* p = self (n / 2) in
                  let* q = self (n / 2) in
@@ -554,21 +582,119 @@ let prop_compare_structural_mirrors_stdlib =
       sign (Hproc.compare_structural (Hproc.of_proc p) (Hproc.of_proc q))
       = sign (Stdlib.compare p q))
 
-let prop_h_steps_agree =
-  QCheck2.Test.make ~name:"h_steps = steps (term for term)" ~count:300
-    gen_proc_full (fun p ->
-      Semantics.steps Defs.empty p
+(* The hash-consed engine returns, term for term, what the reference
+   engine returns. *)
+let engines_agree ~name ~count ~reference ~hashconsed gen =
+  QCheck2.Test.make ~name ~count gen (fun p ->
+      reference Defs.empty p
       = List.map
           (fun (s, h) -> (s, Hproc.to_proc h))
-          (Semantics.h_steps Defs.empty (Hproc.of_proc p)))
+          (hashconsed Defs.empty (Hproc.of_proc p)))
+
+let prop_h_steps_agree =
+  engines_agree ~name:"h_steps = steps (term for term)" ~count:300
+    ~reference:Semantics.steps
+    ~hashconsed:(fun d p -> Semantics.h_steps d p)
+    gen_proc_full
 
 let prop_h_prioritized_agree =
-  QCheck2.Test.make ~name:"h_prioritized = prioritized" ~count:300
-    gen_proc_full (fun p ->
-      Semantics.prioritized Defs.empty p
-      = List.map
-          (fun (s, h) -> (s, Hproc.to_proc h))
-          (Semantics.h_prioritized Defs.empty (Hproc.of_proc p)))
+  engines_agree ~name:"h_prioritized = prioritized" ~count:300
+    ~reference:Semantics.prioritized
+    ~hashconsed:(fun d p -> Semantics.h_prioritized d p)
+    gen_proc_full
+
+(* System-shaped roots, the shape the successor kernel takes:
+   [Restrict (L, tree)] over 2-6 random slots, the tree left-deep,
+   right-deep or balanced.  Every slot draws its events from the labels
+   [a] and [b], so non-adjacent slots synchronize; [L] is empty (a bare
+   tree), [{a}] or [{a, b}].  Most slots also offer an event, a timed
+   step and a tau of their own (from a Par inside the slot) at the top,
+   so that a timed product, synchronizations and taus are often enabled
+   together. *)
+let gen_system : Proc.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let gen_slot i =
+    let* p = gen_proc_full in
+    let* event =
+      option
+        (let* l = oneofl [ "a"; "b" ] in
+         let* out = bool in
+         let* prio = int_range 0 1 in
+         let* k = gen_proc_full in
+         let prio = e_int prio in
+         return
+           (if out then Proc.send ~prio (Label.make l) k
+            else Proc.receive ~prio (Label.make l) k))
+    in
+    (* on the shared cpu, or on a resource of the slot's own, so that
+       timed products are often non-empty *)
+    let* timed =
+      option
+        (let* prio = int_range 0 2 in
+         let* r = oneofl [ cpu; Resource.make (Printf.sprintf "r%d" i) ] in
+         let* k = gen_proc_full in
+         return (Proc.act (action [ (r, prio) ]) k))
+    in
+    (* a Par inside the slot, which synchronizes into a slot-level tau;
+       in a third of the slots only, since a tau of priority 1 preempts
+       every timed step *)
+    let* nested =
+      frequency
+        [
+          (2, return None);
+          ( 1,
+            let* prio = int_range 0 1 in
+            let* k = gen_proc_full in
+            let c = Label.make "c" in
+            return
+              (Some
+                 (Proc.restrict (Label.set_of_list [ c ])
+                    (Proc.par
+                       (Proc.send ~prio:(e_int prio) c k)
+                       (Proc.receive c Proc.nil)))) );
+        ]
+    in
+    return
+      (List.fold_left Proc.choice p
+         (List.filter_map Fun.id [ event; timed; nested ]))
+  in
+  let* n = int_range 2 6 in
+  let* slots = flatten_l (List.init n gen_slot) in
+  let* shape = oneofl [ `Left; `Right; `Balanced ] in
+  let* restricted = oneofl [ []; [ "a" ]; [ "a"; "b" ] ] in
+  let rec right = function
+    | [ p ] -> p
+    | p :: ps -> Proc.par p (right ps)
+    | [] -> assert false
+  in
+  let rec balanced = function
+    | [ p ] -> p
+    | ps ->
+        let k = List.length ps / 2 in
+        Proc.par
+          (balanced (List.filteri (fun i _ -> i < k) ps))
+          (balanced (List.filteri (fun i _ -> i >= k) ps))
+  in
+  let tree =
+    match shape with
+    | `Left -> Proc.par_list slots
+    | `Right -> right slots
+    | `Balanced -> balanced slots
+  in
+  return
+    (Proc.restrict (Label.set_of_list (List.map Label.make restricted)) tree)
+
+let prop_kernel_steps_agree =
+  engines_agree ~name:"system kernel: h_steps = steps" ~count:500
+    ~reference:Semantics.steps
+    ~hashconsed:(fun d p -> Semantics.h_steps d p)
+    gen_system
+
+let prop_kernel_prioritized_agree =
+  engines_agree ~name:"system kernel: h_prioritized = prioritized"
+    ~count:500 ~reference:Semantics.prioritized
+    ~hashconsed:(fun d p -> Semantics.h_prioritized d p)
+    gen_system
 
 let prop_check_agrees_with_build =
   QCheck2.Test.make ~name:"check = build on random terms" ~count:50
@@ -680,6 +806,8 @@ let qcheck_cases =
       prop_compare_structural_mirrors_stdlib;
       prop_h_steps_agree;
       prop_h_prioritized_agree;
+      prop_kernel_steps_agree;
+      prop_kernel_prioritized_agree;
       prop_parallel_build_agrees;
       prop_workstealing_build_bit_identical;
       prop_workstealing_early_exit_identical;
@@ -792,6 +920,8 @@ let () =
         [
           Alcotest.test_case "agree on reachable states" `Quick
             test_engines_agree_on_reachable_states;
+          Alcotest.test_case "nodes interned per state" `Quick
+            test_nodes_per_state;
         ] );
       ( "on-the-fly",
         [
