@@ -22,9 +22,11 @@ test-faults:
 
 # Layering invariants enforced by grep, cheap enough to run on every
 # check: all timestamps flow through Timed.Clock (no raw
-# Unix.gettimeofday outside lib/timed), and all socket handling lives
+# Unix.gettimeofday outside lib/timed), all socket handling lives
 # in the one transport that owns it (no Unix.socket outside
-# transport_socket.ml).
+# transport_socket.ml), and the front end and translation reject a
+# model only through Aadl.Diag.Error (no other exception declared in
+# lib/aadl or lib/translate).
 lint-invariants:
 	@bad=$$(grep -rn "Unix\.gettimeofday" lib bin bench --include='*.ml' --include='*.mli' \
 	  | grep -v "^lib/timed/" | grep -v "(\*" || true); \
@@ -36,6 +38,13 @@ lint-invariants:
 	  | grep -v "^lib/service/transport_socket.ml" || true); \
 	if [ -n "$$bad" ]; then \
 	  echo "lint-invariants: Unix.socket outside transport_socket.ml:"; \
+	  echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rnE "^[[:space:]]*exception[[:space:]]" lib/aadl lib/translate \
+	  --include='*.ml' --include='*.mli' \
+	  | grep -vE "^lib/aadl/diag\.mli?:[0-9]+:exception Error of t$$" || true); \
+	if [ -n "$$bad" ]; then \
+	  echo "lint-invariants: exception other than Aadl.Diag.Error in lib/aadl or lib/translate:"; \
 	  echo "$$bad"; exit 1; \
 	fi
 	@missing=$$(grep -rhoE '"(versa|service|translate|analysis|runtime)_[a-z0-9_]+"' \

@@ -252,74 +252,24 @@ let translation_options quantum protocol =
     force_protocol = protocol;
   }
 
-let handle_errors f =
+(* Every rejected model surfaces as one located diagnostic, in the same
+   text the service puts in a failed outcome's reason; exit code 2. *)
+let handle_errors file f =
   try f () with
-  | Aadl.Lexer.Error (msg, loc) ->
-      Fmt.epr "lexical error (%a): %s@." Aadl.Ast.pp_srcloc loc msg;
+  | Aadl.Diag.Error d ->
+      Fmt.epr "%s@." (Aadl.Diag.to_string ~file d);
       exit 2
-  | Aadl.Parser.Error (msg, loc) ->
-      Fmt.epr "syntax error (%a): %s@." Aadl.Ast.pp_srcloc loc msg;
-      exit 2
-  | Aadl.Instantiate.Error msg ->
-      Fmt.epr "instantiation error: %s@." msg;
-      exit 2
-  | Translate.Pipeline.Error msg ->
-      Fmt.epr "translation error: %s@." msg;
-      exit 2
-  | Translate.Workload.Error msg ->
-      Fmt.epr "workload error: %s@." msg;
-      exit 2
-  | Analysis.Latency.Error msg ->
-      Fmt.epr "latency error: %s@." msg;
-      exit 2
-  | Analysis.Sensitivity.Error msg ->
-      Fmt.epr "sensitivity error: %s@." msg;
-      exit 2
-  | Aadl.Instance_xml.Error msg ->
-      Fmt.epr "instance XML error: %s@." msg;
-      exit 2
-  | Aadl.Xml.Error (msg, offset) ->
-      Fmt.epr "XML error (offset %d): %s@." offset msg;
-      exit 2
-  | Aadl.Decls.Duplicate_declaration name ->
-      Fmt.epr "declaration error: %s is declared more than once@." name;
-      exit 2
-  | Aadl.Decls.Unknown_classifier name ->
-      Fmt.epr "declaration error: unknown classifier %s@." name;
-      exit 2
-  | Aadl.Decls.Category_mismatch (name, expected, found) ->
-      Fmt.epr "declaration error: %s is a %a, expected a %a@." name
-        Aadl.Ast.pp_category found Aadl.Ast.pp_category expected;
-      exit 2
-  | Aadl.Binding.Unbound msg ->
-      Fmt.epr "binding error: %s@." msg;
-      exit 2
-  | Aadl.Props.Bad_property (name, msg) ->
-      Fmt.epr "property error: %s: %s@." name msg;
-      exit 2
-  | Aadl.Semconn.Unresolved msg ->
-      Fmt.epr "connection error: %s@." msg;
-      exit 2
-  | Aadl.Time.Subnanosecond value ->
-      Fmt.epr "time error: %s is not a whole number of nanoseconds@." value;
-      exit 2
-  | Aadl.Check.Failed diags ->
-      (match diags with
-      | [] -> Fmt.epr "check failed@."
-      | d :: rest ->
-          Fmt.epr "check failed: %a%s@." Aadl.Check.pp_diagnostic d
-            (match rest with
-            | [] -> ""
-            | _ -> Fmt.str " (and %d more)" (List.length rest)));
+  | Sys_error msg ->
+      Fmt.epr "%s@." msg;
       exit 2
 
 (* {1 check} *)
 
 let run_check file root_name =
-  handle_errors @@ fun () ->
+  handle_errors file @@ fun () ->
   let root = load_root file root_name in
   let diags = Aadl.Check.run root in
-  Fmt.pr "%a@." Aadl.Check.pp_report diags;
+  Fmt.pr "%a@." (Aadl.Check.pp_report ~file) diags;
   if Aadl.Check.is_ok diags then 0 else 1
 
 let check_cmd =
@@ -330,7 +280,7 @@ let check_cmd =
 (* {1 info} *)
 
 let run_info file root_name quantum export_xml =
-  handle_errors @@ fun () ->
+  handle_errors file @@ fun () ->
   let root = load_root file root_name in
   (match export_xml with
   | Some path ->
@@ -355,8 +305,8 @@ let run_info file root_name quantum export_xml =
             proc.Aadl.Instance.path
             (Translate.Workload.utilization tasks))
         wl.Translate.Workload.by_processor
-  | exception Translate.Workload.Error msg ->
-      Fmt.pr "@.(task table unavailable: %s)@." msg);
+  | exception Aadl.Diag.Error d ->
+      Fmt.pr "@.(task table unavailable: %s)@." (Aadl.Diag.to_string d));
   0
 
 let export_xml_arg =
@@ -377,7 +327,7 @@ let info_cmd =
 (* {1 translate} *)
 
 let run_translate file root_name quantum protocol output =
-  handle_errors @@ fun () ->
+  handle_errors file @@ fun () ->
   let root = load_root file root_name in
   let options = translation_options quantum protocol in
   let tr = Translate.Pipeline.translate ~options root in
@@ -423,7 +373,7 @@ let translate_cmd =
 
 let run_analyze file root_name quantum protocol max_states jobs timeout
     stats trace all baselines symmetry virtual_time =
-  handle_errors @@ fun () ->
+  handle_errors file @@ fun () ->
   with_virtual_clock virtual_time @@ fun () ->
   with_trace trace @@ fun () ->
   let root = load_root file root_name in
@@ -494,7 +444,7 @@ let analyze_cmd =
 (* {1 simulate} *)
 
 let run_simulate file root_name quantum protocol horizon =
-  handle_errors @@ fun () ->
+  handle_errors file @@ fun () ->
   let root = load_root file root_name in
   let q =
     match quantum with
@@ -546,7 +496,7 @@ let path_conv =
 
 let run_latency file root_name quantum protocol jobs trace from_thread
     to_thread bound_us =
-  handle_errors @@ fun () ->
+  handle_errors file @@ fun () ->
   with_trace trace @@ fun () ->
   let root = load_root file root_name in
   let options =
@@ -607,7 +557,7 @@ let parse_sweep_range s =
 
 let run_sensitivity file root_name quantum protocol thread sweep no_reuse
     stats trace =
-  handle_errors @@ fun () ->
+  handle_errors file @@ fun () ->
   with_trace trace @@ fun () ->
   let root = load_root file root_name in
   let options =
@@ -695,7 +645,7 @@ let sensitivity_cmd =
 
 let run_report file root_name quantum protocol max_states jobs
     with_responses output =
-  handle_errors @@ fun () ->
+  handle_errors file @@ fun () ->
   let root = load_root file root_name in
   let options =
     {
@@ -749,7 +699,7 @@ let report_cmd =
 
 let run_acsr file entry dot unprioritized quotient max_states jobs stats
     trace =
-  handle_errors @@ fun () ->
+  handle_errors file @@ fun () ->
   with_trace trace @@ fun () ->
   let contents =
     let ic = open_in_bin file in

@@ -45,7 +45,7 @@ let () =
   let root = Aadl.Instantiate.of_string model in
   (* legality diagnostics (the paper's translation preconditions) *)
   let diags = Aadl.Check.run root in
-  Fmt.pr "check: %a@.@." Aadl.Check.pp_report diags;
+  Fmt.pr "check: %a@.@." (Aadl.Check.pp_report ?file:None) diags;
   (* translate to ACSR and explore the prioritized state space *)
   let result = Analysis.Schedulability.analyze root in
   Fmt.pr "%a@.@." Analysis.Schedulability.pp result;

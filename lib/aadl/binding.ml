@@ -5,61 +5,59 @@
    implementations (already merged by instantiation), or on the traversed
    declared connections. *)
 
-exception Unbound of string
-
 let processor_of ~root (thread : Instance.t) =
-  match Props.actual_processor_binding thread.Instance.props with
+  let props = thread.Instance.props in
+  match Props.actual_processor_binding props with
   | None -> None
   | Some ref_path -> (
+      let fail fmt =
+        Diag.fail
+          ?loc:(Props.loc_of "actual_processor_binding" props)
+          ~subject:thread.Instance.path fmt
+      in
       match
         Instance.resolve_reference ~root ~from:thread.Instance.path ref_path
       with
       | Some inst when inst.Instance.category = Ast.Processor -> Some inst
       | Some inst ->
-          raise
-            (Unbound
-               (Fmt.str "%a: processor binding resolves to a %a"
-                  Instance.pp_path thread.Instance.path Ast.pp_category
-                  inst.Instance.category))
+          fail "processor binding resolves to a %a" Ast.pp_category
+            inst.Instance.category
       | None ->
-          raise
-            (Unbound
-               (Fmt.str "%a: processor binding reference %a does not resolve"
-                  Instance.pp_path thread.Instance.path Instance.pp_path
-                  ref_path)))
+          fail "processor binding reference %a does not resolve"
+            Instance.pp_path ref_path)
 
 let processor_of_exn ~root thread =
   match processor_of ~root thread with
   | Some p -> p
   | None ->
-      raise
-        (Unbound
-           (Fmt.str "thread %a is not bound to a processor" Instance.pp_path
-              thread.Instance.path))
+      Diag.fail ~loc:thread.Instance.loc ~subject:thread.Instance.path
+        "thread is not bound to a processor"
 
 (* The bus a semantic connection is mapped to, if any: look at the binding
    property of each traversed declared connection (innermost declaration
    wins), resolving the reference from the declaring implementation. *)
 let bus_of ~root (sc : Semconn.t) =
   let of_link (l : Semconn.link) =
-    match Props.actual_connection_binding l.Semconn.conn.Ast.conn_props with
+    let props = l.Semconn.conn.Ast.conn_props in
+    match Props.actual_connection_binding props with
     | None -> None
     | Some ref_path -> (
+        let fail fmt =
+          Diag.fail
+            ?loc:(Props.loc_of "actual_connection_binding" props)
+            ~subject:l.Semconn.declared_in fmt
+        in
         match
           Instance.resolve_reference ~root ~from:l.Semconn.declared_in
             ref_path
         with
         | Some inst when inst.Instance.category = Ast.Bus -> Some inst
         | Some inst ->
-            raise
-              (Unbound
-                 (Fmt.str "connection binding resolves to a %a, not a bus"
-                    Ast.pp_category inst.Instance.category))
+            fail "connection binding resolves to a %a, not a bus" Ast.pp_category
+              inst.Instance.category
         | None ->
-            raise
-              (Unbound
-                 (Fmt.str "connection binding reference %a does not resolve"
-                    Instance.pp_path ref_path)))
+            fail "connection binding reference %a does not resolve"
+              Instance.pp_path ref_path)
   in
   List.fold_left
     (fun acc l -> match of_link l with Some b -> Some b | None -> acc)

@@ -1,11 +1,9 @@
 (** Deployment binding resolution (threads to processors, connections to
     buses). *)
 
-exception Unbound of string
-
 val processor_of : root:Instance.t -> Instance.t -> Instance.t option
 (** The processor a thread is bound to via [Actual_Processor_Binding].
-    @raise Unbound if the reference resolves to a non-processor or not at
+    @raise Diag.Error if the reference resolves to a non-processor or not at
     all. *)
 
 val processor_of_exn : root:Instance.t -> Instance.t -> Instance.t

@@ -8,68 +8,69 @@
    4. for non-periodic threads, every in event / in event-data port has an
       incoming semantic connection. *)
 
-type severity = Error | Warning
+(* A diagnostic about an instance, located at its declaration unless a
+   more precise [loc] (a property association, a connection) is given. *)
+let error ?loc (i : Instance.t) fmt =
+  Diag.error ~loc:(Option.value loc ~default:i.Instance.loc)
+    ~subject:i.Instance.path fmt
 
-type diagnostic = { severity : severity; subject : string list; message : string }
+let warning ?loc (i : Instance.t) fmt =
+  Diag.warning ~loc:(Option.value loc ~default:i.Instance.loc)
+    ~subject:i.Instance.path fmt
 
-let pp_diagnostic ppf d =
-  Fmt.pf ppf "%s: %a: %s"
-    (match d.severity with Error -> "error" | Warning -> "warning")
-    Instance.pp_path d.subject d.message
-
-let error subject fmt = Fmt.kstr (fun message -> { severity = Error; subject; message }) fmt
-let warning subject fmt =
-  Fmt.kstr (fun message -> { severity = Warning; subject; message }) fmt
-
-let errors diags = List.filter (fun d -> d.severity = Error) diags
+let errors diags = List.filter (fun d -> d.Diag.severity = `Error) diags
 let is_ok diags = errors diags = []
 
 let check_thread ~root sconns (th : Instance.t) =
   let p = th.Instance.props in
+  let at name = Props.loc_of name p in
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let dispatch =
     match Props.dispatch_protocol p with
     | Some d -> Some d
     | None ->
-        add (error th.Instance.path "missing Dispatch_Protocol");
+        add (error th "missing Dispatch_Protocol");
         None
   in
   (match Props.compute_execution_time p with
   | Some (lo, hi) ->
       if Time.compare lo hi > 0 then
         add
-          (error th.Instance.path
+          (error ?loc:(at "compute_execution_time") th
              "Compute_Execution_Time range has min > max");
       if Time.compare hi Time.zero <= 0 then
-        add (error th.Instance.path "Compute_Execution_Time must be positive")
-  | None -> add (error th.Instance.path "missing Compute_Execution_Time"));
+        add
+          (error ?loc:(at "compute_execution_time") th
+             "Compute_Execution_Time must be positive")
+  | None -> add (error th "missing Compute_Execution_Time"));
   (match Props.compute_deadline p with
   | Some d ->
       if Time.compare d Time.zero <= 0 then
-        add (error th.Instance.path "Compute_Deadline must be positive")
-  | None -> add (error th.Instance.path "missing Compute_Deadline"));
+        add
+          (error ?loc:(at "compute_deadline") th
+             "Compute_Deadline must be positive")
+  | None -> add (error th "missing Compute_Deadline"));
   (match dispatch with
   | Some (Props.Periodic | Props.Sporadic) ->
       (match Props.period p with
       | Some per ->
           if Time.compare per Time.zero <= 0 then
-            add (error th.Instance.path "Period must be positive")
-      | None ->
-          add
-            (error th.Instance.path
-               "periodic/sporadic thread is missing Period"))
+            add (error ?loc:(at "period") th "Period must be positive")
+      | None -> add (error th "periodic/sporadic thread is missing Period"))
   | Some (Props.Aperiodic | Props.Background) | None -> ());
   (* deadline within period is the usual sanity condition; a violation is
      legal AADL but almost surely a modeling error *)
   (match (Props.compute_deadline p, Props.period p) with
   | Some d, Some per when Time.compare d per > 0 ->
-      add (warning th.Instance.path "Compute_Deadline exceeds Period")
+      add
+        (warning ?loc:(at "compute_deadline") th
+           "Compute_Deadline exceeds Period")
   | _ -> ());
   (match Binding.processor_of ~root th with
   | Some _ -> ()
-  | None -> add (error th.Instance.path "thread is not bound to a processor")
-  | exception Binding.Unbound msg -> add (error th.Instance.path "%s" msg));
+  | None -> add (error th "thread is not bound to a processor")
+  | exception Diag.Error d -> add d);
   (* rule 4: incoming connections on event ports of non-periodic threads *)
   (match dispatch with
   | Some (Props.Aperiodic | Props.Sporadic | Props.Background) ->
@@ -87,7 +88,7 @@ let check_thread ~root sconns (th : Instance.t) =
               in
               if not has_conn then
                 add
-                  (error th.Instance.path
+                  (error th
                      "in event port %s of a non-periodic thread has no \
                       incoming connection"
                      f.Ast.fname)
@@ -99,15 +100,14 @@ let check_thread ~root sconns (th : Instance.t) =
 let check_processor (proc : Instance.t) bound_threads =
   if bound_threads = [] then
     [
-      warning proc.Instance.path
+      warning proc
         "processor has no bound threads; it is ignored by the translation";
     ]
   else
     match Props.scheduling_protocol proc.Instance.props with
     | Some _ -> []
-    | None -> [ error proc.Instance.path "missing Scheduling_Protocol" ]
-    | exception Props.Bad_property (name, why) ->
-        [ error proc.Instance.path "%s: %s" name why ]
+    | None -> [ error proc "missing Scheduling_Protocol" ]
+    | exception Diag.Error d -> [ { d with subject = proc.Instance.path } ]
 
 (* Structural well-formedness of each instance: unique child names,
    connection ends that resolve to features or subcomponents, unique mode
@@ -122,7 +122,9 @@ let check_structure (inst : Instance.t) =
     (fun (c : Instance.t) ->
       let k = lc c.Instance.name in
       if Hashtbl.mem seen k then
-        add (error inst.Instance.path "duplicate subcomponent %s" c.Instance.name)
+        add
+          (error ~loc:c.Instance.loc inst "duplicate subcomponent %s"
+             c.Instance.name)
       else Hashtbl.add seen k ())
     inst.Instance.children;
   (* connection ends *)
@@ -145,13 +147,14 @@ let check_structure (inst : Instance.t) =
   in
   List.iter
     (fun (c : Ast.connection) ->
+      let loc = c.Ast.conn_loc in
       if not (end_ok c.Ast.conn_src) then
         add
-          (error inst.Instance.path "connection source %a does not resolve"
+          (error ~loc inst "connection source %a does not resolve"
              Ast.pp_conn_end c.Ast.conn_src);
       if not (end_ok c.Ast.conn_dst) then
         add
-          (error inst.Instance.path
+          (error ~loc inst
              "connection destination %a does not resolve" Ast.pp_conn_end
              c.Ast.conn_dst))
     inst.Instance.connections;
@@ -162,21 +165,22 @@ let check_structure (inst : Instance.t) =
   if
     List.length (List.sort_uniq String.compare mode_names)
     <> List.length mode_names
-  then add (error inst.Instance.path "duplicate mode names");
+  then add (error inst "duplicate mode names");
   if
     List.length
       (List.filter (fun m -> m.Ast.mode_initial) inst.Instance.modes)
     > 1
-  then add (error inst.Instance.path "several initial modes");
+  then add (error inst "several initial modes");
   List.iter
     (fun (t : Ast.mode_transition) ->
+      let loc = t.Ast.mt_loc in
       if not (List.mem (lc t.Ast.mt_src) mode_names) then
         add
-          (error inst.Instance.path "mode transition from unknown mode %s"
+          (error ~loc inst "mode transition from unknown mode %s"
              t.Ast.mt_src);
       if not (List.mem (lc t.Ast.mt_dst) mode_names) then
         add
-          (error inst.Instance.path "mode transition to unknown mode %s"
+          (error ~loc inst "mode transition to unknown mode %s"
              t.Ast.mt_dst))
     inst.Instance.transitions;
   (* in-modes clauses of children must reference declared modes *)
@@ -186,7 +190,7 @@ let check_structure (inst : Instance.t) =
         (fun m ->
           if not (List.mem (lc m) mode_names) then
             add
-              (error c.Instance.path
+              (error c
                  "'in modes (%s)' references an undeclared mode" m))
         c.Instance.in_modes)
     inst.Instance.children;
@@ -197,11 +201,11 @@ let run root =
   let processors = Instance.processors root in
   let global =
     (if threads = [] then
-       [ error root.Instance.path "model contains no thread" ]
+       [ error root "model contains no thread" ]
      else [])
     @
     if processors = [] then
-      [ error root.Instance.path "model contains no processor" ]
+      [ error root "model contains no processor" ]
     else []
   in
   let sconns = Semconn.resolve root in
@@ -209,8 +213,7 @@ let run root =
     List.concat_map
       (fun th ->
         try check_thread ~root sconns th
-        with Props.Bad_property (name, why) ->
-          [ error th.Instance.path "%s: %s" name why ])
+        with Diag.Error d -> [ { d with subject = th.Instance.path } ])
       threads
   in
   let proc_diags =
@@ -223,12 +226,6 @@ let run root =
   in
   global @ structure_diags @ thread_diags @ proc_diags
 
-exception Failed of diagnostic list
-
-let run_exn root =
-  let diags = run root in
-  if is_ok diags then diags else raise (Failed (errors diags))
-
-let pp_report ppf diags =
+let pp_report ?file ppf diags =
   if diags = [] then Fmt.string ppf "model is well-formed"
-  else Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_diagnostic) diags
+  else Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut (Diag.pp ?file)) diags

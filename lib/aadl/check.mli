@@ -1,25 +1,10 @@
 (** Legality checks matching the translation preconditions of Section 4.1
     of the paper. *)
 
-type severity = Error | Warning
+val errors : Diag.t list -> Diag.t list
+val is_ok : Diag.t list -> bool
 
-type diagnostic = {
-  severity : severity;
-  subject : string list;
-  message : string;
-}
-
-val pp_diagnostic : diagnostic Fmt.t
-val errors : diagnostic list -> diagnostic list
-val is_ok : diagnostic list -> bool
-
-val run : Instance.t -> diagnostic list
+val run : Instance.t -> Diag.t list
 (** All diagnostics for the instance model, errors and warnings. *)
 
-exception Failed of diagnostic list
-
-val run_exn : Instance.t -> diagnostic list
-(** Like {!run} but raises {!Failed} with the errors when any exist;
-    returns the warnings otherwise. *)
-
-val pp_report : diagnostic list Fmt.t
+val pp_report : ?file:string -> Diag.t list Fmt.t

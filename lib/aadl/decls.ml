@@ -1,11 +1,6 @@
 (* Symbol table over the declarations of a parsed model: component types by
    name and implementations by "type.impl" name, case-insensitive. *)
 
-exception Duplicate_declaration of string
-exception Unknown_classifier of string
-exception Category_mismatch of string * Ast.category * Ast.category
-(** classifier, expected, found *)
-
 type t = {
   types : (string, Ast.component_type) Hashtbl.t;
   impls : (string, Ast.component_impl) Hashtbl.t;
@@ -15,33 +10,22 @@ let key = String.lowercase_ascii
 
 let of_model (m : Ast.model) =
   let t = { types = Hashtbl.create 32; impls = Hashtbl.create 32 } in
+  let add table name loc x =
+    if Hashtbl.mem table (key name) then
+      Diag.fail ~loc ~subject:[ name ] "declared more than once";
+    Hashtbl.add table (key name) x
+  in
   List.iter
     (fun decl ->
       let name = Ast.decl_name decl in
       match decl with
-      | Ast.Type_decl ct ->
-          if Hashtbl.mem t.types (key name) then
-            raise (Duplicate_declaration name);
-          Hashtbl.add t.types (key name) ct
-      | Ast.Impl_decl ci ->
-          if Hashtbl.mem t.impls (key name) then
-            raise (Duplicate_declaration name);
-          Hashtbl.add t.impls (key name) ci)
+      | Ast.Type_decl ct -> add t.types name ct.Ast.ct_loc ct
+      | Ast.Impl_decl ci -> add t.impls name ci.Ast.ci_loc ci)
     m.Ast.decls;
   t
 
 let find_type_opt t name = Hashtbl.find_opt t.types (key name)
 let find_impl_opt t name = Hashtbl.find_opt t.impls (key name)
-
-let find_type t name =
-  match find_type_opt t name with
-  | Some ct -> ct
-  | None -> raise (Unknown_classifier name)
-
-let find_impl t name =
-  match find_impl_opt t name with
-  | Some ci -> ci
-  | None -> raise (Unknown_classifier name)
 
 (* A classifier reference is either a type name or a "type.impl" name. *)
 type classifier =
@@ -50,21 +34,11 @@ type classifier =
 
 let resolve_classifier t name =
   match String.index_opt name '.' with
-  | None -> Type_only (find_type t name)
-  | Some _ -> (
-      match find_impl_opt t name with
-      | Some ci ->
-          let ct = find_type t ci.Ast.ci_type_name in
-          Type_and_impl (ct, ci)
-      | None -> raise (Unknown_classifier name))
+  | None -> Option.map (fun ct -> Type_only ct) (find_type_opt t name)
+  | Some _ ->
+      Option.bind (find_impl_opt t name) (fun ci ->
+          Option.map
+            (fun ct -> Type_and_impl (ct, ci))
+            (find_type_opt t ci.Ast.ci_type_name))
 
-let classifier_category = function
-  | Type_only ct -> ct.Ast.ct_category
-  | Type_and_impl (ct, _) -> ct.Ast.ct_category
-
-let check_category name expected cls =
-  let found = classifier_category cls in
-  if found <> expected then raise (Category_mismatch (name, expected, found))
-
-let types t = Hashtbl.fold (fun _ ct acc -> ct :: acc) t.types []
 let impls t = Hashtbl.fold (fun _ ci acc -> ci :: acc) t.impls []

@@ -1,26 +1,19 @@
 (** Symbol table over parsed declarations. *)
 
-exception Duplicate_declaration of string
-exception Unknown_classifier of string
-exception Category_mismatch of string * Ast.category * Ast.category
-
 type t
 
 val of_model : Ast.model -> t
+(** @raise Diag.Error at the second of two declarations of one name. *)
+
 val find_type_opt : t -> string -> Ast.component_type option
 val find_impl_opt : t -> string -> Ast.component_impl option
-val find_type : t -> string -> Ast.component_type
-val find_impl : t -> string -> Ast.component_impl
 
 type classifier =
   | Type_only of Ast.component_type
   | Type_and_impl of Ast.component_type * Ast.component_impl
 
-val resolve_classifier : t -> string -> classifier
+val resolve_classifier : t -> string -> classifier option
 (** Resolve ["name"] to a type or ["name.impl"] to a type/implementation
-    pair. *)
+    pair; [None] when either is not declared. *)
 
-val classifier_category : classifier -> Ast.category
-val check_category : string -> Ast.category -> classifier -> unit
-val types : t -> Ast.component_type list
 val impls : t -> Ast.component_impl list

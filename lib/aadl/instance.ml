@@ -19,6 +19,9 @@ type t = {
       (** modes of the parent in which this instance is active;
           empty = all *)
   children : t list;
+  loc : Ast.srcloc;
+      (** the subcomponent declaration (the implementation for the
+          root); [Ast.no_loc] when read from instance XML *)
 }
 
 let initial_mode inst =

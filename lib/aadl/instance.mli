@@ -13,6 +13,9 @@ type t = {
   transitions : Ast.mode_transition list;
   in_modes : string list;
   children : t list;
+  loc : Ast.srcloc;
+      (** the subcomponent declaration (the implementation for the
+          root); [Ast.no_loc] when read from instance XML *)
 }
 
 val initial_mode : t -> string option

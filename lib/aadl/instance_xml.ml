@@ -21,10 +21,6 @@
    </instance>
    v} *)
 
-exception Error of string
-
-let fail fmt = Fmt.kstr (fun m -> raise (Error m)) fmt
-
 (* {1 Property values} *)
 
 let rec pvalue_to_xml (v : Ast.pvalue) : Xml.t =
@@ -45,27 +41,33 @@ let rec pvalue_to_xml (v : Ast.pvalue) : Xml.t =
 let req_attr what name x =
   match Xml.attr name x with
   | Some v -> v
-  | None -> fail "%s: missing attribute %s" what name
+  | None -> Diag.fail "%s: missing attribute %s" what name
+
+let conv_attr what name conv x =
+  let v = req_attr what name x in
+  match conv v with
+  | Some r -> r
+  | None -> Diag.fail "%s: malformed attribute %s=%S" what name v
 
 let rec pvalue_of_xml (x : Xml.t) : Ast.pvalue =
   match Xml.tag x with
-  | Some "int" -> Ast.Pint (int_of_string (req_attr "int" "v" x))
-  | Some "real" -> Ast.Preal (float_of_string (req_attr "real" "v" x))
-  | Some "bool" -> Ast.Pbool (bool_of_string (req_attr "bool" "v" x))
+  | Some "int" -> Ast.Pint (conv_attr "int" "v" int_of_string_opt x)
+  | Some "real" -> Ast.Preal (conv_attr "real" "v" float_of_string_opt x)
+  | Some "bool" -> Ast.Pbool (conv_attr "bool" "v" bool_of_string_opt x)
   | Some "string" -> Ast.Pstring (req_attr "string" "v" x)
   | Some "enum" -> Ast.Penum (req_attr "enum" "v" x)
   | Some "time" ->
-      Ast.Ptime (Time.of_ns (int_of_string (req_attr "time" "ns" x)))
+      Ast.Ptime (Time.of_ns (conv_attr "time" "ns" int_of_string_opt x))
   | Some "range" -> (
       match Xml.all_children x with
       | [ lo; hi ] -> Ast.Prange (pvalue_of_xml lo, pvalue_of_xml hi)
-      | _ -> fail "range: expected two children")
+      | _ -> Diag.fail "range: expected two children")
   | Some "reference" ->
       Ast.Preference
         (String.split_on_char '.' (req_attr "reference" "path" x))
   | Some "list" -> Ast.Plist (List.map pvalue_of_xml (Xml.all_children x))
-  | Some t -> fail "unknown property value element <%s>" t
-  | None -> fail "expected a property value element"
+  | Some t -> Diag.fail "unknown property value element <%s>" t
+  | None -> Diag.fail "expected a property value element"
 
 let prop_to_xml (p : Ast.prop) : Xml.t =
   Xml.Element ("property", [ ("name", p.Ast.pname) ], [ pvalue_to_xml p.Ast.pvalue ])
@@ -80,7 +82,7 @@ let prop_of_xml (x : Xml.t) : Ast.prop =
         applies_to = [];
         ploc = Ast.no_loc;
       }
-  | _ -> fail "property %s: expected one value child" pname
+  | _ -> Diag.fail "property %s: expected one value child" pname
 
 (* {1 Features} *)
 
@@ -93,7 +95,7 @@ let direction_of_string = function
   | "in" -> Ast.In
   | "out" -> Ast.Out
   | "in_out" -> Ast.In_out
-  | d -> fail "unknown direction %s" d
+  | d -> Diag.fail "unknown direction %s" d
 
 let port_kind_to_string = function
   | Ast.Data_port -> "data_port"
@@ -104,7 +106,7 @@ let port_kind_of_string = function
   | "data_port" -> Ast.Data_port
   | "event_port" -> Ast.Event_port
   | "event_data_port" -> Ast.Event_data_port
-  | k -> fail "unknown port kind %s" k
+  | k -> Diag.fail "unknown port kind %s" k
 
 let feature_to_xml (f : Ast.feature) : Xml.t =
   let kind_attrs =
@@ -182,7 +184,7 @@ let connection_of_xml (x : Xml.t) : Ast.connection =
       (match req_attr "connection" "kind" x with
       | "port" -> Ast.Port_connection
       | "access" -> Ast.Access_connection
-      | k -> fail "unknown connection kind %s" k);
+      | k -> Diag.fail "unknown connection kind %s" k);
     conn_src = conn_end_of_string (req_attr "connection" "src" x);
     conn_dst = conn_end_of_string (req_attr "connection" "dst" x);
     conn_bidirectional = Xml.attr "bidirectional" x = Some "true";
@@ -242,7 +244,7 @@ let category_of_string s =
   | "memory" -> Ast.Memory
   | "bus" -> Ast.Bus
   | "device" -> Ast.Device
-  | c -> fail "unknown category %s" c
+  | c -> Diag.fail "unknown category %s" c
 
 let category_to_string c =
   match c with
@@ -296,16 +298,14 @@ let rec instance_of_xml ~path (x : Xml.t) : Instance.t =
       List.map
         (instance_of_xml ~path:(Some this_path))
         (Xml.children "subcomponent" x);
+    loc = Ast.no_loc;
   }
 
 let of_xml (x : Xml.t) : Instance.t = instance_of_xml ~path:None x
 
 let to_string root = Xml.to_string (to_xml root)
 
-let of_string s =
-  match Xml.parse_string s with
-  | x -> of_xml x
-  | exception Xml.Error (msg, pos) -> fail "XML error at offset %d: %s" pos msg
+let of_string s = of_xml (Xml.parse_string s)
 
 let write_file path root =
   let oc = open_out path in

@@ -5,14 +5,12 @@
     locations and the [applies to] paths of property associations, which
     are already resolved in an instance model. *)
 
-exception Error of string
-
 val to_xml : Instance.t -> Xml.t
 val of_xml : Xml.t -> Instance.t
 val to_string : Instance.t -> string
 
 val of_string : string -> Instance.t
-(** @raise Error on malformed XML or schema violations. *)
+(** @raise Diag.Error on malformed XML or schema violations. *)
 
 val write_file : string -> Instance.t -> unit
 val read_file : string -> Instance.t

@@ -3,8 +3,6 @@
    type < implementation < subcomponent < contained associations declared
    by enclosing implementations). *)
 
-exception Error of string
-
 (* Contained property associations still traveling down the tree: relative
    path from the current instance paired with the association. *)
 type inbox = (string list * Ast.prop) list
@@ -44,33 +42,24 @@ let attach_connection_props conns (inbox : inbox) =
 
 let rec build decls ~name ~path ~category ~classifier_name
     ~(sub_props : Ast.prop list) ~(in_modes : string list) ~(inbox : inbox)
-    ~depth : Instance.t =
+    ~depth ~loc : Instance.t =
   if depth > 64 then
-    raise
-      (Error
-         (Fmt.str "instantiation of %a exceeds depth 64: classifier cycle?"
-            Instance.pp_path path));
+    Diag.fail ~loc ~subject:path
+      "instantiation exceeds depth 64: classifier cycle?";
   let ct, ci =
     match classifier_name with
     | None -> (None, None)
     | Some cls -> (
         match Decls.resolve_classifier decls cls with
-        | Decls.Type_only ct -> (Some ct, None)
-        | Decls.Type_and_impl (ct, ci) -> (Some ct, Some ci)
-        | exception Decls.Unknown_classifier c ->
-            raise
-              (Error
-                 (Fmt.str "unknown classifier %s for %a" c Instance.pp_path
-                    path)))
+        | Some (Decls.Type_only ct) -> (Some ct, None)
+        | Some (Decls.Type_and_impl (ct, ci)) -> (Some ct, Some ci)
+        | None -> Diag.fail ~loc ~subject:path "unknown classifier %s" cls)
   in
   (match ct with
   | Some ct when ct.Ast.ct_category <> category ->
-      raise
-        (Error
-           (Fmt.str "%a: declared as %a but classifier %s is a %a"
-              Instance.pp_path path Ast.pp_category category
-              (Option.get classifier_name) Ast.pp_category
-              ct.Ast.ct_category))
+      Diag.fail ~loc ~subject:path "declared as %a but classifier %s is a %a"
+        Ast.pp_category category (Option.get classifier_name) Ast.pp_category
+        ct.Ast.ct_category
   | Some _ | None -> ());
   let features = match ct with Some ct -> ct.Ast.ct_features | None -> [] in
   let type_props = match ct with Some ct -> ct.Ast.ct_props | None -> [] in
@@ -115,7 +104,7 @@ let rec build decls ~name ~path ~category ~classifier_name
               ~classifier_name:sub.Ast.sub_classifier
               ~sub_props:sub.Ast.sub_props
               ~in_modes:sub.Ast.sub_modes ~inbox:child_inbox
-              ~depth:(depth + 1))
+              ~depth:(depth + 1) ~loc:sub.Ast.sub_loc)
           ci.Ast.ci_subcomponents
   in
   {
@@ -130,6 +119,7 @@ let rec build decls ~name ~path ~category ~classifier_name
     transitions;
     in_modes;
     children;
+    loc;
   }
 
 let instantiate (model : Ast.model) ~root : Instance.t =
@@ -145,18 +135,14 @@ let instantiate (model : Ast.model) ~root : Instance.t =
             (Decls.impls decls)
         with
         | [ ci ] -> ci
-        | [] -> raise (Error (Fmt.str "no implementation named %s" root))
-        | _ ->
-            raise
-              (Error
-                 (Fmt.str "type %s has several implementations; name one"
-                    root)))
+        | [] -> Diag.fail "no implementation named %s" root
+        | _ -> Diag.fail "type %s has several implementations; name one" root)
   in
   build decls
     ~name:(Ast.impl_full_name ci)
     ~path:[] ~category:ci.Ast.ci_category
     ~classifier_name:(Some (Ast.impl_full_name ci))
-    ~sub_props:[] ~in_modes:[] ~inbox:[] ~depth:0
+    ~sub_props:[] ~in_modes:[] ~inbox:[] ~depth:0 ~loc:ci.Ast.ci_loc
 
 let of_string ?root text =
   let model = Parser.parse_string text in
@@ -187,10 +173,7 @@ let of_string ?root text =
         in
         match roots with
         | [ ci ] -> Ast.impl_full_name ci
-        | [] -> raise (Error "no root system implementation found")
-        | _ ->
-            raise
-              (Error
-                 "several candidate root systems; pass ~root explicitly"))
+        | [] -> Diag.fail "no root system implementation found"
+        | _ -> Diag.fail "several candidate root systems; name one as the root")
   in
   instantiate model ~root

@@ -28,8 +28,6 @@ type token =
   | TRANSL  (** [-\[], opening a mode transition *)
   | EOF
 
-exception Error of string * Ast.srcloc
-
 let pp_token ppf = function
   | IDENT s -> Fmt.pf ppf "identifier %S" s
   | INT n -> Fmt.pf ppf "integer %d" n
@@ -118,13 +116,13 @@ let lex_number st =
     let text = String.sub st.input start (st.pos - start) in
     match float_of_string_opt text with
     | Some f -> (REAL f, from)
-    | None -> raise (Error (Fmt.str "malformed real %S" text, from))
+    | None -> Diag.fail ~loc:from "malformed real %S" text
   end
   else
     let text = String.sub st.input start (st.pos - start) in
     match int_of_string_opt text with
     | Some n -> (INT n, from)
-    | None -> raise (Error (Fmt.str "malformed integer %S" text, from))
+    | None -> Diag.fail ~loc:from "malformed integer %S" text
 
 let lex_ident st =
   let start = st.pos in
@@ -140,7 +138,7 @@ let lex_string st =
   let buf = Buffer.create 16 in
   let rec go () =
     match peek st with
-    | None -> raise (Error ("unterminated string literal", from))
+    | None -> Diag.fail ~loc:from "unterminated string literal"
     | Some '"' -> advance st
     | Some c ->
         Buffer.add_char buf c;
@@ -210,7 +208,7 @@ let next_token st =
         advance st;
         (BIARROW, from)
       end
-      else raise (Error ("expected '<->'", from))
+      else Diag.fail ~loc:from "expected '<->'"
   | Some '=' when peek2 st = Some '>' ->
       advance st;
       advance st;
@@ -222,7 +220,7 @@ let next_token st =
         advance st;
         (PLUSDARROW, from)
       end
-      else raise (Error ("expected '+=>'", from))
+      else Diag.fail ~loc:from "expected '+=>'"
   | Some '-' ->
       (* negative number literal *)
       advance st;
@@ -231,11 +229,9 @@ let next_token st =
           match lex_number st with
           | INT n, _ -> (INT (-n), from)
           | REAL f, _ -> (REAL (-.f), from)
-          | t, _ ->
-              raise
-                (Error (Fmt.str "unexpected %a after '-'" pp_token t, from)))
-      | _ -> raise (Error ("stray '-'", from)))
-  | Some c -> raise (Error (Fmt.str "unexpected character %C" c, from))
+          | t, _ -> Diag.fail ~loc:from "unexpected %a after '-'" pp_token t)
+      | _ -> Diag.fail ~loc:from "stray '-'")
+  | Some c -> Diag.fail ~loc:from "unexpected character %C" c
 
 let tokenize input =
   let st = { input; pos = 0; line = 1; bol = 0 } in

@@ -24,10 +24,8 @@ type token =
   | TRANSL
   | EOF
 
-exception Error of string * Ast.srcloc
-
 val pp_token : token Fmt.t
 
 val tokenize : string -> (token * Ast.srcloc) list
 (** Tokenize a whole compilation unit; the result always ends with [EOF].
-    @raise Error on malformed input. *)
+    @raise Diag.Error on malformed input. *)

@@ -7,8 +7,6 @@
    [applies to] clauses; optional [package] wrappers.  Keywords are
    case-insensitive, as required by AS5506. *)
 
-exception Error of string * Ast.srcloc
-
 type state = { toks : (Lexer.token * Ast.srcloc) array; mutable pos : int }
 
 let peek st = fst st.toks.(st.pos)
@@ -20,20 +18,19 @@ let peek2 st =
 
 let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
 
-let fail st msg = raise (Error (msg, peek_loc st))
+let fail st fmt = Diag.fail ~loc:(peek_loc st) fmt
 
 let expect st tok what =
   if peek st = tok then advance st
   else
-    fail st
-      (Fmt.str "expected %s but found %a" what Lexer.pp_token (peek st))
+    fail st "expected %s but found %a" what Lexer.pp_token (peek st)
 
 let ident st =
   match peek st with
   | Lexer.IDENT s ->
       advance st;
       s
-  | t -> fail st (Fmt.str "expected identifier, found %a" Lexer.pp_token t)
+  | t -> fail st "expected identifier, found %a" Lexer.pp_token t
 
 (* Case-insensitive keyword tests on identifier tokens. *)
 let is_kw st kw =
@@ -50,7 +47,7 @@ let accept_kw st kw =
 
 let expect_kw st kw =
   if not (accept_kw st kw) then
-    fail st (Fmt.str "expected keyword %S, found %a" kw Lexer.pp_token (peek st))
+    fail st "expected keyword %S, found %a" kw Lexer.pp_token (peek st)
 
 let category_of_kw = function
   | "system" -> Some Ast.System
@@ -76,8 +73,8 @@ let parse_category st =
       | Some c ->
           advance st;
           c
-      | None -> fail st (Fmt.str "expected component category, found %S" s))
-  | t -> fail st (Fmt.str "expected component category, found %a" Lexer.pp_token t)
+      | None -> fail st "expected component category, found %S" s)
+  | t -> fail st "expected component category, found %a" Lexer.pp_token t
 
 (* {1 Property values} *)
 
@@ -93,12 +90,15 @@ let rec parse_pvalue st : Ast.pvalue =
 and parse_pvalue_atom st : Ast.pvalue =
   match peek st with
   | Lexer.INT n -> (
+      let loc = peek_loc st in
       advance st;
       (* a following identifier may be a time unit *)
       match peek st with
       | Lexer.IDENT u when Time.unit_of_string u <> None -> (
           advance st;
           match Time.unit_of_string u with
+          | Some Time.Ps when n mod 1000 <> 0 ->
+              Diag.fail ~loc "%d ps is not a whole number of nanoseconds" n
           | Some unit_ -> Ast.Ptime (Time.make n unit_)
           | None -> assert false)
       | _ -> Ast.Pint n)
@@ -138,7 +138,7 @@ and parse_pvalue_atom st : Ast.pvalue =
   | Lexer.IDENT s ->
       advance st;
       Ast.Penum s
-  | t -> fail st (Fmt.str "expected property value, found %a" Lexer.pp_token t)
+  | t -> fail st "expected property value, found %a" Lexer.pp_token t
 
 and parse_dotted_path st =
   let first = ident st in
@@ -167,7 +167,7 @@ let parse_prop st : Ast.prop =
   let pname = parse_property_name st in
   (match peek st with
   | Lexer.DARROW | Lexer.PLUSDARROW -> advance st
-  | t -> fail st (Fmt.str "expected '=>' in property association, found %a" Lexer.pp_token t));
+  | t -> fail st "expected '=>' in property association, found %a" Lexer.pp_token t);
   let pvalue = parse_pvalue st in
   let applies_to =
     if is_kw st "applies" then begin
@@ -346,7 +346,7 @@ let parse_connection st : Ast.connection =
     | Lexer.BIARROW ->
         advance st;
         true
-    | t -> fail st (Fmt.str "expected '->' or '<->', found %a" Lexer.pp_token t)
+    | t -> fail st "expected '->' or '<->', found %a" Lexer.pp_token t
   in
   let dst = parse_conn_end st in
   let conn_props = parse_curly_props st in
@@ -410,9 +410,8 @@ let parse_mode_item st : mode_item =
       Mode_trans
         { Ast.mt_src = first; mt_dst = dst; mt_triggers; mt_loc = loc }
   | t ->
-      fail st
-        (Fmt.str "expected ':' or '-[' in a mode declaration, found %a"
-           Lexer.pp_token t)
+      fail st "expected ':' or '-[' in a mode declaration, found %a"
+        Lexer.pp_token t
 
 (* {1 Declarations} *)
 
@@ -451,7 +450,7 @@ let parse_type_body st category name loc : Ast.component_type =
   expect_kw st "end";
   let end_name = ident st in
   if String.lowercase_ascii end_name <> String.lowercase_ascii name then
-    fail st (Fmt.str "'end %s;' does not match component type %s" end_name name);
+    fail st "'end %s;' does not match component type %s" end_name name;
   expect st Lexer.SEMI "';' after end";
   {
     Ast.ct_category = category;
@@ -535,9 +534,8 @@ let parse_impl_body st category type_name impl_name loc : Ast.component_impl =
     String.lowercase_ascii end_type <> String.lowercase_ascii type_name
     || String.lowercase_ascii end_impl <> String.lowercase_ascii impl_name
   then
-    fail st
-      (Fmt.str "'end %s.%s;' does not match implementation %s.%s" end_type
-         end_impl type_name impl_name);
+    fail st "'end %s.%s;' does not match implementation %s.%s" end_type
+      end_impl type_name impl_name;
   expect st Lexer.SEMI "';' after end";
   {
     Ast.ci_category = category;

@@ -1,10 +1,8 @@
 (** Recursive-descent parser for the textual AADL subset. *)
 
-exception Error of string * Ast.srcloc
-
 val parse_string : string -> Ast.model
 (** Parse a compilation unit from a string.
-    @raise Error on syntax errors, [Lexer.Error] on lexical errors. *)
+    @raise Diag.Error on lexical and syntax errors. *)
 
 val parse_file : string -> Ast.model
 (** Parse a compilation unit from a file. *)

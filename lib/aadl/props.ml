@@ -42,9 +42,6 @@ let scheduling_protocol_to_string = function
 let pp_scheduling_protocol ppf s =
   Fmt.string ppf (scheduling_protocol_to_string s)
 
-exception Bad_property of string * string
-(** property name, explanation *)
-
 (* Strip an optional "set::" qualifier. *)
 let base_name name =
   match String.index_opt name ':' with
@@ -59,62 +56,70 @@ let matches wanted (p : Ast.prop) =
 (* Later associations take precedence, so scan from the end: merged
    property lists are ordered from weakest (component type) to strongest
    (contained associations). *)
-let find name props =
-  List.fold_left
-    (fun acc p -> if matches name p then Some p.Ast.pvalue else acc)
-    None props
+let find_prop name props =
+  List.fold_left (fun acc p -> if matches name p then Some p else acc) None props
 
-let find_exn name props =
-  match find name props with
-  | Some v -> v
-  | None -> raise (Bad_property (name, "missing"))
+let find name props = Option.map (fun p -> p.Ast.pvalue) (find_prop name props)
+let loc_of name props = Option.map (fun p -> p.Ast.ploc) (find_prop name props)
+let mem name props = find_prop name props <> None
 
-let mem name props = find name props <> None
+(* A value of the wrong type is rejected at its association. *)
+let bad name (p : Ast.prop) why = Diag.fail ~loc:p.Ast.ploc "%s: %s" name why
 
-let as_time name = function
+(* The strongest association of [name], read by [conv]. *)
+let typed conv name props =
+  Option.map (fun p -> conv name p p.Ast.pvalue) (find_prop name props)
+
+let as_time name p = function
   | Ast.Ptime t -> t
   | Ast.Pint 0 -> Time.zero
-  | _ -> raise (Bad_property (name, "expected a time value"))
+  | _ -> bad name p "expected a time value"
 
-let as_int name = function
-  | Ast.Pint n -> n
-  | _ -> raise (Bad_property (name, "expected an integer"))
+let time_opt = typed as_time
 
-let as_enum name = function
-  | Ast.Penum s -> s
-  | Ast.Pstring s -> s
-  | _ -> raise (Bad_property (name, "expected an enumeration identifier"))
+let int_opt =
+  typed (fun name p -> function
+    | Ast.Pint n -> n | _ -> bad name p "expected an integer")
 
-let as_reference name = function
-  | Ast.Preference path -> path
-  | _ -> raise (Bad_property (name, "expected a reference"))
+let time_range_opt =
+  typed (fun name p -> function
+    | Ast.Prange (lo, hi) -> (as_time name p lo, as_time name p hi)
+    | v ->
+        let t = as_time name p v in
+        (t, t))
 
-let time_opt name props = Option.map (as_time name) (find name props)
-let int_opt name props = Option.map (as_int name) (find name props)
+let reference_opt =
+  typed (fun name p -> function
+    | Ast.Preference path | Ast.Plist [ Ast.Preference path ] -> path
+    | _ -> bad name p "expected a reference")
 
-let time_range_opt name props =
-  match find name props with
-  | None -> None
-  | Some (Ast.Prange (lo, hi)) -> Some (as_time name lo, as_time name hi)
-  | Some v ->
-      let t = as_time name v in
-      Some (t, t)
+(* An enumeration property, matched case-insensitively by [of_enum];
+   [list] also accepts a one-element list (AADL declares
+   Scheduling_Protocol as a list). *)
+let enum ?(list = false) of_enum =
+  typed (fun name p v ->
+      let raw =
+        match v with
+        | Ast.Penum s | Ast.Pstring s -> s
+        | Ast.Plist [ (Ast.Penum s | Ast.Pstring s) ] when list -> s
+        | _ -> bad name p "expected an enumeration identifier"
+      in
+      let s = String.lowercase_ascii raw in
+      match of_enum s with
+      | Some x -> x
+      | None -> bad name p ("unknown protocol " ^ s))
 
 (* {1 Thread properties} *)
 
-let dispatch_protocol props =
-  match find "dispatch_protocol" props with
-  | None -> None
-  | Some v -> (
-      match String.lowercase_ascii (as_enum "dispatch_protocol" v) with
+let dispatch_protocol =
+  enum
+    (function
       | "periodic" -> Some Periodic
       | "aperiodic" -> Some Aperiodic
       | "sporadic" -> Some Sporadic
       | "background" -> Some Background
-      | other ->
-          raise
-            (Bad_property
-               ("dispatch_protocol", "unknown protocol " ^ other)))
+      | _ -> None)
+    "dispatch_protocol"
 
 let period props = time_opt "period" props
 
@@ -139,32 +144,20 @@ let queue_size props =
   match int_opt "queue_size" props with Some n -> n | None -> 1
 
 let overflow_handling props =
-  match find "overflow_handling_protocol" props with
-  | None -> Drop_newest
-  | Some v -> (
-      match
-        String.lowercase_ascii (as_enum "overflow_handling_protocol" v)
-      with
-      | "dropnewest" -> Drop_newest
-      | "dropoldest" -> Drop_oldest
-      | "error" -> Error
-      | other ->
-          raise
-            (Bad_property
-               ("overflow_handling_protocol", "unknown protocol " ^ other)))
+  enum
+    (function
+      | "dropnewest" -> Some Drop_newest
+      | "dropoldest" -> Some Drop_oldest
+      | "error" -> Some Error
+      | _ -> None)
+    "overflow_handling_protocol" props
+  |> Option.value ~default:Drop_newest
 
 (* {1 Processor properties} *)
 
-let scheduling_protocol props =
-  match find "scheduling_protocol" props with
-  | None -> None
-  | Some v -> (
-      let raw =
-        match v with
-        | Ast.Plist [ single ] -> as_enum "scheduling_protocol" single
-        | v -> as_enum "scheduling_protocol" v
-      in
-      match String.lowercase_ascii raw with
+let scheduling_protocol =
+  enum ~list:true
+    (function
       | "rate_monotonic_protocol" | "rate_monotonic" | "rm" | "rms" ->
           Some Rate_monotonic
       | "deadline_monotonic_protocol" | "deadline_monotonic" | "dm" ->
@@ -176,24 +169,16 @@ let scheduling_protocol props =
           Some Edf
       | "llf_protocol" | "least_laxity_first_protocol" | "llf" -> Some Llf
       | "hierarchical_protocol" | "hierarchical" -> Some Hierarchical
-      | other ->
-          raise (Bad_property ("scheduling_protocol", "unknown protocol " ^ other)))
+      | _ -> None)
+    "scheduling_protocol"
 
 (* {1 Bindings} *)
 
 let actual_processor_binding props =
-  match find "actual_processor_binding" props with
-  | None -> None
-  | Some (Ast.Plist [ v ]) ->
-      Some (as_reference "actual_processor_binding" v)
-  | Some v -> Some (as_reference "actual_processor_binding" v)
+  reference_opt "actual_processor_binding" props
 
 let actual_connection_binding props =
-  match find "actual_connection_binding" props with
-  | None -> None
-  | Some (Ast.Plist [ v ]) ->
-      Some (as_reference "actual_connection_binding" v)
-  | Some v -> Some (as_reference "actual_connection_binding" v)
+  reference_opt "actual_connection_binding" props
 
 (* {1 Shared data} *)
 
@@ -208,21 +193,16 @@ let pp_concurrency_control ppf = function
   | Priority_inheritance -> Fmt.string ppf "Priority_Inheritance"
 
 let concurrency_control props =
-  match find "concurrency_control_protocol" props with
-  | None -> No_protocol
-  | Some v -> (
-      match
-        String.lowercase_ascii (as_enum "concurrency_control_protocol" v)
-      with
-      | "none_specified" | "none" -> No_protocol
+  enum
+    (function
+      | "none_specified" | "none" -> Some No_protocol
       | "priority_ceiling" | "priority_ceiling_protocol" | "pcp" ->
-          Priority_ceiling
+          Some Priority_ceiling
       | "priority_inheritance" | "priority_inheritance_protocol" | "pip" ->
-          Priority_inheritance
-      | other ->
-          raise
-            (Bad_property
-               ("concurrency_control_protocol", "unknown protocol " ^ other)))
+          Some Priority_inheritance
+      | _ -> None)
+    "concurrency_control_protocol" props
+  |> Option.value ~default:No_protocol
 
 (* {1 Flow / latency} *)
 

@@ -21,13 +21,16 @@ type scheduling_protocol =
 val scheduling_protocol_to_string : scheduling_protocol -> string
 val pp_scheduling_protocol : scheduling_protocol Fmt.t
 
-exception Bad_property of string * string
+(** The typed accessors raise {!Diag.Error}, located at the association,
+    for a value of the wrong type or an unknown enumeration literal. *)
 
 val find : string -> Ast.prop list -> Ast.pvalue option
 (** Last (strongest) association whose base name matches, case-insensitive,
     qualifier-insensitive. *)
 
-val find_exn : string -> Ast.prop list -> Ast.pvalue
+val loc_of : string -> Ast.prop list -> Ast.srcloc option
+(** Where the association {!find} returns was written. *)
+
 val mem : string -> Ast.prop list -> bool
 val time_opt : string -> Ast.prop list -> Time.t option
 val int_opt : string -> Ast.prop list -> int option

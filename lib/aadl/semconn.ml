@@ -31,8 +31,6 @@ let pp ppf sc =
    properties of each traversed declared connection, source link first. *)
 let props sc = List.concat_map (fun l -> l.conn.Ast.conn_props) sc.links
 
-exception Unresolved of string
-
 let lc = String.lowercase_ascii
 let node_key (path, feature) = (List.map lc path, lc feature)
 

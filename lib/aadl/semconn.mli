@@ -20,8 +20,6 @@ val props : t -> Ast.prop list
 (** Properties of every traversed declared connection, source link first
     (later associations take precedence under {!Props.find}). *)
 
-exception Unresolved of string
-
 val resolve : Instance.t -> t list
 (** Every semantic port connection of the instance model: one per
     (ultimate source port, reachable ultimate destination port) pair. *)

@@ -6,8 +6,6 @@ type unit_ = Ps | Ns | Us | Ms | Sec | Min | Hr
 
 type t = int (* nanoseconds *)
 
-exception Subnanosecond of string
-
 let ns_per = function
   | Ps -> 0 (* handled separately *)
   | Ns -> 1
@@ -21,7 +19,7 @@ let make value unit_ =
   match unit_ with
   | Ps ->
       if value mod 1000 <> 0 then
-        raise (Subnanosecond (Fmt.str "%d ps" value))
+        invalid_arg (Fmt.str "Time.make: %d ps is not whole nanoseconds" value)
       else value / 1000
   | u -> value * ns_per u
 

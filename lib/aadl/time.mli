@@ -4,10 +4,10 @@ type unit_ = Ps | Ns | Us | Ms | Sec | Min | Hr
 
 type t
 
-exception Subnanosecond of string
-(** Raised for picosecond values that do not round to nanoseconds. *)
-
 val make : int -> unit_ -> t
+(** @raise Invalid_argument for picoseconds that are not a whole number
+    of nanoseconds (the parser rejects those literals first). *)
+
 val zero : t
 val of_ns : int -> t
 val to_ns : t -> int

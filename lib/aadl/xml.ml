@@ -7,9 +7,6 @@ type t =
   | Element of string * (string * string) list * t list
   | Text of string
 
-exception Error of string * int
-(** message, character offset *)
-
 (* plain substring search *)
 module Str_find = struct
   let find haystack needle from =
@@ -29,7 +26,8 @@ type state = { input : string; mutable pos : int }
 let peek st =
   if st.pos < String.length st.input then Some st.input.[st.pos] else None
 
-let fail st msg = raise (Error (msg, st.pos))
+let fail st msg =
+  Diag.fail ~loc:(Diag.loc_of_offset st.input st.pos) "%s" msg
 
 let starts_with st prefix =
   let n = String.length prefix in

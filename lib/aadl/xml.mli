@@ -5,10 +5,8 @@ type t =
   | Element of string * (string * string) list * t list
   | Text of string
 
-exception Error of string * int
-
 val parse_string : string -> t
-(** @raise Error with the character offset on malformed input. *)
+(** @raise Diag.Error located at the offending character. *)
 
 val pp : t Fmt.t
 val to_string : t -> string

@@ -68,8 +68,6 @@ let default_options =
     jobs = 1;
   }
 
-exception Error of string
-
 let check ?(options = default_options) ~(from_thread : string list)
     ~(to_thread : string list) ~(bound : Aadl.Time.t)
     (root : Aadl.Instance.t) : t =
@@ -96,7 +94,7 @@ let check ?(options = default_options) ~(from_thread : string list)
   let quantum = tr.Translate.Pipeline.workload.Translate.Workload.quantum in
   let bound_q = Aadl.Time.to_quanta_floor ~quantum bound in
   if bound_q <= 0 then
-    raise (Error "latency bound is smaller than the scheduling quantum");
+    Aadl.Diag.fail "latency bound is smaller than the scheduling quantum";
   (* verify the probes were actually attached *)
   (match
      ( Translate.Workload.find_task tr.Translate.Pipeline.workload from_thread,
@@ -104,15 +102,11 @@ let check ?(options = default_options) ~(from_thread : string list)
    with
   | Some _, Some _ -> ()
   | None, _ ->
-      raise
-        (Error
-           (Fmt.str "no thread %a in the model" Aadl.Instance.pp_path
-              from_thread))
+      Aadl.Diag.fail "no thread %a in the model" Aadl.Instance.pp_path
+        from_thread
   | _, None ->
-      raise
-        (Error
-           (Fmt.str "no thread %a in the model" Aadl.Instance.pp_path
-              to_thread)));
+      Aadl.Diag.fail "no thread %a in the model" Aadl.Instance.pp_path
+        to_thread);
   let defs =
     List.fold_left
       (fun env (name, formals, body) -> Defs.add env ~name ~formals body)

@@ -25,8 +25,6 @@ type options = {
 
 val default_options : options
 
-exception Error of string
-
 val check :
   ?options:options ->
   from_thread:string list ->
@@ -34,7 +32,7 @@ val check :
   bound:Aadl.Time.t ->
   Aadl.Instance.t ->
   t
-(** @raise Error for unknown threads or a sub-quantum bound. *)
+(** @raise Aadl.Diag.Error for unknown threads or a sub-quantum bound. *)
 
 val pp_verdict : verdict Fmt.t
 val pp : t Fmt.t

@@ -129,9 +129,9 @@ let responses ppf ~options (root : Aadl.Instance.t)
             t.Translate.Workload.path
             Fmt.(option ~none:(any "misses deadline") int)
             r.Response.response t.Translate.Workload.deadline
-      | exception Latency.Error why ->
+      | exception Aadl.Diag.Error d ->
           pf ppf "| %a | error: %s | %d |@." Aadl.Instance.pp_path
-            t.Translate.Workload.path why t.Translate.Workload.deadline)
+            t.Translate.Workload.path d.message t.Translate.Workload.deadline)
     wl.Translate.Workload.tasks
 
 let generate ?(options = default_options) (root : Aadl.Instance.t) : string =

@@ -26,7 +26,8 @@ let met ~options ~thread ~bound_q ~quantum root =
   match r.Latency.verdict with
   | Latency.Latency_met -> true
   | Latency.Latency_violated _ -> false
-  | Latency.Latency_inconclusive why -> raise (Latency.Error why)
+  | Latency.Latency_inconclusive why ->
+      Aadl.Diag.fail ~subject:thread "%s" why
 
 let worst_response ?(options = default_options) ~(thread : string list)
     (root : Aadl.Instance.t) : t =
@@ -40,9 +41,7 @@ let worst_response ?(options = default_options) ~(thread : string list)
     match Translate.Workload.find_task wl thread with
     | Some t -> t
     | None ->
-        raise
-          (Latency.Error
-             (Fmt.str "no thread %a in the model" Aadl.Instance.pp_path thread))
+        Aadl.Diag.fail "no thread %a in the model" Aadl.Instance.pp_path thread
   in
   let deadline = task.Translate.Workload.deadline in
   if not (met ~options ~thread ~bound_q:deadline ~quantum root) then

@@ -15,6 +15,6 @@ val worst_response :
   ?options:options -> thread:string list -> Aadl.Instance.t -> t
 (** The smallest dispatch-to-completion bound (in quanta) that holds on
     every path; [None] when the thread can miss its deadline.
-    @raise Latency.Error for unknown threads or inconclusive explorations. *)
+    @raise Aadl.Diag.Error for unknown threads or inconclusive explorations. *)
 
 val pp : t Fmt.t

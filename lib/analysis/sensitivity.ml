@@ -53,8 +53,6 @@ let default_options =
     reuse = true;
   }
 
-exception Error of string
-
 (* Rebuild the workload with the thread's cet forced to [cet] quanta, by
    overriding the instance property before translation.  We synthesize a
    property in quanta-sized time units appended to the thread's
@@ -96,12 +94,13 @@ let probes_total =
 (* The per-probe fragment reuse/rebuild split lands in the registry via
    the pipeline's translate_fragments_* counters; here we only count the
    probes themselves and bracket each with a span. *)
-let probe ~options ~cache ~quantum ~thread ~cet root : point =
+let probe ~options ~cache ~quantum ~(task : Translate.Workload.task) ~cet root
+    : point =
   Obs.Counter.incr probes_total;
   Obs.Span.with_ ~name:"sensitivity.probe"
     ~attrs:[ ("cet", string_of_int cet) ]
   @@ fun () ->
-  let root' = with_cet ~quantum ~thread ~cet root in
+  let root' = with_cet ~quantum ~thread:task.Translate.Workload.path ~cet root in
   let sched_options =
     {
       options.schedulability with
@@ -112,23 +111,23 @@ let probe ~options ~cache ~quantum ~thread ~cet root : point =
         };
     }
   in
-  match
-    Translate.Pipeline.translate
-      ~options:sched_options.Schedulability.translation_options ?cache root'
-  with
-  | exception Translate.Pipeline.Error _ ->
-      (* cet beyond the deadline is trivially unschedulable *)
-      { cet; schedulable = false; fragments_reused = 0; fragments_rebuilt = 0 }
-  | tr ->
-      let r = Schedulability.analyze_translation ~options:sched_options tr in
-      {
-        cet;
-        schedulable = Schedulability.is_schedulable r;
-        fragments_reused = tr.Translate.Pipeline.fragments_reused;
-        fragments_rebuilt =
-          List.length tr.Translate.Pipeline.fragments
-          - tr.Translate.Pipeline.fragments_reused;
-      }
+  if cet > task.Translate.Workload.deadline then
+    (* cet beyond the deadline is trivially unschedulable *)
+    { cet; schedulable = false; fragments_reused = 0; fragments_rebuilt = 0 }
+  else
+    let tr =
+      Translate.Pipeline.translate
+        ~options:sched_options.Schedulability.translation_options ?cache root'
+    in
+    let r = Schedulability.analyze_translation ~options:sched_options tr in
+    {
+      cet;
+      schedulable = Schedulability.is_schedulable r;
+      fragments_reused = tr.Translate.Pipeline.fragments_reused;
+      fragments_rebuilt =
+        List.length tr.Translate.Pipeline.fragments
+        - tr.Translate.Pipeline.fragments_reused;
+    }
 
 let resolved_quantum ~options root =
   match
@@ -141,28 +140,23 @@ let resolved_quantum ~options root =
 let fragment_cache options =
   if options.reuse then Some (Translate.Fragment_cache.create ()) else None
 
+let find_task ~quantum ~thread root =
+  let wl = Translate.Workload.extract ~quantum root in
+  match Translate.Workload.find_task wl thread with
+  | Some t -> t
+  | None -> Aadl.Diag.fail "no thread %a in the model" Aadl.Instance.pp_path thread
+
 let sweep ?(options = default_options) ~(thread : string list) ~(cets : int list)
     (root : Aadl.Instance.t) : point list =
   let quantum = resolved_quantum ~options root in
-  let wl = Translate.Workload.extract ~quantum root in
-  if Translate.Workload.find_task wl thread = None then
-    raise
-      (Error (Fmt.str "no thread %a in the model" Aadl.Instance.pp_path thread));
+  let task = find_task ~quantum ~thread root in
   let cache = fragment_cache options in
-  List.map (fun cet -> probe ~options ~cache ~quantum ~thread ~cet root) cets
+  List.map (fun cet -> probe ~options ~cache ~quantum ~task ~cet root) cets
 
 let breakdown ?(options = default_options) ~(thread : string list)
     (root : Aadl.Instance.t) : t =
   let quantum = resolved_quantum ~options root in
-  let wl = Translate.Workload.extract ~quantum root in
-  let task =
-    match Translate.Workload.find_task wl thread with
-    | Some t -> t
-    | None ->
-        raise
-          (Error
-             (Fmt.str "no thread %a in the model" Aadl.Instance.pp_path thread))
-  in
+  let task = find_task ~quantum ~thread root in
   let original_cmax = task.Translate.Workload.cmax in
   let ceiling =
     match options.max_cmax with
@@ -172,7 +166,7 @@ let breakdown ?(options = default_options) ~(thread : string list)
   let cache = fragment_cache options in
   let probes = ref 0 and reused = ref 0 and rebuilt = ref 0 in
   let ok cet =
-    let p = probe ~options ~cache ~quantum ~thread ~cet root in
+    let p = probe ~options ~cache ~quantum ~task ~cet root in
     incr probes;
     reused := !reused + p.fragments_reused;
     rebuilt := !rebuilt + p.fragments_rebuilt;

@@ -34,8 +34,6 @@ type options = {
 
 val default_options : options
 
-exception Error of string
-
 val with_cet :
   quantum:Aadl.Time.t ->
   thread:string list ->

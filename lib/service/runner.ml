@@ -139,17 +139,14 @@ let load (req : Job.request) =
         Aadl.Instance_xml.of_string contents
       else Aadl.Instantiate.of_string ?root:req.root contents
 
-(* Load/translation failures become [Failed] outcomes, mirroring the
-   CLI's handle_errors ladder; anything else escapes (it's a bug). *)
-let load_error = function
-  | Aadl.Lexer.Error (msg, loc) ->
-      Some (Fmt.str "lexical error (%a): %s" Aadl.Ast.pp_srcloc loc msg)
-  | Aadl.Parser.Error (msg, loc) ->
-      Some (Fmt.str "syntax error (%a): %s" Aadl.Ast.pp_srcloc loc msg)
-  | Aadl.Instantiate.Error msg -> Some ("instantiation error: " ^ msg)
-  | Translate.Pipeline.Error msg -> Some ("translation error: " ^ msg)
-  | Translate.Workload.Error msg -> Some ("workload error: " ^ msg)
-  | Aadl.Instance_xml.Error msg -> Some ("instance XML error: " ^ msg)
+(* Rejected models become [Failed] outcomes carrying the CLI's diagnostic
+   text; anything else escapes (it's a bug). *)
+let load_error (req : Job.request) = function
+  | Aadl.Diag.Error d ->
+      let file =
+        match req.source with Job.File path -> Some path | Job.Inline _ -> None
+      in
+      Some (Aadl.Diag.to_string ?file d)
   | Sys_error msg -> Some msg
   | _ -> None
 
@@ -215,7 +212,7 @@ let run ?cancel config (req : Job.request) =
     }
   in
   let failed e =
-    match load_error e with
+    match load_error req e with
     | Some msg -> outcome (Job.Failed msg) ~states:0 ~degraded:false
     | None -> raise e
   in

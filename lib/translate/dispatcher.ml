@@ -32,7 +32,8 @@ type modal_gate = {
   initially_active : bool;
 }
 
-exception Invalid of string
+let invalid (task : Workload.task) msg =
+  Aadl.Diag.fail ~subject:task.Workload.path "%s" msg
 
 let var_k = Expr.Var "k"
 let tick k = Expr.Add (k, Expr.Int 1)
@@ -115,7 +116,7 @@ let generate ?(scope : Naming.scope option) ?(modal : modal_gate option)
       let p =
         match task.Workload.period with
         | Some p -> p
-        | None -> raise (Invalid "periodic thread without a period")
+        | None -> invalid task "periodic thread without a period"
       in
       (* wait(k): done may arrive while k <= d; only idling while k < d *)
       let wait_body =
@@ -150,10 +151,7 @@ let generate ?(scope : Naming.scope option) ?(modal : modal_gate option)
       }
   | Aadl.Props.Aperiodic ->
       if task.Workload.incoming_events = [] then
-        raise
-          (Invalid
-             (Fmt.str "aperiodic thread %a has no incoming event connection"
-                Aadl.Instance.pp_path task.Workload.path));
+        invalid task "aperiodic thread has no incoming event connection";
       let dispatch_now = send_dispatch dispatch (Proc.call wait [ Expr.Int 0 ]) in
       let main_body =
         Proc.choice_list
@@ -176,14 +174,11 @@ let generate ?(scope : Naming.scope option) ?(modal : modal_gate option)
       }
   | Aadl.Props.Sporadic ->
       if task.Workload.incoming_events = [] then
-        raise
-          (Invalid
-             (Fmt.str "sporadic thread %a has no incoming event connection"
-                Aadl.Instance.pp_path task.Workload.path));
+        invalid task "sporadic thread has no incoming event connection";
       let p =
         match task.Workload.period with
         | Some p -> p
-        | None -> raise (Invalid "sporadic thread without a period")
+        | None -> invalid task "sporadic thread without a period"
       in
       let dispatch_now = send_dispatch dispatch (Proc.call wait [ Expr.Int 0 ]) in
       let ready_body =

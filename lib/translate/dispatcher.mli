@@ -11,8 +11,6 @@ type modal_gate = {
   initially_active : bool;
 }
 
-exception Invalid of string
-
 val generate :
   ?scope:Naming.scope ->
   ?modal:modal_gate ->
@@ -26,5 +24,5 @@ val generate :
 (** Generate the dispatcher for the task's dispatch protocol.  Periodic:
     Fig. 6a; aperiodic: Fig. 6b; sporadic: Fig. 6c (minimum separation =
     Period); background: immediate dispatch, no deadline.
-    @raise Invalid for event-driven threads without incoming connections
+    @raise Aadl.Diag.Error for event-driven threads without incoming connections
     or periodic/sporadic threads without a period. *)

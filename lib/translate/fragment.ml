@@ -19,8 +19,6 @@
 
 open Acsr
 
-exception Error of string
-
 (* {1 Translation options} (the types [Pipeline] re-exports) *)
 
 type probe_point = Dispatched | Completed
@@ -85,8 +83,7 @@ let spec_id s = s.spec_id
 let spec_digest s = s.spec_digest
 let spec_cacheable s = s.spec_cacheable
 
-let realize (s : spec) : t =
-  try s.build () with Dispatcher.Invalid msg -> raise (Error msg)
+let realize (s : spec) : t = s.build ()
 
 (* {2 Digests}
 
@@ -438,27 +435,25 @@ let modal_spec m : spec =
   }
 
 let plan ?(options = default_options) (root : Aadl.Instance.t) : plan =
-  let diags = Aadl.Check.run root in
-  if not (Aadl.Check.is_ok diags) then
-    raise
-      (Error
-         (Fmt.str "model is not translatable:@,%a" Aadl.Check.pp_report
-            (Aadl.Check.errors diags)));
+  (match Aadl.Check.errors (Aadl.Check.run root) with
+  | [] -> ()
+  | d :: rest ->
+      let more = List.length rest in
+      let message =
+        if more = 0 then d.message else Fmt.str "%s (and %d more)" d.message more
+      in
+      raise (Aadl.Diag.Error { d with message }));
   let quantum =
     match options.quantum with
     | Some q -> q
     | None -> Workload.suggest_quantum root
   in
-  let wl =
-    try Workload.extract ~quantum root
-    with Workload.Error msg -> raise (Error msg)
-  in
+  let wl = Workload.extract ~quantum root in
   (* mode support (extension): at most one modal component *)
   let modal =
     match Modal.find root with
     | None -> None
     | Some host -> Some (Modal.analyze ~root ~quantum host)
-    | exception Modal.Unsupported msg -> raise (Error msg)
   in
   let assignments =
     List.map
@@ -470,16 +465,13 @@ let plan ?(options = default_options) (root : Aadl.Instance.t) : plan =
               match Aadl.Props.scheduling_protocol proc.Aadl.Instance.props with
               | Some p -> p
               | None ->
-                  raise
-                    (Error
-                       (Fmt.str "%a: missing Scheduling_Protocol"
-                          Aadl.Instance.pp_path proc.Aadl.Instance.path)))
+                  Aadl.Diag.fail ~loc:proc.Aadl.Instance.loc
+                    ~subject:proc.Aadl.Instance.path "missing Scheduling_Protocol")
         in
         let assignment =
           match protocol with
-          | Aadl.Props.Hierarchical -> (
-              try Sched_policy.hierarchical (hierarchical_groups root tasks)
-              with Sched_policy.Unsupported msg -> raise (Error msg))
+          | Aadl.Props.Hierarchical ->
+              Sched_policy.hierarchical (hierarchical_groups root tasks)
           | p -> Sched_policy.assign p tasks
         in
         (proc.Aadl.Instance.path, assignment))

@@ -17,10 +17,6 @@
 
 open Acsr
 
-exception Error of string
-(** Planning/generation failure (untranslatable model); re-exported as
-    [Pipeline.Error]. *)
-
 (** {1 Translation options} (re-exported by [Pipeline]) *)
 
 type probe_point = Dispatched | Completed
@@ -76,7 +72,7 @@ type plan = {
 val plan : ?options:options -> Aadl.Instance.t -> plan
 (** Check the model and derive one spec per translation unit, claiming
     collision-proofed names ({!Naming.scope}) in deterministic model
-    order.  @raise Error when the model is untranslatable. *)
+    order.  @raise Aadl.Diag.Error when the model is untranslatable. *)
 
 val spec_id : spec -> string
 val spec_digest : spec -> string
@@ -87,7 +83,7 @@ val spec_cacheable : spec -> bool
     manager), which are regenerated per plan. *)
 
 val realize : spec -> t
-(** Generate the fragment's ACSR terms.  @raise Error on generation
+(** Generate the fragment's ACSR terms.  @raise Aadl.Diag.Error on generation
     failures (e.g. an event-driven thread without incoming
     connections). *)
 

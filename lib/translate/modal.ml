@@ -28,8 +28,6 @@
 
 open Acsr
 
-exception Unsupported of string
-
 type trigger =
   | Internal of { source : string list; port : string; label : Label.t }
       (** raised by a thread during computation *)
@@ -63,13 +61,11 @@ let find root =
   | [] -> None
   | [ host ] -> Some host
   | hosts ->
-      raise
-        (Unsupported
-           (Fmt.str "several modal components (%a): only one is supported"
-              Fmt.(
-                list ~sep:comma (fun ppf (i : Aadl.Instance.t) ->
-                    Aadl.Instance.pp_path ppf i.Aadl.Instance.path))
-              hosts))
+      Aadl.Diag.fail "several modal components (%a): only one is supported"
+        Fmt.(
+          list ~sep:comma (fun ppf (i : Aadl.Instance.t) ->
+              Aadl.Instance.pp_path ppf i.Aadl.Instance.path))
+        hosts
 
 (* The modes in which a thread below the modal component is active: the
    [in modes] clause of the subcomponent of [host] on the path to the
@@ -97,12 +93,10 @@ let thread_modes ~(host : Aadl.Instance.t) (thread : Aadl.Instance.t) =
             with
             | Some child ->
                 if child.Aadl.Instance.in_modes <> [] then
-                  raise
-                    (Unsupported
-                       (Fmt.str
-                          "%a: nested 'in modes' below the modal component \
-                           is not supported"
-                          Aadl.Instance.pp_path child.Aadl.Instance.path));
+                  Aadl.Diag.fail ~loc:child.Aadl.Instance.loc
+                    ~subject:child.Aadl.Instance.path
+                    "nested 'in modes' below the modal component is not \
+                     supported";
                 check_deeper child rest
             | None -> ())
       in
@@ -126,7 +120,7 @@ let trigger_label ~(host : Aadl.Instance.t) (ce : Aadl.Ast.conn_end) =
   in
   Label.make ("modetrig_" ^ Naming.sanitize base)
 
-let resolve_trigger ~root ~(host : Aadl.Instance.t) ~quantum
+let resolve_trigger ~root ~(host : Aadl.Instance.t) ~quantum ~loc
     (ce : Aadl.Ast.conn_end) =
   let label = trigger_label ~host ce in
   match ce.Aadl.Ast.ce_sub with
@@ -135,10 +129,9 @@ let resolve_trigger ~root ~(host : Aadl.Instance.t) ~quantum
       let path = host.Aadl.Instance.path @ [ sub ] in
       match Aadl.Instance.find root path with
       | None ->
-          raise
-            (Unsupported
-               (Fmt.str "mode transition trigger %s.%s does not resolve" sub
-                  ce.Aadl.Ast.ce_feature))
+          Aadl.Diag.fail ~loc ~subject:host.Aadl.Instance.path
+            "mode transition trigger %s.%s does not resolve" sub
+            ce.Aadl.Ast.ce_feature
       | Some inst -> (
           match inst.Aadl.Instance.category with
           | Aadl.Ast.Thread ->
@@ -152,39 +145,42 @@ let resolve_trigger ~root ~(host : Aadl.Instance.t) ~quantum
               Device_source
                 { source = path; port = ce.Aadl.Ast.ce_feature; label; period }
           | c ->
-              raise
-                (Unsupported
-                   (Fmt.str
-                      "mode transition trigger %s.%s is a %a; only thread \
-                       and device triggers are supported"
-                      sub ce.Aadl.Ast.ce_feature Aadl.Ast.pp_category c))))
+              Aadl.Diag.fail ~loc ~subject:host.Aadl.Instance.path
+                "mode transition trigger %s.%s is a %a; only thread and \
+                 device triggers are supported"
+                sub ce.Aadl.Ast.ce_feature Aadl.Ast.pp_category c))
 
+(* Mode names are AADL identifiers, so case-insensitive: they are
+   lowercased once here, and every generated name and comparison below
+   uses the lowercased spelling. *)
 let analyze ~root ~quantum (host : Aadl.Instance.t) : t =
+  let subject = host.Aadl.Instance.path in
   let mode_names =
-    List.map (fun m -> m.Aadl.Ast.mode_name) host.Aadl.Instance.modes
+    List.map (fun m -> lc m.Aadl.Ast.mode_name) host.Aadl.Instance.modes
   in
   let initial =
     match Aadl.Instance.initial_mode host with
-    | Some m -> m
-    | None -> raise (Unsupported "modal component without modes")
+    | Some m -> lc m
+    | None ->
+        Aadl.Diag.fail ~loc:host.Aadl.Instance.loc ~subject
+          "modal component without modes"
   in
-  let valid m =
-    if not (List.exists (fun n -> lc n = lc m) mode_names) then
-      raise
-        (Unsupported
-           (Fmt.str "mode transition references unknown mode %s" m))
+  let mode ~loc m =
+    if not (List.mem (lc m) mode_names) then
+      Aadl.Diag.fail ~loc ~subject "mode transition references unknown mode %s"
+        m;
+    lc m
   in
   let transitions =
     List.map
       (fun (mt : Aadl.Ast.mode_transition) ->
-        valid mt.Aadl.Ast.mt_src;
-        valid mt.Aadl.Ast.mt_dst;
+        let loc = mt.Aadl.Ast.mt_loc in
         {
-          src = mt.Aadl.Ast.mt_src;
-          dst = mt.Aadl.Ast.mt_dst;
+          src = mode ~loc mt.Aadl.Ast.mt_src;
+          dst = mode ~loc mt.Aadl.Ast.mt_dst;
           triggers =
             List.map
-              (resolve_trigger ~root ~host ~quantum)
+              (resolve_trigger ~root ~host ~quantum ~loc)
               mt.Aadl.Ast.mt_triggers;
         })
       host.Aadl.Instance.transitions
@@ -270,7 +266,7 @@ let generate ~(registry : Naming.registry) (t : t) : generated =
   let transition_branches_of mode =
     List.filter_map
       (fun tr ->
-        if lc tr.src <> lc mode then None
+        if tr.src <> mode then None
         else begin
           let controls = switch_controls t ~src:tr.src ~dst:tr.dst in
           let n = List.length controls in

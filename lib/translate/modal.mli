@@ -6,8 +6,6 @@
 
 open Acsr
 
-exception Unsupported of string
-
 type trigger =
   | Internal of { source : string list; port : string; label : Label.t }
   | Environment of { port : string; label : Label.t }
@@ -30,7 +28,7 @@ type t = {
 
 val find : Aadl.Instance.t -> Aadl.Instance.t option
 (** The modal component of the tree, if any.
-    @raise Unsupported when several components declare modes. *)
+    @raise Aadl.Diag.Error when several components declare modes. *)
 
 val thread_modes : host:Aadl.Instance.t -> Aadl.Instance.t -> string list
 (** Modes of [host] in which the thread is active; empty = all. *)

@@ -17,8 +17,6 @@
 
 open Acsr
 
-exception Error = Fragment.Error
-
 type t = {
   workload : Workload.t;
   defs : Defs.t;
@@ -235,7 +233,7 @@ let of_plan ?(cache : Fragment_cache.t option) (p : Fragment.plan) : t =
   let add_defs env (name, formals, body) =
     try Defs.add env ~name ~formals body
     with Defs.Duplicate n ->
-      raise (Error (Fmt.str "duplicate generated process %s" n))
+      Aadl.Diag.fail "duplicate generated process %s" n
   in
   let defs =
     List.fold_left add_defs Defs.empty

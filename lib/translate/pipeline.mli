@@ -3,8 +3,6 @@
 
 open Acsr
 
-exception Error of string
-
 type t = {
   workload : Workload.t;
   defs : Defs.t;
@@ -57,7 +55,7 @@ val plan : ?options:options -> Aadl.Instance.t -> Fragment.plan
 (** Check the model and derive its fragment specs without generating any
     ACSR; cheap enough to run per request (the service layer keys its
     verdict cache on the plan's digests).
-    @raise Error when the model violates the translation preconditions. *)
+    @raise Aadl.Diag.Error when the model violates the translation preconditions. *)
 
 val of_plan : ?cache:Fragment_cache.t -> Fragment.plan -> t
 (** Realize every spec — reusing digest-identical fragments from [cache]
@@ -70,6 +68,6 @@ val translate : ?options:options -> ?cache:Fragment_cache.t -> Aadl.Instance.t -
     closed parallel composition of thread skeletons, dispatchers, queues
     and stimuli, restricted over all generated labels: it is deadlock-free
     iff the model meets all its deadlines.
-    @raise Error when the model violates the translation preconditions. *)
+    @raise Aadl.Diag.Error when the model violates the translation preconditions. *)
 
 val pp_summary : t Fmt.t

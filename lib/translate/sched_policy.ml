@@ -20,8 +20,6 @@ type assignment = {
       (** may reference the Compute-process parameters [e] and [t] *)
 }
 
-exception Unsupported of string
-
 (* Distinct static priorities 1..n: [rank] orders tasks from lowest to
    highest priority; ties broken by instance path for determinism. *)
 let static_by cmp tasks =
@@ -123,7 +121,7 @@ let local_bound protocol members =
   | Aadl.Props.Edf -> dmax + 1
   | Aadl.Props.Llf -> dmax + cmax + 1
   | Aadl.Props.Hierarchical ->
-      raise (Unsupported "nested hierarchical scheduling")
+      Aadl.Diag.fail "nested hierarchical scheduling is not supported"
 
 let rec assign protocol tasks =
   match protocol with
@@ -133,10 +131,9 @@ let rec assign protocol tasks =
   | Aadl.Props.Edf -> edf tasks
   | Aadl.Props.Llf -> llf tasks
   | Aadl.Props.Hierarchical ->
-      raise
-        (Unsupported
-           "hierarchical scheduling needs explicit groups; use \
-            Sched_policy.hierarchical")
+      Aadl.Diag.fail
+        "hierarchical scheduling needs explicit groups; use \
+         Sched_policy.hierarchical"
 
 and hierarchical (groups : group list) =
   let band =
@@ -174,11 +171,7 @@ let find assignments (task : Workload.task) =
       assignments
   with
   | Some a -> a.cpu_priority
-  | None ->
-      raise
-        (Unsupported
-           (Fmt.str "no priority assigned to %a" Aadl.Instance.pp_path
-              task.Workload.path))
+  | None -> Aadl.Diag.fail ~subject:task.Workload.path "no priority assigned"
 
 let pp_assignment ppf a =
   Fmt.pf ppf "%a -> %a" Aadl.Instance.pp_path a.task.Workload.path Expr.pp

@@ -4,8 +4,6 @@ open Acsr
 
 type assignment = { task : Workload.task; cpu_priority : Expr.t }
 
-exception Unsupported of string
-
 val rate_monotonic : Workload.task list -> assignment list
 (** Shorter period, higher (static) priority; unperioded tasks lowest. *)
 
@@ -23,7 +21,7 @@ val llf : Workload.task list -> assignment list
 
 val assign :
   Aadl.Props.scheduling_protocol -> Workload.task list -> assignment list
-(** @raise Unsupported for [Hierarchical]: use {!hierarchical}. *)
+(** @raise Aadl.Diag.Error for [Hierarchical]: use {!hierarchical}. *)
 
 type group = {
   group_name : string list;
@@ -40,6 +38,6 @@ val hierarchical : group list -> assignment list
     the group's local policy within (extension; paper Section 7). *)
 
 val find : assignment list -> Workload.task -> Expr.t
-(** @raise Unsupported when the task has no assignment. *)
+(** @raise Aadl.Diag.Error when the task has no assignment. *)
 
 val pp_assignment : assignment Fmt.t

@@ -7,8 +7,6 @@
    requires: analysis may produce false deadline violations but never
    false guarantees. *)
 
-exception Error of string
-
 type task = {
   path : string list;
   name : string;  (** sanitized identifier *)
@@ -39,21 +37,18 @@ type t = {
 
 let quanta_ceil ~quantum time = Aadl.Time.to_quanta ~quantum time
 
-let quanta_floor ~quantum ~what path time =
-  let q = Aadl.Time.to_quanta_floor ~quantum time in
-  if q = 0 then
-    raise
-      (Error
-         (Fmt.str "%a: %s (%a) is smaller than the quantum (%a)"
-            Aadl.Instance.pp_path path what Aadl.Time.pp time Aadl.Time.pp
-            quantum))
-  else q
-
 let task_of_thread ~root ~quantum sconns (th : Aadl.Instance.t) =
   let props = th.Aadl.Instance.props in
   let path = th.Aadl.Instance.path in
-  let missing what =
-    raise (Error (Fmt.str "%a: missing %s" Aadl.Instance.pp_path path what))
+  let loc name = Option.value (Aadl.Props.loc_of name props) ~default:th.loc in
+  let missing what = Aadl.Diag.fail ~loc:th.loc ~subject:path "missing %s" what in
+  let quanta_floor what time =
+    let q = Aadl.Time.to_quanta_floor ~quantum time in
+    if q = 0 then
+      Aadl.Diag.fail ~loc:(loc what) ~subject:path
+        "%s (%a) is smaller than the quantum (%a)" what Aadl.Time.pp time
+        Aadl.Time.pp quantum
+    else q
   in
   let dispatch =
     match Aadl.Props.dispatch_protocol props with
@@ -68,16 +63,16 @@ let task_of_thread ~root ~quantum sconns (th : Aadl.Instance.t) =
   in
   let deadline =
     match Aadl.Props.compute_deadline props with
-    | Some d -> quanta_floor ~quantum ~what:"Compute_Deadline" path d
+    | Some d -> quanta_floor "Compute_Deadline" d
     | None -> missing "Compute_Deadline"
   in
   let period =
     match (dispatch, Aadl.Props.period props) with
     | (Aadl.Props.Periodic | Aadl.Props.Sporadic), Some p ->
-        Some (quanta_floor ~quantum ~what:"Period" path p)
+        Some (quanta_floor "Period" p)
     | (Aadl.Props.Periodic | Aadl.Props.Sporadic), None -> missing "Period"
     | (Aadl.Props.Aperiodic | Aadl.Props.Background), p ->
-        Option.map (quanta_floor ~quantum ~what:"Period" path) p
+        Option.map (quanta_floor "Period") p
   in
   let processor =
     (Aadl.Binding.processor_of_exn ~root th).Aadl.Instance.path
@@ -104,12 +99,10 @@ let task_of_thread ~root ~quantum sconns (th : Aadl.Instance.t) =
     |> List.sort_uniq Stdlib.compare
   in
   if cmax > deadline then
-    raise
-      (Error
-         (Fmt.str
-            "%a: maximum execution time (%d quanta) exceeds the deadline \
-             (%d quanta); the thread can never meet it"
-            Aadl.Instance.pp_path path cmax deadline));
+    Aadl.Diag.fail ~loc:(loc "compute_execution_time") ~subject:path
+      "maximum execution time (%d quanta) exceeds the deadline (%d quanta); \
+       the thread can never meet it"
+      cmax deadline;
   {
     path;
     name = Naming.of_path path;

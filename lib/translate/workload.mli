@@ -1,7 +1,5 @@
 (** The timed task view of an instance model, in scheduling quanta. *)
 
-exception Error of string
-
 type task = {
   path : string list;
   name : string;
@@ -29,7 +27,7 @@ type t = {
 val extract : quantum:Aadl.Time.t -> Aadl.Instance.t -> t
 (** Convert thread timing properties to quanta: execution times round up,
     periods and deadlines round down (a conservative over-approximation).
-    @raise Error on missing properties, sub-quantum values, or a thread
+    @raise Aadl.Diag.Error on missing properties, sub-quantum values, or a thread
     whose cmax exceeds its deadline. *)
 
 val suggest_quantum : Aadl.Instance.t -> Aadl.Time.t

@@ -141,7 +141,7 @@ let test_lexer_error_position () =
   try
     ignore (Aadl.Lexer.tokenize "ab\n  @");
     Alcotest.fail "expected lexer error"
-  with Aadl.Lexer.Error (_, loc) ->
+  with Aadl.Diag.Error { loc = Some loc; _ } ->
     Alcotest.(check int) "line" 2 loc.Aadl.Ast.line;
     Alcotest.(check int) "col" 3 loc.Aadl.Ast.col
 
@@ -210,16 +210,27 @@ let test_parse_error_reports_location () =
   try
     ignore (Aadl.Parser.parse_string "thread t\nfeatures\n  bogus\nend t;");
     Alcotest.fail "expected parse error"
-  with Aadl.Parser.Error (_, loc) ->
+  with Aadl.Diag.Error { loc = Some loc; _ } ->
     Alcotest.(check bool) "error on line >= 3" true (loc.Aadl.Ast.line >= 3)
 
 let test_parse_end_name_mismatch () =
   try
     ignore (Aadl.Parser.parse_string "thread t\nend u;");
     Alcotest.fail "expected mismatch error"
-  with Aadl.Parser.Error (msg, _) ->
+  with Aadl.Diag.Error d ->
     Alcotest.(check bool) "mentions mismatch" true
-      (Astring_contains.contains msg "does not match")
+      (Astring_contains.contains d.message "does not match")
+
+(* A picosecond literal that is not whole nanoseconds is rejected at the
+   literal, like any other syntax error. *)
+let test_parse_subnanosecond_located () =
+  match Aadl.Parser.parse_string "thread t\nproperties\n  Period => 3 ps;\nend t;" with
+  | _ -> Alcotest.fail "expected a time error"
+  | exception Aadl.Diag.Error { loc = Some loc; message; _ } ->
+      Alcotest.(check (pair int int)) "at the literal" (3, 13)
+        (loc.Aadl.Ast.line, loc.Aadl.Ast.col);
+      Alcotest.(check string) "message"
+        "3 ps is not a whole number of nanoseconds" message
 
 (* {1 Instantiation} *)
 
@@ -284,11 +295,11 @@ subcomponents
 end s.impl;
 |}
   in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Aadl.Instantiate.of_string text);
-       false
-     with Aadl.Instantiate.Error _ -> true)
+  match Aadl.Instantiate.of_string text with
+  | _ -> Alcotest.fail "expected an unknown classifier"
+  | exception Aadl.Diag.Error d ->
+      Alcotest.(check string) "diagnostic"
+        "6:3: error: x: unknown classifier nothere" (Aadl.Diag.to_string d)
 
 let test_category_mismatch_rejected () =
   let text =
@@ -303,11 +314,12 @@ subcomponents
 end s.impl;
 |}
   in
-  Alcotest.(check bool) "raises" true
-    (try
-       ignore (Aadl.Instantiate.of_string text);
-       false
-     with Aadl.Instantiate.Error _ -> true)
+  match Aadl.Instantiate.of_string text with
+  | _ -> Alcotest.fail "expected a category mismatch"
+  | exception Aadl.Diag.Error d ->
+      Alcotest.(check string) "diagnostic"
+        "8:3: error: x: declared as processor but classifier t is a thread"
+        (Aadl.Diag.to_string d)
 
 (* {1 Time} *)
 
@@ -320,8 +332,8 @@ let test_time_units () =
   Alcotest.(check int) "ps rounds exactly" 3
     (Aadl.Time.to_ns (Aadl.Time.make 3000 Aadl.Time.Ps));
   Alcotest.check_raises "subnanosecond ps"
-    (Aadl.Time.Subnanosecond "1500 ps") (fun () ->
-      ignore (Aadl.Time.make 1500 Aadl.Time.Ps))
+    (Invalid_argument "Time.make: 1500 ps is not whole nanoseconds")
+    (fun () -> ignore (Aadl.Time.make 1500 Aadl.Time.Ps))
 
 let test_time_quanta () =
   let quantum = Aadl.Time.of_ms 2 in
@@ -454,7 +466,7 @@ end s.impl;
   let errs = Aadl.Check.errors (Aadl.Check.run root) in
   Alcotest.(check bool) "reports unbound thread" true
     (List.exists
-       (fun d -> d.Aadl.Check.subject = [ "th" ])
+       (fun d -> d.Aadl.Diag.subject = [ "th" ])
        errs)
 
 let test_check_aperiodic_needs_connection () =
@@ -488,8 +500,8 @@ end s.impl;
   Alcotest.(check bool) "reports dangling event port" true
     (List.exists
        (fun d ->
-         d.Aadl.Check.subject = [ "th" ]
-         && Astring_contains.contains d.Aadl.Check.message "trig")
+         d.Aadl.Diag.subject = [ "th" ]
+         && Astring_contains.contains d.Aadl.Diag.message "trig")
        errs)
 
 let test_check_duplicate_subcomponent () =
@@ -522,7 +534,7 @@ end s.impl;
   let errs = Aadl.Check.errors (Aadl.Check.run root) in
   Alcotest.(check bool) "duplicate reported" true
     (List.exists
-       (fun d -> Astring_contains.contains d.Aadl.Check.message "duplicate subcomponent")
+       (fun d -> Astring_contains.contains d.Aadl.Diag.message "duplicate subcomponent")
        errs)
 
 let test_check_dangling_connection () =
@@ -558,7 +570,7 @@ end s.impl;
   let errs = Aadl.Check.errors (Aadl.Check.run root) in
   Alcotest.(check bool) "dangling destination reported" true
     (List.exists
-       (fun d -> Astring_contains.contains d.Aadl.Check.message "does not resolve")
+       (fun d -> Astring_contains.contains d.Aadl.Diag.message "does not resolve")
        errs)
 
 let test_check_bad_mode_references () =
@@ -593,40 +605,131 @@ end s.impl;
   let errs = Aadl.Check.errors (Aadl.Check.run root) in
   Alcotest.(check bool) "undeclared in-modes reported" true
     (List.exists
-       (fun d -> Astring_contains.contains d.Aadl.Check.message "undeclared mode")
+       (fun d -> Astring_contains.contains d.Aadl.Diag.message "undeclared mode")
        errs);
   Alcotest.(check bool) "unknown transition target reported" true
     (List.exists
-       (fun d -> Astring_contains.contains d.Aadl.Check.message "unknown mode m2")
+       (fun d -> Astring_contains.contains d.Aadl.Diag.message "unknown mode m2")
        errs)
 
-(* {1 Robustness: mutated inputs never crash the frontend} *)
+(* {1 Robustness: mutated models are analyzed or rejected, never crash}
 
-let test_parser_fuzz_robustness () =
-  let base = mini_system in
+   Seeded token-level mutants of every example model go through the whole
+   pipeline — instantiate, plan, realize, a bounded exploration — and the
+   only failure allowed is a [Diag.Error].  Mutated attribute values of
+   an exported instance XML go through the same pipeline. *)
+
+let example_models () =
+  match
+    List.find_opt Sys.file_exists [ "../examples/models"; "examples/models" ]
+  with
+  | None -> Alcotest.fail "examples/models not found (missing dune deps?)"
+  | Some dir ->
+      Sys.readdir dir |> Array.to_list
+      |> List.filter (fun f -> Filename.check_suffix f ".aadl")
+      |> List.sort compare
+      |> List.map (fun f ->
+             let ic = open_in_bin (Filename.concat dir f) in
+             Fun.protect
+               ~finally:(fun () -> close_in_noerr ic)
+               (fun () -> (f, really_input_string ic (in_channel_length ic))))
+
+let analyze_or_reject ~what load =
+  match
+    let tr = Translate.Pipeline.of_plan (Translate.Pipeline.plan (load ())) in
+    Versa.Explorer.check_deadlock ~max_states:2000 tr.Translate.Pipeline.defs
+      tr.Translate.Pipeline.system
+  with
+  | _ | (exception Aadl.Diag.Error _) -> ()
+  | exception e ->
+      Alcotest.failf "%s: uncaught %s" what (Printexc.to_string e)
+
+(* Each token's byte span, from its start to the next token's start. *)
+let token_spans text =
+  let line_starts = Array.make (String.length text + 2) 0 in
+  let lines = ref 1 in
+  String.iteri
+    (fun i c ->
+      if c = '\n' then begin
+        line_starts.(!lines) <- i + 1;
+        incr lines
+      end)
+    text;
+  let offset (l : Aadl.Ast.srcloc) = line_starts.(l.line - 1) + l.col - 1 in
+  let toks = Array.of_list (Aadl.Lexer.tokenize text) in
+  Array.init
+    (Array.length toks - 1)
+    (fun i -> (fst toks.(i), offset (snd toks.(i)), offset (snd toks.(i + 1))))
+
+let swap_case s =
+  String.map
+    (fun c ->
+      if Char.lowercase_ascii c = c then Char.uppercase_ascii c
+      else Char.lowercase_ascii c)
+    s
+
+let mutate st text =
+  let spans = token_spans text in
+  let tok, a, b = spans.(Random.State.int st (Array.length spans)) in
+  let n = String.length text in
+  let splice x = String.sub text 0 a ^ x ^ String.sub text b (n - b) in
+  match Random.State.int st 5 with
+  | 0 -> splice ""
+  | 1 -> splice (String.sub text a (b - a) ^ String.sub text a (b - a))
+  | 2 -> (
+      match tok with
+      | Aadl.Lexer.IDENT id ->
+          let e = a + String.length id in
+          String.sub text 0 a ^ swap_case id ^ String.sub text e (n - e)
+      | _ -> splice "")
+  | 3 ->
+      splice
+        ([| "0 "; "-1 "; "3 ps "; "12345678901234567890 " |].(Random.State.int
+                                                                   st 4))
+  | _ -> String.sub text 0 a
+
+let test_frontend_fuzz () =
   let st = Random.State.make [| 7 |] in
-  let mutate s =
-    let b = Bytes.of_string s in
-    let n_muts = 1 + Random.State.int st 5 in
-    for _ = 1 to n_muts do
-      let i = Random.State.int st (Bytes.length b) in
-      let c = Char.chr (32 + Random.State.int st 95) in
-      Bytes.set b i c
-    done;
-    Bytes.to_string b
+  List.iter
+    (fun (file, text) ->
+      for i = 1 to 120 do
+        let mutant = mutate st text in
+        analyze_or_reject
+          ~what:(Fmt.str "%s mutant %d" file i)
+          (fun () -> Aadl.Instantiate.of_string mutant)
+      done)
+    (example_models ())
+
+let test_instance_xml_fuzz () =
+  let text = List.assoc "cruise_control.aadl" (example_models ()) in
+  let xml = Aadl.Instance_xml.to_string (Aadl.Instantiate.of_string text) in
+  (* start offsets of every attribute value *)
+  let values =
+    List.filter_map
+      (fun i ->
+        if i > 0 && xml.[i - 1] = '=' && xml.[i] = '"' then Some (i + 1)
+        else None)
+      (List.init (String.length xml) Fun.id)
+    |> Array.of_list
   in
-  for _ = 1 to 500 do
-    let input = mutate base in
-    match Aadl.Instantiate.of_string input with
-    | _ -> ()
-    | exception Aadl.Lexer.Error _
-    | exception Aadl.Parser.Error _
-    | exception Aadl.Instantiate.Error _
-    | exception Aadl.Decls.Duplicate_declaration _
-    | exception Aadl.Time.Subnanosecond _ ->
-        ()
-    (* any other exception is a crash *)
-  done
+  let replace_value at v =
+    let close = String.index_from xml at '"' in
+    String.sub xml 0 at ^ v ^ String.sub xml close (String.length xml - close)
+  in
+  let st = Random.State.make [| 7 |] in
+  let first_ns =
+    List.find (fun at -> String.sub xml (at - 4) 3 = "ns=") (Array.to_list values)
+  in
+  List.iteri
+    (fun i mutant ->
+      analyze_or_reject
+        ~what:(Fmt.str "XML mutant %d" i)
+        (fun () -> Aadl.Instance_xml.of_string mutant))
+    (replace_value first_ns "12x"
+    :: List.init 40 (fun _ ->
+           replace_value
+             values.(Random.State.int st (Array.length values))
+             [| "12x"; ""; "-1"; "1.5"; "a.b.c" |].(Random.State.int st 5)))
 
 let test_acsr_parser_fuzz_robustness () =
   let base =
@@ -669,6 +772,8 @@ let () =
             test_parse_error_reports_location;
           Alcotest.test_case "end name mismatch" `Quick
             test_parse_end_name_mismatch;
+          Alcotest.test_case "subnanosecond literal located" `Quick
+            test_parse_subnanosecond_located;
         ] );
       ( "instance",
         [
@@ -700,8 +805,9 @@ let () =
         ] );
       ( "fuzz",
         [
-          Alcotest.test_case "aadl frontend total" `Quick
-            test_parser_fuzz_robustness;
+          Alcotest.test_case "aadl frontend total" `Quick test_frontend_fuzz;
+          Alcotest.test_case "instance xml total" `Quick
+            test_instance_xml_fuzz;
           Alcotest.test_case "acsr parser total" `Quick
             test_acsr_parser_fuzz_robustness;
         ] );

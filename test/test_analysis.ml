@@ -410,7 +410,7 @@ let test_latency_unknown_thread () =
          (Analysis.Latency.check ~from_thread:[ "nope" ] ~to_thread:[ "t1_i" ]
             ~bound:(Aadl.Time.of_ms 4) root);
        false
-     with Analysis.Latency.Error _ -> true)
+     with Aadl.Diag.Error _ -> true)
 
 (* {1 Event-driven models and queues} *)
 

@@ -180,7 +180,7 @@ let test_sweep_unknown_thread_rejected () =
   match
     Analysis.Sensitivity.sweep ~thread:[ "no"; "such" ] ~cets:[ 1 ] root
   with
-  | exception Analysis.Sensitivity.Error _ -> ()
+  | exception Aadl.Diag.Error _ -> ()
   | _ -> Alcotest.fail "unknown thread must be rejected"
 
 let () =

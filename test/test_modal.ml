@@ -177,7 +177,7 @@ end root.impl;
     (try
        ignore (analyze text);
        false
-     with Translate.Pipeline.Error _ -> true)
+     with Aadl.Diag.Error _ -> true)
 
 let test_environment_trigger () =
   (* a transition triggered by the modal component's own port: the
@@ -234,6 +234,37 @@ let test_translation_counts_unchanged () =
     tr.Translate.Pipeline.num_thread_processes;
   Alcotest.(check int) "three dispatchers" 3 tr.Translate.Pipeline.num_dispatchers
 
+(* AADL identifiers are case-insensitive: declaring the modes in another
+   case than the transitions and [in modes] clauses use must not change
+   the analysis. *)
+let test_mode_names_case_insensitive () =
+  let replace ~sub ~by text =
+    let n = String.length sub in
+    let rec go i =
+      if String.sub text i n = sub then
+        String.sub text 0 i ^ by
+        ^ String.sub text (i + n) (String.length text - i - n)
+      else go (i + 1)
+    in
+    go 0
+  in
+  List.iter
+    (fun degraded_cet_ms ->
+      let text = Gen.modal_system ?degraded_cet_ms () in
+      let swapped =
+        text
+        |> replace ~sub:"nominal: initial mode;" ~by:"NOMINAL: initial mode;"
+        |> replace ~sub:"degraded: mode;" ~by:"DEGRADED: mode;"
+      in
+      let summary text =
+        let r = analyze text in
+        ( Analysis.Schedulability.is_schedulable r,
+          Versa.Explorer.num_states r.Analysis.Schedulability.exploration )
+      in
+      Alcotest.(check (pair bool int))
+        "same verdict and state count" (summary text) (summary swapped))
+    [ None; Some 9 ]
+
 let () =
   Alcotest.run "modal"
     [
@@ -261,5 +292,7 @@ let () =
             test_environment_trigger;
           Alcotest.test_case "counts unchanged" `Quick
             test_translation_counts_unchanged;
+          Alcotest.test_case "mode names case-insensitive" `Quick
+            test_mode_names_case_insensitive;
         ] );
     ]

@@ -369,6 +369,41 @@ let test_runner_failure_is_an_outcome () =
   | Service.Job.Failed _ -> ()
   | v -> Alcotest.failf "expected error, got %s" (Service.Job.verdict_tag v)
 
+(* A model the front end rejects comes back as a located error outcome
+   from the protocol, like any failed job: it must not escape [handle]
+   (that would kill the serving connection without a reply). *)
+let test_protocol_rejected_model_is_a_reply () =
+  let model = Gen.cruise_control () in
+  let at =
+    let sub = "Period => 100 ms;" in
+    let rec find i =
+      if String.sub model i (String.length sub) = sub then i else find (i + 1)
+    in
+    find 0 + String.length "Period => "
+  in
+  let model =
+    String.sub model 0 at ^ "3 ps"
+    ^ String.sub model (at + 6) (String.length model - at - 6)
+  in
+  let line =
+    Service.Json.to_string
+      (Service.Json.Obj
+         [ ("id", Service.Json.String "ps"); ("model", Service.Json.String model) ])
+  in
+  let proto = Service.Protocol.create Service.Runner.default_config in
+  let reply, _ = Service.Protocol.handle proto line in
+  let field name =
+    match Service.Json.parse reply with
+    | Ok json -> Option.bind (Service.Json.member name json) Service.Json.to_str
+    | Error msg -> Alcotest.failf "reply is not JSON: %s" msg
+  in
+  let loc = Aadl.Diag.loc_of_offset model at in
+  Alcotest.(check (option string)) "verdict" (Some "error") (field "verdict");
+  Alcotest.(check (option string))
+    "reason" (Some (Fmt.str "%d:%d: error: 3 ps is not a whole number of nanoseconds"
+       loc.Aadl.Ast.line loc.Aadl.Ast.col))
+    (field "reason")
+
 (* {1 Scheduler} *)
 
 let test_scheduler_priority_order_and_submission_output () =
@@ -595,6 +630,8 @@ let () =
             test_runner_degrades_on_timeout;
           Alcotest.test_case "failure is an outcome" `Quick
             test_runner_failure_is_an_outcome;
+          Alcotest.test_case "rejected model is a protocol reply" `Quick
+            test_protocol_rejected_model_is_a_reply;
         ] );
       ( "scheduler",
         [

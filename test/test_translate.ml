@@ -65,7 +65,7 @@ let test_workload_rejects_infeasible () =
     (try
        ignore (workload_of text);
        false
-     with Workload.Error _ -> true)
+     with Aadl.Diag.Error _ -> true)
 
 let test_workload_utilization () =
   let wl = workload_of crossover in
@@ -252,7 +252,7 @@ let test_flat_assign_rejects_hierarchical () =
     (try
        ignore (Sched_policy.assign Aadl.Props.Hierarchical tasks);
        false
-     with Sched_policy.Unsupported _ -> true)
+     with Aadl.Diag.Error _ -> true)
 
 (* {1 Skeleton structure (Fig. 5)} *)
 
@@ -526,7 +526,7 @@ let test_untranslatable_rejected () =
     (try
        ignore (Pipeline.translate root);
        false
-     with Pipeline.Error _ -> true)
+     with Aadl.Diag.Error _ -> true)
 
 let test_force_protocol_changes_priorities () =
   let root = Aadl.Instantiate.of_string crossover in

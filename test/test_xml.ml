@@ -38,7 +38,7 @@ let test_xml_errors () =
   let bad input =
     match Aadl.Xml.parse_string input with
     | _ -> false
-    | exception Aadl.Xml.Error _ -> true
+    | exception Aadl.Diag.Error _ -> true
   in
   Alcotest.(check bool) "mismatched tags" true (bad "<a></b>");
   Alcotest.(check bool) "unterminated" true (bad "<a>");
@@ -87,6 +87,7 @@ let rec normalize (i : Aadl.Instance.t) : Aadl.Instance.t =
     modes = List.map norm_mode i.Aadl.Instance.modes;
     transitions = List.map norm_trans i.Aadl.Instance.transitions;
     children = List.map normalize i.Aadl.Instance.children;
+    loc = Aadl.Ast.no_loc;
   }
 
 let fixtures =
@@ -147,7 +148,7 @@ let test_schema_errors () =
   let bad input =
     match Aadl.Instance_xml.of_string input with
     | _ -> false
-    | exception Aadl.Instance_xml.Error _ -> true
+    | exception Aadl.Diag.Error _ -> true
   in
   Alcotest.(check bool) "missing category" true
     (bad {|<instance name="x"/>|});
