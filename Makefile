@@ -99,8 +99,10 @@ bench-sweep:
 	dune exec bench/main.exe -- sweep
 
 # Orbit (symmetry) reduction gate: explores the reference models and the
-# generated replicated EDF families with the reduction off vs on, and
-# merges the raw/reduced orbit table into BENCH_explore.json.  Exits
+# generated replicated EDF families with the reduction off vs on,
+# records the canonicalization cost on the 32- and 64-thread families
+# (reduced only, ungated), and merges the orbit table into
+# BENCH_explore.json.  Exits
 # non-zero when the reduced space is larger, verdicts disagree, the
 # replicated families fail to reduce strictly, or the 12-thread family
 # stops fitting its state budget with the reduction on.

@@ -84,10 +84,21 @@ let protocol_arg =
           "Override the Scheduling_Protocol of every processor: one of \
            $(b,rm), $(b,dm), $(b,hpf), $(b,edf), $(b,llf), $(b,hier).")
 
+(* An int or float argument restricted to the values that mean a budget;
+   anything else is a usage error rather than a silently disabled one. *)
+let budget_conv base ~ok ~what =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Fmt.str "%s must be %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
 let max_states_arg =
   Arg.(
     value
-    & opt int 2_000_000
+    & opt (budget_conv int ~ok:(fun n -> n >= 1) ~what:"at least 1") 2_000_000
     & info [ "max-states" ] ~docv:"N"
         ~doc:"State budget for the exploration.")
 
@@ -102,7 +113,12 @@ let jobs_arg =
 let timeout_arg =
   Arg.(
     value
-    & opt (some float) None
+    & opt
+        (some
+           (budget_conv float
+              ~ok:(fun s -> s >= 0.)
+              ~what:"a non-negative number of seconds"))
+        None
     & info [ "timeout" ] ~docv:"SECS"
         ~doc:
           "Wall-clock budget for the exploration, in seconds.  Past it \

@@ -13,28 +13,7 @@ let renaming ~labels ~calls =
   let build = List.fold_left (fun m (a, b) -> Smap.add a b m) Smap.empty in
   { labels = build labels; calls = build calls }
 
-let identity = { labels = Smap.empty; calls = Smap.empty }
-
-let is_identity r =
-  Smap.for_all (fun k v -> String.equal k v) r.labels
-  && Smap.for_all (fun k v -> String.equal k v) r.calls
-
-let invert r =
-  let inv m = Smap.fold (fun k v acc -> Smap.add v k acc) m Smap.empty in
-  { labels = inv r.labels; calls = inv r.calls }
-
 let apply_name m x = match Smap.find_opt x m with Some y -> y | None -> x
-
-let compose outer inner =
-  let comp o i =
-    let keys = Smap.fold (fun k _ acc -> Smap.add k () acc) o Smap.empty in
-    let keys = Smap.fold (fun k _ acc -> Smap.add k () acc) i keys in
-    Smap.fold
-      (fun k () acc -> Smap.add k (apply_name o (apply_name i k)) acc)
-      keys Smap.empty
-  in
-  { labels = comp outer.labels inner.labels;
-    calls = comp outer.calls inner.calls }
 
 let rename_label r l =
   match Smap.find_opt (Label.name l) r.labels with
@@ -45,13 +24,6 @@ let rename_call r n = apply_name r.calls n
 
 let rename_label_set r ls =
   Label.set_of_list (List.map (rename_label r) (Label.Set.elements ls))
-
-let apply_step r (s : Step.t) : Step.t =
-  match s with
-  | Step.Action _ -> s
-  | Step.Event (l, d, p) -> Step.Event (rename_label r l, d, p)
-  | Step.Tau (Some l, p) -> Step.Tau (Some (rename_label r l), p)
-  | Step.Tau (None, _) -> s
 
 let rec apply_proc r (p : Proc.t) : Proc.t =
   match p with
@@ -106,84 +78,85 @@ let rec apply_hproc r (h : Hproc.t) : Hproc.t =
    actual rewrite: a racing duplicate computation is wasted work, never a
    wrong answer. *)
 let memoized r =
-  if is_identity r then Fun.id
-  else begin
-    let table : (int, Hproc.t) Hashtbl.t = Hashtbl.create 64 in
-    let lock = Mutex.create () in
-    fun h ->
-      Mutex.lock lock;
-      let cached = Hashtbl.find_opt table (Hproc.id h) in
-      Mutex.unlock lock;
-      match cached with
-      | Some h' -> h'
-      | None ->
-          let h' = apply_hproc r h in
-          Mutex.lock lock;
-          Hashtbl.replace table (Hproc.id h) h';
-          Mutex.unlock lock;
-          h'
-  end
+  let table : (int, Hproc.t) Hashtbl.t = Hashtbl.create 64 in
+  let lock = Mutex.create () in
+  fun h ->
+    Mutex.lock lock;
+    let cached = Hashtbl.find_opt table (Hproc.id h) in
+    Mutex.unlock lock;
+    match cached with
+    | Some h' -> h'
+    | None ->
+        let h' = apply_hproc r h in
+        Mutex.lock lock;
+        Hashtbl.replace table (Hproc.id h) h';
+        Mutex.unlock lock;
+        h'
 
 type member = {
   offset : int;
   width : int;
-  to_rep : renaming;
-  of_rep : renaming;
+  labels : string array;
+  calls : string array;
+  (* into and out of the class representative's name space; set by [cls] *)
   to_rep_h : Hproc.t -> Hproc.t;
   of_rep_h : Hproc.t -> Hproc.t;
 }
 
-let member ~offset ~width ~to_rep =
+let member ~offset ~width ~labels ~calls =
   if offset < 0 || width <= 0 then
     invalid_arg "Symmetry.member: offset/width out of range";
-  let of_rep = invert to_rep in
-  { offset; width; to_rep; of_rep;
-    to_rep_h = memoized to_rep; of_rep_h = memoized of_rep }
+  { offset; width; labels; calls; to_rep_h = Fun.id; of_rep_h = Fun.id }
 
 type cls = { members : member array }
 
 let cls = function
-  | ([] | [ _ ]) -> invalid_arg "Symmetry.cls: need at least two members"
-  | ms ->
-      let members = Array.of_list ms in
-      let w = members.(0).width in
-      Array.iter
-        (fun m ->
-          if m.width <> w then
-            invalid_arg "Symmetry.cls: members differ in width")
-        members;
-      { members }
+  | [] | [ _ ] -> invalid_arg "Symmetry.cls: need at least two members"
+  | rep :: rest ->
+      let pairs a b = Array.to_list (Array.map2 (fun x y -> (x, y)) a b) in
+      let bind m =
+        if
+          m.width <> rep.width
+          || Array.length m.labels <> Array.length rep.labels
+          || Array.length m.calls <> Array.length rep.calls
+        then invalid_arg "Symmetry.cls: members differ in shape";
+        let rename a b =
+          memoized
+            (renaming ~labels:(pairs a.labels b.labels)
+               ~calls:(pairs a.calls b.calls))
+        in
+        { m with to_rep_h = rename m rep; of_rep_h = rename rep m }
+      in
+      { members = Array.of_list (rep :: List.map bind rest) }
 
 type spec = {
   slots : int;
   classes : cls array;
-  canon_cache : (int, Hproc.t * renaming) Hashtbl.t;
-  cache_lock : Mutex.t;
+  (* member label -> (class, position, index in the member's [labels]);
+     read-only once built, so domains share it without a lock *)
+  label_index : (string, int * int * int) Hashtbl.t;
 }
 
 let make ~slots classes =
   let classes =
     Array.of_list (List.filter (fun c -> Array.length c.members >= 2) classes)
   in
-  { slots; classes;
-    canon_cache = Hashtbl.create 4096; cache_lock = Mutex.create () }
+  let label_index = Hashtbl.create 64 in
+  Array.iteri
+    (fun c cl ->
+      Array.iteri
+        (fun j m ->
+          Array.iteri
+            (fun k l -> Hashtbl.replace label_index l (c, j, k))
+            m.labels)
+        cl.members)
+    classes;
+  { slots; classes; label_index }
 
-let empty =
-  { slots = 0; classes = [||];
-    canon_cache = Hashtbl.create 1; cache_lock = Mutex.create () }
-
+let empty = { slots = 0; classes = [||]; label_index = Hashtbl.create 1 }
 let is_empty s = Array.length s.classes = 0
-let num_slots s = s.slots
-let num_classes s = Array.length s.classes
 let class_sizes s =
   Array.to_list (Array.map (fun c -> Array.length c.members) s.classes)
-
-let pp ppf s =
-  Fmt.pf ppf "%d class%s over %d slots (sizes %a)" (num_classes s)
-    (if num_classes s = 1 then "" else "es")
-    s.slots
-    Fmt.(list ~sep:comma int)
-    (class_sizes s)
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalization                                                    *)
@@ -214,77 +187,68 @@ let compare_tuples a b =
   in
   go 0
 
-(* [rho], the name component of the witness: member [src]'s names mapped
-   into position [dst]'s name space (through the shared rep space). *)
-let extend_rho rho ~src ~dst =
-  let ext src_to_rep dst_of_rep acc =
-    Smap.fold
-      (fun x y acc -> Smap.add x (apply_name dst_of_rep y) acc)
-      src_to_rep acc
+let canon_w spec h =
+  let unchanged () =
+    let id c = Array.init (Array.length c.members) Fun.id in
+    (h, Array.map id spec.classes)
   in
-  { labels = ext src.to_rep.labels dst.of_rep.labels rho.labels;
-    calls = ext src.to_rep.calls dst.of_rep.calls rho.calls }
-
-let canon_compute spec h =
   match Hproc.node h with
   | Hproc.Restrict (lset, spine) -> (
       match split_spine spec.slots spine with
-      | None -> (h, identity)
+      | None -> unchanged ()
       | Some slots ->
-          let rho = ref identity in
           let changed = ref false in
-          Array.iter
-            (fun c ->
-              let k = Array.length c.members in
-              (* Member slot tuples, renamed into the rep's name space so
-                 they are comparable. *)
-              let tuples =
-                Array.map
-                  (fun m ->
-                    Array.init m.width (fun j ->
-                        m.to_rep_h slots.(m.offset + j)))
-                  c.members
-              in
-              let order = Array.init k Fun.id in
-              Array.sort
-                (fun a b ->
-                  let cmp = compare_tuples tuples.(a) tuples.(b) in
-                  if cmp <> 0 then cmp else Int.compare a b)
-                order;
-              for j = 0 to k - 1 do
-                let src_ix = order.(j) in
-                if src_ix <> j then begin
-                  let dst = c.members.(j) in
-                  let tup = tuples.(src_ix) in
-                  for x = 0 to dst.width - 1 do
-                    let v = dst.of_rep_h tup.(x) in
-                    if not (Hproc.equal v slots.(dst.offset + x)) then
-                      changed := true;
-                    slots.(dst.offset + x) <- v
-                  done;
-                  rho := extend_rho !rho ~src:c.members.(src_ix) ~dst
-                end
-              done)
-            spec.classes;
+          let perms =
+            Array.map
+              (fun c ->
+                let k = Array.length c.members in
+                (* Member slot tuples, renamed into the rep's name space so
+                   they are comparable. *)
+                let tuples =
+                  Array.map
+                    (fun m ->
+                      Array.init m.width (fun j ->
+                          m.to_rep_h slots.(m.offset + j)))
+                    c.members
+                in
+                let order = Array.init k Fun.id in
+                Array.sort
+                  (fun a b ->
+                    let cmp = compare_tuples tuples.(a) tuples.(b) in
+                    if cmp <> 0 then cmp else Int.compare a b)
+                  order;
+                for j = 0 to k - 1 do
+                  if order.(j) <> j then begin
+                    let dst = c.members.(j) in
+                    let tup = tuples.(order.(j)) in
+                    for x = 0 to dst.width - 1 do
+                      let v = dst.of_rep_h tup.(x) in
+                      if not (Hproc.equal v slots.(dst.offset + x)) then
+                        changed := true;
+                      slots.(dst.offset + x) <- v
+                    done
+                  end
+                done;
+                order)
+              spec.classes
+          in
+          (* Unchanged slots mean every [order] is the identity: ties
+             break by index, so any other order moves a distinct tuple. *)
           if !changed then
-            (Hproc.restrict lset (rebuild_spine spine slots), !rho)
-          else (h, identity))
-  | _ -> (h, identity)
-
-let canon_w spec h =
-  if is_empty spec then (h, identity)
-  else begin
-    Mutex.lock spec.cache_lock;
-    let cached = Hashtbl.find_opt spec.canon_cache (Hproc.id h) in
-    Mutex.unlock spec.cache_lock;
-    match cached with
-    | Some res -> res
-    | None ->
-        let res = canon_compute spec h in
-        Mutex.lock spec.cache_lock;
-        Hashtbl.replace spec.canon_cache (Hproc.id h) res;
-        Mutex.unlock spec.cache_lock;
-        res
-  end
+            (Hproc.restrict lset (rebuild_spine spine slots), perms)
+          else (h, perms))
+  | _ -> unchanged ()
 
 let canon spec h = fst (canon_w spec h)
+
+let rename_step spec owners (s : Step.t) : Step.t =
+  let real l =
+    match Hashtbl.find_opt spec.label_index (Label.name l) with
+    | None -> l
+    | Some (c, j, k) ->
+        Label.make spec.classes.(c).members.(owners.(c).(j)).labels.(k)
+  in
+  match s with
+  | Step.Action _ | Step.Tau (None, _) -> s
+  | Step.Event (l, d, p) -> Step.Event (real l, d, p)
+  | Step.Tau (Some l, p) -> Step.Tau (Some (real l), p)

@@ -9,13 +9,17 @@
     of the prioritized transition system: swapping the two slots and
     renaming accordingly maps reachable states to reachable states,
     deadlocks to deadlocks, and preserves BFS distances.  The explorer can
-    therefore visit one canonical representative per orbit
-    ({!canon} sorts the interchangeable slots) and de-canonicalize the
-    resulting counterexample traces afterwards ({!apply_step} with the
-    witness renamings from {!canon_w}).
+    therefore visit one canonical representative per orbit ({!canon}
+    sorts the interchangeable slots).
 
-    The {e spec} — which slots are interchangeable, under which renamings
-    — is established by the translation layer, which alone knows the
+    The witness of a canonicalization is a slot permutation per class
+    ({!canon_w}), not a renaming: exploration never builds names.  Only
+    when a counterexample trace is de-canonicalized does a caller track
+    which real member sits at each canonical position and ask
+    {!rename_step} for that member's names.
+
+    The {e spec} — which slots are interchangeable, under which names —
+    is established by the translation layer, which alone knows the
     derivation inputs; this module only applies it. *)
 
 (** {1 Renamings} *)
@@ -31,46 +35,32 @@ val renaming :
     bijection (disjoint domains and ranges per kind); later pairs win on
     (malformed) duplicate keys. *)
 
-val is_identity : renaming -> bool
-(** Every binding maps a name to itself. *)
-
-val invert : renaming -> renaming
-
-val compose : renaming -> renaming -> renaming
-(** [compose outer inner] applies [inner] first: [(outer ∘ inner) x =
-    outer (inner x)].  The domain is the union of both domains. *)
-
 val apply_proc : renaming -> Proc.t -> Proc.t
 (** Rename event labels, restriction sets, scope exception labels and
     [Call] names throughout a term. *)
-
-val apply_hproc : renaming -> Hproc.t -> Hproc.t
-(** Same, over hash-consed terms (the result is interned). *)
-
-val apply_step : renaming -> Step.t -> Step.t
-(** Rename the label of an event or tau step; timed actions are
-    unchanged. *)
 
 (** {1 Orbit specifications} *)
 
 type member
 (** One interchangeable component: the contiguous slot range it occupies
-    in the flattened parallel composition, and the renaming into its
-    class representative's name space. *)
+    in the flattened parallel composition and its generated names. *)
 
-val member : offset:int -> width:int -> to_rep:renaming -> member
+val member :
+  offset:int -> width:int -> labels:string array -> calls:string array ->
+  member
 (** [offset] is the index of the member's first slot, [width] its number
-    of consecutive slots.  [to_rep] maps the member's generated names to
-    the class representative's; for the representative itself pass the
-    explicit identity (each name mapped to itself) — the bindings also
-    enumerate the member's name space for trace witnesses. *)
+    of consecutive slots.  [labels] and [calls] are the member's
+    generated label and process-definition names, position by position
+    aligned with its class representative's: entry [k] of a member's
+    [labels] plays the role of entry [k] of the representative's. *)
 
 type cls
 (** An orbit class: two or more members, the first being the
     representative. *)
 
 val cls : member list -> cls
-(** @raise Invalid_argument on fewer than two members. *)
+(** @raise Invalid_argument on fewer than two members, or members whose
+    widths or name-array lengths differ. *)
 
 type spec
 
@@ -82,29 +72,28 @@ val make : slots:int -> cls list -> spec
 val empty : spec
 val is_empty : spec -> bool
 
-val num_slots : spec -> int
-val num_classes : spec -> int
-
 val class_sizes : spec -> int list
 (** Member count per class, in class order. *)
-
-val pp : spec Fmt.t
-(** One-line summary, e.g. [2 classes over 16 slots (sizes 8, 2)]. *)
 
 (** {1 Canonicalization} *)
 
 val canon : spec -> Hproc.t -> Hproc.t
 (** The canonical representative of the state's orbit: for each class,
     the member slot tuples (renamed into the representative's name space)
-    are sorted structurally ({!Hproc.compare_structural}, stable) and
-    written back through each position's inverse renaming.  States that
-    do not have the expected [Restrict (L, par-spine)] shape are returned
-    unchanged.  Deterministic, idempotent, and memoized per spec (safe to
-    call from concurrent domains). *)
+    are sorted structurally ({!Hproc.compare_structural}, ties broken by
+    member index) and written back through each position's inverse
+    renaming.  States that do not have the expected [Restrict (L,
+    par-spine)] shape are returned unchanged.  Deterministic and
+    idempotent; safe to call from concurrent domains. *)
 
-val canon_w : spec -> Hproc.t -> Hproc.t * renaming
-(** [canon] plus the renaming component [ρ] of the applied automorphism:
-    [canon s = permute (apply ρ s)], where [ρ] maps the names of the
-    member originally holding each tuple to the names of the position the
-    tuple was moved to.  [ρ] is what trace de-canonicalization composes
-    (see {!Versa.Lts}). *)
+val canon_w : spec -> Hproc.t -> Hproc.t * int array array
+(** [canon] plus its witness: one permutation per class, in class order.
+    Entry [j] of class [c]'s array is the member whose tuple moved to
+    position [j].  The identity when the state was already canonical. *)
+
+val rename_step : spec -> int array array -> Step.t -> Step.t
+(** [rename_step spec owners step] renames [step]'s label out of a
+    canonical state's name space: [owners.(c).(j)] is the real member
+    holding class [c]'s position [j], and a label of position [j] becomes
+    the same-index label of that member.  Labels of no member, and timed
+    actions, are unchanged. *)

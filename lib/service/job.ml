@@ -102,8 +102,19 @@ let request_of_json json =
             | Error m -> err m)
       in
       let* quantum_us = field "quantum_us" Json.to_int "an integer" in
-      let* max_states = field "max_states" Json.to_int "an integer" in
-      let* timeout_s = field "timeout_s" Json.to_float "a number" in
+      let* max_states =
+        let positive v =
+          Option.bind (Json.to_int v) (fun n -> if n > 0 then Some n else None)
+        in
+        field "max_states" positive "a positive integer"
+      in
+      let* timeout_s =
+        let non_negative v =
+          Option.bind (Json.to_float v) (fun s ->
+              if s >= 0. then Some s else None)
+        in
+        field "timeout_s" non_negative "a non-negative number"
+      in
       let* priority = field "priority" Json.to_int "an integer" in
       Ok
         {

@@ -110,14 +110,6 @@ let fragment_names (f : Fragment.t) =
   ( List.map (fun (n, _, _) -> n) f.Fragment.defs,
     List.map Label.name f.Fragment.restricted )
 
-(* The identity renaming with explicit bindings: its domain enumerates the
-   representative's name space, which trace de-canonicalization needs. *)
-let explicit_identity (f : Fragment.t) =
-  let defs, labels = fragment_names f in
-  Symmetry.renaming
-    ~labels:(List.map (fun l -> (l, l)) labels)
-    ~calls:(List.map (fun n -> (n, n)) defs)
-
 let verify_member ~(rep : Fragment.t) (f : Fragment.t) =
   let rep_defs, rep_labels = fragment_names rep in
   let f_defs, f_labels = fragment_names f in
@@ -126,7 +118,7 @@ let verify_member ~(rep : Fragment.t) (f : Fragment.t) =
     || List.length f_labels <> List.length rep_labels
     || List.length f.Fragment.initials <> List.length rep.Fragment.initials
     || not (all_distinct f_defs && all_distinct f_labels)
-  then None
+  then false
   else
     let to_rep =
       Symmetry.renaming
@@ -145,7 +137,7 @@ let verify_member ~(rep : Fragment.t) (f : Fragment.t) =
         (fun i ri -> Proc.equal (Symmetry.apply_proc to_rep i) ri)
         f.Fragment.initials rep.Fragment.initials
     in
-    if defs_ok && initials_ok then Some to_rep else None
+    defs_ok && initials_ok
 
 let detect_symmetry (fragments : Fragment.t list) : Symmetry.spec =
   if List.exists fragment_has_par fragments then Symmetry.empty
@@ -182,22 +174,17 @@ let detect_symmetry (fragments : Fragment.t list) : Symmetry.spec =
               if not (all_distinct rep_defs && all_distinct rep_labels) then
                 acc
               else begin
-                let width = List.length rep.Fragment.initials in
-                let rep_member =
-                  Symmetry.member ~offset:rep_off ~width
-                    ~to_rep:(explicit_identity rep)
+                let member (f, offset) =
+                  let calls, labels = fragment_names f in
+                  Symmetry.member ~offset
+                    ~width:(List.length f.Fragment.initials)
+                    ~labels:(Array.of_list labels) ~calls:(Array.of_list calls)
                 in
-                let verified =
-                  List.filter_map
-                    (fun (f, off) ->
-                      match verify_member ~rep f with
-                      | Some to_rep ->
-                          Some (Symmetry.member ~offset:off ~width ~to_rep)
-                      | None -> None)
-                    rest
-                in
-                if verified = [] then acc
-                else (rep_off, Symmetry.cls (rep_member :: verified)) :: acc
+                match List.filter (fun (f, _) -> verify_member ~rep f) rest with
+                | [] -> acc
+                | verified ->
+                    let members = (rep, rep_off) :: verified in
+                    (rep_off, Symmetry.cls (List.map member members)) :: acc
               end
           | _ -> acc)
         groups []

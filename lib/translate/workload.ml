@@ -120,6 +120,8 @@ let task_of_thread ~root ~quantum sconns (th : Aadl.Instance.t) =
   }
 
 let extract ~quantum root =
+  if Aadl.Time.to_ns quantum <= 0 then
+    Aadl.Diag.fail "quantum must be positive, got %a" Aadl.Time.pp quantum;
   let sconns = Aadl.Semconn.resolve root in
   let tasks =
     List.map (task_of_thread ~root ~quantum sconns) (Aadl.Instance.threads root)

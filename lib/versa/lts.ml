@@ -238,11 +238,11 @@ let step_function semantics cache defs =
 (* Symmetry (orbit) reduction.
 
    With a non-trivial [Symmetry.spec] (built by the translation layer:
-   which parallel slots hold interchangeable components, under which
-   renamings), every successor is canonicalized *before* the visited-set
-   lookup, so the exploration visits one representative per orbit.  The
-   wrapper sits inside [next], which both the replay and the prefetch
-   workers call — reduction therefore composes with [jobs] without
+   which parallel slots hold interchangeable components, with which
+   generated names), every successor is canonicalized *before* the
+   visited-set lookup, so the exploration visits one representative per
+   orbit.  The wrapper sits inside [next], which both the replay and the
+   prefetch workers call — reduction therefore composes with [jobs] without
    touching the oracle: workers prefetch canonical rows, the replay
    interns canonical states, and the bit-identity argument is unchanged
    (canonicalization is deterministic).
@@ -255,11 +255,13 @@ let step_function semantics cache defs =
    counterexample *lengths* are therefore preserved exactly; the visited
    state count only shrinks.
 
-   Traces are de-canonicalized on the way out ([decanon_steps]): the
-   stored path's states are canonical representatives, but the steps
-   can be renamed back into the real system's name space by composing
-   the witness renamings ([Symmetry.canon_w]) along the path, so raised
-   scenarios still name the actual AADL threads. *)
+   Exploration keeps no witness: a canonicalization's only by-product
+   is a slot permutation per class, and [wrap] drops it.  Names are
+   built only when a trace is de-canonicalized on the way out
+   ([decanon_steps]): the stored path's states are canonical
+   representatives, and replaying the path while composing the
+   permutations tells which real member sits at each canonical
+   position, so raised scenarios still name the actual AADL threads. *)
 module Sym = struct
   type t = {
     spec : Symmetry.spec;
@@ -339,30 +341,34 @@ module Sym = struct
 
   (* De-canonicalize a stored path [(step, state); ...] from the root.
 
-     Invariant maintained along the walk: [inv] renames the current
-     canonical state's names back into the names of the real state it
-     represents on the actual (unreduced) run from [raw_root].  For each
-     stored edge we recompute the canonical state's *raw* successor row,
-     find the successor whose canonical form is the stored child — one
-     exists by construction, since the stored row was exactly that row
-     canonicalized — apply [inv] to the step, and fold the child's own
-     canonicalization witness into [inv].  State ids are left as they
-     are (they index the canonical store); only steps are renamed, which
-     is all trace consumers read. *)
+     Invariant maintained along the walk: [owners.(c).(j)] is the real
+     member whose names class [c]'s position [j] of the current canonical
+     state carries, on the actual (unreduced) run from [raw_root].  For
+     each stored edge we recompute the canonical state's *raw* successor
+     row, find the successor whose canonical form is the stored child —
+     one exists by construction, since the stored row was exactly that
+     row canonicalized — rename the step through [owners], and compose
+     the child's permutation into [owners]: its position [j] now holds
+     the tuple of position [perm.(j)].  State ids are left as they are
+     (they index the canonical store); only steps are renamed, which is
+     all trace consumers read. *)
   let decanon_steps s ~semantics ~term_at path =
     let cache = Semantics.make_cache () in
     let next = step_function semantics cache s.defs in
-    let _, rho0 = Symmetry.canon_w s.spec s.raw_root in
-    let inv = ref (Symmetry.invert rho0) in
-    let cur = ref (root s) in
+    let root, perm0 = Symmetry.canon_w s.spec s.raw_root in
+    let owners = ref perm0 in
+    let cur = ref root in
     List.map
       (fun (step, id) ->
         let child = term_at id in
         let raw_row = next !cur in
         match
-          List.find_opt
+          List.find_map
             (fun (st, t) ->
-              Step.equal st step && Hproc.equal (Symmetry.canon s.spec t) child)
+              if not (Step.equal st step) then None
+              else
+                let c, perm = Symmetry.canon_w s.spec t in
+                if Hproc.equal c child then Some perm else None)
             raw_row
         with
         | None ->
@@ -370,10 +376,10 @@ module Sym = struct
                canonical step rather than raise inside diagnostics *)
             cur := child;
             (step, id)
-        | Some (_, t) ->
-            let real = Symmetry.apply_step !inv step in
-            let _, rho' = Symmetry.canon_w s.spec t in
-            inv := Symmetry.compose !inv (Symmetry.invert rho');
+        | Some perm ->
+            let real = Symmetry.rename_step s.spec !owners step in
+            owners :=
+              Array.map2 (fun o p -> Array.map (fun j -> o.(j)) p) !owners perm;
             cur := child;
             (real, id))
       path

@@ -404,6 +404,38 @@ let test_protocol_rejected_model_is_a_reply () =
        loc.Aadl.Ast.line loc.Aadl.Ast.col))
     (field "reason")
 
+(* A non-positive quantum is a rejected request, answered like a rejected
+   model: it must not escape [handle] either. *)
+let test_protocol_zero_quantum_is_a_reply () =
+  let proto = Service.Protocol.create Service.Runner.default_config in
+  List.iter
+    (fun q ->
+      let line =
+        Service.Json.to_string
+          (Service.Json.Obj
+             [
+              ("id", Service.Json.String "q");
+              ("model", Service.Json.String light);
+              ("quantum_us", Service.Json.Int q);
+            ])
+      in
+      let reply, _ = Service.Protocol.handle proto line in
+      let field name =
+        match Service.Json.parse reply with
+        | Ok json ->
+            Option.bind (Service.Json.member name json) Service.Json.to_str
+        | Error msg -> Alcotest.failf "reply is not JSON: %s" msg
+      in
+      Alcotest.(check (option string))
+        "verdict" (Some "error") (field "verdict");
+      Alcotest.(check (option string))
+        "reason"
+        (Some
+           (Fmt.str "error: quantum must be positive, got %a" Aadl.Time.pp
+              (Aadl.Time.make q Aadl.Time.Us)))
+        (field "reason"))
+    [ 0; -5 ]
+
 (* {1 Scheduler} *)
 
 let test_scheduler_priority_order_and_submission_output () =
@@ -533,6 +565,10 @@ let test_request_of_json () =
       {|{"id":"a","file":"m.aadl","model":"..."}|};
       {|{"id":"a","file":"m.aadl","protocol":"round-robin"}|};
       {|{"id":"a","file":"m.aadl","priority":"urgent"}|};
+      {|{"id":"a","file":"m.aadl","max_states":"many"}|};
+      {|{"id":"a","file":"m.aadl","max_states":0}|};
+      {|{"id":"a","file":"m.aadl","max_states":-5}|};
+      {|{"id":"a","file":"m.aadl","timeout_s":-1}|};
       {|[1,2]|};
     ]
 
@@ -632,6 +668,8 @@ let () =
             test_runner_failure_is_an_outcome;
           Alcotest.test_case "rejected model is a protocol reply" `Quick
             test_protocol_rejected_model_is_a_reply;
+          Alcotest.test_case "zero quantum is a protocol reply" `Quick
+            test_protocol_zero_quantum_is_a_reply;
         ] );
       ( "scheduler",
         [

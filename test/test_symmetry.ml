@@ -21,6 +21,29 @@ let translation_of text =
 let family ?protocol ~threads ~utilization () =
   Gen.replicated_family ?protocol ~threads ~utilization ()
 
+let family_model (threads, utilization) =
+  ( Fmt.str "family %d@%.2f" threads utilization,
+    family ~threads ~utilization () )
+
+(* Two classes of four interchangeable EDF threads each, on one processor:
+   the per-class permutations are independent.  The first set misses a
+   deadline at t=9 (64 reduced states), the second is schedulable. *)
+let two_class ~a:(a_period, a_cet) ~b:(b_period, b_cet) =
+  let specs prefix period cet =
+    List.init 4 (fun i ->
+        Gen.simple_spec
+          ~name:(Fmt.str "%s%d" prefix (i + 1))
+          ~period_ms:period ~cet_ms:cet ())
+  in
+  Gen.periodic_system ~protocol:Aadl.Props.Edf
+    (specs "a" a_period a_cet @ specs "b" b_period b_cet)
+
+let two_class_models =
+  [
+    ("two classes 4x(6,1)+4x(9,2)", two_class ~a:(6, 1) ~b:(9, 2));
+    ("two classes 4x(8,1)+4x(10,1)", two_class ~a:(8, 1) ~b:(10, 1));
+  ]
+
 (* {1 Detection} *)
 
 let test_detect_replicated_family () =
@@ -95,6 +118,15 @@ let test_detect_almost_identical_not_merged () =
   Alcotest.(check (list int))
     "the identical pair merges" [ 2 ]
     (Symmetry.class_sizes tr.Translate.Pipeline.symmetry)
+
+let test_detect_two_classes () =
+  List.iter
+    (fun (name, text) ->
+      Alcotest.(check (list int))
+        (name ^ ": one class per thread type") [ 4; 4 ]
+        (Symmetry.class_sizes
+           (translation_of text).Translate.Pipeline.symmetry))
+    two_class_models
 
 (* e6 reference family: pairwise distinct periods, no symmetry at all. *)
 let test_detect_e6_asymmetric () =
@@ -199,11 +231,8 @@ let test_example_models_equivalent () =
 
 let test_families_equivalent () =
   List.iter
-    (fun (threads, utilization) ->
-      let name = Fmt.str "family %d@%.2f" threads utilization in
-      let root =
-        Aadl.Instantiate.of_string (family ~threads ~utilization ())
-      in
+    (fun (name, text, symmetric) ->
+      let root = Aadl.Instantiate.of_string text in
       let on = analyze_sym ~symmetry:true ~all:true root in
       let off = analyze_sym ~symmetry:false ~all:true root in
       Alcotest.(check string) (name ^ ": verdict") (describe off) (describe on);
@@ -213,16 +242,26 @@ let test_families_equivalent () =
       if states on > states off then
         Alcotest.failf "%s: reduced space larger (%d > %d)" name (states on)
           (states off);
-      if threads >= 2 && states on >= states off then
+      Alcotest.(check bool)
+        (name ^ ": symmetry detected") symmetric
+        (not
+           (Symmetry.is_empty
+              on.Analysis.Schedulability.translation.Translate.Pipeline.symmetry));
+      if symmetric && states on >= states off then
         Alcotest.failf "%s: no strict reduction (%d vs %d)" name (states on)
           (states off);
       (* the reduction's bookkeeping reached the stats *)
       let stats = Versa.Explorer.stats on.Analysis.Schedulability.exploration in
-      if threads >= 2 then
+      if symmetric then
         Alcotest.(check bool)
           (name ^ ": orbit tallies flowing") true
           (stats.Versa.Lts.orbit_hits + stats.Versa.Lts.orbit_misses > 0))
-    [ (1, 0.5); (2, 0.8); (4, 0.8); (4, 1.3); (6, 0.9); (6, 1.2) ]
+    (List.map
+       (fun ((threads, _) as f) ->
+         let name, text = family_model f in
+         (name, text, threads >= 2))
+       [ (1, 0.5); (2, 0.8); (4, 0.8); (4, 1.3); (6, 0.9); (6, 1.2) ]
+    @ List.map (fun (name, text) -> (name, text, true)) two_class_models)
 
 (* The reduction composes with the work-stealing pool: at jobs 4 with an
    eager cutover the verdicts and scenario invariants must match jobs 1,
@@ -258,9 +297,8 @@ let test_families_parallel_equivalent () =
 
 let test_scenario_replays_in_raw_semantics () =
   List.iter
-    (fun (threads, utilization) ->
-      let name = Fmt.str "family %d@%.2f" threads utilization in
-      let tr = translation_of (family ~threads ~utilization ()) in
+    (fun (name, text) ->
+      let tr = translation_of text in
       let defs = tr.Translate.Pipeline.defs in
       let r =
         Versa.Explorer.check_deadlock ~engine:Versa.Explorer.On_the_fly
@@ -285,7 +323,8 @@ let test_scenario_replays_in_raw_semantics () =
                (Versa.Trace.steps trace))
       | Versa.Explorer.Deadlock_free | Versa.Explorer.Inconclusive _ ->
           Alcotest.failf "%s: expected a deadlock" name)
-    [ (3, 1.5); (4, 1.3); (6, 1.5) ]
+    (List.map family_model [ (3, 1.5); (4, 1.3); (6, 1.5) ]
+    @ [ List.hd two_class_models ])
 
 (* {1 Properties} *)
 
@@ -326,9 +365,112 @@ let prop_canon_idempotent_random =
           Hproc.equal c (Symmetry.canon spec c))
         (List.init (min 200 (Versa.Lts.num_states lts)) Fun.id))
 
+(* Orbit invariance: swapping two members of a class — renaming each
+   one's generated names to the other's and exchanging their slot ranges —
+   maps a reachable raw state to another state of its orbit, and both
+   must have the same canonical form.  (Idempotence alone would let an
+   identity [canon] pass.)  The swaps are the adjacent transpositions of
+   every class, which generate all of its permutations. *)
+let swaps (tr : Translate.Pipeline.t) =
+  let names (f : Translate.Fragment.t) =
+    ( List.map Label.name f.Translate.Fragment.restricted,
+      List.map (fun (n, _, _) -> n) f.Translate.Fragment.defs )
+  in
+  let _, placed =
+    List.fold_left
+      (fun (off, acc) (f : Translate.Fragment.t) ->
+        let width = List.length f.Translate.Fragment.initials in
+        (off + width, (f, off, width) :: acc))
+      (0, []) tr.Translate.Pipeline.fragments
+  in
+  let units =
+    List.filter
+      (fun ((f : Translate.Fragment.t), _, _) ->
+        f.Translate.Fragment.kind = Translate.Fragment.Thread_unit)
+      (List.rev placed)
+  in
+  let digests =
+    List.sort_uniq String.compare
+      (List.map (fun (f, _, _) -> f.Translate.Fragment.sym_digest) units)
+  in
+  List.concat_map
+    (fun d ->
+      let members =
+        List.filter (fun (f, _, _) -> f.Translate.Fragment.sym_digest = d) units
+      in
+      let rec adjacent = function
+        | ((fa, oa, w) :: ((fb, ob, _) :: _ as rest)) ->
+            let la, ca = names fa and lb, cb = names fb in
+            let rename =
+              Symmetry.renaming
+                ~labels:(List.combine la lb @ List.combine lb la)
+                ~calls:(List.combine ca cb @ List.combine cb ca)
+            in
+            let swap (p : Proc.t) =
+              let h = Hproc.of_proc (Symmetry.apply_proc rename p) in
+              match Hproc.node h with
+              | Hproc.Restrict (ls, spine) ->
+                  let slots = Hproc.leaves spine in
+                  Hproc.restrict ls
+                    (Hproc.map_leaves
+                       (fun i leaf ->
+                         if i >= oa && i < oa + w then slots.(ob + i - oa)
+                         else if i >= ob && i < ob + w then slots.(oa + i - ob)
+                         else leaf)
+                       spine)
+              | _ -> Alcotest.fail "state is not a restricted composition"
+            in
+            swap :: adjacent rest
+        | _ -> []
+      in
+      adjacent members)
+    digests
+
+let gen_orbit_model =
+  QCheck2.Gen.(
+    oneof
+      [
+        map
+          (fun (threads, u_pct) ->
+            snd (family_model (threads, float_of_int u_pct /. 100.)))
+          (pair (int_range 2 4) (int_range 40 140));
+        oneofl (List.map snd two_class_models);
+      ])
+
+let prop_canon_orbit_invariant =
+  QCheck2.Test.make ~name:"canon is constant on orbits (swapped members)"
+    ~count:8 gen_orbit_model (fun text ->
+      let tr = translation_of text in
+      let spec = tr.Translate.Pipeline.symmetry in
+      let config =
+        {
+          Versa.Lts.default_config with
+          max_states = Some 300;
+          stop_at_deadlock = false;
+        }
+      in
+      let lts =
+        Versa.Lts.build ~config tr.Translate.Pipeline.defs
+          tr.Translate.Pipeline.system
+      in
+      let swaps = swaps tr in
+      swaps <> []
+      && List.for_all
+           (fun id ->
+             let p = Versa.Lts.term lts id in
+             let c = Symmetry.canon spec (Hproc.of_proc p) in
+             List.for_all
+               (fun swap -> Hproc.equal c (Symmetry.canon spec (swap p)))
+               swaps)
+           (List.init (Versa.Lts.num_states lts) Fun.id))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_reduction_preserves_verdict; prop_canon_idempotent_random ]
+    [
+      prop_reduction_preserves_verdict;
+      prop_canon_idempotent_random;
+      prop_canon_orbit_invariant;
+    ]
 
 let () =
   Alcotest.run "symmetry"
@@ -343,6 +485,8 @@ let () =
             test_detect_rm_family_not_merged;
           Alcotest.test_case "almost-identical threads do not merge" `Quick
             test_detect_almost_identical_not_merged;
+          Alcotest.test_case "two thread types: two classes" `Quick
+            test_detect_two_classes;
           Alcotest.test_case "e6 family is asymmetric" `Quick
             test_detect_e6_asymmetric;
         ] );
