@@ -4,7 +4,7 @@
 # ocamlformat are dev-time tools, not build dependencies — the gate
 # degrades gracefully where they are absent).
 
-.PHONY: all build test test-faults lint-invariants doc fmt-check check bench-explore bench-scaling bench-service bench-sweep bench-obs bench-reduction bench-dist clean
+.PHONY: all build test test-faults lint-invariants doc fmt-check check bench-explore bench-service bench-sweep bench-obs bench-reduction bench-dist clean
 
 all: build
 
@@ -75,18 +75,10 @@ fmt-check:
 check: build lint-invariants test test-faults bench-obs doc fmt-check
 
 # Regenerate the exploration telemetry in BENCH_explore.json (runs with
-# and without successor rows, early exit, the work-stealing jobs x model
-# scaling table), merged so the reduction section survives.  Doubles as
-# the scaling gate: exits non-zero when jobs4/jobs1 < 2.0 on the
-# largest bench model (enforced only on hosts with >= 4 cores) or when
-# results differ across jobs.
+# and without successor rows, early exit), merged so the reduction
+# section survives.
 bench-explore:
 	dune exec bench/main.exe -- explore
-
-# Just the scaling table + gate, without the engine comparison; writes
-# BENCH_scaling.json (CI uploads it as the speedup-table artifact).
-bench-scaling:
-	dune exec bench/main.exe -- scaling
 
 # Regenerate the service-layer batch-throughput telemetry
 # (BENCH_service.json): verdict cache off vs on at 1 and 4 workers.

@@ -651,213 +651,6 @@ let early_exit_model text =
       first_steps full <> None && first_steps full = first_steps otf;
   }
 
-(* {1 Scaling: work-stealing speedup, jobs x model}
-
-   Exhaustive explorations without edges at jobs 1, 2 and 4 over
-   models of increasing size.  Every run must report identical states,
-   transitions and deadlock ids — the speedup table is only meaningful
-   under bit-identical results, which the work-stealing engine
-   guarantees by construction (prefetch + sequential replay).
-
-   The jobs4/jobs1 ratio on the largest model is a CI gate, but only on
-   hosts that can physically exhibit scaling: OCaml domains are
-   preemptively timesliced on a starved host, so on fewer than 4 cores
-   the ratio measures scheduler contention and GC rendezvous overhead,
-   not the work-stealing design.  The core count is recorded in the
-   telemetry either way, so a table produced on a 1-core container is
-   distinguishable from one produced on real hardware. *)
-
-type scaling_sample = { sj_jobs : int; sj_wall : float; sj_per_sec : float }
-
-type scaling_row = {
-  sc_model : string;
-  sc_states : int;
-  sc_transitions : int;
-  sc_deadlocks : int;
-  sc_samples : scaling_sample list;
-  sc_identical : bool;  (** states, transitions and deadlock ids agree *)
-}
-
-type scaling_report = {
-  sr_cores : int;
-  sr_rows : scaling_row list;
-  sr_largest : string;
-  sr_speedup4 : float;  (** jobs4/jobs1 states/sec on the largest model *)
-  sr_gate : [ `Passed | `Failed_speedup | `Failed_identity | `Skipped ];
-}
-
-let scaling_jobs = [ 1; 2; 4 ]
-let scaling_gate_threshold = 2.0
-
-let scaling_row (name, text) =
-  let defs, system = translate_text text in
-  let explore jobs =
-    Versa.Lts.build ~config:exhaustive ~jobs ~edges:false defs system
-  in
-  (* warm the global hash-cons table once so the jobs=1 run (always
-     first) is not charged the one-time intern-table growth *)
-  ignore (explore 1);
-  let runs =
-    List.map
-      (fun jobs ->
-        Gc.full_major ();
-        let c = explore jobs in
-        (jobs, c, (Versa.Lts.stats c).Versa.Lts.wall_s))
-      scaling_jobs
-  in
-  let _, c1, _ = List.hd runs in
-  let fingerprint c =
-    (Versa.Lts.num_states c, Versa.Lts.num_transitions c, Versa.Lts.deadlocks c)
-  in
-  {
-    sc_model = name;
-    sc_states = Versa.Lts.num_states c1;
-    sc_transitions = Versa.Lts.num_transitions c1;
-    sc_deadlocks = List.length (Versa.Lts.deadlocks c1);
-    sc_samples =
-      List.map
-        (fun (jobs, c, wall) ->
-          {
-            sj_jobs = jobs;
-            sj_wall = wall;
-            sj_per_sec = float_of_int (Versa.Lts.num_states c) /. max wall 1e-9;
-          })
-        runs;
-    sc_identical =
-      List.for_all (fun (_, c, _) -> fingerprint c = fingerprint c1) runs;
-  }
-
-let scaling_speedup row jobs =
-  let per j = (List.find (fun s -> s.sj_jobs = j) row.sc_samples).sj_per_sec in
-  per jobs /. per 1
-
-let measure_scaling () =
-  let rows =
-    List.map scaling_row
-      [
-        ("e6_six_threads", e6_model 6);
-        ("e6_seven_threads", e6_model 7);
-        ("e6_seven_unsched", e6_unsched 7);
-      ]
-  in
-  let largest =
-    List.fold_left (fun a r -> if r.sc_states > a.sc_states then r else a)
-      (List.hd rows) rows
-  in
-  let cores = Domain.recommended_domain_count () in
-  let sr_speedup4 = scaling_speedup largest 4 in
-  let sr_gate =
-    if not (List.for_all (fun r -> r.sc_identical) rows) then `Failed_identity
-    else if cores < 4 then `Skipped
-    else if sr_speedup4 >= scaling_gate_threshold then `Passed
-    else `Failed_speedup
-  in
-  {
-    sr_cores = cores;
-    sr_rows = rows;
-    sr_largest = largest.sc_model;
-    sr_speedup4;
-    sr_gate;
-  }
-
-let scaling_gate_label = function
-  | `Passed -> "passed"
-  | `Failed_speedup -> "failed_speedup"
-  | `Failed_identity -> "failed_identity"
-  | `Skipped -> "skipped_insufficient_cores"
-
-let print_scaling r =
-  hr "SCALING: work-stealing speedup, jobs x model";
-  Fmt.pr "cores available: %d@." r.sr_cores;
-  Fmt.pr "%-18s %8s %6s %9s %12s %9s@." "model" "states" "jobs" "wall (s)"
-    "states/sec" "speedup";
-  List.iter
-    (fun row ->
-      List.iter
-        (fun s ->
-          Fmt.pr "%-18s %8d %6d %9.3f %12.0f %8.2fx@." row.sc_model
-            row.sc_states s.sj_jobs s.sj_wall s.sj_per_sec
-            (scaling_speedup row s.sj_jobs))
-        row.sc_samples;
-      Fmt.pr "%-18s results identical across jobs: %b@." row.sc_model
-        row.sc_identical)
-    r.sr_rows
-
-let scaling_json r =
-  let open Service.Json in
-  let sample row s =
-    Obj
-      [
-        ("jobs", Int s.sj_jobs);
-        ("wall_s", Float s.sj_wall);
-        ("states_per_sec", Float s.sj_per_sec);
-        ("speedup_vs_jobs1", Float (scaling_speedup row s.sj_jobs));
-      ]
-  in
-  Obj
-    [
-      ("cores", Int r.sr_cores);
-      ("jobs", List (List.map (fun j -> Int j) scaling_jobs));
-      ("gate", String (scaling_gate_label r.sr_gate));
-      ("gate_threshold_jobs4_vs_jobs1", Float scaling_gate_threshold);
-      ("largest_model", String r.sr_largest);
-      ("largest_speedup_jobs4_vs_jobs1", Float r.sr_speedup4);
-      ( "models",
-        List
-          (List.map
-             (fun row ->
-               Obj
-                 [
-                   ("model", String row.sc_model);
-                   ("states", Int row.sc_states);
-                   ("transitions", Int row.sc_transitions);
-                   ("deadlocks", Int row.sc_deadlocks);
-                   ("identical_across_jobs", Bool row.sc_identical);
-                   ("samples", List (List.map (sample row) row.sc_samples));
-                 ])
-             r.sr_rows) );
-    ]
-
-(* Prints the verdict and exits non-zero on a failed gate; call last so
-   the telemetry file is written even when the gate trips. *)
-let enforce_scaling_gate r =
-  match r.sr_gate with
-  | `Passed ->
-      Fmt.pr "scaling gate: jobs4/jobs1 %.2fx >= %.1fx on %s — OK@."
-        r.sr_speedup4 scaling_gate_threshold r.sr_largest
-  | `Skipped ->
-      Fmt.pr
-        "scaling gate: skipped — %d core(s) available; on fewer than 4 \
-         cores the ratio measures timeslicing, not scaling@."
-        r.sr_cores
-  | `Failed_speedup ->
-      Fmt.pr
-        "scaling gate: FAILED — jobs4/jobs1 %.2fx < %.1fx on %s with %d \
-         cores@."
-        r.sr_speedup4 scaling_gate_threshold r.sr_largest r.sr_cores;
-      exit 1
-  | `Failed_identity ->
-      Fmt.pr
-        "scaling gate: FAILED — results differ across jobs (determinism \
-         contract violated)@.";
-      exit 1
-
-let scaling_section ~json_path () =
-  let r = measure_scaling () in
-  print_scaling r;
-  write_json json_path
-    (Service.Json.Obj
-       [
-         ("benchmark", Service.Json.String "work-stealing scaling");
-         ( "note",
-           Service.Json.String
-             "exhaustive explorations without edges at jobs 1/2/4; results \
-              asserted identical across jobs; the gate is enforced only on \
-              hosts with >= 4 cores" );
-         ("scaling", scaling_json r);
-       ]);
-  enforce_scaling_gate r
-
 let explore_section ~json_path () =
   hr "EXPLORE: exhaustive exploration with and without successor rows";
   let results =
@@ -868,10 +661,6 @@ let explore_section ~json_path () =
         ("avionics", Gen.avionics ());
       ]
   in
-  (* scaling before the early-exit full build: the 96k-state graph it
-     retains would otherwise depress the scaling rows' absolute
-     throughput relative to the engine table above *)
-  let scaling = measure_scaling () in
   let ee_name = "e6_seven_threads_unsched" in
   let ee = early_exit_model (e6_unsched 7) in
   Fmt.pr "%-16s %-20s %8s %11s %9s %12s@." "model" "engine" "states"
@@ -890,7 +679,6 @@ let explore_section ~json_path () =
      (%.3fs) — %.1f%% of the space visited; scenarios agree: %b@."
     ee_name ee.ee_full_states ee.ee_full_wall ee.ee_otf_states ee.ee_otf_wall
     (100. *. ee.ee_fraction) ee.ee_traces_agree;
-  print_scaling scaling;
   let open Service.Json in
   let sample s =
     Obj
@@ -932,9 +720,7 @@ let explore_section ~json_path () =
             ("visited_fraction", Float ee.ee_fraction);
             ("scenarios_agree", Bool ee.ee_traces_agree);
           ] );
-      ("scaling", scaling_json scaling);
-    ];
-  enforce_scaling_gate scaling
+    ]
 
 (* {1 Service: batch throughput with the verdict cache on vs off}
 
@@ -1047,10 +833,10 @@ let service_section ~json_path () =
              times; cache hits skip exploration entirely" );
         ("jobs", Service.Json.Int n);
         ("distinct_models", Service.Json.Int num_distinct);
-        (* host attribution, as in the scaling gate: worker-count
-           comparisons are only meaningful relative to the cores the
-           host actually had (on a 1-core container, 4 workers measure
-           timeslicing, not parallelism) *)
+        (* host attribution: worker-count comparisons are only
+           meaningful relative to the cores the host actually had (on a
+           1-core container, 4 workers measure timeslicing, not
+           parallelism) *)
         ("cores", Service.Json.Int (Domain.recommended_domain_count ()));
         ( "runs",
           Service.Json.List
@@ -1842,11 +1628,6 @@ let () =
         match rest with p :: _ -> p | [] -> "BENCH_explore.json"
       in
       explore_section ~json_path ()
-  | _ :: "scaling" :: rest ->
-      let json_path =
-        match rest with p :: _ -> p | [] -> "BENCH_scaling.json"
-      in
-      scaling_section ~json_path ()
   | _ :: "service" :: rest ->
       let json_path =
         match rest with p :: _ -> p | [] -> "BENCH_service.json"

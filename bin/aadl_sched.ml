@@ -95,16 +95,19 @@ let budget_conv base ~ok ~what =
   in
   Arg.conv (parse, Arg.conv_printer base)
 
+(* State budgets, domain and worker counts, cache capacities. *)
+let positive_int = budget_conv Arg.int ~ok:(fun n -> n >= 1) ~what:"at least 1"
+
 let max_states_arg =
   Arg.(
     value
-    & opt (budget_conv int ~ok:(fun n -> n >= 1) ~what:"at least 1") 2_000_000
+    & opt positive_int 2_000_000
     & info [ "max-states" ] ~docv:"N"
         ~doc:"State budget for the exploration.")
 
 let jobs_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Domains used to compute successors in parallel during the \
@@ -821,13 +824,13 @@ let no_cache_arg =
 
 let cache_size_arg =
   Arg.(
-    value & opt int 256
+    value & opt positive_int 256
     & info [ "cache-size" ] ~docv:"N"
         ~doc:"Capacity of the verdict cache (LRU eviction).")
 
 let workers_arg =
   Arg.(
-    value & opt int 1
+    value & opt positive_int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
           "Analysis jobs run concurrently, each on its own domain.  \

@@ -44,10 +44,10 @@ val check_deadlock :
     (default [true]) stops at the first deadlock; with [false] the space
     is explored exhaustively (up to [max_states], default 2M).
 
-    [jobs] (default 1) is the number of work-stealing worker domains
-    prefetching successor rows, forwarded to {!Lts.build}; it changes
-    throughput only — verdicts, deadlock ids and traces are
-    bit-identical at any [jobs] (the determinism contract in {!Lts}).
+    [jobs] (default 1) is the number of domains computing successor
+    rows, forwarded to {!Lts.build}; it changes throughput only —
+    verdicts, deadlock ids and traces are bit-identical at any [jobs]
+    (the determinism contract in {!Lts}).
 
     [deadline] is an absolute bound on the ambient {!Timed.Clock}
     scale: past it the exploration truncates and the verdict is

@@ -11,21 +11,13 @@
    Terms are hash-consed ([Acsr.Hproc]), so the state table keys on an
    integer id and every successor comparison is O(1).
 
-   Parallelism ([jobs] > 1) is work-stealing prefetch, not chunked
-   fan-out: worker domains traverse the state graph asynchronously —
-   each with a private Chase–Lev deque ([Deque]), stealing from siblings
-   only on exhaustion — and record every successor row they compute in a
-   digest-range-sharded store ([Shards]).  The calling domain
-   meanwhile runs the *sequential* BFS loop unchanged — the replay —
-   consuming prefetched rows where the workers got there first and
-   computing the rest itself.  Successor computation is deterministic,
-   so both paths yield the same row; interning, parent assignment,
-   budget and truncation checks all happen on the replay in queue order.
-   A parallel build therefore produces bit-identical ids, parents,
-   depths, rows, verdicts and traces to the sequential one — not by
-   post-hoc sorting but because the replay *is* the sequential
-   algorithm; the workers only move row computation off its critical
-   path (checked by the test suite). *)
+   Parallelism ([jobs] > 1) only moves successor computation off the
+   calling domain: once enough states are queued, the next queued states'
+   rows are computed in one [Pool.run] batch, and the sequential merge
+   loop consumes them in queue order.  Interning, parent assignment,
+   budget and truncation checks all stay in that one loop, so a parallel
+   build produces bit-identical ids, parents, depths, rows, verdicts and
+   traces to the sequential one (checked by the test suite). *)
 
 open Acsr
 
@@ -98,42 +90,6 @@ module Metrics = struct
     Obs.Histogram.make ~help:"Exploration wall time (seconds)"
       "versa_explore_wall_seconds"
 
-  let steals =
-    Obs.Counter.make ~help:"Successful deque steals by explorer worker domains"
-      "versa_steals_total"
-
-  let steal_attempts =
-    Obs.Counter.make ~help:"Deque steal attempts by explorer worker domains"
-      "versa_steal_attempts_total"
-
-  let prefetch_hits =
-    Obs.Counter.make
-      ~help:"Replay successor lookups answered by a prefetched row"
-      "versa_prefetch_hits_total"
-
-  let prefetch_misses =
-    Obs.Counter.make
-      ~help:"Replay successor lookups computed on the calling domain"
-      "versa_prefetch_misses_total"
-
-  let shard_contention =
-    Obs.Counter.make
-      ~help:"Visited-set shard lock acquisitions that had to block"
-      "versa_shard_contention_total"
-
-  let shard_contention_ratio =
-    Obs.Gauge.make
-      ~help:
-        "Blocked fraction of shard lock acquisitions in the most recent \
-         parallel exploration"
-      "versa_shard_contention_ratio"
-
-  let queue_depth =
-    Obs.Histogram.make
-      ~help:"Per-domain work deque depth, sampled at each worker expansion"
-      ~buckets:[ 1.; 4.; 16.; 64.; 256.; 1_024.; 4_096. ]
-      "versa_ws_queue_depth"
-
   let orbit_hits =
     Obs.Counter.make
       ~help:"Successor states folded onto a different orbit representative"
@@ -163,7 +119,7 @@ type state_id = int
 type stats = {
   jobs : int;
   wall_s : float;  (** total build time *)
-  expand_s : float;  (** computing successor sets (parallel part) *)
+  expand_s : float;  (** computing successor rows (the parallel part) *)
   merge_s : float;  (** interning + BFS bookkeeping (sequential part) *)
   num_states : int;
   num_transitions : int;
@@ -178,12 +134,6 @@ type stats = {
       (** BFS depth of the deadlock that stopped an early-exit run *)
   deadline_expired : bool;
       (** the wall-clock budget ([config.deadline]) stopped the run *)
-  steals : int;  (** successful deque steals by worker domains *)
-  steal_attempts : int;  (** steal attempts (successful or not) *)
-  prefetch_hits : int;
-      (** replay successor lookups answered by a prefetched row *)
-  prefetch_misses : int;
-      (** replay successor lookups computed on the calling domain *)
   orbit_hits : int;
       (** successors the symmetry reduction folded onto a different orbit
           representative; 0 when symmetry is off or trivial *)
@@ -220,15 +170,21 @@ let publish_stats s =
     s.early_exit_depth;
   Obs.Gauge.set Metrics.hashcons_nodes (float_of_int s.hashcons_nodes);
   Obs.Gauge.set Metrics.store_bytes (float_of_int s.store_bytes);
-  Obs.Counter.incr ~by:s.steals Metrics.steals;
-  Obs.Counter.incr ~by:s.steal_attempts Metrics.steal_attempts;
-  Obs.Counter.incr ~by:s.prefetch_hits Metrics.prefetch_hits;
-  Obs.Counter.incr ~by:s.prefetch_misses Metrics.prefetch_misses;
   Obs.Counter.incr ~by:s.orbit_hits Metrics.orbit_hits;
   Obs.Counter.incr ~by:s.orbit_misses Metrics.orbit_misses;
   if s.orbit_hits + s.orbit_misses > 0 then
     Obs.Histogram.observe Metrics.canon_seconds s.canon_s;
   Obs.Histogram.observe Metrics.wall s.wall_s
+
+(* One state's expansion: its successor row (canonical under symmetry
+   reduction) and the orbit tallies of canonicalizing it, zero without
+   symmetry. *)
+type expansion = {
+  row : (Step.t * Hproc.t) list;
+  folded : int;  (* successors moved onto a different representative *)
+  kept : int;  (* successors that were already canonical *)
+  canon_time : float;  (* seconds spent canonicalizing this row *)
+}
 
 let step_function semantics cache defs =
   match semantics with
@@ -241,11 +197,9 @@ let step_function semantics cache defs =
    which parallel slots hold interchangeable components, with which
    generated names), every successor is canonicalized *before* the
    visited-set lookup, so the exploration visits one representative per
-   orbit.  The wrapper sits inside [next], which both the replay and the
-   prefetch workers call — reduction therefore composes with [jobs] without
-   touching the oracle: workers prefetch canonical rows, the replay
-   interns canonical states, and the bit-identity argument is unchanged
-   (canonicalization is deterministic).
+   orbit.  Canonicalization ([canon_row]) is part of computing a row, on
+   whichever domain computes it, and is deterministic — so reduction
+   composes with [jobs] and the bit-identity argument is unchanged.
 
    Soundness: each spec member is equal to its class representative up
    to a renaming of generated names, so permuting member slots while
@@ -256,38 +210,17 @@ let step_function semantics cache defs =
    state count only shrinks.
 
    Exploration keeps no witness: a canonicalization's only by-product
-   is a slot permutation per class, and [wrap] drops it.  Names are
+   is a slot permutation per class, and [canon_row] drops it.  Names are
    built only when a trace is de-canonicalized on the way out
    ([decanon_steps]): the stored path's states are canonical
    representatives, and replaying the path while composing the
    permutations tells which real member sits at each canonical
    position, so raised scenarios still name the actual AADL threads. *)
 module Sym = struct
-  type t = {
-    spec : Symmetry.spec;
-    raw_root : Hproc.t;
-    defs : Defs.t;
-    (* tallies are atomics because [wrap] runs on worker domains too;
-       workers and the replay can both canonicalize the same row, so
-       parallel runs over-count — like [prefetch_misses], these are
-       telemetry, not part of the bit-identical result contract *)
-    hits : int Atomic.t;
-    misses : int Atomic.t;
-    canon_us : int Atomic.t;
-  }
+  type t = { spec : Symmetry.spec; raw_root : Hproc.t; defs : Defs.t }
 
   let of_spec spec ~raw_root ~defs =
-    if Symmetry.is_empty spec then None
-    else
-      Some
-        {
-          spec;
-          raw_root;
-          defs;
-          hits = Atomic.make 0;
-          misses = Atomic.make 0;
-          canon_us = Atomic.make 0;
-        }
+    if Symmetry.is_empty spec then None else Some { spec; raw_root; defs }
 
   (* Canonicalization can alias two successors of the same state; keep
      the first occurrence so row order stays the deterministic raw
@@ -308,31 +241,31 @@ module Sym = struct
         in
         go [] row
 
-  let wrap s next term =
-    let row = next term in
-    if row = [] then row
+  (* Canonicalize one raw successor row.  The tallies travel with the
+     row instead of living in shared counters, so the merge loop counts
+     exactly the rows it consumes, whichever domain computed them. *)
+  let canon_row s row =
+    if row = [] then { row; folded = 0; kept = 0; canon_time = 0. }
     else begin
       let t0 = Timed.Clock.gettimeofday () in
+      let folded = ref 0 in
       let row' =
         List.map
           (fun (step, t') ->
             let c = Symmetry.canon s.spec t' in
-            if Hproc.equal c t' then Atomic.incr s.misses
-            else Atomic.incr s.hits;
+            if not (Hproc.equal c t') then incr folded;
             (step, c))
           row
       in
-      let row' = dedup row' in
-      ignore
-        (Atomic.fetch_and_add s.canon_us
-           (int_of_float ((Timed.Clock.gettimeofday () -. t0) *. 1e6)));
-      row'
+      {
+        row = dedup row';
+        folded = !folded;
+        kept = List.length row - !folded;
+        canon_time = Timed.Clock.gettimeofday () -. t0;
+      }
     end
 
   let root s = Symmetry.canon s.spec s.raw_root
-  let hits s = Atomic.get s.hits
-  let misses s = Atomic.get s.misses
-  let canon_s s = float_of_int (Atomic.get s.canon_us) /. 1e6
 
   let observe_sizes s =
     List.iter
@@ -551,302 +484,92 @@ let budget_stop config ~len ~deadline_hit () =
      | Some _ | None -> false)
   || (match config.poll with Some p -> p () | None -> false)
 
-(* Work-stealing prefetch oracle behind [build]'s replay loop.
+(* Parallel expansion behind [build]'s merge loop.
 
-   The replay (the caller's sequential BFS loop) asks [successors] for
-   one row at a time, in queue order.  Sequentially ([jobs] = 1, or a
-   frontier that never crosses [cutover]) that is a plain call to the
-   step function — instruction-for-instruction the sequential build.
+   The merge loop asks for one state's expansion at a time, in queue
+   order.  With [jobs] = 1, or while fewer than [cutover] states are
+   queued, that is a direct call to [expand].  Otherwise the next queued
+   states, at most [cap] of them, are expanded in one [Pool.run] batch
+   across [jobs - 1] worker domains plus the calling domain, and the
+   merge loop then consumes the stored expansions in order.  Each slot
+   holds the expansion, or the exception (with its backtrace) that
+   computing it raised; the exception is re-raised only when the merge
+   reaches that state — exactly where a sequential run raises — and
+   never when a stop check ends the run first.
 
-   In parallel mode, [jobs] worker domains run [worker_loop]: each owns
-   a Chase–Lev deque of claimed-but-unexpanded terms, pops locally
-   (LIFO), steals from a sibling only when its own deque and the shared
-   injector run dry, and for every term computes the successor row,
-   publishes it into the digest-sharded record store, claims the row's
-   still-unclaimed targets (one batched lock acquisition per owning
-   shard) and pushes them onto its own deque.  There is no barrier
-   anywhere: the workers race ahead of the replay through the state
-   graph in whatever order stealing yields.
+   Domains only pay off on wide frontiers: spawning them costs
+   milliseconds, and once they exist every minor GC is a stop-the-world
+   rendezvous across all of them.  So the pool is created on the first
+   batch, never on a run that stays below the cutover.  The cap bounds
+   how far a batch runs ahead of the stop checks ([deadline], [poll]),
+   which the merge loop evaluates before every state. *)
+module Batch = struct
+  let cap = 256
 
-   Correctness never depends on that race.  The workers only ever
-   *prefetch*: the replay consumes a recorded row when one is ready and
-   otherwise computes the row itself on the calling domain ([next] is
-   deterministic, so the result is the same either way — worst case is
-   duplicated work, softened by the shared semantics cache).  All
-   order-sensitive decisions — interning, parent/depth assignment,
-   budget, deadline and early-exit checks — stay on the replay, in
-   queue order, so results are bit-identical for every [jobs] value.
-
-   Domains are only worth paying for on big explorations: spawning them
-   costs milliseconds and, once they exist, every minor GC becomes a
-   stop-the-world rendezvous across all domains, which swamps the win
-   on small models.  So the pool is spawned lazily, on the first
-   frontier at least [cutover] states wide. *)
-module Oracle = struct
-  type row = (Step.t * Hproc.t) list
-
-  type par = {
-    pool : Pool.t;
-    shards : row Shards.t;
-    deques : Hproc.t Deque.t array;  (* one per worker, owner-indexed *)
-    inj_lock : Mutex.t;
-    injector : Hproc.t Queue.t;
-        (* overflow/seed queue: activation seeds the current frontier
-           here, and the replay re-seeds it when it outruns the workers
-           into a region they have not reached *)
-    stop : bool Atomic.t;
-    claim_cap : int;  (* do not claim past the state budget *)
-    claimed : int Atomic.t;
-    steals : int Atomic.t;
-    steal_attempts : int Atomic.t;
-  }
+  type slot = (expansion, exn * Printexc.raw_backtrace) result
 
   type t = {
     jobs : int;
     cutover : int;
-    next : Hproc.t -> row;
-    claim_cap : int;
-    mutable par : par option;
+    expand : Hproc.t -> expansion;
+    mutable pool : Pool.t option;
+    mutable slots : slot array;
+    mutable base : int;  (* state id held by [slots.(0)] *)
+    mutable filled : int;  (* slots of the current batch *)
     mutable expand_s : float;
-    (* replay-side tallies; the calling domain is the only writer *)
-    mutable hits : int;
-    mutable misses : int;
   }
 
-  let create ~jobs ~cutover ~max_states next =
+  let create ~jobs ~cutover expand =
     {
       jobs;
       cutover = max 1 cutover;
-      next;
-      claim_cap = (match max_states with Some m -> m | None -> max_int);
-      par = None;
+      expand;
+      pool = None;
+      slots = [||];
+      base = 0;
+      filled = 0;
       expand_s = 0.;
-      hits = 0;
-      misses = 0;
     }
 
-  let inj_take par =
-    Mutex.lock par.inj_lock;
-    let x =
-      if Queue.is_empty par.injector then None
-      else Some (Queue.pop par.injector)
-    in
-    Mutex.unlock par.inj_lock;
-    x
-
-  let inj_add par terms =
-    if terms <> [] then begin
-      Mutex.lock par.inj_lock;
-      List.iter (fun t -> Queue.push t par.injector) terms;
-      Mutex.unlock par.inj_lock
-    end
-
-  (* Claim the not-yet-claimed targets of [row]; one [claim_batch] per
-     owning shard.  Returns the freshly claimed terms — each claimed
-     exactly once across all domains, so each is expanded exactly
-     once. *)
-  let claim_successors par row =
-    if Atomic.get par.claimed >= par.claim_cap then []
-    else begin
-      let groups = ref [] in
-      List.iter
-        (fun (_, t') ->
-          let s = Shards.owner par.shards t' in
-          match List.assq_opt s !groups with
-          | Some r -> r := t' :: !r
-          | None -> groups := (s, ref [ t' ]) :: !groups)
-        row;
-      List.concat_map
-        (fun (s, r) ->
-          let fresh = Shards.claim_batch par.shards s (List.rev !r) in
-          ignore (Atomic.fetch_and_add par.claimed (List.length fresh));
-          fresh)
-        !groups
-    end
-
-  let expand o par deque term =
-    let row = o.next term in
-    Shards.publish par.shards term row;
-    List.iter (Deque.push deque) (claim_successors par row)
-
-  let worker_loop o par index =
-    let deque = par.deques.(index) in
-    let nd = Array.length par.deques in
-    let steals = ref 0 and attempts = ref 0 in
-    Fun.protect
-      ~finally:(fun () ->
-        ignore (Atomic.fetch_and_add par.steals !steals);
-        ignore (Atomic.fetch_and_add par.steal_attempts !attempts))
-    @@ fun () ->
-    let idle = ref 0 in
-    while not (Atomic.get par.stop) do
-      let task =
-        match Deque.pop deque with
-        | Some _ as t -> t
-        | None -> (
-            match inj_take par with
-            | Some _ as t -> t
-            | None ->
-                (* own deque and injector dry: sweep the siblings *)
-                let got = ref None in
-                let k = ref 1 in
-                while !got = None && !k < nd do
-                  incr attempts;
-                  (match Deque.steal par.deques.((index + !k) mod nd) with
-                  | Some _ as t ->
-                      incr steals;
-                      got := t
-                  | None -> ());
-                  incr k
-                done;
-                !got)
-      in
-      match task with
-      | Some term ->
-          idle := 0;
-          Obs.Histogram.observe Metrics.queue_depth
-            (float_of_int (1 + Deque.length deque));
-          expand o par deque term
+  (* Expand states [from, from + n) of [terms] into the slots. *)
+  let fill b terms ~from n =
+    let pool =
+      match b.pool with
+      | Some p -> p
       | None ->
-          (* out of work everywhere: spin briefly, then sleep so the
-             replay domain gets the core (essential on few-core hosts) *)
-          incr idle;
-          if !idle < 64 then Domain.cpu_relax () else Unix.sleepf 50e-6
-    done
-
-  let activate o ~term_of ~len ~head =
-    let par =
-      {
-        pool = Pool.create o.jobs;
-        shards = Shards.create ();
-        deques = Array.init o.jobs (fun _ -> Deque.create ~dummy:Hproc.nil ());
-        inj_lock = Mutex.create ();
-        injector = Queue.create ();
-        stop = Atomic.make false;
-        claim_cap = o.claim_cap;
-        claimed = Atomic.make 0;
-        steals = Atomic.make 0;
-        steal_attempts = Atomic.make 0;
-      }
+          let p = Pool.create (b.jobs - 1) in
+          b.pool <- Some p;
+          b.slots <-
+            Array.make cap
+              (Ok { row = []; folded = 0; kept = 0; canon_time = 0. });
+          p
     in
-    (* Seed the store with every state discovered so far — so a worker
-       re-reaching one through a cycle does not re-expand it — and queue
-       the unexpanded frontier for the workers. *)
-    let per_shard = Array.make (Shards.shard_count par.shards) [] in
-    for i = len - 1 downto 0 do
-      let t = term_of i in
-      let s = Shards.owner par.shards t in
-      per_shard.(s) <- t :: per_shard.(s)
-    done;
-    Array.iteri
-      (fun s terms ->
-        if terms <> [] then ignore (Shards.claim_batch par.shards s terms))
-      per_shard;
-    Atomic.set par.claimed len;
-    let frontier = ref [] in
-    for i = len - 1 downto head do
-      frontier := term_of i :: !frontier
-    done;
-    inj_add par !frontier;
-    o.par <- Some par;
-    Pool.launch par.pool (worker_loop o par)
+    Pool.run pool n (fun i ->
+        b.slots.(i) <-
+          (match b.expand terms.(from + i) with
+          | e -> Ok e
+          | exception exn -> Error (exn, Printexc.get_raw_backtrace ())));
+    b.base <- from;
+    b.filled <- n
 
-  let maybe_activate o ~term_of ~len ~head =
-    if o.jobs > 1 && o.par = None && len - head >= o.cutover then
-      activate o ~term_of ~len ~head
-
-  (* The replay's successor source.  Whatever the workers did, the row
-     returned here is the one the sequential engine would compute. *)
-  let successors o term =
+  (* The expansion of state [id], the next one the merge consumes, with
+     [len] states discovered so far. *)
+  let get b terms ~len id =
     let t0 = Timed.Clock.gettimeofday () in
-    let row =
-      match o.par with
-      | None -> o.next term
-      | Some par -> (
-          match Shards.find par.shards term with
-          | Shards.Found row ->
-              o.hits <- o.hits + 1;
-              row
-          | Shards.Claimed ->
-              (* a worker is computing this row right now; recomputing
-                 it here beats blocking on an unbounded wait (the shared
-                 semantics cache keeps the overlap cheap) *)
-              o.misses <- o.misses + 1;
-              o.next term
-          | Shards.Absent ->
-              o.misses <- o.misses + 1;
-              if Shards.try_claim par.shards term then begin
-                let row = o.next term in
-                Shards.publish par.shards term row;
-                (* the workers have not reached this region yet: hand
-                   its successors to the injector so they can pick the
-                   region up from here *)
-                inj_add par (claim_successors par row);
-                row
-              end
-              else o.next term)
+    if id >= b.base + b.filled && b.jobs > 1 && len - id >= b.cutover then
+      fill b terms ~from:id (min cap (len - id));
+    let e =
+      if id < b.base + b.filled then
+        match b.slots.(id - b.base) with
+        | Ok e -> e
+        | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt
+      else b.expand terms.(id)
     in
-    o.expand_s <- o.expand_s +. (Timed.Clock.gettimeofday () -. t0);
-    row
+    b.expand_s <- b.expand_s +. (Timed.Clock.gettimeofday () -. t0);
+    e
 
-  type tally = {
-    t_steals : int;
-    t_steal_attempts : int;
-    t_hits : int;
-    t_misses : int;
-    t_contended : int;
-    t_acquired : int;
-  }
-
-  let shutdown o =
-    match o.par with
-    | None -> ()
-    | Some par ->
-        Atomic.set par.stop true;
-        (match Pool.await par.pool with
-        | () -> ()
-        | exception Pool.Worker_error _ ->
-            (* A prefetch worker died.  Its work was advisory — the
-               replay recomputes any row it never received, and an
-               exception [next] raises deterministically resurfaces on
-               the replay path exactly as in a sequential run — so the
-               failure (already counted in
-               versa_pool_worker_failures_total, with the raising
-               domain's index) must not perturb results. *)
-            ());
-        Pool.shutdown par.pool
-
-  let tally o =
-    match o.par with
-    | None ->
-        {
-          t_steals = 0;
-          t_steal_attempts = 0;
-          t_hits = 0;
-          t_misses = 0;
-          t_contended = 0;
-          t_acquired = 0;
-        }
-    | Some par ->
-        let contended, acquired = Shards.contention par.shards in
-        {
-          t_steals = Atomic.get par.steals;
-          t_steal_attempts = Atomic.get par.steal_attempts;
-          t_hits = o.hits;
-          t_misses = o.misses;
-          t_contended = contended;
-          t_acquired = acquired;
-        }
+  let shutdown b = Option.iter Pool.shutdown b.pool
 end
-
-(* Shard-contention telemetry is per parallel run, published next to
-   [publish_stats] (which covers the stats-record fields). *)
-let publish_contention (tl : Oracle.tally) =
-  if tl.Oracle.t_acquired > 0 then begin
-    Obs.Counter.incr ~by:tl.Oracle.t_contended Metrics.shard_contention;
-    Obs.Gauge.set Metrics.shard_contention_ratio
-      (float_of_int tl.Oracle.t_contended /. float_of_int tl.Oracle.t_acquired)
-  end
 
 let pp_semantics ppf = function
   | Prioritized -> Fmt.string ppf "prioritized"
@@ -868,8 +591,11 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   let raw_next = step_function semantics cache defs in
   let raw_root = Hproc.of_proc root in
   let sym = Sym.of_spec symmetry ~raw_root ~defs in
-  let next =
-    match sym with None -> raw_next | Some s -> Sym.wrap s raw_next
+  let expand term =
+    let row = raw_next term in
+    match sym with
+    | None -> { row; folded = 0; kept = 0; canon_time = 0. }
+    | Some s -> Sym.canon_row s row
   in
   let store = Store.create ~edges in
   let truncated = ref false in
@@ -885,10 +611,8 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   let over_budget () =
     budget_stop config ~len:store.Store.len ~deadline_hit ()
   in
-  let o =
-    Oracle.create ~jobs ~cutover:config.parallel_cutover
-      ~max_states:config.max_states next
-  in
+  let batch = Batch.create ~jobs ~cutover:config.parallel_cutover expand in
+  let orbit_hits = ref 0 and orbit_misses = ref 0 and canon_s = ref 0. in
   (* BFS levels are contiguous id ranges (ids are assigned in discovery
      order), so depth tracking needs two counters, not an array: when the
      merge crosses [level_end], every state of the current depth has been
@@ -899,22 +623,19 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   let early_exit_depth = ref None in
   let head = ref 0 in
   Fun.protect
-    ~finally:(fun () -> Oracle.shutdown o)
+    ~finally:(fun () -> Batch.shutdown batch)
     (fun () ->
       (* The BFS queue is implicit: the queue contents are exactly the
-         ids [head .. len).  This loop is the replay: it is the
-         sequential exploration, with [next] routed through the oracle (a
-         no-op route until a frontier crosses the cutover and the workers
-         spin up).  Interning, parent assignment and the stop checks are
-         order-sensitive and happen here only. *)
+         ids [head .. len).  This loop is the sequential exploration;
+         [Batch.get] may have computed a state's expansion ahead of time
+         on another domain, but interning, parent assignment, the orbit
+         tallies and the stop checks are order-sensitive and happen here
+         only. *)
       let stop = ref false in
       while (not !stop) && !head < store.Store.len do
         let frontier = store.Store.len - !head in
         if frontier > !peak_frontier then peak_frontier := frontier;
         Obs.Histogram.observe Metrics.frontier (float_of_int frontier);
-        Oracle.maybe_activate o
-          ~term_of:(fun i -> store.Store.terms.(i))
-          ~len:store.Store.len ~head:!head;
         if (config.stop_at_deadlock && !deadlock_found) || over_budget ()
         then begin
           (* leave this state (and every later one) unexpanded; the
@@ -928,7 +649,11 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
             incr depth;
             level_end := store.Store.len
           end;
-          let s = Oracle.successors o store.Store.terms.(id) in
+          let e = Batch.get batch store.Store.terms ~len:store.Store.len id in
+          let s = e.row in
+          orbit_hits := !orbit_hits + e.folded;
+          orbit_misses := !orbit_misses + e.kept;
+          canon_s := !canon_s +. e.canon_time;
           if s = [] then begin
             deadlock_found := true;
             deadlock_ids_rev := id :: !deadlock_ids_rev;
@@ -942,13 +667,12 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
       done);
   let n = store.Store.len in
   let wall_s = Timed.Clock.gettimeofday () -. t_start in
-  let tl = Oracle.tally o in
   let stats =
     {
       jobs;
       wall_s;
-      expand_s = o.Oracle.expand_s;
-      merge_s = wall_s -. o.Oracle.expand_s;
+      expand_s = batch.Batch.expand_s;
+      merge_s = wall_s -. batch.Batch.expand_s;
       num_states = n;
       num_transitions = !transitions;
       num_deadlocks = List.length !deadlock_ids_rev;
@@ -967,17 +691,12 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
           + if edges then (2 * !head) + (4 * !transitions) else 0);
       early_exit_depth = !early_exit_depth;
       deadline_expired = !deadline_hit;
-      steals = tl.Oracle.t_steals;
-      steal_attempts = tl.Oracle.t_steal_attempts;
-      prefetch_hits = tl.Oracle.t_hits;
-      prefetch_misses = tl.Oracle.t_misses;
-      orbit_hits = (match sym with None -> 0 | Some s -> Sym.hits s);
-      orbit_misses = (match sym with None -> 0 | Some s -> Sym.misses s);
-      canon_s = (match sym with None -> 0. | Some s -> Sym.canon_s s);
+      orbit_hits = !orbit_hits;
+      orbit_misses = !orbit_misses;
+      canon_s = !canon_s;
     }
   in
   publish_stats stats;
-  publish_contention tl;
   Option.iter Sym.observe_sizes sym;
   {
     store;
@@ -1016,14 +735,6 @@ let pp_stats ppf s =
     (100. *. dedup_hit_rate s)
     (s.store_bytes / 1024) (bytes_per_state s) s.hashcons_nodes
     (fun ppf s ->
-      (* only parallel runs that actually engaged the workers have
-         anything to say here *)
-      if s.steal_attempts > 0 || s.prefetch_hits > 0 || s.prefetch_misses > 0
-      then
-        Fmt.pf ppf
-          "@,work stealing: %d steals / %d attempts, prefetch %d hits / %d \
-           misses"
-          s.steals s.steal_attempts s.prefetch_hits s.prefetch_misses;
       if s.orbit_hits > 0 || s.orbit_misses > 0 then
         Fmt.pf ppf
           "@,symmetry: %d orbit hits / %d misses, canonicalization %.3fs"

@@ -19,27 +19,22 @@
 
     {2 Parallel exploration and the determinism contract}
 
-    With [?jobs > 1] the builder prefetches successor rows with
-    work-stealing worker domains: each worker owns a private Chase–Lev
-    deque ({!Deque}) of frontier terms, steals from a sibling only when
-    its own deque runs dry, and records every row it computes in a
-    store sharded by digest range ({!Shards} — the structural term
-    digest picks the shard, so there is no global lock).  There are no
-    barriers: workers traverse the graph asynchronously, in whatever
-    order stealing yields.
+    With [?jobs > 1], once at least [parallel_cutover] states are
+    queued, the builder computes the successor rows of the next queued
+    states (a fixed-size chunk) in one {!Pool.run} batch, on [jobs - 1]
+    worker domains plus the calling domain.  The sequential merge loop
+    then consumes those rows in queue order, exactly as if it had
+    computed them itself.
 
-    Results are nevertheless {e bit-identical} to a sequential run —
-    same state ids, parents, depths, successor rows, deadlock ids,
-    verdicts, shortest traces, and the same exception should successor
-    computation raise.  The mechanism is replay: the calling domain
-    runs the unchanged sequential BFS loop, consuming a prefetched row
-    when one is recorded and computing the row itself when the workers
-    have not got there yet (successor computation is deterministic, so
-    both paths agree).  Every order-sensitive decision — interning,
-    parent assignment, budget/deadline/early-exit checks — happens on
-    that replay, in queue order.  Parallelism can therefore only affect
-    throughput, never results (asserted by the test suite's
-    jobs-equivalence properties).
+    Results are therefore {e bit-identical} to a sequential run — same
+    state ids, parents, depths, successor rows, deadlock ids, verdicts,
+    shortest traces and orbit tallies, and the same exception should
+    successor computation raise.  Every order-sensitive decision —
+    interning, parent assignment, budget/deadline/early-exit checks —
+    happens in that one merge loop, in queue order; successor
+    computation is deterministic, so it does not matter which domain
+    ran it.  Parallelism can only affect throughput, never results
+    (asserted by the test suite's jobs-equivalence properties).
 
     {2 Symmetry (orbit) reduction}
 
@@ -51,8 +46,8 @@
     (deadlock-freedom), counterexample lengths and BFS depths are
     preserved exactly — canonicalization is an automorphism of the
     transition system — while visited-state counts shrink by up to the
-    product of the orbit class factorials.  Canonicalization happens
-    inside the successor function, which workers and replay share, so
+    product of the orbit class factorials.  Canonicalization is part of
+    computing a successor row, on whichever domain computes it, so
     reduction composes with [jobs] and the bit-identity contract above
     is unchanged for any fixed [symmetry] spec.  {!path_to}
     de-canonicalizes the stored steps (composing the
@@ -103,32 +98,17 @@ type stats = {
       (** the wall-clock budget ([build_config.deadline]) stopped the
           exploration; [truncated] is then also true and the absence of
           deadlocks is inconclusive *)
-  steals : int;
-      (** successful deque steals by worker domains; 0 on sequential
-          runs.  A healthy parallel run steals rarely relative to
-          expansions — frequent stealing means the graph fans out too
-          slowly to keep the domains fed *)
-  steal_attempts : int;
-      (** steal attempts, successful or not; the steal {e failure} rate
-          (1 - steals/steal_attempts) spikes when workers are starved *)
-  prefetch_hits : int;
-      (** replay successor lookups answered by a worker-prefetched row —
-          the fraction of expansion work actually moved off the critical
-          path; the headline number for parallel efficiency *)
-  prefetch_misses : int;
-      (** replay successor lookups computed on the calling domain
-          because no worker had recorded the row yet *)
   orbit_hits : int;
       (** successors the symmetry reduction folded onto a different
           orbit representative — the per-successor win of the reduction;
           0 when symmetry is off or the model has no interchangeable
-          components.  Parallel runs can over-count (workers and replay
-          may canonicalize the same row); like [prefetch_misses], this
-          is telemetry, not part of the determinism contract *)
+          components.  Counted over the rows the exploration consumed,
+          so it is the same at every [jobs] *)
   orbit_misses : int;
       (** successors that were already orbit-canonical *)
   canon_s : float;
-      (** wall time spent canonicalizing states (summed across domains) *)
+      (** time spent canonicalizing the consumed rows (summed across
+          domains) *)
 }
 
 val stats : t -> stats
@@ -196,11 +176,11 @@ type build_config = {
   stop_at_deadlock : bool;
       (** stop expanding as soon as one deadlock has been discovered *)
   parallel_cutover : int;
-      (** frontier width below which the run stays sequential even when
-          [jobs > 1]; the worker pool is spawned lazily on the first
-          frontier that crosses it.  Small state spaces never pay the
-          domain spawn + cross-domain GC cost this way, and a run that
-          never crosses the cutover is exactly the sequential build. *)
+      (** number of queued states below which the run stays sequential
+          even when [jobs > 1]; the worker pool is created on the first
+          batch.  Small state spaces never pay the domain spawn and
+          cross-domain GC cost this way, and a run that never reaches
+          the cutover is exactly the sequential build. *)
   deadline : float option;
       (** wall-clock budget as an absolute time on the ambient
           {!Timed.Clock} scale — the time-domain twin of [max_states].
@@ -215,15 +195,15 @@ type build_config = {
           how the timeout test suite runs second-scale budgets in
           wall-clock milliseconds. *)
   poll : (unit -> bool) option;
-      (** cooperative stop hook, called between sequential merge steps
-          (never from worker domains).  Returning [true] truncates the
+      (** cooperative stop hook, called before every merge step (never
+          from worker domains).  Returning [true] truncates the
           run exactly like an exhausted budget; the service layer points
           this at a job's cancellation flag.  Must be cheap and
           side-effect-free. *)
 }
 
 val default_config : build_config
-(** 2M states, explore exhaustively, cutover at a 512-state frontier, no
+(** 2M states, explore exhaustively, cutover at 512 queued states, no
     wall-clock deadline, no poll hook. *)
 
 val build :
@@ -250,17 +230,15 @@ val build :
     explored term: its slot layout and renamings come from the same
     translation that produced [defs] and the root.
 
-    [jobs] (default 1) is the number of work-stealing worker domains
-    prefetching successor rows; the calling domain additionally runs the
-    (cheap) sequential replay that assigns ids and merges rows.  Workers
-    are only spawned once a frontier reaches [config.parallel_cutover]
-    states.  Parallelism only affects throughput, never results — see
-    the determinism contract in the module preamble.  An exception
-    raised by successor computation on a worker domain does not poison
-    the run: the replay recomputes the row and (deterministically)
-    re-raises it exactly where a sequential run would, while failures on
-    states a truncated run never consumes are dropped (counted in
-    [versa_pool_worker_failures_total]). *)
+    [jobs] (default 1) is the number of domains that compute successor
+    rows: [jobs - 1] pool workers plus the calling domain, which also
+    runs the sequential merge.  The pool is only created once
+    [config.parallel_cutover] states are queued.  Parallelism only
+    affects throughput, never results — see the determinism contract in
+    the module preamble.  An exception raised while computing a row is
+    kept with that row and re-raised (with its backtrace) when the merge
+    reaches the state, exactly where a sequential run raises; a run that
+    stops before reaching the state returns normally. *)
 
 val pp_summary : t Fmt.t
 (** One-line summary: state/transition counts, [[early exit]] when

@@ -1,19 +1,20 @@
 (* A small persistent pool of worker domains for data-parallel loops.
 
-   [Lts.build] expands BFS frontiers in chunks; each chunk is a
-   [run pool n f] call that evaluates [f 0 .. f (n-1)] across the workers
-   plus the calling domain, pulling indices from a shared atomic counter
-   (dynamic scheduling — successor computation is highly irregular, some
-   states unfold far more definitions than others).  Workers persist
-   across [run] calls, so per-chunk overhead is a broadcast on a condition
-   variable rather than a domain spawn.
+   [Lts.build] expands queued states in chunks and the service
+   scheduler runs its jobs in batches; each is a [run pool n f] call
+   that evaluates [f 0 .. f (n-1)] across the workers plus the calling
+   domain, pulling indices from a shared atomic counter (dynamic
+   scheduling — the items are irregular, some states unfold far more
+   definitions than others).  Workers persist across [run] calls, so
+   per-batch overhead is a broadcast on a condition variable rather
+   than a domain spawn.
 
-   Exceptions raised by [f] (e.g. [Semantics.Unguarded_recursion]) are
-   captured — first one wins — and re-raised in the caller once the batch
-   has drained, so a failing exploration does not leave domains running.
-   A failure that originated on a worker domain is re-raised wrapped in
-   [Worker_error] so the caller can tell which domain died; a failure on
-   the calling domain itself is re-raised as-is. *)
+   Exceptions raised by [f] are captured — first one wins — and
+   re-raised in the caller once the batch has drained, so a failing
+   batch does not leave domains running.  A failure that originated on
+   a worker domain is re-raised wrapped in [Worker_error] so the caller
+   can tell which domain died; a failure on the calling domain itself is
+   re-raised as-is. *)
 
 exception Worker_error of { index : int; error : exn }
 
@@ -33,10 +34,6 @@ let failures =
 (* The calling domain participates in every batch under this pseudo-index;
    its failures are not wrapped. *)
 let caller_index = -1
-
-(* Sentinel batch size marking a [launch] round: each worker runs the
-   task once with its own index instead of draining a shared counter. *)
-let launch_round = -2
 
 type t = {
   workers : int;  (* worker domains, excluding the caller *)
@@ -94,16 +91,7 @@ let worker pool index () =
       Mutex.unlock pool.mutex;
       Obs.Span.with_ ~name:"pool.worker"
         ~attrs:[ ("worker", string_of_int index) ]
-        (fun () ->
-          if n = launch_round then
-            (* One call per worker, under its own index — so an exception
-               raised while this domain is off stealing work from a
-               sibling's deque is still attributed to the raising domain,
-               not to the deque's owner. *)
-            match f index with
-            | () -> ()
-            | exception e -> record_error pool index e
-          else drain pool ~index f n);
+        (fun () -> drain pool ~index f n);
       Mutex.lock pool.mutex;
       pool.active <- pool.active - 1;
       if pool.active = 0 then Condition.broadcast pool.work_done;
@@ -157,33 +145,6 @@ let run pool n f =
         pool.task <- None;
         Mutex.unlock pool.mutex)
       (fun () -> drain pool ~index:caller_index f n);
-    match pool.error with
-    | Some (index, error) when index <> caller_index ->
-        raise (Worker_error { index; error })
-    | Some (_, e) -> raise e
-    | None -> ()
-  end
-
-let launch pool f =
-  if pool.workers > 0 then begin
-    Mutex.lock pool.mutex;
-    pool.task <- Some f;
-    pool.count <- launch_round;
-    pool.error <- None;
-    pool.active <- pool.workers;
-    pool.generation <- pool.generation + 1;
-    Condition.broadcast pool.work_ready;
-    Mutex.unlock pool.mutex
-  end
-
-let await pool =
-  if pool.workers > 0 then begin
-    Mutex.lock pool.mutex;
-    while pool.active > 0 do
-      Condition.wait pool.work_done pool.mutex
-    done;
-    pool.task <- None;
-    Mutex.unlock pool.mutex;
     match pool.error with
     | Some (index, error) when index <> caller_index ->
         raise (Worker_error { index; error })

@@ -223,10 +223,6 @@ let stats_fingerprint (s : Versa.Lts.stats) =
       s.intern_hits;
       s.intern_misses;
       s.hashcons_nodes;
-      s.steals;
-      s.steal_attempts;
-      s.prefetch_hits;
-      s.prefetch_misses;
       s.orbit_hits;
       s.orbit_misses;
     ],
@@ -307,6 +303,57 @@ let test_check_parallel_identical () =
 (* The summary says which stop fired: [early exit] only when
    [stop_at_deadlock] ended the run, [truncated] when the state budget
    did, even after deadlocks were found. *)
+(* The exception contract of the parallel path.  [X] is an unguarded
+   definition, so expanding the state [X] raises.  At cutover 1 every
+   batch covers the whole queue, so a [jobs:2] run computes that state's
+   row (and its exception) as soon as the state is queued — possibly
+   long before the merge reaches it.  The exception must surface exactly
+   where the sequential run raises it, unwrapped, and not at all when a
+   stop check ends the run first. *)
+let test_parallel_exception_contract () =
+  let defs = Defs.of_list [ ("X", [], Proc.call "X" []) ] in
+  let x = Proc.call "X" [] in
+  let ev l p = Proc.send (Label.make l) p in
+  let explore ?(stop_at_deadlock = false) ?max_states ~jobs root =
+    let config =
+      {
+        Versa.Lts.default_config with
+        parallel_cutover = 1;
+        stop_at_deadlock;
+        max_states;
+      }
+    in
+    Versa.Lts.build ~config ~jobs ~edges:false defs root
+  in
+  (* states: 0 root, 1 [e!.nil], 2 [d!.nil], 3 [X]; expanding 1 raises
+     nothing, expanding 3 raises *)
+  let deep =
+    Proc.choice_list
+      [ ev "a" (ev "e" Proc.nil); ev "b" (ev "d" Proc.nil); ev "c" x ]
+  in
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises
+        (Fmt.str "exhaustive run raises at jobs %d" jobs)
+        (Semantics.Unguarded_recursion "X")
+        (fun () -> ignore (explore ~jobs deep));
+      (* expanding state 1 discovers state 4, which exhausts a budget of
+         5 before the merge reaches states 2 and 3 *)
+      let budget = explore ~max_states:5 ~jobs deep in
+      Alcotest.(check bool)
+        (Fmt.str "budget stops before X at jobs %d" jobs)
+        true
+        (Versa.Lts.truncated budget && Versa.Lts.num_states budget = 5);
+      (* state 1 [nil] deadlocks before the merge reaches state 2 [X] *)
+      let early =
+        explore ~stop_at_deadlock:true ~jobs
+          (Proc.choice (ev "a" Proc.nil) (ev "c" x))
+      in
+      Alcotest.(check (list int))
+        (Fmt.str "early exit before X at jobs %d" jobs)
+        [ 1 ] (Versa.Lts.deadlocks early))
+    [ 1; 2 ]
+
 let test_summary_labels () =
   let defs, system = tr_of (e6_unsched 4) in
   let check name ~stop ~max_states label =
@@ -401,12 +448,12 @@ let test_example_models_agree () =
             (Versa.Explorer.num_states otf_x))
         models
 
-(* Work-stealing exploration across every example model: at jobs 2 and
-   4 (cutover 1, so the pool engages even on the small models) the
+(* Parallel exploration across every example model: at jobs 2 and 4
+   (cutover 1, so the pool engages even on the small models) the
    visited states, transitions, deadlock ids and counterexample paths
    must be bit-identical to jobs 1, and the analysis layer's raised
    scenario must not move either. *)
-let test_example_models_workstealing_identical () =
+let test_example_models_parallel_identical () =
   match example_models_dir () with
   | None -> Alcotest.fail "examples/models not found (missing dune deps?)"
   | Some dir ->
@@ -736,10 +783,10 @@ let prop_parallel_build_agrees =
            (fun id -> Versa.Lts.successors l1 id = Versa.Lts.successors l4 id)
            (List.init (Versa.Lts.num_states l1) Fun.id))
 
-(* The work-stealing contract, on random terms: with a cutover of 1 the
-   worker pool engages on every multi-state frontier, and everything the
-   LTS exposes — ids, rows, depths, deadlocks, traces — must be
-   bit-identical to the sequential run at every jobs value. *)
+(* The parallel contract, on random terms: with a cutover of 1 every
+   expansion goes through a pool batch, and everything the LTS exposes —
+   ids, rows, depths, deadlocks, traces — must be bit-identical to the
+   sequential run at every jobs value. *)
 let lts_bit_identical l1 l2 =
   Versa.Lts.num_states l1 = Versa.Lts.num_states l2
   && Versa.Lts.num_transitions l1 = Versa.Lts.num_transitions l2
@@ -754,8 +801,8 @@ let lts_bit_identical l1 l2 =
        (fun d -> Versa.Lts.path_to l1 d = Versa.Lts.path_to l2 d)
        (Versa.Lts.deadlocks l1)
 
-let prop_workstealing_build_bit_identical =
-  QCheck2.Test.make ~name:"work-stealing build jobs∈{2,4} = jobs=1"
+let prop_parallel_build_bit_identical =
+  QCheck2.Test.make ~name:"parallel build jobs∈{2,4} = jobs=1"
     ~count:20 gen_proc_full (fun p ->
       let eager =
         { Versa.Lts.default_config with parallel_cutover = 1 }
@@ -767,12 +814,12 @@ let prop_workstealing_build_bit_identical =
             (Versa.Lts.build ~config:eager ~jobs Defs.empty p))
         [ 2; 4 ])
 
-let prop_workstealing_early_exit_identical =
-  (* the racy part of early exit: workers may explore far beyond the
-     first deadlock, but the replayed verdict — visited count, deadlock
-     id, counterexample path — must not move *)
+let prop_parallel_early_exit_identical =
+  (* a batch may expand states past the first deadlock, but the merged
+     verdict — visited count, deadlock id, counterexample path — must
+     not move *)
   QCheck2.Test.make
-    ~name:"work-stealing early-exit check jobs∈{2,4} = jobs=1" ~count:20
+    ~name:"parallel early exit jobs∈{2,4} = jobs=1" ~count:20
     gen_proc_full (fun p ->
       let eager =
         {
@@ -809,8 +856,8 @@ let qcheck_cases =
       prop_kernel_steps_agree;
       prop_kernel_prioritized_agree;
       prop_parallel_build_agrees;
-      prop_workstealing_build_bit_identical;
-      prop_workstealing_early_exit_identical;
+      prop_parallel_build_bit_identical;
+      prop_parallel_early_exit_identical;
       prop_check_agrees_with_build;
       prop_check_early_exit_sound;
     ]
@@ -915,6 +962,8 @@ let () =
             test_parallel_build_identical;
           Alcotest.test_case "verdicts are identical" `Quick
             test_parallel_verdict_identical;
+          Alcotest.test_case "exception contract of the parallel path"
+            `Quick test_parallel_exception_contract;
         ] );
       ( "engines",
         [
@@ -934,7 +983,7 @@ let () =
           Alcotest.test_case "engines agree on example models" `Slow
             test_example_models_agree;
           Alcotest.test_case "work stealing is identical on example models"
-            `Slow test_example_models_workstealing_identical;
+            `Slow test_example_models_parallel_identical;
         ] );
       ( "budgets",
         [

@@ -263,9 +263,9 @@ let test_families_equivalent () =
        [ (1, 0.5); (2, 0.8); (4, 0.8); (4, 1.3); (6, 0.9); (6, 1.2) ]
     @ List.map (fun (name, text) -> (name, text, true)) two_class_models)
 
-(* The reduction composes with the work-stealing pool: at jobs 4 with an
-   eager cutover the verdicts and scenario invariants must match jobs 1,
-   reduction on in both. *)
+(* The reduction composes with parallel exploration: at jobs 4 the
+   verdicts and scenario invariants must match jobs 1, reduction on in
+   both. *)
 let test_families_parallel_equivalent () =
   List.iter
     (fun (threads, utilization) ->
@@ -282,6 +282,44 @@ let test_families_parallel_equivalent () =
         (Versa.Explorer.num_states seq.Analysis.Schedulability.exploration)
         (Versa.Explorer.num_states par.Analysis.Schedulability.exploration))
     [ (4, 0.8); (4, 1.3) ]
+
+(* The orbit tallies count the rows the exploration consumed, so they
+   do not depend on [jobs]: at cutover 1 every expansion goes through a
+   pool batch, on exhaustive runs and on runs a state budget cuts short
+   while a batch has already canonicalized rows past the cut. *)
+let test_orbit_tallies_jobs_independent () =
+  List.iter
+    (fun (name, text) ->
+      let tr = translation_of text in
+      List.iter
+        (fun max_states ->
+          let config =
+            {
+              Versa.Lts.default_config with
+              max_states;
+              parallel_cutover = 1;
+            }
+          in
+          let tallies jobs =
+            let s =
+              Versa.Lts.stats
+                (Versa.Lts.build ~config ~jobs
+                   ~symmetry:tr.Translate.Pipeline.symmetry
+                   tr.Translate.Pipeline.defs tr.Translate.Pipeline.system)
+            in
+            (s.Versa.Lts.orbit_hits, s.Versa.Lts.orbit_misses)
+          in
+          let label =
+            Fmt.str "%s (max_states %a)" name
+              Fmt.(option ~none:(any "none") int)
+              max_states
+          in
+          let hits, misses = tallies 1 in
+          Alcotest.(check bool) (label ^ ": tallies flowing") true (hits > 0);
+          Alcotest.(check (pair int int))
+            (label ^ ": jobs 2 tallies") (hits, misses) (tallies 2))
+        [ None; Some 40 ])
+    (List.map family_model [ (4, 0.8); (4, 1.3) ] @ two_class_models)
 
 (* {1 Soundness: the de-canonicalized scenario is a real path}
 
@@ -503,6 +541,8 @@ let () =
             test_families_equivalent;
           Alcotest.test_case "parallel exploration" `Quick
             test_families_parallel_equivalent;
+          Alcotest.test_case "orbit tallies at any jobs" `Quick
+            test_orbit_tallies_jobs_independent;
         ] );
       ( "soundness",
         [

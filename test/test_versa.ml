@@ -437,149 +437,54 @@ let qcheck_cases =
       prop_self_bisimilar;
     ]
 
-(* {1 Work-stealing substrate}
+(* {1 Pool failure attribution}
 
-   The deque and the digest-sharded store underneath the parallel
-   explorer, plus the [Pool] attribution contract the explorer's
-   teardown relies on. *)
-
-let test_deque_order () =
-  let q = Versa.Deque.create ~dummy:0 () in
-  Alcotest.(check (option int)) "empty pop" None (Versa.Deque.pop q);
-  Alcotest.(check (option int)) "empty steal" None (Versa.Deque.steal q);
-  for i = 1 to 5 do
-    Versa.Deque.push q i
-  done;
-  Alcotest.(check int) "length" 5 (Versa.Deque.length q);
-  Alcotest.(check (option int)) "owner pops newest" (Some 5) (Versa.Deque.pop q);
-  Alcotest.(check (option int))
-    "thief steals oldest" (Some 1) (Versa.Deque.steal q);
-  Alcotest.(check (option int)) "steal advances" (Some 2) (Versa.Deque.steal q);
-  Alcotest.(check (option int)) "pop continues" (Some 4) (Versa.Deque.pop q);
-  Alcotest.(check (option int)) "last element" (Some 3) (Versa.Deque.pop q);
-  Alcotest.(check (option int)) "drained" None (Versa.Deque.pop q);
-  Alcotest.(check int) "empty again" 0 (Versa.Deque.length q)
-
-let test_deque_growth () =
-  (* push far past the initial capacity; both ends must still come out
-     in order across the buffer doublings *)
-  let q = Versa.Deque.create ~capacity:2 ~dummy:(-1) () in
-  let n = 10_000 in
-  for i = 0 to n - 1 do
-    Versa.Deque.push q i
-  done;
-  Alcotest.(check int) "all queued" n (Versa.Deque.length q);
-  for i = 0 to (n / 2) - 1 do
-    if Versa.Deque.steal q <> Some i then
-      Alcotest.failf "steal %d out of order" i
-  done;
-  for i = n - 1 downto n / 2 do
-    if Versa.Deque.pop q <> Some i then Alcotest.failf "pop %d out of order" i
-  done;
-  Alcotest.(check (option int)) "drained" None (Versa.Deque.pop q)
-
-let test_shard_ownership_boundaries () =
-  (* the digest space [0, 2^30) splits into contiguous equal ranges;
-     pin both edges of every range for a power-of-two count ... *)
-  let t8 : int Versa.Shards.t = Versa.Shards.create ~shards:8 () in
-  let space = 1 lsl 30 in
-  let range = space / 8 in
-  for s = 0 to 7 do
-    let lo = s * range in
-    let hi = lo + range - 1 in
-    Alcotest.(check int)
-      (Fmt.str "shard %d low edge" s)
-      s
-      (Versa.Shards.owner_digest t8 lo);
-    Alcotest.(check int)
-      (Fmt.str "shard %d high edge" s)
-      s
-      (Versa.Shards.owner_digest t8 hi);
-    if s > 0 then
-      Alcotest.(check int)
-        (Fmt.str "digest below shard %d" s)
-        (s - 1)
-        (Versa.Shards.owner_digest t8 (lo - 1))
-  done;
-  (* ... and monotonicity + surjectivity for a count that does not
-     divide the space evenly *)
-  let t3 : int Versa.Shards.t = Versa.Shards.create ~shards:3 () in
-  let prev = ref 0 in
-  let seen = Array.make 3 false in
-  let samples = 1 lsl 12 in
-  for k = 0 to samples - 1 do
-    let d = k * (space / samples) in
-    let s = Versa.Shards.owner_digest t3 d in
-    if s < !prev || s > 2 then
-      Alcotest.failf "owner_digest not a monotone partition at %d: %d" d s;
-    prev := s;
-    seen.(s) <- true
-  done;
-  Alcotest.(check int)
-    "last digest lands in the last shard" 2
-    (Versa.Shards.owner_digest t3 (space - 1));
-  Alcotest.(check bool) "every shard owns some range" true
-    (Array.for_all Fun.id seen);
-  (* digests are folded to 30 bits, so a negative structural hash still
-     maps into range *)
-  let o = Versa.Shards.owner_digest t3 (-1) in
-  Alcotest.(check bool) "negative digest folds into range" true
-    (o >= 0 && o < 3)
-
-let test_shard_claim_protocol () =
-  let t : int Versa.Shards.t = Versa.Shards.create ~shards:1 () in
-  let a = Hproc.of_proc Proc.nil in
-  let b = Hproc.of_proc (Proc.act Action.idle Proc.nil) in
-  Alcotest.(check bool) "absent before claim" true
-    (Versa.Shards.find t a = Versa.Shards.Absent);
-  Alcotest.(check bool) "first claim wins" true (Versa.Shards.try_claim t a);
-  Alcotest.(check bool) "second claim loses" false (Versa.Shards.try_claim t a);
-  Alcotest.(check bool) "claimed but unpublished" true
-    (Versa.Shards.find t a = Versa.Shards.Claimed);
-  Versa.Shards.publish t a 42;
-  Alcotest.(check bool) "published value found" true
-    (Versa.Shards.find t a = Versa.Shards.Found 42);
-  (* batched claims: duplicates collapse, already-claimed terms are
-     skipped, fresh terms come back in input order *)
-  let fresh = Versa.Shards.claim_batch t 0 [ a; b; b; a ] in
-  Alcotest.(check bool) "only the new term is fresh" true (fresh = [ b ]);
-  Alcotest.(check bool) "batch-claimed term is claimed" true
-    (Versa.Shards.find t b = Versa.Shards.Claimed);
-  let contended, acquired = Versa.Shards.contention t in
-  Alcotest.(check int) "uncontended single-domain use" 0 contended;
-  Alcotest.(check bool) "acquisitions counted" true (acquired > 0)
+   [Pool.run] reports a failure on a worker domain as [Worker_error]
+   with that worker's index and re-raises a failure on the calling
+   domain unwrapped.  Each case makes exactly one side raise: the other
+   side holds its batch index until the raise has happened, so the
+   caller cannot drain the whole batch alone and the worker cannot
+   finish it early. *)
 
 exception Boom
 
-let test_pool_steal_attribution () =
-  (* Worker 0 owns the deque and idles after publishing; worker 1 steals
-     the item and raises.  The error must be attributed to the domain
-     that raised while stealing — index 1 — not to the deque's owner. *)
-  let pool = Versa.Pool.create 2 in
-  let deque = Versa.Deque.create ~dummy:0 () in
-  let published = Atomic.make false in
-  let stop = Atomic.make false in
-  Versa.Pool.launch pool (fun index ->
-      if index = 0 then begin
-        Versa.Deque.push deque 42;
-        Atomic.set published true;
-        while not (Atomic.get stop) do
-          Unix.sleepf 1e-4
-        done
-      end
-      else begin
-        while not (Atomic.get published) do
-          Unix.sleepf 1e-4
-        done;
-        let stolen = Versa.Deque.steal deque in
-        Atomic.set stop true;
-        match stolen with Some 42 -> raise Boom | _ -> raise Not_found
-      end);
-  (match Versa.Pool.await pool with
-  | () -> Alcotest.fail "expected Worker_error from the stealing domain"
+let test_pool_worker_attribution () =
+  let pool = Versa.Pool.create 1 in
+  let caller = Domain.self () in
+  let raised = Atomic.make false in
+  (match
+     Versa.Pool.run pool 2 (fun _ ->
+         if Domain.self () = caller then
+           while not (Atomic.get raised) do
+             Domain.cpu_relax ()
+           done
+         else begin
+           Atomic.set raised true;
+           raise Boom
+         end)
+   with
+  | () -> Alcotest.fail "expected Worker_error from the worker domain"
   | exception Versa.Pool.Worker_error { index; error = Boom } ->
-      Alcotest.(check int) "stealing domain index" 1 index
-  | exception e -> raise e);
+      Alcotest.(check int) "raising worker's index" 0 index);
+  Versa.Pool.shutdown pool
+
+let test_pool_caller_unwrapped () =
+  let pool = Versa.Pool.create 1 in
+  let caller = Domain.self () in
+  let raised = Atomic.make false in
+  (match
+     Versa.Pool.run pool 2 (fun _ ->
+         if Domain.self () = caller then begin
+           Atomic.set raised true;
+           raise Boom
+         end
+         else
+           while not (Atomic.get raised) do
+             Domain.cpu_relax ()
+           done)
+   with
+  | () -> Alcotest.fail "expected Boom from the calling domain"
+  | exception Boom -> ());
   Versa.Pool.shutdown pool
 
 let () =
@@ -625,16 +530,12 @@ let () =
         ] );
       ( "dot",
         [ Alcotest.test_case "export" `Quick test_dot_export ] );
-      ( "work stealing",
+      ( "pool",
         [
-          Alcotest.test_case "deque LIFO/FIFO order" `Quick test_deque_order;
-          Alcotest.test_case "deque growth" `Quick test_deque_growth;
-          Alcotest.test_case "shard ownership boundaries" `Quick
-            test_shard_ownership_boundaries;
-          Alcotest.test_case "shard claim protocol" `Quick
-            test_shard_claim_protocol;
-          Alcotest.test_case "steal failure attribution" `Quick
-            test_pool_steal_attribution;
+          Alcotest.test_case "worker failure attribution" `Quick
+            test_pool_worker_attribution;
+          Alcotest.test_case "caller failure unwrapped" `Quick
+            test_pool_caller_unwrapped;
         ] );
       ( "bisim",
         [
