@@ -1,0 +1,100 @@
+(* The frame of an explored system: the root's restriction and its [Par]
+   spine, split once per exploration, so that a state is the vector of
+   its slot terms.  See frame.mli. *)
+
+type t = {
+  restriction : Label.Set.t option;
+  spine : Hproc.t;  (* the root's Par tree; the root itself for 1 slot *)
+  width : int;
+  left_deep : bool;
+}
+
+let rec num_leaves t =
+  match Hproc.node t with
+  | Hproc.Par (a, b) -> num_leaves a + num_leaves b
+  | _ -> 1
+
+let leaves t =
+  let out = Array.make (num_leaves t) t in
+  let rec fill i t =
+    match Hproc.node t with
+    | Hproc.Par (a, b) -> fill (fill i a) b
+    | _ ->
+        out.(i) <- t;
+        i + 1
+  in
+  ignore (fill 0 t);
+  out
+
+let rec is_left_deep t =
+  match Hproc.node t with
+  | Hproc.Par (a, b) -> (
+      match Hproc.node b with Hproc.Par _ -> false | _ -> is_left_deep a)
+  | _ -> true
+
+let split root =
+  let restriction, spine =
+    match Hproc.node root with
+    | Hproc.Restrict (l, k) -> (
+        match Hproc.node k with
+        | Hproc.Par _ -> (Some l, k)
+        | _ -> (None, root))
+    | _ -> (None, root)
+  in
+  let slots = leaves spine in
+  ( {
+      restriction;
+      spine;
+      width = Array.length slots;
+      left_deep = is_left_deep spine;
+    },
+    slots )
+
+let restriction f = f.restriction
+let width f = f.width
+let left_deep f = f.left_deep
+
+(* Rebuild only the paths above changed slots; a subtree whose slots all
+   come back physically equal is reused without interning. *)
+let materialize f slots =
+  let next = ref 0 in
+  let rec go t =
+    match Hproc.node t with
+    | Hproc.Par (a, b) ->
+        let a' = go a in
+        let b' = go b in
+        if a' == a && b' == b then t else Hproc.par a' b'
+    | _ ->
+        let i = !next in
+        next := i + 1;
+        slots.(i)
+  in
+  let tree = go f.spine in
+  match f.restriction with Some l -> Hproc.restrict l tree | None -> tree
+
+let equal (a : Hproc.t array) b =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go i = i >= n || (a.(i) == b.(i) && go (i + 1)) in
+  go 0
+
+(* The slots' hashes are folded with the multiply-xor step of
+   [Hproc]'s own node hash; the final shift folds the high bits, where
+   the multiplications carried every slot's contribution, into the low
+   bits a hash table indexes with. *)
+let hash (v : Hproc.t array) =
+  let h =
+    Array.fold_left (fun h s -> (h * 0x01000193) lxor Hproc.hash s) 0x811c9dc5 v
+  in
+  (h lxor (h lsr 31)) land max_int
+
+let compare (a : Hproc.t array) b =
+  let n = min (Array.length a) (Array.length b) in
+  let rec go i =
+    if i >= n then Int.compare (Array.length a) (Array.length b)
+    else
+      let c = Hproc.compare_structural a.(i) b.(i) in
+      if c <> 0 then c else go (i + 1)
+  in
+  go 0

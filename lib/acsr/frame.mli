@@ -1,0 +1,53 @@
+(** The fixed frame of an explored system, and states as slot vectors.
+
+    A translated system is [Restrict (L, P_0 || ... || P_{n-1})], and
+    every state reachable from it is the same frame — the restriction
+    [L] and the [Par] spine — with different slot terms [P_i] (paper,
+    Sections 4–5).  The explorer therefore splits the root once and
+    keeps each state as the vector of its slot terms: the spine and the
+    restriction are never rebuilt or interned per state, and a term is
+    materialized only when a caller asks for one.
+
+    The slots of a [Par] tree are its leaves: the maximal subterms that
+    are not themselves a [Par], left to right.  A root that is not a
+    system — neither a [Par] nor a [Restrict] over one — is a 1-slot
+    frame.  A slot whose term later becomes a [Par] stays one opaque
+    slot. *)
+
+type t
+
+val split : Hproc.t -> t * Hproc.t array
+(** [split root] is the root's frame and its slot vector:
+    [Restrict (L, tree)] and a bare [tree], where [tree] is a [Par],
+    give the leaves of [tree] under restriction [L] (none for a bare
+    tree); any other root gives the 1-slot frame [[|root|]]. *)
+
+val restriction : t -> Label.Set.t option
+(** The labels the frame restricts, if the root was a [Restrict]. *)
+
+val width : t -> int
+(** Number of slots. *)
+
+val left_deep : t -> bool
+(** The spine is left-associated, [Par (... Par (p0, p1) ..., p_{n-1})],
+    as [Proc.par_list] builds it.  Checked once, when the frame is
+    split. *)
+
+val materialize : t -> Hproc.t array -> Hproc.t
+(** The term of a slot vector: the spine with slot [i] replaced by
+    entry [i], under the restriction.  [materialize f (snd (split r))]
+    is [r]. *)
+
+(** {1 Slot vectors as state keys} *)
+
+val equal : Hproc.t array -> Hproc.t array -> bool
+(** Slot-wise physical equality: over one frame, the same as equality
+    of the materialized terms, in O(width). *)
+
+val hash : Hproc.t array -> int
+(** Mixes the slots' memoized hashes; non-negative. *)
+
+val compare : Hproc.t array -> Hproc.t array -> int
+(** Slot-wise {!Hproc.compare_structural}, lexicographic (a shorter
+    vector sorts first on a common prefix).  Over one frame this is the
+    order of the materialized terms. *)

@@ -10,8 +10,10 @@
    nodes are interned bottom-up, children of an interned node are themselves
    interned, and each node memoizes a full-depth structural hash built from
    its children's memoized hashes.  Equality of hash-consed terms is
-   pointer equality, hashing is a field read, and the LTS state table keys
-   on the integer [id] — all O(1).
+   pointer equality and hashing is a field read — both O(1).  The LTS
+   state table keys on a state's vector of slot terms ([Frame]), so it
+   mixes and compares the slots' memoized hashes and pointers, and never
+   interns the spine that holds them.
 
    The intern table is global and sharded, each shard behind its own mutex,
    so successor construction can run concurrently from several domains
@@ -201,43 +203,6 @@ let restrict f k = intern (Restrict (f, k))
 let close r k = intern (Close (r, k))
 let if_ g k = intern (If (g, k))
 let call n args = intern (Call (n, args))
-
-(* {1 Parallel trees}
-
-   A translated system is [Restrict (L, P_0 || ... || P_{n-1})]; the
-   successor kernel in [Semantics] and the orbit canonicalization in
-   [Symmetry] both see the parallel tree as its leaf slots.  A leaf is a
-   maximal subterm that is not a [Par]. *)
-
-let rec num_leaves t =
-  match t.node with Par (a, b) -> num_leaves a + num_leaves b | _ -> 1
-
-let leaves t =
-  let out = Array.make (num_leaves t) t in
-  let rec fill i t =
-    match t.node with
-    | Par (a, b) -> fill (fill i a) b
-    | _ ->
-        out.(i) <- t;
-        i + 1
-  in
-  ignore (fill 0 t);
-  out
-
-let map_leaves f t =
-  let next = ref 0 in
-  let rec go t =
-    match t.node with
-    | Par (a, b) ->
-        let a' = go a in
-        let b' = go b in
-        if a' == a && b' == b then t else par a' b'
-    | _ ->
-        let i = !next in
-        next := i + 1;
-        f i t
-  in
-  go t
 
 (* {1 Conversions} *)
 

@@ -8,8 +8,9 @@
     node in a shard would share the overlapping bucket bits, most buckets
     would stay empty and each intern would walk a chain of about a
     hundred nodes.  {!table_stats} exposes the spread.  {!equal} is pointer
-    equality, {!hash} is a field read, and {!id} keys the state tables of
-    {!Versa.Lts} in O(1) — this is what makes exhaustive state-space
+    equality and {!hash} is a field read, so the explorer's state table,
+    keyed on vectors of slot terms ({!Frame}), hashes and compares a
+    state in O(slots) — this is what makes exhaustive state-space
     exploration scale (cf. the VERSA tool, paper Section 5).
 
     Constructors are raw: one-to-one with {!Proc.t}, with no
@@ -79,20 +80,6 @@ val restrict : Label.Set.t -> t -> t
 val close : Resource.Set.t -> t -> t
 val if_ : Guard.t -> t -> t
 val call : string -> Expr.t list -> t
-
-(** {1 Parallel trees}
-
-    The leaves of a term are the maximal subterms of its [Par] tree that
-    are not themselves [Par], left to right; a term that is not a [Par]
-    is its own only leaf. *)
-
-val leaves : t -> t array
-
-val map_leaves : (int -> t -> t) -> t -> t
-(** [map_leaves f t] is [t] with leaf [i] replaced by [f i leaf], keeping
-    the tree's shape.  [f] is called once per leaf, left to right.  Only
-    the paths above changed leaves are rebuilt; a subtree whose leaves all
-    come back physically equal is returned as is, without interning. *)
 
 (** {1 Conversions} *)
 

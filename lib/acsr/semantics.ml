@@ -173,13 +173,14 @@ let is_deadlocked defs p = steps defs p = []
 (* {1 The hash-consed engine}
 
    A mirror of [steps_at] over [Hproc.t], except that a parallel
-   composition is composed as a whole tree of slots rather than one
-   binary Par at a time (see the system kernel below).  Successors are
-   built with the raw (non-simplifying) [Hproc] constructors, so each
-   successor is the hash-consed image of exactly the term the reference
-   engine above would build — the two engines agree term-for-term, which
-   the test suite checks by property.  The payoff: deduplication and the LTS state table
-   compare terms in O(1) instead of re-walking them.
+   composition is composed as a whole frame of slots rather than one
+   binary Par at a time (see the kernel below).  Successors are built
+   with the raw (non-simplifying) [Hproc] constructors, so each
+   materialized successor is the hash-consed image of exactly the term
+   the reference engine above would build — the two engines agree
+   term-for-term, which the test suite checks by property.  The payoff:
+   deduplication and the LTS state table compare slots in O(1) instead
+   of re-walking them.
 
    Call unfolding (substitute evaluated arguments through the definition
    body, then intern the result) is memoized per (name, arguments): the
@@ -197,8 +198,8 @@ type cache = {
           This is where hash-consing pays off most: the per-thread
           slots of a translated AADL system recur across nearly every
           global state, so their step sets are computed once instead of
-          once per state.  System roots and their parallel trees, new in
-          nearly every state, are not memoized (see [system_steps]). *)
+          once per state.  The states of an exploration, slot vectors
+          new in nearly every step, are not memoized (see [kernel]). *)
 }
 
 let make_cache () =
@@ -240,24 +241,18 @@ let unfold_call cache defs name values =
       Mutex.unlock cache.lock;
       h
 
-(* The canonical successor order: identical to the reference engine's
-   [sort_uniq Stdlib.compare] over [(Step.t * Proc.t)] pairs, because
-   [Hproc.compare_structural] mirrors [Stdlib.compare] on [Proc.t]. *)
-let h_pair_compare (s1, t1) (s2, t2) =
-  let c = Stdlib.compare (s1 : Step.t) s2 in
-  if c <> 0 then c else Hproc.compare_structural t1 t2
+(* {2 The kernel}
 
-let h_dedup steps = List.sort_uniq h_pair_compare steps
-
-(* {2 The system kernel}
-
-   A translated system is [Restrict (L, P_0 || ... || P_{n-1})].  Following
-   the binary Par rule down the tree would build and intern a successor
-   for every offer at every level, most of which the restriction (an
-   unsynchronized event on a label of [L]) or preemption (a timed step
-   beaten by another) then discard.  The kernel instead treats the tree
-   as its n leaf slots, each with its memoized step set, and composes
-   labels only, remembering which slots move and to what:
+   A translated system is [Restrict (L, P_0 || ... || P_{n-1})], and the
+   explorer keeps each of its states as a slot vector over one fixed
+   frame ([Frame]): the restriction and the Par spine never change, so
+   they are neither rebuilt nor interned per successor.  Following the
+   binary Par rule down the tree would build a successor for every offer
+   at every level, most of which the restriction (an unsynchronized
+   event on a label of [L]) or preemption (a timed step beaten by
+   another) then discard.  The kernel instead takes the n slots, each
+   with its memoized step set, and composes labels only, remembering
+   which slots move and to what:
    - each slot's event and tau steps, events on labels of [L] dropped;
    - each pair of complementary events in slots i < j, as [tau@l];
    - each choice of one timed step per slot with pairwise-disjoint
@@ -265,30 +260,34 @@ let h_dedup steps = List.sort_uniq h_pair_compare steps
    Every pair of leaves meets at exactly one Par node, so these are the
    binary rule's steps at the root, label for label and successor for
    successor.  Preemption is then applied to the labels, and only the
-   survivors' successors are interned: the changed paths of the tree,
-   under the restriction.  Preemption reads the set of enabled labels
-   alone, so filtering before sorting and deduplicating yields exactly
-   the list [h_dedup] and [Step.prioritize] give on the binary rule.
+   survivors' successor vectors are built: a copy of the state's vector
+   with one or two slots patched, or the timed product's slot list.
+   Preemption reads the set of enabled labels alone, so filtering before
+   sorting and deduplicating yields exactly the list the binary rule,
+   [sort_uniq] and [Step.prioritize] give.  Rows are sorted by step, then
+   slot by slot with [Hproc.compare_structural]: over one frame that is
+   the order of the materialized terms, which mirrors the reference
+   engine's [sort_uniq Stdlib.compare].
 
    With preemption on, an enabled tau of priority > 0 preempts every
    timed step, so the product of timed steps is not built at all.
 
-   The kernel is the engine's only Par rule.  A [Par] below the root —
-   inside a slot, or under a root that is not a system — goes through it
-   too, with no restriction and no preemption, and [h_steps_at] memoizes
-   its result like any other composite subterm's. *)
+   The kernel is the engine's only Par rule.  A slot whose term becomes
+   a [Par] stays one opaque slot: its steps come from [h_steps_at],
+   which splits it into a frame of its own and runs the kernel on it,
+   with no restriction and no preemption, and memoizes the materialized
+   result like any other composite subterm's.  A root that is not a
+   system is a 1-slot frame, whose kernel result is that slot's own step
+   set. *)
 
 type move =
   | One of int * Hproc.t  (** slot i moves to the term *)
   | Two of int * Hproc.t * int * Hproc.t  (** slots i < j synchronize *)
   | All of Hproc.t list  (** every slot moves, in slot order *)
 
-let is_system p =
-  match Hproc.node p with
-  | Hproc.Par _ -> true
-  | Hproc.Restrict (_, k) -> (
-      match Hproc.node k with Hproc.Par _ -> true | _ -> false)
-  | _ -> false
+let row_compare (s1, v1) (s2, v2) =
+  let c = Stdlib.compare (s1 : Step.t) s2 in
+  if c <> 0 then c else Frame.compare v1 v2
 
 (* Every choice of one timed step per slot, with pairwise-disjoint
    resources, as (combined action, successors in slot order).  Built
@@ -343,7 +342,7 @@ and h_steps_node cache depth (defs : Defs.t) (p : Hproc.t) :
   | Hproc.Nil | Hproc.Act _ | Hproc.Ev _ -> assert false (* handled above *)
   | Hproc.Choice (a, b) ->
       h_steps_at cache depth defs a @ h_steps_at cache depth defs b
-  | Hproc.Par _ -> system_steps cache depth defs ~prioritize:false p
+  | Hproc.Par _ -> materialized cache depth defs ~prioritize:false p
   | Hproc.Scope s -> h_scope_steps cache depth defs s
   | Hproc.Restrict (forbidden, k) ->
       let keep (step, _) =
@@ -420,13 +419,8 @@ and h_scope_steps cache depth defs (s : Hproc.scope) =
       in
       body_steps @ interrupt_steps
 
-and system_steps cache depth defs ~prioritize root =
-  let forbidden, tree =
-    match Hproc.node root with
-    | Hproc.Restrict (l, k) -> (Some l, k)
-    | _ -> (None, root)
-  in
-  let slots = Hproc.leaves tree in
+and kernel cache depth defs ~prioritize frame slots =
+  let forbidden = Frame.restriction frame in
   let slot_steps = Array.map (h_steps_at cache depth defs) slots in
   let visible l =
     match forbidden with Some f -> not (Label.Set.mem l f) | None -> true
@@ -465,36 +459,37 @@ and system_steps cache depth defs ~prioritize root =
       (timed_product slot_steps);
   let survivors = if prioritize then Step.prioritize !cands else !cands in
   let successor = function
-    | One (i, k) -> Hproc.map_leaves (fun x l -> if x = i then k else l) tree
+    | One (i, k) ->
+        let v = Array.copy slots in
+        v.(i) <- k;
+        v
     | Two (i, a, j, b) ->
-        Hproc.map_leaves
-          (fun x l -> if x = i then a else if x = j then b else l)
-          tree
-    | All ks ->
-        let rest = ref ks in
-        Hproc.map_leaves
-          (fun _ _ ->
-            match !rest with
-            | k :: ks ->
-                rest := ks;
-                k
-            | [] -> assert false)
-          tree
+        let v = Array.copy slots in
+        v.(i) <- a;
+        v.(j) <- b;
+        v
+    | All ks -> Array.of_list ks
   in
-  let under k =
-    match forbidden with Some l -> Hproc.restrict l k | None -> k
-  in
-  h_dedup (List.map (fun (s, m) -> (s, under (successor m))) survivors)
+  List.sort_uniq row_compare
+    (List.map (fun (s, m) -> (s, successor m)) survivors)
+
+(* The kernel on a term's own frame, its successors materialized. *)
+and materialized cache depth defs ~prioritize p =
+  let frame, slots = Frame.split p in
+  List.map
+    (fun (s, v) -> (s, Frame.materialize frame v))
+    (kernel cache depth defs ~prioritize frame slots)
+
+let successors ~cache ~prioritize defs frame slots =
+  kernel cache 0 defs ~prioritize frame slots
 
 let h_steps ?cache defs p =
   let cache = match cache with Some c -> c | None -> make_cache () in
-  if is_system p then system_steps cache 0 defs ~prioritize:false p
-  else h_dedup (h_steps_at cache 0 defs p)
+  materialized cache 0 defs ~prioritize:false p
 
 let h_prioritized ?cache defs p =
   let cache = match cache with Some c -> c | None -> make_cache () in
-  if is_system p then system_steps cache 0 defs ~prioritize:true p
-  else Step.prioritize (h_dedup (h_steps_at cache 0 defs p))
+  materialized cache 0 defs ~prioritize:true p
 
 (* A process is time-stopped when no enabled (prioritized) step advances
    time; deadlocks are a special case.  Useful as a diagnostic. *)

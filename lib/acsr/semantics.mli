@@ -27,32 +27,51 @@ val is_time_stopped : Defs.t -> Proc.t -> bool
 
     A second implementation of the transition relation over hash-consed
     terms ({!Hproc.t}), used by the state-space explorer: successor
-    deduplication and state-table interning become O(1) per comparison.
-    Produces, term for term and in the same canonical order, the
-    hash-consed image of what {!steps}/{!prioritized} return — the test
-    suite checks the two engines against each other by property.
+    deduplication and state-table interning become O(1) per slot
+    comparison.  Produces, term for term and in the same canonical
+    order, the hash-consed image of what {!steps}/{!prioritized}
+    return — the test suite checks the two engines against each other
+    by property.
 
-    A system root — [Restrict (L, tree)] or a bare [tree], where [tree]
-    is a [Par] — goes through one flat kernel: the tree is taken as its
-    leaf slots ({!Hproc.leaves}), their steps are composed as labels,
-    restriction and preemption are applied to the labels, and only the
-    surviving successors are interned.  A [Par] nested inside a slot is
-    composed by the same kernel, without those two filters. *)
+    The engine has one kernel, {!successors}, over a state taken as a
+    slot vector against a fixed {!Frame}: the slots' steps are composed
+    as labels, restriction and preemption are applied to the labels,
+    and only the surviving successors are built, each as a copy of the
+    vector with the moving slots patched.  The frame's restriction and
+    [Par] spine are never rebuilt or interned.  A [Par] nested inside a
+    slot is composed by the same kernel, without those two filters.
+    {!h_steps} and {!h_prioritized} split a root into its frame, run the
+    kernel and materialize the successors. *)
 
 type cache
 (** Memo tables for the hash-consed engine: definition unfolding, keyed
     by (name, argument values), and step sets, keyed by interned id, of
-    the slots of system roots and of every composite subterm below them.
-    The parallel tree of a system root and the root itself are not
-    memoized: they are new in nearly every state.  Sound only for a
-    fixed [Defs.t] — create one cache per definition environment.
-    Mutex-protected: one cache may be shared by several domains. *)
+    the slots of every state and of every composite subterm below them.
+    States themselves are not memoized: they are new in nearly every
+    step.  Sound only for a fixed [Defs.t] — create one cache per
+    definition environment.  Mutex-protected: one cache may be shared by
+    several domains. *)
 
 val make_cache : unit -> cache
 
+val successors :
+  cache:cache ->
+  prioritize:bool ->
+  Defs.t ->
+  Frame.t ->
+  Hproc.t array ->
+  (Step.t * Hproc.t array) list
+(** [successors ~cache ~prioritize defs frame slots]: the transition
+    relation (prioritized when [prioritize]) of the state [slots] of
+    [frame], as fresh successor vectors of the same frame.  Rows are
+    deduplicated and sorted by step, then slot by slot with
+    {!Hproc.compare_structural} — over one frame, the order of the
+    materialized terms. *)
+
 val h_steps : ?cache:cache -> Defs.t -> Hproc.t -> (Step.t * Hproc.t) list
-(** Unprioritized transition relation over hash-consed terms.  Without
-    [?cache], a fresh unfolding memo is used for this call only. *)
+(** Unprioritized transition relation over hash-consed terms: the root's
+    frame through {!successors}, materialized.  Without [?cache], a fresh
+    memo is used for this call only. *)
 
 val h_prioritized :
   ?cache:cache -> Defs.t -> Hproc.t -> (Step.t * Hproc.t) list

@@ -162,20 +162,20 @@ let class_sizes s =
 (* Canonicalization                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Split the left-associated spine [Par (... Par (p0, p1) ..., p_{n-1})]
-   into exactly [n] slots.  Any other shape (another slot count, a slot
-   that is itself a [Par], a tree that is not left-deep) is rejected. *)
-let rec left_deep h =
-  match Hproc.node h with
-  | Hproc.Par (a, b) -> (
-      match Hproc.node b with Hproc.Par _ -> false | _ -> left_deep a)
-  | _ -> true
-
-let split_spine n spine =
-  let slots = Hproc.leaves spine in
-  if Array.length slots = n && left_deep spine then Some slots else None
-
-let rebuild_spine spine slots = Hproc.map_leaves (fun i _ -> slots.(i)) spine
+(* Canonicalization permutes member slots of the frame
+   [Restrict (L, Par (... Par (p0, p1) ..., p_{n-1}))] with exactly
+   [spec.slots] slots; the frame's shape is checked once, when it is
+   split.  A state in which some slot has become a [Par] is declined
+   too, so canonicalization applies exactly to the states whose term
+   flattens into [spec.slots] leaves. *)
+let applies spec frame slots =
+  Frame.restriction frame <> None
+  && Frame.left_deep frame
+  && Frame.width frame = spec.slots
+  && not
+       (Array.exists
+          (fun h -> match Hproc.node h with Hproc.Par _ -> true | _ -> false)
+          slots)
 
 let compare_tuples a b =
   let n = Array.length a in
@@ -187,59 +187,54 @@ let compare_tuples a b =
   in
   go 0
 
-let canon_w spec h =
-  let unchanged () =
-    let id c = Array.init (Array.length c.members) Fun.id in
-    (h, Array.map id spec.classes)
+(* Returns whether [slots] changed, and the witness. *)
+let canon_in_place spec frame slots =
+  let identity () =
+    Array.map (fun c -> Array.init (Array.length c.members) Fun.id) spec.classes
   in
-  match Hproc.node h with
-  | Hproc.Restrict (lset, spine) -> (
-      match split_spine spec.slots spine with
-      | None -> unchanged ()
-      | Some slots ->
-          let changed = ref false in
-          let perms =
+  if not (applies spec frame slots) then (false, identity ())
+  else begin
+    let changed = ref false in
+    let perms =
+      Array.map
+        (fun c ->
+          let k = Array.length c.members in
+          (* Member slot tuples, renamed into the rep's name space so
+             they are comparable. *)
+          let tuples =
             Array.map
-              (fun c ->
-                let k = Array.length c.members in
-                (* Member slot tuples, renamed into the rep's name space so
-                   they are comparable. *)
-                let tuples =
-                  Array.map
-                    (fun m ->
-                      Array.init m.width (fun j ->
-                          m.to_rep_h slots.(m.offset + j)))
-                    c.members
-                in
-                let order = Array.init k Fun.id in
-                Array.sort
-                  (fun a b ->
-                    let cmp = compare_tuples tuples.(a) tuples.(b) in
-                    if cmp <> 0 then cmp else Int.compare a b)
-                  order;
-                for j = 0 to k - 1 do
-                  if order.(j) <> j then begin
-                    let dst = c.members.(j) in
-                    let tup = tuples.(order.(j)) in
-                    for x = 0 to dst.width - 1 do
-                      let v = dst.of_rep_h tup.(x) in
-                      if not (Hproc.equal v slots.(dst.offset + x)) then
-                        changed := true;
-                      slots.(dst.offset + x) <- v
-                    done
-                  end
-                done;
-                order)
-              spec.classes
+              (fun m ->
+                Array.init m.width (fun j -> m.to_rep_h slots.(m.offset + j)))
+              c.members
           in
-          (* Unchanged slots mean every [order] is the identity: ties
-             break by index, so any other order moves a distinct tuple. *)
-          if !changed then
-            (Hproc.restrict lset (rebuild_spine spine slots), perms)
-          else (h, perms))
-  | _ -> unchanged ()
+          let order = Array.init k Fun.id in
+          Array.sort
+            (fun a b ->
+              let cmp = compare_tuples tuples.(a) tuples.(b) in
+              if cmp <> 0 then cmp else Int.compare a b)
+            order;
+          for j = 0 to k - 1 do
+            if order.(j) <> j then begin
+              let dst = c.members.(j) in
+              let tup = tuples.(order.(j)) in
+              for x = 0 to dst.width - 1 do
+                let v = dst.of_rep_h tup.(x) in
+                if not (Hproc.equal v slots.(dst.offset + x)) then
+                  changed := true;
+                slots.(dst.offset + x) <- v
+              done
+            end
+          done;
+          order)
+        spec.classes
+    in
+    (* Unchanged slots mean every [order] is the identity: ties break
+       by index, so any other order moves a distinct tuple. *)
+    (!changed, perms)
+  end
 
-let canon spec h = fst (canon_w spec h)
+let canon_w spec frame slots = snd (canon_in_place spec frame slots)
+let canon spec frame slots = fst (canon_in_place spec frame slots)
 
 let rename_step spec owners (s : Step.t) : Step.t =
   let real l =

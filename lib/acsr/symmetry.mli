@@ -77,16 +77,19 @@ val class_sizes : spec -> int list
 
 (** {1 Canonicalization} *)
 
-val canon : spec -> Hproc.t -> Hproc.t
-(** The canonical representative of the state's orbit: for each class,
-    the member slot tuples (renamed into the representative's name space)
-    are sorted structurally ({!Hproc.compare_structural}, ties broken by
-    member index) and written back through each position's inverse
-    renaming.  States that do not have the expected [Restrict (L,
-    par-spine)] shape are returned unchanged.  Deterministic and
-    idempotent; safe to call from concurrent domains. *)
+val canon : spec -> Frame.t -> Hproc.t array -> bool
+(** Rewrite a state's slot vector, in place, into the canonical
+    representative of its orbit; [true] when it changed.  For each
+    class, the member slot tuples (renamed into the representative's
+    name space) are sorted structurally ({!Hproc.compare_structural},
+    ties broken by member index) and written back through each
+    position's inverse renaming.  The vector is left unchanged unless
+    the frame is [Restrict (L, par-spine)] with a left-deep spine of
+    the spec's slot count, and no slot holds a [Par].  Deterministic and
+    idempotent; safe to call from concurrent domains on distinct
+    vectors. *)
 
-val canon_w : spec -> Hproc.t -> Hproc.t * int array array
+val canon_w : spec -> Frame.t -> Hproc.t array -> int array array
 (** [canon] plus its witness: one permutation per class, in class order.
     Entry [j] of class [c]'s array is the member whose tuple moved to
     position [j].  The identity when the state was already canonical. *)

@@ -8,8 +8,13 @@
    reports to the user (paper, Section 5).  Outgoing (step, successor)
    rows are kept only when the caller asks for edges.
 
-   Terms are hash-consed ([Acsr.Hproc]), so the state table keys on an
-   integer id and every successor comparison is O(1).
+   The root is split once into its frame ([Acsr.Frame]: the restriction
+   and the Par spine) and every state is kept as its vector of
+   hash-consed slot terms over that frame.  The state table keys on the
+   vector: it mixes the slots' memoized hashes and compares slots by
+   pointer, so interning a state never rebuilds or interns the spine.
+   A state's term is materialized only when a caller asks for it
+   ([term], DOT export, trace replay).
 
    Parallelism ([jobs] > 1) only moves successor computation off the
    calling domain: once enough states are queued, the next queued states'
@@ -180,16 +185,14 @@ let publish_stats s =
    reduction) and the orbit tallies of canonicalizing it, zero without
    symmetry. *)
 type expansion = {
-  row : (Step.t * Hproc.t) list;
+  row : (Step.t * Hproc.t array) list;
   folded : int;  (* successors moved onto a different representative *)
   kept : int;  (* successors that were already canonical *)
   canon_time : float;  (* seconds spent canonicalizing this row *)
 }
 
-let step_function semantics cache defs =
-  match semantics with
-  | Prioritized -> Semantics.h_prioritized ~cache defs
-  | Unprioritized -> Semantics.h_steps ~cache defs
+let step_function semantics cache defs frame =
+  Semantics.successors ~cache ~prioritize:(semantics = Prioritized) defs frame
 
 (* Symmetry (orbit) reduction.
 
@@ -217,10 +220,16 @@ let step_function semantics cache defs =
    permutations tells which real member sits at each canonical
    position, so raised scenarios still name the actual AADL threads. *)
 module Sym = struct
-  type t = { spec : Symmetry.spec; raw_root : Hproc.t; defs : Defs.t }
+  type t = {
+    spec : Symmetry.spec;
+    frame : Frame.t;
+    raw_root : Hproc.t array;  (* never mutated *)
+    defs : Defs.t;
+  }
 
-  let of_spec spec ~raw_root ~defs =
-    if Symmetry.is_empty spec then None else Some { spec; raw_root; defs }
+  let of_spec spec ~frame ~raw_root ~defs =
+    if Symmetry.is_empty spec then None
+    else Some { spec; frame; raw_root; defs }
 
   (* Canonicalization can alias two successors of the same state; keep
      the first occurrence so row order stays the deterministic raw
@@ -234,7 +243,7 @@ module Sym = struct
           | ((s, t) as edge) :: rest ->
               if
                 List.exists
-                  (fun (s', t') -> Hproc.equal t t' && Step.equal s s')
+                  (fun (s', t') -> Frame.equal t t' && Step.equal s s')
                   acc
               then go acc rest
               else go (edge :: acc) rest
@@ -249,23 +258,23 @@ module Sym = struct
     else begin
       let t0 = Timed.Clock.gettimeofday () in
       let folded = ref 0 in
-      let row' =
-        List.map
-          (fun (step, t') ->
-            let c = Symmetry.canon s.spec t' in
-            if not (Hproc.equal c t') then incr folded;
-            (step, c))
-          row
-      in
+      (* the kernel's successor vectors are fresh: canonicalize them in
+         place *)
+      List.iter
+        (fun (_, v) -> if Symmetry.canon s.spec s.frame v then incr folded)
+        row;
       {
-        row = dedup row';
+        row = dedup row;
         folded = !folded;
         kept = List.length row - !folded;
         canon_time = Timed.Clock.gettimeofday () -. t0;
       }
     end
 
-  let root s = Symmetry.canon s.spec s.raw_root
+  let root s =
+    let v = Array.copy s.raw_root in
+    ignore (Symmetry.canon s.spec s.frame v);
+    v
 
   let observe_sizes s =
     List.iter
@@ -287,9 +296,9 @@ module Sym = struct
      all trace consumers read. *)
   let decanon_steps s ~semantics ~term_at path =
     let cache = Semantics.make_cache () in
-    let next = step_function semantics cache s.defs in
-    let root, perm0 = Symmetry.canon_w s.spec s.raw_root in
-    let owners = ref perm0 in
+    let next = step_function semantics cache s.defs s.frame in
+    let root = Array.copy s.raw_root in
+    let owners = ref (Symmetry.canon_w s.spec s.frame root) in
     let cur = ref root in
     List.map
       (fun (step, id) ->
@@ -300,8 +309,8 @@ module Sym = struct
             (fun (st, t) ->
               if not (Step.equal st step) then None
               else
-                let c, perm = Symmetry.canon_w s.spec t in
-                if Hproc.equal c child then Some perm else None)
+                let perm = Symmetry.canon_w s.spec s.frame t in
+                if Frame.equal t child then Some perm else None)
             raw_row
         with
         | None ->
@@ -319,17 +328,25 @@ module Sym = struct
 end
 
 (* The state store: flat growable arrays indexed by state id.  Per state
-   it keeps the hash-consed term (one pointer into the global intern
-   table), the BFS parent id and the arriving step — enough to rebuild
-   every shortest counterexample path.  Successor rows, indexed by the
-   expanded state's id, are kept only when the caller asks for edges;
-   without them the store holds nothing per transition, which is what
-   plain schedulability queries need. *)
+   it keeps the slot vector (pointers into the global intern table), the
+   BFS parent id and the arriving step — enough to rebuild every
+   shortest counterexample path.  The visited set keys on the vector
+   itself.  Successor rows, indexed by the expanded state's id, are kept
+   only when the caller asks for edges; without them the store holds
+   nothing per transition, which is what plain schedulability queries
+   need. *)
 module Store = struct
+  module Ids = Hashtbl.Make (struct
+    type t = Hproc.t array
+
+    let equal = Frame.equal
+    let hash = Frame.hash
+  end)
+
   type t = {
-    ids : (int, state_id) Hashtbl.t;  (* Hproc id -> state id *)
+    ids : state_id Ids.t;  (* slot vector -> state id *)
     edges : bool;
-    mutable terms : Hproc.t array;
+    mutable states : Hproc.t array array;  (* slot vector per state *)
     mutable pred : int array;  (* BFS parent; -1 for the root *)
     mutable steps : Step.t array;  (* step from pred; slot 0 is a dummy *)
     mutable rows : (Step.t * state_id) array array;
@@ -343,9 +360,9 @@ module Store = struct
 
   let create ~edges =
     {
-      ids = Hashtbl.create 4096;
+      ids = Ids.create 4096;
       edges;
-      terms = Array.make 1024 Hproc.nil;
+      states = Array.make 1024 [||];
       pred = Array.make 1024 (-1);
       steps = Array.make 1024 dummy_step;
       rows = (if edges then Array.make 1024 [||] else [||]);
@@ -362,23 +379,23 @@ module Store = struct
 
   (* Intern a successor; parent/step are recorded only on first
      discovery, so the parent pointers always form the BFS tree. *)
-  let intern st term ~pred ~step =
-    match Hashtbl.find_opt st.ids (Hproc.id term) with
+  let intern st slots ~pred ~step =
+    match Ids.find_opt st.ids slots with
     | Some id ->
         st.hits <- st.hits + 1;
         id
     | None ->
         st.misses <- st.misses + 1;
-        if st.len = Array.length st.terms then begin
-          st.terms <- double Hproc.nil st.terms;
+        if st.len = Array.length st.states then begin
+          st.states <- double [||] st.states;
           st.pred <- double (-1) st.pred;
           st.steps <- double dummy_step st.steps
         end;
         let id = st.len in
-        st.terms.(id) <- term;
+        st.states.(id) <- slots;
         st.pred.(id) <- pred;
         st.steps.(id) <- step;
-        Hashtbl.add st.ids (Hproc.id term) id;
+        Ids.add st.ids slots id;
         st.len <- st.len + 1;
         id
 
@@ -387,16 +404,17 @@ module Store = struct
   let expand st id succs =
     if st.edges then begin
       let row =
-        List.map (fun (step, t) -> (step, intern st t ~pred:id ~step)) succs
+        List.map (fun (step, v) -> (step, intern st v ~pred:id ~step)) succs
       in
       if id = Array.length st.rows then st.rows <- double [||] st.rows;
       st.rows.(id) <- Array.of_list row
     end
-    else List.iter (fun (step, t) -> ignore (intern st t ~pred:id ~step)) succs
+    else List.iter (fun (step, v) -> ignore (intern st v ~pred:id ~step)) succs
 end
 
 type t = {
   store : Store.t;
+  frame : Frame.t;  (** the frame every stored slot vector fills *)
   expanded : int;
       (** states [0, expanded) had their successors computed; the rest
           are the unexpanded frontier of a truncated exploration *)
@@ -412,7 +430,8 @@ let num_states lts = lts.store.Store.len
 let num_transitions lts = lts.transitions
 
 let initial (_ : t) : state_id = 0
-let term lts id = Hproc.to_proc lts.store.Store.terms.(id)
+let term lts id =
+  Hproc.to_proc (Frame.materialize lts.frame lts.store.Store.states.(id))
 let has_edges lts = lts.store.Store.edges
 let truncated lts = lts.truncated
 let semantics_of lts = lts.semantics
@@ -447,7 +466,7 @@ let path_to lts id =
   | None -> path
   | Some s ->
       Sym.decanon_steps s ~semantics:lts.semantics
-        ~term_at:(fun i -> st.Store.terms.(i))
+        ~term_at:(fun i -> st.Store.states.(i))
         path
 
 type build_config = {
@@ -511,7 +530,7 @@ module Batch = struct
   type t = {
     jobs : int;
     cutover : int;
-    expand : Hproc.t -> expansion;
+    expand : Hproc.t array -> expansion;
     mutable pool : Pool.t option;
     mutable slots : slot array;
     mutable base : int;  (* state id held by [slots.(0)] *)
@@ -531,8 +550,8 @@ module Batch = struct
       expand_s = 0.;
     }
 
-  (* Expand states [from, from + n) of [terms] into the slots. *)
-  let fill b terms ~from n =
+  (* Expand states [from, from + n) of [states] into the slots. *)
+  let fill b states ~from n =
     let pool =
       match b.pool with
       | Some p -> p
@@ -546,7 +565,7 @@ module Batch = struct
     in
     Pool.run pool n (fun i ->
         b.slots.(i) <-
-          (match b.expand terms.(from + i) with
+          (match b.expand states.(from + i) with
           | e -> Ok e
           | exception exn -> Error (exn, Printexc.get_raw_backtrace ())));
     b.base <- from;
@@ -554,16 +573,16 @@ module Batch = struct
 
   (* The expansion of state [id], the next one the merge consumes, with
      [len] states discovered so far. *)
-  let get b terms ~len id =
+  let get b states ~len id =
     let t0 = Timed.Clock.gettimeofday () in
     if id >= b.base + b.filled && b.jobs > 1 && len - id >= b.cutover then
-      fill b terms ~from:id (min cap (len - id));
+      fill b states ~from:id (min cap (len - id));
     let e =
       if id < b.base + b.filled then
         match b.slots.(id - b.base) with
         | Ok e -> e
         | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt
-      else b.expand terms.(id)
+      else b.expand states.(id)
     in
     b.expand_s <- b.expand_s +. (Timed.Clock.gettimeofday () -. t0);
     e
@@ -588,11 +607,11 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   @@ fun () ->
   let t_start = Timed.Clock.gettimeofday () in
   let cache = Semantics.make_cache () in
-  let raw_next = step_function semantics cache defs in
-  let raw_root = Hproc.of_proc root in
-  let sym = Sym.of_spec symmetry ~raw_root ~defs in
-  let expand term =
-    let row = raw_next term in
+  let frame, raw_root = Frame.split (Hproc.of_proc root) in
+  let raw_next = step_function semantics cache defs frame in
+  let sym = Sym.of_spec symmetry ~frame ~raw_root ~defs in
+  let expand slots =
+    let row = raw_next slots in
     match sym with
     | None -> { row; folded = 0; kept = 0; canon_time = 0. }
     | Some s -> Sym.canon_row s row
@@ -649,7 +668,7 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
             incr depth;
             level_end := store.Store.len
           end;
-          let e = Batch.get batch store.Store.terms ~len:store.Store.len id in
+          let e = Batch.get batch store.Store.states ~len:store.Store.len id in
           let s = e.row in
           orbit_hits := !orbit_hits + e.folded;
           orbit_misses := !orbit_misses + e.kept;
@@ -681,13 +700,14 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
       intern_hits = store.Store.hits;
       intern_misses = store.Store.misses;
       hashcons_nodes = Hproc.table_size ();
-      (* per state: term pointer + pred int + step pointer array slots,
-         plus a hashtable binding; with edges, per expanded state a rows
-         slot and a row header, per transition a row slot and a (step,
-         id) tuple.  An estimate, counted in words. *)
+      (* per state: slot-vector pointer + pred int + step pointer array
+         slots, a hashtable binding, and the slot vector itself (a
+         header and one word per slot); with edges, per expanded state a
+         rows slot and a row header, per transition a row slot and a
+         (step, id) tuple.  An estimate, counted in words. *)
       store_bytes =
         8
-        * ((7 * n)
+        * (((7 + Frame.width frame + 1) * n)
           + if edges then (2 * !head) + (4 * !transitions) else 0);
       early_exit_depth = !early_exit_depth;
       deadline_expired = !deadline_hit;
@@ -700,6 +720,7 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   Option.iter Sym.observe_sizes sym;
   {
     store;
+    frame;
     expanded = !head;
     truncated = !truncated;
     semantics;

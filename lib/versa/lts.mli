@@ -3,11 +3,15 @@
     States are closed process terms interned in BFS discovery order (the
     initial state is always id 0); this is the substrate on which
     schedulability analysis performs VERSA-style deadlock detection
-    (paper, Section 5).  Terms are hash-consed ({!Acsr.Hproc}), so state
-    interning and successor deduplication cost O(1) per comparison.
+    (paper, Section 5).  The root is split once into its frame
+    ({!Acsr.Frame}: the restriction and the [Par] spine), and each state
+    is kept as its vector of hash-consed slot terms ({!Acsr.Hproc}), so
+    state interning and successor deduplication cost O(1) per slot and
+    never rebuild the spine.  A state's term is materialized only when
+    asked for ({!term}).
 
     There is one exploration loop, {!build}.  Per state it keeps the
-    hash-consed term, the BFS parent and the arriving step in flat
+    slot vector, the BFS parent and the arriving step in flat
     arrays — enough for counts, deadlocks and every shortest
     counterexample path.  Successor rows are kept only with
     [~edges:true] (the default), for callers that walk the graph
@@ -87,9 +91,9 @@ type stats = {
   intern_misses : int;  (** interns that discovered a new state *)
   hashcons_nodes : int;  (** global hash-cons table size after the build *)
   store_bytes : int;
-      (** estimated bytes retained by the state store: the flat
-          term/parent/step arrays, plus the successor rows with
-          [~edges:true] *)
+      (** estimated bytes retained by the state store: the slot vectors,
+          the flat parent/step arrays and the visited set, plus the
+          successor rows with [~edges:true] *)
   early_exit_depth : int option;
       (** BFS depth of the first deadlock when [stop_at_deadlock] fired:
           the distance to the first deadline miss, which bounds the work
@@ -137,7 +141,7 @@ val initial : t -> state_id
 (** Always state 0. *)
 
 val term : t -> state_id -> Proc.t
-(** The process term of a state (rebuilt from its hash-consed form). *)
+(** The process term of a state, materialized from its slot vector. *)
 
 val has_edges : t -> bool
 (** Whether successor rows were kept ([build ~edges]). *)
@@ -220,7 +224,7 @@ val build :
 
     [edges] (default [true]) keeps every expanded state's successor row
     for {!successors}; with [false] the store holds only the per-state
-    term, parent and step.  Everything else — ids, counts, deadlocks,
+    slot vector, parent and step.  Everything else — ids, counts, deadlocks,
     paths and every non-timing {!stats} field except [store_bytes] — is
     the same either way.  The run is traced as an [lts.build] span with
     edges and an [lts.check] span without.

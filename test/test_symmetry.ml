@@ -145,6 +145,13 @@ let test_detect_e6_asymmetric () =
 (* {1 Canonicalization: idempotence and orbit invariance on reachable
    states} *)
 
+(* [Symmetry.canon] on a whole term: split it into its frame,
+   canonicalize the slot vector and materialize it again. *)
+let canon_term spec h =
+  let frame, slots = Frame.split h in
+  ignore (Symmetry.canon spec frame slots);
+  Frame.materialize frame slots
+
 let test_canon_idempotent_on_reachable_states () =
   let tr = translation_of (family ~threads:4 ~utilization:0.8 ()) in
   let spec = tr.Translate.Pipeline.symmetry in
@@ -157,10 +164,58 @@ let test_canon_idempotent_on_reachable_states () =
   in
   for id = 0 to Versa.Lts.num_states lts - 1 do
     let t = Hproc.of_proc (Versa.Lts.term lts id) in
-    let c = Symmetry.canon spec t in
-    if not (Hproc.equal c (Symmetry.canon spec c)) then
+    let c = canon_term spec t in
+    if not (Hproc.equal c (canon_term spec c)) then
       Alcotest.failf "canon not idempotent on state %d" id
   done
+
+(* A member slot can hold a [Par]: translated models never produce one,
+   but a definition may unfold into one.  The orbit spec describes the
+   system's slots, and a slot that is itself a composition no longer
+   lines up with its class's tuples, so canonicalization must decline
+   on every such state and leave its successors as they are.  Here
+   members [A] and [B] differ only in their names; after one idle step
+   both slots hold a [Par], and the state reached by [b!] would be
+   folded onto the one reached by [a!] if canonicalization applied. *)
+let test_canon_declines_on_par_member () =
+  let member_body l =
+    Proc.act Action.idle
+      (Proc.par
+         (Proc.send (Label.make l) Proc.nil)
+         (Proc.act Action.idle Proc.nil))
+  in
+  let defs =
+    Defs.of_list [ ("A", [], member_body "a"); ("B", [], member_body "b") ]
+  in
+  let root =
+    Proc.restrict
+      (Label.set_of_list [ Label.make "z" ])
+      (Proc.par (Proc.call "A" []) (Proc.call "B" []))
+  in
+  let spec =
+    Symmetry.make ~slots:2
+      [
+        Symmetry.cls
+          [
+            Symmetry.member ~offset:0 ~width:1 ~labels:[| "a" |]
+              ~calls:[| "A" |];
+            Symmetry.member ~offset:1 ~width:1 ~labels:[| "b" |]
+              ~calls:[| "B" |];
+          ];
+      ]
+  in
+  let raw = Versa.Lts.build defs root in
+  let reduced = Versa.Lts.build ~symmetry:spec defs root in
+  let s = Versa.Lts.stats reduced in
+  Alcotest.(check int) "no orbit hits" 0 s.Versa.Lts.orbit_hits;
+  Alcotest.(check int)
+    "every successor an orbit miss"
+    (Versa.Lts.num_transitions reduced)
+    s.Versa.Lts.orbit_misses;
+  Alcotest.(check int)
+    "the raw state count" (Versa.Lts.num_states raw)
+    (Versa.Lts.num_states reduced);
+  Alcotest.(check int) "states" 5 (Versa.Lts.num_states reduced)
 
 (* {1 Equivalence: reduction on vs off} *)
 
@@ -399,8 +454,8 @@ let prop_canon_idempotent_random =
       List.for_all
         (fun id ->
           let t = Hproc.of_proc (Versa.Lts.term lts id) in
-          let c = Symmetry.canon spec t in
-          Hproc.equal c (Symmetry.canon spec c))
+          let c = canon_term spec t in
+          Hproc.equal c (canon_term spec c))
         (List.init (min 200 (Versa.Lts.num_states lts)) Fun.id))
 
 (* Orbit invariance: swapping two members of a class — renaming each
@@ -445,18 +500,18 @@ let swaps (tr : Translate.Pipeline.t) =
                 ~calls:(List.combine ca cb @ List.combine cb ca)
             in
             let swap (p : Proc.t) =
-              let h = Hproc.of_proc (Symmetry.apply_proc rename p) in
-              match Hproc.node h with
-              | Hproc.Restrict (ls, spine) ->
-                  let slots = Hproc.leaves spine in
-                  Hproc.restrict ls
-                    (Hproc.map_leaves
-                       (fun i leaf ->
-                         if i >= oa && i < oa + w then slots.(ob + i - oa)
-                         else if i >= ob && i < ob + w then slots.(oa + i - ob)
-                         else leaf)
-                       spine)
-              | _ -> Alcotest.fail "state is not a restricted composition"
+              let frame, slots =
+                Frame.split (Hproc.of_proc (Symmetry.apply_proc rename p))
+              in
+              if Frame.restriction frame = None then
+                Alcotest.fail "state is not a restricted composition";
+              Frame.materialize frame
+                (Array.mapi
+                   (fun i leaf ->
+                     if i >= oa && i < oa + w then slots.(ob + i - oa)
+                     else if i >= ob && i < ob + w then slots.(oa + i - ob)
+                     else leaf)
+                   slots)
             in
             swap :: adjacent rest
         | _ -> []
@@ -496,9 +551,9 @@ let prop_canon_orbit_invariant =
       && List.for_all
            (fun id ->
              let p = Versa.Lts.term lts id in
-             let c = Symmetry.canon spec (Hproc.of_proc p) in
+             let c = canon_term spec (Hproc.of_proc p) in
              List.for_all
-               (fun swap -> Hproc.equal c (Symmetry.canon spec (swap p)))
+               (fun swap -> Hproc.equal c (canon_term spec (swap p)))
                swaps)
            (List.init (Versa.Lts.num_states lts) Fun.id))
 
@@ -532,6 +587,8 @@ let () =
         [
           Alcotest.test_case "idempotent on reachable states" `Quick
             test_canon_idempotent_on_reachable_states;
+          Alcotest.test_case "declines on a member slot holding a Par"
+            `Quick test_canon_declines_on_par_member;
         ] );
       ( "equivalence",
         [
