@@ -68,8 +68,13 @@ module Ground = struct
   let priority_of (a : t) r =
     match List.assoc_opt r a with Some p -> p | None -> 0
 
-  let disjoint (a : t) (b : t) =
-    not (List.exists (fun (r, _) -> List.mem_assoc r b) a)
+  (* One merge walk over the two resource-sorted lists. *)
+  let rec disjoint (a : t) (b : t) =
+    match (a, b) with
+    | [], _ | _, [] -> true
+    | (ra, _) :: a', (rb, _) :: b' ->
+        let c = Resource.compare ra rb in
+        c <> 0 && if c < 0 then disjoint a' b else disjoint a b'
 
   let union (a : t) (b : t) : t =
     if not (disjoint a b) then

@@ -1,9 +1,12 @@
 (* The frame of an explored system: the root's restriction and its [Par]
    spine, split once per exploration, so that a state is the vector of
-   its slot terms.  See frame.mli. *)
+   its slot nodes.  See frame.mli. *)
 
 type t = {
   restriction : Label.Set.t option;
+  hidden : Bytes.t;
+      (* indexed by [Label.id]: '\001' for the labels of the restriction;
+         ids past its length are visible *)
   spine : Hproc.t;  (* the root's Par tree; the root itself for 1 slot *)
   width : int;
   left_deep : bool;
@@ -32,7 +35,15 @@ let rec is_left_deep t =
       match Hproc.node b with Hproc.Par _ -> false | _ -> is_left_deep a)
   | _ -> true
 
-let split root =
+let hidden_ids = function
+  | None -> Bytes.empty
+  | Some l ->
+      let ids = List.map Label.id (Label.Set.elements l) in
+      let b = Bytes.make (1 + List.fold_left max (-1) ids) '\000' in
+      List.iter (fun i -> Bytes.set b i '\001') ids;
+      b
+
+let split nodes root =
   let restriction, spine =
     match Hproc.node root with
     | Hproc.Restrict (l, k) -> (
@@ -41,9 +52,10 @@ let split root =
         | _ -> (None, root))
     | _ -> (None, root)
   in
-  let slots = leaves spine in
+  let slots = Array.map (Node.get nodes) (leaves spine) in
   ( {
       restriction;
+      hidden = hidden_ids restriction;
       spine;
       width = Array.length slots;
       left_deep = is_left_deep spine;
@@ -51,6 +63,10 @@ let split root =
     slots )
 
 let restriction f = f.restriction
+
+let visible f id =
+  id >= Bytes.length f.hidden || Bytes.unsafe_get f.hidden id = '\000'
+
 let width f = f.width
 let left_deep f = f.left_deep
 
@@ -67,34 +83,34 @@ let materialize f slots =
     | _ ->
         let i = !next in
         next := i + 1;
-        slots.(i)
+        slots.(i).Node.term
   in
   let tree = go f.spine in
   match f.restriction with Some l -> Hproc.restrict l tree | None -> tree
 
-let equal (a : Hproc.t array) b =
+let equal (a : Node.t array) b =
   let n = Array.length a in
   n = Array.length b
   &&
   let rec go i = i >= n || (a.(i) == b.(i) && go (i + 1)) in
   go 0
 
-(* The slots' hashes are folded with the multiply-xor step of
+(* The slots' term hashes are folded with the multiply-xor step of
    [Hproc]'s own node hash; the final shift folds the high bits, where
    the multiplications carried every slot's contribution, into the low
    bits a hash table indexes with. *)
-let hash (v : Hproc.t array) =
+let hash (v : Node.t array) =
   let h =
-    Array.fold_left (fun h s -> (h * 0x01000193) lxor Hproc.hash s) 0x811c9dc5 v
+    Array.fold_left (fun h s -> (h * 0x01000193) lxor s.Node.hash) 0x811c9dc5 v
   in
   (h lxor (h lsr 31)) land max_int
 
-let compare (a : Hproc.t array) b =
+let compare (a : Node.t array) b =
   let n = min (Array.length a) (Array.length b) in
   let rec go i =
     if i >= n then Int.compare (Array.length a) (Array.length b)
     else
-      let c = Hproc.compare_structural a.(i) b.(i) in
+      let c = Hproc.compare_structural a.(i).Node.term b.(i).Node.term in
       if c <> 0 then c else go (i + 1)
   in
   go 0

@@ -4,9 +4,9 @@
     every state reachable from it is the same frame — the restriction
     [L] and the [Par] spine — with different slot terms [P_i] (paper,
     Sections 4–5).  The explorer therefore splits the root once and
-    keeps each state as the vector of its slot terms: the spine and the
-    restriction are never rebuilt or interned per state, and a term is
-    materialized only when a caller asks for one.
+    keeps each state as the vector of its slot terms' {!Node}s: the
+    spine and the restriction are never rebuilt or interned per state,
+    and a term is materialized only when a caller asks for one.
 
     The slots of a [Par] tree are its leaves: the maximal subterms that
     are not themselves a [Par], left to right.  A root that is not a
@@ -16,14 +16,19 @@
 
 type t
 
-val split : Hproc.t -> t * Hproc.t array
-(** [split root] is the root's frame and its slot vector:
+val split : Node.table -> Hproc.t -> t * Node.t array
+(** [split nodes root] is the root's frame and its slot vector, as nodes
+    of [nodes]:
     [Restrict (L, tree)] and a bare [tree], where [tree] is a [Par],
     give the leaves of [tree] under restriction [L] (none for a bare
     tree); any other root gives the 1-slot frame [[|root|]]. *)
 
 val restriction : t -> Label.Set.t option
 (** The labels the frame restricts, if the root was a [Restrict]. *)
+
+val visible : t -> int -> bool
+(** [visible f (Label.id l)]: [l] is not restricted by the frame.  A
+    byte read. *)
 
 val width : t -> int
 (** Number of slots. *)
@@ -33,21 +38,21 @@ val left_deep : t -> bool
     as [Proc.par_list] builds it.  Checked once, when the frame is
     split. *)
 
-val materialize : t -> Hproc.t array -> Hproc.t
+val materialize : t -> Node.t array -> Hproc.t
 (** The term of a slot vector: the spine with slot [i] replaced by
-    entry [i], under the restriction.  [materialize f (snd (split r))]
-    is [r]. *)
+    entry [i]'s term, under the restriction.
+    [materialize f (snd (split nodes r))] is [r]. *)
 
 (** {1 Slot vectors as state keys} *)
 
-val equal : Hproc.t array -> Hproc.t array -> bool
-(** Slot-wise physical equality: over one frame, the same as equality
-    of the materialized terms, in O(width). *)
+val equal : Node.t array -> Node.t array -> bool
+(** Slot-wise physical equality: over one frame and one node table, the
+    same as equality of the materialized terms, in O(width). *)
 
-val hash : Hproc.t array -> int
-(** Mixes the slots' memoized hashes; non-negative. *)
+val hash : Node.t array -> int
+(** Mixes the slots' term hashes ({!Hproc.hash}); non-negative. *)
 
-val compare : Hproc.t array -> Hproc.t array -> int
-(** Slot-wise {!Hproc.compare_structural}, lexicographic (a shorter
-    vector sorts first on a common prefix).  Over one frame this is the
-    order of the materialized terms. *)
+val compare : Node.t array -> Node.t array -> int
+(** Slot-wise {!Hproc.compare_structural} of the terms, lexicographic (a
+    shorter vector sorts first on a common prefix).  Over one frame this
+    is the order of the materialized terms. *)

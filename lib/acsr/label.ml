@@ -13,6 +13,21 @@ let compare = String.compare
 let equal = String.equal
 let pp ppf l = Fmt.string ppf l
 
+(* Dense ids, process-wide and in order of first use, so that compiled
+   step sets compare labels as ints.  Looked up when a step set is
+   compiled or a frame is split, never per state. *)
+let ids : (string, int) Hashtbl.t = Hashtbl.create 64
+let ids_lock = Mutex.create ()
+
+let id l =
+  Mutex.protect ids_lock (fun () ->
+      match Hashtbl.find_opt ids l with
+      | Some i -> i
+      | None ->
+          let i = Hashtbl.length ids in
+          Hashtbl.add ids l i;
+          i)
+
 module Set = Set.Make (String)
 module Map = Map.Make (String)
 

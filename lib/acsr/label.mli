@@ -11,6 +11,11 @@ val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : t Fmt.t
 
+val id : t -> int
+(** A small non-negative integer per distinct label, the same for the
+    lifetime of the process: ids are dense, assigned in order of first
+    use.  Domain-safe (mutex-guarded). *)
+
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 

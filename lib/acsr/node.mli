@@ -1,0 +1,84 @@
+(** Slot nodes: one record per distinct slot term of an exploration.
+
+    The explorer keeps a state as a vector of slot terms over a fixed
+    {!Frame}, and the same few slot terms recur in almost every state
+    (paper, Sections 4–5).  A node holds what the successor kernel and
+    orbit canonicalization would otherwise recompute or look up per
+    state: the term's step set compiled into arrays, with each step's
+    target node cached on its edge once resolved, and the term's images
+    under the name swaps of an orbit spec.  After the first states,
+    expanding a state reads node fields only: no lock, no hash, no
+    string compare per slot.
+
+    Nodes come from a {!table}, one per exploration: one node per term,
+    so nodes compare by pointer exactly as their terms do.  A table is
+    sound for one definition environment and one orbit spec only — a
+    [Call] name means different things under different definitions —
+    so every exploration creates its own. *)
+
+type t = private {
+  term : Hproc.t;
+  hash : int;  (** [Hproc.hash term] *)
+  mutable steps : steps;
+      (** the term's unprioritized step set; {!uncompiled} until the
+          successor kernel first reads it *)
+  mutable images : t array;
+      (** per orbit-spec member (by its index among all the spec's
+          members): the node of the term's image under the swap of that
+          member's names with its class representative's, or {!dummy}
+          before first use; [[||]] until a canonicalization first reads
+          it.  A swap is its own inverse, so one entry serves both ways:
+          into the representative's name space and back out of it. *)
+}
+
+and steps = private {
+  offers : offer array;  (** event steps *)
+  taus : edge array;  (** internal steps *)
+  timed : timed array;  (** timed actions *)
+  urgent : bool;  (** some internal step has a priority above 0 *)
+}
+
+and offer = private {
+  label : Label.t;
+  id : int;  (** [Label.id label] *)
+  dir : Event.dir;
+  prio : int;
+  edge : edge;
+}
+
+and timed = private { action : Action.ground; tick : edge }
+
+and edge = private {
+  step : Step.t;
+  next : Hproc.t;
+  mutable target : t;  (** the node of [next]; {!dummy} until resolved *)
+}
+
+val dummy : t
+(** Placeholder for a node not yet resolved; never in a table. *)
+
+val uncompiled : steps
+(** Placeholder for a step set not yet compiled. *)
+
+val compile : (Step.t * Hproc.t) list -> steps
+(** A step set split by kind, in list order, with unresolved targets. *)
+
+val set_steps : t -> steps -> unit
+
+val set_images : t -> t array -> unit
+(** Writers for the lazily filled fields.  Concurrent writers must store
+    equal contents: a lost write only costs a recomputation. *)
+
+(** {1 Tables} *)
+
+type table
+
+val create : unit -> table
+
+val get : table -> Hproc.t -> t
+(** The table's node for a term, created on first request.  Mutex-guarded;
+    two requests for one term return the same node. *)
+
+val target : table -> edge -> t
+(** The edge's target node: a field read once resolved, a {!get} the
+    first time. *)

@@ -178,50 +178,37 @@ let is_deadlocked defs p = steps defs p = []
    with the raw (non-simplifying) [Hproc] constructors, so each
    materialized successor is the hash-consed image of exactly the term
    the reference engine above would build — the two engines agree
-   term-for-term, which the test suite checks by property.  The payoff:
-   deduplication and the LTS state table compare slots in O(1) instead
-   of re-walking them.
+   term-for-term, which the test suite checks by property.
+
+   A state is a vector of slot nodes ([Node]): the step set of a slot
+   term is computed once per exploration, when the kernel first meets
+   its node, and compiled into arrays of event offers (with label ids),
+   internal steps and timed actions.  Each compiled step keeps its
+   target node once resolved.  The translated AADL models re-enter the
+   same few slot terms at nearly every state, so expanding a state reads
+   node fields only.
 
    Call unfolding (substitute evaluated arguments through the definition
-   body, then intern the result) is memoized per (name, arguments): the
-   translated AADL models re-enter the same few definition instances at
-   every state.  The cache is mutex-protected so the parallel explorer can
-   share one across domains. *)
+   body, then intern the result) is memoized per (name, arguments).  It
+   runs only while a step set is compiled. *)
 
 type cache = {
   lock : Mutex.t;
   unfold : (string * int list, Hproc.t) Hashtbl.t;
-  steps_memo : (int, (Step.t * Hproc.t) list) Hashtbl.t;
-      (** unprioritized step set per interned term id.  Sound because the
-          step set is a pure function of the term (and the fixed [defs]
-          the cache is used with), and hash-consing makes the key O(1).
-          This is where hash-consing pays off most: the per-thread
-          slots of a translated AADL system recur across nearly every
-          global state, so their step sets are computed once instead of
-          once per state.  The states of an exploration, slot vectors
-          new in nearly every step, are not memoized (see [kernel]). *)
+  nodes : Node.table;
+      (** one node per slot term, with its compiled step set.  Sound
+          because a step set is a pure function of the term and the
+          fixed [defs] the cache is used with. *)
 }
 
 let make_cache () =
   {
     lock = Mutex.create ();
     unfold = Hashtbl.create 256;
-    steps_memo = Hashtbl.create 4096;
+    nodes = Node.create ();
   }
 
-let memo_find cache id =
-  Mutex.lock cache.lock;
-  let r = Hashtbl.find_opt cache.steps_memo id in
-  Mutex.unlock cache.lock;
-  r
-
-(* Computation happens outside the lock: on a race both domains compute
-   the same (deterministic) list and the first add wins. *)
-let memo_add cache id v =
-  Mutex.lock cache.lock;
-  if not (Hashtbl.mem cache.steps_memo id) then
-    Hashtbl.add cache.steps_memo id v;
-  Mutex.unlock cache.lock
+let nodes cache = cache.nodes
 
 let unfold_call cache defs name values =
   let key = (name, values) in
@@ -244,74 +231,96 @@ let unfold_call cache defs name values =
 (* {2 The kernel}
 
    A translated system is [Restrict (L, P_0 || ... || P_{n-1})], and the
-   explorer keeps each of its states as a slot vector over one fixed
-   frame ([Frame]): the restriction and the Par spine never change, so
-   they are neither rebuilt nor interned per successor.  Following the
-   binary Par rule down the tree would build a successor for every offer
-   at every level, most of which the restriction (an unsynchronized
-   event on a label of [L]) or preemption (a timed step beaten by
-   another) then discard.  The kernel instead takes the n slots, each
-   with its memoized step set, and composes labels only, remembering
-   which slots move and to what:
-   - each slot's event and tau steps, events on labels of [L] dropped;
-   - each pair of complementary events in slots i < j, as [tau@l];
+   explorer keeps each of its states as a vector of slot nodes over one
+   fixed frame ([Frame]): the restriction and the Par spine never
+   change, so they are neither rebuilt nor interned per successor.
+   Following the binary Par rule down the tree would build a successor
+   for every offer at every level, most of which the restriction (an
+   unsynchronized event on a label of [L]) or preemption (a timed step
+   beaten by another) then discard.  The kernel instead takes the n
+   slots, each with its compiled step set, and composes labels only,
+   remembering which slots move along which compiled edges:
+   - each slot's event and tau steps, events on labels of [L] dropped
+     (a byte read of the frame by label id);
+   - each pair of complementary events in slots i < j, as [tau@l]
+     (label ids compared as ints);
    - each choice of one timed step per slot with pairwise-disjoint
      resources (none if some slot has no timed step).
    Every pair of leaves meets at exactly one Par node, so these are the
    binary rule's steps at the root, label for label and successor for
    successor.  Preemption is then applied to the labels, and only the
    survivors' successor vectors are built: a copy of the state's vector
-   with one or two slots patched, or the timed product's slot list.
-   Preemption reads the set of enabled labels alone, so filtering before
-   sorting and deduplicating yields exactly the list the binary rule,
-   [sort_uniq] and [Step.prioritize] give.  Rows are sorted by step, then
-   slot by slot with [Hproc.compare_structural]: over one frame that is
-   the order of the materialized terms, which mirrors the reference
-   engine's [sort_uniq Stdlib.compare].
+   with one or two slots patched, or with every slot ticking, each
+   target read off its edge.  Preemption reads the set of enabled
+   labels alone, so filtering before sorting and deduplicating yields
+   exactly the list the binary rule, [sort_uniq] and [Step.prioritize]
+   give.  Rows are sorted by step, then slot by slot with
+   [Hproc.compare_structural]: over one frame that is the order of the
+   materialized terms, which mirrors the reference engine's
+   [sort_uniq Stdlib.compare].
 
    With preemption on, an enabled tau of priority > 0 preempts every
    timed step, so the product of timed steps is not built at all.
 
    The kernel is the engine's only Par rule.  A slot whose term becomes
-   a [Par] stays one opaque slot: its steps come from [h_steps_at],
-   which splits it into a frame of its own and runs the kernel on it,
-   with no restriction and no preemption, and memoizes the materialized
-   result like any other composite subterm's.  A root that is not a
-   system is a 1-slot frame, whose kernel result is that slot's own step
-   set. *)
+   a [Par] stays one opaque slot: its step set is compiled from
+   [h_steps_at], which splits it into a frame of its own and runs the
+   kernel on that frame's nodes, with no restriction and no preemption.
+   A root that is not a system is a 1-slot frame, whose kernel result
+   is that slot's own step set. *)
 
 type move =
-  | One of int * Hproc.t  (** slot i moves to the term *)
-  | Two of int * Hproc.t * int * Hproc.t  (** slots i < j synchronize *)
-  | All of Hproc.t list  (** every slot moves, in slot order *)
+  | One of int * Node.edge  (** slot i moves along the edge *)
+  | Two of int * Node.edge * int * Node.edge  (** slots i < j synchronize *)
+  | All of (int * Node.edge) list
+      (** every slot ticks: along the listed edge for the slots with a
+          choice of timed steps, along its only one for the others *)
 
 let row_compare (s1, v1) (s2, v2) =
   let c = Stdlib.compare (s1 : Step.t) s2 in
   if c <> 0 then c else Frame.compare v1 v2
 
 (* Every choice of one timed step per slot, with pairwise-disjoint
-   resources, as (combined action, successors in slot order).  Built
-   from the last slot to the first so each successor list is consed in
-   order. *)
-let timed_product slot_steps =
-  let extend acc steps =
-    List.fold_left
-      (fun out (s, k) ->
-        match s with
-        | Step.Action a ->
-            List.fold_left
-              (fun out (u, ks) ->
-                if Action.Ground.disjoint a u then
-                  (Action.Ground.union a u, k :: ks) :: out
-                else out)
-              out acc
-        | Step.Event _ | Step.Tau _ -> out)
-      [] steps
+   resources, as (combined action, the choices of the slots with more
+   than one timed step, in slot order).  A slot with one timed step
+   makes the same choice every time, so its action is merged into the
+   base once; if the base is already contended, or some slot has no
+   timed step, there is no choice at all. *)
+let timed_product (slots : Node.t array) =
+  let n = Array.length slots in
+  let rec base i u =
+    if i >= n then Some u
+    else
+      let timed = slots.(i).Node.steps.timed in
+      match Array.length timed with
+      | 0 -> None
+      | 1 ->
+          let a = timed.(0).action in
+          if Action.Ground.disjoint a u then
+            base (i + 1) (Action.Ground.union a u)
+          else None
+      | _ -> base (i + 1) u
+  in
+  let extend i acc (timed : Node.timed array) =
+    Array.fold_left
+      (fun out (t : Node.timed) ->
+        List.fold_left
+          (fun out (u, es) ->
+            if Action.Ground.disjoint t.action u then
+              (Action.Ground.union t.action u, (i, t.tick) :: es) :: out
+            else out)
+          out acc)
+      [] timed
   in
   let rec go i acc =
-    if i < 0 || acc = [] then acc else go (i - 1) (extend acc slot_steps.(i))
+    if i < 0 || acc = [] then acc
+    else
+      let timed = slots.(i).Node.steps.timed in
+      go (i - 1) (if Array.length timed > 1 then extend i acc timed else acc)
   in
-  go (Array.length slot_steps - 1) [ (Action.Ground.idle, []) ]
+  match base 0 Action.Ground.idle with
+  | None -> []
+  | Some u -> go (n - 1) [ (u, []) ]
 
 let rec h_steps_at cache depth (defs : Defs.t) (p : Hproc.t) :
     (Step.t * Hproc.t) list =
@@ -325,21 +334,6 @@ let rec h_steps_at cache depth (defs : Defs.t) (p : Hproc.t) :
   | Hproc.Ev (e, k) ->
       let prio = eval_expr "event priority" (Event.priority e) in
       [ (Step.Event (Event.label e, Event.dir e, prio), k) ]
-  | _ -> (
-      match memo_find cache (Hproc.id p) with
-      | Some r -> r
-      | None ->
-          let r = h_steps_node cache depth defs p in
-          memo_add cache (Hproc.id p) r;
-          r)
-
-(* The composite constructors, behind the memo.  A failed computation
-   (unguarded recursion, unbound parameter) is never cached, so the
-   diagnostics of the reference engine are preserved. *)
-and h_steps_node cache depth (defs : Defs.t) (p : Hproc.t) :
-    (Step.t * Hproc.t) list =
-  match Hproc.node p with
-  | Hproc.Nil | Hproc.Act _ | Hproc.Ev _ -> assert false (* handled above *)
   | Hproc.Choice (a, b) ->
       h_steps_at cache depth defs a @ h_steps_at cache depth defs b
   | Hproc.Par _ -> materialized cache depth defs ~prioritize:false p
@@ -419,63 +413,82 @@ and h_scope_steps cache depth defs (s : Hproc.scope) =
       in
       body_steps @ interrupt_steps
 
-and kernel cache depth defs ~prioritize frame slots =
-  let forbidden = Frame.restriction frame in
-  let slot_steps = Array.map (h_steps_at cache depth defs) slots in
-  let visible l =
-    match forbidden with Some f -> not (Label.Set.mem l f) | None -> true
-  in
+(* A step set is compiled at the depth of the kernel that first needs
+   it, so an unguarded recursion through nested [Par]s still reaches
+   [max_unfold_depth].  A failed compilation (unguarded recursion,
+   unbound parameter) stores nothing, so the diagnostics of the
+   reference engine are preserved.  Two domains may compile one node at
+   once; both store equal sets. *)
+and kernel cache depth defs ~prioritize frame (slots : Node.t array) =
+  let n = Array.length slots in
+  for i = 0 to n - 1 do
+    let node = slots.(i) in
+    if node.steps == Node.uncompiled then
+      Node.set_steps node (Node.compile (h_steps_at cache depth defs node.term))
+  done;
+  (* plain loops: this is the per-state path, and a closure per offer
+     would cost more than the comparisons *)
   let cands = ref [] and urgent = ref false in
-  let add s m = cands := (s, m) :: !cands in
-  (* event offers of the slots before the current one, for syncs *)
-  let offers = ref [] in
-  Array.iteri
-    (fun i steps ->
-      let earlier = !offers in
-      List.iter
-        (fun ((s, k) as sk) ->
-          match s with
-          | Step.Event (l, d, p) ->
-              List.iter
-                (fun (j, (s', k')) ->
-                  match s' with
-                  | Step.Event (l', d', p') when d <> d' && Label.equal l l'
-                    ->
-                      if p' + p > 0 then urgent := true;
-                      add (Step.Tau (Some l, p' + p)) (Two (j, k', i, k))
-                  | Step.Event _ | Step.Action _ | Step.Tau _ -> ())
-                earlier;
-              offers := (i, sk) :: !offers;
-              if visible l then add s (One (i, k))
-          | Step.Tau (_, p) ->
-              if p > 0 then urgent := true;
-              add s (One (i, k))
-          | Step.Action _ -> ())
-        steps)
-    slot_steps;
+  for i = 0 to n - 1 do
+    let own = slots.(i).Node.steps in
+    if own.urgent then urgent := true;
+    let taus = own.taus in
+    for t = 0 to Array.length taus - 1 do
+      let e = taus.(t) in
+      cands := (e.step, One (i, e)) :: !cands
+    done;
+    let offers = own.offers in
+    for a = 0 to Array.length offers - 1 do
+      let o = offers.(a) in
+      for j = 0 to i - 1 do
+        let earlier = slots.(j).Node.steps.offers in
+        for b = 0 to Array.length earlier - 1 do
+          let o' = earlier.(b) in
+          if o'.id = o.id && o'.dir != o.dir then begin
+            let p = o'.prio + o.prio in
+            if p > 0 then urgent := true;
+            cands :=
+              (Step.Tau (Some o.label, p), Two (j, o'.edge, i, o.edge))
+              :: !cands
+          end
+        done
+      done;
+      if Frame.visible frame o.id then
+        cands := (o.edge.step, One (i, o.edge)) :: !cands
+    done
+  done;
   if not (prioritize && !urgent) then
     List.iter
-      (fun (u, ks) -> add (Step.Action u) (All ks))
-      (timed_product slot_steps);
+      (fun (u, es) -> cands := (Step.Action u, All es) :: !cands)
+      (timed_product slots);
   let survivors = if prioritize then Step.prioritize !cands else !cands in
+  let target = Node.target cache.nodes in
   let successor = function
-    | One (i, k) ->
+    | One (i, e) ->
         let v = Array.copy slots in
-        v.(i) <- k;
+        v.(i) <- target e;
         v
     | Two (i, a, j, b) ->
         let v = Array.copy slots in
-        v.(i) <- a;
-        v.(j) <- b;
+        v.(i) <- target a;
+        v.(j) <- target b;
         v
-    | All ks -> Array.of_list ks
+    | All choices ->
+        let v = Array.copy slots in
+        Array.iteri
+          (fun i (n : Node.t) ->
+            let timed = n.steps.timed in
+            if Array.length timed = 1 then v.(i) <- target timed.(0).tick)
+          slots;
+        List.iter (fun (i, e) -> v.(i) <- target e) choices;
+        v
   in
   List.sort_uniq row_compare
     (List.map (fun (s, m) -> (s, successor m)) survivors)
 
 (* The kernel on a term's own frame, its successors materialized. *)
 and materialized cache depth defs ~prioritize p =
-  let frame, slots = Frame.split p in
+  let frame, slots = Frame.split cache.nodes p in
   List.map
     (fun (s, v) -> (s, Frame.materialize frame v))
     (kernel cache depth defs ~prioritize frame slots)

@@ -34,9 +34,13 @@ val is_time_stopped : Defs.t -> Proc.t -> bool
     by property.
 
     The engine has one kernel, {!successors}, over a state taken as a
-    slot vector against a fixed {!Frame}: the slots' steps are composed
-    as labels, restriction and preemption are applied to the labels,
-    and only the surviving successors are built, each as a copy of the
+    vector of slot nodes ({!Node}) against a fixed {!Frame}.  Each
+    node's step set is computed once, when the kernel first meets the
+    node, and compiled into event offers with label ids, internal steps
+    and timed actions, each edge caching its target node once resolved.
+    Per state, the kernel reads those fields: it composes the slots'
+    steps as labels, applies restriction and preemption to the labels,
+    and builds only the surviving successors, each as a copy of the
     vector with the moving slots patched.  The frame's restriction and
     [Par] spine are never rebuilt or interned.  A [Par] nested inside a
     slot is composed by the same kernel, without those two filters.
@@ -44,34 +48,38 @@ val is_time_stopped : Defs.t -> Proc.t -> bool
     kernel and materialize the successors. *)
 
 type cache
-(** Memo tables for the hash-consed engine: definition unfolding, keyed
-    by (name, argument values), and step sets, keyed by interned id, of
-    the slots of every state and of every composite subterm below them.
-    States themselves are not memoized: they are new in nearly every
-    step.  Sound only for a fixed [Defs.t] — create one cache per
-    definition environment.  Mutex-protected: one cache may be shared by
-    several domains. *)
+(** The state of one exploration's engine: a {!Node.table} — one node
+    per slot term, holding its compiled step set — and the memo of
+    definition unfolding, keyed by (name, argument values).  Sound only
+    for a fixed [Defs.t]: create one cache per exploration.  Safe to
+    share between domains: node creation and unfolding are
+    mutex-guarded, and compiled sets and edge targets are written
+    idempotently. *)
 
 val make_cache : unit -> cache
+
+val nodes : cache -> Node.table
+(** The cache's node table: split a root against it ({!Frame.split}) to
+    get the slot vector {!successors} takes. *)
 
 val successors :
   cache:cache ->
   prioritize:bool ->
   Defs.t ->
   Frame.t ->
-  Hproc.t array ->
-  (Step.t * Hproc.t array) list
+  Node.t array ->
+  (Step.t * Node.t array) list
 (** [successors ~cache ~prioritize defs frame slots]: the transition
     relation (prioritized when [prioritize]) of the state [slots] of
-    [frame], as fresh successor vectors of the same frame.  Rows are
-    deduplicated and sorted by step, then slot by slot with
-    {!Hproc.compare_structural} — over one frame, the order of the
-    materialized terms. *)
+    [frame], as fresh successor vectors of the same frame, made of nodes
+    of [nodes cache].  Rows are deduplicated and sorted by step, then
+    slot by slot with {!Hproc.compare_structural} — over one frame, the
+    order of the materialized terms. *)
 
 val h_steps : ?cache:cache -> Defs.t -> Hproc.t -> (Step.t * Hproc.t) list
 (** Unprioritized transition relation over hash-consed terms: the root's
     frame through {!successors}, materialized.  Without [?cache], a fresh
-    memo is used for this call only. *)
+    cache is used for this call only. *)
 
 val h_prioritized :
   ?cache:cache -> Defs.t -> Hproc.t -> (Step.t * Hproc.t) list

@@ -73,40 +73,25 @@ let rec apply_hproc r (h : Hproc.t) : Hproc.t =
 (* Orbit specifications                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* A memoized, domain-safe [apply_hproc r].  Hash-consing makes recomputation
-   idempotent (same physical result), so the lock is dropped during the
-   actual rewrite: a racing duplicate computation is wasted work, never a
-   wrong answer. *)
-let memoized r =
-  let table : (int, Hproc.t) Hashtbl.t = Hashtbl.create 64 in
-  let lock = Mutex.create () in
-  fun h ->
-    Mutex.lock lock;
-    let cached = Hashtbl.find_opt table (Hproc.id h) in
-    Mutex.unlock lock;
-    match cached with
-    | Some h' -> h'
-    | None ->
-        let h' = apply_hproc r h in
-        Mutex.lock lock;
-        Hashtbl.replace table (Hproc.id h) h';
-        Mutex.unlock lock;
-        h'
-
 type member = {
   offset : int;
   width : int;
   labels : string array;
   calls : string array;
-  (* into and out of the class representative's name space; set by [cls] *)
-  to_rep_h : Hproc.t -> Hproc.t;
-  of_rep_h : Hproc.t -> Hproc.t;
+  swap : renaming;
+      (* exchanges the member's names with the class representative's;
+         set by [cls], the identity for the representative *)
+  index : int;
+      (* among all the spec's members: the member's entry in a node's
+         [images]; set by [make] *)
 }
+
+let no_renaming = { labels = Smap.empty; calls = Smap.empty }
 
 let member ~offset ~width ~labels ~calls =
   if offset < 0 || width <= 0 then
     invalid_arg "Symmetry.member: offset/width out of range";
-  { offset; width; labels; calls; to_rep_h = Fun.id; of_rep_h = Fun.id }
+  { offset; width; labels; calls; swap = no_renaming; index = 0 }
 
 type cls = { members : member array }
 
@@ -120,26 +105,39 @@ let cls = function
           || Array.length m.labels <> Array.length rep.labels
           || Array.length m.calls <> Array.length rep.calls
         then invalid_arg "Symmetry.cls: members differ in shape";
-        let rename a b =
-          memoized
-            (renaming ~labels:(pairs a.labels b.labels)
-               ~calls:(pairs a.calls b.calls))
-        in
-        { m with to_rep_h = rename m rep; of_rep_h = rename rep m }
+        let swap a b = pairs a b @ pairs b a in
+        {
+          m with
+          swap =
+            renaming ~labels:(swap m.labels rep.labels)
+              ~calls:(swap m.calls rep.calls);
+        }
       in
       { members = Array.of_list (rep :: List.map bind rest) }
 
 type spec = {
   slots : int;
   classes : cls array;
+  member_count : int;  (* over all classes *)
   (* member label -> (class, position, index in the member's [labels]);
      read-only once built, so domains share it without a lock *)
   label_index : (string, int * int * int) Hashtbl.t;
 }
 
 let make ~slots classes =
+  let next = ref 0 in
   let classes =
-    Array.of_list (List.filter (fun c -> Array.length c.members >= 2) classes)
+    List.filter (fun c -> Array.length c.members >= 2) classes
+    |> List.map (fun c ->
+           {
+             members =
+               Array.map
+                 (fun m ->
+                   incr next;
+                   { m with index = !next - 1 })
+                 c.members;
+           })
+    |> Array.of_list
   in
   let label_index = Hashtbl.create 64 in
   Array.iteri
@@ -151,9 +149,21 @@ let make ~slots classes =
             m.labels)
         cl.members)
     classes;
-  { slots; classes; label_index }
+  {
+    slots;
+    classes;
+    member_count = !next;
+    label_index;
+  }
 
-let empty = { slots = 0; classes = [||]; label_index = Hashtbl.create 1 }
+let empty =
+  {
+    slots = 0;
+    classes = [||];
+    member_count = 0;
+    label_index = Hashtbl.create 1;
+  }
+
 let is_empty s = Array.length s.classes = 0
 let class_sizes s =
   Array.to_list (Array.map (fun c -> Array.length c.members) s.classes)
@@ -168,59 +178,142 @@ let class_sizes s =
    split.  A state in which some slot has become a [Par] is declined
    too, so canonicalization applies exactly to the states whose term
    flattens into [spec.slots] leaves. *)
-let applies spec frame slots =
+let applies spec frame (slots : Node.t array) =
   Frame.restriction frame <> None
   && Frame.left_deep frame
   && Frame.width frame = spec.slots
   && not
        (Array.exists
-          (fun h -> match Hproc.node h with Hproc.Par _ -> true | _ -> false)
+          (fun (n : Node.t) ->
+            match Hproc.node n.term with Hproc.Par _ -> true | _ -> false)
           slots)
 
-let compare_tuples a b =
-  let n = Array.length a in
-  let rec go i =
-    if i >= n then 0
-    else
-      let c = Hproc.compare_structural a.(i) b.(i) in
-      if c <> 0 then c else go (i + 1)
+(* The node of [n]'s term with member [m]'s names and its
+   representative's swapped, cached on [n] — and on the image, whose
+   image is [n].  Racing domains store the same nodes: the table has
+   one per term. *)
+let images spec (n : Node.t) =
+  let a = n.images in
+  if Array.length a > 0 then a
+  else begin
+    let a = Array.make spec.member_count Node.dummy in
+    Node.set_images n a;
+    a
+  end
+
+let image spec nodes m (n : Node.t) =
+  let cached = images spec n in
+  let img = cached.(m.index) in
+  if img != Node.dummy then img
+  else begin
+    let img = Node.get nodes (apply_hproc m.swap n.term) in
+    cached.(m.index) <- img;
+    (images spec img).(m.index) <- n;
+    img
+  end
+
+(* Members' tuples live in one flat array: member [m]'s tuple is
+   [tuples.(m * w)] .. [tuples.(m * w + w - 1)]. *)
+let rec same_tuple (tuples : Node.t array) w m m' x =
+  x >= w
+  || tuples.((m * w) + x) == tuples.((m' * w) + x)
+     && same_tuple tuples w m m' (x + 1)
+
+let rec compare_tuples (tuples : Node.t array) w m m' x =
+  if x >= w then 0
+  else
+    let c =
+      Hproc.compare_structural tuples.((m * w) + x).term
+        tuples.((m' * w) + x).term
+    in
+    if c <> 0 then c else compare_tuples tuples w m m' (x + 1)
+
+(* The members in (tuple, index) order.  Members whose tuples are
+   pointer-equal form a group; only the groups' distinct tuples are
+   sorted, and the members are laid out group by group, each group in
+   index order — exactly the order of sorting every member by (tuple,
+   index).  Distinct hash-consed tuples never compare equal; a tie would
+   break by the groups' first members. *)
+let sorted_members tuples ~k ~w =
+  (* [group.(m)]: the first member with [m]'s tuple *)
+  let group = Array.make k 0 in
+  let rec find m = function
+    | [] -> -1
+    | f :: rest -> if same_tuple tuples w f m 0 then f else find m rest
   in
-  go 0
+  let firsts = ref [] in
+  for m = 0 to k - 1 do
+    let f = find m !firsts in
+    if f >= 0 then group.(m) <- f
+    else begin
+      group.(m) <- m;
+      firsts := m :: !firsts
+    end
+  done;
+  let order = Array.init k Fun.id in
+  (match !firsts with
+  | [] | [ _ ] -> ()
+  | firsts ->
+      let firsts = Array.of_list firsts in
+      Array.sort
+        (fun a b ->
+          let c = compare_tuples tuples w a b 0 in
+          if c <> 0 then c else Int.compare a b)
+        firsts;
+      (* counting sort of the members by their group's rank: [start.(f)]
+         is first the size of [f]'s group, then its next free position *)
+      let start = Array.make k 0 in
+      for m = 0 to k - 1 do
+        start.(group.(m)) <- start.(group.(m)) + 1
+      done;
+      let pos = ref 0 in
+      Array.iter
+        (fun f ->
+          let size = start.(f) in
+          start.(f) <- !pos;
+          pos := !pos + size)
+        firsts;
+      for m = 0 to k - 1 do
+        let f = group.(m) in
+        order.(start.(f)) <- m;
+        start.(f) <- start.(f) + 1
+      done);
+  order
 
 (* Returns whether [slots] changed, and the witness. *)
-let canon_in_place spec frame slots =
-  let identity () =
-    Array.map (fun c -> Array.init (Array.length c.members) Fun.id) spec.classes
-  in
-  if not (applies spec frame slots) then (false, identity ())
+let canon_in_place spec nodes frame slots =
+  if not (applies spec frame slots) then
+    ( false,
+      Array.map
+        (fun c -> Array.init (Array.length c.members) Fun.id)
+        spec.classes )
   else begin
     let changed = ref false in
     let perms =
       Array.map
         (fun c ->
-          let k = Array.length c.members in
-          (* Member slot tuples, renamed into the rep's name space so
+          let k = Array.length c.members and w = c.members.(0).width in
+          (* Member slot tuples, swapped into the rep's name space so
              they are comparable. *)
-          let tuples =
-            Array.map
-              (fun m ->
-                Array.init m.width (fun j -> m.to_rep_h slots.(m.offset + j)))
-              c.members
-          in
-          let order = Array.init k Fun.id in
-          Array.sort
-            (fun a b ->
-              let cmp = compare_tuples tuples.(a) tuples.(b) in
-              if cmp <> 0 then cmp else Int.compare a b)
-            order;
+          let tuples = Array.make (k * w) Node.dummy in
+          for m = 0 to k - 1 do
+            let mem = c.members.(m) in
+            for x = 0 to w - 1 do
+              let n = slots.(mem.offset + x) in
+              tuples.((m * w) + x) <-
+                (if m = 0 then n else image spec nodes mem n)
+            done
+          done;
+          let order = sorted_members tuples ~k ~w in
           for j = 0 to k - 1 do
             if order.(j) <> j then begin
               let dst = c.members.(j) in
-              let tup = tuples.(order.(j)) in
-              for x = 0 to dst.width - 1 do
-                let v = dst.of_rep_h tup.(x) in
-                if not (Hproc.equal v slots.(dst.offset + x)) then
-                  changed := true;
+              for x = 0 to w - 1 do
+                let n = tuples.((order.(j) * w) + x) in
+                let v =
+                  if j = 0 then n else image spec nodes dst n
+                in
+                if v != slots.(dst.offset + x) then changed := true;
                 slots.(dst.offset + x) <- v
               done
             end
@@ -233,8 +326,8 @@ let canon_in_place spec frame slots =
     (!changed, perms)
   end
 
-let canon_w spec frame slots = snd (canon_in_place spec frame slots)
-let canon spec frame slots = fst (canon_in_place spec frame slots)
+let canon_w spec nodes frame slots = snd (canon_in_place spec nodes frame slots)
+let canon spec nodes frame slots = fst (canon_in_place spec nodes frame slots)
 
 let rename_step spec owners (s : Step.t) : Step.t =
   let real l =

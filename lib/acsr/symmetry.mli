@@ -12,11 +12,17 @@
     therefore visit one canonical representative per orbit ({!canon}
     sorts the interchangeable slots).
 
-    The witness of a canonicalization is a slot permutation per class
-    ({!canon_w}), not a renaming: exploration never builds names.  Only
-    when a counterexample trace is de-canonicalized does a caller track
-    which real member sits at each canonical position and ask
-    {!rename_step} for that member's names.
+    Each member is compared with its class representative through the
+    swap of their name spaces.  States are vectors of slot nodes
+    ({!Node}), and each node caches its image under every member's swap
+    (and, a swap being its own inverse, the image's image is the node),
+    so a term is renamed at most once per exploration and member, not
+    once per state.  The witness of a canonicalization is a slot
+    permutation per class ({!canon_w}), not a renaming: exploration
+    never builds names.  Only when a counterexample trace is
+    de-canonicalized does a caller track which real member sits at each
+    canonical position and ask {!rename_step} for that member's
+    names.
 
     The {e spec} — which slots are interchangeable, under which names —
     is established by the translation layer, which alone knows the
@@ -77,19 +83,26 @@ val class_sizes : spec -> int list
 
 (** {1 Canonicalization} *)
 
-val canon : spec -> Frame.t -> Hproc.t array -> bool
-(** Rewrite a state's slot vector, in place, into the canonical
-    representative of its orbit; [true] when it changed.  For each
-    class, the member slot tuples (renamed into the representative's
-    name space) are sorted structurally ({!Hproc.compare_structural},
-    ties broken by member index) and written back through each
-    position's inverse renaming.  The vector is left unchanged unless
-    the frame is [Restrict (L, par-spine)] with a left-deep spine of
-    the spec's slot count, and no slot holds a [Par].  Deterministic and
-    idempotent; safe to call from concurrent domains on distinct
-    vectors. *)
+val canon : spec -> Node.table -> Frame.t -> Node.t array -> bool
+(** [canon spec nodes frame slots] rewrites a state's vector of slot
+    nodes (of [nodes]), in place, into the canonical representative of
+    its orbit; [true] when it changed.  For each class, the member slot
+    tuples, swapped into the representative's name space, are ordered
+    structurally ({!Hproc.compare_structural}, ties broken by member
+    index) and written back through each position's swap.  Only the
+    distinct tuples are sorted: members whose tuples are pointer-equal
+    are laid out together, in index order.  The swaps' images are cached
+    on the nodes, so after the first states a canonicalization reads
+    node fields and compares terms only.
 
-val canon_w : spec -> Frame.t -> Hproc.t array -> int array array
+    The vector is left unchanged unless the frame is
+    [Restrict (L, par-spine)] with a left-deep spine of the spec's slot
+    count, and no slot holds a [Par].  Deterministic and idempotent;
+    safe to call from concurrent domains on distinct vectors.  [nodes]
+    must serve this spec only, as an exploration's table does: its
+    nodes' cached images are indexed by the spec's members. *)
+
+val canon_w : spec -> Node.table -> Frame.t -> Node.t array -> int array array
 (** [canon] plus its witness: one permutation per class, in class order.
     Entry [j] of class [c]'s array is the member whose tuple moved to
     position [j].  The identity when the state was already canonical. *)

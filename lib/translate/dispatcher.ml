@@ -33,7 +33,7 @@ type modal_gate = {
 }
 
 let invalid (task : Workload.task) msg =
-  Aadl.Diag.fail ~subject:task.Workload.path "%s" msg
+  Aadl.Diag.fail ~loc:task.Workload.loc ~subject:task.Workload.path "%s" msg
 
 let var_k = Expr.Var "k"
 let tick k = Expr.Add (k, Expr.Int 1)

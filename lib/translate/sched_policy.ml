@@ -171,7 +171,9 @@ let find assignments (task : Workload.task) =
       assignments
   with
   | Some a -> a.cpu_priority
-  | None -> Aadl.Diag.fail ~subject:task.Workload.path "no priority assigned"
+  | None ->
+      Aadl.Diag.fail ~loc:task.Workload.loc ~subject:task.Workload.path
+        "no priority assigned"
 
 let pp_assignment ppf a =
   Fmt.pf ppf "%a -> %a" Aadl.Instance.pp_path a.task.Workload.path Expr.pp

@@ -25,6 +25,9 @@ type task = {
           computation steps of a dispatch *)
   data_shared : string list list;
       (** shared data components reached by access connections *)
+  loc : Aadl.Ast.srcloc;
+      (** the thread instance's position in the AADL text, for
+          diagnostics only: digests and keys never read it *)
 }
 
 type t = {
@@ -117,6 +120,7 @@ let task_of_thread ~root ~quantum sconns (th : Aadl.Instance.t) =
     outgoing;
     out_buses;
     data_shared;
+    loc = th.loc;
   }
 
 let extract ~quantum root =

@@ -14,6 +14,9 @@ type task = {
   outgoing : Aadl.Semconn.t list;
   out_buses : string list list;
   data_shared : string list list;
+  loc : Aadl.Ast.srcloc;
+      (** the thread instance's position in the AADL text, for
+          diagnostics; {!Aadl.Ast.no_loc} when read from instance XML *)
 }
 
 type t = {

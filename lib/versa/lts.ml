@@ -9,12 +9,16 @@
    rows are kept only when the caller asks for edges.
 
    The root is split once into its frame ([Acsr.Frame]: the restriction
-   and the Par spine) and every state is kept as its vector of
-   hash-consed slot terms over that frame.  The state table keys on the
-   vector: it mixes the slots' memoized hashes and compares slots by
-   pointer, so interning a state never rebuilds or interns the spine.
-   A state's term is materialized only when a caller asks for it
-   ([term], DOT export, trace replay).
+   and the Par spine) and every state is kept as its vector of slot
+   nodes over that frame ([Acsr.Node]: one per distinct slot term of
+   the exploration, from the node table of the build's
+   [Semantics.cache]).  A node
+   carries its term's hash, its compiled step set and its cached orbit
+   images, so expanding a state reads node fields, and the state table
+   mixes the slots' term hashes and compares slots by pointer: interning
+   a state never rebuilds or interns the spine.  A state's term is
+   materialized only when a caller asks for it ([term], DOT export,
+   trace replay).
 
    Parallelism ([jobs] > 1) only moves successor computation off the
    calling domain: once enough states are queued, the next queued states'
@@ -185,7 +189,7 @@ let publish_stats s =
    reduction) and the orbit tallies of canonicalizing it, zero without
    symmetry. *)
 type expansion = {
-  row : (Step.t * Hproc.t array) list;
+  row : (Step.t * Node.t array) list;
   folded : int;  (* successors moved onto a different representative *)
   kept : int;  (* successors that were already canonical *)
   canon_time : float;  (* seconds spent canonicalizing this row *)
@@ -222,14 +226,18 @@ let step_function semantics cache defs frame =
 module Sym = struct
   type t = {
     spec : Symmetry.spec;
+    cache : Semantics.cache;  (* the build's: its nodes fill the store *)
     frame : Frame.t;
-    raw_root : Hproc.t array;  (* never mutated *)
+    raw_root : Node.t array;  (* never mutated *)
     defs : Defs.t;
   }
 
-  let of_spec spec ~frame ~raw_root ~defs =
+  let of_spec spec ~cache ~frame ~raw_root ~defs =
     if Symmetry.is_empty spec then None
-    else Some { spec; frame; raw_root; defs }
+    else Some { spec; cache; frame; raw_root; defs }
+
+  let canon s v = Symmetry.canon s.spec (Semantics.nodes s.cache) s.frame v
+  let canon_w s v = Symmetry.canon_w s.spec (Semantics.nodes s.cache) s.frame v
 
   (* Canonicalization can alias two successors of the same state; keep
      the first occurrence so row order stays the deterministic raw
@@ -261,7 +269,7 @@ module Sym = struct
       (* the kernel's successor vectors are fresh: canonicalize them in
          place *)
       List.iter
-        (fun (_, v) -> if Symmetry.canon s.spec s.frame v then incr folded)
+        (fun (_, v) -> if canon s v then incr folded)
         row;
       {
         row = dedup row;
@@ -273,7 +281,7 @@ module Sym = struct
 
   let root s =
     let v = Array.copy s.raw_root in
-    ignore (Symmetry.canon s.spec s.frame v);
+    ignore (canon s v);
     v
 
   let observe_sizes s =
@@ -295,10 +303,10 @@ module Sym = struct
      (they index the canonical store); only steps are renamed, which is
      all trace consumers read. *)
   let decanon_steps s ~semantics ~term_at path =
-    let cache = Semantics.make_cache () in
-    let next = step_function semantics cache s.defs s.frame in
+    (* the build's cache: recomputed vectors share the stored ones' nodes *)
+    let next = step_function semantics s.cache s.defs s.frame in
     let root = Array.copy s.raw_root in
-    let owners = ref (Symmetry.canon_w s.spec s.frame root) in
+    let owners = ref (canon_w s root) in
     let cur = ref root in
     List.map
       (fun (step, id) ->
@@ -309,7 +317,7 @@ module Sym = struct
             (fun (st, t) ->
               if not (Step.equal st step) then None
               else
-                let perm = Symmetry.canon_w s.spec s.frame t in
+                let perm = canon_w s t in
                 if Frame.equal t child then Some perm else None)
             raw_row
         with
@@ -328,7 +336,7 @@ module Sym = struct
 end
 
 (* The state store: flat growable arrays indexed by state id.  Per state
-   it keeps the slot vector (pointers into the global intern table), the
+   it keeps the slot vector (pointers into the build's node table), the
    BFS parent id and the arriving step — enough to rebuild every
    shortest counterexample path.  The visited set keys on the vector
    itself.  Successor rows, indexed by the expanded state's id, are kept
@@ -337,7 +345,7 @@ end
    need. *)
 module Store = struct
   module Ids = Hashtbl.Make (struct
-    type t = Hproc.t array
+    type t = Node.t array
 
     let equal = Frame.equal
     let hash = Frame.hash
@@ -346,7 +354,7 @@ module Store = struct
   type t = {
     ids : state_id Ids.t;  (* slot vector -> state id *)
     edges : bool;
-    mutable states : Hproc.t array array;  (* slot vector per state *)
+    mutable states : Node.t array array;  (* slot vector per state *)
     mutable pred : int array;  (* BFS parent; -1 for the root *)
     mutable steps : Step.t array;  (* step from pred; slot 0 is a dummy *)
     mutable rows : (Step.t * state_id) array array;
@@ -530,7 +538,7 @@ module Batch = struct
   type t = {
     jobs : int;
     cutover : int;
-    expand : Hproc.t array -> expansion;
+    expand : Node.t array -> expansion;
     mutable pool : Pool.t option;
     mutable slots : slot array;
     mutable base : int;  (* state id held by [slots.(0)] *)
@@ -607,9 +615,11 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   @@ fun () ->
   let t_start = Timed.Clock.gettimeofday () in
   let cache = Semantics.make_cache () in
-  let frame, raw_root = Frame.split (Hproc.of_proc root) in
+  let frame, raw_root =
+    Frame.split (Semantics.nodes cache) (Hproc.of_proc root)
+  in
   let raw_next = step_function semantics cache defs frame in
-  let sym = Sym.of_spec symmetry ~frame ~raw_root ~defs in
+  let sym = Sym.of_spec symmetry ~cache ~frame ~raw_root ~defs in
   let expand slots =
     let row = raw_next slots in
     match sym with

@@ -5,10 +5,12 @@
     schedulability analysis performs VERSA-style deadlock detection
     (paper, Section 5).  The root is split once into its frame
     ({!Acsr.Frame}: the restriction and the [Par] spine), and each state
-    is kept as its vector of hash-consed slot terms ({!Acsr.Hproc}), so
-    state interning and successor deduplication cost O(1) per slot and
-    never rebuild the spine.  A state's term is materialized only when
-    asked for ({!term}).
+    is kept as its vector of slot nodes ({!Acsr.Node}: one per distinct
+    slot term of the exploration, carrying the term's compiled step
+    set), so successor computation reads node fields, and state
+    interning and successor deduplication cost O(1) per slot and never
+    rebuild the spine.  A state's term is materialized only when asked
+    for ({!term}).
 
     There is one exploration loop, {!build}.  Per state it keeps the
     slot vector, the BFS parent and the arriving step in flat

@@ -318,6 +318,84 @@ let test_nodes_per_state () =
     Alcotest.failf "%.2f hash-cons nodes per state over %d states (at most 1)"
       per_state (Versa.Lts.num_states lts)
 
+(* {1 Node tables belong to one exploration}
+
+   Every exploration compiles the step sets of its slot terms into its
+   own node table.  The hash-cons table is global, and a [Call] name
+   means different things under different definitions, so a table
+   shared between two explorations would hand one of them the other's
+   step sets.  Two definition environments give [P] different bodies;
+   explored back to back, and concurrently on two domains as the
+   service's workers do, each run must match the reference engine's BFS
+   under its own definitions: states, rows, counts and verdict. *)
+
+let two_meanings () =
+  let root =
+    Proc.restrict (labels [ "a" ])
+      (Proc.par (Proc.call "P" []) (Proc.call "Q" []))
+  in
+  let q =
+    Proc.choice
+      (Proc.receive (lbl "a") (Proc.act Action.idle (Proc.call "Q" [])))
+      (Proc.act Action.idle (Proc.call "Q" []))
+  in
+  let defs p = Defs.of_list [ ("P", [], p); ("Q", [], q) ] in
+  [
+    ( "ping",
+      defs (Proc.send (lbl "a") (Proc.act Action.idle (Proc.call "P" []))),
+      root );
+    ( "stall",
+      defs (Proc.act (action [ (cpu, 1) ]) (Proc.act Action.idle Proc.nil)),
+      root );
+  ]
+
+let check_against_reference name defs root (res : Versa.Explorer.result) =
+  let states, rows = reference_bfs defs root in
+  let lts = res.Versa.Explorer.lts in
+  Alcotest.(check int)
+    (name ^ ": states") (Array.length states) (Versa.Lts.num_states lts);
+  Array.iteri
+    (fun id t ->
+      if Versa.Lts.term lts id <> t then
+        Alcotest.failf "%s: state %d differs" name id;
+      if Array.to_list (Versa.Lts.successors lts id) <> rows.(id) then
+        Alcotest.failf "%s: row of state %d differs" name id)
+    states;
+  let deadlocks =
+    List.filter (fun id -> rows.(id) = [])
+      (List.init (Array.length rows) Fun.id)
+  in
+  Alcotest.(check (list int)) (name ^ ": deadlocks") deadlocks
+    (Versa.Explorer.deadlocks res);
+  Alcotest.(check bool)
+    (name ^ ": verdict") (deadlocks = [])
+    (Versa.Explorer.is_deadlock_free res)
+
+let test_node_tables_per_exploration () =
+  let explore (_, defs, root) =
+    Versa.Explorer.check_deadlock ~engine:Versa.Explorer.Full
+      ~stop_at_deadlock:false defs root
+  in
+  let models = two_meanings () in
+  let sizes =
+    List.map (fun (_, defs, root) -> fst (reference_bfs defs root)) models
+  in
+  Alcotest.(check bool) "the two meanings differ" true
+    (List.nth sizes 0 <> List.nth sizes 1);
+  let check runs =
+    List.iter2
+      (fun (name, defs, root) res ->
+        check_against_reference name defs root res)
+      models runs
+  in
+  (* back to back, in both orders *)
+  check (List.map explore models);
+  check (List.rev (List.map explore (List.rev models)));
+  (* concurrently, one exploration per domain *)
+  let other = Domain.spawn (fun () -> explore (List.nth models 1)) in
+  let first = explore (List.nth models 0) in
+  check [ first; Domain.join other ]
+
 (* {1 Exploring with and without edges}
 
    [Lts.build ~edges:false] keeps no successor rows but must agree with
@@ -1111,6 +1189,8 @@ let () =
             test_engines_agree_on_reachable_states;
           Alcotest.test_case "nodes interned per state" `Quick
             test_nodes_per_state;
+          Alcotest.test_case "node tables belong to one exploration" `Quick
+            test_node_tables_per_exploration;
         ] );
       ( "on-the-fly",
         [

@@ -145,11 +145,13 @@ let test_detect_e6_asymmetric () =
 (* {1 Canonicalization: idempotence and orbit invariance on reachable
    states} *)
 
-(* [Symmetry.canon] on a whole term: split it into its frame,
-   canonicalize the slot vector and materialize it again. *)
+(* [Symmetry.canon] on a whole term: split it into its frame against a
+   fresh node table, canonicalize the slot vector and materialize it
+   again. *)
 let canon_term spec h =
-  let frame, slots = Frame.split h in
-  ignore (Symmetry.canon spec frame slots);
+  let nodes = Node.create () in
+  let frame, slots = Frame.split nodes h in
+  ignore (Symmetry.canon spec nodes frame slots);
   Frame.materialize frame slots
 
 let test_canon_idempotent_on_reachable_states () =
@@ -501,7 +503,8 @@ let swaps (tr : Translate.Pipeline.t) =
             in
             let swap (p : Proc.t) =
               let frame, slots =
-                Frame.split (Hproc.of_proc (Symmetry.apply_proc rename p))
+                Frame.split (Node.create ())
+                  (Hproc.of_proc (Symmetry.apply_proc rename p))
               in
               if Frame.restriction frame = None then
                 Alcotest.fail "state is not a restricted composition";
@@ -557,12 +560,105 @@ let prop_canon_orbit_invariant =
                swaps)
            (List.init (Versa.Lts.num_states lts) Fun.id))
 
+(* {1 The grouped sort is the (tuple, index) sort}
+
+   One class of [k] members of width [w].  Member [m]'s tuple is drawn,
+   in the representative's name space, from a pool of terms: a small
+   pool (members repeat tuples heavily), one term (all equal), or
+   distinct tuples.  Its slots hold the tuple renamed into [m]'s names.
+   [canon_w] must produce the vector and the witness of sorting the
+   (tuple, index) pairs with [Hproc.compare_structural]. *)
+
+let pool_term i =
+  let k = Proc.call "R" [ Expr.Int i ] in
+  match i mod 3 with
+  | 0 -> k
+  | 1 -> Proc.send (Label.make "r") k
+  | _ -> Proc.act Action.idle k
+
+let gen_member_tuples =
+  QCheck2.Gen.(
+    let* k = int_range 2 12 and* w = int_range 1 2 in
+    let tuples pool = array_repeat k (array_repeat w pool) in
+    oneof
+      [
+        (let* size = int_range 1 3 in
+         tuples (int_bound (size - 1)));
+        return (Array.make k (Array.make w 0));
+        map
+          (Array.map (fun m -> Array.init w (fun x -> (m * w) + x)))
+          (shuffle_a (Array.init k Fun.id));
+      ])
+
+let prop_grouped_sort_is_reference =
+  QCheck2.Test.make ~name:"grouped canonical sort = (tuple, index) sort"
+    ~count:300 gen_member_tuples (fun tuples ->
+      let k = Array.length tuples and w = Array.length tuples.(0) in
+      let names m =
+        if m = 0 then ("r", "R") else (Fmt.str "m%d" m, Fmt.str "M%d" m)
+      in
+      let out_of_rep m p =
+        let l, c = names m in
+        Symmetry.apply_proc
+          (Symmetry.renaming ~labels:[ ("r", l) ] ~calls:[ ("R", c) ])
+          p
+      in
+      let spec =
+        Symmetry.make ~slots:(k * w)
+          [
+            Symmetry.cls
+              (List.init k (fun m ->
+                   let l, c = names m in
+                   Symmetry.member ~offset:(m * w) ~width:w ~labels:[| l |]
+                     ~calls:[| c |]));
+          ]
+      in
+      let root =
+        Proc.restrict
+          (Label.set_of_list [ Label.make "z" ])
+          (Proc.par_list
+             (List.concat
+                (List.init k (fun m ->
+                     List.init w (fun x ->
+                         out_of_rep m (pool_term tuples.(m).(x)))))))
+      in
+      let nodes = Node.create () in
+      let frame, slots = Frame.split nodes (Hproc.of_proc root) in
+      let witness = Symmetry.canon_w spec nodes frame slots in
+      (* the reference: sort (tuple, index) pairs structurally *)
+      let rep m = Array.map (fun i -> Hproc.of_proc (pool_term i)) tuples.(m) in
+      let compare_pairs (a, i) (b, j) =
+        let rec go x =
+          if x >= w then Int.compare i j
+          else
+            let c = Hproc.compare_structural a.(x) b.(x) in
+            if c <> 0 then c else go (x + 1)
+        in
+        go 0
+      in
+      let sorted =
+        List.sort compare_pairs (List.init k (fun m -> (rep m, m)))
+      in
+      let order = Array.of_list (List.map snd sorted) in
+      let expected =
+        Array.concat
+          (List.init k (fun j ->
+               Array.map
+                 (fun i -> Hproc.of_proc (out_of_rep j (pool_term i)))
+                 tuples.(order.(j))))
+      in
+      witness = [| order |]
+      && Array.for_all2
+           (fun (n : Node.t) e -> Hproc.equal n.Node.term e)
+           slots expected)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_reduction_preserves_verdict;
       prop_canon_idempotent_random;
       prop_canon_orbit_invariant;
+      prop_grouped_sort_is_reference;
     ]
 
 let () =

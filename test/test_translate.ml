@@ -551,6 +551,54 @@ let test_force_protocol_changes_priorities () =
   Alcotest.(check bool) "RM static" true (static_only rm);
   Alcotest.(check bool) "EDF dynamic" false (static_only edf)
 
+(* The dispatcher and the scheduling policy reject a thread at the
+   thread instance's position in the AADL text.  [check] rejects an
+   aperiodic thread without incoming events before translation, so these
+   sites are driven directly. *)
+let test_located_rejections () =
+  let text =
+    {|
+processor cpu
+properties
+  Scheduling_Protocol => RATE_MONOTONIC_PROTOCOL;
+end cpu;
+thread worker
+properties
+  Dispatch_Protocol => Aperiodic;
+  Compute_Execution_Time => 1 ms;
+  Compute_Deadline => 8 ms;
+end worker;
+system s
+end s;
+system implementation s.impl
+subcomponents
+  cpu1: processor cpu;
+  w: thread worker;
+properties
+  Actual_Processor_Binding => reference (cpu1) applies to w;
+end s.impl;
+|}
+  in
+  let task = List.hd (workload_of text).Workload.tasks in
+  let expected = Some { Aadl.Ast.line = 17; col = 3 } in
+  let located what f =
+    match f () with
+    | () -> Alcotest.failf "%s: not rejected" what
+    | exception Aadl.Diag.Error d ->
+        Alcotest.(check bool)
+          (what ^ ": at the thread instance")
+          true (d.Aadl.Diag.loc = expected);
+        Alcotest.(check (list string)) (what ^ ": subject") [ "w" ]
+          d.Aadl.Diag.subject
+  in
+  located "aperiodic without incoming events" (fun () ->
+      ignore
+        (Dispatcher.generate ~dispatch_probes:[]
+           ~registry:(Naming.create_registry ()) ~task
+           ~dispatch:(Acsr.Label.make "d") ~done_:(Acsr.Label.make "e") ()));
+  located "no priority assigned" (fun () ->
+      ignore (Sched_policy.find [] task))
+
 let () =
   Alcotest.run "translate"
     [
@@ -596,6 +644,8 @@ let () =
             test_sporadic_min_separation;
           Alcotest.test_case "urgency arbitration" `Quick
             test_urgency_arbitration;
+          Alcotest.test_case "located rejections" `Quick
+            test_located_rejections;
         ] );
       ( "pipeline",
         [
