@@ -52,10 +52,28 @@ let root_arg =
           "Root system implementation to instantiate (e.g. $(i,sys.impl)). \
            Defaults to the unique top-level system implementation.")
 
+(* An int or float argument restricted to the values that mean a budget;
+   anything else is a usage error rather than a silently disabled one. *)
+let budget_conv base ~ok ~what =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Fmt.str "%s must be %s" s what))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+(* A duration in microseconds: one whose nanosecond count overflows is a
+   usage error. *)
+let microseconds =
+  budget_conv Arg.int
+    ~ok:(fun us -> Aadl.Time.fits us Aadl.Time.Us)
+    ~what:"within the nanosecond time range"
+
 let quantum_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some microseconds) None
     & info [ "quantum" ] ~docv:"US"
         ~doc:
           "Scheduling quantum in microseconds.  Defaults to the gcd of \
@@ -83,17 +101,6 @@ let protocol_arg =
         ~doc:
           "Override the Scheduling_Protocol of every processor: one of \
            $(b,rm), $(b,dm), $(b,hpf), $(b,edf), $(b,llf), $(b,hier).")
-
-(* An int or float argument restricted to the values that mean a budget;
-   anything else is a usage error rather than a silently disabled one. *)
-let budget_conv base ~ok ~what =
-  let parse s =
-    match Arg.conv_parser base s with
-    | Ok v when ok v -> Ok v
-    | Ok _ -> Error (`Msg (Fmt.str "%s must be %s" s what))
-    | Error _ as e -> e
-  in
-  Arg.conv (parse, Arg.conv_printer base)
 
 (* State budgets, domain and worker counts, cache capacities. *)
 let positive_int = budget_conv Arg.int ~ok:(fun n -> n >= 1) ~what:"at least 1"
@@ -287,7 +294,7 @@ let handle_errors file f =
 let run_check file root_name =
   handle_errors file @@ fun () ->
   let root = load_root file root_name in
-  let diags = Aadl.Check.run root in
+  let diags = Aadl.Check.run (Aadl.Binding.resolve root) in
   Fmt.pr "%a@." (Aadl.Check.pp_report ~file) diags;
   if Aadl.Check.is_ok diags then 0 else 1
 
@@ -307,7 +314,8 @@ let run_info file root_name quantum export_xml =
       Fmt.pr "instance model written to %s@." path
   | None -> ());
   Fmt.pr "== instance tree ==@.%a@.@." Aadl.Instance.pp root;
-  let sconns = Aadl.Semconn.resolve root in
+  let deployment = Aadl.Binding.resolve root in
+  let sconns = deployment.Aadl.Binding.sconns in
   Fmt.pr "== semantic connections (%d) ==@." (List.length sconns);
   List.iter (fun sc -> Fmt.pr "  %a@." Aadl.Semconn.pp sc) sconns;
   let q =
@@ -315,7 +323,7 @@ let run_info file root_name quantum export_xml =
     | Some us -> Aadl.Time.make us Aadl.Time.Us
     | None -> Translate.Workload.suggest_quantum root
   in
-  (match Translate.Workload.extract ~quantum:q root with
+  (match Translate.Workload.of_binding ~quantum:q deployment with
   | wl ->
       Fmt.pr "@.== task table ==@.%a@." Translate.Workload.pp wl;
       List.iter
@@ -552,7 +560,7 @@ let to_arg =
 let bound_arg =
   Arg.(
     required
-    & opt (some int) None
+    & opt (some microseconds) None
     & info [ "bound" ] ~docv:"US" ~doc:"Latency bound in microseconds.")
 
 let latency_cmd =

@@ -13,7 +13,7 @@
 let () =
   let root = Aadl.Instantiate.of_string (Gen.avionics ()) in
   (* 1. legality *)
-  let diags = Aadl.Check.run root in
+  let diags = Aadl.Check.run (Aadl.Binding.resolve root) in
   assert (Aadl.Check.is_ok diags);
   (* 2. schedulability *)
   let r = Analysis.Schedulability.analyze root in

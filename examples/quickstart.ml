@@ -44,7 +44,7 @@ let () =
   (* parse + instantiate the root system *)
   let root = Aadl.Instantiate.of_string model in
   (* legality diagnostics (the paper's translation preconditions) *)
-  let diags = Aadl.Check.run root in
+  let diags = Aadl.Check.run (Aadl.Binding.resolve root) in
   Fmt.pr "check: %a@.@." (Aadl.Check.pp_report ?file:None) diags;
   (* translate to ACSR and explore the prioritized state space *)
   let result = Analysis.Schedulability.analyze root in

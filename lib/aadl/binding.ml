@@ -26,13 +26,6 @@ let processor_of ~root (thread : Instance.t) =
           fail "processor binding reference %a does not resolve"
             Instance.pp_path ref_path)
 
-let processor_of_exn ~root thread =
-  match processor_of ~root thread with
-  | Some p -> p
-  | None ->
-      Diag.fail ~loc:thread.Instance.loc ~subject:thread.Instance.path
-        "thread is not bound to a processor"
-
 (* The bus a semantic connection is mapped to, if any: look at the binding
    property of each traversed declared connection (innermost declaration
    wins), resolving the reference from the declaring implementation. *)
@@ -63,20 +56,53 @@ let bus_of ~root (sc : Semconn.t) =
     (fun acc l -> match of_link l with Some b -> Some b | None -> acc)
     None sc.Semconn.links
 
+(* {1 A model's deployment, resolved once}
+
+   The legality checks and the workload extraction read the same
+   bindings and connections.  They are resolved here, once per model,
+   and both consumers read the result.  A binding that does not resolve
+   is kept as its diagnostic: the checks report it against its thread,
+   and the extraction raises it when it reaches that thread. *)
+
+type t = {
+  root : Instance.t;
+  threads : Instance.t list;
+  processors : Instance.t list;
+  sconns : Semconn.t list;
+  accesses : Semconn.access list;
+  bound : (Instance.t option, Diag.t) result list;
+}
+
+let resolve root =
+  let all = Instance.all root in
+  let threads = List.filter (fun i -> i.Instance.category = Ast.Thread) all in
+  {
+    root;
+    threads;
+    processors = List.filter (fun i -> i.Instance.category = Ast.Processor) all;
+    sconns = Semconn.resolve root;
+    accesses = Semconn.resolve_access root;
+    bound =
+      List.map
+        (fun th ->
+          match processor_of ~root th with
+          | p -> Ok p
+          | exception Diag.Error d -> Error d)
+        threads;
+  }
+
 (* Threads grouped by their bound processor, in instance order: the outer
-   loop of the paper's Algorithm 1. *)
-let threads_by_processor ~root =
-  let threads = Instance.threads root in
-  let procs = Instance.processors root in
+   loop of the paper's Algorithm 1.  When there is a processor, the first
+   thread whose binding does not resolve rejects the model. *)
+let threads_by_processor b =
+  if b.processors <> [] then
+    List.iter (function Error d -> raise (Diag.Error d) | Ok _ -> ()) b.bound;
   List.map
     (fun (proc : Instance.t) ->
-      let bound =
-        List.filter
-          (fun th ->
-            match processor_of ~root th with
-            | Some p -> p.Instance.path = proc.Instance.path
-            | None -> false)
-          threads
+      let on_proc th = function
+        | Ok (Some (p : Instance.t)) when p.Instance.path = proc.Instance.path ->
+            Some th
+        | Ok _ | Error _ -> None
       in
-      (proc, bound))
-    procs
+      (proc, List.filter_map Fun.id (List.map2 on_proc b.threads b.bound)))
+    b.processors

@@ -21,7 +21,7 @@ let warning ?loc (i : Instance.t) fmt =
 let errors diags = List.filter (fun d -> d.Diag.severity = `Error) diags
 let is_ok diags = errors diags = []
 
-let check_thread ~root sconns (th : Instance.t) =
+let check_thread sconns (th : Instance.t) bound =
   let p = th.Instance.props in
   let at name = Props.loc_of name p in
   let diags = ref [] in
@@ -67,10 +67,10 @@ let check_thread ~root sconns (th : Instance.t) =
         (warning ?loc:(at "compute_deadline") th
            "Compute_Deadline exceeds Period")
   | _ -> ());
-  (match Binding.processor_of ~root th with
-  | Some _ -> ()
-  | None -> add (error th "thread is not bound to a processor")
-  | exception Diag.Error d -> add d);
+  (match bound with
+  | Ok (Some _) -> ()
+  | Ok None -> add (error th "thread is not bound to a processor")
+  | Error d -> add d);
   (* rule 4: incoming connections on event ports of non-periodic threads *)
   (match dispatch with
   | Some (Props.Aperiodic | Props.Sporadic | Props.Background) ->
@@ -82,8 +82,7 @@ let check_thread ~root sconns (th : Instance.t) =
               let has_conn =
                 List.exists
                   (fun (sc : Semconn.t) ->
-                    String.lowercase_ascii sc.Semconn.dst.Semconn.feature
-                    = String.lowercase_ascii f.Ast.fname)
+                    Name.equal sc.Semconn.dst.Semconn.feature f.Ast.fname)
                   incoming
               in
               if not has_conn then
@@ -117,16 +116,19 @@ let check_structure (inst : Instance.t) =
   let add d = diags := d :: !diags in
   let lc = String.lowercase_ascii in
   (* duplicate subcomponent names *)
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun (c : Instance.t) ->
-      let k = lc c.Instance.name in
-      if Hashtbl.mem seen k then
-        add
-          (error ~loc:c.Instance.loc inst "duplicate subcomponent %s"
-             c.Instance.name)
-      else Hashtbl.add seen k ())
-    inst.Instance.children;
+  (match inst.Instance.children with
+  | [] | [ _ ] -> ()
+  | children ->
+      let seen = Hashtbl.create 8 in
+      List.iter
+        (fun (c : Instance.t) ->
+          let k = lc c.Instance.name in
+          if Hashtbl.mem seen k then
+            add
+              (error ~loc:c.Instance.loc inst "duplicate subcomponent %s"
+                 c.Instance.name)
+          else Hashtbl.add seen k ())
+        children);
   (* connection ends *)
   let end_ok (e : Ast.conn_end) =
     match e.Ast.ce_sub with
@@ -134,12 +136,12 @@ let check_structure (inst : Instance.t) =
         (* own feature, or a data subcomponent named directly *)
         Instance.feature_opt inst e.Ast.ce_feature <> None
         || List.exists
-             (fun (c : Instance.t) -> lc c.Instance.name = lc e.Ast.ce_feature)
+             (fun (c : Instance.t) -> Name.equal c.Instance.name e.Ast.ce_feature)
              inst.Instance.children
     | Some sub -> (
         match
           List.find_opt
-            (fun (c : Instance.t) -> lc c.Instance.name = lc sub)
+            (fun (c : Instance.t) -> Name.equal c.Instance.name sub)
             inst.Instance.children
         with
         | None -> false
@@ -174,11 +176,11 @@ let check_structure (inst : Instance.t) =
   List.iter
     (fun (t : Ast.mode_transition) ->
       let loc = t.Ast.mt_loc in
-      if not (List.mem (lc t.Ast.mt_src) mode_names) then
+      if not (Name.mem t.Ast.mt_src mode_names) then
         add
           (error ~loc inst "mode transition from unknown mode %s"
              t.Ast.mt_src);
-      if not (List.mem (lc t.Ast.mt_dst) mode_names) then
+      if not (Name.mem t.Ast.mt_dst mode_names) then
         add
           (error ~loc inst "mode transition to unknown mode %s"
              t.Ast.mt_dst))
@@ -188,7 +190,7 @@ let check_structure (inst : Instance.t) =
     (fun (c : Instance.t) ->
       List.iter
         (fun m ->
-          if not (List.mem (lc m) mode_names) then
+          if not (Name.mem m mode_names) then
             add
               (error c
                  "'in modes (%s)' references an undeclared mode" m))
@@ -196,30 +198,30 @@ let check_structure (inst : Instance.t) =
     inst.Instance.children;
   List.rev !diags
 
-let run root =
-  let threads = Instance.threads root in
-  let processors = Instance.processors root in
+let run (b : Binding.t) =
+  let root = b.Binding.root in
+  let threads = b.Binding.threads in
   let global =
     (if threads = [] then
        [ error root "model contains no thread" ]
      else [])
     @
-    if processors = [] then
+    if b.Binding.processors = [] then
       [ error root "model contains no processor" ]
     else []
   in
-  let sconns = Semconn.resolve root in
   let thread_diags =
-    List.concat_map
-      (fun th ->
-        try check_thread ~root sconns th
-        with Diag.Error d -> [ { d with subject = th.Instance.path } ])
-      threads
+    List.concat
+      (List.map2
+         (fun th bound ->
+           try check_thread b.Binding.sconns th bound
+           with Diag.Error d -> [ { d with subject = th.Instance.path } ])
+         threads b.Binding.bound)
   in
   let proc_diags =
     List.concat_map
       (fun (proc, bound) -> check_processor proc bound)
-      (Binding.threads_by_processor ~root)
+      (Binding.threads_by_processor b)
   in
   let structure_diags =
     List.concat_map check_structure (Instance.all root)

@@ -39,14 +39,14 @@ let pp_path ppf path =
 
 let path_to_string path = Fmt.str "%a" pp_path path
 
+let rec child_named name = function
+  | [] -> None
+  | c :: rest -> if Name.equal c.name name then Some c else child_named name rest
+
 let rec find inst = function
   | [] -> Some inst
   | name :: rest -> (
-      match
-        List.find_opt
-          (fun c -> String.lowercase_ascii c.name = String.lowercase_ascii name)
-          inst.children
-      with
+      match child_named name inst.children with
       | Some child -> find child rest
       | None -> None)
 
@@ -73,9 +73,7 @@ let devices inst = by_category Ast.Device inst
 let data_components inst = by_category Ast.Data inst
 
 let feature_opt inst name =
-  List.find_opt
-    (fun f -> String.lowercase_ascii f.Ast.fname = String.lowercase_ascii name)
-    inst.features
+  List.find_opt (fun f -> Name.equal f.Ast.fname name) inst.features
 
 let is_thread_or_device inst =
   match inst.category with
@@ -88,20 +86,18 @@ let is_thread_or_device inst =
    to [from] and each of its ancestors, mirroring how AADL name resolution
    searches enclosing namespaces. *)
 let resolve_reference ~root ~from path =
-  let drop_last p = List.filteri (fun i _ -> i < List.length p - 1) p in
-  (* prefixes of [from], longest (innermost namespace) first, ending with
-     [] which resolves the path absolutely from the root *)
-  let rec all_prefixes p =
-    match p with [] -> [ [] ] | p -> p :: all_prefixes (drop_last p)
+  (* the instances along [from], innermost namespace first, ending with
+     the root (which resolves the path absolutely); the walk stops at the
+     first segment of [from] that names no instance, so the scopes are
+     those of the longest prefix of [from] that resolves *)
+  let rec scopes inst acc = function
+    | [] -> inst :: acc
+    | name :: rest -> (
+        match child_named name inst.children with
+        | Some child -> scopes child (inst :: acc) rest
+        | None -> inst :: acc)
   in
-  let rec first = function
-    | [] -> None
-    | prefix :: rest -> (
-        match find root (prefix @ path) with
-        | Some i -> Some i
-        | None -> first rest)
-  in
-  first (all_prefixes from)
+  List.find_map (fun scope -> find scope path) (scopes root [] from)
 
 let rec pp ppf inst =
   Fmt.pf ppf "@[<v 2>%s: %a%a%s@,%a@]" inst.name Ast.pp_category inst.category

@@ -13,7 +13,7 @@ let split_inbox (inbox : inbox) child_name =
   List.filter_map
     (fun (path, prop) ->
       match path with
-      | first :: rest when lc first = lc child_name -> Some (rest, prop)
+      | first :: rest when Name.equal first child_name -> Some (rest, prop)
       | _ -> None)
     inbox
 
@@ -33,7 +33,7 @@ let attach_connection_props conns (inbox : inbox) =
             List.filter_map
               (fun (path, prop) ->
                 match path with
-                | [ single ] when lc single = lc n -> Some prop
+                | [ single ] when Name.equal single n -> Some prop
                 | _ -> None)
               inbox
           in
@@ -122,8 +122,7 @@ let rec build decls ~name ~path ~category ~classifier_name
     loc;
   }
 
-let instantiate (model : Ast.model) ~root : Instance.t =
-  let decls = Decls.of_model model in
+let of_decls decls ~root : Instance.t =
   let ci =
     match Decls.find_impl_opt decls root with
     | Some ci -> ci
@@ -131,7 +130,7 @@ let instantiate (model : Ast.model) ~root : Instance.t =
         (* accept a bare type name if it has exactly one implementation *)
         match
           List.filter
-            (fun ci -> lc ci.Ast.ci_type_name = lc root)
+            (fun ci -> Name.equal ci.Ast.ci_type_name root)
             (Decls.impls decls)
         with
         | [ ci ] -> ci
@@ -144,15 +143,16 @@ let instantiate (model : Ast.model) ~root : Instance.t =
     ~classifier_name:(Some (Ast.impl_full_name ci))
     ~sub_props:[] ~in_modes:[] ~inbox:[] ~depth:0 ~loc:ci.Ast.ci_loc
 
+let instantiate (model : Ast.model) ~root = of_decls (Decls.of_model model) ~root
+
 let of_string ?root text =
-  let model = Parser.parse_string text in
+  let decls = Decls.of_model (Parser.parse_string text) in
   let root =
     match root with
     | Some r -> r
     | None -> (
         (* default: the unique system implementation that is not used as a
            subcomponent anywhere (the topmost one) *)
-        let decls = Decls.of_model model in
         let impls = Decls.impls decls in
         let used = Hashtbl.create 16 in
         List.iter
@@ -176,4 +176,4 @@ let of_string ?root text =
         | [] -> Diag.fail "no root system implementation found"
         | _ -> Diag.fail "several candidate root systems; name one as the root")
   in
-  instantiate model ~root
+  of_decls decls ~root

@@ -26,6 +26,18 @@ type token =
 
 val pp_token : token Fmt.t
 
-val tokenize : string -> (token * Ast.srcloc) list
+type t
+(** A tokenized compilation unit. *)
+
+val tokenize : string -> t
 (** Tokenize a whole compilation unit; the result always ends with [EOF].
     @raise Diag.Error on malformed input. *)
+
+val length : t -> int
+(** Number of tokens, the final [EOF] included. *)
+
+val token : t -> int -> token
+(** The token at an index below {!length}. *)
+
+val loc : t -> int -> Ast.srcloc
+(** Where the token at an index starts. *)

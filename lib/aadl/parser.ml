@@ -7,16 +7,12 @@
    [applies to] clauses; optional [package] wrappers.  Keywords are
    case-insensitive, as required by AS5506. *)
 
-type state = { toks : (Lexer.token * Ast.srcloc) array; mutable pos : int }
+type state = { toks : Lexer.t; last : int; mutable pos : int }
 
-let peek st = fst st.toks.(st.pos)
-let peek_loc st = snd st.toks.(st.pos)
-
-let peek2 st =
-  if st.pos + 1 < Array.length st.toks then fst st.toks.(st.pos + 1)
-  else Lexer.EOF
-
-let advance st = if st.pos < Array.length st.toks - 1 then st.pos <- st.pos + 1
+let peek st = Lexer.token st.toks st.pos
+let peek_loc st = Lexer.loc st.toks st.pos
+let peek2 st = if st.pos < st.last then Lexer.token st.toks (st.pos + 1) else Lexer.EOF
+let advance st = if st.pos < st.last then st.pos <- st.pos + 1
 
 let fail st fmt = Diag.fail ~loc:(peek_loc st) fmt
 
@@ -32,11 +28,10 @@ let ident st =
       s
   | t -> fail st "expected identifier, found %a" Lexer.pp_token t
 
-(* Case-insensitive keyword tests on identifier tokens. *)
+(* Case-insensitive keyword tests on identifier tokens; keywords are
+   given in lowercase. *)
 let is_kw st kw =
-  match peek st with
-  | Lexer.IDENT s -> String.lowercase_ascii s = kw
-  | _ -> false
+  match peek st with Lexer.IDENT s -> Name.equal s kw | _ -> false
 
 let accept_kw st kw =
   if is_kw st kw then begin
@@ -49,23 +44,28 @@ let expect_kw st kw =
   if not (accept_kw st kw) then
     fail st "expected keyword %S, found %a" kw Lexer.pp_token (peek st)
 
-let category_of_kw = function
-  | "system" -> Some Ast.System
-  | "process" -> Some Ast.Process
-  | "thread" -> Some Ast.Thread (* "thread group" resolved by caller *)
-  | "subprogram" -> Some Ast.Subprogram
-  | "data" -> Some Ast.Data
-  | "processor" -> Some Ast.Processor
-  | "memory" -> Some Ast.Memory
-  | "bus" -> Some Ast.Bus
-  | "device" -> Some Ast.Device
-  | _ -> None
+let categories =
+  [
+    ("system", Some Ast.System);
+    ("process", Some Ast.Process);
+    ("thread", Some Ast.Thread) (* "thread group" resolved by caller *);
+    ("subprogram", Some Ast.Subprogram);
+    ("data", Some Ast.Data);
+    ("processor", Some Ast.Processor);
+    ("memory", Some Ast.Memory);
+    ("bus", Some Ast.Bus);
+    ("device", Some Ast.Device);
+  ]
+
+let rec category_of_kw s = function
+  | [] -> None
+  | (kw, c) :: rest -> if Name.equal s kw then c else category_of_kw s rest
 
 (* Parse a category keyword, handling the two-word "thread group". *)
 let parse_category st =
   match peek st with
   | Lexer.IDENT s -> (
-      match category_of_kw (String.lowercase_ascii s) with
+      match category_of_kw s categories with
       | Some Ast.Thread when peek2 st = Lexer.IDENT "group" ->
           advance st;
           advance st;
@@ -90,17 +90,22 @@ let rec parse_pvalue st : Ast.pvalue =
 and parse_pvalue_atom st : Ast.pvalue =
   match peek st with
   | Lexer.INT n -> (
-      let loc = peek_loc st in
+      let literal = st.pos in
       advance st;
       (* a following identifier may be a time unit *)
       match peek st with
-      | Lexer.IDENT u when Time.unit_of_string u <> None -> (
-          advance st;
+      | Lexer.IDENT u -> (
           match Time.unit_of_string u with
-          | Some Time.Ps when n mod 1000 <> 0 ->
-              Diag.fail ~loc "%d ps is not a whole number of nanoseconds" n
-          | Some unit_ -> Ast.Ptime (Time.make n unit_)
-          | None -> assert false)
+          | None -> Ast.Pint n
+          | Some unit_ ->
+              advance st;
+              let loc = Lexer.loc st.toks literal in
+              if unit_ = Time.Ps && n mod 1000 <> 0 then
+                Diag.fail ~loc "%d ps is not a whole number of nanoseconds" n
+              else if not (Time.fits n unit_) then
+                Diag.fail ~loc "%d %s does not fit in the nanosecond time range"
+                  n (Time.unit_to_string unit_)
+              else Ast.Ptime (Time.make n unit_))
       | _ -> Ast.Pint n)
   | Lexer.REAL f ->
       advance st;
@@ -123,16 +128,16 @@ and parse_pvalue_atom st : Ast.pvalue =
       let vs = items [] in
       expect st Lexer.RPAREN "')' closing a property list";
       Ast.Plist vs
-  | Lexer.IDENT s when String.lowercase_ascii s = "reference" ->
+  | Lexer.IDENT s when Name.equal s "reference" ->
       advance st;
       expect st Lexer.LPAREN "'(' after reference";
       let path = parse_dotted_path st in
       expect st Lexer.RPAREN "')' closing a reference";
       Ast.Preference path
-  | Lexer.IDENT s when String.lowercase_ascii s = "true" ->
+  | Lexer.IDENT s when Name.equal s "true" ->
       advance st;
       Ast.Pbool true
-  | Lexer.IDENT s when String.lowercase_ascii s = "false" ->
+  | Lexer.IDENT s when Name.equal s "false" ->
       advance st;
       Ast.Pbool false
   | Lexer.IDENT s ->
@@ -207,7 +212,7 @@ let parse_curly_props st =
 let parse_in_modes st =
   let next_is_modes =
     match peek2 st with
-    | Lexer.IDENT s -> String.lowercase_ascii s = "modes"
+    | Lexer.IDENT s -> Name.equal s "modes"
     | _ -> false
   in
   if is_kw st "in" && next_is_modes then begin
@@ -314,7 +319,7 @@ let parse_connection st : Ast.connection =
   let conn_name =
     match (peek st, peek2 st) with
     | Lexer.IDENT n, Lexer.COLON
-      when not (String.lowercase_ascii n = "port") ->
+      when not (Name.equal n "port") ->
         advance st;
         advance st;
         Some n
@@ -374,9 +379,7 @@ let parse_mode_item st : mode_item =
       peek st = Lexer.COLON
       &&
       match peek2 st with
-      | Lexer.IDENT s ->
-          let s = String.lowercase_ascii s in
-          s <> "initial" && s <> "mode"
+      | Lexer.IDENT s -> not (Name.equal s "initial" || Name.equal s "mode")
       | _ -> false
     in
     if labeled_transition then begin
@@ -415,6 +418,8 @@ let parse_mode_item st : mode_item =
 
 (* {1 Declarations} *)
 
+let type_sections = [ "properties"; "end"; "flows"; "modes" ]
+
 let parse_type_body st category name loc : Ast.component_type =
   let features =
     if accept_kw st "features" then
@@ -422,10 +427,7 @@ let parse_type_body st category name loc : Ast.component_type =
       else begin
         let rec go acc =
           match peek st with
-          | Lexer.IDENT s
-            when not
-                   (List.mem (String.lowercase_ascii s)
-                      [ "properties"; "end"; "flows"; "modes" ]) ->
+          | Lexer.IDENT s when not (Name.mem s type_sections) ->
               go (parse_feature st :: acc)
           | _ -> List.rev acc
         in
@@ -439,7 +441,7 @@ let parse_type_body st category name loc : Ast.component_type =
       else begin
         let rec go acc =
           match peek st with
-          | Lexer.IDENT s when String.lowercase_ascii s <> "end" ->
+          | Lexer.IDENT s when not (Name.equal s "end") ->
               go (parse_prop st :: acc)
           | _ -> List.rev acc
         in
@@ -449,7 +451,7 @@ let parse_type_body st category name loc : Ast.component_type =
   in
   expect_kw st "end";
   let end_name = ident st in
-  if String.lowercase_ascii end_name <> String.lowercase_ascii name then
+  if not (Name.equal end_name name) then
     fail st "'end %s;' does not match component type %s" end_name name;
   expect st Lexer.SEMI "';' after end";
   {
@@ -471,7 +473,7 @@ let parse_impl_body st category type_name impl_name loc : Ast.component_impl =
         let rec go acc =
           match peek st with
           | Lexer.IDENT s
-            when not (List.mem (String.lowercase_ascii s) section_keywords) ->
+            when not (Name.mem s section_keywords) ->
               go (parse_subcomponent st :: acc)
           | _ -> List.rev acc
         in
@@ -486,7 +488,7 @@ let parse_impl_body st category type_name impl_name loc : Ast.component_impl =
         let rec go acc =
           match peek st with
           | Lexer.IDENT s
-            when not (List.mem (String.lowercase_ascii s) section_keywords) ->
+            when not (Name.mem s section_keywords) ->
               go (parse_connection st :: acc)
           | _ -> List.rev acc
         in
@@ -501,8 +503,7 @@ let parse_impl_body st category type_name impl_name loc : Ast.component_impl =
         let rec go ms ts =
           match peek st with
           | Lexer.IDENT s
-            when not (List.mem (String.lowercase_ascii s) section_keywords)
-            -> (
+            when not (Name.mem s section_keywords) -> (
               match parse_mode_item st with
               | Mode_decl m -> go (m :: ms) ts
               | Mode_trans t -> go ms (t :: ts))
@@ -518,7 +519,7 @@ let parse_impl_body st category type_name impl_name loc : Ast.component_impl =
       else begin
         let rec go acc =
           match peek st with
-          | Lexer.IDENT s when String.lowercase_ascii s <> "end" ->
+          | Lexer.IDENT s when not (Name.equal s "end") ->
               go (parse_prop st :: acc)
           | _ -> List.rev acc
         in
@@ -531,8 +532,7 @@ let parse_impl_body st category type_name impl_name loc : Ast.component_impl =
   expect st Lexer.DOT "'.' in end name of an implementation";
   let end_impl = ident st in
   if
-    String.lowercase_ascii end_type <> String.lowercase_ascii type_name
-    || String.lowercase_ascii end_impl <> String.lowercase_ascii impl_name
+    not (Name.equal end_type type_name && Name.equal end_impl impl_name)
   then
     fail st "'end %s.%s;' does not match implementation %s.%s" end_type
       end_impl type_name impl_name;
@@ -571,7 +571,7 @@ let parse_model_tokens st : Ast.model =
   let rec go () =
     match peek st with
     | Lexer.EOF -> ()
-    | Lexer.IDENT s when String.lowercase_ascii s = "package" ->
+    | Lexer.IDENT s when Name.equal s "package" ->
         advance st;
         ignore (parse_dotted_path st);
         ignore (accept_kw st "public");
@@ -596,8 +596,8 @@ let parse_model_tokens st : Ast.model =
   { Ast.decls = List.rev !decls }
 
 let parse_string input =
-  let toks = Array.of_list (Lexer.tokenize input) in
-  parse_model_tokens { toks; pos = 0 }
+  let toks = Lexer.tokenize input in
+  parse_model_tokens { toks; last = Lexer.length toks - 1; pos = 0 }
 
 let parse_file path =
   let ic = open_in_bin path in

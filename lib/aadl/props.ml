@@ -42,22 +42,47 @@ let scheduling_protocol_to_string = function
 let pp_scheduling_protocol ppf s =
   Fmt.string ppf (scheduling_protocol_to_string s)
 
-(* Strip an optional "set::" qualifier. *)
-let base_name name =
-  match String.index_opt name ':' with
-  | Some i when i + 1 < String.length name && name.[i + 1] = ':' ->
-      String.sub name (i + 2) (String.length name - i - 2)
-  | Some _ | None -> name
+(* [name] from offset [start] equals [wanted] in lowercase, [n] chars *)
+let rec same_from name start wanted n k =
+  k = n
+  || Char.equal
+       (String.unsafe_get name (start + k))
+       (Char.lowercase_ascii (String.unsafe_get wanted k))
+     && same_from name start wanted n (k + 1)
 
+(* where the base name starts *)
+let base_start name =
+  match String.index_opt name ':' with
+  | Some i when i + 1 < String.length name && name.[i + 1] = ':' -> i + 2
+  | Some _ | None -> 0
+
+(* Whether an association's name, less an optional "set::" qualifier
+   (the name up to its first ':', when a second ':' follows), is
+   [wanted] in lowercase.  The parser lowercases [pname]; a name read
+   from instance XML is compared as it is.  Every lookup scans every
+   association, so this compares in place, and rejects on length before
+   looking for a qualifier. *)
 let matches wanted (p : Ast.prop) =
-  let n = base_name p.Ast.pname in
-  String.equal n (String.lowercase_ascii wanted)
+  let name = p.Ast.pname in
+  let n = String.length wanted in
+  (* the base name would be the last [n] characters *)
+  let start = String.length name - n in
+  if start = 0 then same_from name 0 wanted n 0 && base_start name = 0
+  else
+    start >= 2
+    && Char.equal name.[start - 1] ':'
+    && Char.equal name.[start - 2] ':'
+    && same_from name start wanted n 0
+    && base_start name = start
 
 (* Later associations take precedence, so scan from the end: merged
    property lists are ordered from weakest (component type) to strongest
    (contained associations). *)
-let find_prop name props =
-  List.fold_left (fun acc p -> if matches name p then Some p else acc) None props
+let rec find_last name found = function
+  | [] -> found
+  | p :: rest -> find_last name (if matches name p then Some p else found) rest
+
+let find_prop name props = find_last name None props
 
 let find name props = Option.map (fun p -> p.Ast.pvalue) (find_prop name props)
 let loc_of name props = Option.map (fun p -> p.Ast.ploc) (find_prop name props)

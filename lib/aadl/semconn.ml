@@ -81,14 +81,16 @@ let is_ultimate_endpoint root (path, _feature) =
    complete chain that reaches an ultimate destination. *)
 let chains_from g start =
   let rec go node links visited acc =
-    if List.mem (node_key node) visited then acc
+    let key = node_key node in
+    if List.mem key visited then acc
     else
-      let nexts = Hashtbl.find_all g.edges (node_key node) in
+      let nexts = Hashtbl.find_all g.edges key in
+      let visited = key :: visited in
       List.fold_left
         (fun acc (next, link) ->
           let links' = links @ [ link ] in
           if is_ultimate_endpoint g.root next then (next, links') :: acc
-          else go next links' (node_key node :: visited) acc)
+          else go next links' visited acc)
         acc nexts
   in
   go start [] [] []
@@ -130,13 +132,11 @@ let is_event_like sc =
   | Ast.Event_port | Ast.Event_data_port -> true
   | Ast.Data_port -> false
 
-let same_path a b = List.map lc a = List.map lc b
-
 let incoming sc_list (thread : Instance.t) =
-  List.filter (fun sc -> same_path sc.dst.inst thread.Instance.path) sc_list
+  List.filter (fun sc -> Name.equal_path sc.dst.inst thread.Instance.path) sc_list
 
 let outgoing sc_list (thread : Instance.t) =
-  List.filter (fun sc -> same_path sc.src.inst thread.Instance.path) sc_list
+  List.filter (fun sc -> Name.equal_path sc.src.inst thread.Instance.path) sc_list
 
 (* The feature at the ultimate destination: its Queue_Size and
    Overflow_Handling_Protocol properties govern the queue process
@@ -154,11 +154,16 @@ let src_feature root sc =
 (* A stable human-readable name for the semantic connection, used for ACSR
    label generation and trace raising. *)
 let name sc =
-  Fmt.str "%s_%s__%s_%s"
-    (String.concat "_" sc.src.inst)
-    sc.src.feature
-    (String.concat "_" sc.dst.inst)
-    sc.dst.feature
+  String.concat ""
+    [
+      String.concat "_" sc.src.inst;
+      "_";
+      sc.src.feature;
+      "__";
+      String.concat "_" sc.dst.inst;
+      "_";
+      sc.dst.feature;
+    ]
 
 (* {1 Semantic access connections} *)
 

@@ -1,6 +1,6 @@
 (* AADL time values with units (AS5506 Time property type).  All values are
-   normalized to an integer number of nanoseconds; model periods are far
-   below the 63-bit range. *)
+   normalized to an integer number of nanoseconds; a value whose
+   nanosecond count leaves the 63-bit range is rejected, not wrapped. *)
 
 type unit_ = Ps | Ns | Us | Ms | Sec | Min | Hr
 
@@ -15,13 +15,33 @@ let ns_per = function
   | Min -> 60_000_000_000
   | Hr -> 3_600_000_000_000
 
+let unit_to_string = function
+  | Ps -> "ps"
+  | Ns -> "ns"
+  | Us -> "us"
+  | Ms -> "ms"
+  | Sec -> "sec"
+  | Min -> "min"
+  | Hr -> "hr"
+
+let fits value = function
+  | Ps | Ns -> true
+  | u ->
+      let k = ns_per u in
+      value <= max_int / k && value >= min_int / k
+
 let make value unit_ =
   match unit_ with
   | Ps ->
       if value mod 1000 <> 0 then
         invalid_arg (Fmt.str "Time.make: %d ps is not whole nanoseconds" value)
       else value / 1000
-  | u -> value * ns_per u
+  | u ->
+      if not (fits value u) then
+        invalid_arg
+          (Fmt.str "Time.make: %d %s overflows the nanosecond range" value
+             (unit_to_string u));
+      value * ns_per u
 
 let zero = 0
 let of_ns ns = ns
@@ -32,25 +52,20 @@ let compare = Int.compare
 let equal = Int.equal
 let is_zero t = t = 0
 
-let unit_of_string s =
-  match String.lowercase_ascii s with
-  | "ps" -> Some Ps
-  | "ns" -> Some Ns
-  | "us" -> Some Us
-  | "ms" -> Some Ms
-  | "sec" | "s" -> Some Sec
-  | "min" -> Some Min
-  | "hr" | "h" -> Some Hr
-  | _ -> None
+(* Case-insensitive, and called on every identifier that follows an
+   integer literal, so it compares in place. *)
+let units =
+  [
+    ("ps", Some Ps); ("ns", Some Ns); ("us", Some Us); ("ms", Some Ms);
+    ("sec", Some Sec); ("s", Some Sec); ("min", Some Min); ("hr", Some Hr);
+    ("h", Some Hr);
+  ]
 
-let unit_to_string = function
-  | Ps -> "ps"
-  | Ns -> "ns"
-  | Us -> "us"
-  | Ms -> "ms"
-  | Sec -> "sec"
-  | Min -> "min"
-  | Hr -> "hr"
+let rec unit_in s = function
+  | [] -> None
+  | (name, u) :: rest -> if Name.equal s name then u else unit_in s rest
+
+let unit_of_string s = unit_in s units
 
 (* Express a time value as an integral number of scheduling quanta,
    rounding up (conservative for execution times and exact for the usual

@@ -4,9 +4,13 @@ type unit_ = Ps | Ns | Us | Ms | Sec | Min | Hr
 
 type t
 
+val fits : int -> unit_ -> bool
+(** The value's nanosecond count fits in an OCaml [int]. *)
+
 val make : int -> unit_ -> t
 (** @raise Invalid_argument for picoseconds that are not a whole number
-    of nanoseconds (the parser rejects those literals first). *)
+    of nanoseconds, or a value that does not {!fits} (the parser rejects
+    both kinds of literal first). *)
 
 val zero : t
 val of_ns : int -> t

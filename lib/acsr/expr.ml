@@ -99,19 +99,48 @@ let rec equal a b =
 
 let compare = Stdlib.compare
 
-let rec pp ppf = function
-  | Int n -> Fmt.int ppf n
-  | Var x -> Fmt.string ppf x
-  | Neg e -> Fmt.pf ppf "-%a" pp_atom e
-  | Add (a, b) -> Fmt.pf ppf "%a + %a" pp_atom a pp_atom b
-  | Sub (a, b) -> Fmt.pf ppf "%a - %a" pp_atom a pp_atom b
-  | Mul (a, b) -> Fmt.pf ppf "%a * %a" pp_atom a pp_atom b
-  | Div (a, b) -> Fmt.pf ppf "%a / %a" pp_atom a pp_atom b
-  | Mod (a, b) -> Fmt.pf ppf "%a %% %a" pp_atom a pp_atom b
-  | Min (a, b) -> Fmt.pf ppf "min(%a, %a)" pp a pp b
-  | Max (a, b) -> Fmt.pf ppf "max(%a, %a)" pp a pp b
+(* The printed form, built without a formatter: translation digests
+   include it for every thread. *)
+let rec add_expr buf = function
+  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Var x -> Buffer.add_string buf x
+  | Neg e ->
+      Buffer.add_char buf '-';
+      add_atom buf e
+  | Add (a, b) -> add_binop buf a " + " b
+  | Sub (a, b) -> add_binop buf a " - " b
+  | Mul (a, b) -> add_binop buf a " * " b
+  | Div (a, b) -> add_binop buf a " / " b
+  | Mod (a, b) -> add_binop buf a " % " b
+  | Min (a, b) -> add_call buf "min(" a b
+  | Max (a, b) -> add_call buf "max(" a b
 
-and pp_atom ppf e =
+and add_atom buf e =
   match e with
-  | Int _ | Var _ | Min _ | Max _ -> pp ppf e
-  | Neg _ | Add _ | Sub _ | Mul _ | Div _ | Mod _ -> Fmt.pf ppf "(%a)" pp e
+  | Int _ | Var _ | Min _ | Max _ -> add_expr buf e
+  | Neg _ | Add _ | Sub _ | Mul _ | Div _ | Mod _ ->
+      Buffer.add_char buf '(';
+      add_expr buf e;
+      Buffer.add_char buf ')'
+
+and add_binop buf a op b =
+  add_atom buf a;
+  Buffer.add_string buf op;
+  add_atom buf b
+
+and add_call buf fn a b =
+  Buffer.add_string buf fn;
+  add_expr buf a;
+  Buffer.add_string buf ", ";
+  add_expr buf b;
+  Buffer.add_char buf ')'
+
+let to_string = function
+  | Int n -> string_of_int n
+  | Var x -> x
+  | e ->
+      let buf = Buffer.create 32 in
+      add_expr buf e;
+      Buffer.contents buf
+
+let pp ppf e = Fmt.string ppf (to_string e)

@@ -37,4 +37,7 @@ val subst : int Env.t -> t -> t
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+val to_string : t -> string
+(** The text {!pp} prints, e.g. [min(e, 3) + (t - 1)]. *)
+
 val pp : t Fmt.t

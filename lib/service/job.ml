@@ -55,78 +55,84 @@ let protocol_of_string s =
   | "hier" | "hierarchical" -> Ok Aadl.Props.Hierarchical
   | other -> Error (Printf.sprintf "unknown protocol %S" other)
 
-(* Result-aware field accessors over a request object. *)
-
 let ( let* ) = Result.bind
 
-let opt_field json key decode what =
-  match Json.member key json with
-  | None | Some Json.Null -> Ok None
-  | Some v -> (
-      match decode v with
-      | Some x -> Ok (Some x)
-      | None -> Error (Printf.sprintf "field %S must be %s" key what))
-
+(* Fields are decoded in a fixed order and the first bad one is
+   reported; a manifest decodes thousands of these, so the decoder
+   raises a local exception rather than chaining result closures. *)
 let request_of_json json =
   match json with
-  | Json.Obj _ ->
-      let* id =
-        match Option.bind (Json.member "id" json) Json.to_str with
-        | Some id when id <> "" -> Ok id
-        | Some _ -> Error "field \"id\" must be non-empty"
-        | None -> Error "missing string field \"id\""
-      in
-      let err msg = Error (Printf.sprintf "request %S: %s" id msg) in
-      let field key decode what =
-        Result.map_error
-          (fun m -> Printf.sprintf "request %S: %s" id m)
-          (opt_field json key decode what)
-      in
-      let* file = field "file" Json.to_str "a string" in
-      let* model = field "model" Json.to_str "a string" in
-      let* source =
-        match (file, model) with
-        | Some f, None -> Ok (File f)
-        | None, Some m -> Ok (Inline m)
-        | Some _, Some _ -> err "give either \"file\" or \"model\", not both"
-        | None, None -> err "one of \"file\" or \"model\" is required"
-      in
-      let* root = field "root" Json.to_str "a string" in
-      let* protocol_name = field "protocol" Json.to_str "a string" in
-      let* protocol =
-        match protocol_name with
-        | None -> Ok None
-        | Some name -> (
-            match protocol_of_string name with
-            | Ok p -> Ok (Some p)
-            | Error m -> err m)
-      in
-      let* quantum_us = field "quantum_us" Json.to_int "an integer" in
-      let* max_states =
-        let positive v =
-          Option.bind (Json.to_int v) (fun n -> if n > 0 then Some n else None)
-        in
-        field "max_states" positive "a positive integer"
-      in
-      let* timeout_s =
-        let non_negative v =
-          Option.bind (Json.to_float v) (fun s ->
-              if s >= 0. then Some s else None)
-        in
-        field "timeout_s" non_negative "a non-negative number"
-      in
-      let* priority = field "priority" Json.to_int "an integer" in
-      Ok
-        {
-          id;
-          source;
-          root;
-          protocol;
-          quantum_us;
-          max_states = Option.value max_states ~default:default_max_states;
-          timeout_s;
-          priority = Option.value priority ~default:0;
-        }
+  | Json.Obj _ -> (
+      match Option.bind (Json.member "id" json) Json.to_str with
+      | None -> Error "missing string field \"id\""
+      | Some "" -> Error "field \"id\" must be non-empty"
+      | Some id -> (
+          let exception Bad of string in
+          let bad msg = raise (Bad (Printf.sprintf "request %S: %s" id msg)) in
+          let field key decode what =
+            match Json.member key json with
+            | None | Some Json.Null -> None
+            | Some v -> (
+                match decode v with
+                | Some x -> Some x
+                | None -> bad (Printf.sprintf "field %S must be %s" key what))
+          in
+          try
+            let file = field "file" Json.to_str "a string" in
+            let model = field "model" Json.to_str "a string" in
+            let source =
+              match (file, model) with
+              | Some f, None -> File f
+              | None, Some m -> Inline m
+              | Some _, Some _ -> bad "give either \"file\" or \"model\", not both"
+              | None, None -> bad "one of \"file\" or \"model\" is required"
+            in
+            let root = field "root" Json.to_str "a string" in
+            let protocol =
+              Option.map
+                (fun name ->
+                  match protocol_of_string name with
+                  | Ok p -> p
+                  | Error m -> bad m)
+                (field "protocol" Json.to_str "a string")
+            in
+            let quantum_us = field "quantum_us" Json.to_int "an integer" in
+            Option.iter
+              (fun us ->
+                if not (Aadl.Time.fits us Aadl.Time.Us) then
+                  bad
+                    (Printf.sprintf
+                       "field \"quantum_us\" (%d) does not fit in the \
+                        nanosecond time range"
+                       us))
+              quantum_us;
+            let max_states =
+              field "max_states"
+                (fun v ->
+                  Option.bind (Json.to_int v) (fun n ->
+                      if n > 0 then Some n else None))
+                "a positive integer"
+            in
+            let timeout_s =
+              field "timeout_s"
+                (fun v ->
+                  Option.bind (Json.to_float v) (fun s ->
+                      if s >= 0. then Some s else None))
+                "a non-negative number"
+            in
+            let priority = field "priority" Json.to_int "an integer" in
+            Ok
+              {
+                id;
+                source;
+                root;
+                protocol;
+                quantum_us;
+                max_states = Option.value max_states ~default:default_max_states;
+                timeout_s;
+                priority = Option.value priority ~default:0;
+              }
+          with Bad msg -> Error msg))
   | _ -> Error "request must be a JSON object"
 
 let protocol_to_string = function
@@ -251,20 +257,27 @@ let outcome_of_json json =
         }
   | _ -> Error "outcome must be a JSON object"
 
+(* Lines are cut from the text one at a time, so a long manifest is
+   never held as a list of line copies. *)
 let parse_manifest text =
-  let lines = String.split_on_char '\n' text in
-  let rec go lineno acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest ->
-        let trimmed = String.trim line in
-        if trimmed = "" || trimmed.[0] = '#' then go (lineno + 1) acc rest
-        else
-          let parsed =
-            let* json = Json.parse trimmed in
-            request_of_json json
-          in
-          (match parsed with
-          | Ok req -> go (lineno + 1) (req :: acc) rest
-          | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg))
+  let n = String.length text in
+  let rec go lineno acc start =
+    if start > n then Ok (List.rev acc)
+    else
+      let stop =
+        match String.index_from_opt text start '\n' with
+        | Some i -> i
+        | None -> n
+      in
+      let trimmed = String.trim (String.sub text start (stop - start)) in
+      if trimmed = "" || trimmed.[0] = '#' then go (lineno + 1) acc (stop + 1)
+      else
+        let parsed =
+          let* json = Json.parse trimmed in
+          request_of_json json
+        in
+        match parsed with
+        | Ok req -> go (lineno + 1) (req :: acc) (stop + 1)
+        | Error msg -> Error (Printf.sprintf "line %d: %s" lineno msg)
   in
-  go 1 [] lines
+  go 1 [] 0

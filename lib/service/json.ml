@@ -31,7 +31,8 @@ let add_utf8 buf cp =
 
 type cursor = { s : string; mutable i : int }
 
-let peek c = if c.i < String.length c.s then Some c.s.[c.i] else None
+(* [at c ch]: the character at the cursor is [ch]. *)
+let at c ch = c.i < String.length c.s && Char.equal (String.unsafe_get c.s c.i) ch
 
 let skip_ws c =
   while c.i < String.length c.s && is_ws c.s.[c.i] do
@@ -39,9 +40,8 @@ let skip_ws c =
   done
 
 let expect c ch =
-  match peek c with
-  | Some x when x = ch -> c.i <- c.i + 1
-  | _ -> fail c.i (Printf.sprintf "expected %C" ch)
+  if at c ch then c.i <- c.i + 1
+  else fail c.i (Printf.sprintf "expected %C" ch)
 
 let hex_digit c ch =
   match ch with
@@ -50,9 +50,11 @@ let hex_digit c ch =
   | 'A' .. 'F' -> Char.code ch - Char.code 'A' + 10
   | _ -> fail c.i "bad hex digit in \\u escape"
 
-let parse_string_body c =
-  (* cursor is just past the opening quote *)
-  let buf = Buffer.create 16 in
+(* The escape-decoding path of [parse_string_body], from the cursor on,
+   after the already-scanned [prefix]. *)
+let parse_escaped_string c prefix =
+  let buf = Buffer.create (String.length prefix + 16) in
+  Buffer.add_string buf prefix;
   let rec go () =
     if c.i >= String.length c.s then fail c.i "unterminated string";
     let ch = c.s.[c.i] in
@@ -90,6 +92,27 @@ let parse_string_body c =
   in
   go ()
 
+let parse_string_body c =
+  (* cursor is just past the opening quote; a string without escapes,
+     the usual case, is one substring *)
+  let s = c.s and start = c.i in
+  let rec scan j =
+    if j >= String.length s then begin
+      c.i <- j;
+      fail c.i "unterminated string"
+    end
+    else
+      match String.unsafe_get s j with
+      | '"' ->
+          c.i <- j + 1;
+          String.sub s start (j - start)
+      | '\\' ->
+          c.i <- j;
+          parse_escaped_string c (String.sub s start (j - start))
+      | _ -> scan (j + 1)
+  in
+  scan start
+
 let parse_number c =
   let start = c.i in
   let consume pred =
@@ -97,23 +120,20 @@ let parse_number c =
       c.i <- c.i + 1
     done
   in
-  if peek c = Some '-' then c.i <- c.i + 1;
+  if at c '-' then c.i <- c.i + 1;
   consume (function '0' .. '9' -> true | _ -> false);
   let is_float = ref false in
-  if peek c = Some '.' then begin
+  if at c '.' then begin
     is_float := true;
     c.i <- c.i + 1;
     consume (function '0' .. '9' -> true | _ -> false)
   end;
-  (match peek c with
-  | Some ('e' | 'E') ->
-      is_float := true;
-      c.i <- c.i + 1;
-      (match peek c with
-      | Some ('+' | '-') -> c.i <- c.i + 1
-      | _ -> ());
-      consume (function '0' .. '9' -> true | _ -> false)
-  | _ -> ());
+  if at c 'e' || at c 'E' then begin
+    is_float := true;
+    c.i <- c.i + 1;
+    if at c '+' || at c '-' then c.i <- c.i + 1;
+    consume (function '0' .. '9' -> true | _ -> false)
+  end;
   let text = String.sub c.s start (c.i - start) in
   if !is_float then
     match float_of_string_opt text with
@@ -130,7 +150,10 @@ let parse_number c =
 
 let literal c word v =
   let n = String.length word in
-  if c.i + n <= String.length c.s && String.sub c.s c.i n = word then begin
+  let rec same k =
+    k = n || (Char.equal c.s.[c.i + k] word.[k] && same (k + 1))
+  in
+  if c.i + n <= String.length c.s && same 0 then begin
     c.i <- c.i + n;
     v
   end
@@ -138,15 +161,15 @@ let literal c word v =
 
 let rec parse_value c =
   skip_ws c;
-  match peek c with
-  | None -> fail c.i "unexpected end of input"
-  | Some '"' ->
+  if c.i >= String.length c.s then fail c.i "unexpected end of input";
+  match c.s.[c.i] with
+  | '"' ->
       c.i <- c.i + 1;
       String (parse_string_body c)
-  | Some '{' ->
+  | '{' ->
       c.i <- c.i + 1;
       skip_ws c;
-      if peek c = Some '}' then begin
+      if at c '}' then begin
         c.i <- c.i + 1;
         Obj []
       end
@@ -159,20 +182,21 @@ let rec parse_value c =
           expect c ':';
           let v = parse_value c in
           skip_ws c;
-          match peek c with
-          | Some ',' ->
-              c.i <- c.i + 1;
-              fields ((k, v) :: acc)
-          | Some '}' ->
-              c.i <- c.i + 1;
-              Obj (List.rev ((k, v) :: acc))
-          | _ -> fail c.i "expected ',' or '}'"
+          if at c ',' then begin
+            c.i <- c.i + 1;
+            fields ((k, v) :: acc)
+          end
+          else if at c '}' then begin
+            c.i <- c.i + 1;
+            Obj (List.rev ((k, v) :: acc))
+          end
+          else fail c.i "expected ',' or '}'"
         in
         fields []
-  | Some '[' ->
+  | '[' ->
       c.i <- c.i + 1;
       skip_ws c;
-      if peek c = Some ']' then begin
+      if at c ']' then begin
         c.i <- c.i + 1;
         List []
       end
@@ -180,21 +204,22 @@ let rec parse_value c =
         let rec elems acc =
           let v = parse_value c in
           skip_ws c;
-          match peek c with
-          | Some ',' ->
-              c.i <- c.i + 1;
-              elems (v :: acc)
-          | Some ']' ->
-              c.i <- c.i + 1;
-              List (List.rev (v :: acc))
-          | _ -> fail c.i "expected ',' or ']'"
+          if at c ',' then begin
+            c.i <- c.i + 1;
+            elems (v :: acc)
+          end
+          else if at c ']' then begin
+            c.i <- c.i + 1;
+            List (List.rev (v :: acc))
+          end
+          else fail c.i "expected ',' or ']'"
         in
         elems []
-  | Some 't' -> literal c "true" (Bool true)
-  | Some 'f' -> literal c "false" (Bool false)
-  | Some 'n' -> literal c "null" Null
-  | Some ('-' | '0' .. '9') -> parse_number c
-  | Some ch -> fail c.i (Printf.sprintf "unexpected %C" ch)
+  | 't' -> literal c "true" (Bool true)
+  | 'f' -> literal c "false" (Bool false)
+  | 'n' -> literal c "null" Null
+  | '-' | '0' .. '9' -> parse_number c
+  | ch -> fail c.i (Printf.sprintf "unexpected %C" ch)
 
 let parse s =
   let c = { s; i = 0 } in

@@ -124,11 +124,38 @@ let pp_attribution ppf (c : attribution_counters) =
             changed)
     c.changed_components
 
+(* Read a model file straight into a string of its size.  Every request
+   for a file model, cache hits included, reads it; an input channel
+   would malloc a 64 KiB buffer that is only freed when the channel is
+   finalized, and under a fast stream of hits on two domains those
+   buffers fragment the C heap (doc/PERFORMANCE.md §4g).  Failures are
+   reported as [open_in_bin] reports them. *)
 let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+  let fail ?(prefix = "") err =
+    raise (Sys_error (prefix ^ Unix.error_message err))
+  in
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception Unix.Unix_error (err, _, _) -> fail ~prefix:(path ^ ": ") err
+  | fd ->
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          try
+            let size = Unix.lseek fd 0 Unix.SEEK_END in
+            ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+            let buf = Bytes.create size in
+            let rec fill off =
+              if off = size then off
+              else
+                match Unix.read fd buf off (size - off) with
+                | 0 -> off
+                | n -> fill (off + n)
+                | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill off
+            in
+            let len = fill 0 in
+            if len = size then Bytes.unsafe_to_string buf
+            else Bytes.sub_string buf 0 len
+          with Unix.Unix_error (err, _, _) -> fail err)
 
 let load (req : Job.request) =
   match req.source with

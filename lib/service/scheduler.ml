@@ -105,7 +105,12 @@ let run_all t =
       let pool = Versa.Pool.create (t.workers - 1) in
       Fun.protect
         ~finally:(fun () -> Versa.Pool.shutdown pool)
-        (fun () -> Versa.Pool.run pool n (fun i -> run_one t.config jobs.(i)))
+        (fun () -> Versa.Pool.run pool n (fun i -> run_one t.config jobs.(i)));
+      (* A joined domain leaves its part of the heap for later major
+         cycles to sweep.  Collecting now keeps the peak resident set
+         of a process that drains batch after batch near that of one
+         that never respawns its workers (doc/PERFORMANCE.md §4g). *)
+      Gc.full_major ()
     end;
   List.map
     (fun h ->

@@ -40,4 +40,5 @@ val outcome : handle -> Job.outcome option
 val run_all : t -> Job.outcome list
 (** Drain every pending job and return their outcomes in {e submission}
     order (execution order is priority order).  Worker domains are
-    created per drain and torn down before returning, exception-safely. *)
+    created per drain and torn down before returning, exception-safely;
+    a drain that used them ends with a full major collection. *)

@@ -40,10 +40,7 @@ let default_options = { quantum = None; force_protocol = None; probes = [] }
 let probes_for options path point =
   List.filter_map
     (fun p ->
-      if
-        p.probe_point = point
-        && List.map String.lowercase_ascii p.probe_thread
-           = List.map String.lowercase_ascii path
+      if p.probe_point = point && Aadl.Name.equal_path p.probe_thread path
       then Some p.probe_label
       else None)
     options.probes
@@ -151,9 +148,7 @@ let hierarchical_groups root tasks =
       | seg :: rest -> (
           match
             List.find_opt
-              (fun (c : Aadl.Instance.t) ->
-                String.lowercase_ascii c.Aadl.Instance.name
-                = String.lowercase_ascii seg)
+              (fun (c : Aadl.Instance.t) -> Aadl.Name.equal c.Aadl.Instance.name seg)
               inst.Aadl.Instance.children
           with
           | Some child ->
@@ -252,17 +247,8 @@ let thread_spec ~options ~scope ~modal ~all_assignments (task : Workload.task)
         ^ opt_int (Aadl.Props.urgency (Aadl.Semconn.props sc)))
       task.Workload.incoming_events
   in
-  (* [path_token] is the thread's own resolved path for the content
-     digest, and a fixed placeholder for the symmetry digest: two threads
-     whose digests agree once their own identity is masked out are
-     interchangeable candidates (the pipeline still verifies the claim
-     structurally — see [Pipeline.detect_symmetry]).  Everything else
-     stays: per-thread probe/gate/trigger labels or connections make the
-     symmetry digests differ, which conservatively disables merging. *)
-  let digest_parts path_token =
+  let content =
     [
-      "thread.v1";
-      path_token;
       dispatch_tag task.Workload.dispatch;
       opt_int task.Workload.period;
       string_of_int task.Workload.cmin;
@@ -270,7 +256,7 @@ let thread_spec ~options ~scope ~modal ~all_assignments (task : Workload.task)
       string_of_int task.Workload.deadline;
       opt_int task.Workload.aadl_priority;
       Naming.of_path sproc;
-      Fmt.str "%a" Expr.pp cpu_priority;
+      Expr.to_string cpu_priority;
     ]
     @ section "data" (List.map Naming.of_path sdata)
     @ section "bus" (List.map Naming.of_path sbuses)
@@ -289,6 +275,14 @@ let thread_spec ~options ~scope ~modal ~all_assignments (task : Workload.task)
     @ section "dprobe" (List.map Label.name dispatch_probes)
     @ section "cprobe" (List.map Label.name completion_probes)
   in
+  (* [path_token] is the thread's own resolved path for the content
+     digest, and a fixed placeholder for the symmetry digest: two threads
+     whose digests agree once their own identity is masked out are
+     interchangeable candidates (the pipeline still verifies the claim
+     structurally — see [Pipeline.detect_symmetry]).  Everything else
+     stays: per-thread probe/gate/trigger labels or connections make the
+     symmetry digests differ, which conservatively disables merging. *)
+  let digest_parts path_token = "thread.v1" :: path_token :: content in
   let digest = digest_of (digest_parts (Naming.of_path spath)) in
   let sym_digest = digest_of (digest_parts "*") in
   let spec_id = "thread:" ^ String.concat "." path in
@@ -435,7 +429,10 @@ let modal_spec m : spec =
   }
 
 let plan ?(options = default_options) (root : Aadl.Instance.t) : plan =
-  (match Aadl.Check.errors (Aadl.Check.run root) with
+  (* bindings and connections are resolved here, once, for both the
+     checks and the extraction *)
+  let deployment = Aadl.Binding.resolve root in
+  (match Aadl.Check.errors (Aadl.Check.run deployment) with
   | [] -> ()
   | d :: rest ->
       let more = List.length rest in
@@ -448,7 +445,7 @@ let plan ?(options = default_options) (root : Aadl.Instance.t) : plan =
     | Some q -> q
     | None -> Workload.suggest_quantum root
   in
-  let wl = Workload.extract ~quantum root in
+  let wl = Workload.of_binding ~quantum deployment in
   (* mode support (extension): at most one modal component *)
   let modal =
     match Modal.find root with

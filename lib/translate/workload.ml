@@ -40,7 +40,9 @@ type t = {
 
 let quanta_ceil ~quantum time = Aadl.Time.to_quanta ~quantum time
 
-let task_of_thread ~root ~quantum sconns (th : Aadl.Instance.t) =
+let task_of_thread ~quantum (b : Aadl.Binding.t) (th : Aadl.Instance.t) bound
+    =
+  let root = b.Aadl.Binding.root in
   let props = th.Aadl.Instance.props in
   let path = th.Aadl.Instance.path in
   let loc name = Option.value (Aadl.Props.loc_of name props) ~default:th.loc in
@@ -78,8 +80,14 @@ let task_of_thread ~root ~quantum sconns (th : Aadl.Instance.t) =
         Option.map (quanta_floor "Period") p
   in
   let processor =
-    (Aadl.Binding.processor_of_exn ~root th).Aadl.Instance.path
+    match bound with
+    | Ok (Some (p : Aadl.Instance.t)) -> p.Aadl.Instance.path
+    | Ok None ->
+        Aadl.Diag.fail ~loc:th.loc ~subject:path
+          "thread is not bound to a processor"
+    | Error d -> raise (Aadl.Diag.Error d)
   in
+  let sconns = b.Aadl.Binding.sconns in
   let incoming_events =
     List.filter Aadl.Semconn.is_event_like (Aadl.Semconn.incoming sconns th)
   in
@@ -94,11 +102,12 @@ let task_of_thread ~root ~quantum sconns (th : Aadl.Instance.t) =
     |> List.sort_uniq Stdlib.compare
   in
   let data_shared =
-    Aadl.Semconn.resolve_access root
-    |> List.filter (fun (a : Aadl.Semconn.access) ->
-           List.map String.lowercase_ascii a.Aadl.Semconn.thread
-           = List.map String.lowercase_ascii path)
-    |> List.map (fun (a : Aadl.Semconn.access) -> a.Aadl.Semconn.data)
+    List.filter_map
+      (fun (a : Aadl.Semconn.access) ->
+        if Aadl.Name.equal_path a.Aadl.Semconn.thread path then
+          Some a.Aadl.Semconn.data
+        else None)
+      b.Aadl.Binding.accesses
     |> List.sort_uniq Stdlib.compare
   in
   if cmax > deadline then
@@ -123,30 +132,35 @@ let task_of_thread ~root ~quantum sconns (th : Aadl.Instance.t) =
     loc = th.loc;
   }
 
-let extract ~quantum root =
+let of_binding ~quantum (b : Aadl.Binding.t) =
   if Aadl.Time.to_ns quantum <= 0 then
     Aadl.Diag.fail "quantum must be positive, got %a" Aadl.Time.pp quantum;
-  let sconns = Aadl.Semconn.resolve root in
   let tasks =
-    List.map (task_of_thread ~root ~quantum sconns) (Aadl.Instance.threads root)
+    List.map2 (task_of_thread ~quantum b) b.Aadl.Binding.threads
+      b.Aadl.Binding.bound
   in
   let by_processor =
     List.filter_map
-      (fun (proc, threads) ->
+      (fun ((proc : Aadl.Instance.t), threads) ->
         if threads = [] then None
         else
-          let procpath p = List.map String.lowercase_ascii p in
-          let bound =
-            List.filter
-              (fun task ->
-                procpath task.processor
-                = procpath proc.Aadl.Instance.path)
-              tasks
-          in
-          Some (proc, bound))
-      (Aadl.Binding.threads_by_processor ~root)
+          Some
+            ( proc,
+              List.filter
+                (fun task ->
+                  Aadl.Name.equal_path task.processor proc.Aadl.Instance.path)
+                tasks ))
+      (Aadl.Binding.threads_by_processor b)
   in
-  { root; quantum; tasks; sconns; by_processor }
+  {
+    root = b.Aadl.Binding.root;
+    quantum;
+    tasks;
+    sconns = b.Aadl.Binding.sconns;
+    by_processor;
+  }
+
+let extract ~quantum root = of_binding ~quantum (Aadl.Binding.resolve root)
 
 (* The largest quantum that represents every timing property of the model
    exactly: the gcd of all time values appearing anywhere in the instance
@@ -177,11 +191,7 @@ let suggest_quantum root =
   if acc = 0 then Aadl.Time.of_ms 1 else Aadl.Time.of_ns acc
 
 let find_task t path =
-  List.find_opt
-    (fun task ->
-      List.map String.lowercase_ascii task.path
-      = List.map String.lowercase_ascii path)
-    t.tasks
+  List.find_opt (fun task -> Aadl.Name.equal_path task.path path) t.tasks
 
 (* Utilization of a task set on one processor, using maximum execution
    times; background and aperiodic tasks contribute only if they carry a

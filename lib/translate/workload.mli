@@ -27,11 +27,15 @@ type t = {
   by_processor : (Aadl.Instance.t * task list) list;
 }
 
-val extract : quantum:Aadl.Time.t -> Aadl.Instance.t -> t
+val of_binding : quantum:Aadl.Time.t -> Aadl.Binding.t -> t
 (** Convert thread timing properties to quanta: execution times round up,
     periods and deadlines round down (a conservative over-approximation).
-    @raise Aadl.Diag.Error on missing properties, sub-quantum values, or a thread
-    whose cmax exceeds its deadline. *)
+    Bindings and connections are read from the resolved deployment.
+    @raise Aadl.Diag.Error on missing properties, sub-quantum values, an
+    unbound thread, or a thread whose cmax exceeds its deadline. *)
+
+val extract : quantum:Aadl.Time.t -> Aadl.Instance.t -> t
+(** {!of_binding} over {!Aadl.Binding.resolve}. *)
 
 val suggest_quantum : Aadl.Instance.t -> Aadl.Time.t
 (** The gcd of every time value in the model: the coarsest quantum that

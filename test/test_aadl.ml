@@ -96,8 +96,12 @@ let instance () = Aadl.Instantiate.of_string mini_system
 
 (* {1 Lexer} *)
 
+let lex_tokens text =
+  let toks = Aadl.Lexer.tokenize text in
+  List.init (Aadl.Lexer.length toks) (Aadl.Lexer.token toks)
+
 let test_lexer_tokens () =
-  let toks = List.map fst (Aadl.Lexer.tokenize "a.b -> c_1 { X => 5 ms; } -- zap\n;") in
+  let toks = lex_tokens "a.b -> c_1 { X => 5 ms; } -- zap\n;" in
   Alcotest.(check int) "token count" 14 (List.length toks);
   (match toks with
   | Aadl.Lexer.IDENT "a" :: Aadl.Lexer.DOT :: Aadl.Lexer.IDENT "b"
@@ -111,7 +115,7 @@ let test_lexer_tokens () =
           toks))
 
 let test_lexer_dotdot_vs_real () =
-  match List.map fst (Aadl.Lexer.tokenize "1 .. 2 3.5 4..5") with
+  match lex_tokens "1 .. 2 3.5 4..5" with
   | [
    Aadl.Lexer.INT 1;
    Aadl.Lexer.DOTDOT;
@@ -126,7 +130,7 @@ let test_lexer_dotdot_vs_real () =
   | _ -> Alcotest.fail "unexpected tokens for ranges and reals"
 
 let test_lexer_string_and_arrows () =
-  match List.map fst (Aadl.Lexer.tokenize {|"hi" <-> => +=>|}) with
+  match lex_tokens {|"hi" <-> => +=>|} with
   | [
    Aadl.Lexer.STRING "hi";
    Aadl.Lexer.BIARROW;
@@ -231,6 +235,52 @@ let test_parse_subnanosecond_located () =
         (loc.Aadl.Ast.line, loc.Aadl.Ast.col);
       Alcotest.(check string) "message"
         "3 ps is not a whole number of nanoseconds" message
+
+(* A time literal whose nanosecond count overflows an [int] is rejected
+   at the literal.  Wrapped, [2562048 hr] would read as 763 s and
+   [5000000000 hr] as a negative period. *)
+let test_parse_time_overflow_located () =
+  let thread prop =
+    Fmt.str
+      "thread t\nproperties\n  Period => 10 ms;\n  %s;\nend t;" prop
+  in
+  List.iter
+    (fun (prop, col, message) ->
+      match Aadl.Parser.parse_string (thread prop) with
+      | _ -> Alcotest.failf "%s: expected a time error" prop
+      | exception Aadl.Diag.Error { loc = Some loc; message = m; _ } ->
+          Alcotest.(check (pair int int)) prop (4, col)
+            (loc.Aadl.Ast.line, loc.Aadl.Ast.col);
+          Alcotest.(check string) prop message m)
+    [
+      ( "Compute_Deadline => 2562048 hr",
+        23,
+        "2562048 hr does not fit in the nanosecond time range" );
+      ( "Period => 5000000000 hr",
+        13,
+        "5000000000 hr does not fit in the nanosecond time range" );
+      ( "Compute_Execution_Time => 1 ms .. 153722868 min",
+        37,
+        "153722868 min does not fit in the nanosecond time range" );
+    ];
+  (* the largest representable literal of each unit still parses *)
+  List.iter
+    (fun (literal, ns) ->
+      match (Aadl.Parser.parse_string (thread ("Latency => " ^ literal))).decls with
+      | [ Aadl.Ast.Type_decl t ] -> (
+          match Aadl.Props.latency t.Aadl.Ast.ct_props with
+          | Some time ->
+              Alcotest.(check int) literal ns (Aadl.Time.to_ns time)
+          | None -> Alcotest.failf "%s: no latency" literal)
+      | _ -> Alcotest.failf "%s: expected one declaration" literal)
+    [
+      ("4611686018427387903 ns", max_int);
+      ("1281023 hr", 1281023 * 3_600_000_000_000);
+      ("-1281023 hr", -1281023 * 3_600_000_000_000);
+    ];
+  Alcotest.check_raises "Time.make checks the range"
+    (Invalid_argument "Time.make: 2562048 hr overflows the nanosecond range")
+    (fun () -> ignore (Aadl.Time.make 2562048 Aadl.Time.Hr))
 
 (* {1 Instantiation} *)
 
@@ -370,7 +420,23 @@ let test_resolve_reference_scoping () =
       Alcotest.(check (list string)) "outer cpu1" [ "cpu1" ] i.Aadl.Instance.path
   | None -> Alcotest.fail "cpu1 should resolve from inner scope");
   Alcotest.(check bool) "unknown stays unresolved" true
-    (Aadl.Instance.resolve_reference ~root ~from:[ "sp" ] [ "ghost" ] = None)
+    (Aadl.Instance.resolve_reference ~root ~from:[ "sp" ] [ "ghost" ] = None);
+  (* a [from] whose last segment names no instance still searches the
+     enclosing scopes that do resolve, innermost first *)
+  let path_from from p =
+    Option.map
+      (fun i -> i.Aadl.Instance.path)
+      (Aadl.Instance.resolve_reference ~root ~from p)
+  in
+  Alcotest.(check (option (list string))) "enclosing sp still searched"
+    (Some [ "sp"; "s1" ])
+    (path_from [ "sp"; "ghost" ] [ "s1" ]);
+  Alcotest.(check (option (list string))) "root still searched"
+    (Some [ "cpu1" ])
+    (path_from [ "sp"; "ghost" ] [ "cpu1" ]);
+  Alcotest.(check (option (list string))) "unknown first segment"
+    (Some [ "cpu1" ])
+    (path_from [ "ghost"; "s1" ] [ "cpu1" ])
 
 (* {1 Semantic connections} *)
 
@@ -401,7 +467,7 @@ let test_semconn_bus_binding () =
 
 let test_processor_binding () =
   let root = instance () in
-  let by_proc = Aadl.Binding.threads_by_processor ~root in
+  let by_proc = Aadl.Binding.threads_by_processor (Aadl.Binding.resolve root) in
   match by_proc with
   | [ (proc, bound) ] ->
       Alcotest.(check (list string)) "cpu1" [ "cpu1" ] proc.Aadl.Instance.path;
@@ -412,7 +478,7 @@ let test_processor_binding () =
 
 let test_check_ok_model () =
   let root = instance () in
-  let diags = Aadl.Check.run root in
+  let diags = Aadl.Check.run (Aadl.Binding.resolve root) in
   Alcotest.(check bool) "no errors" true (Aadl.Check.is_ok diags)
 
 let test_check_missing_properties () =
@@ -434,7 +500,7 @@ end s.impl;
 |}
   in
   let root = Aadl.Instantiate.of_string text in
-  let errs = Aadl.Check.errors (Aadl.Check.run root) in
+  let errs = Aadl.Check.errors (Aadl.Check.run (Aadl.Binding.resolve root)) in
   (* missing Dispatch_Protocol, Compute_Execution_Time, Compute_Deadline,
      Scheduling_Protocol *)
   Alcotest.(check int) "four errors" 4 (List.length errs)
@@ -463,7 +529,7 @@ end s.impl;
 |}
   in
   let root = Aadl.Instantiate.of_string text in
-  let errs = Aadl.Check.errors (Aadl.Check.run root) in
+  let errs = Aadl.Check.errors (Aadl.Check.run (Aadl.Binding.resolve root)) in
   Alcotest.(check bool) "reports unbound thread" true
     (List.exists
        (fun d -> d.Aadl.Diag.subject = [ "th" ])
@@ -496,7 +562,7 @@ end s.impl;
 |}
   in
   let root = Aadl.Instantiate.of_string text in
-  let errs = Aadl.Check.errors (Aadl.Check.run root) in
+  let errs = Aadl.Check.errors (Aadl.Check.run (Aadl.Binding.resolve root)) in
   Alcotest.(check bool) "reports dangling event port" true
     (List.exists
        (fun d ->
@@ -531,7 +597,7 @@ end s.impl;
 |}
   in
   let root = Aadl.Instantiate.of_string text in
-  let errs = Aadl.Check.errors (Aadl.Check.run root) in
+  let errs = Aadl.Check.errors (Aadl.Check.run (Aadl.Binding.resolve root)) in
   Alcotest.(check bool) "duplicate reported" true
     (List.exists
        (fun d -> Astring_contains.contains d.Aadl.Diag.message "duplicate subcomponent")
@@ -567,7 +633,7 @@ end s.impl;
 |}
   in
   let root = Aadl.Instantiate.of_string text in
-  let errs = Aadl.Check.errors (Aadl.Check.run root) in
+  let errs = Aadl.Check.errors (Aadl.Check.run (Aadl.Binding.resolve root)) in
   Alcotest.(check bool) "dangling destination reported" true
     (List.exists
        (fun d -> Astring_contains.contains d.Aadl.Diag.message "does not resolve")
@@ -602,7 +668,7 @@ end s.impl;
 |}
   in
   let root = Aadl.Instantiate.of_string text in
-  let errs = Aadl.Check.errors (Aadl.Check.run root) in
+  let errs = Aadl.Check.errors (Aadl.Check.run (Aadl.Binding.resolve root)) in
   Alcotest.(check bool) "undeclared in-modes reported" true
     (List.exists
        (fun d -> Astring_contains.contains d.Aadl.Diag.message "undeclared mode")
@@ -634,6 +700,30 @@ let example_models () =
                ~finally:(fun () -> close_in_noerr ic)
                (fun () -> (f, really_input_string ic (in_channel_length ic))))
 
+(* The same literal in a whole model is rejected before any analysis;
+   wrapped, it would shrink the quantum to 64 ns and the exploration to a
+   crawl. *)
+let test_time_overflow_rejects_model () =
+  let text = List.assoc "avionics.aadl" (example_models ()) in
+  let needle = "Compute_Deadline => 8 ms" in
+  let i =
+    let rec find i =
+      if String.sub text i (String.length needle) = needle then i
+      else find (i + 1)
+    in
+    find 0
+  in
+  let mutant =
+    String.sub text 0 i ^ "Compute_Deadline => 2562048 hr"
+    ^ String.sub text (i + String.length needle)
+        (String.length text - i - String.length needle)
+  in
+  match Aadl.Instantiate.of_string mutant with
+  | _ -> Alcotest.fail "expected the model to be rejected"
+  | exception Aadl.Diag.Error d ->
+      Alcotest.(check string) "message"
+        "2562048 hr does not fit in the nanosecond time range" d.message
+
 let analyze_or_reject ~what load =
   match
     let tr = Translate.Pipeline.of_plan (Translate.Pipeline.plan (load ())) in
@@ -656,10 +746,13 @@ let token_spans text =
       end)
     text;
   let offset (l : Aadl.Ast.srcloc) = line_starts.(l.line - 1) + l.col - 1 in
-  let toks = Array.of_list (Aadl.Lexer.tokenize text) in
+  let toks = Aadl.Lexer.tokenize text in
   Array.init
-    (Array.length toks - 1)
-    (fun i -> (fst toks.(i), offset (snd toks.(i)), offset (snd toks.(i + 1))))
+    (Aadl.Lexer.length toks - 1)
+    (fun i ->
+      ( Aadl.Lexer.token toks i,
+        offset (Aadl.Lexer.loc toks i),
+        offset (Aadl.Lexer.loc toks (i + 1)) ))
 
 let swap_case s =
   String.map
@@ -699,6 +792,120 @@ let test_frontend_fuzz () =
           (fun () -> Aadl.Instantiate.of_string mutant)
       done)
     (example_models ())
+
+(* {1 The front end's observable output, pinned}
+
+   One line per input: the verdict-cache key a service hit computes
+   (load, plan, [Key.of_plan] with a default request's options), or the
+   exact diagnostic text of a rejection.  The inputs are the example
+   models, the same seeded token mutants [test_frontend_fuzz] draws, and
+   the generated rate-monotonic sets of the batch benchmark.  Journals
+   and verdict caches are keyed on these digests, so any change to the
+   lexer, parser, instantiation or planning must keep every line.  A
+   mismatch writes the whole actual listing next to the test binary as
+   [frontend_keys.actual]. *)
+
+(* What a verdict-cache hit computes: load, plan, key. *)
+let hit_key text =
+  let req = Service.Job.request ~id:"hit" (Service.Job.Inline text) in
+  let plan =
+    Translate.Pipeline.plan
+      ~options:(Service.Key.translation_options req)
+      (Service.Runner.load req)
+  in
+  Service.Key.of_plan plan ~options:(Service.Key.request_fingerprint req)
+
+let frontend_line text =
+  match hit_key text with
+  | key -> key.Service.Key.merkle ^ " " ^ key.Service.Key.structure
+  | exception Aadl.Diag.Error d -> "error " ^ String.escaped (Aadl.Diag.to_string d)
+
+(* The batch benchmark's generated population: seeded single-processor
+   RM sets of 3 or 4 threads. *)
+let rm_model seed =
+  let st = Random.State.make [| 0x5eed; seed |] in
+  let n = 3 + Random.State.int st 2 in
+  let u = 0.5 +. Random.State.float st 0.45 in
+  Gen.periodic_system ~protocol:Aadl.Props.Rate_monotonic
+    (Gen.random_specs ~seed ~n ~u)
+
+let frontend_inputs () =
+  let models = example_models () in
+  let st = Random.State.make [| 7 |] in
+  let mutants =
+    List.concat_map
+      (fun (file, text) ->
+        List.init 120 (fun i ->
+            (Fmt.str "%s#%d" file (i + 1), mutate st text)))
+      models
+  in
+  models @ mutants
+  @ List.init 32 (fun i ->
+        let seed = 1000 + i in
+        (Fmt.str "rm_%d" seed, rm_model seed))
+
+let test_frontend_golden () =
+  let expected =
+    match
+      List.find_opt Sys.file_exists
+        [ "frontend_keys.expected"; "test/frontend_keys.expected" ]
+    with
+    | None -> Alcotest.fail "frontend_keys.expected not found"
+    | Some path ->
+        In_channel.with_open_bin path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter (( <> ) "")
+  in
+  let actual =
+    List.map
+      (fun (name, text) -> name ^ "\t" ^ frontend_line text)
+      (frontend_inputs ())
+  in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "frontend_keys.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first_diff i = function
+      | a :: ra, e :: re ->
+          if a = e then first_diff (i + 1) (ra, re)
+          else Alcotest.failf "line %d:\n  expected %s\n  actual   %s" i e a
+      | [], [] -> ()
+      | a :: _, [] -> Alcotest.failf "line %d: unexpected %s" i a
+      | [], e :: _ -> Alcotest.failf "line %d: missing %s" i e
+    in
+    first_diff 1 (actual, expected)
+  end
+
+(* {1 Allocation budget of a verdict-cache hit}
+
+   A hit pays for load, plan and key.  Before the front end was made
+   allocation-light, one such pass allocated 64,205 words on
+   cruise_control.aadl and 17,622 words on the first generated RM set
+   (minor words plus words allocated directly in the major heap, on
+   OCaml 5.1).  The budget is half of that.  The count is deterministic,
+   so a regression such as a per-lookup lowercase copy in property
+   matching fails it. *)
+
+let hit_words text =
+  ignore (hit_key text);
+  let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (hit_key text));
+  let minor1 = Gc.minor_words () and _, promoted1, major1 = Gc.counters () in
+  (* words allocated directly in the major heap, promotions excluded *)
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+let test_hit_allocation_budget () =
+  List.iter
+    (fun (name, text, parent) ->
+      let words = hit_words text in
+      if words > parent /. 2. then
+        Alcotest.failf "%s: a hit allocates %.0f words, over the budget of %.0f"
+          name words (parent /. 2.))
+    [
+      ( "cruise_control.aadl",
+        List.assoc "cruise_control.aadl" (example_models ()),
+        64_205. );
+      ("rm_1000", rm_model 1000, 17_622.);
+    ]
 
 let test_instance_xml_fuzz () =
   let text = List.assoc "cruise_control.aadl" (example_models ()) in
@@ -774,6 +981,10 @@ let () =
             test_parse_end_name_mismatch;
           Alcotest.test_case "subnanosecond literal located" `Quick
             test_parse_subnanosecond_located;
+          Alcotest.test_case "time literal overflow located" `Quick
+            test_parse_time_overflow_located;
+          Alcotest.test_case "time literal overflow rejects model" `Quick
+            test_time_overflow_rejects_model;
         ] );
       ( "instance",
         [
@@ -806,6 +1017,10 @@ let () =
       ( "fuzz",
         [
           Alcotest.test_case "aadl frontend total" `Quick test_frontend_fuzz;
+          Alcotest.test_case "frontend keys and diagnostics pinned" `Quick
+            test_frontend_golden;
+          Alcotest.test_case "hit allocation budget" `Quick
+            test_hit_allocation_budget;
           Alcotest.test_case "instance xml total" `Quick
             test_instance_xml_fuzz;
           Alcotest.test_case "acsr parser total" `Quick

@@ -519,12 +519,16 @@ let gen_taskset =
     let* u10 = int_range 5 11 in
     return (Gen.random_specs ~seed ~n ~u:(float_of_int u10 /. 10.0)))
 
+(* The exploration's verdict.  A budget stop answers nothing, so it
+   fails the property with its reason rather than passing as agreement
+   with an unschedulable analytic verdict. *)
 let acsr_verdict protocol specs =
   let r = analyze ~protocol (Gen.periodic_system specs) in
   match r.Analysis.Schedulability.verdict with
   | Analysis.Schedulability.Schedulable -> true
   | Analysis.Schedulability.Not_schedulable _ -> false
-  | Analysis.Schedulability.Inconclusive _ -> false
+  | Analysis.Schedulability.Inconclusive reason ->
+      QCheck2.Test.fail_reportf "exploration inconclusive: %s" reason
 
 let prop_acsr_agrees_with_rta =
   QCheck2.Test.make ~name:"ACSR verdict = RTA verdict (RM)" ~count:25
