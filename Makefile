@@ -4,7 +4,7 @@
 # ocamlformat are dev-time tools, not build dependencies — the gate
 # degrades gracefully where they are absent).
 
-.PHONY: all build test test-faults lint-invariants doc fmt-check check bench-explore bench-service bench-sweep bench-obs bench-reduction bench-dist clean
+.PHONY: all build test test-faults lint-invariants doc fmt-check check bench-obs bench-reduction bench-dist clean
 
 all: build
 
@@ -74,30 +74,18 @@ fmt-check:
 
 check: build lint-invariants test test-faults bench-obs doc fmt-check
 
-# Regenerate the exploration telemetry in BENCH_explore.json (runs with
-# and without successor rows, early exit), merged so the reduction
-# section survives.
-bench-explore:
-	dune exec bench/main.exe -- explore
-
-# Regenerate the service-layer batch-throughput telemetry
-# (BENCH_service.json): verdict cache off vs on at 1 and 4 workers.
-bench-service:
-	dune exec bench/main.exe -- service
-
-# Regenerate the incremental-sensitivity telemetry (BENCH_sweep.json):
-# cet sweeps with the fragment cache on vs off, verdicts asserted equal.
-bench-sweep:
-	dune exec bench/main.exe -- sweep
+# The gates below each write their own BENCH_<gate>.json (host, rows,
+# ok flag) and exit non-zero when their property fails.  End-to-end
+# timings come from perfbench (BENCHMARK.json), not from these targets.
 
 # Orbit (symmetry) reduction gate: explores the reference models and the
 # generated replicated EDF families with the reduction off vs on,
 # records the canonicalization cost on the 32- and 64-thread families
-# (reduced only, ungated), and merges the orbit table into
-# BENCH_explore.json.  Exits
-# non-zero when the reduced space is larger, verdicts disagree, the
-# replicated families fail to reduce strictly, or the 12-thread family
-# stops fitting its state budget with the reduction on.
+# (reduced only, ungated), and writes the orbit table to
+# BENCH_reduction.json.  Exits non-zero when the reduced space is
+# larger, verdicts disagree, the replicated families fail to reduce
+# strictly, or the 12-thread family stops fitting its state budget with
+# the reduction on.
 bench-reduction:
 	dune exec bench/main.exe -- reduction
 
@@ -105,7 +93,7 @@ bench-reduction:
 # with the metrics registry enabled, and again with span tracing active
 # on top, must each cost no more than 5% over a muted registry, a
 # purely relative bound.  Samples are sized from a timed warm check to
-# last at least 0.8 s; the gate reads the median over 15 rounds of each
+# last at least 0.8 s; the gate reads the median over 30 rounds of each
 # row's paired ratio to the muted row.  Writes both rows into
 # BENCH_obs.json; exits non-zero past the tolerance — part of
 # `make check`.
@@ -113,10 +101,10 @@ bench-obs:
 	dune exec bench/main.exe -- obs
 
 # Distributed-service throughput: a duplicate-heavy open-loop load
-# against 1, 2 and 4 socket shards behind a router, merged into
-# BENCH_service.json under "dist".  The shards4/shards1 speedup gate is
-# enforced only on hosts with >= 4 cores; elsewhere the rows are
-# recorded with the gate marked skipped.
+# against 1, 2 and 4 socket shards behind a router, written to
+# BENCH_dist.json; verdicts must match an in-process run.  The
+# shards4/shards1 speedup gate is enforced only on hosts with >= 4
+# cores; elsewhere the rows are recorded with the gate marked skipped.
 bench-dist:
 	dune exec bench/main.exe -- dist
 

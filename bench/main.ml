@@ -5,7 +5,8 @@
 
    Each experiment prints the table/series described in EXPERIMENTS.md;
    the timing section at the end reports one Bechamel estimate per
-   experiment's hot path. *)
+   experiment's hot path.  The subcommands [obs], [reduction] and [dist]
+   run one gate each; [gen] prints a replicated family. *)
 
 let hr title = Fmt.pr "@.===== %s =====@." title
 
@@ -260,42 +261,12 @@ let exp_e5 () =
 
 (* {1 E6: state-space scaling (Section 7 motivation)} *)
 
-let e6_model n =
-  Gen.periodic_system
-    (List.init n (fun i ->
-         Gen.simple_spec
-           ~name:(Printf.sprintf "t%d" (i + 1))
-           ~period_ms:(4 + (2 * i))
-           ~cet_ms:1 ()))
-
-(* Unschedulable variant: the highest-rate thread has a nondeterministic
-   execution time in [1,3].  Worst-case branches starve t2 out of its
-   first deadline (a shallow deadlock), while best-case branches remain
-   schedulable and keep generating states — the shape where on-the-fly
-   early exit beats exhaustive exploration. *)
-let e6_unsched n =
-  Gen.periodic_system
-    (List.init n (fun i ->
-         if i = 0 then
-           {
-             Gen.name = "t1";
-             period_ms = 4;
-             cet_min_ms = 1;
-             cet_max_ms = 3;
-             deadline_ms = 4;
-           }
-         else
-           Gen.simple_spec
-             ~name:(Printf.sprintf "t%d" (i + 1))
-             ~period_ms:(4 + (2 * i))
-             ~cet_ms:1 ()))
-
 let exp_e6 () =
   hr "E6: state-space growth with the number of threads (Section 7)";
   Fmt.pr "threads  states  transitions  time@.";
   List.iter
     (fun n ->
-      let r = analyze_text (e6_model n) in
+      let r = analyze_text (Gen.e6_model n) in
       let e = r.Analysis.Schedulability.exploration in
       Fmt.pr "%7d  %6d  %11d  %.3fs@." n (Versa.Explorer.num_states e)
         (Versa.Explorer.num_transitions e) e.Versa.Explorer.elapsed)
@@ -418,7 +389,7 @@ let bechamel_section () =
        (Aadl.Instantiate.of_string crossover))
       .Translate.Workload.tasks
   in
-  let e6_4 = e6_model 4 in
+  let e6_4 = Gen.e6_model 4 in
   let tests =
     [
       Test.make ~name:"fig1_cruise_control_analysis"
@@ -513,222 +484,50 @@ let bechamel_section () =
         (Test.elements test))
     tests
 
-(* {1 Explore: the exploration loop with and without successor rows}
+(* {1 Gates}
 
-   Explores the larger examples exhaustively, keeping successor rows
-   ([full], jobs 1 and 4) and not keeping them ([on_the_fly], jobs 1),
-   and records the telemetry in BENCH_explore.json.  The runs must
-   agree exactly on states, transitions and deadlocks. *)
+   Each gate below asserts a property a regression can break, writes its
+   measurements to its own BENCH_<gate>.json through [record_gate], and
+   exits 1 when the property fails.  End-to-end timings are perfbench's
+   job, not theirs. *)
 
-type engine_sample = {
-  engine : string;
-  states : int;
-  transitions : int;
-  deadlocks : int;
-  wall_s : float;
-  states_per_sec : float;
-}
-
-let time_run f =
-  (* settle GC debt from previous runs so single-shot timings don't
-     charge one run with another's garbage *)
-  Gc.full_major ();
-  let t0 = Timed.Clock.gettimeofday () in
-  let r = f () in
-  (r, Timed.Clock.gettimeofday () -. t0)
-
-let translate_text text =
-  let root = Aadl.Instantiate.of_string text in
-  let tr = Translate.Pipeline.translate root in
-  (tr.Translate.Pipeline.defs, tr.Translate.Pipeline.system)
-
-let exhaustive =
-  {
-    Versa.Lts.default_config with
-    max_states = Some 2_000_000;
-    stop_at_deadlock = false;
-  }
-
-(* Writes [json] to [path], replacing the file. *)
-let write_json path json =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (Service.Json.to_string json);
-      output_char oc '\n');
-  Fmt.pr "telemetry written to %s@." path
-
-(* Read-modify-write of a JSON object file: each of [fields] replaces
-   the top-level section of the same name in place, or is appended;
-   every other section survives. *)
-let merge_json path fields =
+(* Writes a gate's record to [path]: what was measured, the host it ran
+   on (core count, OCaml version), the gate's own fields and its [ok]
+   flag; then exits 1 unless [ok]. *)
+let record_gate path ~benchmark ~ok fields =
   let open Service.Json in
-  let base =
-    if Sys.file_exists path then
-      match parse (In_channel.with_open_text path In_channel.input_all) with
-      | Ok (Obj base) -> base
-      | Ok _ | Error _ -> []
-    else []
-  in
-  let kept =
-    List.map
-      (fun (k, v) -> (k, Option.value (List.assoc_opt k fields) ~default:v))
-      base
-  in
-  write_json path
-    (Obj
-       (kept @ List.filter (fun (k, _) -> not (List.mem_assoc k base)) fields))
-
-let explore_model (name, text) =
-  let defs, system = translate_text text in
-  (* Warm the global hash-cons table before timing: the first run to
-     intern a model's terms would otherwise be charged the one-time
-     shard-resize cost of growing the shared table — a process-global
-     side effect, not a property of the run. *)
-  ignore (Versa.Lts.build ~config:exhaustive ~edges:false defs system);
-  let run engine ~edges jobs =
-    Gc.full_major ();
-    let st =
-      Versa.Lts.stats
-        (Versa.Lts.build ~config:exhaustive ~edges ~jobs defs system)
-    in
-    {
-      engine = Printf.sprintf "%s_jobs%d" engine jobs;
-      states = st.Versa.Lts.num_states;
-      transitions = st.Versa.Lts.num_transitions;
-      deadlocks = st.Versa.Lts.num_deadlocks;
-      wall_s = st.Versa.Lts.wall_s;
-      states_per_sec = Versa.Lts.states_per_sec st;
-    }
-  in
-  let samples =
-    [
-      run "full" ~edges:true 1;
-      run "full" ~edges:true 4;
-      run "on_the_fly" ~edges:false 1;
-    ]
-  in
-  let counts s = (s.states, s.transitions, s.deadlocks) in
-  let first = counts (List.hd samples) in
-  (name, samples, List.for_all (fun s -> counts s = first) samples)
-
-(* Early exit: the unschedulable variant of the largest model.  The full
-   graph is built exhaustively; the early-exit run stops at the first
-   deadlock and must visit a strict fraction of the space while raising
-   the identical shortest failing scenario. *)
-type early_exit_sample = {
-  ee_full_states : int;
-  ee_full_wall : float;
-  ee_otf_states : int;
-  ee_otf_wall : float;
-  ee_fraction : float;
-  ee_traces_agree : bool;
-}
-
-let early_exit_model text =
-  let defs, system = translate_text text in
-  let full, ee_full_wall =
-    time_run (fun () -> Versa.Lts.build ~config:exhaustive defs system)
-  in
-  let otf, ee_otf_wall =
-    time_run (fun () ->
-        Versa.Lts.build
-          ~config:{ exhaustive with stop_at_deadlock = true }
-          ~edges:false defs system)
-  in
-  let ee_full_states = Versa.Lts.num_states full in
-  let ee_otf_states = Versa.Lts.num_states otf in
-  let first_steps lts =
-    match Versa.Lts.deadlocks lts with
-    | [] -> None
-    | d :: _ -> Some (Versa.Trace.steps (Versa.Trace.to_deadlock lts d))
-  in
-  {
-    ee_full_states;
-    ee_full_wall;
-    ee_otf_states;
-    ee_otf_wall;
-    ee_fraction = float_of_int ee_otf_states /. float_of_int ee_full_states;
-    ee_traces_agree =
-      first_steps full <> None && first_steps full = first_steps otf;
-  }
-
-let explore_section ~json_path () =
-  hr "EXPLORE: exhaustive exploration with and without successor rows";
-  let results =
-    List.map explore_model
-      [
-        ("e6_seven_threads", e6_model 7);
-        ("e6_six_threads", e6_model 6);
-        ("avionics", Gen.avionics ());
-      ]
-  in
-  let ee_name = "e6_seven_threads_unsched" in
-  let ee = early_exit_model (e6_unsched 7) in
-  Fmt.pr "%-16s %-20s %8s %11s %9s %12s@." "model" "engine" "states"
-    "transitions" "wall (s)" "states/sec";
-  List.iter
-    (fun (name, samples, agree) ->
-      List.iter
-        (fun s ->
-          Fmt.pr "%-16s %-20s %8d %11d %9.3f %12.0f@." name s.engine s.states
-            s.transitions s.wall_s s.states_per_sec)
-        samples;
-      Fmt.pr "%s: counts agree: %b@." name agree)
-    results;
-  Fmt.pr
-    "%s: full %d states (%.3fs) vs early exit without edges %d states \
-     (%.3fs) — %.1f%% of the space visited; scenarios agree: %b@."
-    ee_name ee.ee_full_states ee.ee_full_wall ee.ee_otf_states ee.ee_otf_wall
-    (100. *. ee.ee_fraction) ee.ee_traces_agree;
-  let open Service.Json in
-  let sample s =
+  let host =
     Obj
       [
-        ("engine", String s.engine);
-        ("states", Int s.states);
-        ("transitions", Int s.transitions);
-        ("deadlocks", Int s.deadlocks);
-        ("wall_s", Float s.wall_s);
-        ("states_per_sec", Float s.states_per_sec);
+        ("cores", Int (Domain.recommended_domain_count ()));
+        ("ocaml", String Sys.ocaml_version);
       ]
   in
-  merge_json json_path
-    [
-      ("benchmark", String "exploration engines");
-      ( "note",
-        String
-          "exhaustive prioritized exploration keeping successor rows (full) \
-           or not (on_the_fly)" );
-      ( "models",
-        List
-          (List.map
-             (fun (name, samples, agree) ->
-               Obj
-                 [
-                   ("model", String name);
-                   ("engines", List (List.map sample samples));
-                   ("counts_agree", Bool agree);
-                 ])
-             results) );
-      ( "early_exit",
-        Obj
-          [
-            ("model", String ee_name);
-            ("full_states", Int ee.ee_full_states);
-            ("full_wall_s", Float ee.ee_full_wall);
-            ("on_the_fly_states", Int ee.ee_otf_states);
-            ("on_the_fly_wall_s", Float ee.ee_otf_wall);
-            ("visited_fraction", Float ee.ee_fraction);
-            ("scenarios_agree", Bool ee.ee_traces_agree);
-          ] );
-    ]
+  let json =
+    Obj
+      ((("benchmark", String benchmark) :: ("host", host) :: fields)
+      @ [ ("ok", Bool ok) ])
+  in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_string json);
+      output_char oc '\n');
+  Fmt.pr "telemetry written to %s@." path;
+  if not ok then exit 1
 
-(* {1 Service: batch throughput with the verdict cache on vs off}
+(* {1 Dist: shard-count throughput over loopback sockets (the
+   [make bench-dist] target)}
 
    A duplicate-heavy manifest (every distinct model submitted several
-   times — the shape of parameter sweeps and CI re-runs) pushed through
-   the service scheduler.  Records models/sec for cache off/on at 1 and
-   4 workers in BENCH_service.json, asserting that every configuration
-   produces identical verdicts. *)
+   times, the shape of parameter sweeps and CI re-runs) pushed through a
+   socket router fronting 1, 2 and 4 owner shards, each shard in its own
+   domain with its own verdict cache and journal — the smallest honest
+   model of a multi-process deployment that still fits in one bench
+   binary.  A small pool of client threads (each with its own connection
+   pool, so calls overlap) drives the router; rows are written to
+   BENCH_dist.json, and verdicts must match a direct in-process run.
+   The shards4/shards1 >= 1.2 speedup gate is enforced only on hosts
+   with >= 4 cores; elsewhere the rows are still recorded and the gate
+   marked skipped. *)
 
 let service_manifest () =
   let distinct =
@@ -737,8 +536,8 @@ let service_manifest () =
       ("cruise_over", Gen.cruise_control ~overload:true ());
       ("crossover", Gen.periodic_system Gen.crossover_set);
       ("light", Gen.periodic_system Gen.light_set);
-      ("e6_four", e6_model 4);
-      ("e6_five", e6_model 5);
+      ("e6_four", Gen.e6_model 4);
+      ("e6_five", Gen.e6_model 5);
     ]
   in
   let repeats = 6 in
@@ -751,126 +550,6 @@ let service_manifest () =
                  ~id:(Printf.sprintf "%s_%d" name round)
                  (Service.Job.Inline text))
              distinct)) )
-
-let service_run ~cache ~workers requests =
-  Gc.full_major ();
-  let config =
-    if cache then Service.Runner.with_cache Service.Runner.default_config
-    else Service.Runner.default_config
-  in
-  let scheduler = Service.Scheduler.create ~workers config in
-  List.iter (fun r -> ignore (Service.Scheduler.submit scheduler r)) requests;
-  let t0 = Timed.Clock.gettimeofday () in
-  let outcomes = Service.Scheduler.run_all scheduler in
-  let wall = Timed.Clock.gettimeofday () -. t0 in
-  let counters = Option.map Service.Lru.counters config.Service.Runner.cache in
-  (outcomes, wall, counters)
-
-let service_section ~json_path () =
-  hr "SERVICE: batch throughput, verdict cache off vs on";
-  let num_distinct, requests = service_manifest () in
-  let n = List.length requests in
-  let configs =
-    [
-      ("cache_off_workers1", false, 1);
-      ("cache_on_workers1", true, 1);
-      ("cache_off_workers4", false, 4);
-      ("cache_on_workers4", true, 4);
-    ]
-  in
-  let runs =
-    List.map
-      (fun (name, cache, workers) ->
-        let outcomes, wall, counters = service_run ~cache ~workers requests in
-        (name, cache, workers, outcomes, wall, counters))
-      configs
-  in
-  let verdicts (outcomes : Service.Job.outcome list) =
-    List.map
-      (fun (o : Service.Job.outcome) ->
-        (o.Service.Job.id, Service.Job.verdict_tag o.Service.Job.verdict))
-      outcomes
-  in
-  let reference =
-    match runs with
-    | (_, _, _, outcomes, _, _) :: _ -> verdicts outcomes
-    | [] -> []
-  in
-  let verdicts_agree =
-    List.for_all
-      (fun (_, _, _, outcomes, _, _) -> verdicts outcomes = reference)
-      runs
-  in
-  Fmt.pr "manifest: %d jobs over %d distinct models@." n num_distinct;
-  Fmt.pr "cores available: %d@." (Domain.recommended_domain_count ());
-  Fmt.pr "%-22s %8s %12s %s@." "config" "wall (s)" "models/sec" "cache";
-  List.iter
-    (fun (name, _, _, _, wall, counters) ->
-      Fmt.pr "%-22s %8.3f %12.1f %a@." name wall
-        (float_of_int n /. max wall 1e-9)
-        (Fmt.option Service.Lru.pp_counters)
-        counters)
-    runs;
-  Fmt.pr "verdicts agree across configurations: %b@." verdicts_agree;
-  let counters_json = function
-    | None -> Service.Json.Null
-    | Some (c : Service.Lru.counters) ->
-        Service.Json.Obj
-          [
-            ("hits", Service.Json.Int c.Service.Lru.hits);
-            ("misses", Service.Json.Int c.Service.Lru.misses);
-            ("evictions", Service.Json.Int c.Service.Lru.evictions);
-            ("size", Service.Json.Int c.Service.Lru.size);
-          ]
-  in
-  let json =
-    Service.Json.Obj
-      [
-        ("benchmark", Service.Json.String "analysis service batch throughput");
-        ( "note",
-          Service.Json.String
-            "duplicate-heavy manifest: every distinct model submitted 6 \
-             times; cache hits skip exploration entirely" );
-        ("jobs", Service.Json.Int n);
-        ("distinct_models", Service.Json.Int num_distinct);
-        (* host attribution: worker-count comparisons are only
-           meaningful relative to the cores the host actually had (on a
-           1-core container, 4 workers measure timeslicing, not
-           parallelism) *)
-        ("cores", Service.Json.Int (Domain.recommended_domain_count ()));
-        ( "runs",
-          Service.Json.List
-            (List.map
-               (fun (name, cache, workers, _, wall, counters) ->
-                 Service.Json.Obj
-                   [
-                     ("config", Service.Json.String name);
-                     ("cache", Service.Json.Bool cache);
-                     ("workers", Service.Json.Int workers);
-                     ("wall_s", Service.Json.Float wall);
-                     ( "models_per_sec",
-                       Service.Json.Float (float_of_int n /. max wall 1e-9) );
-                     ("cache_counters", counters_json counters);
-                   ])
-               runs) );
-        ("verdicts_agree", Service.Json.Bool verdicts_agree);
-      ]
-  in
-  write_json json_path json
-
-(* {1 Dist: shard-count throughput over loopback sockets (the
-   [make bench-dist] target)}
-
-   The same duplicate-heavy manifest pushed through a socket router
-   fronting 1, 2 and 4 owner shards, each shard in its own domain with
-   its own verdict cache and journal — the smallest honest model of a
-   multi-process deployment that still fits in one bench binary.  A
-   small pool of client threads (each with its own connection pool, so
-   calls overlap) drives the router; rows are merged into the "dist"
-   section of BENCH_service.json, and verdicts must match a direct
-   in-process run.  The shards4/shards1 >= 1.2 speedup gate is
-   enforced only on hosts with >= 4 cores; elsewhere the rows are
-   still recorded and the gate marked skipped. *)
 
 let dist_clients = 4
 
@@ -1003,7 +682,14 @@ let dist_section ~json_path () =
   let cores = Domain.recommended_domain_count () in
   (* reference verdicts from the plain in-process runner; order-free
      comparison because the client pool races *)
-  let reference_outcomes, _, _ = service_run ~cache:true ~workers:1 requests in
+  let reference_outcomes =
+    let scheduler =
+      Service.Scheduler.create ~workers:1
+        (Service.Runner.with_cache Service.Runner.default_config)
+    in
+    List.iter (fun r -> ignore (Service.Scheduler.submit scheduler r)) requests;
+    Service.Scheduler.run_all scheduler
+  in
   let verdicts (outcomes : Service.Job.outcome list) =
     List.sort compare
       (List.map
@@ -1040,160 +726,40 @@ let dist_section ~json_path () =
     (if not gate_enforced then "gate skipped: fewer than 4 cores"
      else if gate_ok then "OK"
      else "FAIL");
-  let ok = agree_all && gate_ok in
   let open Service.Json in
-  let dist =
-    Obj
-      [
-        ( "note",
-          String
-            "duplicate-heavy manifest through a socket router onto 1/2/4 \
-             shards, each shard a separate domain with its own verdict \
-             cache and journal, driven over loopback unix sockets by a \
-             small client thread pool" );
-        ("jobs", Int n);
-        ("distinct_models", Int num_distinct);
-        ("clients", Int dist_clients);
-        ("cores", Int cores);
-        ( "runs",
-          List
-            (List.map
-               (fun (count, wall, stats, agree) ->
-                 Obj
-                   [
-                     ("shards", Int count);
-                     ("wall_s", Float wall);
-                     ( "models_per_sec",
-                       Float (float_of_int n /. max wall 1e-9) );
-                     ("merged_stats", stats);
-                     ("verdicts_agree", Bool agree);
-                   ])
-               rows) );
-        ("speedup_shards4_vs_shards1", Float speedup);
-        ( "gate",
-          String
-            (if not gate_enforced then "skipped_insufficient_cores"
-             else if gate_ok then "enforced_ok"
-             else "enforced_fail") );
-        ("ok", Bool ok);
-      ]
-  in
-  merge_json json_path [ ("dist", dist) ];
-  if not ok then exit 1
-
-(* {1 Sweep: incremental sensitivity with fragment reuse on vs off}
-
-   The fragment IR's motivating workload: a cet sweep re-translates the
-   model once per point with exactly one thread perturbed, so with
-   reuse every other translation unit comes out of the fragment cache.
-   Records sweep wall-clock and reuse counters for both modes in
-   BENCH_sweep.json, asserting point-for-point verdict agreement. *)
-
-(* best of three: single sweeps run in milliseconds, where scheduler
-   noise would otherwise drown the translation-time difference *)
-let sweep_run ~reuse ~thread ~cets root =
-  let once () =
-    Gc.full_major ();
-    let t0 = Timed.Clock.gettimeofday () in
-    let points =
-      Analysis.Sensitivity.sweep
-        ~options:{ Analysis.Sensitivity.default_options with reuse }
-        ~thread ~cets root
-    in
-    (points, Timed.Clock.gettimeofday () -. t0)
-  in
-  let runs = List.init 3 (fun _ -> once ()) in
-  let points, wall =
-    List.fold_left
-      (fun (bp, bw) (p, w) -> if w < bw then (p, w) else (bp, bw))
-      (List.hd runs) (List.tl runs)
-  in
-  let reused, rebuilt =
-    List.fold_left
-      (fun (re, rb) (p : Analysis.Sensitivity.point) ->
-        ( re + p.Analysis.Sensitivity.fragments_reused,
-          rb + p.Analysis.Sensitivity.fragments_rebuilt ))
-      (0, 0) points
-  in
-  (points, wall, reused, rebuilt)
-
-let sweep_section ~json_path () =
-  hr "SWEEP: incremental sensitivity, fragment reuse on vs off";
-  let systems =
+  record_gate json_path ~benchmark:"distributed service shard scaling"
+    ~ok:(agree_all && gate_ok)
     [
-      ("cruise_control", Gen.cruise_control (), [ "hci"; "ref_speed" ]);
-      ("e6_five", e6_model 5, [ "t1_i" ]);
+      ( "note",
+        String
+          "duplicate-heavy manifest through a socket router onto 1/2/4 \
+           shards, each shard a separate domain with its own verdict \
+           cache and journal, driven over loopback unix sockets by a \
+           small client thread pool" );
+      ("jobs", Int n);
+      ("distinct_models", Int num_distinct);
+      ("clients", Int dist_clients);
+      ( "runs",
+        List
+          (List.map
+             (fun (count, wall, stats, agree) ->
+               Obj
+                 [
+                   ("shards", Int count);
+                   ("wall_s", Float wall);
+                   ( "models_per_sec",
+                     Float (float_of_int n /. max wall 1e-9) );
+                   ("merged_stats", stats);
+                   ("verdicts_agree", Bool agree);
+                 ])
+             rows) );
+      ("speedup_shards4_vs_shards1", Float speedup);
+      ( "gate",
+        String
+          (if not gate_enforced then "skipped_insufficient_cores"
+           else if gate_ok then "enforced_ok"
+           else "enforced_fail") );
     ]
-  in
-  let cets = [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
-  let runs =
-    List.map
-      (fun (name, text, thread) ->
-        let root = Aadl.Instantiate.of_string text in
-        let on = sweep_run ~reuse:true ~thread ~cets root in
-        let off = sweep_run ~reuse:false ~thread ~cets root in
-        let verdicts (ps, _, _, _) =
-          List.map (fun (p : Analysis.Sensitivity.point) -> p.Analysis.Sensitivity.schedulable) ps
-        in
-        if verdicts on <> verdicts off then begin
-          Fmt.pr "%s: REUSE CHANGES VERDICTS@." name;
-          exit 1
-        end;
-        (name, thread, on, off))
-      systems
-  in
-  Fmt.pr "%-16s %10s %10s %8s %s@." "system" "reuse (s)" "scratch (s)"
-    "speedup" "fragments";
-  List.iter
-    (fun (name, _, (_, w_on, reused, rebuilt), (_, w_off, _, rebuilt_off)) ->
-      Fmt.pr "%-16s %10.3f %10.3f %8.2fx %d reused, %d rebuilt (vs %d)@." name
-        w_on w_off
-        (w_off /. max w_on 1e-9)
-        reused rebuilt rebuilt_off)
-    runs;
-  let json =
-    Service.Json.Obj
-      [
-        ("benchmark", Service.Json.String "incremental sensitivity sweep");
-        ( "note",
-          Service.Json.String
-            "one thread's cet swept over 8 points; with reuse only the \
-             perturbed thread's fragment is regenerated per point" );
-        ("points", Service.Json.Int (List.length cets));
-        ( "runs",
-          Service.Json.List
-            (List.map
-               (fun ( name,
-                      thread,
-                      (_, w_on, reused, rebuilt),
-                      (_, w_off, reused_off, rebuilt_off) ) ->
-                 Service.Json.Obj
-                   [
-                     ("system", Service.Json.String name);
-                     ( "thread",
-                       Service.Json.String (String.concat "." thread) );
-                     ( "reuse_on",
-                       Service.Json.Obj
-                         [
-                           ("wall_s", Service.Json.Float w_on);
-                           ("fragments_reused", Service.Json.Int reused);
-                           ("fragments_rebuilt", Service.Json.Int rebuilt);
-                         ] );
-                     ( "reuse_off",
-                       Service.Json.Obj
-                         [
-                           ("wall_s", Service.Json.Float w_off);
-                           ("fragments_reused", Service.Json.Int reused_off);
-                           ("fragments_rebuilt", Service.Json.Int rebuilt_off);
-                         ] );
-                     ( "speedup",
-                       Service.Json.Float (w_off /. max w_on 1e-9) );
-                     ("verdicts_agree", Service.Json.Bool true);
-                   ])
-               runs) );
-      ]
-  in
-  write_json json_path json
 
 (* {1 Obs: instrumentation overhead gate (the [make bench-obs] target)}
 
@@ -1209,8 +775,18 @@ let sweep_section ~json_path () =
    samples every row once, back to back; the estimate is the median over
    rounds of the paired ratio instrumented / muted, which a slow spell on
    a shared host moves less than it moves the rows' separate minima.
-   Run shape is read back from the registry itself — the same counters
-   `--stats` and the serve 'metrics' op render. *)
+   The round count is a multiple of 3, so every row order occurs equally
+   often; doc/PERFORMANCE.md ("Sizing the overhead gate") records the
+   runs that chose it.  Run shape is read back from the registry itself
+   — the same counters `--stats` and the serve 'metrics' op render. *)
+
+let time_run f =
+  (* settle GC debt from previous runs so single-shot timings don't
+     charge one run with another's garbage *)
+  Gc.full_major ();
+  let t0 = Timed.Clock.gettimeofday () in
+  let r = f () in
+  (r, Timed.Clock.gettimeofday () -. t0)
 
 let obs_counter name =
   match Obs.find name with
@@ -1230,16 +806,28 @@ let median xs =
 
 let obs_section ~json_path () =
   hr "OBS: instrumentation overhead (muted vs metrics vs metrics+tracing)";
-  let defs, system = translate_text (e6_unsched 6) in
+  let tr =
+    Translate.Pipeline.translate
+      (Aadl.Instantiate.of_string (Gen.e6_unsched 6))
+  in
+  let config =
+    {
+      Versa.Lts.default_config with
+      max_states = Some 2_000_000;
+      stop_at_deadlock = false;
+    }
+  in
   let check () =
-    ignore (Versa.Lts.build ~config:exhaustive ~edges:false defs system)
+    ignore
+      (Versa.Lts.build ~config ~edges:false tr.Translate.Pipeline.defs
+         tr.Translate.Pipeline.system)
   in
   (* the first check fills the hash-cons table and warms the code paths;
      the second, warm, sizes the samples *)
   check ();
   let warm_s = snd (time_run check) in
   let min_sample_s = 0.8 in
-  let rounds = 15 in
+  let rounds = 30 in
   (* aim a quarter above the floor: later checks can run faster than
      the one that sized them *)
   let checks_per_sample =
@@ -1317,71 +905,53 @@ let obs_section ~json_path () =
     (obs_counter "versa_explore_runs_total")
     (obs_gauge "versa_explore_states_per_sec")
     (obs_gauge "versa_explore_peak_frontier");
-  let json =
-    Service.Json.Obj
+  let open Service.Json in
+  let row name wall overhead ratios ok =
+    Obj
       [
-        ("benchmark", Service.Json.String "observability overhead gate");
-        ( "note",
-          Service.Json.String
-            "exhaustive on-the-fly check of e6_unsched 6: metrics \
-             registry muted vs enabled vs enabled-with-span-tracing; \
-             samples sized from a warm check to last at least \
-             min_sample_s; rounds alternate the rows; each instrumented \
-             row gated by the median over rounds of its paired ratio to \
-             the muted row, against the relative tolerance alone; wall \
-             times are per-row medians" );
-        ("model", Service.Json.String "e6_unsched 6");
-        ("cores", Service.Json.Int (Domain.recommended_domain_count ()));
-        ("rounds", Service.Json.Int rounds);
-        ("warm_check_s", Service.Json.Float warm_s);
-        ("min_sample_s", Service.Json.Float min_sample_s);
-        ("checks_per_sample", Service.Json.Int checks_per_sample);
-        ("shortest_sample_s", Service.Json.Float min_wall);
-        ("states_per_run", Service.Json.Int states_per_run);
-        ("wall_on_s", Service.Json.Float wall_on);
-        ("wall_off_s", Service.Json.Float wall_off);
-        ("wall_trace_s", Service.Json.Float wall_trace);
-        ("overhead_fraction", Service.Json.Float overhead);
-        ("tolerance_fraction", Service.Json.Float 0.05);
-        ( "rows",
-          Service.Json.List
-            [
-              Service.Json.Obj
-                [
-                  ("row", Service.Json.String "metrics");
-                  ("wall_s", Service.Json.Float wall_on);
-                  ("overhead_fraction", Service.Json.Float overhead);
-                  ( "paired_ratios",
-                    Service.Json.List
-                      (List.map (fun r -> Service.Json.Float r) (ratios 1))
-                  );
-                  ("ok", Service.Json.Bool ok_metrics);
-                ];
-              Service.Json.Obj
-                [
-                  ("row", Service.Json.String "metrics+tracing");
-                  ("wall_s", Service.Json.Float wall_trace);
-                  ("overhead_fraction", Service.Json.Float overhead_trace);
-                  ( "paired_ratios",
-                    Service.Json.List
-                      (List.map (fun r -> Service.Json.Float r) (ratios 2))
-                  );
-                  ("ok", Service.Json.Bool ok_trace);
-                ];
-            ] );
-        ("ok", Service.Json.Bool ok);
+        ("row", String name);
+        ("wall_s", Float wall);
+        ("overhead_fraction", Float overhead);
+        ("paired_ratios", List (List.map (fun r -> Float r) ratios));
+        ("ok", Bool ok);
       ]
   in
-  write_json json_path json;
-  if not ok then exit 1
+  record_gate json_path ~benchmark:"observability overhead gate" ~ok
+    [
+      ( "note",
+        String
+          "exhaustive on-the-fly check of e6_unsched 6: metrics registry \
+           muted vs enabled vs enabled-with-span-tracing; samples sized \
+           from a warm check to last at least min_sample_s; rounds \
+           alternate the rows; each instrumented row gated by the median \
+           over rounds of its paired ratio to the muted row, against the \
+           relative tolerance alone; wall times are per-row medians" );
+      ("model", String "e6_unsched 6");
+      ("rounds", Int rounds);
+      ("warm_check_s", Float warm_s);
+      ("min_sample_s", Float min_sample_s);
+      ("checks_per_sample", Int checks_per_sample);
+      ("shortest_sample_s", Float min_wall);
+      ("states_per_run", Int states_per_run);
+      ("wall_on_s", Float wall_on);
+      ("wall_off_s", Float wall_off);
+      ("wall_trace_s", Float wall_trace);
+      ("overhead_fraction", Float overhead);
+      ("tolerance_fraction", Float 0.05);
+      ( "rows",
+        List
+          [
+            row "metrics" wall_on overhead (ratios 1) ok_metrics;
+            row "metrics+tracing" wall_trace overhead_trace (ratios 2) ok_trace;
+          ] );
+    ]
 
 (* {1 Reduction: the orbit (symmetry) reduction gate (the
    [make bench-reduction] target)}
 
    Exhaustively explores each model with the orbit reduction off and on
    and records raw vs reduced visited-state counts, the compression
-   factor and verdict agreement, merged into the "reduction" section of
-   BENCH_explore.json (read-modify-write: the other sections survive).
+   factor and verdict agreement in BENCH_reduction.json.
    Gates (exit 1 on violation):
    - reduced <= raw and identical verdicts on every row;
    - strict reduction (reduced < raw) on the generated replicated EDF
@@ -1442,7 +1012,7 @@ let reduction_section ~json_path () =
     [
       (* distinct periods 4+2i: no interchangeable threads, reduction
          must be exactly inert *)
-      ("e6_seven_threads", e6_model 7, `Inert);
+      ("e6_seven_threads", Gen.e6_model 7, `Inert);
       ( "family_8_u080",
         Gen.replicated_family ~threads:8 ~utilization:0.8 (),
         `Strict );
@@ -1516,70 +1086,64 @@ let reduction_section ~json_path () =
         (name, red, us_per_canon))
       [ 32; 64 ]
   in
-  let ok = !failures = 0 in
   let open Service.Json in
-  let reduction =
-    Obj
-      [
-        ( "note",
-          String
-            "exhaustive on-the-fly exploration with orbit reduction off \
-             (raw) vs on (reduced); families are replicated unit-cet EDF \
-             threads from Gen.replicated_family; e6_seven_threads has \
-             pairwise distinct periods, so the reduction is inert there \
-             by design; canonicalization rows are reduced-only (their raw \
-             spaces exhaust memory) and ungated" );
-        ("cores", Int (Domain.recommended_domain_count ()));
-        ( "models",
-          List
-            (List.map
-               (fun (name, raw, red, compression, agree, row_ok) ->
-                 Obj
-                   [
-                     ("model", String name);
-                     ("raw_states", Int raw.red_states);
-                     ("reduced_states", Int red.red_states);
-                     ("compression", Float compression);
-                     ("raw_wall_s", Float raw.red_wall);
-                     ("reduced_wall_s", Float red.red_wall);
-                     ("raw_verdict", String raw.red_verdict);
-                     ("reduced_verdict", String red.red_verdict);
-                     ("verdicts_agree", Bool agree);
-                     ("ok", Bool row_ok);
-                   ])
-               measured) );
-        ( "budget_demo",
-          Obj
-            [
-              ("model", String demo_name);
-              ("max_states", Int demo_budget);
-              ("reduced_states", Int demo_red.red_states);
-              ("reduced_completed", Bool (not demo_red.red_truncated));
-              ("reduced_verdict", String demo_red.red_verdict);
-              ("raw_states", Int demo_raw.red_states);
-              ("raw_truncated", Bool demo_raw.red_truncated);
-              ("ok", Bool demo_ok);
-            ] );
-        ( "canonicalization",
-          List
-            (List.map
-               (fun (name, red, us_per_canon) ->
-                 Obj
-                   [
-                     ("model", String name);
-                     ("reduced_states", Int red.red_states);
-                     ("canonicalizations", Int red.red_canons);
-                     ("canon_s", Float red.red_canon_s);
-                     ("us_per_canon", Float us_per_canon);
-                     ("reduced_wall_s", Float red.red_wall);
-                     ("reduced_verdict", String red.red_verdict);
-                   ])
-               canon_rows) );
-        ("ok", Bool ok);
-      ]
-  in
-  merge_json json_path [ ("reduction", reduction) ];
-  if not ok then exit 1
+  record_gate json_path ~benchmark:"orbit (symmetry) reduction gate"
+    ~ok:(!failures = 0)
+    [
+      ( "note",
+        String
+          "exhaustive on-the-fly exploration with orbit reduction off \
+           (raw) vs on (reduced); families are replicated unit-cet EDF \
+           threads from Gen.replicated_family; e6_seven_threads has \
+           pairwise distinct periods, so the reduction is inert there \
+           by design; canonicalization rows are reduced-only (their raw \
+           spaces exhaust memory) and ungated" );
+      ( "models",
+        List
+          (List.map
+             (fun (name, raw, red, compression, agree, row_ok) ->
+               Obj
+                 [
+                   ("model", String name);
+                   ("raw_states", Int raw.red_states);
+                   ("reduced_states", Int red.red_states);
+                   ("compression", Float compression);
+                   ("raw_wall_s", Float raw.red_wall);
+                   ("reduced_wall_s", Float red.red_wall);
+                   ("raw_verdict", String raw.red_verdict);
+                   ("reduced_verdict", String red.red_verdict);
+                   ("verdicts_agree", Bool agree);
+                   ("ok", Bool row_ok);
+                 ])
+             measured) );
+      ( "budget_demo",
+        Obj
+          [
+            ("model", String demo_name);
+            ("max_states", Int demo_budget);
+            ("reduced_states", Int demo_red.red_states);
+            ("reduced_completed", Bool (not demo_red.red_truncated));
+            ("reduced_verdict", String demo_red.red_verdict);
+            ("raw_states", Int demo_raw.red_states);
+            ("raw_truncated", Bool demo_raw.red_truncated);
+            ("ok", Bool demo_ok);
+          ] );
+      ( "canonicalization",
+        List
+          (List.map
+             (fun (name, red, us_per_canon) ->
+               Obj
+                 [
+                   ("model", String name);
+                   ("reduced_states", Int red.red_states);
+                   ("canonicalizations", Int red.red_canons);
+                   ("canon_s", Float red.red_canon_s);
+                   ("us_per_canon", Float us_per_canon);
+                   ("reduced_wall_s", Float red.red_wall);
+                   ("reduced_verdict", String red.red_verdict);
+                 ])
+             canon_rows) );
+    ]
 
 (* {1 Gen: print a parametric replicated family to stdout}
 
@@ -1615,50 +1179,38 @@ let gen_family rest =
   print_string
     (Gen.replicated_family ~threads:!threads ~utilization:!utilization ())
 
+let gates =
+  [
+    ("obs", obs_section);
+    ("reduction", reduction_section);
+    ("dist", dist_section);
+  ]
+
 let () =
   match Array.to_list Sys.argv with
+  | [ _ ] ->
+      exp_f1 ();
+      exp_f2_f3 ();
+      exp_f5 ();
+      exp_e1 ();
+      exp_e2 ();
+      exp_e3 ();
+      exp_e4 ();
+      exp_e5 ();
+      exp_e6 ();
+      exp_e7 ();
+      exp_e8 ();
+      exp_e9 ();
+      exp_e10 ();
+      bechamel_section ();
+      Fmt.pr "@.done.@."
   | _ :: "gen" :: rest -> gen_family rest
-  | _ :: "reduction" :: rest ->
-      let json_path =
-        match rest with p :: _ -> p | [] -> "BENCH_explore.json"
-      in
-      reduction_section ~json_path ()
-  | _ :: "explore" :: rest ->
-      let json_path =
-        match rest with p :: _ -> p | [] -> "BENCH_explore.json"
-      in
-      explore_section ~json_path ()
-  | _ :: "service" :: rest ->
-      let json_path =
-        match rest with p :: _ -> p | [] -> "BENCH_service.json"
-      in
-      service_section ~json_path ()
-  | _ :: "dist" :: rest ->
-      let json_path =
-        match rest with p :: _ -> p | [] -> "BENCH_service.json"
-      in
-      dist_section ~json_path ()
-  | _ :: "sweep" :: rest ->
-      let json_path =
-        match rest with p :: _ -> p | [] -> "BENCH_sweep.json"
-      in
-      sweep_section ~json_path ()
-  | _ :: "obs" :: rest ->
-      let json_path = match rest with p :: _ -> p | [] -> "BENCH_obs.json" in
-      obs_section ~json_path ()
+  | [ _; gate ] when List.mem_assoc gate gates ->
+      (List.assoc gate gates) ~json_path:(Fmt.str "BENCH_%s.json" gate) ()
+  | [ _; gate; json_path ] when List.mem_assoc gate gates ->
+      (List.assoc gate gates) ~json_path ()
   | _ ->
-  exp_f1 ();
-  exp_f2_f3 ();
-  exp_f5 ();
-  exp_e1 ();
-  exp_e2 ();
-  exp_e3 ();
-  exp_e4 ();
-  exp_e5 ();
-  exp_e6 ();
-  exp_e7 ();
-  exp_e8 ();
-  exp_e9 ();
-  exp_e10 ();
-  bechamel_section ();
-  Fmt.pr "@.done.@."
+      Fmt.epr
+        "usage: main.exe [obs|reduction|dist [JSON]] | [gen [--threads N] \
+         [--utilization U]]@.";
+      exit 2

@@ -22,18 +22,8 @@ let load_root file root_name =
     let model =
       Obs.Span.with_ ~name:"parse" (fun () -> Aadl.Parser.parse_file file)
     in
-    Obs.Span.with_ ~name:"instantiate" @@ fun () ->
-    match root_name with
-    | Some r -> Aadl.Instantiate.instantiate model ~root:r
-    | None -> (
-        (* reuse the root-detection of Instantiate.of_string *)
-        let contents =
-          let ic = open_in_bin file in
-          Fun.protect
-            ~finally:(fun () -> close_in_noerr ic)
-            (fun () -> really_input_string ic (in_channel_length ic))
-        in
-        Aadl.Instantiate.of_string contents)
+    Obs.Span.with_ ~name:"instantiate" (fun () ->
+        Aadl.Instantiate.instantiate ?root:root_name model)
 
 (* {1 Common options} *)
 
@@ -582,8 +572,7 @@ let parse_sweep_range s =
       | _ -> Error (`Msg "expected LO:HI with 1 <= LO <= HI"))
   | _ -> Error (`Msg "expected LO:HI, e.g. 1:8")
 
-let run_sensitivity file root_name quantum protocol thread sweep no_reuse
-    stats trace =
+let run_sensitivity file root_name quantum protocol thread sweep stats trace =
   handle_errors file @@ fun () ->
   with_trace trace @@ fun () ->
   let root = load_root file root_name in
@@ -595,7 +584,6 @@ let run_sensitivity file root_name quantum protocol thread sweep no_reuse
           translation_options = translation_options quantum protocol;
         };
       max_cmax = None;
-      reuse = not no_reuse;
     }
   in
   let breakdown thread =
@@ -648,15 +636,6 @@ let sweep_arg =
            inclusive quanta range and print one verdict per point with its \
            fragment reuse counters.  Requires $(b,--thread).")
 
-let no_reuse_arg =
-  Arg.(
-    value & flag
-    & info [ "no-reuse" ]
-        ~doc:
-          "Disable the fragment cache shared across probe points: every \
-           point re-generates the full translation (the from-scratch \
-           baseline the reuse counters are measured against).")
-
 let sensitivity_cmd =
   Cmd.v
     (Cmd.info "sensitivity"
@@ -665,7 +644,7 @@ let sensitivity_cmd =
           before the system becomes unschedulable.")
     Term.(
       const run_sensitivity $ file_arg $ root_arg $ quantum_arg
-      $ protocol_arg $ thread_arg $ sweep_arg $ no_reuse_arg $ stats_arg
+      $ protocol_arg $ thread_arg $ sweep_arg $ stats_arg
       $ trace_arg)
 
 (* {1 report} *)

@@ -143,10 +143,8 @@ let of_decls decls ~root : Instance.t =
     ~classifier_name:(Some (Ast.impl_full_name ci))
     ~sub_props:[] ~in_modes:[] ~inbox:[] ~depth:0 ~loc:ci.Ast.ci_loc
 
-let instantiate (model : Ast.model) ~root = of_decls (Decls.of_model model) ~root
-
-let of_string ?root text =
-  let decls = Decls.of_model (Parser.parse_string text) in
+let instantiate ?root (model : Ast.model) =
+  let decls = Decls.of_model model in
   let root =
     match root with
     | Some r -> r
@@ -177,3 +175,5 @@ let of_string ?root text =
         | _ -> Diag.fail "several candidate root systems; name one as the root")
   in
   of_decls decls ~root
+
+let of_string ?root text = instantiate ?root (Parser.parse_string text)

@@ -40,18 +40,10 @@ type options = {
   schedulability : Schedulability.options;
   max_cmax : int option;
       (** search ceiling; defaults to the thread's deadline *)
-  reuse : bool;
-      (** share a {!Translate.Fragment_cache} across probe points
-          (default true); [false] re-generates every fragment at every
-          point — the from-scratch baseline *)
 }
 
 let default_options =
-  {
-    schedulability = Schedulability.default_options;
-    max_cmax = None;
-    reuse = true;
-  }
+  { schedulability = Schedulability.default_options; max_cmax = None }
 
 (* Rebuild the workload with the thread's cet forced to [cet] quanta, by
    overriding the instance property before translation.  We synthesize a
@@ -117,12 +109,22 @@ let probe ~options ~cache ~quantum ~(task : Translate.Workload.task) ~cet root
   else
     let tr =
       Translate.Pipeline.translate
-        ~options:sched_options.Schedulability.translation_options ?cache root'
+        ~options:sched_options.Schedulability.translation_options ~cache root'
     in
     let r = Schedulability.analyze_translation ~options:sched_options tr in
+    (* an inconclusive probe is not a miss: counting it as one would
+       report a smaller breakdown as exact *)
+    let schedulable =
+      match r.Schedulability.verdict with
+      | Schedulability.Schedulable -> true
+      | Schedulability.Not_schedulable _ -> false
+      | Schedulability.Inconclusive why ->
+          Aadl.Diag.fail ~loc:task.Translate.Workload.loc
+            ~subject:task.Translate.Workload.path "cet %d: %s" cet why
+    in
     {
       cet;
-      schedulable = Schedulability.is_schedulable r;
+      schedulable;
       fragments_reused = tr.Translate.Pipeline.fragments_reused;
       fragments_rebuilt =
         List.length tr.Translate.Pipeline.fragments
@@ -137,9 +139,6 @@ let resolved_quantum ~options root =
   | Some q -> q
   | None -> Translate.Workload.suggest_quantum root
 
-let fragment_cache options =
-  if options.reuse then Some (Translate.Fragment_cache.create ()) else None
-
 let find_task ~quantum ~thread root =
   let wl = Translate.Workload.extract ~quantum root in
   match Translate.Workload.find_task wl thread with
@@ -150,7 +149,7 @@ let sweep ?(options = default_options) ~(thread : string list) ~(cets : int list
     (root : Aadl.Instance.t) : point list =
   let quantum = resolved_quantum ~options root in
   let task = find_task ~quantum ~thread root in
-  let cache = fragment_cache options in
+  let cache = Translate.Fragment_cache.create () in
   List.map (fun cet -> probe ~options ~cache ~quantum ~task ~cet root) cets
 
 let breakdown ?(options = default_options) ~(thread : string list)
@@ -163,7 +162,7 @@ let breakdown ?(options = default_options) ~(thread : string list)
     | Some m -> m
     | None -> task.Translate.Workload.deadline
   in
-  let cache = fragment_cache options in
+  let cache = Translate.Fragment_cache.create () in
   let probes = ref 0 and reused = ref 0 and rebuilt = ref 0 in
   let ok cet =
     let p = probe ~options ~cache ~quantum ~task ~cet root in

@@ -27,9 +27,6 @@ type t = {
 type options = {
   schedulability : Schedulability.options;
   max_cmax : int option;
-  reuse : bool;
-      (** share fragments across probe points (default [true]);
-          [false] is the from-scratch baseline *)
 }
 
 val default_options : options
@@ -50,10 +47,14 @@ val sweep :
   Aadl.Instance.t ->
   point list
 (** One verdict per requested cet, in order, re-translating only what
-    each perturbation touched. *)
+    each perturbation touched.
+    @raise Aadl.Diag.Error when a probe is inconclusive (a state or time
+    budget ran out before the verdict was known). *)
 
 val breakdown :
   ?options:options -> thread:string list -> Aadl.Instance.t -> t
+(** The largest cet that keeps the system schedulable, by binary search.
+    @raise Aadl.Diag.Error when a probe is inconclusive. *)
 
 val pp : t Fmt.t
 

@@ -86,6 +86,37 @@ let replicated_family ?(protocol = Aadl.Props.Edf) ~threads ~utilization () =
            ~name:(Printf.sprintf "t%d" (i + 1))
            ~period_ms:period ~cet_ms:1 ()))
 
+(* The E6 scaling family: [n] unit-cet threads with periods 4, 6, 8, ...
+   (pairwise distinct, so no two threads are interchangeable). *)
+let e6_model n =
+  periodic_system
+    (List.init n (fun i ->
+         simple_spec
+           ~name:(Printf.sprintf "t%d" (i + 1))
+           ~period_ms:(4 + (2 * i))
+           ~cet_ms:1 ()))
+
+(* Its unschedulable variant: t1's execution time ranges over [1,3].
+   Worst-case branches starve t2 out of its first deadline (a shallow
+   deadlock), while best-case branches stay schedulable and keep
+   generating states. *)
+let e6_unsched n =
+  periodic_system
+    (List.init n (fun i ->
+         if i = 0 then
+           {
+             name = "t1";
+             period_ms = 4;
+             cet_min_ms = 1;
+             cet_max_ms = 3;
+             deadline_ms = 4;
+           }
+         else
+           simple_spec
+             ~name:(Printf.sprintf "t%d" (i + 1))
+             ~period_ms:(4 + (2 * i))
+             ~cet_ms:1 ()))
+
 (* Random periodic task set with total utilization [u]: periods drawn from
    a harmonic-ish palette to keep hyperperiods (and hence state spaces)
    bounded. *)

@@ -44,6 +44,15 @@ val replicated_family :
     reduction bench and tests.  [utilization > 1.0] produces an
     unschedulable family. *)
 
+val e6_model : int -> string
+(** The E6 scaling family: [n] unit-cet RM threads with periods 4, 6,
+    8, ... ms, schedulable. *)
+
+val e6_unsched : int -> string
+(** {!e6_model} with t1's execution time widened to [1,3] ms:
+    unschedulable at a shallow depth, while the best-case branches keep
+    generating states. *)
+
 val uunifast : state:Random.State.t -> n:int -> u:float -> float list
 (** UUniFast (Bini & Buttazzo): unbiased utilization splits summing to
     [u]. *)

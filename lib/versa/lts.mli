@@ -75,7 +75,7 @@ type t
 (** {1 Exploration telemetry}
 
     Collected during the build at negligible cost; surfaced by the
-    [--stats] CLI flag and the bench harness ([BENCH_explore.json]). *)
+    [--stats] CLI flag and perfbench's per-layer ledger. *)
 
 type stats = {
   jobs : int;  (** parallelism the LTS was built with *)

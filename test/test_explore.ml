@@ -46,33 +46,6 @@ let tr_of text =
   let tr = Translate.Pipeline.translate (Aadl.Instantiate.of_string text) in
   (tr.Translate.Pipeline.defs, tr.Translate.Pipeline.system)
 
-let e6_model n =
-  Gen.periodic_system
-    (List.init n (fun i ->
-         Gen.simple_spec
-           ~name:(Printf.sprintf "t%d" (i + 1))
-           ~period_ms:(4 + (2 * i))
-           ~cet_ms:1 ()))
-
-(* t1's execution time ranges over [1,3]: its worst case starves t2 out
-   of its first deadline, while its best case stays schedulable. *)
-let e6_unsched n =
-  Gen.periodic_system
-    (List.init n (fun i ->
-         if i = 0 then
-           {
-             Gen.name = "t1";
-             period_ms = 4;
-             cet_min_ms = 1;
-             cet_max_ms = 3;
-             deadline_ms = 4;
-           }
-         else
-           Gen.simple_spec
-             ~name:(Printf.sprintf "t%d" (i + 1))
-             ~period_ms:(4 + (2 * i))
-             ~cet_ms:1 ()))
-
 let reference_models () =
   let exhaustive =
     {
@@ -303,7 +276,7 @@ let test_engines_agree_on_reachable_states () =
    Par rule level by level, about 24. *)
 
 let test_nodes_per_state () =
-  let defs, system = tr_of (e6_model 5) in
+  let defs, system = tr_of (Gen.e6_model 5) in
   let before = Hproc.table_size () in
   let lts =
     Versa.Lts.build
@@ -412,8 +385,8 @@ let agreement_inputs () =
       ("cruise", Gen.cruise_control ());
       ("cruise_overloaded", Gen.cruise_control ~overload:true ());
       ("crossover", Gen.periodic_system Gen.crossover_set);
-      ("e6_four_threads", e6_model 4);
-      ("e6_four_unsched", e6_unsched 4);
+      ("e6_four_threads", Gen.e6_model 4);
+      ("e6_four_unsched", Gen.e6_unsched 4);
     ]
   in
   reference_models ()
@@ -573,7 +546,7 @@ let test_parallel_exception_contract () =
     [ 1; 2 ]
 
 let test_summary_labels () =
-  let defs, system = tr_of (e6_unsched 4) in
+  let defs, system = tr_of (Gen.e6_unsched 4) in
   let check name ~stop ~max_states label =
     let config =
       {

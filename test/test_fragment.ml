@@ -2,8 +2,8 @@
    cache must be semantics-preserving (byte-identical composed systems,
    identical verdicts on every shipped example model), the scoped naming
    must keep colliding sanitized paths apart, and the incremental
-   sensitivity sweep must agree point-for-point with the from-scratch
-   baseline while actually reusing fragments. *)
+   sensitivity sweep must agree point-for-point with from-scratch probes
+   while actually reusing fragments. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -137,43 +137,84 @@ let test_colliding_names_translate () =
   | Analysis.Schedulability.Schedulable -> ()
   | _ -> Alcotest.fail "colliding-name system should be schedulable"
 
-(* {1 Sensitivity: incremental sweep equals from-scratch sweep} *)
+(* {1 Sensitivity: incremental sweep equals from-scratch probes} *)
 
+(* Each sweep shares one fragment cache across its points; the reference
+   for a point is a fresh single-point sweep, which starts from an empty
+   cache.  The binary-search breakdown must equal a linear scan of the
+   reference verdicts (the verdict is monotone in the cet). *)
 let test_incremental_sweep_matches () =
-  let root = Aadl.Instantiate.of_string (Gen.cruise_control ()) in
-  let thread = [ "hci"; "ref_speed" ] in
-  let cets = [ 1; 2; 3; 4 ] in
-  let sweep reuse =
-    Analysis.Sensitivity.sweep
-      ~options:{ Analysis.Sensitivity.default_options with reuse }
-      ~thread ~cets root
-  in
-  let incremental = sweep true and scratch = sweep false in
-  List.iter2
-    (fun (i : Analysis.Sensitivity.point) (s : Analysis.Sensitivity.point) ->
+  List.iter
+    (fun (name, text, thread, cets) ->
+      let root = Aadl.Instantiate.of_string text in
+      let schedulable (p : Analysis.Sensitivity.point) =
+        p.Analysis.Sensitivity.schedulable
+      in
+      let reused ps =
+        List.fold_left
+          (fun acc (p : Analysis.Sensitivity.point) ->
+            acc + p.Analysis.Sensitivity.fragments_reused)
+          0 ps
+      in
+      let incremental = Analysis.Sensitivity.sweep ~thread ~cets root in
+      let scratch =
+        List.concat_map
+          (fun c -> Analysis.Sensitivity.sweep ~thread ~cets:[ c ] root)
+          cets
+      in
+      Alcotest.(check (list bool))
+        (name ^ ": same verdict at every point")
+        (List.map schedulable scratch)
+        (List.map schedulable incremental);
       Alcotest.(check bool)
-        (Fmt.str "cet %d: same verdict" i.Analysis.Sensitivity.cet)
-        s.Analysis.Sensitivity.schedulable i.Analysis.Sensitivity.schedulable)
-    incremental scratch;
-  let reused ps =
-    List.fold_left
-      (fun acc (p : Analysis.Sensitivity.point) ->
-        acc + p.Analysis.Sensitivity.fragments_reused)
-      0 ps
+        (name ^ ": incremental sweep reuses fragments")
+        true
+        (reused incremental > 0);
+      Alcotest.(check int)
+        (name ^ ": from-scratch points reuse nothing")
+        0 (reused scratch);
+      let rec scan last = function
+        | p :: rest when schedulable p ->
+            scan (Some p.Analysis.Sensitivity.cet) rest
+        | _ -> last
+      in
+      let options =
+        {
+          Analysis.Sensitivity.default_options with
+          max_cmax = Some (List.fold_left max 1 cets);
+        }
+      in
+      Alcotest.(check (option int))
+        (name ^ ": breakdown equals the linear scan")
+        (scan None scratch)
+        (Analysis.Sensitivity.breakdown ~options ~thread root)
+          .Analysis.Sensitivity.breakdown_cmax)
+    [
+      ( "cruise_control",
+        Gen.cruise_control (),
+        [ "hci"; "ref_speed" ],
+        [ 1; 2; 3; 4 ] );
+      ("e6_five", Gen.e6_model 5, [ "t1_i" ], [ 1; 2; 3; 4; 5; 6; 7; 8 ]);
+    ]
+
+(* A probe that runs out of budget has no verdict: the search must stop
+   with a diagnostic instead of reading it as a miss. *)
+let test_inconclusive_probe_rejected () =
+  let root = Aadl.Instantiate.of_string (Gen.cruise_control ()) in
+  let options =
+    {
+      Analysis.Sensitivity.default_options with
+      schedulability =
+        { Analysis.Schedulability.default_options with max_states = 5 };
+    }
   in
-  Alcotest.(check bool)
-    "incremental sweep reuses fragments" true
-    (reused incremental > 0);
-  Alcotest.(check int) "from-scratch sweep reuses nothing" 0 (reused scratch);
-  (* and the binary-search breakdown agrees with itself under reuse *)
-  let breakdown reuse =
-    (Analysis.Sensitivity.breakdown
-       ~options:{ Analysis.Sensitivity.default_options with reuse }
-       ~thread root)
-      .Analysis.Sensitivity.breakdown_cmax
-  in
-  Alcotest.(check (option int))
-    "breakdown agrees with from-scratch" (breakdown false) (breakdown true)
+  match
+    Analysis.Sensitivity.breakdown ~options ~thread:[ "hci"; "ref_speed" ] root
+  with
+  | exception Aadl.Diag.Error _ -> ()
+  | b ->
+      Alcotest.failf "inconclusive probe read as a verdict: %a"
+        Analysis.Sensitivity.pp b
 
 let test_sweep_unknown_thread_rejected () =
   let root = Aadl.Instantiate.of_string (Gen.cruise_control ()) in
@@ -202,5 +243,7 @@ let () =
             test_incremental_sweep_matches;
           Alcotest.test_case "unknown thread rejected" `Quick
             test_sweep_unknown_thread_rejected;
+          Alcotest.test_case "inconclusive probe rejected" `Quick
+            test_inconclusive_probe_rejected;
         ] );
     ]

@@ -473,8 +473,12 @@ let test_scheduler_priority_order_and_submission_output () =
   Alcotest.(check bool) "low-priority hit its result" true (cached h_low)
 
 let test_scheduler_parallel_agrees () =
-  let run workers =
-    let s = Service.Scheduler.create ~workers Service.Runner.default_config in
+  let run ~cache workers =
+    let config =
+      if cache then Service.Runner.with_cache Service.Runner.default_config
+      else Service.Runner.default_config
+    in
+    let s = Service.Scheduler.create ~workers config in
     List.iteri
       (fun i text ->
         ignore
@@ -488,8 +492,13 @@ let test_scheduler_parallel_agrees () =
         (o.Service.Job.id, Service.Job.verdict_tag o.Service.Job.verdict))
       (Service.Scheduler.run_all s)
   in
-  Alcotest.(check (list (pair string string)))
-    "1 vs 4 workers" (run 1) (run 4)
+  let reference = run ~cache:false 1 in
+  List.iter
+    (fun (cache, workers) ->
+      Alcotest.(check (list (pair string string)))
+        (Fmt.str "cache %b, %d workers vs cache off, 1 worker" cache workers)
+        reference (run ~cache workers))
+    [ (false, 4); (true, 1); (true, 4) ]
 
 let test_scheduler_concurrent_duplicates_coalesce () =
   (* six duplicates on four workers: single-flight leasing means exactly
