@@ -967,9 +967,16 @@ let obs_section ~json_path () =
 
    The "canonicalization" rows record what the reduction itself costs on
    the 32- and 64-thread families at utilization 0.9: canonicalizations
-   (orbit hits + misses), total canonicalization time and microseconds
-   per canonicalization.  They are reduced-only (the raw spaces exhaust
-   memory) and carry no gate. *)
+   (orbit hits + misses), total canonicalization time, microseconds per
+   canonicalization and the exploration's slot nodes (its distinct slot
+   terms).  They are reduced-only (the raw spaces exhaust memory).  One
+   gate rides on them: members are kept in their class representative's
+   names, so doubling the family may at most multiply the slot nodes by
+   [slot_growth_bound] — a slot node per member and local state instead
+   would double them on top of the doubled local states.  The count is
+   deterministic, so the gate cannot flake. *)
+
+let slot_growth_bound = 2.5
 
 type red_sample = {
   red_states : int;
@@ -978,6 +985,7 @@ type red_sample = {
   red_truncated : bool;
   red_canons : int;  (** orbit hits + misses *)
   red_canon_s : float;
+  red_slot_nodes : int;
 }
 
 let reduction_run ?(max_states = 2_000_000) ~symmetry text =
@@ -1004,6 +1012,7 @@ let reduction_run ?(max_states = 2_000_000) ~symmetry text =
     red_truncated = Versa.Lts.truncated r.Versa.Explorer.lts;
     red_canons = stats.Versa.Lts.orbit_hits + stats.Versa.Lts.orbit_misses;
     red_canon_s = stats.Versa.Lts.canon_s;
+    red_slot_nodes = stats.Versa.Lts.slot_nodes;
   }
 
 let reduction_section ~json_path () =
@@ -1081,11 +1090,24 @@ let reduction_section ~json_path () =
         in
         Fmt.pr
           "%s reduced: %d states, %d canonicalizations in %.3fs (%.1f us \
-           each)@."
-          name red.red_states red.red_canons red.red_canon_s us_per_canon;
+           each), %d slot nodes@."
+          name red.red_states red.red_canons red.red_canon_s us_per_canon
+          red.red_slot_nodes;
         (name, red, us_per_canon))
       [ 32; 64 ]
   in
+  let slot_growth =
+    match canon_rows with
+    | [ (_, r32, _); (_, r64, _) ] ->
+        float_of_int r64.red_slot_nodes
+        /. float_of_int (max 1 r32.red_slot_nodes)
+    | _ -> assert false
+  in
+  let slot_growth_ok = slot_growth <= slot_growth_bound in
+  if not slot_growth_ok then incr failures;
+  Fmt.pr "slot nodes family_64 / family_32: %.2fx (bound %.1fx) — %s@."
+    slot_growth slot_growth_bound
+    (if slot_growth_ok then "OK" else "FAIL");
   let open Service.Json in
   record_gate json_path ~benchmark:"orbit (symmetry) reduction gate"
     ~ok:(!failures = 0)
@@ -1097,7 +1119,8 @@ let reduction_section ~json_path () =
            threads from Gen.replicated_family; e6_seven_threads has \
            pairwise distinct periods, so the reduction is inert there \
            by design; canonicalization rows are reduced-only (their raw \
-           spaces exhaust memory) and ungated" );
+           spaces exhaust memory); slot_growth gates family_64's slot \
+           nodes at most slot_growth_bound times family_32's" );
       ( "models",
         List
           (List.map
@@ -1139,10 +1162,18 @@ let reduction_section ~json_path () =
                    ("canonicalizations", Int red.red_canons);
                    ("canon_s", Float red.red_canon_s);
                    ("us_per_canon", Float us_per_canon);
+                   ("slot_nodes", Int red.red_slot_nodes);
                    ("reduced_wall_s", Float red.red_wall);
                    ("reduced_verdict", String red.red_verdict);
                  ])
              canon_rows) );
+      ( "slot_growth",
+        Obj
+          [
+            ("ratio", Float slot_growth);
+            ("bound", Float slot_growth_bound);
+            ("ok", Bool slot_growth_ok);
+          ] );
     ]
 
 (* {1 Gen: print a parametric replicated family to stdout}

@@ -139,9 +139,13 @@ end)
 
 type shard = { lock : Mutex.t; tbl : t Node_tbl.t }
 
+(* Shards start small and grow with their tables: 64 shards of 1024
+   buckets would be 65k words, allocated straight into the major heap at
+   module initialization, which every process pays for before its first
+   term. *)
 let shards =
   Array.init num_shards (fun _ ->
-      { lock = Mutex.create (); tbl = Node_tbl.create 1024 })
+      { lock = Mutex.create (); tbl = Node_tbl.create 16 })
 
 let next_id = Atomic.make 0
 

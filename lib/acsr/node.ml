@@ -1,16 +1,12 @@
 (* Slot nodes: per-exploration records of the distinct slot terms, with
-   their compiled step sets and cached orbit images.  See node.mli. *)
+   their compiled step sets.  See node.mli. *)
 
-type t = {
-  term : Hproc.t;
-  hash : int;
-  mutable steps : steps;
-  mutable images : t array;
-}
+type t = { term : Hproc.t; hash : int; par : bool; mutable steps : steps }
 
 and steps = {
   offers : offer array;
   taus : edge array;
+  tau_ids : int array;
   timed : timed array;
   urgent : bool;
 }
@@ -26,9 +22,10 @@ and offer = {
 and timed = { action : Action.ground; tick : edge }
 and edge = { step : Step.t; next : Hproc.t; mutable target : t }
 
-let uncompiled = { offers = [||]; taus = [||]; timed = [||]; urgent = false }
+let uncompiled =
+  { offers = [||]; taus = [||]; tau_ids = [||]; timed = [||]; urgent = false }
 
-let dummy = { term = Hproc.nil; hash = 0; steps = uncompiled; images = [||] }
+let dummy = { term = Hproc.nil; hash = 0; par = false; steps = uncompiled }
 
 let compile raw =
   let edge (step, next) = { step; next; target = dummy } in
@@ -44,21 +41,25 @@ let compile raw =
             (offers, taus, { action; tick = edge sk } :: timed))
       raw ([], [], [])
   in
+  let taus = Array.of_list taus in
   {
     offers = Array.of_list offers;
-    taus = Array.of_list taus;
+    taus;
+    tau_ids =
+      Array.map
+        (fun e ->
+          match e.step with Step.Tau (Some l, _) -> Label.id l | _ -> -1)
+        taus;
     timed = Array.of_list timed;
     urgent =
-      List.exists
+      Array.exists
         (fun e -> match e.step with Step.Tau (_, p) -> p > 0 | _ -> false)
         taus;
   }
 
 let set_steps n s = n.steps <- s
-let set_images n a = n.images <- a
 
 type table = { lock : Mutex.t; nodes : (int, t) Hashtbl.t (* by [Hproc.id] *) }
-
 
 let create () = { lock = Mutex.create (); nodes = Hashtbl.create 1024 }
 
@@ -67,11 +68,14 @@ let get tbl term =
       match Hashtbl.find_opt tbl.nodes (Hproc.id term) with
       | Some n -> n
       | None ->
-          let n =
-            { term; hash = Hproc.hash term; steps = uncompiled; images = [||] }
+          let par =
+            match Hproc.node term with Hproc.Par _ -> true | _ -> false
           in
+          let n = { term; hash = Hproc.hash term; par; steps = uncompiled } in
           Hashtbl.add tbl.nodes (Hproc.id term) n;
           n)
+
+let size tbl = Mutex.protect tbl.lock (fun () -> Hashtbl.length tbl.nodes)
 
 (* A racing resolution stores the same node: the table has one per term. *)
 let target tbl e =

@@ -5,35 +5,36 @@
     (paper, Sections 4–5).  A node holds what the successor kernel and
     orbit canonicalization would otherwise recompute or look up per
     state: the term's step set compiled into arrays, with each step's
-    target node cached on its edge once resolved, and the term's images
-    under the name swaps of an orbit spec.  After the first states,
-    expanding a state reads node fields only: no lock, no hash, no
-    string compare per slot.
+    target node cached on its edge once resolved.  After the first
+    states, expanding a state reads node fields only: no lock, no hash,
+    no string compare per slot.
+
+    Under an orbit reduction ({!Symmetry}) a member's slots hold their
+    terms renamed into the class representative's names, so the
+    members of a class share their nodes: each local state is compiled
+    once per class, not once per member.
 
     Nodes come from a {!table}, one per exploration: one node per term,
     so nodes compare by pointer exactly as their terms do.  A table is
-    sound for one definition environment and one orbit spec only — a
-    [Call] name means different things under different definitions —
-    so every exploration creates its own. *)
+    sound for one definition environment only — a [Call] name means
+    different things under different definitions — so every
+    exploration creates its own. *)
 
 type t = private {
   term : Hproc.t;
   hash : int;  (** [Hproc.hash term] *)
+  par : bool;  (** [term] is a [Par] *)
   mutable steps : steps;
       (** the term's unprioritized step set; {!uncompiled} until the
           successor kernel first reads it *)
-  mutable images : t array;
-      (** per orbit-spec member (by its index among all the spec's
-          members): the node of the term's image under the swap of that
-          member's names with its class representative's, or {!dummy}
-          before first use; [[||]] until a canonicalization first reads
-          it.  A swap is its own inverse, so one entry serves both ways:
-          into the representative's name space and back out of it. *)
 }
 
 and steps = private {
   offers : offer array;  (** event steps *)
   taus : edge array;  (** internal steps *)
+  tau_ids : int array;
+      (** per internal step: the [Label.id] of its [tau\@l] label, or -1
+          for a plain [tau] *)
   timed : timed array;  (** timed actions *)
   urgent : bool;  (** some internal step has a priority above 0 *)
 }
@@ -64,10 +65,8 @@ val compile : (Step.t * Hproc.t) list -> steps
 (** A step set split by kind, in list order, with unresolved targets. *)
 
 val set_steps : t -> steps -> unit
-
-val set_images : t -> t array -> unit
-(** Writers for the lazily filled fields.  Concurrent writers must store
-    equal contents: a lost write only costs a recomputation. *)
+(** Writer for the lazily compiled step set.  Concurrent writers must
+    store equal sets: a lost write only costs a recompilation. *)
 
 (** {1 Tables} *)
 
@@ -78,6 +77,9 @@ val create : unit -> table
 val get : table -> Hproc.t -> t
 (** The table's node for a term, created on first request.  Mutex-guarded;
     two requests for one term return the same node. *)
+
+val size : table -> int
+(** Number of nodes in the table: the exploration's distinct slot terms. *)
 
 val target : table -> edge -> t
 (** The edge's target node: a field read once resolved, a {!get} the

@@ -269,6 +269,105 @@ let unfold_call cache defs name values =
    A root that is not a system is a 1-slot frame, whose kernel result
    is that slot's own step set. *)
 
+(* {2 Views}
+
+   Under an orbit reduction a member's slots hold their terms renamed
+   into the class representative's names, so that the members of a
+   class share nodes and compile each local state once.  The kernel
+   reads such a slot through its view, which maps a stored label id back
+   to the member's real one: complementary offers are matched, and the
+   frame's restriction is read, on real ids, and every emitted step
+   carries its real label.  Targets stay in the stored names.  Timed
+   actions need no view: resources are never renamed.
+
+   A label that no view renames has the same id stored and real, in
+   every slot, so its offers pair and read the restriction exactly as
+   in an unreduced run, through the same loop; only offers on renamed
+   labels are paired through the views. *)
+
+type view = {
+  ids : int array;
+      (* by stored label id: the real label's id; ids past the end, and
+         entries holding their own index, are not renamed *)
+  labels : Label.t array;
+      (* by stored label id: the real label, where [ids] renames it *)
+  compare : Hproc.t -> Hproc.t -> int;
+}
+
+type views = {
+  slot : view array;  (* per slot; [plain] past the end *)
+  renamed : Bytes.t;
+      (* by label id: '\001' for the labels some view renames; ids past
+         its length are renamed by none *)
+}
+
+let plain = { ids = [||]; labels = [||]; compare = Hproc.compare_structural }
+let no_views = { slot = [||]; renamed = Bytes.empty }
+
+let view ~labels ~compare =
+  let pairs = List.map (fun (stored, real) -> (Label.id stored, real)) labels in
+  let n = 1 + List.fold_left (fun m (i, _) -> max m i) (-1) pairs in
+  let ids = Array.init n Fun.id in
+  (* entries [ids] does not rename are never read *)
+  let real = Array.make n (Label.make "_") in
+  List.iter
+    (fun (i, l) ->
+      ids.(i) <- Label.id l;
+      real.(i) <- l)
+    pairs;
+  (* the kernel also maps real ids back to stored ones through [ids] *)
+  let involutive (i, _) =
+    let j = ids.(i) in
+    j = i || (j < n && ids.(j) = i)
+  in
+  if not (List.for_all involutive pairs) then
+    invalid_arg "Semantics.view: the renaming is not its own inverse";
+  { ids; labels = real; compare }
+
+let slot_views slot =
+  let n = Array.fold_left (fun n v -> max n (Array.length v.ids)) 0 slot in
+  let renamed = Bytes.make n '\000' in
+  Array.iter
+    (fun v ->
+      Array.iteri (fun i j -> if i <> j then Bytes.set renamed i '\001') v.ids)
+    slot;
+  { slot; renamed }
+
+(* The kernel's loops call these on every slot, tau and offer: inlined,
+   they keep the loops free of calls, whose spills would cost the
+   unrenamed labels too.  Indices are checked before the unsafe
+   reads. *)
+let[@inline] view_of views i =
+  if i < Array.length views.slot then Array.unsafe_get views.slot i else plain
+
+let[@inline] renamed_anywhere views id =
+  id >= 0
+  && id < Bytes.length views.renamed
+  && Bytes.unsafe_get views.renamed id <> '\000'
+
+let[@inline] real_id v id =
+  if id < Array.length v.ids then Array.unsafe_get v.ids id else id
+
+let[@inline] renamed v id =
+  id >= 0 && id < Array.length v.ids && Array.unsafe_get v.ids id <> id
+
+let[@inline] real_label v (o : Node.offer) =
+  if renamed v o.id then Array.unsafe_get v.labels o.id else o.label
+
+(* The step an offer emits unsynchronized, in real names. *)
+let[@inline] real_offer v (o : Node.offer) =
+  if renamed v o.id then
+    Step.Event (Array.unsafe_get v.labels o.id, o.dir, o.prio)
+  else o.edge.step
+
+(* An internal step whose label has id [id] (-1 for none), in real
+   names. *)
+let[@inline] real_tau v id (step : Step.t) =
+  match step with
+  | Step.Tau (Some _, p) when renamed v id ->
+      Step.Tau (Some (Array.unsafe_get v.labels id), p)
+  | _ -> step
+
 type move =
   | One of int * Node.edge  (** slot i moves along the edge *)
   | Two of int * Node.edge * int * Node.edge  (** slots i < j synchronize *)
@@ -279,6 +378,19 @@ type move =
 let row_compare (s1, v1) (s2, v2) =
   let c = Stdlib.compare (s1 : Step.t) s2 in
   if c <> 0 then c else Frame.compare v1 v2
+
+(* [row_compare] on the real terms of vectors read through [views]: the
+   first slot where two rows differ decides, in its view's order. *)
+let row_compare_in views (s1, (v1 : Node.t array)) (s2, (v2 : Node.t array)) =
+  let c = Stdlib.compare (s1 : Step.t) s2 in
+  if c <> 0 then c
+  else
+    let rec go i =
+      if i >= Array.length v1 then 0
+      else if v1.(i) == v2.(i) then go (i + 1)
+      else (view_of views i).compare v1.(i).term v2.(i).term
+    in
+    go 0
 
 (* Every choice of one timed step per slot, with pairwise-disjoint
    resources, as (combined action, the choices of the slots with more
@@ -419,7 +531,7 @@ and h_scope_steps cache depth defs (s : Hproc.scope) =
    unbound parameter) stores nothing, so the diagnostics of the
    reference engine are preserved.  Two domains may compile one node at
    once; both store equal sets. *)
-and kernel cache depth defs ~prioritize frame (slots : Node.t array) =
+and kernel cache depth defs ~prioritize ~views frame (slots : Node.t array) =
   let n = Array.length slots in
   for i = 0 to n - 1 do
     let node = slots.(i) in
@@ -434,33 +546,63 @@ and kernel cache depth defs ~prioritize frame (slots : Node.t array) =
     if own.urgent then urgent := true;
     let taus = own.taus in
     for t = 0 to Array.length taus - 1 do
-      let e = taus.(t) in
-      cands := (e.step, One (i, e)) :: !cands
+      let e = taus.(t) and id = own.tau_ids.(t) in
+      let step =
+        if renamed_anywhere views id then real_tau (view_of views i) id e.step
+        else e.step
+      in
+      cands := (step, One (i, e)) :: !cands
     done;
     let offers = own.offers in
     for a = 0 to Array.length offers - 1 do
       let o = offers.(a) in
-      for j = 0 to i - 1 do
-        let earlier = slots.(j).Node.steps.offers in
-        for b = 0 to Array.length earlier - 1 do
-          let o' = earlier.(b) in
-          if o'.id = o.id && o'.dir != o.dir then begin
-            let p = o'.prio + o.prio in
-            if p > 0 then urgent := true;
-            cands :=
-              (Step.Tau (Some o.label, p), Two (j, o'.edge, i, o.edge))
-              :: !cands
-          end
-        done
-      done;
-      if Frame.visible frame o.id then
-        cands := (o.edge.step, One (i, o.edge)) :: !cands
+      if not (renamed_anywhere views o.id) then begin
+        for j = 0 to i - 1 do
+          let earlier = slots.(j).Node.steps.offers in
+          for b = 0 to Array.length earlier - 1 do
+            let o' = earlier.(b) in
+            if o'.id = o.id && o'.dir != o.dir then begin
+              let p = o'.prio + o.prio in
+              if p > 0 then urgent := true;
+              cands :=
+                (Step.Tau (Some o.label, p), Two (j, o'.edge, i, o.edge))
+                :: !cands
+            end
+          done
+        done;
+        if Frame.visible frame o.id then
+          cands := (o.edge.step, One (i, o.edge)) :: !cands
+      end
+      else begin
+        let v = view_of views i in
+        let id = real_id v o.id and l = real_label v o in
+        for j = 0 to i - 1 do
+          (* a view renames through a swap, its own inverse: slot [j]'s
+             offers on real label [id] are its stored offers on [want] *)
+          let earlier = slots.(j).Node.steps.offers
+          and want = real_id (view_of views j) id in
+          for b = 0 to Array.length earlier - 1 do
+            let o' = earlier.(b) in
+            if o'.id = want && o'.dir != o.dir then begin
+              let p = o'.prio + o.prio in
+              if p > 0 then urgent := true;
+              cands :=
+                (Step.Tau (Some l, p), Two (j, o'.edge, i, o.edge)) :: !cands
+            end
+          done
+        done;
+        if Frame.visible frame id then
+          cands := (real_offer v o, One (i, o.edge)) :: !cands
+      end
     done
   done;
+  (* no closure captures [cands], so it stays a local variable rather
+     than a heap cell written through the write barrier per candidate *)
   if not (prioritize && !urgent) then
-    List.iter
-      (fun (u, es) -> cands := (Step.Action u, All es) :: !cands)
-      (timed_product slots);
+    cands :=
+      List.fold_left
+        (fun cands (u, es) -> (Step.Action u, All es) :: cands)
+        !cands (timed_product slots);
   let survivors = if prioritize then Step.prioritize !cands else !cands in
   let target = Node.target cache.nodes in
   let successor = function
@@ -483,7 +625,8 @@ and kernel cache depth defs ~prioritize frame (slots : Node.t array) =
         List.iter (fun (i, e) -> v.(i) <- target e) choices;
         v
   in
-  List.sort_uniq row_compare
+  List.sort_uniq
+    (if Array.length views.slot = 0 then row_compare else row_compare_in views)
     (List.map (fun (s, m) -> (s, successor m)) survivors)
 
 (* The kernel on a term's own frame, its successors materialized. *)
@@ -491,10 +634,10 @@ and materialized cache depth defs ~prioritize p =
   let frame, slots = Frame.split cache.nodes p in
   List.map
     (fun (s, v) -> (s, Frame.materialize frame v))
-    (kernel cache depth defs ~prioritize frame slots)
+    (kernel cache depth defs ~prioritize ~views:no_views frame slots)
 
-let successors ~cache ~prioritize defs frame slots =
-  kernel cache 0 defs ~prioritize frame slots
+let successors ~cache ~prioritize ~views defs frame slots =
+  kernel cache 0 defs ~prioritize ~views frame slots
 
 let h_steps ?cache defs p =
   let cache = match cache with Some c -> c | None -> make_cache () in

@@ -62,19 +62,59 @@ val nodes : cache -> Node.table
 (** The cache's node table: split a root against it ({!Frame.split}) to
     get the slot vector {!successors} takes. *)
 
+(** {2 Views}
+
+    A slot may hold its term renamed into another name space: under an
+    orbit reduction ({!Symmetry}) every member of a class keeps its
+    slots in the class representative's names, so the members share
+    nodes and each local state is compiled once per class.  The kernel
+    reads such a slot through a {e view} that renames its labels back:
+    it matches complementary offers and reads the frame's restriction on
+    real label ids, and gives every step it emits its real label.  The
+    slot's successors stay in the stored names.  Timed actions are read
+    as they are: resources are never renamed.  Offers on labels that no
+    view renames go through the same loop as in an unreduced run. *)
+
+type view
+
+val plain : view
+(** The view of a slot that holds its real term. *)
+
+val view :
+  labels:(Label.t * Label.t) list -> compare:(Hproc.t -> Hproc.t -> int) ->
+  view
+(** [view ~labels ~compare]: [labels] pairs each renamed stored label
+    with its real label (other labels are read as they are); the
+    renaming must be its own inverse, as the swap of two name spaces
+    is, so every pair also appears reversed.  [compare a b] orders two
+    stored terms as their real terms compare under
+    {!Hproc.compare_structural}.
+    @raise Invalid_argument when the renaming is not its own inverse. *)
+
+type views
+(** The views of a frame's slots. *)
+
+val no_views : views
+(** Every slot holds its real term. *)
+
+val slot_views : view array -> views
+(** Slot [i] is read through entry [i], {!plain} past the array's end. *)
+
 val successors :
   cache:cache ->
   prioritize:bool ->
+  views:views ->
   Defs.t ->
   Frame.t ->
   Node.t array ->
   (Step.t * Node.t array) list
-(** [successors ~cache ~prioritize defs frame slots]: the transition
-    relation (prioritized when [prioritize]) of the state [slots] of
-    [frame], as fresh successor vectors of the same frame, made of nodes
-    of [nodes cache].  Rows are deduplicated and sorted by step, then
-    slot by slot with {!Hproc.compare_structural} — over one frame, the
-    order of the materialized terms. *)
+(** [successors ~cache ~prioritize ~views defs frame slots]: the
+    transition relation (prioritized when [prioritize]) of the state
+    [slots] of [frame], read through [views], as fresh successor vectors
+    of the same frame, made of nodes of [nodes cache].  Steps carry real
+    labels.  Rows are deduplicated and sorted by step, then slot by slot
+    in the views' order — over one frame, the order of the materialized
+    real terms. *)
 
 val h_steps : ?cache:cache -> Defs.t -> Hproc.t -> (Step.t * Hproc.t) list
 (** Unprioritized transition relation over hash-consed terms: the root's

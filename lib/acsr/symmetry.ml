@@ -69,6 +69,83 @@ let rec apply_hproc r (h : Hproc.t) : Hproc.t =
   | Hproc.If (g, k) -> Hproc.if_ g (apply_hproc r k)
   | Hproc.Call (n, args) -> Hproc.call (rename_call r n) args
 
+(* [compare_renamed r a b] is
+   [Hproc.compare_structural (apply_hproc r a) (apply_hproc r b)],
+   without building either image: the same walk, with names read
+   through [r].  A renaming is injective, so shared subterms still
+   compare equal without a visit.  The constructor ranks are
+   [Hproc.compare_structural]'s. *)
+let rank : Hproc.node -> int = function
+  | Hproc.Nil -> 0
+  | Hproc.Act _ -> 1
+  | Hproc.Ev _ -> 2
+  | Hproc.Choice _ -> 3
+  | Hproc.Par _ -> 4
+  | Hproc.Scope _ -> 5
+  | Hproc.Restrict _ -> 6
+  | Hproc.Close _ -> 7
+  | Hproc.If _ -> 8
+  | Hproc.Call _ -> 9
+
+let rec compare_renamed r (a : Hproc.t) (b : Hproc.t) =
+  if a == b then 0
+  else
+    match (Hproc.node a, Hproc.node b) with
+    | Hproc.Act (a1, k1), Hproc.Act (a2, k2) ->
+        then_renamed r (Stdlib.compare a1 a2) k1 k2
+    | Hproc.Ev (e1, k1), Hproc.Ev (e2, k2) ->
+        then_renamed r
+          (Stdlib.compare
+             { e1 with Event.label = rename_label r e1.Event.label }
+             { e2 with Event.label = rename_label r e2.Event.label })
+          k1 k2
+    | Hproc.Choice (a1, b1), Hproc.Choice (a2, b2)
+    | Hproc.Par (a1, b1), Hproc.Par (a2, b2) ->
+        then_renamed r (compare_renamed r a1 a2) b1 b2
+    | Hproc.Scope s1, Hproc.Scope s2 -> compare_scope_renamed r s1 s2
+    | Hproc.Restrict (f1, k1), Hproc.Restrict (f2, k2) ->
+        then_renamed r
+          (Stdlib.compare (rename_label_set r f1) (rename_label_set r f2))
+          k1 k2
+    | Hproc.Close (r1, k1), Hproc.Close (r2, k2) ->
+        then_renamed r (Stdlib.compare r1 r2) k1 k2
+    | Hproc.If (g1, k1), Hproc.If (g2, k2) ->
+        then_renamed r (Stdlib.compare g1 g2) k1 k2
+    | Hproc.Call (n1, a1), Hproc.Call (n2, a2) ->
+        let c = String.compare (rename_call r n1) (rename_call r n2) in
+        if c <> 0 then c else Stdlib.compare a1 a2
+    | n1, n2 -> Int.compare (rank n1) (rank n2)
+
+(* [c], or else the comparison of the continuations *)
+and then_renamed r c k1 k2 = if c <> 0 then c else compare_renamed r k1 k2
+
+and compare_scope_renamed r (s1 : Hproc.scope) (s2 : Hproc.scope) =
+  let opt f a b =
+    match (a, b) with
+    | None, None -> 0
+    | None, Some _ -> -1
+    | Some _, None -> 1
+    | Some x, Some y -> f x y
+  in
+  let c = compare_renamed r s1.body s2.body in
+  if c <> 0 then c
+  else
+    let c = Stdlib.compare s1.bound s2.bound in
+    if c <> 0 then c
+    else
+      let c =
+        opt
+          (fun (l1, h1) (l2, h2) ->
+            let c = Label.compare (rename_label r l1) (rename_label r l2) in
+            if c <> 0 then c else compare_renamed r h1 h2)
+          s1.exc s2.exc
+      in
+      if c <> 0 then c
+      else
+        let c = compare_renamed r s1.timeout s2.timeout in
+        if c <> 0 then c
+        else opt (compare_renamed r) s1.interrupt s2.interrupt
+
 (* ------------------------------------------------------------------ *)
 (* Orbit specifications                                                *)
 (* ------------------------------------------------------------------ *)
@@ -81,9 +158,6 @@ type member = {
   swap : renaming;
       (* exchanges the member's names with the class representative's;
          set by [cls], the identity for the representative *)
-  index : int;
-      (* among all the spec's members: the member's entry in a node's
-         [images]; set by [make] *)
 }
 
 let no_renaming = { labels = Smap.empty; calls = Smap.empty }
@@ -91,15 +165,19 @@ let no_renaming = { labels = Smap.empty; calls = Smap.empty }
 let member ~offset ~width ~labels ~calls =
   if offset < 0 || width <= 0 then
     invalid_arg "Symmetry.member: offset/width out of range";
-  { offset; width; labels; calls; swap = no_renaming; index = 0 }
+  { offset; width; labels; calls; swap = no_renaming }
 
-type cls = { members : member array }
+type cls = {
+  members : member array;
+  offsets : int array;  (* per member: its first slot *)
+  width : int;
+}
 
 let cls = function
   | [] | [ _ ] -> invalid_arg "Symmetry.cls: need at least two members"
-  | rep :: rest ->
+  | (rep : member) :: rest ->
       let pairs a b = Array.to_list (Array.map2 (fun x y -> (x, y)) a b) in
-      let bind m =
+      let bind (m : member) =
         if
           m.width <> rep.width
           || Array.length m.labels <> Array.length rep.labels
@@ -113,30 +191,24 @@ let cls = function
               ~calls:(swap m.calls rep.calls);
         }
       in
-      { members = Array.of_list (rep :: List.map bind rest) }
+      let members = Array.of_list (rep :: List.map bind rest) in
+      {
+        members;
+        offsets = Array.map (fun (m : member) -> m.offset) members;
+        width = rep.width;
+      }
 
 type spec = {
   slots : int;
   classes : cls array;
-  member_count : int;  (* over all classes *)
   (* member label -> (class, position, index in the member's [labels]);
      read-only once built, so domains share it without a lock *)
   label_index : (string, int * int * int) Hashtbl.t;
 }
 
 let make ~slots classes =
-  let next = ref 0 in
   let classes =
     List.filter (fun c -> Array.length c.members >= 2) classes
-    |> List.map (fun c ->
-           {
-             members =
-               Array.map
-                 (fun m ->
-                   incr next;
-                   { m with index = !next - 1 })
-                 c.members;
-           })
     |> Array.of_list
   in
   let label_index = Hashtbl.create 64 in
@@ -149,139 +221,214 @@ let make ~slots classes =
             m.labels)
         cl.members)
     classes;
-  {
-    slots;
-    classes;
-    member_count = !next;
-    label_index;
-  }
+  { slots; classes; label_index }
 
-let empty =
-  {
-    slots = 0;
-    classes = [||];
-    member_count = 0;
-    label_index = Hashtbl.create 1;
-  }
+let empty = { slots = 0; classes = [||]; label_index = Hashtbl.create 1 }
 
 let is_empty s = Array.length s.classes = 0
 let class_sizes s =
   Array.to_list (Array.map (fun c -> Array.length c.members) s.classes)
 
 (* ------------------------------------------------------------------ *)
+(* The representative's name space                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The spec describes the frame
+   [Restrict (L, Par (... Par (p0, p1) ..., p_{n-1}))] with exactly
+   [spec.slots] slots; the frame's shape is checked once, when it is
+   split. *)
+let fits spec frame =
+  (not (is_empty spec))
+  && Option.is_some (Frame.restriction frame)
+  && Frame.left_deep frame
+  && Frame.width frame = spec.slots
+
+(* Each non-representative member's slots, through its swap; the swap
+   is its own inverse. *)
+let swap spec nodes frame (slots : Node.t array) =
+  if fits spec frame then
+    Array.iter
+      (fun c ->
+        for m = 1 to Array.length c.members - 1 do
+          let mem = c.members.(m) in
+          for x = mem.offset to mem.offset + mem.width - 1 do
+            slots.(x) <- Node.get nodes (apply_hproc mem.swap slots.(x).term)
+          done
+        done)
+      spec.classes
+
+let views spec frame =
+  if not (fits spec frame) then Semantics.no_views
+  else begin
+    let views = Array.make spec.slots Semantics.plain in
+    Array.iter
+      (fun c ->
+        let rep = c.members.(0) in
+        for m = 1 to Array.length c.members - 1 do
+          let mem = c.members.(m) in
+          let labels =
+            List.concat
+              (Array.to_list
+                 (Array.map2
+                    (fun r l ->
+                      let r = Label.make r and l = Label.make l in
+                      [ (r, l); (l, r) ])
+                    rep.labels mem.labels))
+          in
+          let v =
+            Semantics.view ~labels ~compare:(compare_renamed mem.swap)
+          in
+          Array.fill views mem.offset mem.width v
+        done)
+      spec.classes;
+    Semantics.slot_views views
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Canonicalization                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Canonicalization permutes member slots of the frame
-   [Restrict (L, Par (... Par (p0, p1) ..., p_{n-1}))] with exactly
-   [spec.slots] slots; the frame's shape is checked once, when it is
-   split.  A state in which some slot has become a [Par] is declined
-   too, so canonicalization applies exactly to the states whose term
-   flattens into [spec.slots] leaves. *)
+(* Canonicalization sorts the member tuples of a fitting frame, and
+   declines a state in which some slot has become a [Par]: it applies
+   exactly to the states whose term flattens into [spec.slots]
+   leaves. *)
 let applies spec frame (slots : Node.t array) =
-  Frame.restriction frame <> None
-  && Frame.left_deep frame
-  && Frame.width frame = spec.slots
-  && not
-       (Array.exists
-          (fun (n : Node.t) ->
-            match Hproc.node n.term with Hproc.Par _ -> true | _ -> false)
-          slots)
+  fits spec frame && not (Array.exists (fun (n : Node.t) -> n.par) slots)
 
-(* The node of [n]'s term with member [m]'s names and its
-   representative's swapped, cached on [n] — and on the image, whose
-   image is [n].  Racing domains store the same nodes: the table has
-   one per term. *)
-let images spec (n : Node.t) =
-  let a = n.images in
-  if Array.length a > 0 then a
-  else begin
-    let a = Array.make spec.member_count Node.dummy in
-    Node.set_images n a;
-    a
-  end
-
-let image spec nodes m (n : Node.t) =
-  let cached = images spec n in
-  let img = cached.(m.index) in
-  if img != Node.dummy then img
-  else begin
-    let img = Node.get nodes (apply_hproc m.swap n.term) in
-    cached.(m.index) <- img;
-    (images spec img).(m.index) <- n;
-    img
-  end
-
-(* Members' tuples live in one flat array: member [m]'s tuple is
-   [tuples.(m * w)] .. [tuples.(m * w + w - 1)]. *)
-let rec same_tuple (tuples : Node.t array) w m m' x =
+(* Member [m]'s tuple is [slots.(c.offsets.(m) + x)] for [x < w];
+   member slots hold representative-space terms, so tuples of different
+   members compare directly. *)
+let rec same_tuple (slots : Node.t array) w o o' x =
   x >= w
-  || tuples.((m * w) + x) == tuples.((m' * w) + x)
-     && same_tuple tuples w m m' (x + 1)
+  || (slots.(o + x) == slots.(o' + x) && same_tuple slots w o o' (x + 1))
 
-let rec compare_tuples (tuples : Node.t array) w m m' x =
+let rec compare_tuples (slots : Node.t array) w o o' x =
   if x >= w then 0
   else
-    let c =
-      Hproc.compare_structural tuples.((m * w) + x).term
-        tuples.((m' * w) + x).term
+    let cmp =
+      Hproc.compare_structural slots.(o + x).Node.term slots.(o' + x).Node.term
     in
-    if c <> 0 then c else compare_tuples tuples w m m' (x + 1)
+    if cmp <> 0 then cmp else compare_tuples slots w o o' (x + 1)
 
 (* The members in (tuple, index) order.  Members whose tuples are
-   pointer-equal form a group; only the groups' distinct tuples are
-   sorted, and the members are laid out group by group, each group in
-   index order — exactly the order of sorting every member by (tuple,
-   index).  Distinct hash-consed tuples never compare equal; a tie would
-   break by the groups' first members. *)
-let sorted_members tuples ~k ~w =
-  (* [group.(m)]: the first member with [m]'s tuple *)
-  let group = Array.make k 0 in
-  let rec find m = function
-    | [] -> -1
-    | f :: rest -> if same_tuple tuples w f m 0 then f else find m rest
-  in
-  let firsts = ref [] in
-  for m = 0 to k - 1 do
-    let f = find m !firsts in
-    if f >= 0 then group.(m) <- f
+   pointer-equal form a group; only the groups' distinct tuples, held by
+   their first members (the leaders), are sorted, and the members are
+   laid out group by group, each group in index order — exactly the
+   order of sorting every member by (tuple, index).  Distinct
+   hash-consed tuples never compare equal; a tie would break by the
+   leaders' indices.  A successor of a canonical state mostly keeps each
+   group together, so a member is first tried against its predecessor's
+   group, and a state whose groups are contiguous and already in order
+   costs one comparison per group. *)
+let sorted_members c slots =
+  let k = Array.length c.members and w = c.width and off = c.offsets in
+  (* [group.(m)]: the index in [leaders] of the first member with [m]'s
+     tuple; [size.(i)]: the members of leader [i]'s group *)
+  let group = Array.make k 0
+  and leaders = Array.make k 0
+  and size = Array.make k 0 in
+  let g = ref 1 and runs = ref 1 in
+  size.(0) <- 1;
+  for m = 1 to k - 1 do
+    if same_tuple slots w off.(m - 1) off.(m) 0 then
+      group.(m) <- group.(m - 1)
     else begin
-      group.(m) <- m;
-      firsts := m :: !firsts
-    end
-  done;
-  let order = Array.init k Fun.id in
-  (match !firsts with
-  | [] | [ _ ] -> ()
-  | firsts ->
-      let firsts = Array.of_list firsts in
-      Array.sort
-        (fun a b ->
-          let c = compare_tuples tuples w a b 0 in
-          if c <> 0 then c else Int.compare a b)
-        firsts;
-      (* counting sort of the members by their group's rank: [start.(f)]
-         is first the size of [f]'s group, then its next free position *)
-      let start = Array.make k 0 in
-      for m = 0 to k - 1 do
-        start.(group.(m)) <- start.(group.(m)) + 1
+      incr runs;
+      let i = ref 0 in
+      while
+        !i < !g && not (same_tuple slots w off.(leaders.(!i)) off.(m) 0)
+      do
+        incr i
       done;
-      let pos = ref 0 in
-      Array.iter
-        (fun f ->
-          let size = start.(f) in
-          start.(f) <- !pos;
-          pos := !pos + size)
-        firsts;
-      for m = 0 to k - 1 do
-        let f = group.(m) in
-        order.(start.(f)) <- m;
-        start.(f) <- start.(f) + 1
-      done);
+      if !i = !g then begin
+        leaders.(!g) <- m;
+        incr g
+      end;
+      group.(m) <- !i
+    end;
+    size.(group.(m)) <- size.(group.(m)) + 1
+  done;
+  let g = !g in
+  let order = Array.make k 0 in
+  for j = 1 to k - 1 do
+    order.(j) <- j
+  done;
+  let less a b = compare_tuples slots w off.(a) off.(b) 0 < 0 in
+  (* already canonical: contiguous groups in increasing order *)
+  let sorted =
+    !runs = g
+    &&
+    let i = ref 1 in
+    while !i < g && less leaders.(!i - 1) leaders.(!i) do
+      incr i
+    done;
+    !i >= g
+  in
+  if not sorted then begin
+    (* insertion sort of the group indices by their leaders' tuples;
+       leaders are in index order, so ties keep it *)
+    let rank = Array.init g Fun.id in
+    for i = 1 to g - 1 do
+      let x = rank.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && less leaders.(x) leaders.(rank.(!j)) do
+        rank.(!j + 1) <- rank.(!j);
+        decr j
+      done;
+      rank.(!j + 1) <- x
+    done;
+    (* [start.(i)]: the next free position of group [i] *)
+    let start = Array.make g 0 in
+    let pos = ref 0 in
+    for r = 0 to g - 1 do
+      start.(rank.(r)) <- !pos;
+      pos := !pos + size.(rank.(r))
+    done;
+    for m = 0 to k - 1 do
+      let i = group.(m) in
+      order.(start.(i)) <- m;
+      start.(i) <- start.(i) + 1
+    done
+  end;
   order
 
-(* Returns whether [slots] changed, and the witness. *)
-let canon_in_place spec nodes frame slots =
+(* Lay the members' tuples out in [order]: only the span of positions
+   the permutation moves is copied out and written back. *)
+let permute c (slots : Node.t array) order =
+  let k = Array.length order and w = c.width and off = c.offsets in
+  let lo = ref 0 and hi = ref (k - 1) in
+  while !lo < k && order.(!lo) = !lo do
+    incr lo
+  done;
+  while !hi > !lo && order.(!hi) = !hi do
+    decr hi
+  done;
+  if !lo < k then begin
+    let lo = !lo and hi = !hi in
+    let saved = Array.make ((hi - lo + 1) * w) Node.dummy in
+    for m = lo to hi do
+      let o = off.(m) and d = (m - lo) * w in
+      for x = 0 to w - 1 do
+        saved.(d + x) <- slots.(o + x)
+      done
+    done;
+    for j = lo to hi do
+      let src = order.(j) in
+      if src <> j then begin
+        let o = off.(j) and d = (src - lo) * w in
+        for x = 0 to w - 1 do
+          slots.(o + x) <- saved.(d + x)
+        done
+      end
+    done;
+    true
+  end
+  else false
+
+(* Returns whether [slots] changed, and the witness.  A permutation
+   other than the identity moves a distinct tuple (ties keep index
+   order), so it always changes the vector. *)
+let canon_in_place spec frame slots =
   if not (applies spec frame slots) then
     ( false,
       Array.map
@@ -292,42 +439,16 @@ let canon_in_place spec nodes frame slots =
     let perms =
       Array.map
         (fun c ->
-          let k = Array.length c.members and w = c.members.(0).width in
-          (* Member slot tuples, swapped into the rep's name space so
-             they are comparable. *)
-          let tuples = Array.make (k * w) Node.dummy in
-          for m = 0 to k - 1 do
-            let mem = c.members.(m) in
-            for x = 0 to w - 1 do
-              let n = slots.(mem.offset + x) in
-              tuples.((m * w) + x) <-
-                (if m = 0 then n else image spec nodes mem n)
-            done
-          done;
-          let order = sorted_members tuples ~k ~w in
-          for j = 0 to k - 1 do
-            if order.(j) <> j then begin
-              let dst = c.members.(j) in
-              for x = 0 to w - 1 do
-                let n = tuples.((order.(j) * w) + x) in
-                let v =
-                  if j = 0 then n else image spec nodes dst n
-                in
-                if v != slots.(dst.offset + x) then changed := true;
-                slots.(dst.offset + x) <- v
-              done
-            end
-          done;
+          let order = sorted_members c slots in
+          if permute c slots order then changed := true;
           order)
         spec.classes
     in
-    (* Unchanged slots mean every [order] is the identity: ties break
-       by index, so any other order moves a distinct tuple. *)
     (!changed, perms)
   end
 
-let canon_w spec nodes frame slots = snd (canon_in_place spec nodes frame slots)
-let canon spec nodes frame slots = fst (canon_in_place spec nodes frame slots)
+let canon_w spec frame slots = snd (canon_in_place spec frame slots)
+let canon spec frame slots = fst (canon_in_place spec frame slots)
 
 let rename_step spec owners (s : Step.t) : Step.t =
   let real l =

@@ -14,15 +14,19 @@
 
     Each member is compared with its class representative through the
     swap of their name spaces.  States are vectors of slot nodes
-    ({!Node}), and each node caches its image under every member's swap
-    (and, a swap being its own inverse, the image's image is the node),
-    so a term is renamed at most once per exploration and member, not
-    once per state.  The witness of a canonicalization is a slot
-    permutation per class ({!canon_w}), not a renaming: exploration
-    never builds names.  Only when a counterexample trace is
-    de-canonicalized does a caller track which real member sits at each
-    canonical position and ask {!rename_step} for that member's
-    names.
+    ({!Node}), and an exploration keeps every member's slots in its
+    class representative's names, as Ip & Dill's scalarsets keep
+    states: the root is converted once ({!swap}), the successor kernel
+    reads each member slot through a label view ({!views}) and leaves
+    its successors in the representative's names, and the members of a
+    class share one node per local state.  A canonicalization then only
+    sorts the member tuples and permutes node pointers: it builds no
+    name and renames no term.  The witness of a canonicalization is a
+    slot permutation per class ({!canon_w}), not a renaming.  Only when
+    a state is turned back into a real term ({!swap} again) or a
+    counterexample trace is de-canonicalized does a caller track which
+    real member sits at each canonical position and ask {!rename_step}
+    for that member's names.
 
     The {e spec} — which slots are interchangeable, under which names —
     is established by the translation layer, which alone knows the
@@ -81,28 +85,51 @@ val is_empty : spec -> bool
 val class_sizes : spec -> int list
 (** Member count per class, in class order. *)
 
+(** {1 The representative's name space} *)
+
+(** The spec {e fits} a frame when it is not empty and the frame is
+    [Restrict (L, par-spine)] with a left-deep spine of the spec's slot
+    count.  Otherwise an exploration stays unreduced: no conversion, no
+    view, no canonicalization. *)
+
+val swap : spec -> Node.table -> Frame.t -> Node.t array -> unit
+(** [swap spec nodes frame slots] renames, in place, every
+    non-representative member's slots through the swap of its names
+    with its representative's, as nodes of [nodes]; a no-op unless the
+    spec fits the frame.  A swap is its own inverse, so [swap] turns a
+    vector of real terms into the representative's name space and
+    back.  It renames terms, so it is for cold paths only: the root,
+    and states turned back into real terms. *)
+
+val views : spec -> Frame.t -> Semantics.views
+(** The views {!Semantics.successors} reads a state in the
+    representative's name space through: a member slot's view renames
+    its representative's labels to the member's (and back) and orders
+    terms as their real images compare; every other slot is read
+    {!Semantics.plain}.  {!Semantics.no_views} unless the spec fits
+    the frame. *)
+
+val compare_renamed : renaming -> Hproc.t -> Hproc.t -> int
+(** [compare_renamed r a b] is the {!Hproc.compare_structural} order of
+    [a] and [b] renamed by [r], without building either. *)
+
 (** {1 Canonicalization} *)
 
-val canon : spec -> Node.table -> Frame.t -> Node.t array -> bool
-(** [canon spec nodes frame slots] rewrites a state's vector of slot
-    nodes (of [nodes]), in place, into the canonical representative of
-    its orbit; [true] when it changed.  For each class, the member slot
-    tuples, swapped into the representative's name space, are ordered
-    structurally ({!Hproc.compare_structural}, ties broken by member
-    index) and written back through each position's swap.  Only the
-    distinct tuples are sorted: members whose tuples are pointer-equal
-    are laid out together, in index order.  The swaps' images are cached
-    on the nodes, so after the first states a canonicalization reads
-    node fields and compares terms only.
+val canon : spec -> Frame.t -> Node.t array -> bool
+(** [canon spec frame slots] rewrites a state's vector of slot nodes, in
+    the representative's name space, in place, into the canonical
+    representative of its orbit; [true] when it changed.  For each
+    class, the member slot tuples are ordered structurally
+    ({!Hproc.compare_structural}, ties broken by member index) and
+    written back as node pointers.  Only the distinct tuples
+    are sorted: members whose tuples are pointer-equal are laid out
+    together, in index order.
 
-    The vector is left unchanged unless the frame is
-    [Restrict (L, par-spine)] with a left-deep spine of the spec's slot
-    count, and no slot holds a [Par].  Deterministic and idempotent;
-    safe to call from concurrent domains on distinct vectors.  [nodes]
-    must serve this spec only, as an exploration's table does: its
-    nodes' cached images are indexed by the spec's members. *)
+    The vector is left unchanged unless the spec fits the frame and no
+    slot holds a [Par].  Deterministic and idempotent; safe to call from
+    concurrent domains on distinct vectors. *)
 
-val canon_w : spec -> Node.table -> Frame.t -> Node.t array -> int array array
+val canon_w : spec -> Frame.t -> Node.t array -> int array array
 (** [canon] plus its witness: one permutation per class, in class order.
     Entry [j] of class [c]'s array is the member whose tuple moved to
     position [j].  The identity when the state was already canonical. *)

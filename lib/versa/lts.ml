@@ -12,11 +12,12 @@
    and the Par spine) and every state is kept as its vector of slot
    nodes over that frame ([Acsr.Node]: one per distinct slot term of
    the exploration, from the node table of the build's
-   [Semantics.cache]).  A node
-   carries its term's hash, its compiled step set and its cached orbit
-   images, so expanding a state reads node fields, and the state table
-   mixes the slots' term hashes and compares slots by pointer: interning
-   a state never rebuilds or interns the spine.  A state's term is
+   [Semantics.cache]).  A node carries its term's hash and its compiled
+   step set, so expanding a state reads node fields, and the state
+   table mixes the slots' term hashes and compares slots by pointer:
+   interning a state never rebuilds or interns the spine.  Under orbit
+   reduction the member slots hold their terms in their class
+   representative's names (see [Sym] below).  A state's term is
    materialized only when a caller asks for it ([term], DOT export,
    trace replay).
 
@@ -138,6 +139,7 @@ type stats = {
   intern_hits : int;  (** state interns that found an existing state *)
   intern_misses : int;  (** state interns that discovered a new state *)
   hashcons_nodes : int;  (** global hash-cons table size after the build *)
+  slot_nodes : int;  (** distinct slot terms the exploration met *)
   store_bytes : int;  (** estimated bytes retained by the state store *)
   early_exit_depth : int option;
       (** BFS depth of the deadlock that stopped an early-exit run *)
@@ -195,8 +197,9 @@ type expansion = {
   canon_time : float;  (* seconds spent canonicalizing this row *)
 }
 
-let step_function semantics cache defs frame =
-  Semantics.successors ~cache ~prioritize:(semantics = Prioritized) defs frame
+let step_function semantics cache ~views defs frame =
+  Semantics.successors ~cache ~prioritize:(semantics = Prioritized) ~views defs
+    frame
 
 (* Symmetry (orbit) reduction.
 
@@ -216,47 +219,75 @@ let step_function semantics cache defs frame =
    counterexample *lengths* are therefore preserved exactly; the visited
    state count only shrinks.
 
+   Every stored state keeps its member slots in the class
+   representative's names ([Symmetry.swap] converts the root once), and
+   the kernel reads them through the spec's label views, so the members
+   of a class share nodes and a canonicalization only sorts member
+   tuples.  The steps the kernel emits carry real position-space labels,
+   exactly as an exploration of real terms would emit them.  When the
+   frame does not fit the spec, there are no views and no conversion,
+   and every canonicalization declines.
+
    Exploration keeps no witness: a canonicalization's only by-product
    is a slot permutation per class, and [canon_row] drops it.  Names are
-   built only when a trace is de-canonicalized on the way out
-   ([decanon_steps]): the stored path's states are canonical
-   representatives, and replaying the path while composing the
-   permutations tells which real member sits at each canonical
-   position, so raised scenarios still name the actual AADL threads. *)
+   built only on the way out: [real] turns a stored state back into its
+   real terms, and a trace is de-canonicalized by [decanon_steps]: the
+   stored path's states are canonical representatives, and replaying
+   the path while composing the permutations tells which real member
+   sits at each canonical position, so raised scenarios still name the
+   actual AADL threads. *)
 module Sym = struct
   type t = {
     spec : Symmetry.spec;
     cache : Semantics.cache;  (* the build's: its nodes fill the store *)
     frame : Frame.t;
-    raw_root : Node.t array;  (* never mutated *)
+    views : Semantics.views;  (* none when the frame does not fit *)
+    root : Node.t array;
+        (* the root in the representative's names, not yet
+           canonicalized; never mutated *)
     defs : Defs.t;
   }
 
   let of_spec spec ~cache ~frame ~raw_root ~defs =
     if Symmetry.is_empty spec then None
-    else Some { spec; cache; frame; raw_root; defs }
+    else begin
+      let root = Array.copy raw_root in
+      Symmetry.swap spec (Semantics.nodes cache) frame root;
+      Some
+        { spec; cache; frame; views = Symmetry.views spec frame; root; defs }
+    end
 
-  let canon s v = Symmetry.canon s.spec (Semantics.nodes s.cache) s.frame v
-  let canon_w s v = Symmetry.canon_w s.spec (Semantics.nodes s.cache) s.frame v
+  let canon s v = Symmetry.canon s.spec s.frame v
+  let canon_w s v = Symmetry.canon_w s.spec s.frame v
+
+  (* A stored state's real terms. *)
+  let real s v =
+    let v = Array.copy v in
+    Symmetry.swap s.spec (Semantics.nodes s.cache) s.frame v;
+    v
 
   (* Canonicalization can alias two successors of the same state; keep
      the first occurrence so row order stays the deterministic raw
-     order. *)
+     order.  Aliased successors carry equal steps, which the kernel's
+     row order keeps adjacent, so a successor is compared only with the
+     kept successors of its own step ([run]). *)
   let dedup row =
     match row with
     | [] | [ _ ] -> row
     | _ ->
-        let rec go acc = function
+        let rec go acc run = function
           | [] -> List.rev acc
           | ((s, t) as edge) :: rest ->
-              if
-                List.exists
-                  (fun (s', t') -> Frame.equal t t' && Step.equal s s')
-                  acc
-              then go acc rest
-              else go (edge :: acc) rest
+              let run =
+                match run with
+                | (s', _) :: _ when Step.equal s s' -> run
+                | _ -> []
+              in
+              if List.exists (fun (_, t') -> Frame.equal t t') run then
+                go acc run rest
+              else go (edge :: acc) (edge :: run) rest
         in
-        go [] row
+        go [] [] row
 
   (* Canonicalize one raw successor row.  The tallies travel with the
      row instead of living in shared counters, so the merge loop counts
@@ -279,8 +310,8 @@ module Sym = struct
       }
     end
 
-  let root s =
-    let v = Array.copy s.raw_root in
+  let canonical_root s =
+    let v = Array.copy s.root in
     ignore (canon s v);
     v
 
@@ -304,8 +335,8 @@ module Sym = struct
      all trace consumers read. *)
   let decanon_steps s ~semantics ~term_at path =
     (* the build's cache: recomputed vectors share the stored ones' nodes *)
-    let next = step_function semantics s.cache s.defs s.frame in
-    let root = Array.copy s.raw_root in
+    let next = step_function semantics s.cache ~views:s.views s.defs s.frame in
+    let root = Array.copy s.root in
     let owners = ref (canon_w s root) in
     let cur = ref root in
     List.map
@@ -439,7 +470,9 @@ let num_transitions lts = lts.transitions
 
 let initial (_ : t) : state_id = 0
 let term lts id =
-  Hproc.to_proc (Frame.materialize lts.frame lts.store.Store.states.(id))
+  let v = lts.store.Store.states.(id) in
+  let v = match lts.sym with None -> v | Some s -> Sym.real s v in
+  Hproc.to_proc (Frame.materialize lts.frame v)
 let has_edges lts = lts.store.Store.edges
 let truncated lts = lts.truncated
 let semantics_of lts = lts.semantics
@@ -618,8 +651,12 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   let frame, raw_root =
     Frame.split (Semantics.nodes cache) (Hproc.of_proc root)
   in
-  let raw_next = step_function semantics cache defs frame in
   let sym = Sym.of_spec symmetry ~cache ~frame ~raw_root ~defs in
+  let raw_next =
+    step_function semantics cache
+      ~views:(match sym with None -> Semantics.no_views | Some s -> s.Sym.views)
+      defs frame
+  in
   let expand slots =
     let row = raw_next slots in
     match sym with
@@ -634,7 +671,7 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   let peak_frontier = ref 0 in
   ignore
     (Store.intern store
-       (match sym with None -> raw_root | Some s -> Sym.root s)
+       (match sym with None -> raw_root | Some s -> Sym.canonical_root s)
        ~pred:(-1) ~step:Store.dummy_step);
   let deadline_hit = ref false in
   let over_budget () =
@@ -710,6 +747,7 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
       intern_hits = store.Store.hits;
       intern_misses = store.Store.misses;
       hashcons_nodes = Hproc.table_size ();
+      slot_nodes = Node.size (Semantics.nodes cache);
       (* per state: slot-vector pointer + pred int + step pointer array
          slots, a hashtable binding, and the slot vector itself (a
          header and one word per slot); with edges, per expanded state a

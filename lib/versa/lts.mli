@@ -55,7 +55,11 @@
     product of the orbit class factorials.  Canonicalization is part of
     computing a successor row, on whichever domain computes it, so
     reduction composes with [jobs] and the bit-identity contract above
-    is unchanged for any fixed [symmetry] spec.  {!path_to}
+    is unchanged for any fixed [symmetry] spec.  The store keeps every
+    member's slots in its class representative's names, so the members
+    of a class share slot nodes and each local state is compiled once
+    per class; the kernel still emits real labels, and {!term} renames
+    a state back into its real terms.  {!path_to}
     de-canonicalizes the stored steps (composing the
     permutation witnesses along the path), so diagnostic traces name the
     real system's threads; state ids in the returned path index the
@@ -92,6 +96,11 @@ type stats = {
   intern_hits : int;  (** successor interns that found an existing state *)
   intern_misses : int;  (** interns that discovered a new state *)
   hashcons_nodes : int;  (** global hash-cons table size after the build *)
+  slot_nodes : int;
+      (** size of the exploration's node table ({!Acsr.Node}): the
+          distinct slot terms it met, counted once per class under
+          symmetry reduction, where member slots are kept in their
+          representative's names *)
   store_bytes : int;
       (** estimated bytes retained by the state store: the slot vectors,
           the flat parent/step arrays and the visited set, plus the
@@ -143,7 +152,8 @@ val initial : t -> state_id
 (** Always state 0. *)
 
 val term : t -> state_id -> Proc.t
-(** The process term of a state, materialized from its slot vector. *)
+(** The process term of a state, materialized from its slot vector, in
+    real names also under orbit reduction. *)
 
 val has_edges : t -> bool
 (** Whether successor rows were kept ([build ~edges]). *)

@@ -820,6 +820,34 @@ let prop_compare_structural_mirrors_stdlib =
       sign (Hproc.compare_structural (Hproc.of_proc p) (Hproc.of_proc q))
       = sign (Stdlib.compare p q))
 
+(* An orbit reduction orders member terms kept in their representative's
+   names as their real images compare; [compare_renamed] must give the
+   order of the renamed terms without building them.  The renaming
+   swaps the generator's two labels, and two definition names that head
+   a choice, so it reverses their orders. *)
+let prop_compare_renamed_mirrors_images =
+  let swap =
+    Symmetry.renaming
+      ~labels:[ ("a", "b"); ("b", "a") ]
+      ~calls:[ ("A", "B"); ("B", "A") ]
+  in
+  let gen_headed =
+    QCheck2.Gen.(
+      let* p = gen_proc_full and* call = oneofl [ None; Some "A"; Some "B" ] in
+      return
+        (match call with
+        | None -> p
+        | Some c -> Proc.choice (Proc.call c []) p))
+  in
+  QCheck2.Test.make
+    ~name:"compare_renamed = compare_structural of the renamed terms"
+    ~count:500
+    QCheck2.Gen.(pair gen_headed gen_headed)
+    (fun (p, q) ->
+      let image p = Hproc.of_proc (Symmetry.apply_proc swap p) in
+      Symmetry.compare_renamed swap (Hproc.of_proc p) (Hproc.of_proc q)
+      = Hproc.compare_structural (image p) (image q))
+
 (* The hash-consed engine returns, term for term, what the reference
    engine returns. *)
 let engines_agree ~name ~count ~reference ~hashconsed gen =
@@ -1042,6 +1070,7 @@ let qcheck_cases =
       prop_interning;
       prop_hash_respects_equality;
       prop_compare_structural_mirrors_stdlib;
+      prop_compare_renamed_mirrors_images;
       prop_h_steps_agree;
       prop_h_prioritized_agree;
       prop_kernel_steps_agree;

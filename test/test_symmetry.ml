@@ -145,13 +145,15 @@ let test_detect_e6_asymmetric () =
 (* {1 Canonicalization: idempotence and orbit invariance on reachable
    states} *)
 
-(* [Symmetry.canon] on a whole term: split it into its frame against a
-   fresh node table, canonicalize the slot vector and materialize it
-   again. *)
+(* [Symmetry.canon] on a whole real term: split it into its frame
+   against a fresh node table, swap the member slots into their
+   representatives' names, canonicalize, swap back and materialize. *)
 let canon_term spec h =
   let nodes = Node.create () in
   let frame, slots = Frame.split nodes h in
-  ignore (Symmetry.canon spec nodes frame slots);
+  Symmetry.swap spec nodes frame slots;
+  ignore (Symmetry.canon spec frame slots);
+  Symmetry.swap spec nodes frame slots;
   Frame.materialize frame slots
 
 let test_canon_idempotent_on_reachable_states () =
@@ -218,6 +220,128 @@ let test_canon_declines_on_par_member () =
     "the raw state count" (Versa.Lts.num_states raw)
     (Versa.Lts.num_states reduced);
   Alcotest.(check int) "states" 5 (Versa.Lts.num_states reduced)
+
+(* {1 The representative's name space}
+
+   An exploration keeps every member's slots in its class
+   representative's names, so the members of a class share one node per
+   local state.  The slot-node count of a reduced family then grows with
+   the local states of one thread, not with the thread count.  Doubling
+   a unit-cet family at a fixed utilization doubles each thread's
+   period, and with it one thread's local states, so the count may not
+   much more than double. *)
+
+let reduced_build ?(config = Versa.Lts.default_config) text =
+  let tr = translation_of text in
+  ( tr,
+    Versa.Lts.build ~config ~edges:false
+      ~symmetry:tr.Translate.Pipeline.symmetry tr.Translate.Pipeline.defs
+      tr.Translate.Pipeline.system )
+
+let test_slot_nodes_per_class () =
+  let slot_nodes threads =
+    let _, lts = reduced_build (family ~threads ~utilization:0.9 ()) in
+    (Versa.Lts.stats lts).Versa.Lts.slot_nodes
+  in
+  let n16 = slot_nodes 16 and n32 = slot_nodes 32 in
+  if float_of_int n32 > 2.5 *. float_of_int n16 then
+    Alcotest.failf
+      "family 32@0.9 holds %d slot nodes, over 2.5x the %d of family 16@0.9"
+      n32 n16
+
+(* Turning a reduced run's states back into real terms: every state is
+   a state of the unreduced run, and already canonical. *)
+let test_terms_are_canonical_raw_states () =
+  let config =
+    { Versa.Lts.default_config with stop_at_deadlock = false }
+  in
+  List.iter
+    (fun (name, text) ->
+      let tr, reduced = reduced_build ~config text in
+      let raw =
+        Versa.Lts.build ~config ~edges:false tr.Translate.Pipeline.defs
+          tr.Translate.Pipeline.system
+      in
+      let states = Hashtbl.create (Versa.Lts.num_states raw) in
+      for id = 0 to Versa.Lts.num_states raw - 1 do
+        Hashtbl.replace states
+          (Hproc.id (Hproc.of_proc (Versa.Lts.term raw id)))
+          ()
+      done;
+      let spec = tr.Translate.Pipeline.symmetry in
+      for id = 0 to Versa.Lts.num_states reduced - 1 do
+        let t = Hproc.of_proc (Versa.Lts.term reduced id) in
+        if not (Hashtbl.mem states (Hproc.id t)) then
+          Alcotest.failf "%s: reduced state %d is no state of the raw run"
+            name id;
+        if not (Hproc.equal t (canon_term spec t)) then
+          Alcotest.failf "%s: reduced state %d is not canonical" name id
+      done)
+    (List.map family_model [ (2, 0.8); (3, 1.5); (4, 0.8); (4, 1.3) ]
+    @ two_class_models)
+
+(* The family's classes, rebuilt from its fragments the way the
+   translation builds them, over a frame of [extra] more slots than the
+   system has. *)
+let spec_with_extra_slots (tr : Translate.Pipeline.t) ~extra =
+  let _, placed =
+    List.fold_left
+      (fun (off, acc) (f : Translate.Fragment.t) ->
+        let width = List.length f.Translate.Fragment.initials in
+        (off + width, (f, off, width) :: acc))
+      (0, []) tr.Translate.Pipeline.fragments
+  in
+  let slots =
+    List.fold_left (fun n (_, _, w) -> n + w) 0 placed
+  in
+  let members =
+    List.filter_map
+      (fun ((f : Translate.Fragment.t), offset, width) ->
+        if f.Translate.Fragment.kind <> Translate.Fragment.Thread_unit then
+          None
+        else
+          Some
+            (Symmetry.member ~offset ~width
+               ~labels:
+                 (Array.of_list
+                    (List.map Label.name f.Translate.Fragment.restricted))
+               ~calls:
+                 (Array.of_list
+                    (List.map (fun (n, _, _) -> n) f.Translate.Fragment.defs))))
+      (List.rev placed)
+  in
+  Symmetry.make ~slots:(slots + extra) [ Symmetry.cls members ]
+
+(* A spec that does not fit the frame leaves the run unreduced: same
+   states in the same order, same rows, no orbit folded. *)
+let test_unfitting_spec_is_unreduced () =
+  let tr = translation_of (family ~threads:3 ~utilization:0.8 ()) in
+  let build symmetry =
+    Versa.Lts.build ~symmetry tr.Translate.Pipeline.defs
+      tr.Translate.Pipeline.system
+  in
+  let fitting = build (spec_with_extra_slots tr ~extra:0)
+  and unfitting = build (spec_with_extra_slots tr ~extra:1)
+  and raw = build Symmetry.empty in
+  (* the rebuilt spec is the translation's: it reduces when it fits *)
+  Alcotest.(check int)
+    "fitting spec: the translation's reduced space"
+    (Versa.Lts.num_states (build tr.Translate.Pipeline.symmetry))
+    (Versa.Lts.num_states fitting);
+  Alcotest.(check int)
+    "states" (Versa.Lts.num_states raw)
+    (Versa.Lts.num_states unfitting);
+  Alcotest.(check int)
+    "transitions" (Versa.Lts.num_transitions raw)
+    (Versa.Lts.num_transitions unfitting);
+  Alcotest.(check int)
+    "no orbit hits" 0 (Versa.Lts.stats unfitting).Versa.Lts.orbit_hits;
+  for id = 0 to Versa.Lts.num_states raw - 1 do
+    if Versa.Lts.term raw id <> Versa.Lts.term unfitting id then
+      Alcotest.failf "state %d differs" id;
+    if Versa.Lts.successors raw id <> Versa.Lts.successors unfitting id then
+      Alcotest.failf "row %d differs" id
+  done
 
 (* {1 Equivalence: reduction on vs off} *)
 
@@ -624,7 +748,9 @@ let prop_grouped_sort_is_reference =
       in
       let nodes = Node.create () in
       let frame, slots = Frame.split nodes (Hproc.of_proc root) in
-      let witness = Symmetry.canon_w spec nodes frame slots in
+      Symmetry.swap spec nodes frame slots;
+      let witness = Symmetry.canon_w spec frame slots in
+      Symmetry.swap spec nodes frame slots;
       (* the reference: sort (tuple, index) pairs structurally *)
       let rep m = Array.map (fun i -> Hproc.of_proc (pool_term i)) tuples.(m) in
       let compare_pairs (a, i) (b, j) =
@@ -685,6 +811,15 @@ let () =
             test_canon_idempotent_on_reachable_states;
           Alcotest.test_case "declines on a member slot holding a Par"
             `Quick test_canon_declines_on_par_member;
+        ] );
+      ( "name space",
+        [
+          Alcotest.test_case "one slot node per local state and class"
+            `Quick test_slot_nodes_per_class;
+          Alcotest.test_case "real terms are canonical raw states" `Quick
+            test_terms_are_canonical_raw_states;
+          Alcotest.test_case "a spec that does not fit stays unreduced"
+            `Quick test_unfitting_spec_is_unreduced;
         ] );
       ( "equivalence",
         [
