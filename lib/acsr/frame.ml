@@ -104,13 +104,3 @@ let hash (v : Node.t array) =
     Array.fold_left (fun h s -> (h * 0x01000193) lxor s.Node.hash) 0x811c9dc5 v
   in
   (h lxor (h lsr 31)) land max_int
-
-let compare (a : Node.t array) b =
-  let n = min (Array.length a) (Array.length b) in
-  let rec go i =
-    if i >= n then Int.compare (Array.length a) (Array.length b)
-    else
-      let c = Hproc.compare_structural a.(i).Node.term b.(i).Node.term in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0

@@ -51,8 +51,3 @@ val equal : Node.t array -> Node.t array -> bool
 
 val hash : Node.t array -> int
 (** Mixes the slots' term hashes ({!Hproc.hash}); non-negative. *)
-
-val compare : Node.t array -> Node.t array -> int
-(** Slot-wise {!Hproc.compare_structural} of the terms, lexicographic (a
-    shorter vector sorts first on a common prefix).  Over one frame this
-    is the order of the materialized terms. *)

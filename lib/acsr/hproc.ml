@@ -324,4 +324,65 @@ and compare_scope s1 s2 =
           | Some _, None -> 1
           | Some h1, Some h2 -> compare_structural h1 h2
 
+(* The same walk with names read through the renaming; its cases must
+   stay those of [compare_structural] (a property test compares the two
+   on renamed terms). *)
+let rec compare_renamed ~label ~call (a : t) (b : t) =
+  if a == b then 0
+  else
+    match (a.node, b.node) with
+    | Act (a1, k1), Act (a2, k2) ->
+        then_renamed ~label ~call (Stdlib.compare a1 a2) k1 k2
+    | Ev (e1, k1), Ev (e2, k2) ->
+        then_renamed ~label ~call
+          (Stdlib.compare
+             { e1 with Event.label = label e1.Event.label }
+             { e2 with Event.label = label e2.Event.label })
+          k1 k2
+    | Choice (a1, b1), Choice (a2, b2) | Par (a1, b1), Par (a2, b2) ->
+        then_renamed ~label ~call (compare_renamed ~label ~call a1 a2) b1 b2
+    | Scope s1, Scope s2 -> compare_scope_renamed ~label ~call s1 s2
+    | Restrict (f1, k1), Restrict (f2, k2) ->
+        let set f = Label.set_of_list (List.map label (Label.Set.elements f)) in
+        then_renamed ~label ~call (Stdlib.compare (set f1) (set f2)) k1 k2
+    | Close (r1, k1), Close (r2, k2) ->
+        then_renamed ~label ~call (Stdlib.compare r1 r2) k1 k2
+    | If (g1, k1), If (g2, k2) ->
+        then_renamed ~label ~call (Stdlib.compare g1 g2) k1 k2
+    | Call (n1, a1), Call (n2, a2) ->
+        let c = String.compare (call n1) (call n2) in
+        if c <> 0 then c else Stdlib.compare a1 a2
+    | n1, n2 -> Int.compare (tag_index n1) (tag_index n2)
+
+(* [c], or else the comparison of the continuations *)
+and then_renamed ~label ~call c k1 k2 =
+  if c <> 0 then c else compare_renamed ~label ~call k1 k2
+
+and compare_scope_renamed ~label ~call s1 s2 =
+  let c = compare_renamed ~label ~call s1.body s2.body in
+  if c <> 0 then c
+  else
+    let c = Stdlib.compare s1.bound s2.bound in
+    if c <> 0 then c
+    else
+      let c =
+        match (s1.exc, s2.exc) with
+        | None, None -> 0
+        | None, Some _ -> -1
+        | Some _, None -> 1
+        | Some (l1, h1), Some (l2, h2) ->
+            let c = Label.compare (label l1) (label l2) in
+            if c <> 0 then c else compare_renamed ~label ~call h1 h2
+      in
+      if c <> 0 then c
+      else
+        let c = compare_renamed ~label ~call s1.timeout s2.timeout in
+        if c <> 0 then c
+        else
+          match (s1.interrupt, s2.interrupt) with
+          | None, None -> 0
+          | None, Some _ -> -1
+          | Some _, None -> 1
+          | Some h1, Some h2 -> compare_renamed ~label ~call h1 h2
+
 let pp ppf t = Proc.pp ppf (to_proc t)

@@ -60,6 +60,14 @@ val compare_structural : t -> t -> int
     short-circuiting on shared subterms.  Canonical across runs; this is
     the order successor rows are sorted in. *)
 
+val compare_renamed :
+  label:(Label.t -> Label.t) -> call:(string -> string) -> t -> t -> int
+(** [compare_renamed ~label ~call a b] is {!compare_structural} of [a]
+    and [b] with every label renamed by [label] and every called
+    definition by [call], without building either image.  The renaming
+    must be injective, so shared subterms still compare equal without a
+    visit. *)
+
 (** {1 Constructors} — raw (no simplification), interning. *)
 
 val nil : t

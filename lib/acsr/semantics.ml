@@ -280,108 +280,47 @@ let unfold_call cache defs name values =
    carries its real label.  Targets stay in the stored names.  Timed
    actions need no view: resources are never renamed.
 
-   A label that no view renames has the same id stored and real, in
-   every slot, so its offers pair and read the restriction exactly as
-   in an unreduced run, through the same loop; only offers on renamed
-   labels are paired through the views. *)
+   Every run goes through the one loop: without views, or on a label
+   no view renames, the stored id is the real one in every slot, and a
+   byte read says so, so an unreduced run pairs offers and reads the
+   restriction as it always did. *)
 
 type view = {
-  ids : int array;
-      (* by stored label id: the real label's id; ids past the end, and
-         entries holding their own index, are not renamed *)
-  labels : Label.t array;
-      (* by stored label id: the real label, where [ids] renames it *)
+  stored : int array;  (* the ids of the labels it renames, ascending *)
+  real : int array;  (* by index in [stored]: the real label's id *)
+  labels : Label.t array;  (* by index in [stored]: the real label *)
+  bits : int;  (* bit [id land 31] set for each stored [id] *)
   compare : Hproc.t -> Hproc.t -> int;
 }
 
 type views = {
   slot : view array;  (* per slot; [plain] past the end *)
+  lo : int;  (* the smallest label id some view renames *)
   renamed : Bytes.t;
-      (* by label id: '\001' for the labels some view renames; ids past
-         its length are renamed by none *)
+      (* by label id less [lo]: '\001' for the labels some view renames;
+         ids outside it are renamed by none *)
+  rows : Step.t * Node.t array -> Step.t * Node.t array -> int;
+      (* [row_compare] on these views, built once rather than per
+         state *)
 }
 
-let plain = { ids = [||]; labels = [||]; compare = Hproc.compare_structural }
-let no_views = { slot = [||]; renamed = Bytes.empty }
+let plain =
+  {
+    stored = [||];
+    real = [||];
+    labels = [||];
+    bits = 0;
+    compare = Hproc.compare_structural;
+  }
 
-let view ~labels ~compare =
-  let pairs = List.map (fun (stored, real) -> (Label.id stored, real)) labels in
-  let n = 1 + List.fold_left (fun m (i, _) -> max m i) (-1) pairs in
-  let ids = Array.init n Fun.id in
-  (* entries [ids] does not rename are never read *)
-  let real = Array.make n (Label.make "_") in
-  List.iter
-    (fun (i, l) ->
-      ids.(i) <- Label.id l;
-      real.(i) <- l)
-    pairs;
-  (* the kernel also maps real ids back to stored ones through [ids] *)
-  let involutive (i, _) =
-    let j = ids.(i) in
-    j = i || (j < n && ids.(j) = i)
-  in
-  if not (List.for_all involutive pairs) then
-    invalid_arg "Semantics.view: the renaming is not its own inverse";
-  { ids; labels = real; compare }
-
-let slot_views slot =
-  let n = Array.fold_left (fun n v -> max n (Array.length v.ids)) 0 slot in
-  let renamed = Bytes.make n '\000' in
-  Array.iter
-    (fun v ->
-      Array.iteri (fun i j -> if i <> j then Bytes.set renamed i '\001') v.ids)
-    slot;
-  { slot; renamed }
-
-(* The kernel's loops call these on every slot, tau and offer: inlined,
-   they keep the loops free of calls, whose spills would cost the
-   unrenamed labels too.  Indices are checked before the unsafe
-   reads. *)
+(* Indices are checked before the unsafe reads. *)
 let[@inline] view_of views i =
   if i < Array.length views.slot then Array.unsafe_get views.slot i else plain
 
-let[@inline] renamed_anywhere views id =
-  id >= 0
-  && id < Bytes.length views.renamed
-  && Bytes.unsafe_get views.renamed id <> '\000'
-
-let[@inline] real_id v id =
-  if id < Array.length v.ids then Array.unsafe_get v.ids id else id
-
-let[@inline] renamed v id =
-  id >= 0 && id < Array.length v.ids && Array.unsafe_get v.ids id <> id
-
-let[@inline] real_label v (o : Node.offer) =
-  if renamed v o.id then Array.unsafe_get v.labels o.id else o.label
-
-(* The step an offer emits unsynchronized, in real names. *)
-let[@inline] real_offer v (o : Node.offer) =
-  if renamed v o.id then
-    Step.Event (Array.unsafe_get v.labels o.id, o.dir, o.prio)
-  else o.edge.step
-
-(* An internal step whose label has id [id] (-1 for none), in real
-   names. *)
-let[@inline] real_tau v id (step : Step.t) =
-  match step with
-  | Step.Tau (Some _, p) when renamed v id ->
-      Step.Tau (Some (Array.unsafe_get v.labels id), p)
-  | _ -> step
-
-type move =
-  | One of int * Node.edge  (** slot i moves along the edge *)
-  | Two of int * Node.edge * int * Node.edge  (** slots i < j synchronize *)
-  | All of (int * Node.edge) list
-      (** every slot ticks: along the listed edge for the slots with a
-          choice of timed steps, along its only one for the others *)
-
-let row_compare (s1, v1) (s2, v2) =
-  let c = Stdlib.compare (s1 : Step.t) s2 in
-  if c <> 0 then c else Frame.compare v1 v2
-
-(* [row_compare] on the real terms of vectors read through [views]: the
-   first slot where two rows differ decides, in its view's order. *)
-let row_compare_in views (s1, (v1 : Node.t array)) (s2, (v2 : Node.t array)) =
+(* Rows are sorted by step, then by the real terms of their vectors read
+   through [views]: the first slot where two rows differ decides, in its
+   view's order. *)
+let row_compare views (s1, (v1 : Node.t array)) (s2, (v2 : Node.t array)) =
   let c = Stdlib.compare (s1 : Step.t) s2 in
   if c <> 0 then c
   else
@@ -391,6 +330,95 @@ let row_compare_in views (s1, (v1 : Node.t array)) (s2, (v2 : Node.t array)) =
       else (view_of views i).compare v1.(i).term v2.(i).term
     in
     go 0
+
+let make_views slot lo renamed =
+  let rec views =
+    { slot; lo; renamed; rows = (fun a b -> row_compare views a b) }
+  in
+  views
+
+let no_views = make_views [||] 0 Bytes.empty
+
+(* The index of label id [id] in [v.stored], or -1. *)
+let find v id =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let s = Array.unsafe_get v.stored mid in
+      if s = id then mid else if s < id then go (mid + 1) hi else go lo mid
+  in
+  go 0 (Array.length v.stored)
+
+(* A view holds only the labels it renames, so its size does not grow
+   with the number of labels the process has interned. *)
+let view ~labels ~compare =
+  let pairs =
+    List.filter (fun (s, r) -> not (Label.equal s r)) labels
+    |> List.sort_uniq (fun (s1, r1) (s2, r2) ->
+           let c = Int.compare (Label.id s1) (Label.id s2) in
+           if c <> 0 then c else Int.compare (Label.id r1) (Label.id r2))
+  in
+  let stored = Array.of_list (List.map (fun (s, _) -> Label.id s) pairs) in
+  let v =
+    {
+      stored;
+      real = Array.of_list (List.map (fun (_, r) -> Label.id r) pairs);
+      labels = Array.of_list (List.map snd pairs);
+      bits = Array.fold_left (fun b id -> b lor (1 lsl (id land 31))) 0 stored;
+      compare;
+    }
+  in
+  (* the kernel also maps real ids back to stored ones through the view;
+     a stored id listed twice has two real ones, which [find] cannot
+     both return *)
+  let maps s r =
+    let k = find v (Label.id s) in
+    k >= 0 && v.real.(k) = Label.id r
+  in
+  if not (List.for_all (fun (s, r) -> maps s r && maps r s) pairs) then
+    invalid_arg "Semantics.view: the renaming is not its own inverse";
+  v
+
+let slot_views slot =
+  let ids = Array.concat (Array.to_list (Array.map (fun v -> v.stored) slot)) in
+  if Array.length ids = 0 then make_views slot 0 Bytes.empty
+  else begin
+    let lo = Array.fold_left min max_int ids
+    and hi = Array.fold_left max min_int ids in
+    let renamed = Bytes.make (hi - lo + 1) '\000' in
+    Array.iter (fun i -> Bytes.set renamed (i - lo) '\001') ids;
+    make_views slot lo renamed
+  end
+
+(* The kernel's loops call these on every tau and offer, and on every
+   earlier slot a renamed offer is matched against: inlined, they cost a
+   label that no view renames one test of the [renamed] byte map. *)
+let[@inline] renamed_anywhere views id =
+  let b = id - views.lo in
+  b >= 0
+  && b < Bytes.length views.renamed
+  && Bytes.unsafe_get views.renamed b <> '\000'
+
+(* The index of [id] in [v], or -1 when [v] does not rename [id].  Most
+   ids a view is asked for are not its own (an offer is matched against
+   every earlier slot), and its [bits] turn most of those away without a
+   search. *)
+let[@inline] renaming v id =
+  if v.bits land (1 lsl (id land 31)) = 0 then -1 else find v id
+
+(* [v]'s real id for stored id [id]; a view renames through a swap, its
+   own inverse, so this also maps real ids to stored ones. *)
+let[@inline] real_id v id =
+  let k = renaming v id in
+  if k < 0 then id else Array.unsafe_get v.real k
+
+type move =
+  | One of int * Node.edge  (** slot i moves along the edge *)
+  | Two of int * Node.edge * int * Node.edge  (** slots i < j synchronize *)
+  | All of (int * Node.edge) list
+      (** every slot ticks: along the listed edge for the slots with a
+          choice of timed steps, along its only one for the others *)
 
 (* Every choice of one timed step per slot, with pairwise-disjoint
    resources, as (combined action, the choices of the slots with more
@@ -547,62 +575,52 @@ and kernel cache depth defs ~prioritize ~views frame (slots : Node.t array) =
     let taus = own.taus in
     for t = 0 to Array.length taus - 1 do
       let e = taus.(t) and id = own.tau_ids.(t) in
+      let k =
+        if renamed_anywhere views id then renaming (view_of views i) id else -1
+      in
       let step =
-        if renamed_anywhere views id then real_tau (view_of views i) id e.step
-        else e.step
+        match e.step with
+        | Step.Tau (Some _, p) when k >= 0 ->
+            Step.Tau (Some (view_of views i).labels.(k), p)
+        | step -> step
       in
       cands := (step, One (i, e)) :: !cands
     done;
     let offers = own.offers in
     for a = 0 to Array.length offers - 1 do
       let o = offers.(a) in
-      if not (renamed_anywhere views o.id) then begin
-        for j = 0 to i - 1 do
-          let earlier = slots.(j).Node.steps.offers in
-          for b = 0 to Array.length earlier - 1 do
-            let o' = earlier.(b) in
-            if o'.id = o.id && o'.dir != o.dir then begin
-              let p = o'.prio + o.prio in
-              if p > 0 then urgent := true;
-              cands :=
-                (Step.Tau (Some o.label, p), Two (j, o'.edge, i, o.edge))
-                :: !cands
-            end
-          done
-        done;
-        if Frame.visible frame o.id then
-          cands := (o.edge.step, One (i, o.edge)) :: !cands
-      end
-      else begin
-        let v = view_of views i in
-        let id = real_id v o.id and l = real_label v o in
-        for j = 0 to i - 1 do
-          (* a view renames through a swap, its own inverse: slot [j]'s
-             offers on real label [id] are its stored offers on [want] *)
-          let earlier = slots.(j).Node.steps.offers
-          and want = real_id (view_of views j) id in
-          for b = 0 to Array.length earlier - 1 do
-            let o' = earlier.(b) in
-            if o'.id = want && o'.dir != o.dir then begin
-              let p = o'.prio + o.prio in
-              if p > 0 then urgent := true;
-              cands :=
-                (Step.Tau (Some l, p), Two (j, o'.edge, i, o.edge)) :: !cands
-            end
-          done
-        done;
-        if Frame.visible frame id then
-          cands := (real_offer v o, One (i, o.edge)) :: !cands
-      end
+      (* unless some view renames [o.id], it is stored as it is in every
+         slot, and no view is looked at *)
+      let any = renamed_anywhere views o.id in
+      let k = if any then renaming (view_of views i) o.id else -1 in
+      let id = if k < 0 then o.id else (view_of views i).real.(k)
+      and label = if k < 0 then o.label else (view_of views i).labels.(k) in
+      for j = 0 to i - 1 do
+        (* slot [j]'s offers on real label [id] are its stored offers on
+           [want] *)
+        let earlier = slots.(j).Node.steps.offers
+        and want = if any then real_id (view_of views j) id else id in
+        for b = 0 to Array.length earlier - 1 do
+          let o' = earlier.(b) in
+          if o'.id = want && o'.dir != o.dir then begin
+            let p = o'.prio + o.prio in
+            if p > 0 then urgent := true;
+            cands :=
+              (Step.Tau (Some label, p), Two (j, o'.edge, i, o.edge)) :: !cands
+          end
+        done
+      done;
+      if Frame.visible frame id then
+        let step =
+          if k < 0 then o.edge.step else Step.Event (label, o.dir, o.prio)
+        in
+        cands := (step, One (i, o.edge)) :: !cands
     done
   done;
-  (* no closure captures [cands], so it stays a local variable rather
-     than a heap cell written through the write barrier per candidate *)
   if not (prioritize && !urgent) then
-    cands :=
-      List.fold_left
-        (fun cands (u, es) -> (Step.Action u, All es) :: cands)
-        !cands (timed_product slots);
+    List.iter
+      (fun (u, es) -> cands := (Step.Action u, All es) :: !cands)
+      (timed_product slots);
   let survivors = if prioritize then Step.prioritize !cands else !cands in
   let target = Node.target cache.nodes in
   let successor = function
@@ -625,8 +643,7 @@ and kernel cache depth defs ~prioritize ~views frame (slots : Node.t array) =
         List.iter (fun (i, e) -> v.(i) <- target e) choices;
         v
   in
-  List.sort_uniq
-    (if Array.length views.slot = 0 then row_compare else row_compare_in views)
+  List.sort_uniq views.rows
     (List.map (fun (s, m) -> (s, successor m)) survivors)
 
 (* The kernel on a term's own frame, its successors materialized. *)

@@ -72,8 +72,8 @@ val nodes : cache -> Node.table
     it matches complementary offers and reads the frame's restriction on
     real label ids, and gives every step it emits its real label.  The
     slot's successors stay in the stored names.  Timed actions are read
-    as they are: resources are never renamed.  Offers on labels that no
-    view renames go through the same loop as in an unreduced run. *)
+    as they are: resources are never renamed.  An unreduced run goes
+    through the same loop, with no views. *)
 
 type view
 
@@ -84,7 +84,8 @@ val view :
   labels:(Label.t * Label.t) list -> compare:(Hproc.t -> Hproc.t -> int) ->
   view
 (** [view ~labels ~compare]: [labels] pairs each renamed stored label
-    with its real label (other labels are read as they are); the
+    with its real label (other labels are read as they are, and the
+    view holds only the listed ones); the
     renaming must be its own inverse, as the swap of two name spaces
     is, so every pair also appears reversed.  [compare a b] orders two
     stored terms as their real terms compare under

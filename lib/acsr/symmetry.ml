@@ -69,82 +69,8 @@ let rec apply_hproc r (h : Hproc.t) : Hproc.t =
   | Hproc.If (g, k) -> Hproc.if_ g (apply_hproc r k)
   | Hproc.Call (n, args) -> Hproc.call (rename_call r n) args
 
-(* [compare_renamed r a b] is
-   [Hproc.compare_structural (apply_hproc r a) (apply_hproc r b)],
-   without building either image: the same walk, with names read
-   through [r].  A renaming is injective, so shared subterms still
-   compare equal without a visit.  The constructor ranks are
-   [Hproc.compare_structural]'s. *)
-let rank : Hproc.node -> int = function
-  | Hproc.Nil -> 0
-  | Hproc.Act _ -> 1
-  | Hproc.Ev _ -> 2
-  | Hproc.Choice _ -> 3
-  | Hproc.Par _ -> 4
-  | Hproc.Scope _ -> 5
-  | Hproc.Restrict _ -> 6
-  | Hproc.Close _ -> 7
-  | Hproc.If _ -> 8
-  | Hproc.Call _ -> 9
-
-let rec compare_renamed r (a : Hproc.t) (b : Hproc.t) =
-  if a == b then 0
-  else
-    match (Hproc.node a, Hproc.node b) with
-    | Hproc.Act (a1, k1), Hproc.Act (a2, k2) ->
-        then_renamed r (Stdlib.compare a1 a2) k1 k2
-    | Hproc.Ev (e1, k1), Hproc.Ev (e2, k2) ->
-        then_renamed r
-          (Stdlib.compare
-             { e1 with Event.label = rename_label r e1.Event.label }
-             { e2 with Event.label = rename_label r e2.Event.label })
-          k1 k2
-    | Hproc.Choice (a1, b1), Hproc.Choice (a2, b2)
-    | Hproc.Par (a1, b1), Hproc.Par (a2, b2) ->
-        then_renamed r (compare_renamed r a1 a2) b1 b2
-    | Hproc.Scope s1, Hproc.Scope s2 -> compare_scope_renamed r s1 s2
-    | Hproc.Restrict (f1, k1), Hproc.Restrict (f2, k2) ->
-        then_renamed r
-          (Stdlib.compare (rename_label_set r f1) (rename_label_set r f2))
-          k1 k2
-    | Hproc.Close (r1, k1), Hproc.Close (r2, k2) ->
-        then_renamed r (Stdlib.compare r1 r2) k1 k2
-    | Hproc.If (g1, k1), Hproc.If (g2, k2) ->
-        then_renamed r (Stdlib.compare g1 g2) k1 k2
-    | Hproc.Call (n1, a1), Hproc.Call (n2, a2) ->
-        let c = String.compare (rename_call r n1) (rename_call r n2) in
-        if c <> 0 then c else Stdlib.compare a1 a2
-    | n1, n2 -> Int.compare (rank n1) (rank n2)
-
-(* [c], or else the comparison of the continuations *)
-and then_renamed r c k1 k2 = if c <> 0 then c else compare_renamed r k1 k2
-
-and compare_scope_renamed r (s1 : Hproc.scope) (s2 : Hproc.scope) =
-  let opt f a b =
-    match (a, b) with
-    | None, None -> 0
-    | None, Some _ -> -1
-    | Some _, None -> 1
-    | Some x, Some y -> f x y
-  in
-  let c = compare_renamed r s1.body s2.body in
-  if c <> 0 then c
-  else
-    let c = Stdlib.compare s1.bound s2.bound in
-    if c <> 0 then c
-    else
-      let c =
-        opt
-          (fun (l1, h1) (l2, h2) ->
-            let c = Label.compare (rename_label r l1) (rename_label r l2) in
-            if c <> 0 then c else compare_renamed r h1 h2)
-          s1.exc s2.exc
-      in
-      if c <> 0 then c
-      else
-        let c = compare_renamed r s1.timeout s2.timeout in
-        if c <> 0 then c
-        else opt (compare_renamed r) s1.interrupt s2.interrupt
+let compare_renamed r =
+  Hproc.compare_renamed ~label:(rename_label r) ~call:(rename_call r)
 
 (* ------------------------------------------------------------------ *)
 (* Orbit specifications                                                *)

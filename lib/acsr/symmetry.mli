@@ -111,7 +111,8 @@ val views : spec -> Frame.t -> Semantics.views
 
 val compare_renamed : renaming -> Hproc.t -> Hproc.t -> int
 (** [compare_renamed r a b] is the {!Hproc.compare_structural} order of
-    [a] and [b] renamed by [r], without building either. *)
+    [a] and [b] renamed by [r], without building either
+    ({!Hproc.compare_renamed} through [r]). *)
 
 (** {1 Canonicalization} *)
 

@@ -324,7 +324,7 @@ module Sym = struct
 
      Invariant maintained along the walk: [owners.(c).(j)] is the real
      member whose names class [c]'s position [j] of the current canonical
-     state carries, on the actual (unreduced) run from [raw_root].  For
+     state carries, on the actual (unreduced) run from [root].  For
      each stored edge we recompute the canonical state's *raw* successor
      row, find the successor whose canonical form is the stored child —
      one exists by construction, since the stored row was exactly that

@@ -243,11 +243,46 @@ let test_slot_nodes_per_class () =
     let _, lts = reduced_build (family ~threads ~utilization:0.9 ()) in
     (Versa.Lts.stats lts).Versa.Lts.slot_nodes
   in
-  let n16 = slot_nodes 16 and n32 = slot_nodes 32 in
-  if float_of_int n32 > 2.5 *. float_of_int n16 then
-    Alcotest.failf
-      "family 32@0.9 holds %d slot nodes, over 2.5x the %d of family 16@0.9"
-      n32 n16
+  let check (small, n_small) (large, n_large) =
+    if float_of_int n_large > 2.5 *. float_of_int n_small then
+      Alcotest.failf
+        "family %d@0.9 holds %d slot nodes, over 2.5x the %d of family \
+         %d@0.9"
+        large n_large n_small small
+  in
+  let n16 = (16, slot_nodes 16)
+  and n32 = (32, slot_nodes 32)
+  and n64 = (64, slot_nodes 64) in
+  check n16 n32;
+  check n32 n64
+
+(* A member's view holds only the labels its swap renames.  Label ids
+   are never reused, and a service analyses model after model in one
+   process, so views sized by the largest label id would grow with the
+   process's age.  The model's labels get their ids after many unrelated
+   ones (its thread names are used by no other test), so their ids are
+   large. *)
+let test_views_independent_of_label_count () =
+  for i = 1 to 50_000 do
+    ignore (Label.id (Label.make (Fmt.str "unrelated_%d" i)))
+  done;
+  let tr =
+    translation_of
+      (Gen.periodic_system ~protocol:Aadl.Props.Edf
+         (List.init 4 (fun i ->
+              Gen.simple_spec
+                ~name:(Fmt.str "viewsize%d" (i + 1))
+                ~period_ms:8 ~cet_ms:1 ())))
+  in
+  let frame, _ =
+    Frame.split (Node.create ()) (Hproc.of_proc tr.Translate.Pipeline.system)
+  in
+  let before = Gc.allocated_bytes () in
+  ignore
+    (Sys.opaque_identity (Symmetry.views tr.Translate.Pipeline.symmetry frame));
+  let words = (Gc.allocated_bytes () -. before) /. float (Sys.word_size / 8) in
+  if words > 10_000. then
+    Alcotest.failf "the views of 4 threads allocate %.0f words" words
 
 (* Turning a reduced run's states back into real terms: every state is
    a state of the unreduced run, and already canonical. *)
@@ -820,6 +855,8 @@ let () =
             test_terms_are_canonical_raw_states;
           Alcotest.test_case "a spec that does not fit stays unreduced"
             `Quick test_unfitting_spec_is_unreduced;
+          Alcotest.test_case "views do not grow with the labels interned"
+            `Quick test_views_independent_of_label_count;
         ] );
       ( "equivalence",
         [
