@@ -822,8 +822,8 @@ let obs_section ~json_path () =
       (Versa.Lts.build ~config ~edges:false tr.Translate.Pipeline.defs
          tr.Translate.Pipeline.system)
   in
-  (* the first check fills the hash-cons table and warms the code paths;
-     the second, warm, sizes the samples *)
+  (* the first check warms the code paths and the heap; the second,
+     warm, sizes the samples *)
   check ();
   let warm_s = snd (time_run check) in
   let min_sample_s = 0.8 in

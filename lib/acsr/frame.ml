@@ -3,10 +3,11 @@
    its slot nodes.  See frame.mli. *)
 
 type t = {
+  terms : Hproc.table;  (* the table its terms are interned in *)
   restriction : Label.Set.t option;
   hidden : Bytes.t;
-      (* indexed by [Label.id]: '\001' for the labels of the restriction;
-         ids past its length are visible *)
+      (* indexed by [Hproc.label_id]: '\001' for the labels of the
+         restriction; ids past its length are visible *)
   spine : Hproc.t;  (* the root's Par tree; the root itself for 1 slot *)
   width : int;
   left_deep : bool;
@@ -35,10 +36,10 @@ let rec is_left_deep t =
       match Hproc.node b with Hproc.Par _ -> false | _ -> is_left_deep a)
   | _ -> true
 
-let hidden_ids = function
+let hidden_ids terms = function
   | None -> Bytes.empty
   | Some l ->
-      let ids = List.map Label.id (Label.Set.elements l) in
+      let ids = List.map (Hproc.label_id terms) (Label.Set.elements l) in
       let b = Bytes.make (1 + List.fold_left max (-1) ids) '\000' in
       List.iter (fun i -> Bytes.set b i '\001') ids;
       b
@@ -52,16 +53,19 @@ let split nodes root =
         | _ -> (None, root))
     | _ -> (None, root)
   in
+  let terms = Node.terms nodes in
   let slots = Array.map (Node.get nodes) (leaves spine) in
   ( {
+      terms;
       restriction;
-      hidden = hidden_ids restriction;
+      hidden = hidden_ids terms restriction;
       spine;
       width = Array.length slots;
       left_deep = is_left_deep spine;
     },
     slots )
 
+let terms f = f.terms
 let restriction f = f.restriction
 
 let visible f id =
@@ -79,14 +83,16 @@ let materialize f slots =
     | Hproc.Par (a, b) ->
         let a' = go a in
         let b' = go b in
-        if a' == a && b' == b then t else Hproc.par a' b'
+        if a' == a && b' == b then t else Hproc.par f.terms a' b'
     | _ ->
         let i = !next in
         next := i + 1;
         slots.(i).Node.term
   in
   let tree = go f.spine in
-  match f.restriction with Some l -> Hproc.restrict l tree | None -> tree
+  match f.restriction with
+  | Some l -> Hproc.restrict f.terms l tree
+  | None -> tree
 
 let equal (a : Node.t array) b =
   let n = Array.length a in

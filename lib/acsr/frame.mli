@@ -17,18 +17,21 @@
 type t
 
 val split : Node.table -> Hproc.t -> t * Node.t array
-(** [split nodes root] is the root's frame and its slot vector, as nodes
-    of [nodes]:
+(** [split nodes root] is the frame and slot vector of a root of
+    [Node.terms nodes], as nodes of [nodes]:
     [Restrict (L, tree)] and a bare [tree], where [tree] is a [Par],
     give the leaves of [tree] under restriction [L] (none for a bare
     tree); any other root gives the 1-slot frame [[|root|]]. *)
+
+val terms : t -> Hproc.table
+(** The split root's intern table. *)
 
 val restriction : t -> Label.Set.t option
 (** The labels the frame restricts, if the root was a [Restrict]. *)
 
 val visible : t -> int -> bool
-(** [visible f (Label.id l)]: [l] is not restricted by the frame.  A
-    byte read. *)
+(** [visible f (Hproc.label_id (terms f) l)]: [l] is not restricted by
+    the frame.  A byte read. *)
 
 val width : t -> int
 (** Number of slots. *)
@@ -40,7 +43,7 @@ val left_deep : t -> bool
 
 val materialize : t -> Node.t array -> Hproc.t
 (** The term of a slot vector: the spine with slot [i] replaced by
-    entry [i]'s term, under the restriction.
+    entry [i]'s term, under the restriction, interned in {!terms}.
     [materialize f (snd (split nodes r))] is [r]. *)
 
 (** {1 Slot vectors as state keys} *)

@@ -6,22 +6,24 @@
    [Hashtbl.hash] only samples a bounded prefix of the term, so large
    parallel compositions that differ deep inside one operand all collide.
 
-   This module gives every distinct term a unique physical representative:
-   nodes are interned bottom-up, children of an interned node are themselves
-   interned, and each node memoizes a full-depth structural hash built from
-   its children's memoized hashes.  Equality of hash-consed terms is
-   pointer equality and hashing is a field read — both O(1).  The LTS
-   state table keys on a state's vector of slot terms ([Frame]), so it
-   mixes and compares the slots' memoized hashes and pointers, and never
-   interns the spine that holds them.
+   This module gives every distinct term a unique physical representative
+   within an intern table: nodes are interned bottom-up, children of an
+   interned node are themselves interned in the same table, and each node
+   memoizes a full-depth structural hash built from its children's
+   memoized hashes.  Equality of hash-consed terms of one table is pointer
+   equality and hashing is a field read — both O(1).  The LTS state table
+   keys on a state's vector of slot terms ([Frame]), so it mixes and
+   compares the slots' memoized hashes and pointers, and never interns
+   the spine that holds them.
 
-   The intern table is global and sharded, each shard behind its own mutex,
-   so successor construction can run concurrently from several domains
-   (used by the parallel explorer in [Versa.Lts]).  Node ids depend on
-   interning order and are therefore not deterministic across runs when
-   several domains intern concurrently; nothing order-sensitive may depend
-   on ids — canonical orderings must use [compare_structural], which
-   mirrors [Stdlib.compare] on the corresponding [Proc.t] values. *)
+   A table belongs to the exploration that creates it ([Semantics]'s
+   cache) and is dropped with it, so nothing is interned process-wide.
+   It also numbers the exploration's labels.  One mutex, which the
+   exploration's other tables share ([protect]), lets several domains
+   build successors concurrently ([Versa.Lts]).  Node ids depend on
+   interning order, so they are not deterministic across runs when
+   several domains intern concurrently; canonical orderings must use
+   [compare_structural], which mirrors [Stdlib.compare] on [Proc.t]. *)
 
 type t = { id : int; hash : int; node : node }
 
@@ -49,7 +51,6 @@ let id t = t.id
 let hash t = t.hash
 let node t = t.node
 let equal (a : t) (b : t) = a == b
-let compare (a : t) (b : t) = Int.compare a.id b.id
 
 (* {1 Shallow hashing and equality of nodes}
 
@@ -115,79 +116,55 @@ let node_equal n1 n2 =
       _ ) ->
       false
 
-(* {1 The sharded intern table}
-
-   [intern] uses a node's hash twice: its low [shard_bits] bits pick the
-   shard, and the shard's [Node_tbl] picks a bucket from the low bits of
-   the hash it is given.  The two indices must come from disjoint bits.
-   Every node in a shard agrees on the bits that chose the shard, so a
-   bucket index that included them could never vary in those bits: with
-   6 overlapping bits only 1 bucket in 64 is ever used, chains hold
-   64-128 nodes whatever the table's size, and every intern walks one
-   with [node_equal].  So the table hashes [h lsr shard_bits] and never
-   sees the shard bits, however large it grows. *)
-
-let shard_bits = 6
-let num_shards = 1 lsl shard_bits
+(* {1 Intern tables} *)
 
 module Node_tbl = Hashtbl.Make (struct
   type nonrec t = node
 
   let equal = node_equal
-  let hash n = node_hash n lsr shard_bits
+  let hash = node_hash
 end)
 
-type shard = { lock : Mutex.t; tbl : t Node_tbl.t }
-
-(* Shards start small and grow with their tables: 64 shards of 1024
-   buckets would be 65k words, allocated straight into the major heap at
-   module initialization, which every process pays for before its first
-   term. *)
-let shards =
-  Array.init num_shards (fun _ ->
-      { lock = Mutex.create (); tbl = Node_tbl.create 16 })
-
-let next_id = Atomic.make 0
-
-let intern node =
-  let h = node_hash node in
-  let shard = shards.(h land (num_shards - 1)) in
-  Mutex.lock shard.lock;
-  match Node_tbl.find_opt shard.tbl node with
-  | Some t ->
-      Mutex.unlock shard.lock;
-      t
-  | None ->
-      let t = { id = Atomic.fetch_and_add next_id 1; hash = h; node } in
-      Node_tbl.add shard.tbl node t;
-      Mutex.unlock shard.lock;
-      t
-
-let table_size () = Atomic.get next_id
-
-type table_stats = {
-  nodes : int;
-  buckets : int;
-  nonempty_buckets : int;
-  max_chain : int;
+type table = {
+  lock : Mutex.t;
+  terms : t Node_tbl.t;  (* ids are dense: a node's id is its rank *)
+  labels : (Label.t, int) Hashtbl.t;
 }
 
-let table_stats () =
-  Array.fold_left
-    (fun acc shard ->
-      Mutex.lock shard.lock;
-      let s = Node_tbl.stats shard.tbl in
-      Mutex.unlock shard.lock;
-      {
-        nodes = acc.nodes + s.Hashtbl.num_bindings;
-        buckets = acc.buckets + s.Hashtbl.num_buckets;
-        nonempty_buckets =
-          acc.nonempty_buckets + s.Hashtbl.num_buckets
-          - s.Hashtbl.bucket_histogram.(0);
-        max_chain = max acc.max_chain s.Hashtbl.max_bucket_length;
-      })
-    { nodes = 0; buckets = 0; nonempty_buckets = 0; max_chain = 0 }
-    shards
+(* [Nil] has no children, so one node serves every table. *)
+let nil = { id = 0; hash = node_hash Nil; node = Nil }
+
+let create () =
+  let terms = Node_tbl.create 256 in
+  Node_tbl.add terms Nil nil;
+  { lock = Mutex.create (); terms; labels = Hashtbl.create 64 }
+
+let protect tbl f = Mutex.protect tbl.lock f
+
+let intern tbl node =
+  Mutex.lock tbl.lock;
+  match Node_tbl.find_opt tbl.terms node with
+  | Some t ->
+      Mutex.unlock tbl.lock;
+      t
+  | None ->
+      let t = { id = Node_tbl.length tbl.terms; hash = node_hash node; node } in
+      Node_tbl.add tbl.terms node t;
+      Mutex.unlock tbl.lock;
+      t
+
+let label_id tbl l =
+  protect tbl (fun () ->
+      match Hashtbl.find_opt tbl.labels l with
+      | Some i -> i
+      | None ->
+          let i = Hashtbl.length tbl.labels in
+          Hashtbl.add tbl.labels l i;
+          i)
+
+let size tbl = protect tbl (fun () -> Node_tbl.length tbl.terms)
+
+let stats tbl = protect tbl (fun () -> Node_tbl.stats tbl.terms)
 
 (* {1 Constructors}
 
@@ -196,36 +173,38 @@ let table_stats () =
    semantics builds successors structurally identical to the reference
    semantics over [Proc.t]. *)
 
-let nil = intern Nil
-let act a k = intern (Act (a, k))
-let ev e k = intern (Ev (e, k))
-let choice a b = intern (Choice (a, b))
-let par a b = intern (Par (a, b))
-let scope ~body ~bound ~exc ~timeout ~interrupt =
-  intern (Scope { body; bound; exc; timeout; interrupt })
-let restrict f k = intern (Restrict (f, k))
-let close r k = intern (Close (r, k))
-let if_ g k = intern (If (g, k))
-let call n args = intern (Call (n, args))
+let act tbl a k = intern tbl (Act (a, k))
+let ev tbl e k = intern tbl (Ev (e, k))
+let choice tbl a b = intern tbl (Choice (a, b))
+let par tbl a b = intern tbl (Par (a, b))
+let scope tbl ~body ~bound ~exc ~timeout ~interrupt =
+  intern tbl (Scope { body; bound; exc; timeout; interrupt })
+let restrict tbl f k = intern tbl (Restrict (f, k))
+let close tbl r k = intern tbl (Close (r, k))
+let if_ tbl g k = intern tbl (If (g, k))
+let call tbl n args = intern tbl (Call (n, args))
 
 (* {1 Conversions} *)
 
-let rec of_proc (p : Proc.t) : t =
-  match p with
-  | Proc.Nil -> nil
-  | Proc.Act (a, k) -> act a (of_proc k)
-  | Proc.Ev (e, k) -> ev e (of_proc k)
-  | Proc.Choice (a, b) -> choice (of_proc a) (of_proc b)
-  | Proc.Par (a, b) -> par (of_proc a) (of_proc b)
-  | Proc.Scope s ->
-      scope ~body:(of_proc s.Proc.body) ~bound:s.Proc.bound
-        ~exc:(Option.map (fun (l, h) -> (l, of_proc h)) s.Proc.exc)
-        ~timeout:(of_proc s.Proc.timeout)
-        ~interrupt:(Option.map of_proc s.Proc.interrupt)
-  | Proc.Restrict (f, k) -> restrict f (of_proc k)
-  | Proc.Close (r, k) -> close r (of_proc k)
-  | Proc.If (g, k) -> if_ g (of_proc k)
-  | Proc.Call (n, args) -> call n args
+let of_proc tbl p =
+  let rec go (p : Proc.t) =
+    match p with
+    | Proc.Nil -> nil
+    | Proc.Act (a, k) -> act tbl a (go k)
+    | Proc.Ev (e, k) -> ev tbl e (go k)
+    | Proc.Choice (a, b) -> choice tbl (go a) (go b)
+    | Proc.Par (a, b) -> par tbl (go a) (go b)
+    | Proc.Scope s ->
+        scope tbl ~body:(go s.Proc.body) ~bound:s.Proc.bound
+          ~exc:(Option.map (fun (l, h) -> (l, go h)) s.Proc.exc)
+          ~timeout:(go s.Proc.timeout)
+          ~interrupt:(Option.map go s.Proc.interrupt)
+    | Proc.Restrict (f, k) -> restrict tbl f (go k)
+    | Proc.Close (r, k) -> close tbl r (go k)
+    | Proc.If (g, k) -> if_ tbl g (go k)
+    | Proc.Call (n, args) -> call tbl n args
+  in
+  go p
 
 let rec to_proc (t : t) : Proc.t =
   match t.node with
@@ -385,4 +364,3 @@ and compare_scope_renamed ~label ~call s1 s2 =
           | Some _, None -> 1
           | Some h1, Some h2 -> compare_renamed ~label ~call h1 h2
 
-let pp ppf t = Proc.pp ppf (to_proc t)

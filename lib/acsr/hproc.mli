@@ -1,17 +1,17 @@
 (** Hash-consed ACSR process terms.
 
-    Every distinct term has a unique physical representative: nodes are
-    interned bottom-up into a global, domain-safe table, and each node
-    memoizes a full-depth structural hash.  The table is split into
-    mutex-guarded shards.  The shard index and the bucket index within a
-    shard come from disjoint bits of the hash: if they overlapped, every
-    node in a shard would share the overlapping bucket bits, most buckets
-    would stay empty and each intern would walk a chain of about a
-    hundred nodes.  {!table_stats} exposes the spread.  {!equal} is pointer
-    equality and {!hash} is a field read, so the explorer's state table,
-    keyed on vectors of slot terms ({!Frame}), hashes and compares a
-    state in O(slots) — this is what makes exhaustive state-space
-    exploration scale (cf. the VERSA tool, paper Section 5).
+    Within an intern {!table}, every distinct term has a unique physical
+    representative: nodes are interned bottom-up, and each node memoizes
+    a full-depth structural hash.  {!equal} is pointer equality and
+    {!hash} is a field read, so the explorer's state table, keyed on
+    vectors of slot terms ({!Frame}), hashes and compares a state in
+    O(slots) — this is what makes exhaustive state-space exploration
+    scale (cf. the VERSA tool, paper Section 5).
+
+    Each exploration creates one table and drops it with its results.
+    Every constructor takes the table to intern in, which a term's
+    children must come from too ({!nil} belongs to every table): terms
+    of two tables are never equal.
 
     Constructors are raw: one-to-one with {!Proc.t}, with no
     simplification, so {!of_proc} and {!to_proc} round-trip exactly. *)
@@ -39,9 +39,10 @@ and scope = {
 }
 
 val id : t -> int
-(** Unique per distinct term within a run.  Ids depend on interning order
-    and are not deterministic across runs when several domains intern
-    concurrently; use {!compare_structural} for canonical orderings. *)
+(** Unique per distinct term of its table.  Ids depend on interning
+    order and are not deterministic across runs when several domains
+    intern concurrently; use {!compare_structural} for canonical
+    orderings. *)
 
 val hash : t -> int
 (** Memoized full-depth structural hash: O(1). *)
@@ -49,11 +50,8 @@ val hash : t -> int
 val node : t -> node
 
 val equal : t -> t -> bool
-(** Pointer equality — equivalent to structural equality of the underlying
-    terms, in O(1). *)
-
-val compare : t -> t -> int
-(** Total order by {!id}; fast but not canonical across runs. *)
+(** Pointer equality: for terms of one table, structural equality in
+    O(1). *)
 
 val compare_structural : t -> t -> int
 (** Mirrors [Stdlib.compare] on the corresponding {!Proc.t} values exactly,
@@ -68,15 +66,42 @@ val compare_renamed :
     must be injective, so shared subterms still compare equal without a
     visit. *)
 
-(** {1 Constructors} — raw (no simplification), interning. *)
+(** {1 Intern tables} *)
+
+type table
+(** One exploration's terms, and dense ids for its labels.  Domain-safe:
+    one mutex guards it. *)
+
+val create : unit -> table
+
+val protect : table -> (unit -> 'a) -> 'a
+(** [protect tbl f] runs [f] under the lock every intern takes, for the
+    tables an exploration keeps beside its terms.  [f] must not intern:
+    the lock is not re-entrant. *)
+
+val label_id : table -> Label.t -> int
+(** Dense per table, in order of first request. *)
+
+val size : table -> int
+(** Distinct nodes interned, {!nil} included. *)
+
+val stats : table -> Hashtbl.statistics
+(** Shape of the table.  With a well-spread hash, the non-empty buckets
+    number about [buckets * (1 - exp (-nodes / buckets))] and the
+    longest chain stays small however large the table grows. *)
+
+(** {1 Constructors} — raw (no simplification), interning in the given
+    table. *)
 
 val nil : t
-val act : Action.t -> t -> t
-val ev : Event.t -> t -> t
-val choice : t -> t -> t
-val par : t -> t -> t
+
+val act : table -> Action.t -> t -> t
+val ev : table -> Event.t -> t -> t
+val choice : table -> t -> t -> t
+val par : table -> t -> t -> t
 
 val scope :
+  table ->
   body:t ->
   bound:Expr.t option ->
   exc:(Label.t * t) option ->
@@ -84,35 +109,17 @@ val scope :
   interrupt:t option ->
   t
 
-val restrict : Label.Set.t -> t -> t
-val close : Resource.Set.t -> t -> t
-val if_ : Guard.t -> t -> t
-val call : string -> Expr.t list -> t
+val restrict : table -> Label.Set.t -> t -> t
+val close : table -> Resource.Set.t -> t -> t
+val if_ : table -> Guard.t -> t -> t
+val call : table -> string -> Expr.t list -> t
 
 (** {1 Conversions} *)
 
-val of_proc : Proc.t -> t
+val of_proc : table -> Proc.t -> t
 (** Intern a plain term, bottom-up.  Structurally equal inputs return the
-    same physical node. *)
+    same physical node of the table. *)
 
 val to_proc : t -> Proc.t
 (** Rebuild the plain term; [to_proc (of_proc p) = p] structurally. *)
 
-val table_size : unit -> int
-(** Number of distinct nodes interned so far (the table is global and grows
-    monotonically for the lifetime of the process). *)
-
-type table_stats = {
-  nodes : int;  (** interned nodes *)
-  buckets : int;  (** buckets, summed over shards *)
-  nonempty_buckets : int;  (** buckets holding at least one node *)
-  max_chain : int;  (** longest bucket chain in any shard *)
-}
-
-val table_stats : unit -> table_stats
-(** Shape of the intern table, summed over shards.  With a well-spread
-    hash, [nonempty_buckets] is close to
-    [buckets * (1 - exp (-nodes / buckets))] and [max_chain] stays small
-    however large the table grows. *)
-
-val pp : t Fmt.t

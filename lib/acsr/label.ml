@@ -1,6 +1,8 @@
 (* Event labels for instantaneous ACSR communication steps.  A label names a
    channel; an output [l!] synchronizes with an input [l?] on the same label,
-   producing an internal step tagged [tau@l]. *)
+   producing an internal step tagged [tau@l].  Labels carry no global
+   id: an exploration numbers the labels it compiles in its own intern
+   table ([Hproc.label_id]). *)
 
 type t = string
 
@@ -12,21 +14,6 @@ let name l = l
 let compare = String.compare
 let equal = String.equal
 let pp ppf l = Fmt.string ppf l
-
-(* Dense ids, process-wide and in order of first use, so that compiled
-   step sets compare labels as ints.  Looked up when a step set is
-   compiled or a frame is split, never per state. *)
-let ids : (string, int) Hashtbl.t = Hashtbl.create 64
-let ids_lock = Mutex.create ()
-
-let id l =
-  Mutex.protect ids_lock (fun () ->
-      match Hashtbl.find_opt ids l with
-      | Some i -> i
-      | None ->
-          let i = Hashtbl.length ids in
-          Hashtbl.add ids l i;
-          i)
 
 module Set = Set.Make (String)
 module Map = Map.Make (String)

@@ -1,4 +1,6 @@
-(** Labels naming ACSR event channels. *)
+(** Labels naming ACSR event channels.  A label is its name; an
+    exploration that compares labels as small integers numbers them in
+    its own intern table ({!Hproc.label_id}). *)
 
 type t
 
@@ -10,11 +12,6 @@ val name : t -> string
 val compare : t -> t -> int
 val equal : t -> t -> bool
 val pp : t Fmt.t
-
-val id : t -> int
-(** A small non-negative integer per distinct label, the same for the
-    lifetime of the process: ids are dense, assigned in order of first
-    use.  Domain-safe (mutex-guarded). *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

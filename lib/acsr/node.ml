@@ -27,14 +27,21 @@ let uncompiled =
 
 let dummy = { term = Hproc.nil; hash = 0; par = false; steps = uncompiled }
 
-let compile raw =
+(* Guarded by the lock of [terms]. *)
+type table = { terms : Hproc.table; nodes : (int, t) Hashtbl.t (* by id *) }
+
+let create terms = { terms; nodes = Hashtbl.create 1024 }
+let terms tbl = tbl.terms
+
+let compile tbl raw =
+  let id = Hproc.label_id tbl.terms in
   let edge (step, next) = { step; next; target = dummy } in
   let offers, taus, timed =
     List.fold_right
       (fun ((step, _) as sk) (offers, taus, timed) ->
         match step with
         | Step.Event (label, dir, prio) ->
-            let o = { label; id = Label.id label; dir; prio; edge = edge sk } in
+            let o = { label; id = id label; dir; prio; edge = edge sk } in
             (o :: offers, taus, timed)
         | Step.Tau _ -> (offers, edge sk :: taus, timed)
         | Step.Action action ->
@@ -48,7 +55,7 @@ let compile raw =
     tau_ids =
       Array.map
         (fun e ->
-          match e.step with Step.Tau (Some l, _) -> Label.id l | _ -> -1)
+          match e.step with Step.Tau (Some l, _) -> id l | _ -> -1)
         taus;
     timed = Array.of_list timed;
     urgent =
@@ -59,12 +66,8 @@ let compile raw =
 
 let set_steps n s = n.steps <- s
 
-type table = { lock : Mutex.t; nodes : (int, t) Hashtbl.t (* by [Hproc.id] *) }
-
-let create () = { lock = Mutex.create (); nodes = Hashtbl.create 1024 }
-
 let get tbl term =
-  Mutex.protect tbl.lock (fun () ->
+  Hproc.protect tbl.terms (fun () ->
       match Hashtbl.find_opt tbl.nodes (Hproc.id term) with
       | Some n -> n
       | None ->
@@ -75,7 +78,7 @@ let get tbl term =
           Hashtbl.add tbl.nodes (Hproc.id term) n;
           n)
 
-let size tbl = Mutex.protect tbl.lock (fun () -> Hashtbl.length tbl.nodes)
+let size tbl = Hproc.protect tbl.terms (fun () -> Hashtbl.length tbl.nodes)
 
 (* A racing resolution stores the same node: the table has one per term. *)
 let target tbl e =

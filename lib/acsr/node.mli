@@ -14,8 +14,9 @@
     members of a class share their nodes: each local state is compiled
     once per class, not once per member.
 
-    Nodes come from a {!table}, one per exploration: one node per term,
-    so nodes compare by pointer exactly as their terms do.  A table is
+    Nodes come from a {!table}, one per exploration, over its intern
+    table: one node per term, so nodes compare by pointer exactly as
+    their terms do.  A table is
     sound for one definition environment only — a [Call] name means
     different things under different definitions — so every
     exploration creates its own. *)
@@ -33,15 +34,15 @@ and steps = private {
   offers : offer array;  (** event steps *)
   taus : edge array;  (** internal steps *)
   tau_ids : int array;
-      (** per internal step: the [Label.id] of its [tau\@l] label, or -1
-          for a plain [tau] *)
+      (** per internal step: the {!Hproc.label_id} of its [tau\@l]
+          label, or -1 for a plain [tau] *)
   timed : timed array;  (** timed actions *)
   urgent : bool;  (** some internal step has a priority above 0 *)
 }
 
 and offer = private {
   label : Label.t;
-  id : int;  (** [Label.id label] *)
+  id : int;  (** {!Hproc.label_id} of [label] *)
   dir : Event.dir;
   prio : int;
   edge : edge;
@@ -61,9 +62,6 @@ val dummy : t
 val uncompiled : steps
 (** Placeholder for a step set not yet compiled. *)
 
-val compile : (Step.t * Hproc.t) list -> steps
-(** A step set split by kind, in list order, with unresolved targets. *)
-
 val set_steps : t -> steps -> unit
 (** Writer for the lazily compiled step set.  Concurrent writers must
     store equal sets: a lost write only costs a recompilation. *)
@@ -72,11 +70,18 @@ val set_steps : t -> steps -> unit
 
 type table
 
-val create : unit -> table
+val create : Hproc.table -> table
+(** A node table for the terms of an intern table, sharing its lock. *)
+
+val terms : table -> Hproc.table
+
+val compile : table -> (Step.t * Hproc.t) list -> steps
+(** A step set split by kind, in list order, with unresolved targets
+    and the label ids of {!terms}. *)
 
 val get : table -> Hproc.t -> t
-(** The table's node for a term, created on first request.  Mutex-guarded;
-    two requests for one term return the same node. *)
+(** The node of a term of {!terms}, created on first request.
+    Mutex-guarded; two requests for one term return the same node. *)
 
 val size : table -> int
 (** Number of nodes in the table: the exploration's distinct slot terms. *)

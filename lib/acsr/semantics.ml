@@ -193,39 +193,32 @@ let is_deadlocked defs p = steps defs p = []
    runs only while a step set is compiled. *)
 
 type cache = {
-  lock : Mutex.t;
-  unfold : (string * int list, Hproc.t) Hashtbl.t;
   nodes : Node.table;
       (** one node per slot term, with its compiled step set.  Sound
           because a step set is a pure function of the term and the
-          fixed [defs] the cache is used with. *)
+          fixed [defs] the cache is used with.  The lock of its intern
+          table guards [unfold] too. *)
+  unfold : (string * int list, Hproc.t) Hashtbl.t;
 }
 
 let make_cache () =
-  {
-    lock = Mutex.create ();
-    unfold = Hashtbl.create 256;
-    nodes = Node.create ();
-  }
+  { nodes = Node.create (Hproc.create ()); unfold = Hashtbl.create 256 }
 
 let nodes cache = cache.nodes
+let terms cache = Node.terms cache.nodes
 
 let unfold_call cache defs name values =
-  let key = (name, values) in
-  Mutex.lock cache.lock;
-  match Hashtbl.find_opt cache.unfold key with
-  | Some h ->
-      Mutex.unlock cache.lock;
-      h
+  let key = (name, values) and terms = terms cache in
+  match Hproc.protect terms (fun () -> Hashtbl.find_opt cache.unfold key) with
+  | Some h -> h
   | None ->
-      (* instantiation is pure: release the lock during the expensive
-         substitution so other domains are not serialized behind it, and
-         tolerate the (idempotent) duplicated work on a race *)
-      Mutex.unlock cache.lock;
-      let h = Hproc.of_proc (Defs.instantiate defs name values) in
-      Mutex.lock cache.lock;
-      if not (Hashtbl.mem cache.unfold key) then Hashtbl.add cache.unfold key h;
-      Mutex.unlock cache.lock;
+      (* instantiation is pure: the lock is not held during the
+         expensive substitution, so other domains are not serialized
+         behind it, and a race only duplicates idempotent work *)
+      let h = Hproc.of_proc terms (Defs.instantiate defs name values) in
+      Hproc.protect terms (fun () ->
+          if not (Hashtbl.mem cache.unfold key) then
+            Hashtbl.add cache.unfold key h);
       h
 
 (* {2 The kernel}
@@ -351,19 +344,20 @@ let find v id =
   go 0 (Array.length v.stored)
 
 (* A view holds only the labels it renames, so its size does not grow
-   with the number of labels the process has interned. *)
-let view ~labels ~compare =
+   with the number of labels the exploration has numbered. *)
+let view terms ~labels ~compare =
+  let id = Hproc.label_id terms in
   let pairs =
     List.filter (fun (s, r) -> not (Label.equal s r)) labels
     |> List.sort_uniq (fun (s1, r1) (s2, r2) ->
-           let c = Int.compare (Label.id s1) (Label.id s2) in
-           if c <> 0 then c else Int.compare (Label.id r1) (Label.id r2))
+           let c = Int.compare (id s1) (id s2) in
+           if c <> 0 then c else Int.compare (id r1) (id r2))
   in
-  let stored = Array.of_list (List.map (fun (s, _) -> Label.id s) pairs) in
+  let stored = Array.of_list (List.map (fun (s, _) -> id s) pairs) in
   let v =
     {
       stored;
-      real = Array.of_list (List.map (fun (_, r) -> Label.id r) pairs);
+      real = Array.of_list (List.map (fun (_, r) -> id r) pairs);
       labels = Array.of_list (List.map snd pairs);
       bits = Array.fold_left (fun b id -> b lor (1 lsl (id land 31))) 0 stored;
       compare;
@@ -373,8 +367,8 @@ let view ~labels ~compare =
      a stored id listed twice has two real ones, which [find] cannot
      both return *)
   let maps s r =
-    let k = find v (Label.id s) in
-    k >= 0 && v.real.(k) = Label.id r
+    let k = find v (id s) in
+    k >= 0 && v.real.(k) = id r
   in
   if not (List.for_all (fun (s, r) -> maps s r && maps r s) pairs) then
     invalid_arg "Semantics.view: the renaming is not its own inverse";
@@ -486,7 +480,8 @@ let rec h_steps_at cache depth (defs : Defs.t) (p : Hproc.t) :
       in
       h_steps_at cache depth defs k
       |> List.filter keep
-      |> List.map (fun (s, k') -> (s, Hproc.restrict forbidden k'))
+      |> List.map (fun (s, k') ->
+             (s, Hproc.restrict (terms cache) forbidden k'))
   | Hproc.Close (owned, k) ->
       let close_step (step, k') =
         let step' =
@@ -501,7 +496,7 @@ let rec h_steps_at cache depth (defs : Defs.t) (p : Hproc.t) :
               Step.Action (Action.Ground.union a extra)
           | Step.Event _ | Step.Tau _ -> step
         in
-        (step', Hproc.close owned k')
+        (step', Hproc.close (terms cache) owned k')
       in
       List.map close_step (h_steps_at cache depth defs k)
   | Hproc.If (g, k) -> (
@@ -533,14 +528,16 @@ and h_scope_steps cache depth defs (s : Hproc.scope) =
         | Step.Action _, _ ->
             [
               ( step,
-                Hproc.scope ~body:body' ~bound:decrement ~exc:s.Hproc.exc
-                  ~timeout:s.Hproc.timeout ~interrupt:s.Hproc.interrupt );
+                Hproc.scope (terms cache) ~body:body' ~bound:decrement
+                  ~exc:s.Hproc.exc ~timeout:s.Hproc.timeout
+                  ~interrupt:s.Hproc.interrupt );
             ]
         | (Step.Event _ | Step.Tau _), _ ->
             [
               ( step,
-                Hproc.scope ~body:body' ~bound:s.Hproc.bound ~exc:s.Hproc.exc
-                  ~timeout:s.Hproc.timeout ~interrupt:s.Hproc.interrupt );
+                Hproc.scope (terms cache) ~body:body' ~bound:s.Hproc.bound
+                  ~exc:s.Hproc.exc ~timeout:s.Hproc.timeout
+                  ~interrupt:s.Hproc.interrupt );
             ]
       in
       let body_steps =
@@ -564,7 +561,8 @@ and kernel cache depth defs ~prioritize ~views frame (slots : Node.t array) =
   for i = 0 to n - 1 do
     let node = slots.(i) in
     if node.steps == Node.uncompiled then
-      Node.set_steps node (Node.compile (h_steps_at cache depth defs node.term))
+      Node.set_steps node
+        (Node.compile cache.nodes (h_steps_at cache depth defs node.term))
   done;
   (* plain loops: this is the per-state path, and a closure per offer
      would cost more than the comparisons *)
@@ -656,13 +654,8 @@ and materialized cache depth defs ~prioritize p =
 let successors ~cache ~prioritize ~views defs frame slots =
   kernel cache 0 defs ~prioritize ~views frame slots
 
-let h_steps ?cache defs p =
-  let cache = match cache with Some c -> c | None -> make_cache () in
-  materialized cache 0 defs ~prioritize:false p
-
-let h_prioritized ?cache defs p =
-  let cache = match cache with Some c -> c | None -> make_cache () in
-  materialized cache 0 defs ~prioritize:true p
+let h_steps ~cache defs p = materialized cache 0 defs ~prioritize:false p
+let h_prioritized ~cache defs p = materialized cache 0 defs ~prioritize:true p
 
 (* A process is time-stopped when no enabled (prioritized) step advances
    time; deadlocks are a special case.  Useful as a diagnostic. *)

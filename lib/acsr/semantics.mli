@@ -48,15 +48,19 @@ val is_time_stopped : Defs.t -> Proc.t -> bool
     kernel and materialize the successors. *)
 
 type cache
-(** The state of one exploration's engine: a {!Node.table} — one node
-    per slot term, holding its compiled step set — and the memo of
-    definition unfolding, keyed by (name, argument values).  Sound only
-    for a fixed [Defs.t]: create one cache per exploration.  Safe to
-    share between domains: node creation and unfolding are
-    mutex-guarded, and compiled sets and edge targets are written
+(** The state of one exploration's engine: its intern table, a
+    {!Node.table} over it — one node per slot term, holding its
+    compiled step set — and the memo of definition unfolding, keyed by
+    (name, argument values).  Sound only for a fixed [Defs.t]: create
+    one cache per exploration.  Safe to share between domains:
+    interning, node creation and unfolding take the intern table's
+    lock, and compiled sets and edge targets are written
     idempotently. *)
 
 val make_cache : unit -> cache
+
+val terms : cache -> Hproc.table
+(** The intern table every term given to the cache must come from. *)
 
 val nodes : cache -> Node.table
 (** The cache's node table: split a root against it ({!Frame.split}) to
@@ -81,9 +85,12 @@ val plain : view
 (** The view of a slot that holds its real term. *)
 
 val view :
-  labels:(Label.t * Label.t) list -> compare:(Hproc.t -> Hproc.t -> int) ->
+  Hproc.table ->
+  labels:(Label.t * Label.t) list ->
+  compare:(Hproc.t -> Hproc.t -> int) ->
   view
-(** [view ~labels ~compare]: [labels] pairs each renamed stored label
+(** [view terms ~labels ~compare], for a frame over [terms]: [labels]
+    pairs each renamed stored label
     with its real label (other labels are read as they are, and the
     view holds only the listed ones); the
     renaming must be its own inverse, as the swap of two name spaces
@@ -117,11 +124,10 @@ val successors :
     in the views' order — over one frame, the order of the materialized
     real terms. *)
 
-val h_steps : ?cache:cache -> Defs.t -> Hproc.t -> (Step.t * Hproc.t) list
-(** Unprioritized transition relation over hash-consed terms: the root's
-    frame through {!successors}, materialized.  Without [?cache], a fresh
-    cache is used for this call only. *)
+val h_steps : cache:cache -> Defs.t -> Hproc.t -> (Step.t * Hproc.t) list
+(** Unprioritized transition relation over hash-consed terms of
+    [terms cache]: the root's frame through {!successors}, materialized. *)
 
 val h_prioritized :
-  ?cache:cache -> Defs.t -> Hproc.t -> (Step.t * Hproc.t) list
-(** Prioritized transition relation over hash-consed terms. *)
+  cache:cache -> Defs.t -> Hproc.t -> (Step.t * Hproc.t) list
+(** Prioritized transition relation over terms of [terms cache]. *)

@@ -48,27 +48,6 @@ let rec apply_proc r (p : Proc.t) : Proc.t =
   | Proc.If (g, k) -> Proc.If (g, apply_proc r k)
   | Proc.Call (n, args) -> Proc.Call (rename_call r n, args)
 
-let rec apply_hproc r (h : Hproc.t) : Hproc.t =
-  match Hproc.node h with
-  | Hproc.Nil -> h
-  | Hproc.Act (a, k) -> Hproc.act a (apply_hproc r k)
-  | Hproc.Ev (e, k) ->
-      Hproc.ev { e with Event.label = rename_label r e.Event.label }
-        (apply_hproc r k)
-  | Hproc.Choice (a, b) -> Hproc.choice (apply_hproc r a) (apply_hproc r b)
-  | Hproc.Par (a, b) -> Hproc.par (apply_hproc r a) (apply_hproc r b)
-  | Hproc.Scope s ->
-      Hproc.scope ~body:(apply_hproc r s.body) ~bound:s.bound
-        ~exc:
-          (Option.map (fun (l, h) -> (rename_label r l, apply_hproc r h)) s.exc)
-        ~timeout:(apply_hproc r s.timeout)
-        ~interrupt:(Option.map (apply_hproc r) s.interrupt)
-  | Hproc.Restrict (ls, k) ->
-      Hproc.restrict (rename_label_set r ls) (apply_hproc r k)
-  | Hproc.Close (rs, k) -> Hproc.close rs (apply_hproc r k)
-  | Hproc.If (g, k) -> Hproc.if_ g (apply_hproc r k)
-  | Hproc.Call (n, args) -> Hproc.call (rename_call r n) args
-
 let compare_renamed r =
   Hproc.compare_renamed ~label:(rename_label r) ~call:(rename_call r)
 
@@ -127,9 +106,8 @@ let cls = function
 type spec = {
   slots : int;
   classes : cls array;
-  (* member label -> (class, position, index in the member's [labels]);
-     read-only once built, so domains share it without a lock *)
-  label_index : (string, int * int * int) Hashtbl.t;
+  (* member label -> (class, position, index in the member's [labels]) *)
+  label_index : (int * int * int) Smap.t;
 }
 
 let make ~slots classes =
@@ -137,19 +115,19 @@ let make ~slots classes =
     List.filter (fun c -> Array.length c.members >= 2) classes
     |> Array.of_list
   in
-  let label_index = Hashtbl.create 64 in
+  let label_index = ref Smap.empty in
   Array.iteri
     (fun c cl ->
       Array.iteri
         (fun j m ->
           Array.iteri
-            (fun k l -> Hashtbl.replace label_index l (c, j, k))
+            (fun k l -> label_index := Smap.add l (c, j, k) !label_index)
             m.labels)
         cl.members)
     classes;
-  { slots; classes; label_index }
+  { slots; classes; label_index = !label_index }
 
-let empty = { slots = 0; classes = [||]; label_index = Hashtbl.create 1 }
+let empty = { slots = 0; classes = [||]; label_index = Smap.empty }
 
 let is_empty s = Array.length s.classes = 0
 let class_sizes s =
@@ -170,7 +148,8 @@ let fits spec frame =
   && Frame.width frame = spec.slots
 
 (* Each non-representative member's slots, through its swap; the swap
-   is its own inverse. *)
+   is its own inverse.  Cold paths only, so a slot is renamed as its
+   plain term and interned again. *)
 let swap spec nodes frame (slots : Node.t array) =
   if fits spec frame then
     Array.iter
@@ -178,7 +157,10 @@ let swap spec nodes frame (slots : Node.t array) =
         for m = 1 to Array.length c.members - 1 do
           let mem = c.members.(m) in
           for x = mem.offset to mem.offset + mem.width - 1 do
-            slots.(x) <- Node.get nodes (apply_hproc mem.swap slots.(x).term)
+            slots.(x) <-
+              Node.get nodes
+                (Hproc.of_proc (Node.terms nodes)
+                   (apply_proc mem.swap (Hproc.to_proc slots.(x).term)))
           done
         done)
       spec.classes
@@ -202,7 +184,8 @@ let views spec frame =
                     rep.labels mem.labels))
           in
           let v =
-            Semantics.view ~labels ~compare:(compare_renamed mem.swap)
+            Semantics.view (Frame.terms frame) ~labels
+              ~compare:(compare_renamed mem.swap)
           in
           Array.fill views mem.offset mem.width v
         done)
@@ -378,7 +361,7 @@ let canon spec frame slots = fst (canon_in_place spec frame slots)
 
 let rename_step spec owners (s : Step.t) : Step.t =
   let real l =
-    match Hashtbl.find_opt spec.label_index (Label.name l) with
+    match Smap.find_opt (Label.name l) spec.label_index with
     | None -> l
     | Some (c, j, k) ->
         Label.make spec.classes.(c).members.(owners.(c).(j)).labels.(k)

@@ -8,9 +8,9 @@
     [workers * per-job jobs]; keep the product near the core count.
 
     Concurrent jobs are safe because every shared structure below the
-    runner is domain-safe: the hash-consing tables are sharded and
-    mutex-protected, the verdict cache takes its own lock, and each
-    exploration owns its state store.
+    runner is domain-safe: each exploration owns its intern table,
+    node table and state store, and the verdict cache takes its own
+    lock.
 
     Cancellation is cooperative: {!cancel} flips a flag that is checked
     before the job starts and polled between exploration merge steps, so

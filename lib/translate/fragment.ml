@@ -13,9 +13,10 @@
    produces one [spec] per unit, each carrying its digest and a thunk
    that generates the fragment.  Realizing specs through a
    {!Fragment_cache} lets an unchanged component reuse the previously
-   generated fragment by physical identity — which feeds [Acsr.Hproc]
-   hash-consing directly, since physically equal [Proc.t] subterms intern
-   to the same hash-consed node without re-walking them. *)
+   generated fragment by physical identity instead of generating it
+   again.  Reuse saves generation only: an exploration interns every
+   node of the composed system into its own table ([Acsr.Hproc.of_proc]
+   walks the whole term). *)
 
 open Acsr
 

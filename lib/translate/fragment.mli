@@ -12,8 +12,7 @@
     thunks) without generating any ACSR; {!Pipeline.of_plan} then
     realizes them — through a {!Fragment_cache} when incremental reuse
     is wanted — and composes the system.  Digest-equal specs generate
-    physically equal fragments, which [Acsr.Hproc] hash-consing interns
-    without re-walking. *)
+    structurally equal fragments. *)
 
 open Acsr
 

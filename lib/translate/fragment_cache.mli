@@ -1,7 +1,8 @@
 (** A digest-addressed, thread-safe store of realized fragments:
     unchanged translation units are reused by physical identity across
-    translations (sweep points, batch jobs), feeding [Acsr.Hproc]
-    hash-consing with already-interned subterms. *)
+    translations (sweep points, batch jobs), so they are not generated
+    again.  The store never evicts: it grows with every distinct
+    fragment a process realizes. *)
 
 type t
 

@@ -83,7 +83,7 @@ module Metrics = struct
       "versa_explore_early_exit_depth"
 
   let hashcons_nodes =
-    Obs.Gauge.make ~help:"Global hash-cons table size after the last exploration"
+    Obs.Gauge.make ~help:"Hash-cons table size of the last exploration"
       "versa_hashcons_nodes"
 
   let store_bytes =
@@ -138,7 +138,7 @@ type stats = {
   depth_levels : int;  (** deepest BFS level reached + 1 *)
   intern_hits : int;  (** state interns that found an existing state *)
   intern_misses : int;  (** state interns that discovered a new state *)
-  hashcons_nodes : int;  (** global hash-cons table size after the build *)
+  hashcons_nodes : int;  (** the exploration's hash-cons table size *)
   slot_nodes : int;  (** distinct slot terms the exploration met *)
   store_bytes : int;  (** estimated bytes retained by the state store *)
   early_exit_depth : int option;
@@ -453,7 +453,7 @@ end
 
 type t = {
   store : Store.t;
-  frame : Frame.t;  (** the frame every stored slot vector fills *)
+  frame : Frame.t;  (** every stored slot vector's, over the build's terms *)
   expanded : int;
       (** states [0, expanded) had their successors computed; the rest
           are the unexpanded frontier of a truncated exploration *)
@@ -649,7 +649,8 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   let t_start = Timed.Clock.gettimeofday () in
   let cache = Semantics.make_cache () in
   let frame, raw_root =
-    Frame.split (Semantics.nodes cache) (Hproc.of_proc root)
+    Frame.split (Semantics.nodes cache)
+      (Hproc.of_proc (Semantics.terms cache) root)
   in
   let sym = Sym.of_spec symmetry ~cache ~frame ~raw_root ~defs in
   let raw_next =
@@ -746,7 +747,7 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
       depth_levels = !depth + 1;
       intern_hits = store.Store.hits;
       intern_misses = store.Store.misses;
-      hashcons_nodes = Hproc.table_size ();
+      hashcons_nodes = Hproc.size (Semantics.terms cache);
       slot_nodes = Node.size (Semantics.nodes cache);
       (* per state: slot-vector pointer + pred int + step pointer array
          slots, a hashtable binding, and the slot vector itself (a

@@ -95,7 +95,9 @@ type stats = {
           truncated run does not count *)
   intern_hits : int;  (** successor interns that found an existing state *)
   intern_misses : int;  (** interns that discovered a new state *)
-  hashcons_nodes : int;  (** global hash-cons table size after the build *)
+  hashcons_nodes : int;
+      (** size of the exploration's own hash-cons table after the build
+          ({!Acsr.Hproc.size}): independent of earlier explorations *)
   slot_nodes : int;
       (** size of the exploration's node table ({!Acsr.Node}): the
           distinct slot terms it met, counted once per class under

@@ -423,26 +423,32 @@ let test_expr_subst_keeps_free () =
 
 (* {1 Hash-cons intern table} *)
 
-(* About 100k distinct parallel compositions, each hashed from its
-   children's memoized hashes as exploration states are.  A uniform hash
-   leaves [buckets * (1 - e^(-nodes/buckets))] buckets non-empty and
-   chains of a few nodes.  Chance alone never gets below half that
-   spread or above chains of 16; shard and bucket indices that share
-   hash bits use 1 bucket in 64 and build chains of over 100. *)
+(* About 100k distinct parallel compositions in one table, each hashed
+   from its children's memoized hashes as exploration states are.  A
+   uniform hash leaves [buckets * (1 - e^(-nodes/buckets))] buckets
+   non-empty and chains of a few nodes.  Chance alone never gets below
+   half that spread or above chains of 16; a bucket index that ignores
+   some of the hash's low bits uses a fraction of the buckets and
+   builds long chains. *)
 let test_intern_table_spread () =
-  let leaves name n = Array.init n (fun i -> Hproc.call name [ e_int i ]) in
+  let terms = Hproc.create () in
+  let leaves name n =
+    Array.init n (fun i -> Hproc.call terms name [ e_int i ])
+  in
   let a = leaves "a" 320 and b = leaves "b" 313 in
-  Array.iter (fun x -> Array.iter (fun y -> ignore (Hproc.par x y)) b) a;
-  let s = Hproc.table_stats () in
-  Alcotest.(check bool) "at least 100k nodes" true (s.nodes >= 100_000);
-  let load = float_of_int s.nodes /. float_of_int s.buckets in
-  let expected = float_of_int s.buckets *. (1. -. exp (-.load)) in
-  if float_of_int s.nonempty_buckets < 0.5 *. expected then
+  Array.iter (fun x -> Array.iter (fun y -> ignore (Hproc.par terms x y)) b) a;
+  let s = Hproc.stats terms in
+  let nodes = s.Hashtbl.num_bindings and buckets = s.Hashtbl.num_buckets in
+  let nonempty = buckets - s.Hashtbl.bucket_histogram.(0) in
+  Alcotest.(check bool) "at least 100k nodes" true (nodes >= 100_000);
+  let load = float_of_int nodes /. float_of_int buckets in
+  let expected = float_of_int buckets *. (1. -. exp (-.load)) in
+  if float_of_int nonempty < 0.5 *. expected then
     Alcotest.failf "%d of %d buckets used for %d nodes (uniform: %.0f)"
-      s.nonempty_buckets s.buckets s.nodes expected;
-  if s.max_chain > 16 then
+      nonempty buckets nodes expected;
+  if s.Hashtbl.max_bucket_length > 16 then
     Alcotest.failf "longest bucket chain %d (at most 16 expected)"
-      s.max_chain
+      s.Hashtbl.max_bucket_length
 
 (* {1 Property-based tests} *)
 

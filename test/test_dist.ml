@@ -117,6 +117,127 @@ let test_journal_crc_corruption () =
   Service.Journal.close j;
   Sys.remove path
 
+(* Whatever damage lands past the magic — flipped bytes, a truncation at
+   any offset, inserted or deleted bytes, a frame written twice — opening
+   the journal never raises, replays the records of some prefix of what
+   was appended (last write per key, in order of last append), and
+   leaves a log that takes further appends. *)
+type journal_damage =
+  | Flip of int * int  (** at offset, xor mask 1-255 *)
+  | Truncate of int
+  | Insert of int * string
+  | Delete of int * int  (** at offset, length *)
+  | Duplicate of int  (** the frame of this append, written twice *)
+
+let pp_journal_damage = function
+  | Flip (at, mask) -> Fmt.str "flip %d ^ 0x%02x" at mask
+  | Truncate at -> Fmt.str "truncate at %d" at
+  | Insert (at, b) -> Fmt.str "insert %S at %d" b at
+  | Delete (at, n) -> Fmt.str "delete %d at %d" n at
+  | Duplicate i -> Fmt.str "duplicate frame %d" i
+
+let journal_damage_gen =
+  QCheck.Gen.(
+    let at = int_bound 100_000 in
+    pair
+      (list_size (1 -- 8) (pair (int_bound 3) (int_bound 20)))
+      (oneof
+         [
+           map2 (fun at m -> Flip (at, 1 + m)) at (int_bound 254);
+           map (fun at -> Truncate at) at;
+           map2
+             (fun at b -> Insert (at, b))
+             at
+             (string_size ~gen:char (1 -- 16));
+           map2 (fun at n -> Delete (at, 1 + n)) at (int_bound 15);
+           map (fun i -> Duplicate i) (int_bound 7);
+         ]))
+
+(* Last write per key, in order of last append. *)
+let journal_replay records =
+  List.fold_left
+    (fun acc ((k, _) as r) -> List.filter (fun (k', _) -> k' <> k) acc @ [ r ])
+    [] records
+
+let qcheck_journal_damage =
+  QCheck.Test.make ~count:300
+    ~name:"damaged journal opens to a prefix and takes appends"
+    (QCheck.make
+       ~print:(fun (appends, damage) ->
+         Fmt.str "%d appends, %s" (List.length appends)
+           (pp_journal_damage damage))
+       journal_damage_gen)
+    (fun (appends, damage) ->
+      let path = temp_path ".journal" in
+      let j, _ = journal_exn (Service.Journal.open_ path) in
+      let records =
+        List.mapi
+          (fun i (k, states) ->
+            (Fmt.str "k%d" k, outcome ~states (Fmt.str "r%d" i)))
+          appends
+      in
+      (* [ends.(i)]: the offset past append [i]'s frame *)
+      let ends =
+        Array.of_list
+          (List.map
+             (fun (key, o) ->
+               Service.Journal.append j ~key o;
+               (Service.Journal.stats j).Service.Journal.bytes)
+             records)
+      in
+      Service.Journal.close j;
+      let data = read_file path in
+      let magic = 8 and len = String.length data in
+      let past_magic at = magic + (at mod (len - magic + 1)) in
+      let damaged =
+        match damage with
+        | Flip (at, mask) ->
+            let b = Bytes.of_string data in
+            let at = magic + (at mod (len - magic)) in
+            Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor mask));
+            Bytes.to_string b
+        | Truncate at -> String.sub data 0 (past_magic at)
+        | Insert (at, bytes) ->
+            let at = past_magic at in
+            String.sub data 0 at ^ bytes ^ String.sub data at (len - at)
+        | Delete (at, n) ->
+            let at = past_magic at in
+            let n = min n (len - at) in
+            String.sub data 0 at ^ String.sub data (at + n) (len - at - n)
+        | Duplicate i ->
+            let i = i mod Array.length ends in
+            let start = if i = 0 then magic else ends.(i - 1) in
+            String.sub data 0 ends.(i)
+            ^ String.sub data start (ends.(i) - start)
+            ^ String.sub data ends.(i) (len - ends.(i))
+      in
+      write_file path damaged;
+      let replays_a_prefix (r : Service.Journal.recovery) =
+        List.exists
+          (fun k ->
+            journal_replay (List.filteri (fun i _ -> i < k) records)
+            = r.replayed)
+          (List.init (List.length records + 1) Fun.id)
+      in
+      let ok =
+        match Service.Journal.open_ path with
+        | Error _ -> false
+        | Ok (j, r) -> (
+            Service.Journal.append j ~key:"k9" (outcome "after");
+            Service.Journal.close j;
+            replays_a_prefix r
+            &&
+            match Service.Journal.open_ path with
+            | Error _ -> false
+            | Ok (j, r') ->
+                Service.Journal.close j;
+                r'.dropped_bytes = 0
+                && r'.replayed
+                   = journal_replay (r.replayed @ [ ("k9", outcome "after") ]))
+      in
+      Sys.remove path;
+      ok)
+
 let test_journal_compaction () =
   let path = temp_path ".journal" in
   let j, _ =
@@ -1073,6 +1194,7 @@ let () =
             `Slow test_journal_compact_equivalence_examples;
           Alcotest.test_case "shard restart keeps the cache warm" `Quick
             test_shard_warm_restart;
+          QCheck_alcotest.to_alcotest qcheck_journal_damage;
         ] );
       ( "sim-protocol",
         [

@@ -246,7 +246,8 @@ let test_engines_agree_on_reachable_states () =
           let hashconsed =
             List.map
               (fun (s, h) -> (s, Hproc.to_proc h))
-              (Semantics.h_prioritized ~cache defs (Hproc.of_proc t))
+              (Semantics.h_prioritized ~cache defs
+                 (Hproc.of_proc (Semantics.terms cache) t))
           in
           if Semantics.prioritized defs t <> hashconsed then
             Alcotest.failf "%s: engines disagree on state %d" name id)
@@ -277,14 +278,13 @@ let test_engines_agree_on_reachable_states () =
 
 let test_nodes_per_state () =
   let defs, system = tr_of (Gen.e6_model 5) in
-  let before = Hproc.table_size () in
   let lts =
     Versa.Lts.build
       ~config:{ Versa.Lts.default_config with stop_at_deadlock = false }
       ~edges:false defs system
   in
   let per_state =
-    float_of_int (Hproc.table_size () - before)
+    float_of_int (Versa.Lts.stats lts).Versa.Lts.hashcons_nodes
     /. float_of_int (Versa.Lts.num_states lts)
   in
   if per_state > 1. then
@@ -294,10 +294,9 @@ let test_nodes_per_state () =
 (* {1 Node tables belong to one exploration}
 
    Every exploration compiles the step sets of its slot terms into its
-   own node table.  The hash-cons table is global, and a [Call] name
-   means different things under different definitions, so a table
-   shared between two explorations would hand one of them the other's
-   step sets.  Two definition environments give [P] different bodies;
+   own node table.  A [Call] name means different things under
+   different definitions, so a table shared between two explorations
+   would hand one of them the other's step sets.  Two definition environments give [P] different bodies;
    explored back to back, and concurrently on two domains as the
    service's workers do, each run must match the reference engine's BFS
    under its own definitions: states, rows, counts and verdict. *)
@@ -414,6 +413,7 @@ let stats_fingerprint (s : Versa.Lts.stats) =
       s.intern_hits;
       s.intern_misses;
       s.hashcons_nodes;
+      s.slot_nodes;
       s.orbit_hits;
       s.orbit_misses;
     ],
@@ -467,6 +467,30 @@ let test_check_matches_build () =
       let compact = Versa.Lts.build ~config ~edges:false defs system in
       check_edges_agree name full compact)
     (agreement_inputs ())
+
+(* An exploration interns its terms and numbers its labels in tables of
+   its own, so what it reports cannot depend on what the process explored
+   before: model A, then 20 other models (thread names of their own),
+   then A again give identical stats, interned node counts included. *)
+let test_stats_independent_of_history () =
+  let config = { Versa.Lts.default_config with stop_at_deadlock = false } in
+  let explore (defs, system) =
+    Versa.Lts.stats (Versa.Lts.build ~config ~edges:false defs system)
+  in
+  let a = tr_of (Gen.e6_model 4) in
+  let first = explore a in
+  for seed = 1 to 20 do
+    ignore
+      (explore
+         (tr_of
+            (Gen.periodic_system
+               (List.map
+                  (fun (s : Gen.periodic_spec) ->
+                    { s with Gen.name = Fmt.str "h%d_%s" seed s.Gen.name })
+                  (Gen.random_specs ~seed ~n:4 ~u:0.7)))))
+  done;
+  if stats_fingerprint first <> stats_fingerprint (explore a) then
+    Alcotest.fail "the second exploration of one model reports other stats"
 
 (* A cutover of 1 forces every multi-state frontier through the domain
    pool, exercising the parallel path even on small models. *)
@@ -798,26 +822,32 @@ let gen_proc_full : Proc.t QCheck2.Gen.t =
 
 let prop_roundtrip =
   QCheck2.Test.make ~name:"to_proc (of_proc p) = p" ~count:500 gen_proc_full
-    (fun p -> Hproc.to_proc (Hproc.of_proc p) = p)
+    (fun p -> Hproc.to_proc (Hproc.of_proc (Hproc.create ()) p) = p)
 
 let prop_interning =
   QCheck2.Test.make ~name:"of_proc p == of_proc q iff p = q" ~count:500
     QCheck2.Gen.(pair gen_proc_full gen_proc_full)
-    (fun (p, q) -> Hproc.equal (Hproc.of_proc p) (Hproc.of_proc q) = (p = q))
+    (fun (p, q) ->
+      let terms = Hproc.create () in
+      Hproc.equal (Hproc.of_proc terms p) (Hproc.of_proc terms q) = (p = q))
 
 let prop_hash_respects_equality =
   QCheck2.Test.make ~name:"equal terms have equal memoized hashes" ~count:500
     QCheck2.Gen.(pair gen_proc_full gen_proc_full)
     (fun (p, q) ->
-      p <> q || Hproc.hash (Hproc.of_proc p) = Hproc.hash (Hproc.of_proc q))
+      let terms = Hproc.create () in
+      p <> q
+      || Hproc.hash (Hproc.of_proc terms p) = Hproc.hash (Hproc.of_proc terms q))
 
 let prop_compare_structural_mirrors_stdlib =
   QCheck2.Test.make
     ~name:"compare_structural has the sign of Stdlib.compare" ~count:500
     QCheck2.Gen.(pair gen_proc_full gen_proc_full)
     (fun (p, q) ->
-      let sign c = Stdlib.compare c 0 in
-      sign (Hproc.compare_structural (Hproc.of_proc p) (Hproc.of_proc q))
+      let sign c = Stdlib.compare c 0 and terms = Hproc.create () in
+      sign
+        (Hproc.compare_structural (Hproc.of_proc terms p)
+           (Hproc.of_proc terms q))
       = sign (Stdlib.compare p q))
 
 (* An orbit reduction orders member terms kept in their representative's
@@ -844,29 +874,34 @@ let prop_compare_renamed_mirrors_images =
     ~count:500
     QCheck2.Gen.(pair gen_headed gen_headed)
     (fun (p, q) ->
-      let image p = Hproc.of_proc (Symmetry.apply_proc swap p) in
-      Symmetry.compare_renamed swap (Hproc.of_proc p) (Hproc.of_proc q)
+      let terms = Hproc.create () in
+      let image p = Hproc.of_proc terms (Symmetry.apply_proc swap p) in
+      Symmetry.compare_renamed swap (Hproc.of_proc terms p)
+        (Hproc.of_proc terms q)
       = Hproc.compare_structural (image p) (image q))
 
 (* The hash-consed engine returns, term for term, what the reference
-   engine returns. *)
+   engine returns; the term is interned in the table of the cache the
+   engine is given. *)
 let engines_agree ~name ~count ~reference ~hashconsed gen =
   QCheck2.Test.make ~name ~count gen (fun p ->
+      let cache = Semantics.make_cache () in
       reference Defs.empty p
       = List.map
           (fun (s, h) -> (s, Hproc.to_proc h))
-          (hashconsed Defs.empty (Hproc.of_proc p)))
+          (hashconsed ~cache Defs.empty
+             (Hproc.of_proc (Semantics.terms cache) p)))
 
 let prop_h_steps_agree =
   engines_agree ~name:"h_steps = steps (term for term)" ~count:300
     ~reference:Semantics.steps
-    ~hashconsed:(fun d p -> Semantics.h_steps d p)
+    ~hashconsed:Semantics.h_steps
     gen_proc_full
 
 let prop_h_prioritized_agree =
   engines_agree ~name:"h_prioritized = prioritized" ~count:300
     ~reference:Semantics.prioritized
-    ~hashconsed:(fun d p -> Semantics.h_prioritized d p)
+    ~hashconsed:Semantics.h_prioritized
     gen_proc_full
 
 (* System-shaped roots, the shape the successor kernel takes:
@@ -953,13 +988,13 @@ let gen_system : Proc.t QCheck2.Gen.t =
 let prop_kernel_steps_agree =
   engines_agree ~name:"system kernel: h_steps = steps" ~count:500
     ~reference:Semantics.steps
-    ~hashconsed:(fun d p -> Semantics.h_steps d p)
+    ~hashconsed:Semantics.h_steps
     gen_system
 
 let prop_kernel_prioritized_agree =
   engines_agree ~name:"system kernel: h_prioritized = prioritized"
     ~count:500 ~reference:Semantics.prioritized
-    ~hashconsed:(fun d p -> Semantics.h_prioritized d p)
+    ~hashconsed:Semantics.h_prioritized
     gen_system
 
 let prop_check_agrees_with_build =
@@ -1193,6 +1228,8 @@ let () =
             test_nodes_per_state;
           Alcotest.test_case "node tables belong to one exploration" `Quick
             test_node_tables_per_exploration;
+          Alcotest.test_case "stats independent of earlier explorations"
+            `Quick test_stats_independent_of_history;
         ] );
       ( "on-the-fly",
         [

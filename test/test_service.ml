@@ -359,6 +359,44 @@ let test_runner_degrades_on_timeout () =
   in
   check_degraded o0
 
+(* A shard analyses model after model in one process, so whatever an
+   analysis builds must be dropped with it.  500 distinct 4-thread RM
+   models, each with thread names of its own, run through the runner
+   with the verdict cache off; after a full major collection, the live
+   heap at model 500 may exceed the one at model 100 by a bound that
+   does not depend on the model count.  Keeping each model's interned
+   terms and labels costs about 6.6k words a model, 2.6M over these
+   400. *)
+let test_runner_memory_bounded () =
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let model seed =
+    Gen.periodic_system
+      (List.map
+         (fun (s : Gen.periodic_spec) ->
+           { s with Gen.name = Fmt.str "m%d_%s" seed s.Gen.name })
+         (Gen.random_specs ~seed ~n:4 ~u:0.7))
+  in
+  let run seed =
+    ignore
+      (Service.Runner.run Service.Runner.default_config
+         (Service.Job.request ~id:(string_of_int seed)
+            (Service.Job.Inline (model seed))))
+  in
+  for seed = 1 to 100 do
+    run seed
+  done;
+  let at_100 = live_words () in
+  for seed = 101 to 500 do
+    run seed
+  done;
+  let growth = live_words () - at_100 in
+  if growth > 200_000 then
+    Alcotest.failf "live heap grew by %d words from model 100 to model 500"
+      growth
+
 let test_runner_failure_is_an_outcome () =
   let o =
     Service.Runner.run Service.Runner.default_config
@@ -675,6 +713,8 @@ let () =
             test_runner_degrades_on_timeout;
           Alcotest.test_case "failure is an outcome" `Quick
             test_runner_failure_is_an_outcome;
+          Alcotest.test_case "memory bounded over 500 models" `Quick
+            test_runner_memory_bounded;
           Alcotest.test_case "rejected model is a protocol reply" `Quick
             test_protocol_rejected_model_is_a_reply;
           Alcotest.test_case "zero quantum is a protocol reply" `Quick

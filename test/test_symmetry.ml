@@ -145,11 +145,10 @@ let test_detect_e6_asymmetric () =
 (* {1 Canonicalization: idempotence and orbit invariance on reachable
    states} *)
 
-(* [Symmetry.canon] on a whole real term: split it into its frame
-   against a fresh node table, swap the member slots into their
+(* [Symmetry.canon] on a whole real term of [nodes]'s intern table:
+   split it into its frame, swap the member slots into their
    representatives' names, canonicalize, swap back and materialize. *)
-let canon_term spec h =
-  let nodes = Node.create () in
+let canon_term spec nodes h =
   let frame, slots = Frame.split nodes h in
   Symmetry.swap spec nodes frame slots;
   ignore (Symmetry.canon spec frame slots);
@@ -166,10 +165,11 @@ let test_canon_idempotent_on_reachable_states () =
     Versa.Lts.build ~config tr.Translate.Pipeline.defs
       tr.Translate.Pipeline.system
   in
+  let nodes = Node.create (Hproc.create ()) in
   for id = 0 to Versa.Lts.num_states lts - 1 do
-    let t = Hproc.of_proc (Versa.Lts.term lts id) in
-    let c = canon_term spec t in
-    if not (Hproc.equal c (canon_term spec c)) then
+    let t = Hproc.of_proc (Node.terms nodes) (Versa.Lts.term lts id) in
+    let c = canon_term spec nodes t in
+    if not (Hproc.equal c (canon_term spec nodes c)) then
       Alcotest.failf "canon not idempotent on state %d" id
   done
 
@@ -256,15 +256,16 @@ let test_slot_nodes_per_class () =
   check n16 n32;
   check n32 n64
 
-(* A member's view holds only the labels its swap renames.  Label ids
-   are never reused, and a service analyses model after model in one
-   process, so views sized by the largest label id would grow with the
-   process's age.  The model's labels get their ids after many unrelated
-   ones (its thread names are used by no other test), so their ids are
-   large. *)
+(* A member's view holds only the labels its swap renames, so its size
+   does not grow with the labels its exploration numbers.  The model's
+   labels get their ids after many unrelated ones in the exploration's
+   intern table, so their ids are large. *)
 let test_views_independent_of_label_count () =
+  let nodes = Node.create (Hproc.create ()) in
   for i = 1 to 50_000 do
-    ignore (Label.id (Label.make (Fmt.str "unrelated_%d" i)))
+    ignore
+      (Hproc.label_id (Node.terms nodes)
+         (Label.make (Fmt.str "unrelated_%d" i)))
   done;
   let tr =
     translation_of
@@ -275,7 +276,8 @@ let test_views_independent_of_label_count () =
                 ~period_ms:8 ~cet_ms:1 ())))
   in
   let frame, _ =
-    Frame.split (Node.create ()) (Hproc.of_proc tr.Translate.Pipeline.system)
+    Frame.split nodes
+      (Hproc.of_proc (Node.terms nodes) tr.Translate.Pipeline.system)
   in
   let before = Gc.allocated_bytes () in
   ignore
@@ -297,19 +299,19 @@ let test_terms_are_canonical_raw_states () =
         Versa.Lts.build ~config ~edges:false tr.Translate.Pipeline.defs
           tr.Translate.Pipeline.system
       in
+      let nodes = Node.create (Hproc.create ()) in
+      let intern = Hproc.of_proc (Node.terms nodes) in
       let states = Hashtbl.create (Versa.Lts.num_states raw) in
       for id = 0 to Versa.Lts.num_states raw - 1 do
-        Hashtbl.replace states
-          (Hproc.id (Hproc.of_proc (Versa.Lts.term raw id)))
-          ()
+        Hashtbl.replace states (Hproc.id (intern (Versa.Lts.term raw id))) ()
       done;
       let spec = tr.Translate.Pipeline.symmetry in
       for id = 0 to Versa.Lts.num_states reduced - 1 do
-        let t = Hproc.of_proc (Versa.Lts.term reduced id) in
+        let t = intern (Versa.Lts.term reduced id) in
         if not (Hashtbl.mem states (Hproc.id t)) then
           Alcotest.failf "%s: reduced state %d is no state of the raw run"
             name id;
-        if not (Hproc.equal t (canon_term spec t)) then
+        if not (Hproc.equal t (canon_term spec nodes t)) then
           Alcotest.failf "%s: reduced state %d is not canonical" name id
       done)
     (List.map family_model [ (2, 0.8); (3, 1.5); (4, 0.8); (4, 1.3) ]
@@ -573,7 +575,8 @@ let test_scenario_replays_in_raw_semantics () =
             (name ^ ": scenario replays to a raw deadlock")
             true
             (replay
-               (Hproc.of_proc tr.Translate.Pipeline.system)
+               (Hproc.of_proc (Semantics.terms cache)
+                  tr.Translate.Pipeline.system)
                (Versa.Trace.steps trace))
       | Versa.Explorer.Deadlock_free | Versa.Explorer.Inconclusive _ ->
           Alcotest.failf "%s: expected a deadlock" name)
@@ -612,11 +615,12 @@ let prop_canon_idempotent_random =
         Versa.Lts.build ~config tr.Translate.Pipeline.defs
           tr.Translate.Pipeline.system
       in
+      let nodes = Node.create (Hproc.create ()) in
       List.for_all
         (fun id ->
-          let t = Hproc.of_proc (Versa.Lts.term lts id) in
-          let c = canon_term spec t in
-          Hproc.equal c (canon_term spec c))
+          let t = Hproc.of_proc (Node.terms nodes) (Versa.Lts.term lts id) in
+          let c = canon_term spec nodes t in
+          Hproc.equal c (canon_term spec nodes c))
         (List.init (min 200 (Versa.Lts.num_states lts)) Fun.id))
 
 (* Orbit invariance: swapping two members of a class — renaming each
@@ -660,10 +664,11 @@ let swaps (tr : Translate.Pipeline.t) =
                 ~labels:(List.combine la lb @ List.combine lb la)
                 ~calls:(List.combine ca cb @ List.combine cb ca)
             in
-            let swap (p : Proc.t) =
+            let swap nodes (p : Proc.t) =
               let frame, slots =
-                Frame.split (Node.create ())
-                  (Hproc.of_proc (Symmetry.apply_proc rename p))
+                Frame.split nodes
+                  (Hproc.of_proc (Node.terms nodes)
+                     (Symmetry.apply_proc rename p))
               in
               if Frame.restriction frame = None then
                 Alcotest.fail "state is not a restricted composition";
@@ -708,14 +713,17 @@ let prop_canon_orbit_invariant =
         Versa.Lts.build ~config tr.Translate.Pipeline.defs
           tr.Translate.Pipeline.system
       in
-      let swaps = swaps tr in
+      let swaps = swaps tr and nodes = Node.create (Hproc.create ()) in
       swaps <> []
       && List.for_all
            (fun id ->
              let p = Versa.Lts.term lts id in
-             let c = canon_term spec (Hproc.of_proc p) in
+             let c =
+               canon_term spec nodes (Hproc.of_proc (Node.terms nodes) p)
+             in
              List.for_all
-               (fun swap -> Hproc.equal c (canon_term spec (swap p)))
+               (fun swap ->
+                 Hproc.equal c (canon_term spec nodes (swap nodes p)))
                swaps)
            (List.init (Versa.Lts.num_states lts) Fun.id))
 
@@ -781,13 +789,14 @@ let prop_grouped_sort_is_reference =
                      List.init w (fun x ->
                          out_of_rep m (pool_term tuples.(m).(x)))))))
       in
-      let nodes = Node.create () in
-      let frame, slots = Frame.split nodes (Hproc.of_proc root) in
+      let nodes = Node.create (Hproc.create ()) in
+      let intern = Hproc.of_proc (Node.terms nodes) in
+      let frame, slots = Frame.split nodes (intern root) in
       Symmetry.swap spec nodes frame slots;
       let witness = Symmetry.canon_w spec frame slots in
       Symmetry.swap spec nodes frame slots;
       (* the reference: sort (tuple, index) pairs structurally *)
-      let rep m = Array.map (fun i -> Hproc.of_proc (pool_term i)) tuples.(m) in
+      let rep m = Array.map (fun i -> intern (pool_term i)) tuples.(m) in
       let compare_pairs (a, i) (b, j) =
         let rec go x =
           if x >= w then Int.compare i j
@@ -805,7 +814,7 @@ let prop_grouped_sort_is_reference =
         Array.concat
           (List.init k (fun j ->
                Array.map
-                 (fun i -> Hproc.of_proc (out_of_rep j (pool_term i)))
+                 (fun i -> intern (out_of_rep j (pool_term i)))
                  tuples.(order.(j))))
       in
       witness = [| order |]
