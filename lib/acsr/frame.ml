@@ -106,7 +106,8 @@ let equal (a : Node.t array) b =
    the multiplications carried every slot's contribution, into the low
    bits a hash table indexes with. *)
 let hash (v : Node.t array) =
-  let h =
-    Array.fold_left (fun h s -> (h * 0x01000193) lxor s.Node.hash) 0x811c9dc5 v
-  in
-  (h lxor (h lsr 31)) land max_int
+  let h = ref 0x811c9dc5 in
+  for i = 0 to Array.length v - 1 do
+    h := (!h * 0x01000193) lxor (Array.unsafe_get v i).Node.hash
+  done;
+  (!h lxor (!h lsr 31)) land max_int

@@ -9,6 +9,8 @@ and steps = {
   tau_ids : int array;
   timed : timed array;
   urgent : bool;
+  ins : int;
+  outs : int;
 }
 
 and offer = {
@@ -23,12 +25,22 @@ and timed = { action : Action.ground; tick : edge }
 and edge = { step : Step.t; next : Hproc.t; mutable target : t }
 
 let uncompiled =
-  { offers = [||]; taus = [||]; tau_ids = [||]; timed = [||]; urgent = false }
+  {
+    offers = [||];
+    taus = [||];
+    tau_ids = [||];
+    timed = [||];
+    urgent = false;
+    ins = 0;
+    outs = 0;
+  }
 
 let dummy = { term = Hproc.nil; hash = 0; par = false; steps = uncompiled }
 
 (* Guarded by the lock of [terms]. *)
 type table = { terms : Hproc.table; nodes : (int, t) Hashtbl.t (* by id *) }
+
+let[@inline] bit id = 1 lsl (id land 31)
 
 let create terms = { terms; nodes = Hashtbl.create 1024 }
 let terms tbl = tbl.terms
@@ -48,9 +60,14 @@ let compile tbl raw =
             (offers, taus, { action; tick = edge sk } :: timed))
       raw ([], [], [])
   in
-  let taus = Array.of_list taus in
+  let taus = Array.of_list taus and offers = Array.of_list offers in
+  let mask dir =
+    Array.fold_left
+      (fun m o -> if o.dir = dir then m lor bit o.id else m)
+      0 offers
+  in
   {
-    offers = Array.of_list offers;
+    offers;
     taus;
     tau_ids =
       Array.map
@@ -62,6 +79,8 @@ let compile tbl raw =
       Array.exists
         (fun e -> match e.step with Step.Tau (_, p) -> p > 0 | _ -> false)
         taus;
+    ins = mask Event.In;
+    outs = mask Event.Out;
   }
 
 let set_steps n s = n.steps <- s

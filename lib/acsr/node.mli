@@ -38,6 +38,8 @@ and steps = private {
           label, or -1 for a plain [tau] *)
   timed : timed array;  (** timed actions *)
   urgent : bool;  (** some internal step has a priority above 0 *)
+  ins : int;  (** the {!bit}s of the input offers' label ids *)
+  outs : int;  (** the {!bit}s of the output offers' label ids *)
 }
 
 and offer = private {
@@ -55,6 +57,11 @@ and edge = private {
   next : Hproc.t;
   mutable target : t;  (** the node of [next]; {!dummy} until resolved *)
 }
+
+val bit : int -> int
+(** [bit id] is the one bit of label id [id] in a mask: bit [id land 31].
+    Ids 32 apart share a bit, so a mask can only rule a label out: an id
+    whose bit is clear is certainly absent. *)
 
 val dummy : t
 (** Placeholder for a node not yet resolved; never in a table. *)

@@ -236,7 +236,8 @@ let unfold_call cache defs name values =
    - each slot's event and tau steps, events on labels of [L] dropped
      (a byte read of the frame by label id);
    - each pair of complementary events in slots i < j, as [tau@l]
-     (label ids compared as ints);
+     (label ids compared as ints, and only in the slots whose mask of
+     complementary offers has the label's bit);
    - each choice of one timed step per slot with pairwise-disjoint
      resources (none if some slot has no timed step).
    Every pair of leaves meets at exactly one Par node, so these are the
@@ -282,7 +283,7 @@ type view = {
   stored : int array;  (* the ids of the labels it renames, ascending *)
   real : int array;  (* by index in [stored]: the real label's id *)
   labels : Label.t array;  (* by index in [stored]: the real label *)
-  bits : int;  (* bit [id land 31] set for each stored [id] *)
+  bits : int;  (* [Node.bit] of each stored id *)
   compare : Hproc.t -> Hproc.t -> int;
 }
 
@@ -359,7 +360,7 @@ let view terms ~labels ~compare =
       stored;
       real = Array.of_list (List.map (fun (_, r) -> id r) pairs);
       labels = Array.of_list (List.map snd pairs);
-      bits = Array.fold_left (fun b id -> b lor (1 lsl (id land 31))) 0 stored;
+      bits = Array.fold_left (fun b id -> b lor Node.bit id) 0 stored;
       compare;
     }
   in
@@ -399,7 +400,7 @@ let[@inline] renamed_anywhere views id =
    every earlier slot), and its [bits] turn most of those away without a
    search. *)
 let[@inline] renaming v id =
-  if v.bits land (1 lsl (id land 31)) = 0 then -1 else find v id
+  if v.bits land Node.bit id = 0 then -1 else find v id
 
 (* [v]'s real id for stored id [id]; a view renames through a swap, its
    own inverse, so this also maps real ids to stored ones. *)
@@ -567,6 +568,8 @@ and kernel cache depth defs ~prioritize ~views frame (slots : Node.t array) =
   (* plain loops: this is the per-state path, and a closure per offer
      would cost more than the comparisons *)
   let cands = ref [] and urgent = ref false in
+  (* the masks of the offers of slots [0, i), by direction *)
+  let ins = ref 0 and outs = ref 0 in
   for i = 0 to n - 1 do
     let own = slots.(i).Node.steps in
     if own.urgent then urgent := true;
@@ -593,27 +596,39 @@ and kernel cache depth defs ~prioritize ~views frame (slots : Node.t array) =
       let k = if any then renaming (view_of views i) o.id else -1 in
       let id = if k < 0 then o.id else (view_of views i).real.(k)
       and label = if k < 0 then o.label else (view_of views i).labels.(k) in
-      for j = 0 to i - 1 do
-        (* slot [j]'s offers on real label [id] are its stored offers on
-           [want] *)
-        let earlier = slots.(j).Node.steps.offers
-        and want = if any then real_id (view_of views j) id else id in
-        for b = 0 to Array.length earlier - 1 do
-          let o' = earlier.(b) in
-          if o'.id = want && o'.dir != o.dir then begin
-            let p = o'.prio + o.prio in
-            if p > 0 then urgent := true;
-            cands :=
-              (Step.Tau (Some label, p), Two (j, o'.edge, i, o.edge)) :: !cands
+      (* an offer no view renames pairs on its own id in every slot, so
+         a clear bit in the complementary masks of slots [0, i) rules
+         all of them out, and a clear bit in one slot's mask rules that
+         slot out *)
+      let bit = Node.bit id and inputs = o.dir = Event.Out in
+      if any || (if inputs then !ins else !outs) land bit <> 0 then
+        for j = 0 to i - 1 do
+          let s = slots.(j).Node.steps in
+          if any || (if inputs then s.ins else s.outs) land bit <> 0 then begin
+            (* slot [j]'s offers on real label [id] are its stored offers
+               on [want] *)
+            let earlier = s.offers
+            and want = if any then real_id (view_of views j) id else id in
+            for b = 0 to Array.length earlier - 1 do
+              let o' = earlier.(b) in
+              if o'.id = want && o'.dir != o.dir then begin
+                let p = o'.prio + o.prio in
+                if p > 0 then urgent := true;
+                cands :=
+                  (Step.Tau (Some label, p), Two (j, o'.edge, i, o.edge))
+                  :: !cands
+              end
+            done
           end
-        done
-      done;
+        done;
       if Frame.visible frame id then
         let step =
           if k < 0 then o.edge.step else Step.Event (label, o.dir, o.prio)
         in
         cands := (step, One (i, o.edge)) :: !cands
-    done
+    done;
+    ins := !ins lor own.ins;
+    outs := !outs lor own.outs
   done;
   if not (prioritize && !urgent) then
     List.iter
@@ -656,8 +671,3 @@ let successors ~cache ~prioritize ~views defs frame slots =
 
 let h_steps ~cache defs p = materialized cache 0 defs ~prioritize:false p
 let h_prioritized ~cache defs p = materialized cache 0 defs ~prioritize:true p
-
-(* A process is time-stopped when no enabled (prioritized) step advances
-   time; deadlocks are a special case.  Useful as a diagnostic. *)
-let is_time_stopped defs p =
-  not (List.exists (fun (s, _) -> Step.is_timed s) (prioritized defs p))

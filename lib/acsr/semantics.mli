@@ -20,9 +20,6 @@ val is_deadlocked : Defs.t -> Proc.t -> bool
 (** No step at all is enabled.  In translated AADL models this denotes a
     timing violation (paper, Section 5). *)
 
-val is_time_stopped : Defs.t -> Proc.t -> bool
-(** No prioritized step advances time. *)
-
 (** {1 Hash-consed engine}
 
     A second implementation of the transition relation over hash-consed

@@ -13,9 +13,11 @@
    nodes over that frame ([Acsr.Node]: one per distinct slot term of
    the exploration, from the node table of the build's
    [Semantics.cache]).  A node carries its term's hash and its compiled
-   step set, so expanding a state reads node fields, and the state
-   table mixes the slots' term hashes and compares slots by pointer:
-   interning a state never rebuilds or interns the spine.  Under orbit
+   step set, so expanding a state reads node fields.  The visited set
+   ([Visited]) is an open-addressed table of state ids over the stored
+   vectors and their cached hashes: an intern mixes the slots' term
+   hashes once, compares a cached hash before it compares slots by
+   pointer, and never rebuilds or interns the spine.  Under orbit
    reduction the member slots hold their terms in their class
    representative's names (see [Sym] below).  A state's term is
    materialized only when a caller asks for it ([term], DOT export,
@@ -367,30 +369,21 @@ module Sym = struct
 end
 
 (* The state store: flat growable arrays indexed by state id.  Per state
-   it keeps the slot vector (pointers into the build's node table), the
-   BFS parent id and the arriving step — enough to rebuild every
-   shortest counterexample path.  The visited set keys on the vector
-   itself.  Successor rows, indexed by the expanded state's id, are kept
-   only when the caller asks for edges; without them the store holds
-   nothing per transition, which is what plain schedulability queries
-   need. *)
+   it keeps the slot vector (pointers into the build's node table) and
+   its hash, both in the visited set ([Visited]), and the BFS parent id
+   and the arriving step — enough to rebuild every shortest
+   counterexample path.  Successor rows, indexed by the expanded
+   state's id, are kept only when the caller asks for edges; without
+   them the store holds nothing per transition, which is what plain
+   schedulability queries need. *)
 module Store = struct
-  module Ids = Hashtbl.Make (struct
-    type t = Node.t array
-
-    let equal = Frame.equal
-    let hash = Frame.hash
-  end)
-
   type t = {
-    ids : state_id Ids.t;  (* slot vector -> state id *)
+    visited : Visited.t;  (* slot vector <-> state id *)
     edges : bool;
-    mutable states : Node.t array array;  (* slot vector per state *)
     mutable pred : int array;  (* BFS parent; -1 for the root *)
     mutable steps : Step.t array;  (* step from pred; slot 0 is a dummy *)
     mutable rows : (Step.t * state_id) array array;
         (* successor rows of the expanded states; empty without edges *)
-    mutable len : int;
     mutable hits : int;
     mutable misses : int;
   }
@@ -399,16 +392,17 @@ module Store = struct
 
   let create ~edges =
     {
-      ids = Ids.create 4096;
+      visited = Visited.create ();
       edges;
-      states = Array.make 1024 [||];
       pred = Array.make 1024 (-1);
       steps = Array.make 1024 dummy_step;
       rows = (if edges then Array.make 1024 [||] else [||]);
-      len = 0;
       hits = 0;
       misses = 0;
     }
+
+  let length st = Visited.length st.visited
+  let state st id = Visited.get st.visited id
 
   let double dummy src =
     let n = Array.length src in
@@ -419,24 +413,22 @@ module Store = struct
   (* Intern a successor; parent/step are recorded only on first
      discovery, so the parent pointers always form the BFS tree. *)
   let intern st slots ~pred ~step =
-    match Ids.find_opt st.ids slots with
-    | Some id ->
-        st.hits <- st.hits + 1;
-        id
-    | None ->
-        st.misses <- st.misses + 1;
-        if st.len = Array.length st.states then begin
-          st.states <- double [||] st.states;
-          st.pred <- double (-1) st.pred;
-          st.steps <- double dummy_step st.steps
-        end;
-        let id = st.len in
-        st.states.(id) <- slots;
-        st.pred.(id) <- pred;
-        st.steps.(id) <- step;
-        Ids.add st.ids slots id;
-        st.len <- st.len + 1;
-        id
+    let fresh = length st in
+    let id = Visited.intern st.visited slots in
+    if id < fresh then begin
+      st.hits <- st.hits + 1;
+      id
+    end
+    else begin
+      st.misses <- st.misses + 1;
+      if id = Array.length st.pred then begin
+        st.pred <- double (-1) st.pred;
+        st.steps <- double dummy_step st.steps
+      end;
+      st.pred.(id) <- pred;
+      st.steps.(id) <- step;
+      id
+    end
 
   (* Intern the successors of state [id], the next one to expand, in row
      order; with edges, also keep its row. *)
@@ -465,12 +457,12 @@ type t = {
   sym : Sym.t option;  (** present when symmetry reduction was active *)
 }
 
-let num_states lts = lts.store.Store.len
+let num_states lts = Store.length lts.store
 let num_transitions lts = lts.transitions
 
 let initial (_ : t) : state_id = 0
 let term lts id =
-  let v = lts.store.Store.states.(id) in
+  let v = Store.state lts.store id in
   let v = match lts.sym with None -> v | Some s -> Sym.real s v in
   Hproc.to_proc (Frame.materialize lts.frame v)
 let has_edges lts = lts.store.Store.edges
@@ -507,7 +499,7 @@ let path_to lts id =
   | None -> path
   | Some s ->
       Sym.decanon_steps s ~semantics:lts.semantics
-        ~term_at:(fun i -> st.Store.states.(i))
+        ~term_at:(Store.state st)
         path
 
 type build_config = {
@@ -591,8 +583,8 @@ module Batch = struct
       expand_s = 0.;
     }
 
-  (* Expand states [from, from + n) of [states] into the slots. *)
-  let fill b states ~from n =
+  (* Expand states [from, from + n) of [store] into the slots. *)
+  let fill b store ~from n =
     let pool =
       match b.pool with
       | Some p -> p
@@ -606,24 +598,24 @@ module Batch = struct
     in
     Pool.run pool n (fun i ->
         b.slots.(i) <-
-          (match b.expand states.(from + i) with
+          (match b.expand (Store.state store (from + i)) with
           | e -> Ok e
           | exception exn -> Error (exn, Printexc.get_raw_backtrace ())));
     b.base <- from;
     b.filled <- n
 
-  (* The expansion of state [id], the next one the merge consumes, with
-     [len] states discovered so far. *)
-  let get b states ~len id =
+  (* The expansion of state [id], the next one the merge consumes. *)
+  let get b store id =
     let t0 = Timed.Clock.gettimeofday () in
+    let len = Store.length store in
     if id >= b.base + b.filled && b.jobs > 1 && len - id >= b.cutover then
-      fill b states ~from:id (min cap (len - id));
+      fill b store ~from:id (min cap (len - id));
     let e =
       if id < b.base + b.filled then
         match b.slots.(id - b.base) with
         | Ok e -> e
         | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt
-      else b.expand states.(id)
+      else b.expand (Store.state store id)
     in
     b.expand_s <- b.expand_s +. (Timed.Clock.gettimeofday () -. t0);
     e
@@ -676,7 +668,7 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
        ~pred:(-1) ~step:Store.dummy_step);
   let deadline_hit = ref false in
   let over_budget () =
-    budget_stop config ~len:store.Store.len ~deadline_hit ()
+    budget_stop config ~len:(Store.length store) ~deadline_hit ()
   in
   let batch = Batch.create ~jobs ~cutover:config.parallel_cutover expand in
   let orbit_hits = ref 0 and orbit_misses = ref 0 and canon_s = ref 0. in
@@ -699,8 +691,8 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
          tallies and the stop checks are order-sensitive and happen here
          only. *)
       let stop = ref false in
-      while (not !stop) && !head < store.Store.len do
-        let frontier = store.Store.len - !head in
+      while (not !stop) && !head < Store.length store do
+        let frontier = Store.length store - !head in
         if frontier > !peak_frontier then peak_frontier := frontier;
         Obs.Histogram.observe Metrics.frontier (float_of_int frontier);
         if (config.stop_at_deadlock && !deadlock_found) || over_budget ()
@@ -714,9 +706,9 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
           let id = !head in
           if id >= !level_end then begin
             incr depth;
-            level_end := store.Store.len
+            level_end := Store.length store
           end;
-          let e = Batch.get batch store.Store.states ~len:store.Store.len id in
+          let e = Batch.get batch store id in
           let s = e.row in
           orbit_hits := !orbit_hits + e.folded;
           orbit_misses := !orbit_misses + e.kept;
@@ -732,7 +724,7 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
           incr head
         end
       done);
-  let n = store.Store.len in
+  let n = Store.length store in
   let wall_s = Timed.Clock.gettimeofday () -. t_start in
   let stats =
     {
@@ -749,14 +741,16 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
       intern_misses = store.Store.misses;
       hashcons_nodes = Hproc.size (Semantics.terms cache);
       slot_nodes = Node.size (Semantics.nodes cache);
-      (* per state: slot-vector pointer + pred int + step pointer array
-         slots, a hashtable binding, and the slot vector itself (a
-         header and one word per slot); with edges, per expanded state a
-         rows slot and a row header, per transition a row slot and a
-         (step, id) tuple.  An estimate, counted in words. *)
+      (* per state: the slot vector (a header and one word per slot)
+         and the vector-pointer, cached-hash, pred and step array slots;
+         the visited set's table, two to four slots per state; with
+         edges, per expanded state a rows slot and a row header, per
+         transition a row slot and a (step, id) tuple.  An estimate,
+         counted in words. *)
       store_bytes =
         8
-        * (((7 + Frame.width frame + 1) * n)
+        * (((5 + Frame.width frame) * n)
+          + Visited.capacity store.Store.visited
           + if edges then (2 * !head) + (4 * !transitions) else 0);
       early_exit_depth = !early_exit_depth;
       deadline_expired = !deadline_hit;

@@ -883,9 +883,11 @@ let prop_compare_renamed_mirrors_images =
 (* The hash-consed engine returns, term for term, what the reference
    engine returns; the term is interned in the table of the cache the
    engine is given. *)
-let engines_agree ~name ~count ~reference ~hashconsed gen =
+let engines_agree ?(prepare = ignore) ~name ~count ~reference ~hashconsed gen
+    =
   QCheck2.Test.make ~name ~count gen (fun p ->
       let cache = Semantics.make_cache () in
+      prepare (Semantics.terms cache);
       reference Defs.empty p
       = List.map
           (fun (s, h) -> (s, Hproc.to_proc h))
@@ -996,6 +998,60 @@ let prop_kernel_prioritized_agree =
     ~count:500 ~reference:Semantics.prioritized
     ~hashconsed:Semantics.h_prioritized
     gen_system
+
+(* More label ids than an offer mask has bits ([Node.bit]).  Forty
+   labels are numbered before the engine runs, so [l00]/[l32],
+   [l01]/[l33] and [l02]/[l34] share a mask bit without being one label.
+   Slots offer events on these six labels only, in both directions, so
+   the kernel meets complementary offers on one label, which must pair,
+   offers on two labels that share a bit, which must not, and offers on
+   labels that share nothing. *)
+let wide_labels = List.init 40 (fun i -> Label.make (Printf.sprintf "l%02d" i))
+
+let number_wide_labels terms =
+  List.iter (fun l -> ignore (Hproc.label_id terms l)) wide_labels;
+  let bit name = Node.bit (Hproc.label_id terms (Label.make name)) in
+  if bit "l00" <> bit "l32" || bit "l00" = bit "l01" then
+    failwith "wide labels: l00 and l32 must share a mask bit, l01 not"
+
+let gen_wide_system : Proc.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let pool =
+    List.map Label.make [ "l00"; "l01"; "l02"; "l32"; "l33"; "l34" ]
+  in
+  let gen_offer =
+    let* l = oneofl pool in
+    let* out = bool in
+    let* prio = map e_int (int_range 0 1) in
+    let* k = frequency [ (1, return Proc.nil); (2, gen_proc_full) ] in
+    return (if out then Proc.send ~prio l k else Proc.receive ~prio l k)
+  in
+  let gen_slot i =
+    let* offers = list_size (int_range 1 3) gen_offer in
+    let* timed =
+      option
+        (return
+           (Proc.act
+              (action [ (Resource.make (Printf.sprintf "r%d" i), 0) ])
+              Proc.nil))
+    in
+    return (Proc.choice_list (offers @ Option.to_list timed))
+  in
+  let* n = int_range 2 6 in
+  let* slots = flatten_l (List.init n gen_slot) in
+  let* restricted = list_size (int_range 0 6) (oneofl pool) in
+  return (Proc.restrict (Label.set_of_list restricted) (Proc.par_list slots))
+
+let prop_wide_labels_steps_agree =
+  engines_agree ~prepare:number_wide_labels
+    ~name:"more labels than mask bits: h_steps = steps" ~count:500
+    ~reference:Semantics.steps ~hashconsed:Semantics.h_steps gen_wide_system
+
+let prop_wide_labels_prioritized_agree =
+  engines_agree ~prepare:number_wide_labels
+    ~name:"more labels than mask bits: h_prioritized = prioritized"
+    ~count:500 ~reference:Semantics.prioritized
+    ~hashconsed:Semantics.h_prioritized gen_wide_system
 
 let prop_check_agrees_with_build =
   QCheck2.Test.make ~name:"check = build on random terms" ~count:50
@@ -1110,12 +1166,88 @@ let qcheck_cases =
       prop_h_prioritized_agree;
       prop_kernel_steps_agree;
       prop_kernel_prioritized_agree;
+      prop_wide_labels_steps_agree;
+      prop_wide_labels_prioritized_agree;
       prop_parallel_build_agrees;
       prop_parallel_build_bit_identical;
       prop_parallel_early_exit_identical;
       prop_check_agrees_with_build;
       prop_check_early_exit_sound;
     ]
+
+(* {1 The visited set} *)
+
+(* Vectors whose hashes agree in their low 12 bits share a probe
+   sequence in every table of up to 4,096 slots, so interning them walks
+   collision clusters; filler vectors, interleaved with them, take the
+   table through two growths, and every growth re-places the colliding
+   ids by their cached hashes. *)
+let test_visited_collisions_and_growth () =
+  let cache = Semantics.make_cache () in
+  let terms = Semantics.terms cache in
+  let pool =
+    Array.init 16 (fun i ->
+        Node.get (Semantics.nodes cache)
+          (Hproc.of_proc terms
+             (Proc.act
+                (action [ (Resource.make (Printf.sprintf "r%d" i), 0) ])
+                Proc.nil)))
+  in
+  let vectors =
+    List.init 65536 (fun k ->
+        Array.init 4 (fun s -> pool.((k lsr (4 * s)) land 15)))
+  in
+  let classes = Hashtbl.create 4096 in
+  List.iter
+    (fun v ->
+      let low = Frame.hash v land 4095 in
+      Hashtbl.replace classes low
+        (v :: Option.value ~default:[] (Hashtbl.find_opt classes low)))
+    vectors;
+  let colliding =
+    Hashtbl.fold
+      (fun _ vs best -> if List.length vs > List.length best then vs else best)
+      classes []
+  in
+  let c = List.length colliding in
+  Alcotest.(check bool) "a class of at least 16 colliding vectors" true (c >= 16);
+  let fillers =
+    List.filteri (fun i _ -> i < 3000)
+      (List.filter (fun v -> not (List.memq v colliding)) vectors)
+  in
+  (* one colliding vector every [3000 / c] fillers *)
+  let gap = 3000 / c in
+  let order =
+    List.concat
+      (List.mapi
+         (fun i v ->
+           v :: List.filteri (fun j _ -> j >= i * gap && j < (i + 1) * gap)
+                  fillers)
+         colliding)
+    @ List.filteri (fun j _ -> j >= c * gap) fillers
+  in
+  let t = Versa.Visited.create () in
+  let initial = Versa.Visited.capacity t in
+  List.iteri
+    (fun i v ->
+      Alcotest.(check int) "new vectors get dense ids in discovery order" i
+        (Versa.Visited.intern t v))
+    order;
+  let n = List.length order in
+  Alcotest.(check int) "every vector interned once" (c + 3000) n;
+  Alcotest.(check int) "length" n (Versa.Visited.length t);
+  Alcotest.(check bool) "grew at least twice" true
+    (Versa.Visited.capacity t >= 4 * initial);
+  Alcotest.(check bool) "at most half full" true
+    (2 * n <= Versa.Visited.capacity t);
+  List.iteri
+    (fun i v ->
+      Alcotest.(check int) "an equal vector finds its id" i
+        (Versa.Visited.intern t (Array.copy v));
+      Alcotest.(check bool) "the id holds its vector" true
+        (Frame.equal v (Versa.Visited.get t i)))
+    order;
+  Alcotest.(check int) "re-interning adds nothing" n (Versa.Visited.length t)
 
 (* {1 Wall-clock budgets and cooperative cancellation} *)
 
@@ -1251,6 +1383,11 @@ let () =
           Alcotest.test_case "virtual deadline is deterministic" `Quick
             test_virtual_deadline_is_deterministic;
           Alcotest.test_case "poll cancels" `Quick test_poll_cancels;
+        ] );
+      ( "visited",
+        [
+          Alcotest.test_case "collisions and growth" `Quick
+            test_visited_collisions_and_growth;
         ] );
       ("properties", qcheck_cases);
     ]
