@@ -23,7 +23,6 @@ let analyze_text ?protocol ?quantum ?(max_states = 2_000_000)
         };
       max_states;
       all_violations = false;
-      jobs = 1;
       deadline = None;
       poll = None;
       symmetry;

@@ -92,7 +92,7 @@ let protocol_arg =
           "Override the Scheduling_Protocol of every processor: one of \
            $(b,rm), $(b,dm), $(b,hpf), $(b,edf), $(b,llf), $(b,hier).")
 
-(* State budgets, domain and worker counts, cache capacities. *)
+(* State budgets, worker counts, cache capacities. *)
 let positive_int = budget_conv Arg.int ~ok:(fun n -> n >= 1) ~what:"at least 1"
 
 let max_states_arg =
@@ -102,13 +102,20 @@ let max_states_arg =
     & info [ "max-states" ] ~docv:"N"
         ~doc:"State budget for the exploration.")
 
-let jobs_arg =
-  Arg.(
-    value & opt positive_int 1
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Domains used to compute successors in parallel during the \
-           exploration.  The result is identical for any value.")
+(* [analyze --jobs] remains only because perfbench passes [--jobs 1];
+   exploration is sequential, so any other value is a usage error. *)
+let analyze_jobs_arg =
+  Term.(
+    const ignore
+    $ Arg.(
+        value
+        & opt
+            (budget_conv int ~ok:(( = ) 1) ~what:"1: exploration is sequential")
+            1
+        & info [ "jobs"; "j" ] ~docv:"1"
+            ~doc:
+              "Accepted for compatibility; only 1.  Exploration is \
+               sequential."))
 
 let timeout_arg =
   Arg.(
@@ -388,7 +395,7 @@ let translate_cmd =
 
 (* {1 analyze} *)
 
-let run_analyze file root_name quantum protocol max_states jobs timeout
+let run_analyze file root_name quantum protocol max_states () timeout
     stats trace all baselines symmetry virtual_time =
   handle_errors file @@ fun () ->
   with_virtual_clock virtual_time @@ fun () ->
@@ -400,7 +407,6 @@ let run_analyze file root_name quantum protocol max_states jobs timeout
         translation_options quantum protocol;
       max_states;
       all_violations = all;
-      jobs;
       deadline = Option.map (fun s -> Timed.Clock.gettimeofday () +. s) timeout;
       poll = None;
       symmetry;
@@ -455,7 +461,7 @@ let analyze_cmd =
           detection.")
     Term.(
       const run_analyze $ file_arg $ root_arg $ quantum_arg $ protocol_arg
-      $ max_states_arg $ jobs_arg $ timeout_arg $ stats_arg
+      $ max_states_arg $ analyze_jobs_arg $ timeout_arg $ stats_arg
       $ trace_arg $ all_arg $ baselines_arg $ symmetry_arg $ virtual_time_arg)
 
 (* {1 simulate} *)
@@ -511,8 +517,8 @@ let path_conv =
   let parse s = Ok (String.split_on_char '.' s) in
   Arg.conv (parse, Aadl.Instance.pp_path)
 
-let run_latency file root_name quantum protocol jobs trace from_thread
-    to_thread bound_us =
+let run_latency file root_name quantum protocol trace from_thread to_thread
+    bound_us =
   handle_errors file @@ fun () ->
   with_trace trace @@ fun () ->
   let root = load_root file root_name in
@@ -520,7 +526,6 @@ let run_latency file root_name quantum protocol jobs trace from_thread
     {
       Analysis.Latency.translation_options = translation_options quantum protocol;
       max_states = 2_000_000;
-      jobs;
     }
   in
   let result =
@@ -559,7 +564,7 @@ let latency_cmd =
        ~doc:"Check an end-to-end latency bound with an observer process.")
     Term.(
       const run_latency $ file_arg $ root_arg $ quantum_arg $ protocol_arg
-      $ jobs_arg $ trace_arg $ from_arg $ to_arg $ bound_arg)
+      $ trace_arg $ from_arg $ to_arg $ bound_arg)
 
 (* {1 sensitivity} *)
 
@@ -649,8 +654,8 @@ let sensitivity_cmd =
 
 (* {1 report} *)
 
-let run_report file root_name quantum protocol max_states jobs
-    with_responses output =
+let run_report file root_name quantum protocol max_states with_responses
+    output =
   handle_errors file @@ fun () ->
   let root = load_root file root_name in
   let options =
@@ -661,7 +666,6 @@ let run_report file root_name quantum protocol max_states jobs
             translation_options quantum protocol;
           max_states;
           all_violations = false;
-          jobs;
           deadline = None;
           poll = None;
           symmetry = true;
@@ -698,13 +702,11 @@ let report_cmd =
        ~doc:"Produce a self-contained markdown analysis report.")
     Term.(
       const run_report $ file_arg $ root_arg $ quantum_arg $ protocol_arg
-      $ max_states_arg $ jobs_arg $ with_responses_arg
-      $ report_output_arg)
+      $ max_states_arg $ with_responses_arg $ report_output_arg)
 
 (* {1 acsr: analyze a textual ACSR model directly (VERSA-style)} *)
 
-let run_acsr file entry dot unprioritized quotient max_states jobs stats
-    trace =
+let run_acsr file entry dot unprioritized quotient max_states stats trace =
   handle_errors file @@ fun () ->
   with_trace trace @@ fun () ->
   let contents =
@@ -738,7 +740,7 @@ let run_acsr file entry dot unprioritized quotient max_states jobs stats
           stop_at_deadlock = false;
         }
       in
-      let lts = Versa.Lts.build ~config ~semantics ~jobs defs root in
+      let lts = Versa.Lts.build ~config ~semantics defs root in
       Fmt.pr "%a@." Versa.Lts.pp_summary lts;
       if stats then print_registry ();
       (match Versa.Explorer.deadlock_verdict lts with
@@ -793,14 +795,12 @@ let acsr_cmd =
           deadlock detection, diagnostic traces, DOT export.")
     Term.(
       const run_acsr $ file_arg $ entry_arg $ dot_arg $ unprioritized_arg
-      $ quotient_arg $ max_states_arg $ jobs_arg $ stats_arg $ trace_arg)
+      $ quotient_arg $ max_states_arg $ stats_arg $ trace_arg)
 
 (* {1 batch / serve: the analysis service layer} *)
 
-let service_config no_cache cache_size exploration_jobs =
-  let config =
-    { Service.Runner.default_config with jobs = exploration_jobs }
-  in
+let service_config no_cache cache_size =
+  let config = Service.Runner.default_config in
   if no_cache then config
   else Service.Runner.with_cache ~capacity:cache_size config
 
@@ -1011,7 +1011,7 @@ let run_batch manifest workers no_cache cache_size timeout stats trace
       match connect with
       | Some addr -> run_batch_connect addr requests stats
       | None ->
-      let config = service_config no_cache cache_size 1 in
+      let config = service_config no_cache cache_size in
       let scheduler = Service.Scheduler.create ~workers config in
       List.iter
         (fun r -> ignore (Service.Scheduler.submit scheduler r))
@@ -1186,8 +1186,8 @@ let start_scrape socket metrics_listen ~health =
           Fmt.epr "metrics-listen: %s: %s@." addr (Unix.error_message e);
           exit 2)
 
-let run_serve no_cache cache_size exploration_jobs trace listen
-    route_to journal metrics_listen log_json =
+let run_serve no_cache cache_size trace listen route_to journal
+    metrics_listen log_json =
   with_log_json log_json @@ fun () ->
   with_trace trace @@ fun () ->
   match route_to with
@@ -1227,12 +1227,9 @@ let run_serve no_cache cache_size exploration_jobs trace listen
       | None when journal <> None -> (
           (* stdio conversation, but with the shard stack so verdicts
              persist across sessions *)
-          let base =
-            { Service.Runner.default_config with jobs = exploration_jobs }
-          in
           match
             Service.Shard.create ?journal ~capacity:cache_size ~name:"serve"
-              base
+              Service.Runner.default_config
           with
           | Error msg ->
               Fmt.epr "serve: %s@." msg;
@@ -1247,9 +1244,7 @@ let run_serve no_cache cache_size exploration_jobs trace listen
               Service.Shard.close shard;
               0)
       | None ->
-          let config =
-            service_config no_cache cache_size exploration_jobs
-          in
+          let config = service_config no_cache cache_size in
           (* The scrape health view shares [config] — and so the live
              cache — with the serving loop's own protocol instance. *)
           let health_protocol = Service.Protocol.create ~name:"serve" config in
@@ -1264,11 +1259,9 @@ let run_serve no_cache cache_size exploration_jobs trace listen
           (* Single-shard socket service.  A shard always caches (the
              journal replays into the cache); --no-cache is a stdio-only
              knob. *)
-          let base =
-            { Service.Runner.default_config with jobs = exploration_jobs }
-          in
           match
-            Service.Shard.create ?journal ~capacity:cache_size ~name:addr base
+            Service.Shard.create ?journal ~capacity:cache_size ~name:addr
+              Service.Runner.default_config
           with
           | Error msg ->
               Fmt.epr "serve: %s@." msg;
@@ -1316,22 +1309,22 @@ let serve_cmd =
           $(b,--metrics-listen) additionally serves the process metrics \
           over HTTP for scraping.")
     Term.(
-      const run_serve $ no_cache_arg $ cache_size_arg $ jobs_arg
-      $ trace_arg $ listen_arg $ route_to_arg $ journal_arg
+      const run_serve $ no_cache_arg $ cache_size_arg $ trace_arg
+      $ listen_arg $ route_to_arg $ journal_arg
       $ metrics_listen_arg $ log_json_arg)
 
-let run_shard listen journal shard_name cache_size exploration_jobs
-    trace metrics_listen log_json =
+let run_shard listen journal shard_name cache_size trace metrics_listen
+    log_json =
   with_log_json log_json @@ fun () ->
   with_trace trace @@ fun () ->
-  let base =
-    { Service.Runner.default_config with jobs = exploration_jobs }
-  in
   let name = Option.value ~default:listen shard_name in
   (* Node names end up in trace-context headers, which are split on
      '/', so slug the address ("unix:/tmp/x.sock" and the like). *)
   Obs.Trace.set_node (Service.Protocol.metric_slug name);
-  match Service.Shard.create ?journal ~capacity:cache_size ~name base with
+  match
+    Service.Shard.create ?journal ~capacity:cache_size ~name
+      Service.Runner.default_config
+  with
   | Error msg ->
       Fmt.epr "shard: %s@." msg;
       2
@@ -1377,8 +1370,7 @@ let shard_cmd =
           & opt (some string) None
           & info [ "listen" ] ~docv:"ADDR"
               ~doc:"Socket address to serve: unix:PATH or tcp:HOST:PORT.")
-      $ journal_arg $ shard_name_arg $ cache_size_arg $ jobs_arg
-      $ trace_arg $ metrics_listen_arg $ log_json_arg)
+      $ journal_arg $ shard_name_arg $ cache_size_arg $ trace_arg $ metrics_listen_arg $ log_json_arg)
 
 (* {1 cluster-stats} *)
 

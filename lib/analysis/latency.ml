@@ -58,14 +58,12 @@ let observer_defs ~start_l ~end_l ~bound =
 type options = {
   translation_options : Translate.Pipeline.options;
   max_states : int;
-  jobs : int;  (** domains for parallel exploration *)
 }
 
 let default_options =
   {
     translation_options = Translate.Pipeline.default_options;
     max_states = 2_000_000;
-    jobs = 1;
   }
 
 let check ?(options = default_options) ~(from_thread : string list)
@@ -123,8 +121,7 @@ let check ?(options = default_options) ~(from_thread : string list)
      ([Response.worst_response] bisects over verdicts only), so no
      successor rows are kept. *)
   let exploration =
-    Versa.Explorer.check_deadlock ~max_states:options.max_states
-      ~jobs:options.jobs defs system
+    Versa.Explorer.check_deadlock ~max_states:options.max_states defs system
   in
   let verdict =
     match exploration.Versa.Explorer.verdict with

@@ -20,7 +20,6 @@ type t = {
 type options = {
   translation_options : Translate.Pipeline.options;
   max_states : int;
-  jobs : int;  (** domains for parallel exploration (default 1) *)
 }
 
 val default_options : options

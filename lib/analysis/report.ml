@@ -120,7 +120,6 @@ let responses ppf ~options (root : Aadl.Instance.t)
               Latency.translation_options =
                 options.schedulability.Schedulability.translation_options;
               max_states = options.schedulability.Schedulability.max_states;
-              jobs = options.schedulability.Schedulability.jobs;
             }
           ~thread:t.Translate.Workload.path root
       with

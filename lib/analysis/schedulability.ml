@@ -23,7 +23,6 @@ type options = {
   max_states : int;
   all_violations : bool;
       (** explore exhaustively instead of stopping at the first deadlock *)
-  jobs : int;  (** domains for parallel successor computation *)
   deadline : float option;
       (** absolute wall-clock budget for the exploration
           ({!Versa.Lts.build_config}); past it the verdict is
@@ -46,7 +45,6 @@ let default_options =
     translation_options = Translate.Pipeline.default_options;
     max_states = 2_000_000;
     all_violations = false;
-    jobs = 1;
     deadline = None;
     poll = None;
     symmetry = true;
@@ -60,7 +58,7 @@ let analyze_translation ~options (tr : Translate.Pipeline.t) : t =
   let exploration =
     Versa.Explorer.check_deadlock ~max_states:options.max_states
       ~stop_at_deadlock:(not options.all_violations)
-      ~jobs:options.jobs ?deadline:options.deadline ?poll:options.poll
+      ?deadline:options.deadline ?poll:options.poll
       ~symmetry tr.Translate.Pipeline.defs tr.Translate.Pipeline.system
   in
   let verdict =

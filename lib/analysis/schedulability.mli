@@ -19,15 +19,14 @@ type options = {
   translation_options : Translate.Pipeline.options;
   max_states : int;
   all_violations : bool;
-  jobs : int;  (** domains for parallel exploration (default 1) *)
   deadline : float option;
       (** absolute wall-clock budget (ambient [Timed.Clock] scale,
           default none): past it the exploration truncates and the verdict is
           [Inconclusive "wall-clock budget expired …"] — the hook the
           service layer's graceful degradation builds on *)
   poll : (unit -> bool) option;
-      (** cooperative cancellation hook, checked between exploration
-          merge steps (default none) *)
+      (** cooperative cancellation hook, checked before every
+          expansion of the exploration (default none) *)
   symmetry : bool;
       (** orbit reduction (default [true]): explore one representative
           per permutation orbit of interchangeable thread units

@@ -50,7 +50,6 @@ let create_attribution () =
 
 type config = {
   cache : Job.outcome Lru.t option;
-  jobs : int;
   fragments : Translate.Fragment_cache.t option;
   attribution : attribution option;
   on_store : (string -> Job.outcome -> unit) option;
@@ -59,7 +58,6 @@ type config = {
 let default_config =
   {
     cache = None;
-    jobs = 1;
     fragments = None;
     attribution = None;
     on_store = None;
@@ -177,13 +175,12 @@ let load_error (req : Job.request) = function
   | Sys_error msg -> Some msg
   | _ -> None
 
-let analysis_options (config : config) (req : Job.request) ~now ~cancel =
+let analysis_options (req : Job.request) ~now ~cancel =
   {
     (* keying and running share the translation options: see Key *)
     Analysis.Schedulability.translation_options = Key.translation_options req;
     max_states = req.max_states;
     all_violations = false;
-    jobs = config.jobs;
     deadline = Option.map (fun s -> now +. s) req.timeout_s;
     poll = cancel;
     symmetry = true;
@@ -246,7 +243,7 @@ let run ?cancel config (req : Job.request) =
   match load req with
   | exception e -> failed e
   | root -> (
-      let options = analysis_options config req ~now ~cancel in
+      let options = analysis_options req ~now ~cancel in
       match
         Translate.Pipeline.plan
           ~options:options.Analysis.Schedulability.translation_options root

@@ -35,7 +35,6 @@ type attribution_counters = {
 type config = {
   cache : Job.outcome Lru.t option;
       (** shared verdict cache; [None] disables caching *)
-  jobs : int;  (** domains for parallel exploration within one job *)
   fragments : Translate.Fragment_cache.t option;
       (** shared translation-fragment cache; [None] re-generates every
           fragment per job *)
@@ -50,7 +49,7 @@ type config = {
 }
 
 val default_config : config
-(** No caches, no attribution, [jobs = 1]. *)
+(** No caches, no attribution. *)
 
 val with_cache : ?capacity:int -> config -> config
 (** [default: 256] — attach a fresh verdict cache, a fresh fragment
@@ -82,7 +81,7 @@ val run : ?cancel:(unit -> bool) -> config -> Job.request -> Job.outcome
       misses are attributed to the fragments that changed;
     + realize the plan through the shared fragment cache and explore
       with the request's state budget, wall-clock budget (deadline
-      [now + timeout_s]) and [cancel] polled between merge steps;
+      [now + timeout_s]) and [cancel] polled before every expansion;
     + on a truncated exploration, degrade: [Cancelled] if [cancel]
       fired, otherwise the {!Fallback} analytic ladder produces a
       qualified [Bounded] or [Unknown] verdict ([degraded = true]);

@@ -3,9 +3,8 @@
     Jobs are submitted with a priority ({!Job.request.priority}) and
     drained by {!run_all}, which executes them over a {!Versa.Pool} of
     worker domains: higher-priority jobs start first, ties break by
-    submission order.  Each job may additionally parallelise its own
-    exploration ({!Runner.config.jobs}), so total domain use is
-    [workers * per-job jobs]; keep the product near the core count.
+    submission order.  Each job explores on the domain that runs it, so
+    keep [workers] near the core count.
 
     Concurrent jobs are safe because every shared structure below the
     runner is domain-safe: each exploration owns its intern table,
@@ -13,8 +12,9 @@
     lock.
 
     Cancellation is cooperative: {!cancel} flips a flag that is checked
-    before the job starts and polled between exploration merge steps, so
-    a running job stops at the next merge and reports [Cancelled]. *)
+    before the job starts and polled before every expansion of its
+    exploration, so a running job stops at the next state and reports
+    [Cancelled]. *)
 
 type t
 
@@ -32,7 +32,7 @@ val submit : t -> Job.request -> handle
 val cancel : handle -> unit
 (** Request cancellation.  Already-completed jobs are unaffected;
     pending jobs complete immediately as [Cancelled]; a running job
-    stops at its next exploration merge step. *)
+    stops before its next expansion. *)
 
 val outcome : handle -> Job.outcome option
 (** [None] until the job has completed. *)

@@ -36,25 +36,23 @@ let deadlock_verdict lts =
            Fmt.str "wall-clock budget expired after %d states" n
          else Fmt.str "state budget exhausted after %d states" n)
 
+(* [jobs] is a shim for perfbench's [~jobs:1]: exploration is
+   sequential, so it accepts only 1. *)
 let check_deadlock ?(engine = On_the_fly) ?(max_states = 2_000_000)
     ?(stop_at_deadlock = true) ?(jobs = 1) ?deadline ?poll
     ?(symmetry = Acsr.Symmetry.empty) defs root =
+  if jobs <> 1 then
+    invalid_arg "Explorer.check_deadlock: ~jobs must be 1";
   Obs.Span.with_ ~name:"explore"
     ~attrs:
       [ ("engine", match engine with Full -> "full" | On_the_fly -> "otf") ]
   @@ fun () ->
   let t0 = Timed.Clock.gettimeofday () in
   let config =
-    {
-      Lts.default_config with
-      max_states = Some max_states;
-      stop_at_deadlock;
-      deadline;
-      poll;
-    }
+    { Lts.max_states = Some max_states; stop_at_deadlock; deadline; poll }
   in
   let lts =
-    Lts.build ~config ~semantics:Lts.Prioritized ~jobs ~symmetry
+    Lts.build ~config ~semantics:Lts.Prioritized ~symmetry
       ~edges:(engine = Full) defs root
   in
   let verdict = deadlock_verdict lts in

@@ -44,21 +44,22 @@ val check_deadlock :
     (default [true]) stops at the first deadlock; with [false] the space
     is explored exhaustively (up to [max_states], default 2M).
 
-    [jobs] (default 1) is the number of domains computing successor
-    rows, forwarded to {!Lts.build}; it changes throughput only —
-    verdicts, deadlock ids and traces are bit-identical at any [jobs]
-    (the determinism contract in {!Lts}).
+    The exploration runs on the calling domain.  [jobs] (default 1)
+    remains only because perfbench passes [~jobs:1]; it is removed
+    together with that call, and any other value is rejected.
 
     [deadline] is an absolute bound on the ambient {!Timed.Clock}
     scale: past it the exploration truncates and the verdict is
     [Inconclusive "wall-clock budget expired …"], never a hang.  [poll]
-    is a cooperative cancellation hook checked between merge steps
+    is a cooperative cancellation hook checked before every expansion
     ({!Lts.build_config}).
 
     [symmetry] (default {!Acsr.Symmetry.empty}) enables orbit reduction
     — see the {!Lts} preamble.  Verdicts and trace lengths are
     unchanged; traces are de-canonicalized before being returned, so
-    failing scenarios name the real model's threads. *)
+    failing scenarios name the real model's threads.
+
+    @raise Invalid_argument when [jobs] is not 1. *)
 
 val deadlock_verdict : Lts.t -> verdict
 (** Derive the verdict from an already-explored LTS. *)

@@ -23,13 +23,10 @@
    materialized only when a caller asks for it ([term], DOT export,
    trace replay).
 
-   Parallelism ([jobs] > 1) only moves successor computation off the
-   calling domain: once enough states are queued, the next queued states'
-   rows are computed in one [Pool.run] batch, and the sequential merge
-   loop consumes them in queue order.  Interning, parent assignment,
-   budget and truncation checks all stay in that one loop, so a parallel
-   build produces bit-identical ids, parents, depths, rows, verdicts and
-   traces to the sequential one (checked by the test suite). *)
+   The exploration runs on the calling domain: one loop expands the
+   queued states in id order and interns their successors, so ids,
+   parents, rows, verdicts and traces are determined by the model and
+   the configuration alone. *)
 
 open Acsr
 
@@ -129,10 +126,9 @@ type semantics = Prioritized | Unprioritized
 type state_id = int
 
 type stats = {
-  jobs : int;
   wall_s : float;  (** total build time *)
-  expand_s : float;  (** computing successor rows (the parallel part) *)
-  merge_s : float;  (** interning + BFS bookkeeping (sequential part) *)
+  expand_s : float;  (** computing successor rows *)
+  merge_s : float;  (** interning + BFS bookkeeping *)
   num_states : int;
   num_transitions : int;
   num_deadlocks : int;
@@ -156,14 +152,6 @@ type stats = {
 
 let states_per_sec s =
   if s.wall_s > 0. then float_of_int s.num_states /. s.wall_s else 0.
-
-let dedup_hit_rate s =
-  let total = s.intern_hits + s.intern_misses in
-  if total = 0 then 0. else float_of_int s.intern_hits /. float_of_int total
-
-let bytes_per_state s =
-  if s.num_states = 0 then 0.
-  else float_of_int s.store_bytes /. float_of_int s.num_states
 
 (* One registry write-out per exploration, at the end of the run — hot
    loops never touch the registry except for the frontier histogram. *)
@@ -189,16 +177,6 @@ let publish_stats s =
     Obs.Histogram.observe Metrics.canon_seconds s.canon_s;
   Obs.Histogram.observe Metrics.wall s.wall_s
 
-(* One state's expansion: its successor row (canonical under symmetry
-   reduction) and the orbit tallies of canonicalizing it, zero without
-   symmetry. *)
-type expansion = {
-  row : (Step.t * Node.t array) list;
-  folded : int;  (* successors moved onto a different representative *)
-  kept : int;  (* successors that were already canonical *)
-  canon_time : float;  (* seconds spent canonicalizing this row *)
-}
-
 let step_function semantics cache ~views defs frame =
   Semantics.successors ~cache ~prioritize:(semantics = Prioritized) ~views defs
     frame
@@ -209,9 +187,7 @@ let step_function semantics cache ~views defs frame =
    which parallel slots hold interchangeable components, with which
    generated names), every successor is canonicalized *before* the
    visited-set lookup, so the exploration visits one representative per
-   orbit.  Canonicalization ([canon_row]) is part of computing a row, on
-   whichever domain computes it, and is deterministic — so reduction
-   composes with [jobs] and the bit-identity argument is unchanged.
+   orbit.  Canonicalization ([canon_row]) is part of computing a row.
 
    Soundness: each spec member is equal to its class representative up
    to a renaming of generated names, so permuting member slots while
@@ -291,26 +267,12 @@ module Sym = struct
         in
         go [] [] row
 
-  (* Canonicalize one raw successor row.  The tallies travel with the
-     row instead of living in shared counters, so the merge loop counts
-     exactly the rows it consumes, whichever domain computed them. *)
-  let canon_row s row =
-    if row = [] then { row; folded = 0; kept = 0; canon_time = 0. }
-    else begin
-      let t0 = Timed.Clock.gettimeofday () in
-      let folded = ref 0 in
-      (* the kernel's successor vectors are fresh: canonicalize them in
-         place *)
-      List.iter
-        (fun (_, v) -> if canon s v then incr folded)
-        row;
-      {
-        row = dedup row;
-        folded = !folded;
-        kept = List.length row - !folded;
-        canon_time = Timed.Clock.gettimeofday () -. t0;
-      }
-    end
+  (* Canonicalize one raw successor row; the kernel's successor vectors
+     are fresh, so in place.  [hits] counts the successors moved onto a
+     different representative, [misses] those already canonical. *)
+  let canon_row s ~hits ~misses row =
+    List.iter (fun (_, v) -> if canon s v then incr hits else incr misses) row;
+    dedup row
 
   let canonical_root s =
     let v = Array.copy s.root in
@@ -467,7 +429,6 @@ let term lts id =
   Hproc.to_proc (Frame.materialize lts.frame v)
 let has_edges lts = lts.store.Store.edges
 let truncated lts = lts.truncated
-let semantics_of lts = lts.semantics
 let stats lts = lts.stats
 let deadlocks lts = lts.deadlock_ids
 
@@ -506,26 +467,22 @@ type build_config = {
   max_states : int option;  (** stop after discovering this many states *)
   stop_at_deadlock : bool;
       (** stop expanding as soon as one deadlock has been discovered *)
-  parallel_cutover : int;
-      (** frontier width below which expansion stays sequential even when
-          [jobs > 1] *)
   deadline : float option;
       (** absolute time on the ambient [Timed.Clock] scale past which
           the exploration stops and reports truncation — the time-domain
           twin of [max_states] *)
   poll : (unit -> bool) option;
-      (** cooperative stop hook, checked between merge steps: returning
+      (** cooperative stop hook, checked before every expansion: returning
           [true] truncates the run (job cancellation in the service
           layer) *)
 }
 
 let default_config =
   { max_states = Some 2_000_000; stop_at_deadlock = false;
-    parallel_cutover = 512; deadline = None; poll = None }
+    deadline = None; poll = None }
 
-(* The exploration's stop predicate.  [deadline] and [poll] are
-   evaluated in the sequential merge only, so they cannot perturb
-   parallel expansion; both are [None] on the default path and then cost
+(* The exploration's stop predicate, checked before every expansion.
+   [deadline] and [poll] are [None] on the default path and then cost
    nothing. *)
 let budget_stop config ~len ~deadline_hit () =
   (match config.max_states with Some m -> len >= m | None -> false)
@@ -536,107 +493,15 @@ let budget_stop config ~len ~deadline_hit () =
      | Some _ | None -> false)
   || (match config.poll with Some p -> p () | None -> false)
 
-(* Parallel expansion behind [build]'s merge loop.
-
-   The merge loop asks for one state's expansion at a time, in queue
-   order.  With [jobs] = 1, or while fewer than [cutover] states are
-   queued, that is a direct call to [expand].  Otherwise the next queued
-   states, at most [cap] of them, are expanded in one [Pool.run] batch
-   across [jobs - 1] worker domains plus the calling domain, and the
-   merge loop then consumes the stored expansions in order.  Each slot
-   holds the expansion, or the exception (with its backtrace) that
-   computing it raised; the exception is re-raised only when the merge
-   reaches that state — exactly where a sequential run raises — and
-   never when a stop check ends the run first.
-
-   Domains only pay off on wide frontiers: spawning them costs
-   milliseconds, and once they exist every minor GC is a stop-the-world
-   rendezvous across all of them.  So the pool is created on the first
-   batch, never on a run that stays below the cutover.  The cap bounds
-   how far a batch runs ahead of the stop checks ([deadline], [poll]),
-   which the merge loop evaluates before every state. *)
-module Batch = struct
-  let cap = 256
-
-  type slot = (expansion, exn * Printexc.raw_backtrace) result
-
-  type t = {
-    jobs : int;
-    cutover : int;
-    expand : Node.t array -> expansion;
-    mutable pool : Pool.t option;
-    mutable slots : slot array;
-    mutable base : int;  (* state id held by [slots.(0)] *)
-    mutable filled : int;  (* slots of the current batch *)
-    mutable expand_s : float;
-  }
-
-  let create ~jobs ~cutover expand =
-    {
-      jobs;
-      cutover = max 1 cutover;
-      expand;
-      pool = None;
-      slots = [||];
-      base = 0;
-      filled = 0;
-      expand_s = 0.;
-    }
-
-  (* Expand states [from, from + n) of [store] into the slots. *)
-  let fill b store ~from n =
-    let pool =
-      match b.pool with
-      | Some p -> p
-      | None ->
-          let p = Pool.create (b.jobs - 1) in
-          b.pool <- Some p;
-          b.slots <-
-            Array.make cap
-              (Ok { row = []; folded = 0; kept = 0; canon_time = 0. });
-          p
-    in
-    Pool.run pool n (fun i ->
-        b.slots.(i) <-
-          (match b.expand (Store.state store (from + i)) with
-          | e -> Ok e
-          | exception exn -> Error (exn, Printexc.get_raw_backtrace ())));
-    b.base <- from;
-    b.filled <- n
-
-  (* The expansion of state [id], the next one the merge consumes. *)
-  let get b store id =
-    let t0 = Timed.Clock.gettimeofday () in
-    let len = Store.length store in
-    if id >= b.base + b.filled && b.jobs > 1 && len - id >= b.cutover then
-      fill b store ~from:id (min cap (len - id));
-    let e =
-      if id < b.base + b.filled then
-        match b.slots.(id - b.base) with
-        | Ok e -> e
-        | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt
-      else b.expand (Store.state store id)
-    in
-    b.expand_s <- b.expand_s +. (Timed.Clock.gettimeofday () -. t0);
-    e
-
-  let shutdown b = Option.iter Pool.shutdown b.pool
-end
-
 let pp_semantics ppf = function
   | Prioritized -> Fmt.string ppf "prioritized"
   | Unprioritized -> Fmt.string ppf "unprioritized"
 
-let span_attrs semantics jobs =
-  [ ("semantics", Fmt.str "%a" pp_semantics semantics);
-    ("jobs", string_of_int jobs) ]
-
-let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
+let build ?(config = default_config) ?(semantics = Prioritized)
     ?(symmetry = Symmetry.empty) ?(edges = true) defs root =
-  let jobs = max 1 jobs in
   Obs.Span.with_
     ~name:(if edges then "lts.build" else "lts.check")
-    ~attrs:(span_attrs semantics jobs)
+    ~attrs:[ ("semantics", Fmt.str "%a" pp_semantics semantics) ]
   @@ fun () ->
   let t_start = Timed.Clock.gettimeofday () in
   let cache = Semantics.make_cache () in
@@ -650,11 +515,16 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
       ~views:(match sym with None -> Semantics.no_views | Some s -> s.Sym.views)
       defs frame
   in
+  let orbit_hits = ref 0 and orbit_misses = ref 0 and canon_s = ref 0. in
   let expand slots =
     let row = raw_next slots in
     match sym with
-    | None -> { row; folded = 0; kept = 0; canon_time = 0. }
-    | Some s -> Sym.canon_row s row
+    | Some s when row <> [] ->
+        let t0 = Timed.Clock.gettimeofday () in
+        let row = Sym.canon_row s ~hits:orbit_hits ~misses:orbit_misses row in
+        canon_s := !canon_s +. (Timed.Clock.gettimeofday () -. t0);
+        row
+    | Some _ | None -> row
   in
   let store = Store.create ~edges in
   let truncated = ref false in
@@ -670,8 +540,7 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   let over_budget () =
     budget_stop config ~len:(Store.length store) ~deadline_hit ()
   in
-  let batch = Batch.create ~jobs ~cutover:config.parallel_cutover expand in
-  let orbit_hits = ref 0 and orbit_misses = ref 0 and canon_s = ref 0. in
+  let expand_s = ref 0. in
   (* BFS levels are contiguous id ranges (ids are assigned in discovery
      order), so depth tracking needs two counters, not an array: when the
      merge crosses [level_end], every state of the current depth has been
@@ -681,57 +550,47 @@ let build ?(config = default_config) ?(semantics = Prioritized) ?(jobs = 1)
   let level_end = ref 1 in
   let early_exit_depth = ref None in
   let head = ref 0 in
-  Fun.protect
-    ~finally:(fun () -> Batch.shutdown batch)
-    (fun () ->
-      (* The BFS queue is implicit: the queue contents are exactly the
-         ids [head .. len).  This loop is the sequential exploration;
-         [Batch.get] may have computed a state's expansion ahead of time
-         on another domain, but interning, parent assignment, the orbit
-         tallies and the stop checks are order-sensitive and happen here
-         only. *)
-      let stop = ref false in
-      while (not !stop) && !head < Store.length store do
-        let frontier = Store.length store - !head in
-        if frontier > !peak_frontier then peak_frontier := frontier;
-        Obs.Histogram.observe Metrics.frontier (float_of_int frontier);
-        if (config.stop_at_deadlock && !deadlock_found) || over_budget ()
-        then begin
-          (* leave this state (and every later one) unexpanded; the
-             exploration is incomplete *)
-          truncated := true;
-          stop := true
-        end
-        else begin
-          let id = !head in
-          if id >= !level_end then begin
-            incr depth;
-            level_end := Store.length store
-          end;
-          let e = Batch.get batch store id in
-          let s = e.row in
-          orbit_hits := !orbit_hits + e.folded;
-          orbit_misses := !orbit_misses + e.kept;
-          canon_s := !canon_s +. e.canon_time;
-          if s = [] then begin
-            deadlock_found := true;
-            deadlock_ids_rev := id :: !deadlock_ids_rev;
-            if config.stop_at_deadlock && !early_exit_depth = None then
-              early_exit_depth := Some !depth
-          end;
-          Store.expand store id s;
-          transitions := !transitions + List.length s;
-          incr head
-        end
-      done);
+  (* The BFS queue is implicit: the queue contents are exactly the ids
+     [head .. len).  An exception from an expansion propagates from the
+     state that raised it. *)
+  let stop = ref false in
+  while (not !stop) && !head < Store.length store do
+    let frontier = Store.length store - !head in
+    if frontier > !peak_frontier then peak_frontier := frontier;
+    Obs.Histogram.observe Metrics.frontier (float_of_int frontier);
+    if (config.stop_at_deadlock && !deadlock_found) || over_budget () then begin
+      (* leave this state (and every later one) unexpanded; the
+         exploration is incomplete *)
+      truncated := true;
+      stop := true
+    end
+    else begin
+      let id = !head in
+      if id >= !level_end then begin
+        incr depth;
+        level_end := Store.length store
+      end;
+      let t0 = Timed.Clock.gettimeofday () in
+      let s = expand (Store.state store id) in
+      expand_s := !expand_s +. (Timed.Clock.gettimeofday () -. t0);
+      if s = [] then begin
+        deadlock_found := true;
+        deadlock_ids_rev := id :: !deadlock_ids_rev;
+        if config.stop_at_deadlock && !early_exit_depth = None then
+          early_exit_depth := Some !depth
+      end;
+      Store.expand store id s;
+      transitions := !transitions + List.length s;
+      incr head
+    end
+  done;
   let n = Store.length store in
   let wall_s = Timed.Clock.gettimeofday () -. t_start in
   let stats =
     {
-      jobs;
       wall_s;
-      expand_s = batch.Batch.expand_s;
-      merge_s = wall_s -. batch.Batch.expand_s;
+      expand_s = !expand_s;
+      merge_s = wall_s -. !expand_s;
       num_states = n;
       num_transitions = !transitions;
       num_deadlocks = List.length !deadlock_ids_rev;
@@ -783,31 +642,3 @@ let pp_summary ppf lts =
      else " [truncated]")
     pp_semantics lts.semantics
     (if has_edges lts then "" else ", on-the-fly")
-
-let pp_stats ppf s =
-  Fmt.pf ppf
-    "@[<v>exploration: %d states, %d transitions, %d deadlocks in %.3fs \
-     (%.0f states/sec, %d jobs)@,\
-     phases: expand %.3fs, merge %.3fs@,\
-     frontier peak %d, BFS levels %d@,\
-     state dedup: %d hits / %d misses (%.1f%% hit-rate)@,\
-     state store: ~%d KiB (~%.0f bytes/state)@,\
-     hash-cons table: %d nodes%a%a%a@]"
-    s.num_states s.num_transitions s.num_deadlocks s.wall_s
-    (states_per_sec s) s.jobs s.expand_s s.merge_s s.peak_frontier
-    s.depth_levels s.intern_hits s.intern_misses
-    (100. *. dedup_hit_rate s)
-    (s.store_bytes / 1024) (bytes_per_state s) s.hashcons_nodes
-    (fun ppf s ->
-      if s.orbit_hits > 0 || s.orbit_misses > 0 then
-        Fmt.pf ppf
-          "@,symmetry: %d orbit hits / %d misses, canonicalization %.3fs"
-          s.orbit_hits s.orbit_misses s.canon_s)
-    s
-    Fmt.(
-      option (fun ppf d -> pf ppf "@,early exit at BFS depth %d" d))
-    s.early_exit_depth
-    Fmt.(
-      fun ppf expired ->
-        if expired then pf ppf "@,wall-clock budget expired")
-    s.deadline_expired

@@ -23,24 +23,10 @@
     unschedulable model is decided in time proportional to the distance
     to the first deadline miss.
 
-    {2 Parallel exploration and the determinism contract}
-
-    With [?jobs > 1], once at least [parallel_cutover] states are
-    queued, the builder computes the successor rows of the next queued
-    states (a fixed-size chunk) in one {!Pool.run} batch, on [jobs - 1]
-    worker domains plus the calling domain.  The sequential merge loop
-    then consumes those rows in queue order, exactly as if it had
-    computed them itself.
-
-    Results are therefore {e bit-identical} to a sequential run — same
-    state ids, parents, depths, successor rows, deadlock ids, verdicts,
-    shortest traces and orbit tallies, and the same exception should
-    successor computation raise.  Every order-sensitive decision —
-    interning, parent assignment, budget/deadline/early-exit checks —
-    happens in that one merge loop, in queue order; successor
-    computation is deterministic, so it does not matter which domain
-    ran it.  Parallelism can only affect throughput, never results
-    (asserted by the test suite's jobs-equivalence properties).
+    The exploration runs on the calling domain.  Ids, parents, depths,
+    successor rows, deadlock ids, verdicts and shortest traces are
+    determined by the term, the configuration and the symmetry spec
+    alone.
 
     {2 Symmetry (orbit) reduction}
 
@@ -53,9 +39,7 @@
     preserved exactly — canonicalization is an automorphism of the
     transition system — while visited-state counts shrink by up to the
     product of the orbit class factorials.  Canonicalization is part of
-    computing a successor row, on whichever domain computes it, so
-    reduction composes with [jobs] and the bit-identity contract above
-    is unchanged for any fixed [symmetry] spec.  The store keeps every
+    computing a successor row.  The store keeps every
     member's slots in its class representative's names, so the members
     of a class share slot nodes and each local state is compiled once
     per class; the kernel still emits real labels, and {!term} renames
@@ -82,10 +66,9 @@ type t
     [--stats] CLI flag and perfbench's per-layer ledger. *)
 
 type stats = {
-  jobs : int;  (** parallelism the LTS was built with *)
   wall_s : float;  (** total build time, seconds *)
-  expand_s : float;  (** successor computation (the parallel phase) *)
-  merge_s : float;  (** interning and BFS bookkeeping (sequential phase) *)
+  expand_s : float;  (** successor computation, canonicalization included *)
+  merge_s : float;  (** interning and BFS bookkeeping: [wall_s - expand_s] *)
   num_states : int;
   num_transitions : int;
   num_deadlocks : int;
@@ -119,29 +102,13 @@ type stats = {
       (** successors the symmetry reduction folded onto a different
           orbit representative — the per-successor win of the reduction;
           0 when symmetry is off or the model has no interchangeable
-          components.  Counted over the rows the exploration consumed,
-          so it is the same at every [jobs] *)
+          components *)
   orbit_misses : int;
       (** successors that were already orbit-canonical *)
-  canon_s : float;
-      (** time spent canonicalizing the consumed rows (summed across
-          domains) *)
+  canon_s : float;  (** time spent canonicalizing successor rows *)
 }
 
 val stats : t -> stats
-
-val states_per_sec : stats -> float
-(** [num_states / wall_s]; the throughput figure tracked across PRs. *)
-
-val dedup_hit_rate : stats -> float
-(** Fraction of successor interns that deduplicated into an existing
-    state, in [0,1].  High values mean the state graph re-converges often
-    (typical of periodic workloads). *)
-
-val bytes_per_state : stats -> float
-(** [store_bytes / num_states]. *)
-
-val pp_stats : stats Fmt.t
 
 (** {1 Accessors} *)
 
@@ -174,8 +141,6 @@ val truncated : t -> bool
 (** True when exploration stopped early (state budget exhausted or
     [stop_at_deadlock] fired); absence of deadlocks is then inconclusive. *)
 
-val semantics_of : t -> semantics
-
 val is_deadlock : t -> state_id -> bool
 (** The state was expanded and has no outgoing transition.
     @raise Invalid_argument when explored with [~edges:false]. *)
@@ -193,16 +158,10 @@ type build_config = {
   max_states : int option;  (** stop after discovering this many states *)
   stop_at_deadlock : bool;
       (** stop expanding as soon as one deadlock has been discovered *)
-  parallel_cutover : int;
-      (** number of queued states below which the run stays sequential
-          even when [jobs > 1]; the worker pool is created on the first
-          batch.  Small state spaces never pay the domain spawn and
-          cross-domain GC cost this way, and a run that never reaches
-          the cutover is exactly the sequential build. *)
   deadline : float option;
       (** wall-clock budget as an absolute time on the ambient
           {!Timed.Clock} scale — the time-domain twin of [max_states].
-          When it passes, the exploration stops at the next merge step
+          When it passes, the exploration stops before the next expansion
           and reports [truncated] with [stats.deadline_expired]; the
           explored prefix (states, parents, traces) remains valid.
           Under the real clock a deadline makes the {e amount explored}
@@ -213,21 +172,20 @@ type build_config = {
           how the timeout test suite runs second-scale budgets in
           wall-clock milliseconds. *)
   poll : (unit -> bool) option;
-      (** cooperative stop hook, called before every merge step (never
-          from worker domains).  Returning [true] truncates the
+      (** cooperative stop hook, called before every expansion.
+          Returning [true] truncates the
           run exactly like an exhausted budget; the service layer points
           this at a job's cancellation flag.  Must be cheap and
           side-effect-free. *)
 }
 
 val default_config : build_config
-(** 2M states, explore exhaustively, cutover at 512 queued states, no
-    wall-clock deadline, no poll hook. *)
+(** 2M states, explore exhaustively, no wall-clock deadline, no poll
+    hook. *)
 
 val build :
   ?config:build_config ->
   ?semantics:semantics ->
-  ?jobs:int ->
   ?symmetry:Symmetry.spec ->
   ?edges:bool ->
   Defs.t ->
@@ -248,15 +206,9 @@ val build :
     explored term: its slot layout and renamings come from the same
     translation that produced [defs] and the root.
 
-    [jobs] (default 1) is the number of domains that compute successor
-    rows: [jobs - 1] pool workers plus the calling domain, which also
-    runs the sequential merge.  The pool is only created once
-    [config.parallel_cutover] states are queued.  Parallelism only
-    affects throughput, never results — see the determinism contract in
-    the module preamble.  An exception raised while computing a row is
-    kept with that row and re-raised (with its backtrace) when the merge
-    reaches the state, exactly where a sequential run raises; a run that
-    stops before reaching the state returns normally. *)
+    An exception raised while expanding a state propagates from
+    [build] when the loop reaches that state; a run that stops before
+    it returns normally. *)
 
 val pp_summary : t Fmt.t
 (** One-line summary: state/transition counts, [[early exit]] when

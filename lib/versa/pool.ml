@@ -1,13 +1,12 @@
 (* A small persistent pool of worker domains for data-parallel loops.
 
-   [Lts.build] expands queued states in chunks and the service
-   scheduler runs its jobs in batches; each is a [run pool n f] call
-   that evaluates [f 0 .. f (n-1)] across the workers plus the calling
-   domain, pulling indices from a shared atomic counter (dynamic
-   scheduling — the items are irregular, some states unfold far more
-   definitions than others).  Workers persist across [run] calls, so
-   per-batch overhead is a broadcast on a condition variable rather
-   than a domain spawn.
+   The service scheduler runs its jobs in batches; each is a
+   [run pool n f] call that evaluates [f 0 .. f (n-1)] across the
+   workers plus the calling domain, pulling indices from a shared
+   atomic counter (dynamic scheduling — the items are irregular, some
+   models cost far more than others).  Workers persist across [run]
+   calls, so per-batch overhead is a broadcast on a condition variable
+   rather than a domain spawn.
 
    Exceptions raised by [f] are captured — first one wins — and
    re-raised in the caller once the batch has drained, so a failing

@@ -3,14 +3,12 @@
     {!run} evaluates a function over an index range, indices claimed
     dynamically from a shared atomic counter by the workers and the
     calling domain alike.  The service layer's batch scheduler runs its
-    jobs this way, and {!Lts.build} expands chunks of queued states.
+    jobs this way.
 
     Workers live for the lifetime of the pool, so issuing a batch costs
     a condition-variable broadcast, not a domain spawn.  Spawning is the
     cheap part of the cost of a pool; the recurring part is that every
-    minor GC becomes a stop-the-world rendezvous across all domains,
-    which is why the explorer only creates its pool once
-    [parallel_cutover] states are queued. *)
+    minor GC becomes a stop-the-world rendezvous across all domains. *)
 
 type t
 

@@ -1,9 +1,9 @@
-(* Tests for the hash-consed parallel explorer.
+(* Tests for the hash-consed explorer.
 
    Two families of guarantees:
-   - a parallel build ([~jobs:4]) is bit-identical to the sequential one —
-     same state numbering, edges, depths, deadlocks and shortest traces —
-     on the reference models and on random terms;
+   - exploring without successor rows agrees with the full build on
+     state numbering, deadlocks and shortest traces, on the reference
+     models and on random terms;
    - the hash-consed semantics engine agrees term-for-term with the
      reference engine ([Semantics.steps]/[prioritized]), and the [Hproc]
      layer is a faithful embedding of [Proc]. *)
@@ -17,30 +17,7 @@ let e_int n = Expr.Int n
 let action accesses =
   Action.of_list (List.map (fun (r, p) -> (r, e_int p)) accesses)
 
-(* {1 Sequential vs parallel builds on the reference models} *)
-
-let check_identical name (a : Versa.Lts.t) (b : Versa.Lts.t) =
-  Alcotest.(check int)
-    (name ^ ": states") (Versa.Lts.num_states a) (Versa.Lts.num_states b);
-  Alcotest.(check int)
-    (name ^ ": transitions")
-    (Versa.Lts.num_transitions a)
-    (Versa.Lts.num_transitions b);
-  Alcotest.(check bool)
-    (name ^ ": truncated") (Versa.Lts.truncated a) (Versa.Lts.truncated b);
-  Alcotest.(check (list int))
-    (name ^ ": deadlocks") (Versa.Lts.deadlocks a) (Versa.Lts.deadlocks b);
-  for id = 0 to Versa.Lts.num_states a - 1 do
-    if Versa.Lts.depth a id <> Versa.Lts.depth b id then
-      Alcotest.failf "%s: depth of state %d differs" name id;
-    if Versa.Lts.successors a id <> Versa.Lts.successors b id then
-      Alcotest.failf "%s: successors of state %d differ" name id
-  done;
-  List.iter
-    (fun d ->
-      if Versa.Lts.path_to a d <> Versa.Lts.path_to b d then
-        Alcotest.failf "%s: shortest trace to deadlock %d differs" name d)
-    (Versa.Lts.deadlocks a)
+(* {1 Reference models} *)
 
 let tr_of text =
   let tr = Translate.Pipeline.translate (Aadl.Instantiate.of_string text) in
@@ -80,32 +57,6 @@ let reference_models () =
     ("cruise control overloaded", overload, stop);
     ("crossover set", crossover, stop);
   ]
-
-let test_parallel_build_identical () =
-  List.iter
-    (fun (name, (defs, system), config) ->
-      let seq = Versa.Lts.build ~config ~jobs:1 defs system in
-      let par4 = Versa.Lts.build ~config ~jobs:4 defs system in
-      let par2 = Versa.Lts.build ~config ~jobs:2 defs system in
-      check_identical (name ^ " (jobs=4)") seq par4;
-      check_identical (name ^ " (jobs=2)") seq par2)
-    (reference_models ())
-
-let test_parallel_verdict_identical () =
-  List.iter
-    (fun (name, (defs, system), _) ->
-      let seq = Versa.Explorer.check_deadlock ~jobs:1 defs system in
-      let par = Versa.Explorer.check_deadlock ~jobs:4 defs system in
-      let describe (r : Versa.Explorer.result) =
-        match r.Versa.Explorer.verdict with
-        | Versa.Explorer.Deadlock_free -> "deadlock-free"
-        | Versa.Explorer.Deadlock { state; trace } ->
-            Fmt.str "deadlock at %d, trace length %d" state
-              (Versa.Trace.length trace)
-        | Versa.Explorer.Inconclusive why -> "inconclusive: " ^ why
-      in
-      Alcotest.(check string) (name ^ ": verdict") (describe seq) (describe par))
-    (reference_models ())
 
 (* {1 Hash-consed semantics vs the reference engine, on LTS states}
 
@@ -404,7 +355,6 @@ let agreement_inputs () =
 let stats_fingerprint (s : Versa.Lts.stats) =
   let open Versa.Lts in
   ( [
-      s.jobs;
       s.num_states;
       s.num_transitions;
       s.num_deadlocks;
@@ -492,53 +442,22 @@ let test_stats_independent_of_history () =
   if stats_fingerprint first <> stats_fingerprint (explore a) then
     Alcotest.fail "the second exploration of one model reports other stats"
 
-(* A cutover of 1 forces every multi-state frontier through the domain
-   pool, exercising the parallel path even on small models. *)
-let test_check_parallel_identical () =
-  List.iter
-    (fun (name, (defs, system), config) ->
-      let eager = { config with Versa.Lts.parallel_cutover = 1 } in
-      let seq = Versa.Lts.build ~config ~jobs:1 ~edges:false defs system in
-      let par =
-        Versa.Lts.build ~config:eager ~jobs:4 ~edges:false defs system
-      in
-      Alcotest.(check int)
-        (name ^ ": states")
-        (Versa.Lts.num_states seq) (Versa.Lts.num_states par);
-      Alcotest.(check (list int))
-        (name ^ ": deadlocks")
-        (Versa.Lts.deadlocks seq) (Versa.Lts.deadlocks par);
-      List.iter
-        (fun d ->
-          if Versa.Lts.path_to seq d <> Versa.Lts.path_to par d then
-            Alcotest.failf "%s: path to deadlock %d differs" name d)
-        (Versa.Lts.deadlocks seq))
-    (agreement_inputs ())
-
 (* The summary says which stop fired: [early exit] only when
    [stop_at_deadlock] ended the run, [truncated] when the state budget
    did, even after deadlocks were found. *)
-(* The exception contract of the parallel path.  [X] is an unguarded
-   definition, so expanding the state [X] raises.  At cutover 1 every
-   batch covers the whole queue, so a [jobs:2] run computes that state's
-   row (and its exception) as soon as the state is queued — possibly
-   long before the merge reaches it.  The exception must surface exactly
-   where the sequential run raises it, unwrapped, and not at all when a
-   stop check ends the run first. *)
-let test_parallel_exception_contract () =
+(* An exception from an expansion surfaces at the state that raised it.
+   [X] is an unguarded definition, so expanding the state [X] raises:
+   the exploration raises when it reaches that state, unwrapped, and
+   not at all when a stop check ends the run first. *)
+let test_expansion_exception_placement () =
   let defs = Defs.of_list [ ("X", [], Proc.call "X" []) ] in
   let x = Proc.call "X" [] in
   let ev l p = Proc.send (Label.make l) p in
-  let explore ?(stop_at_deadlock = false) ?max_states ~jobs root =
+  let explore ?(stop_at_deadlock = false) ?max_states root =
     let config =
-      {
-        Versa.Lts.default_config with
-        parallel_cutover = 1;
-        stop_at_deadlock;
-        max_states;
-      }
+      { Versa.Lts.default_config with stop_at_deadlock; max_states }
     in
-    Versa.Lts.build ~config ~jobs ~edges:false defs root
+    Versa.Lts.build ~config ~edges:false defs root
   in
   (* states: 0 root, 1 [e!.nil], 2 [d!.nil], 3 [X]; expanding 1 raises
      nothing, expanding 3 raises *)
@@ -546,28 +465,21 @@ let test_parallel_exception_contract () =
     Proc.choice_list
       [ ev "a" (ev "e" Proc.nil); ev "b" (ev "d" Proc.nil); ev "c" x ]
   in
-  List.iter
-    (fun jobs ->
-      Alcotest.check_raises
-        (Fmt.str "exhaustive run raises at jobs %d" jobs)
-        (Semantics.Unguarded_recursion "X")
-        (fun () -> ignore (explore ~jobs deep));
-      (* expanding state 1 discovers state 4, which exhausts a budget of
-         5 before the merge reaches states 2 and 3 *)
-      let budget = explore ~max_states:5 ~jobs deep in
-      Alcotest.(check bool)
-        (Fmt.str "budget stops before X at jobs %d" jobs)
-        true
-        (Versa.Lts.truncated budget && Versa.Lts.num_states budget = 5);
-      (* state 1 [nil] deadlocks before the merge reaches state 2 [X] *)
-      let early =
-        explore ~stop_at_deadlock:true ~jobs
-          (Proc.choice (ev "a" Proc.nil) (ev "c" x))
-      in
-      Alcotest.(check (list int))
-        (Fmt.str "early exit before X at jobs %d" jobs)
-        [ 1 ] (Versa.Lts.deadlocks early))
-    [ 1; 2 ]
+  Alcotest.check_raises "exhaustive run raises"
+    (Semantics.Unguarded_recursion "X")
+    (fun () -> ignore (explore deep));
+  (* expanding state 1 discovers state 4, which exhausts a budget of 5
+     before the loop reaches states 2 and 3 *)
+  let budget = explore ~max_states:5 deep in
+  Alcotest.(check bool)
+    "budget stops before X" true
+    (Versa.Lts.truncated budget && Versa.Lts.num_states budget = 5);
+  (* state 1 [nil] deadlocks before the loop reaches state 2 [X] *)
+  let early =
+    explore ~stop_at_deadlock:true (Proc.choice (ev "a" Proc.nil) (ev "c" x))
+  in
+  Alcotest.(check (list int)) "early exit before X" [ 1 ]
+    (Versa.Lts.deadlocks early)
 
 let test_summary_labels () =
   let defs, system = tr_of (Gen.e6_unsched 4) in
@@ -661,91 +573,6 @@ let test_example_models_agree () =
             (file ^ ": states (exhaustive)")
             (Versa.Explorer.num_states full_x)
             (Versa.Explorer.num_states otf_x))
-        models
-
-(* Parallel exploration across every example model: at jobs 2 and 4
-   (cutover 1, so the pool engages even on the small models) the
-   visited states, transitions, deadlock ids and counterexample paths
-   must be bit-identical to jobs 1, and the analysis layer's raised
-   scenario must not move either. *)
-let test_example_models_parallel_identical () =
-  match example_models_dir () with
-  | None -> Alcotest.fail "examples/models not found (missing dune deps?)"
-  | Some dir ->
-      let models =
-        Sys.readdir dir |> Array.to_list
-        |> List.filter (fun f -> Filename.check_suffix f ".aadl")
-        |> List.sort compare
-      in
-      Alcotest.(check bool) "found example models" true (models <> []);
-      List.iter
-        (fun file ->
-          let root = Aadl.Instantiate.of_string (read_model dir file) in
-          let tr = Translate.Pipeline.translate root in
-          let defs = tr.Translate.Pipeline.defs in
-          let system = tr.Translate.Pipeline.system in
-          let eager =
-            {
-              Versa.Lts.default_config with
-              max_states = Some 300_000;
-              parallel_cutover = 1;
-            }
-          in
-          let explore jobs =
-            Versa.Lts.build ~config:eager ~jobs ~edges:false defs system
-          in
-          let c1 = explore 1 in
-          List.iter
-            (fun jobs ->
-              let c = explore jobs in
-              Alcotest.(check int)
-                (Fmt.str "%s: states (jobs=%d)" file jobs)
-                (Versa.Lts.num_states c1) (Versa.Lts.num_states c);
-              Alcotest.(check int)
-                (Fmt.str "%s: transitions (jobs=%d)" file jobs)
-                (Versa.Lts.num_transitions c1)
-                (Versa.Lts.num_transitions c);
-              Alcotest.(check (list int))
-                (Fmt.str "%s: deadlocks (jobs=%d)" file jobs)
-                (Versa.Lts.deadlocks c1) (Versa.Lts.deadlocks c);
-              List.iter
-                (fun d ->
-                  if Versa.Lts.path_to c1 d <> Versa.Lts.path_to c d then
-                    Alcotest.failf "%s: path to deadlock %d differs (jobs=%d)"
-                      file d jobs)
-                (Versa.Lts.deadlocks c1))
-            [ 2; 4 ];
-          (* the raised scenario reported by the analysis layer is
-             jobs-invariant too *)
-          let analyze_jobs jobs =
-            Analysis.Schedulability.analyze
-              ~options:
-                {
-                  Analysis.Schedulability.default_options with
-                  max_states = 300_000;
-                  jobs;
-                }
-              root
-          in
-          let describe (r : Analysis.Schedulability.t) =
-            match r.Analysis.Schedulability.verdict with
-            | Analysis.Schedulability.Schedulable -> "schedulable"
-            | Analysis.Schedulability.Not_schedulable { scenario; trace } ->
-                Fmt.str "NOT schedulable at t=%d: %a (steps %a)"
-                  scenario.Analysis.Raise_trace.violation_time
-                  Analysis.Raise_trace.pp scenario
-                  Fmt.(list ~sep:semi Acsr.Step.pp)
-                  (Versa.Trace.steps trace)
-            | Analysis.Schedulability.Inconclusive why -> "inconclusive: " ^ why
-          in
-          let base = describe (analyze_jobs 1) in
-          List.iter
-            (fun jobs ->
-              Alcotest.(check string)
-                (Fmt.str "%s: raised scenario (jobs=%d)" file jobs)
-                base
-                (describe (analyze_jobs jobs)))
-            [ 2; 4 ])
         models
 
 (* {1 Property-based tests} *)
@@ -1081,79 +908,6 @@ let prop_check_early_exit_sound =
           d = d' && Versa.Lts.path_to c d = Versa.Lts.path_to lts d'
       | [], _ :: _ | _ :: _, [] -> false)
 
-let prop_parallel_build_agrees =
-  QCheck2.Test.make ~name:"build jobs=4 = build jobs=1" ~count:25
-    gen_proc_full (fun p ->
-      let l1 = Versa.Lts.build ~jobs:1 Defs.empty p in
-      let l4 = Versa.Lts.build ~jobs:4 Defs.empty p in
-      Versa.Lts.num_states l1 = Versa.Lts.num_states l4
-      && Versa.Lts.num_transitions l1 = Versa.Lts.num_transitions l4
-      && Versa.Lts.deadlocks l1 = Versa.Lts.deadlocks l4
-      && List.for_all
-           (fun id -> Versa.Lts.successors l1 id = Versa.Lts.successors l4 id)
-           (List.init (Versa.Lts.num_states l1) Fun.id))
-
-(* The parallel contract, on random terms: with a cutover of 1 every
-   expansion goes through a pool batch, and everything the LTS exposes —
-   ids, rows, depths, deadlocks, traces — must be bit-identical to the
-   sequential run at every jobs value. *)
-let lts_bit_identical l1 l2 =
-  Versa.Lts.num_states l1 = Versa.Lts.num_states l2
-  && Versa.Lts.num_transitions l1 = Versa.Lts.num_transitions l2
-  && Versa.Lts.truncated l1 = Versa.Lts.truncated l2
-  && Versa.Lts.deadlocks l1 = Versa.Lts.deadlocks l2
-  && List.for_all
-       (fun id ->
-         Versa.Lts.successors l1 id = Versa.Lts.successors l2 id
-         && Versa.Lts.depth l1 id = Versa.Lts.depth l2 id)
-       (List.init (Versa.Lts.num_states l1) Fun.id)
-  && List.for_all
-       (fun d -> Versa.Lts.path_to l1 d = Versa.Lts.path_to l2 d)
-       (Versa.Lts.deadlocks l1)
-
-let prop_parallel_build_bit_identical =
-  QCheck2.Test.make ~name:"parallel build jobs∈{2,4} = jobs=1"
-    ~count:20 gen_proc_full (fun p ->
-      let eager =
-        { Versa.Lts.default_config with parallel_cutover = 1 }
-      in
-      let l1 = Versa.Lts.build ~config:eager ~jobs:1 Defs.empty p in
-      List.for_all
-        (fun jobs ->
-          lts_bit_identical l1
-            (Versa.Lts.build ~config:eager ~jobs Defs.empty p))
-        [ 2; 4 ])
-
-let prop_parallel_early_exit_identical =
-  (* a batch may expand states past the first deadlock, but the merged
-     verdict — visited count, deadlock id, counterexample path — must
-     not move *)
-  QCheck2.Test.make
-    ~name:"parallel early exit jobs∈{2,4} = jobs=1" ~count:20
-    gen_proc_full (fun p ->
-      let eager =
-        {
-          Versa.Lts.default_config with
-          parallel_cutover = 1;
-          stop_at_deadlock = true;
-        }
-      in
-      let explore jobs =
-        Versa.Lts.build ~config:eager ~jobs ~edges:false Defs.empty p
-      in
-      let c1 = explore 1 in
-      List.for_all
-        (fun jobs ->
-          let c = explore jobs in
-          Versa.Lts.num_states c1 = Versa.Lts.num_states c
-          && Versa.Lts.num_transitions c1 = Versa.Lts.num_transitions c
-          && Versa.Lts.truncated c1 = Versa.Lts.truncated c
-          && Versa.Lts.deadlocks c1 = Versa.Lts.deadlocks c
-          && List.for_all
-               (fun d -> Versa.Lts.path_to c1 d = Versa.Lts.path_to c d)
-               (Versa.Lts.deadlocks c1))
-        [ 2; 4 ])
-
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1168,9 +922,6 @@ let qcheck_cases =
       prop_kernel_prioritized_agree;
       prop_wide_labels_steps_agree;
       prop_wide_labels_prioritized_agree;
-      prop_parallel_build_agrees;
-      prop_parallel_build_bit_identical;
-      prop_parallel_early_exit_identical;
       prop_check_agrees_with_build;
       prop_check_early_exit_sound;
     ]
@@ -1343,15 +1094,6 @@ let test_poll_cancels () =
 let () =
   Alcotest.run "explore"
     [
-      ( "parallel",
-        [
-          Alcotest.test_case "builds are identical" `Quick
-            test_parallel_build_identical;
-          Alcotest.test_case "verdicts are identical" `Quick
-            test_parallel_verdict_identical;
-          Alcotest.test_case "exception contract of the parallel path"
-            `Quick test_parallel_exception_contract;
-        ] );
       ( "engines",
         [
           Alcotest.test_case "agree on reachable states" `Quick
@@ -1367,14 +1109,12 @@ let () =
         [
           Alcotest.test_case "check matches build" `Quick
             test_check_matches_build;
-          Alcotest.test_case "parallel check is identical" `Quick
-            test_check_parallel_identical;
+          Alcotest.test_case "exception surfaces at its state" `Quick
+            test_expansion_exception_placement;
           Alcotest.test_case "summary names the stop" `Quick
             test_summary_labels;
           Alcotest.test_case "engines agree on example models" `Slow
             test_example_models_agree;
-          Alcotest.test_case "parallel build is identical on example models"
-            `Slow test_example_models_parallel_identical;
         ] );
       ( "budgets",
         [
