@@ -26,10 +26,12 @@ test-faults:
 # in the one transport that owns it (no Unix.socket outside
 # transport_socket.ml), and the front end and translation reject a
 # model only through Aadl.Diag.Error (no other exception declared in
-# lib/aadl or lib/translate), and lib/acsr holds no process-wide table:
-# no top-level value there builds a Hashtbl, Weak or Ephemeron table
-# (or a functor instance of one), an Atomic or a Mutex, so terms and
-# labels are interned only in tables an exploration owns and drops.
+# lib/aadl or lib/translate), and lib/acsr and lib/versa hold no
+# process-wide table: no top-level value there builds a Hashtbl, Weak or
+# Ephemeron table (or a functor instance of one), an Atomic or a Mutex,
+# so terms, labels and resources are numbered, and the successor
+# kernel's scratch and the visited set kept, only in tables an
+# exploration owns and drops.
 lint-invariants:
 	@bad=$$(grep -rn "Unix\.gettimeofday" lib bin bench --include='*.ml' --include='*.mli' \
 	  | grep -v "^lib/timed/" | grep -v "(\*" || true); \
@@ -54,9 +56,9 @@ lint-invariants:
 	  /^module [A-Z][A-Za-z0-9_]* = (Hashtbl|Weak|Ephemeron[.][A-Za-z0-9]+)[.]Make/ { mods = mods "|" $$2 } \
 	  /^[^ \t(]/ { value = ($$0 ~ /^(let|and)( rec)? [a-z_][A-Za-z0-9_]*( *:[^=]*)? *=/) && ($$0 !~ /= *(fun|function)( |$$)/) } \
 	  value && $$0 ~ ("(^|[^A-Za-z0-9_.])(" mods ")[.](create|make)([^A-Za-z0-9_]|$$)") { print FILENAME ":" FNR ":" $$0 }' \
-	  lib/acsr/*.ml); \
+	  lib/acsr/*.ml lib/versa/*.ml); \
 	if [ -n "$$bad" ]; then \
-	  echo "lint-invariants: top-level table, atomic or mutex in lib/acsr:"; \
+	  echo "lint-invariants: top-level table, atomic or mutex in lib/acsr or lib/versa:"; \
 	  echo "$$bad"; exit 1; \
 	fi
 	@missing=$$(grep -rhoE '"(versa|service|translate|analysis|runtime)_[a-z0-9_]+"' \

@@ -68,8 +68,7 @@ let split nodes root =
 let terms f = f.terms
 let restriction f = f.restriction
 
-let visible f id =
-  id >= Bytes.length f.hidden || Bytes.unsafe_get f.hidden id = '\000'
+let hidden f = f.hidden
 
 let width f = f.width
 let left_deep f = f.left_deep

@@ -29,9 +29,11 @@ val terms : t -> Hproc.table
 val restriction : t -> Label.Set.t option
 (** The labels the frame restricts, if the root was a [Restrict]. *)
 
-val visible : t -> int -> bool
-(** [visible f (Hproc.label_id (terms f) l)]: [l] is not restricted by
-    the frame.  A byte read. *)
+val hidden : t -> Bytes.t
+(** The frame's restriction by label id ({!Hproc.label_id} in
+    {!terms}): ['\001'] for a restricted label, ['\000'] for a visible
+    one; ids past its length are visible.  The successor kernel reads
+    it once per state and then tests bytes. *)
 
 val width : t -> int
 (** Number of slots. *)

@@ -18,9 +18,9 @@
 
    A table belongs to the exploration that creates it ([Semantics]'s
    cache) and is dropped with it, so nothing is interned process-wide.
-   It also numbers the exploration's labels.  One mutex, which the
-   exploration's other tables share ([protect]), lets several domains
-   build successors concurrently ([Versa.Lts]).  Node ids depend on
+   It also numbers the exploration's labels and resources.  One mutex,
+   which the exploration's other tables share ([protect]), lets several
+   domains build successors concurrently ([Versa.Lts]).  Node ids depend on
    interning order, so they are not deterministic across runs when
    several domains intern concurrently; canonical orderings must use
    [compare_structural], which mirrors [Stdlib.compare] on [Proc.t]. *)
@@ -129,6 +129,7 @@ type table = {
   lock : Mutex.t;
   terms : t Node_tbl.t;  (* ids are dense: a node's id is its rank *)
   labels : (Label.t, int) Hashtbl.t;
+  resources : (Resource.t, int) Hashtbl.t;
 }
 
 (* [Nil] has no children, so one node serves every table. *)
@@ -137,7 +138,12 @@ let nil = { id = 0; hash = node_hash Nil; node = Nil }
 let create () =
   let terms = Node_tbl.create 256 in
   Node_tbl.add terms Nil nil;
-  { lock = Mutex.create (); terms; labels = Hashtbl.create 64 }
+  {
+    lock = Mutex.create ();
+    terms;
+    labels = Hashtbl.create 64;
+    resources = Hashtbl.create 16;
+  }
 
 let protect tbl f = Mutex.protect tbl.lock f
 
@@ -153,14 +159,17 @@ let intern tbl node =
       Mutex.unlock tbl.lock;
       t
 
-let label_id tbl l =
+let number tbl ids x =
   protect tbl (fun () ->
-      match Hashtbl.find_opt tbl.labels l with
+      match Hashtbl.find_opt ids x with
       | Some i -> i
       | None ->
-          let i = Hashtbl.length tbl.labels in
-          Hashtbl.add tbl.labels l i;
+          let i = Hashtbl.length ids in
+          Hashtbl.add ids x i;
           i)
+
+let label_id tbl l = number tbl tbl.labels l
+let resource_id tbl r = number tbl tbl.resources r
 
 let size tbl = protect tbl (fun () -> Node_tbl.length tbl.terms)
 

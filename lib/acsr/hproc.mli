@@ -69,7 +69,8 @@ val compare_renamed :
 (** {1 Intern tables} *)
 
 type table
-(** One exploration's terms, and dense ids for its labels.  Domain-safe:
+(** One exploration's terms, and dense ids for its labels and
+    resources.  Domain-safe:
     one mutex guards it. *)
 
 val create : unit -> table
@@ -81,6 +82,10 @@ val protect : table -> (unit -> 'a) -> 'a
 
 val label_id : table -> Label.t -> int
 (** Dense per table, in order of first request. *)
+
+val resource_id : table -> Resource.t -> int
+(** Dense per table, in order of first request, numbered apart from the
+    labels. *)
 
 val size : table -> int
 (** Distinct nodes interned, {!nil} included. *)

@@ -5,9 +5,11 @@
     (paper, Sections 4–5).  A node holds what the successor kernel and
     orbit canonicalization would otherwise recompute or look up per
     state: the term's step set compiled into arrays, with each step's
-    target node cached on its edge once resolved.  After the first
-    states, expanding a state reads node fields only: no lock, no hash,
-    no string compare per slot.
+    target node cached on its edge once resolved, and into one int
+    array, its {!section-code}, which is all the kernel scans per state.
+    After the first states, expanding a state reads node fields only:
+    no lock, no hash, no string compare per slot, and no record of a
+    step that does not survive.
 
     Under an orbit reduction ({!Symmetry}) a member's slots hold their
     terms renamed into the class representative's names, so the
@@ -31,25 +33,15 @@ type t = private {
 }
 
 and steps = private {
+  code : int array;
+      (** the integers the successor kernel scans, so that a state's
+          scan reads one array per slot: see {!section-code} *)
   offers : offer array;  (** event steps *)
   taus : edge array;  (** internal steps *)
-  tau_ids : int array;
-      (** per internal step: the {!Hproc.label_id} of its [tau\@l]
-          label, or -1 for a plain [tau] *)
   timed : timed array;  (** timed actions *)
-  urgent : bool;  (** some internal step has a priority above 0 *)
-  ins : int;  (** the {!bit}s of the input offers' label ids *)
-  outs : int;  (** the {!bit}s of the output offers' label ids *)
 }
 
-and offer = private {
-  label : Label.t;
-  id : int;  (** {!Hproc.label_id} of [label] *)
-  dir : Event.dir;
-  prio : int;
-  edge : edge;
-}
-
+and offer = private { label : Label.t; edge : edge }
 and timed = private { action : Action.ground; tick : edge }
 
 and edge = private {
@@ -58,10 +50,45 @@ and edge = private {
   mutable target : t;  (** the node of [next]; {!dummy} until resolved *)
 }
 
+(** {1:code The integer code of a step set}
+
+    [code.(num_taus)], [code.(num_offers)] and [code.(num_timed)] count
+    the three kinds of step, [code.(offers_at)] and [code.(timed_at)]
+    are where their parts start, and [code.(ins)] and [code.(outs)] are
+    the {!bit}s of the input and the output offers' label ids; the
+    internal steps start at {!taus_at}.  In list order, as the record arrays:
+    - internal step [t], at [taus_at + tau_width * t]: the
+      {!Hproc.label_id} of its [tau\@l] label (-1 for a plain [tau]),
+      then its priority;
+    - offer [a], at [code.(offers_at) + offer_width * a]: its label id,
+      its direction (0 for [In], 1 for [Out]), then its priority;
+    - timed action [m], at [code.(timed_at) + timed_width * m]: the
+      {!resource_bit}s of the {!Hproc.resource_id}s it uses, then where
+      its accesses start: their number, then per access its resource id
+      and its priority, in the action's order. *)
+
+val num_taus : int
+val num_offers : int
+val num_timed : int
+val offers_at : int
+val timed_at : int
+val ins : int
+val outs : int
+val taus_at : int
+val tau_width : int
+val offer_width : int
+val timed_width : int
+
 val bit : int -> int
 (** [bit id] is the one bit of label id [id] in a mask: bit [id land 31].
     Ids 32 apart share a bit, so a mask can only rule a label out: an id
     whose bit is clear is certainly absent. *)
+
+val resource_bit : int -> int
+(** [resource_bit id] is the one bit of resource id [id] in a mask: bit
+    [id mod 63], so ids 63 apart share a bit.  Two actions whose masks
+    have no bit in common use disjoint resources; a common bit proves
+    nothing. *)
 
 val dummy : t
 (** Placeholder for a node not yet resolved; never in a table. *)
@@ -83,8 +110,8 @@ val create : Hproc.table -> table
 val terms : table -> Hproc.table
 
 val compile : table -> (Step.t * Hproc.t) list -> steps
-(** A step set split by kind, in list order, with unresolved targets
-    and the label ids of {!terms}. *)
+(** A step set split by kind, in list order, with unresolved targets,
+    and its code over the label and resource ids of {!terms}. *)
 
 val get : table -> Hproc.t -> t
 (** The node of a term of {!terms}, created on first request.

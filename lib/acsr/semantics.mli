@@ -33,26 +33,31 @@ val is_deadlocked : Defs.t -> Proc.t -> bool
     The engine has one kernel, {!successors}, over a state taken as a
     vector of slot nodes ({!Node}) against a fixed {!Frame}.  Each
     node's step set is computed once, when the kernel first meets the
-    node, and compiled into event offers with label ids, internal steps
-    and timed actions, each edge caching its target node once resolved.
-    Per state, the kernel reads those fields: it composes the slots'
-    steps as labels, applies restriction and preemption to the labels,
-    and builds only the surviving successors, each as a copy of the
-    vector with the moving slots patched.  The frame's restriction and
-    [Par] spine are never rebuilt or interned.  A [Par] nested inside a
-    slot is composed by the same kernel, without those two filters.
+    node, and compiled into event offers, internal steps and timed
+    actions, each edge caching its target node once resolved, and into
+    one int array of label ids, directions, priorities and resource
+    ids ({!Node.steps}).  Per state, the kernel scans those arrays and
+    keeps its candidates as integers: it pairs complementary offers
+    through a bucket per real label id, combines timed steps on
+    resource masks, applies restriction and preemption to the integers
+    — between timed combinations, on the part that differs between
+    them — and builds only the surviving steps and successors, each as
+    a copy of the vector with the moving slots patched.  The frame's
+    restriction and [Par] spine are never rebuilt or interned.  A [Par]
+    nested inside a slot is composed by the same kernel, without those
+    two filters.
     {!h_steps} and {!h_prioritized} split a root into its frame, run the
     kernel and materialize the successors. *)
 
 type cache
 (** The state of one exploration's engine: its intern table, a
     {!Node.table} over it — one node per slot term, holding its
-    compiled step set — and the memo of definition unfolding, keyed by
-    (name, argument values).  Sound only for a fixed [Defs.t]: create
-    one cache per exploration.  Safe to share between domains:
-    interning, node creation and unfolding take the intern table's
-    lock, and compiled sets and edge targets are written
-    idempotently. *)
+    compiled step set — the memo of definition unfolding, keyed by
+    (name, argument values), and the kernel's per-state scratch: the
+    offer buckets, candidates and timed combinations, in int arrays
+    reused from state to state.  Sound only for a fixed [Defs.t]:
+    create one cache per exploration, and expand with it on one domain
+    at a time, as the explorer does: the scratch is not shared. *)
 
 val make_cache : unit -> cache
 

@@ -14,7 +14,43 @@ type t =
 let is_timed = function Action _ -> true | Event _ | Tau _ -> false
 
 let equal (a : t) (b : t) = a = b
-let compare = Stdlib.compare
+
+(* [Stdlib.compare] on steps, written out so that sorting successor rows
+   does not walk them generically: constructors in declaration order,
+   then their fields left to right, with labels and resources compared
+   as the strings they are, [None] before [Some] and [In] before [Out].
+   Only the sign is the same as [Stdlib.compare]'s. *)
+let rec compare_ground (a : Action.ground) (b : Action.ground) =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | (r1, p1) :: a', (r2, p2) :: b' ->
+      let c = Resource.compare r1 r2 in
+      if c <> 0 then c
+      else
+        let c = Int.compare p1 p2 in
+        if c <> 0 then c else compare_ground a' b'
+
+let compare (a : t) (b : t) =
+  match (a, b) with
+  | Action x, Action y -> compare_ground x y
+  | Event (l1, d1, p1), Event (l2, d2, p2) ->
+      let c = Label.compare l1 l2 in
+      if c <> 0 then c
+      else if d1 != d2 then (match d1 with Event.In -> -1 | Event.Out -> 1)
+      else Int.compare p1 p2
+  | Tau (l1, p1), Tau (l2, p2) ->
+      let c =
+        match (l1, l2) with
+        | None, None -> 0
+        | None, Some _ -> -1
+        | Some _, None -> 1
+        | Some l1, Some l2 -> Label.compare l1 l2
+      in
+      if c <> 0 then c else Int.compare p1 p2
+  | Action _, (Event _ | Tau _) | Event _, Tau _ -> -1
+  | Event _, Action _ | Tau _, (Action _ | Event _) -> 1
 
 (* The preemption relation on steps.  [preempts b a] means [b] disables [a]
    when both are enabled in the same state:

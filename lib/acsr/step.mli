@@ -11,6 +11,8 @@ val is_timed : t -> bool
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
+(** The order of [Stdlib.compare] on steps, by sign, without its
+    generic walk. *)
 
 val preempts : t -> t -> bool
 (** [preempts b a]: step [b] preempts step [a] per the ACSR preemption

@@ -154,6 +154,20 @@ module Histogram = struct
       atomic_add_float h.h_sums.(s) v
     end
 
+  let bucket h v = bucket_of h v
+
+  let add h ~counts ~sum =
+    if Array.length counts <> Array.length h.h_bounds + 1 then
+      invalid_arg "Obs.Histogram.add: one count per bucket";
+    if Atomic.get on then begin
+      let s = shard_index () in
+      Array.iteri
+        (fun b k ->
+          if k <> 0 then ignore (Atomic.fetch_and_add h.h_cells.(s).(b) k))
+        counts;
+      atomic_add_float h.h_sums.(s) sum
+    end
+
   let counts h =
     let n = Array.length h.h_bounds + 1 in
     let out = Array.make n 0 in

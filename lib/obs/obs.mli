@@ -78,6 +78,17 @@ module Histogram : sig
 
   val observe : t -> float -> unit
 
+  val bucket : t -> float -> int
+  (** The index of the bucket {!observe} counts a value in: the first
+      whose bound covers it, the overflow bucket last. *)
+
+  val add : t -> counts:int array -> sum:float -> unit
+  (** Many observations at once: [counts.(b)] more in bucket [b] (see
+      {!bucket}), whose values sum to [sum] — the same totals as
+      observing each value.  For a hot loop that counts into its own
+      array and publishes once.
+      @raise Invalid_argument unless there is one count per bucket. *)
+
   val sum : t -> float
   val count : t -> int
 

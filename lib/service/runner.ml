@@ -24,12 +24,19 @@ end
 
 (* Miss attribution: remember the last Merkle key seen per structure
    digest; when a later key of the same structure misses, the changed
-   fragment ids name the components responsible. *)
+   fragment ids name the components responsible.  Both tables hold at
+   most [bound] entries, the verdict cache's capacity: past it, the
+   entry written longest ago goes, so a long-lived shard's attribution
+   does not grow with every model it ever sees. *)
 type attribution = {
   mutable novel : int;
   mutable options_only : int;
-  last : (string, Key.t) Hashtbl.t;  (* structure -> last key *)
-  changed : (string, int) Hashtbl.t;  (* fragment id -> miss count *)
+  bound : int;
+  mutable clock : int;  (* writes so far, to date each entry *)
+  last : (string, int * Key.t) Hashtbl.t;
+      (* structure -> (written at, last key) *)
+  changed : (string, int * int) Hashtbl.t;
+      (* fragment id -> (written at, miss count) *)
   mutex : Mutex.t;
 }
 
@@ -39,10 +46,12 @@ type attribution_counters = {
   changed_components : (string * int) list;
 }
 
-let create_attribution () =
+let create_attribution ~bound =
   {
     novel = 0;
     options_only = 0;
+    bound = max 1 bound;
+    clock = 0;
     last = Hashtbl.create 16;
     changed = Hashtbl.create 16;
     mutex = Mutex.create ();
@@ -68,8 +77,24 @@ let with_cache ?(capacity = 256) config =
     config with
     cache = Some (Lru.create ~capacity);
     fragments = Some (Translate.Fragment_cache.create ());
-    attribution = Some (create_attribution ());
+    attribution = Some (create_attribution ~bound:capacity);
   }
+
+(* Write [v] under [key], dropping the entry written longest ago once
+   [tbl] holds more than [a.bound].  The scan is O(bound), on a miss,
+   which then explores. *)
+let write a tbl key v =
+  a.clock <- a.clock + 1;
+  Hashtbl.replace tbl key (a.clock, v);
+  if Hashtbl.length tbl > a.bound then begin
+    let oldest, _ =
+      Hashtbl.fold
+        (fun k (at, _) (old, old_at) ->
+          if at < old_at then (k, at) else (old, old_at))
+        tbl (key, max_int)
+    in
+    Hashtbl.remove tbl oldest
+  end
 
 let attribute config (key : Key.t) =
   match config.attribution with
@@ -77,7 +102,7 @@ let attribute config (key : Key.t) =
   | Some a ->
       Mutex.lock a.mutex;
       (match Hashtbl.find_opt a.last key.Key.structure with
-      | Some prev -> (
+      | Some (_, prev) -> (
           match Key.changed_fragments ~prev key with
           | [] ->
               a.options_only <- a.options_only + 1;
@@ -85,14 +110,17 @@ let attribute config (key : Key.t) =
           | ids ->
               List.iter
                 (fun id ->
-                  Hashtbl.replace a.changed id
-                    (1
-                    + Option.value ~default:0 (Hashtbl.find_opt a.changed id)))
+                  let n =
+                    match Hashtbl.find_opt a.changed id with
+                    | Some (_, n) -> n
+                    | None -> 0
+                  in
+                  write a a.changed id (n + 1))
                 ids)
       | None ->
           a.novel <- a.novel + 1;
           Obs.Counter.incr Metrics.miss_novel);
-      Hashtbl.replace a.last key.Key.structure key;
+      write a a.last key.Key.structure key;
       Mutex.unlock a.mutex
 
 let attribution_counters config =
@@ -101,7 +129,7 @@ let attribution_counters config =
   | Some a ->
       Mutex.lock a.mutex;
       let changed_components =
-        Hashtbl.fold (fun id n acc -> (id, n) :: acc) a.changed []
+        Hashtbl.fold (fun id (_, n) acc -> (id, n) :: acc) a.changed []
         |> List.sort (fun (ia, na) (ib, nb) ->
                match compare nb na with 0 -> String.compare ia ib | c -> c)
       in
@@ -110,6 +138,15 @@ let attribution_counters config =
       in
       Mutex.unlock a.mutex;
       r
+
+let attribution_sizes config =
+  match config.attribution with
+  | None -> (0, 0)
+  | Some a ->
+      Mutex.lock a.mutex;
+      let sizes = (Hashtbl.length a.last, Hashtbl.length a.changed) in
+      Mutex.unlock a.mutex;
+      sizes
 
 let pp_attribution ppf (c : attribution_counters) =
   Fmt.pf ppf "%d novel, %d options-only%a" c.novel c.options_only

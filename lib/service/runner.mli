@@ -53,7 +53,18 @@ val default_config : config
 
 val with_cache : ?capacity:int -> config -> config
 (** [default: 256] — attach a fresh verdict cache, a fresh fragment
-    cache, and fresh miss-attribution state. *)
+    cache, and fresh miss-attribution state.  The attribution remembers
+    at most [capacity] structures and counts at most [capacity]
+    fragment ids, dropping the entries written longest ago. *)
+
+val attribute : config -> Key.t -> unit
+(** Attribute a verdict-cache miss of [key] against the last key of its
+    structure, as {!run} does on every miss; nothing without
+    attribution. *)
+
+val attribution_sizes : config -> int * int
+(** Entries the miss-attribution state holds: structures remembered,
+    fragment ids counted; [(0, 0)] without attribution. *)
 
 val attribution_counters : config -> attribution_counters
 (** Snapshot of the config's miss-attribution counters; all zero/empty

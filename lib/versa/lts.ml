@@ -153,8 +153,9 @@ type stats = {
 let states_per_sec s =
   if s.wall_s > 0. then float_of_int s.num_states /. s.wall_s else 0.
 
-(* One registry write-out per exploration, at the end of the run — hot
-   loops never touch the registry except for the frontier histogram. *)
+(* One registry write-out per exploration, at the end of the run: hot
+   loops never touch the registry.  [build] adds the frontier histogram,
+   which it counts into an array of its own. *)
 let publish_stats s =
   Obs.Counter.incr Metrics.runs;
   Obs.Counter.incr ~by:s.num_states Metrics.states;
@@ -519,7 +520,7 @@ let build ?(config = default_config) ?(semantics = Prioritized)
   let expand slots =
     let row = raw_next slots in
     match sym with
-    | Some s when row <> [] ->
+    | Some s when row != [] ->
         let t0 = Timed.Clock.gettimeofday () in
         let row = Sym.canon_row s ~hits:orbit_hits ~misses:orbit_misses row in
         canon_s := !canon_s +. (Timed.Clock.gettimeofday () -. t0);
@@ -541,6 +542,12 @@ let build ?(config = default_config) ?(semantics = Prioritized)
     budget_stop config ~len:(Store.length store) ~deadline_hit ()
   in
   let expand_s = ref 0. in
+  (* the frontier histogram, counted here and published with the other
+     statistics; the overflow bucket is the last *)
+  let frontier_counts =
+    Array.make (Obs.Histogram.bucket Metrics.frontier infinity + 1) 0
+  in
+  let frontier_sum = ref 0 in
   (* BFS levels are contiguous id ranges (ids are assigned in discovery
      order), so depth tracking needs two counters, not an array: when the
      merge crosses [level_end], every state of the current depth has been
@@ -557,7 +564,9 @@ let build ?(config = default_config) ?(semantics = Prioritized)
   while (not !stop) && !head < Store.length store do
     let frontier = Store.length store - !head in
     if frontier > !peak_frontier then peak_frontier := frontier;
-    Obs.Histogram.observe Metrics.frontier (float_of_int frontier);
+    let b = Obs.Histogram.bucket Metrics.frontier (float_of_int frontier) in
+    frontier_counts.(b) <- frontier_counts.(b) + 1;
+    frontier_sum := !frontier_sum + frontier;
     if (config.stop_at_deadlock && !deadlock_found) || over_budget () then begin
       (* leave this state (and every later one) unexpanded; the
          exploration is incomplete *)
@@ -573,7 +582,7 @@ let build ?(config = default_config) ?(semantics = Prioritized)
       let t0 = Timed.Clock.gettimeofday () in
       let s = expand (Store.state store id) in
       expand_s := !expand_s +. (Timed.Clock.gettimeofday () -. t0);
-      if s = [] then begin
+      if s == [] then begin
         deadlock_found := true;
         deadlock_ids_rev := id :: !deadlock_ids_rev;
         if config.stop_at_deadlock && !early_exit_depth = None then
@@ -619,6 +628,8 @@ let build ?(config = default_config) ?(semantics = Prioritized)
     }
   in
   publish_stats stats;
+  Obs.Histogram.add Metrics.frontier ~counts:frontier_counts
+    ~sum:(float_of_int !frontier_sum);
   Option.iter Sym.observe_sizes sym;
   {
     store;

@@ -242,6 +242,44 @@ let test_nodes_per_state () =
     Alcotest.failf "%.2f hash-cons nodes per state over %d states (at most 1)"
       per_state (Versa.Lts.num_states lts)
 
+(* {1 Allocation per state}
+
+   The successor kernel records its candidates and the timed product's
+   combinations as integers in scratch arrays its exploration owns, and
+   builds only the rows that survive preemption, so an exploration's
+   minor allocation per state is mostly those rows: 111 words per state
+   on [e6_model 5] (473 states) and 1,672 on a 16-thread replicated
+   family explored with the orbit reduction (66 states), where a kernel
+   that built every candidate and every combination as lists allocated
+   213 and 2,231.  [Gc.minor_words] repeats exactly on one domain; the
+   bounds leave about a third and a sixth of headroom.  The second of
+   two identical runs is measured. *)
+
+let minor_words_per_state text =
+  let tr = Translate.Pipeline.translate (Aadl.Instantiate.of_string text) in
+  let run () =
+    Versa.Lts.build ~symmetry:tr.Translate.Pipeline.symmetry ~edges:false
+      tr.Translate.Pipeline.defs tr.Translate.Pipeline.system
+  in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let lts = run () in
+  (Gc.minor_words () -. before) /. float_of_int (Versa.Lts.num_states lts)
+
+let test_allocation_per_state () =
+  List.iter
+    (fun (name, text, bound) ->
+      let words = minor_words_per_state text in
+      if words > bound then
+        Alcotest.failf "%s: %.1f minor words per state (at most %.0f)" name
+          words bound)
+    [
+      ("e6_model 5", Gen.e6_model 5, 150.);
+      ( "16-thread family, reduced",
+        Gen.replicated_family ~threads:16 ~utilization:0.9 (),
+        2_000. );
+    ]
+
 (* {1 Node tables belong to one exploration}
 
    Every exploration compiles the step sets of its slot terms into its
@@ -880,6 +918,112 @@ let prop_wide_labels_prioritized_agree =
     ~count:500 ~reference:Semantics.prioritized
     ~hashconsed:Semantics.h_prioritized gen_wide_system
 
+(* More resource ids than a resource mask has bits
+   ([Node.resource_bit]).  Seventy resources are numbered before the
+   engine runs, so [q00]/[q63], [q01]/[q64] and [q02]/[q65] share a mask
+   bit without being one resource.  Timed steps claim one or two of
+   these six, so the timed product meets actions that share a bit and a
+   resource, which must not combine, and actions that share a bit only,
+   which must.  Every slot offers on [x], the first three in: both
+   directions, input only, output only; so each offer meets
+   complementary offers in at least two other slots, earlier and
+   later. *)
+let by_resource (a, _) (b, _) = Resource.compare a b
+
+let many_resources =
+  List.init 70 (fun i -> Resource.make (Printf.sprintf "q%02d" i))
+
+let number_many_resources terms =
+  List.iter (fun r -> ignore (Hproc.resource_id terms r)) many_resources;
+  let bit name =
+    Node.resource_bit (Hproc.resource_id terms (Resource.make name))
+  in
+  if bit "q00" <> bit "q63" || bit "q00" = bit "q01" then
+    failwith "many resources: q00 and q63 must share a mask bit, q01 not"
+
+let gen_many_resources_system : Proc.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let pool =
+    List.map Resource.make [ "q00"; "q01"; "q02"; "q63"; "q64"; "q65" ]
+  in
+  let x = Label.make "x" in
+  let gen_cont = frequency [ (2, return Proc.nil); (1, gen_proc_full) ] in
+  let gen_offer out =
+    let* prio = map e_int (int_range 0 1) in
+    let* k = gen_cont in
+    return (if out then Proc.send ~prio x k else Proc.receive ~prio x k)
+  in
+  let gen_timed =
+    let* claims =
+      list_size (int_range 0 2) (pair (oneofl pool) (int_range 0 2))
+    in
+    let claims = List.sort_uniq by_resource claims in
+    let* k = gen_cont in
+    return (Proc.act (action claims) k)
+  in
+  let gen_slot i =
+    let* dirs =
+      match i with
+      | 0 -> return [ true; false ]
+      | 1 -> return [ false ]
+      | 2 -> return [ true ]
+      | _ -> oneofl [ [ true ]; [ false ]; [ true; false ]; [] ]
+    in
+    let* offers = flatten_l (List.map gen_offer dirs) in
+    let* timed = list_size (int_range 1 3) gen_timed in
+    return (Proc.choice_list (offers @ timed))
+  in
+  let* n = int_range 3 6 in
+  let* slots = flatten_l (List.init n gen_slot) in
+  let* restricted = bool in
+  return
+    (Proc.restrict
+       (Label.set_of_list (if restricted then [ x ] else []))
+       (Proc.par_list slots))
+
+let prop_many_resources_steps_agree =
+  engines_agree ~prepare:number_many_resources
+    ~name:"more resources than mask bits: h_steps = steps" ~count:500
+    ~reference:Semantics.steps ~hashconsed:Semantics.h_steps
+    gen_many_resources_system
+
+let prop_many_resources_prioritized_agree =
+  engines_agree ~prepare:number_many_resources
+    ~name:"more resources than mask bits: h_prioritized = prioritized"
+    ~count:500 ~reference:Semantics.prioritized
+    ~hashconsed:Semantics.h_prioritized gen_many_resources_system
+
+(* [Step.compare] is written out; it must order steps as
+   [Stdlib.compare] does, which the reference engine sorts by. *)
+let gen_step : Step.t QCheck2.Gen.t =
+  let open QCheck2.Gen in
+  let gen_label = map Label.make (oneofl [ "a"; "b"; "ab"; "b0" ]) in
+  let gen_prio = int_range (-1) 2 in
+  oneof
+    [
+      (let* claims =
+         list_size (int_range 0 3)
+           (pair
+              (map Resource.make (oneofl [ "cpu"; "bus"; "cpu2"; "c" ]))
+              gen_prio)
+       in
+       return
+         (Step.Action
+            (List.sort_uniq by_resource claims)));
+      (let* l = gen_label in
+       let* d = oneofl [ Event.In; Event.Out ] in
+       let* p = gen_prio in
+       return (Step.Event (l, d, p)));
+      (let* l = option gen_label in
+       let* p = gen_prio in
+       return (Step.Tau (l, p)));
+    ]
+
+let prop_step_compare =
+  QCheck2.Test.make ~name:"Step.compare has the sign of Stdlib.compare"
+    ~count:2000 (QCheck2.Gen.pair gen_step gen_step) (fun (a, b) ->
+      Int.compare (Step.compare a b) 0 = Int.compare (Stdlib.compare a b) 0)
+
 let prop_check_agrees_with_build =
   QCheck2.Test.make ~name:"check = build on random terms" ~count:50
     gen_proc_full (fun p ->
@@ -922,6 +1066,9 @@ let qcheck_cases =
       prop_kernel_prioritized_agree;
       prop_wide_labels_steps_agree;
       prop_wide_labels_prioritized_agree;
+      prop_many_resources_steps_agree;
+      prop_many_resources_prioritized_agree;
+      prop_step_compare;
       prop_check_agrees_with_build;
       prop_check_early_exit_sound;
     ]
@@ -1100,6 +1247,8 @@ let () =
             test_engines_agree_on_reachable_states;
           Alcotest.test_case "nodes interned per state" `Quick
             test_nodes_per_state;
+          Alcotest.test_case "minor words per state" `Quick
+            test_allocation_per_state;
           Alcotest.test_case "node tables belong to one exploration" `Quick
             test_node_tables_per_exploration;
           Alcotest.test_case "stats independent of earlier explorations"

@@ -323,6 +323,41 @@ let test_runner_attribution () =
   Alcotest.(check int) "one hit" 1 k.Service.Lru.hits;
   Alcotest.(check int) "three misses" 3 k.Service.Lru.misses
 
+(* A long-lived shard sees model after model: its miss attribution
+   keeps at most the verdict cache's capacity of structures and of
+   fragment ids.  Each of 1,000 structures misses twice, the second time
+   with its one fragment edited, so both tables see 1,000 keys. *)
+let test_attribution_bounded () =
+  let capacity = 16 in
+  let config =
+    Service.Runner.with_cache ~capacity Service.Runner.default_config
+  in
+  for i = 0 to 999 do
+    let key digest =
+      Service.Key.of_fragments
+        [ (Printf.sprintf "thread:t%d_i" i, digest) ]
+        ~options:"o"
+    in
+    Service.Runner.attribute config (key "d0");
+    Service.Runner.attribute config (key "d1")
+  done;
+  let structures, fragments = Service.Runner.attribution_sizes config in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d structures remembered (at most %d)" structures
+       capacity)
+    true (structures <= capacity);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d fragment ids counted (at most %d)" fragments capacity)
+    true (fragments <= capacity);
+  let c = Service.Runner.attribution_counters config in
+  Alcotest.(check int) "every structure novel once" 1000 c.Service.Runner.novel;
+  Alcotest.(check (list (pair string int)))
+    "the latest edits are still charged"
+    [ ("thread:t999_i", 1) ]
+    (List.filter
+       (fun (id, _) -> id = "thread:t999_i")
+       c.Service.Runner.changed_components)
+
 let check_degraded (o : Service.Job.outcome) =
   Alcotest.(check bool) "degraded" true o.Service.Job.degraded;
   match o.Service.Job.verdict with
@@ -719,6 +754,8 @@ let () =
             test_protocol_rejected_model_is_a_reply;
           Alcotest.test_case "zero quantum is a protocol reply" `Quick
             test_protocol_zero_quantum_is_a_reply;
+          Alcotest.test_case "miss attribution is bounded" `Quick
+            test_attribution_bounded;
         ] );
       ( "scheduler",
         [
