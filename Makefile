@@ -31,7 +31,10 @@ test-faults:
 # Ephemeron table (or a functor instance of one), an Atomic or a Mutex,
 # so terms, labels and resources are numbered, and the successor
 # kernel's scratch and the visited set kept, only in tables an
-# exploration owns and drops.
+# exploration owns and drops.  Those tables have one owner, the
+# exploration's domain, so no line of lib/acsr (code or comment)
+# mentions Mutex, Condition, Atomic or Domain: a lock or an atomic
+# there would be one nothing needs.
 lint-invariants:
 	@bad=$$(grep -rn "Unix\.gettimeofday" lib bin bench --include='*.ml' --include='*.mli' \
 	  | grep -v "^lib/timed/" | grep -v "(\*" || true); \
@@ -59,6 +62,11 @@ lint-invariants:
 	  lib/acsr/*.ml lib/versa/*.ml); \
 	if [ -n "$$bad" ]; then \
 	  echo "lint-invariants: top-level table, atomic or mutex in lib/acsr or lib/versa:"; \
+	  echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -nwE "Mutex|Condition|Atomic|Domain" lib/acsr/*.ml lib/acsr/*.mli || true); \
+	if [ -n "$$bad" ]; then \
+	  echo "lint-invariants: Mutex, Condition, Atomic or Domain in lib/acsr (its tables are single-owner):"; \
 	  echo "$$bad"; exit 1; \
 	fi
 	@missing=$$(grep -rhoE '"(versa|service|translate|analysis|runtime)_[a-z0-9_]+"' \

@@ -18,12 +18,12 @@
 
    A table belongs to the exploration that creates it ([Semantics]'s
    cache) and is dropped with it, so nothing is interned process-wide.
-   It also numbers the exploration's labels and resources.  One mutex,
-   which the exploration's other tables share ([protect]), lets several
-   domains build successors concurrently ([Versa.Lts]).  Node ids depend on
-   interning order, so they are not deterministic across runs when
-   several domains intern concurrently; canonical orderings must use
-   [compare_structural], which mirrors [Stdlib.compare] on [Proc.t]. *)
+   It also numbers the exploration's labels and resources.  A table has
+   one owner, the exploration's domain, and takes no lock.  Node ids
+   follow interning order, so they are deterministic per exploration;
+   canonical orderings still use [compare_structural], which mirrors
+   [Stdlib.compare] on [Proc.t], because successor rows must come out
+   in the reference engine's order. *)
 
 type t = { id : int; hash : int; node : node }
 
@@ -126,7 +126,6 @@ module Node_tbl = Hashtbl.Make (struct
 end)
 
 type table = {
-  lock : Mutex.t;
   terms : t Node_tbl.t;  (* ids are dense: a node's id is its rank *)
   labels : (Label.t, int) Hashtbl.t;
   resources : (Resource.t, int) Hashtbl.t;
@@ -138,42 +137,28 @@ let nil = { id = 0; hash = node_hash Nil; node = Nil }
 let create () =
   let terms = Node_tbl.create 256 in
   Node_tbl.add terms Nil nil;
-  {
-    lock = Mutex.create ();
-    terms;
-    labels = Hashtbl.create 64;
-    resources = Hashtbl.create 16;
-  }
-
-let protect tbl f = Mutex.protect tbl.lock f
+  { terms; labels = Hashtbl.create 64; resources = Hashtbl.create 16 }
 
 let intern tbl node =
-  Mutex.lock tbl.lock;
   match Node_tbl.find_opt tbl.terms node with
-  | Some t ->
-      Mutex.unlock tbl.lock;
-      t
+  | Some t -> t
   | None ->
       let t = { id = Node_tbl.length tbl.terms; hash = node_hash node; node } in
       Node_tbl.add tbl.terms node t;
-      Mutex.unlock tbl.lock;
       t
 
-let number tbl ids x =
-  protect tbl (fun () ->
-      match Hashtbl.find_opt ids x with
-      | Some i -> i
-      | None ->
-          let i = Hashtbl.length ids in
-          Hashtbl.add ids x i;
-          i)
+let number ids x =
+  match Hashtbl.find_opt ids x with
+  | Some i -> i
+  | None ->
+      let i = Hashtbl.length ids in
+      Hashtbl.add ids x i;
+      i
 
-let label_id tbl l = number tbl tbl.labels l
-let resource_id tbl r = number tbl tbl.resources r
-
-let size tbl = protect tbl (fun () -> Node_tbl.length tbl.terms)
-
-let stats tbl = protect tbl (fun () -> Node_tbl.stats tbl.terms)
+let label_id tbl l = number tbl.labels l
+let resource_id tbl r = number tbl.resources r
+let size tbl = Node_tbl.length tbl.terms
+let stats tbl = Node_tbl.stats tbl.terms
 
 (* {1 Constructors}
 

@@ -39,10 +39,10 @@ and scope = {
 }
 
 val id : t -> int
-(** Unique per distinct term of its table.  Ids depend on interning
-    order and are not deterministic across runs when several domains
-    intern concurrently; use {!compare_structural} for canonical
-    orderings. *)
+(** Unique per distinct term of its table, in interning order, so
+    deterministic per exploration.  Canonical orderings use
+    {!compare_structural}, so that successor rows come out in the
+    reference engine's order. *)
 
 val hash : t -> int
 (** Memoized full-depth structural hash: O(1). *)
@@ -70,15 +70,9 @@ val compare_renamed :
 
 type table
 (** One exploration's terms, and dense ids for its labels and
-    resources.  Domain-safe:
-    one mutex guards it. *)
+    resources.  Single-owner: use a table on one domain only. *)
 
 val create : unit -> table
-
-val protect : table -> (unit -> 'a) -> 'a
-(** [protect tbl f] runs [f] under the lock every intern takes, for the
-    tables an exploration keeps beside its terms.  [f] must not intern:
-    the lock is not re-entrant. *)
 
 val label_id : table -> Label.t -> int
 (** Dense per table, in order of first request. *)

@@ -37,7 +37,6 @@ let uncompiled =
 
 let dummy = { term = Hproc.nil; hash = 0; par = false; steps = uncompiled }
 
-(* Guarded by the lock of [terms]. *)
 type table = { terms : Hproc.table; nodes : (int, t) Hashtbl.t (* by id *) }
 
 let[@inline] bit id = 1 lsl (id land 31)
@@ -123,20 +122,16 @@ let compile tbl raw =
 let set_steps n s = n.steps <- s
 
 let get tbl term =
-  Hproc.protect tbl.terms (fun () ->
-      match Hashtbl.find_opt tbl.nodes (Hproc.id term) with
-      | Some n -> n
-      | None ->
-          let par =
-            match Hproc.node term with Hproc.Par _ -> true | _ -> false
-          in
-          let n = { term; hash = Hproc.hash term; par; steps = uncompiled } in
-          Hashtbl.add tbl.nodes (Hproc.id term) n;
-          n)
+  match Hashtbl.find_opt tbl.nodes (Hproc.id term) with
+  | Some n -> n
+  | None ->
+      let par = match Hproc.node term with Hproc.Par _ -> true | _ -> false in
+      let n = { term; hash = Hproc.hash term; par; steps = uncompiled } in
+      Hashtbl.add tbl.nodes (Hproc.id term) n;
+      n
 
-let size tbl = Hproc.protect tbl.terms (fun () -> Hashtbl.length tbl.nodes)
+let size tbl = Hashtbl.length tbl.nodes
 
-(* A racing resolution stores the same node: the table has one per term. *)
 let target tbl e =
   let n = e.target in
   if n != dummy then n

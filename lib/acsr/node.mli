@@ -8,8 +8,8 @@
     target node cached on its edge once resolved, and into one int
     array, its {!section-code}, which is all the kernel scans per state.
     After the first states, expanding a state reads node fields only:
-    no lock, no hash, no string compare per slot, and no record of a
-    step that does not survive.
+    no hash, no string compare per slot, and no record of a step that
+    does not survive.
 
     Under an orbit reduction ({!Symmetry}) a member's slots hold their
     terms renamed into the class representative's names, so the
@@ -97,15 +97,15 @@ val uncompiled : steps
 (** Placeholder for a step set not yet compiled. *)
 
 val set_steps : t -> steps -> unit
-(** Writer for the lazily compiled step set.  Concurrent writers must
-    store equal sets: a lost write only costs a recompilation. *)
+(** Writer for the lazily compiled step set. *)
 
 (** {1 Tables} *)
 
 type table
 
 val create : Hproc.table -> table
-(** A node table for the terms of an intern table, sharing its lock. *)
+(** A node table for the terms of an intern table.  Like the intern
+    table, it has one owner: use it on one domain only. *)
 
 val terms : table -> Hproc.table
 
@@ -114,8 +114,8 @@ val compile : table -> (Step.t * Hproc.t) list -> steps
     and its code over the label and resource ids of {!terms}. *)
 
 val get : table -> Hproc.t -> t
-(** The node of a term of {!terms}, created on first request.
-    Mutex-guarded; two requests for one term return the same node. *)
+(** The node of a term of {!terms}, created on first request; two
+    requests for one term return the same node. *)
 
 val size : table -> int
 (** Number of nodes in the table: the exploration's distinct slot terms. *)

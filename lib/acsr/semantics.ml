@@ -196,8 +196,7 @@ type cache = {
   nodes : Node.table;
       (** one node per slot term, with its compiled step set.  Sound
           because a step set is a pure function of the term and the
-          fixed [defs] the cache is used with.  The lock of its intern
-          table guards [unfold] too. *)
+          fixed [defs] the cache is used with. *)
   unfold : (string * int list, Hproc.t) Hashtbl.t;
   (* The kernel's per-state scratch (see the kernel): integers only, so
      that reusing it across states writes no pointer into the major
@@ -253,16 +252,11 @@ let terms cache = Node.terms cache.nodes
 
 let unfold_call cache defs name values =
   let key = (name, values) and terms = terms cache in
-  match Hproc.protect terms (fun () -> Hashtbl.find_opt cache.unfold key) with
+  match Hashtbl.find_opt cache.unfold key with
   | Some h -> h
   | None ->
-      (* instantiation is pure: the lock is not held during the
-         expensive substitution, so other domains are not serialized
-         behind it, and a race only duplicates idempotent work *)
       let h = Hproc.of_proc terms (Defs.instantiate defs name values) in
-      Hproc.protect terms (fun () ->
-          if not (Hashtbl.mem cache.unfold key) then
-            Hashtbl.add cache.unfold key h);
+      Hashtbl.add cache.unfold key h;
       h
 
 (* {2 The kernel}

@@ -127,8 +127,7 @@ val canon : spec -> Frame.t -> Node.t array -> bool
     together, in index order.
 
     The vector is left unchanged unless the spec fits the frame and no
-    slot holds a [Par].  Deterministic and idempotent; safe to call from
-    concurrent domains on distinct vectors. *)
+    slot holds a [Par].  Deterministic and idempotent. *)
 
 val canon_w : spec -> Frame.t -> Node.t array -> int array array
 (** [canon] plus its witness: one permutation per class, in class order.

@@ -383,8 +383,6 @@ end root.impl;
 |}
     queue_size overflow
 
-let instance_of_string = Aadl.Instantiate.of_string
-
 (* Re-export: the ACSR systems of the paper's Figures 2 and 3. *)
 module Paper_figs = Paper_figs
 

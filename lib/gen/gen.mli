@@ -106,9 +106,6 @@ val avionics : unit -> string
     RM) and a shared bus with sensing-to-actuation and guidance-to-mission
     flows. *)
 
-val instance_of_string : ?root:string -> string -> Aadl.Instance.t
-(** Parse and instantiate a fixture in one step. *)
-
 (** The ACSR processes of the paper's Figures 2 and 3. *)
 module Paper_figs : sig
   val cpu : Acsr.Resource.t

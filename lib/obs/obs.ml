@@ -1,27 +1,21 @@
 (* Metrics registry + span tracing.  See obs.mli for the contract.
 
-   Counters and histograms are sharded: each metric owns [num_shards]
-   cells and a domain updates the cell indexed by its domain id, so
-   concurrent updates from pool workers hit distinct cache lines in the
-   common case and merge by summation on read.  Cells are individual
-   [Atomic.t]s, which also makes the rare shard collision (two domains
-   mapping to one cell) lose nothing. *)
-
-let num_shards = 16  (* power of two; domain ids are hashed by masking *)
-let shard_index () = (Domain.self () :> int) land (num_shards - 1)
+   A counter is one [Atomic.t] and a histogram one atomic per bucket
+   plus an atomic sum, so scheduler workers and socket threads update
+   them from several domains without a lock and without losing counts. *)
 
 let on = Atomic.make true
 let set_enabled b = Atomic.set on b
 let enabled () = Atomic.get on
 
-(* Add to a float atomic; uncontended in the common (per-domain-shard)
-   case, so the CAS succeeds on the first try. *)
+(* Add to a float atomic, retrying the CAS until no other writer got in
+   between. *)
 let rec atomic_add_float cell x =
   let old = Atomic.get cell in
   if not (Atomic.compare_and_set cell old (old +. x)) then
     atomic_add_float cell x
 
-type counter = { c_name : string; c_help : string; c_cells : int Atomic.t array }
+type counter = { c_name : string; c_help : string; c_cell : int Atomic.t }
 
 type gauge = { g_name : string; g_help : string; g_cell : float Atomic.t }
 
@@ -29,8 +23,8 @@ type histogram = {
   h_name : string;
   h_help : string;
   h_bounds : float array;  (* finite upper bounds, strictly increasing *)
-  h_cells : int Atomic.t array array;  (* [shard].(bucket), incl. overflow *)
-  h_sums : float Atomic.t array;  (* [shard] *)
+  h_cells : int Atomic.t array;  (* by bucket, incl. overflow *)
+  h_sum : float Atomic.t;
 }
 
 type metric =
@@ -71,22 +65,15 @@ module Counter = struct
   let make ?(registry = default_registry) ?(help = "") name =
     register registry name
       (fun () ->
-        let c =
-          {
-            c_name = name;
-            c_help = help;
-            c_cells = Array.init num_shards (fun _ -> Atomic.make 0);
-          }
-        in
+        let c = { c_name = name; c_help = help; c_cell = Atomic.make 0 } in
         (Counter_m c, c))
       (function Counter_m c -> Some c | _ -> None)
 
   let incr ?(by = 1) c =
     if by < 0 then invalid_arg "Obs.Counter.incr: negative increment";
-    if Atomic.get on then
-      ignore (Atomic.fetch_and_add c.c_cells.(shard_index ()) by)
+    if Atomic.get on then ignore (Atomic.fetch_and_add c.c_cell by)
 
-  let value c = Array.fold_left (fun acc cell -> acc + Atomic.get cell) 0 c.c_cells
+  let value c = Atomic.get c.c_cell
   let name c = c.c_name
 end
 
@@ -129,9 +116,8 @@ module Histogram = struct
             h_help = help;
             h_bounds = bounds;
             h_cells =
-              Array.init num_shards (fun _ ->
-                  Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0));
-            h_sums = Array.init num_shards (fun _ -> Atomic.make 0.);
+              Array.init (Array.length bounds + 1) (fun _ -> Atomic.make 0);
+            h_sum = Atomic.make 0.;
           }
         in
         (Histogram_m h, h))
@@ -149,9 +135,8 @@ module Histogram = struct
 
   let observe h v =
     if Atomic.get on then begin
-      let s = shard_index () in
-      ignore (Atomic.fetch_and_add h.h_cells.(s).(bucket_of h v) 1);
-      atomic_add_float h.h_sums.(s) v
+      ignore (Atomic.fetch_and_add h.h_cells.(bucket_of h v) 1);
+      atomic_add_float h.h_sum v
     end
 
   let bucket h v = bucket_of h v
@@ -160,26 +145,15 @@ module Histogram = struct
     if Array.length counts <> Array.length h.h_bounds + 1 then
       invalid_arg "Obs.Histogram.add: one count per bucket";
     if Atomic.get on then begin
-      let s = shard_index () in
       Array.iteri
         (fun b k ->
-          if k <> 0 then ignore (Atomic.fetch_and_add h.h_cells.(s).(b) k))
+          if k <> 0 then ignore (Atomic.fetch_and_add h.h_cells.(b) k))
         counts;
-      atomic_add_float h.h_sums.(s) sum
+      atomic_add_float h.h_sum sum
     end
 
-  let counts h =
-    let n = Array.length h.h_bounds + 1 in
-    let out = Array.make n 0 in
-    Array.iter
-      (fun shard ->
-        for b = 0 to n - 1 do
-          out.(b) <- out.(b) + Atomic.get shard.(b)
-        done)
-      h.h_cells;
-    out
-
-  let sum h = Array.fold_left (fun acc s -> acc +. Atomic.get s) 0. h.h_sums
+  let counts h = Array.map Atomic.get h.h_cells
+  let sum h = Atomic.get h.h_sum
   let count h = Array.fold_left (fun acc n -> acc + n) 0 (counts h)
 
   let buckets h =

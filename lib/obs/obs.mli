@@ -5,13 +5,13 @@
     {1 Registry}
 
     Metrics are registered by name in a {!registry} (usually
-    {!default_registry}) and updated through handles, so hot paths pay a
-    shard increment, never a name lookup.  Counters and histograms are
-    sharded per domain: updates from {!Versa.Pool} worker domains land
-    in (mostly) distinct cells and are merged on read, so concurrent
-    increments neither lock nor lose counts.  Reads ({!snapshot},
-    {!render_prometheus}) are consistent enough for telemetry: they sum
-    the shards without stopping writers.
+    {!default_registry}) and updated through handles, so hot paths pay
+    an atomic increment, never a name lookup.  A counter is one atomic
+    cell and a histogram one per bucket plus an atomic sum, so updates
+    from several domains (scheduler workers, socket threads) neither
+    lock nor lose counts.  Reads ({!snapshot}, {!render_prometheus})
+    are consistent enough for telemetry: they read the cells without
+    stopping writers.
 
     {1 Tracing}
 
@@ -47,11 +47,9 @@ module Counter : sig
       different metric kind. *)
 
   val incr : ?by:int -> t -> unit
-  (** Add [by] (default 1, must be [>= 0]) to the calling domain's
-      shard. *)
+  (** Add [by] (default 1, must be [>= 0]). *)
 
   val value : t -> int
-  (** Sum over all shards. *)
 
   val name : t -> string
 end

@@ -167,10 +167,6 @@ let counters t =
         capacity = t.cap;
       })
 
-let hit_rate c =
-  let total = c.hits + c.misses in
-  if total = 0 then 0. else float_of_int c.hits /. float_of_int total
-
 let pp_counters ppf c =
   Fmt.pf ppf "%d hits, %d misses, %d evictions, size %d/%d" c.hits c.misses
     c.evictions c.size c.capacity

@@ -63,8 +63,5 @@ type counters = {
 
 val counters : 'a t -> counters
 
-val hit_rate : counters -> float
-(** hits / (hits + misses), 0 when no lookups have happened. *)
-
 val pp_counters : counters Fmt.t
 (** ["N hits, N misses, N evictions, size S/C"]. *)

@@ -59,24 +59,16 @@ let create_attribution ~bound =
 
 type config = {
   cache : Job.outcome Lru.t option;
-  fragments : Translate.Fragment_cache.t option;
   attribution : attribution option;
   on_store : (string -> Job.outcome -> unit) option;
 }
 
-let default_config =
-  {
-    cache = None;
-    fragments = None;
-    attribution = None;
-    on_store = None;
-  }
+let default_config = { cache = None; attribution = None; on_store = None }
 
 let with_cache ?(capacity = 256) config =
   {
     config with
     cache = Some (Lru.create ~capacity);
-    fragments = Some (Translate.Fragment_cache.create ());
     attribution = Some (create_attribution ~bound:capacity);
   }
 
@@ -235,8 +227,8 @@ let degrade ~reason (req : Job.request) (result : Analysis.Schedulability.t) =
       Job.Bounded { analytic_schedulable = false; method_ = m }
   | Analysis.Fallback.Unknown m -> Job.Unknown (reason ^ "; " ^ m)
 
-let explore config (req : Job.request) ~options plan ~cancel =
-  let tr = Translate.Pipeline.of_plan ?cache:config.fragments plan in
+let explore (req : Job.request) ~options plan ~cancel =
+  let tr = Translate.Pipeline.of_plan plan in
   let result = Analysis.Schedulability.analyze_translation ~options tr in
   let states = Versa.Explorer.num_states result.exploration in
   let verdict, degraded =
@@ -288,7 +280,7 @@ let run ?cancel config (req : Job.request) =
       | exception e -> failed e
       | plan -> (
           let compute () =
-            match explore config req ~options plan ~cancel with
+            match explore req ~options plan ~cancel with
             | verdict, degraded, states -> outcome verdict ~states ~degraded
             | exception e -> failed e
           in

@@ -8,12 +8,11 @@
     [run] never raises and never hangs past the job's wall-clock
     budget.
 
-    Caching is two-layered and plan-based.  The translation {e plan}
+    Caching is plan-based.  The translation {e plan}
     ({!Translate.Pipeline.plan}) is built once per job; its fragment
     digests form the Merkle verdict-cache key ({!Key.of_plan}), and on a
-    miss the same plan is realized through a shared
-    {!Translate.Fragment_cache} so translation units unchanged since any
-    earlier job are reused by physical identity.  Misses are {e
+    miss the same plan is realized afresh, so nothing but the bounded
+    verdict cache and attribution outlives a job.  Misses are {e
     attributed}: each missed key is diffed against the previous key of
     the same structure digest, counting the changed fragment ids — a
     batch's miss profile names the components that kept changing. *)
@@ -35,9 +34,6 @@ type attribution_counters = {
 type config = {
   cache : Job.outcome Lru.t option;
       (** shared verdict cache; [None] disables caching *)
-  fragments : Translate.Fragment_cache.t option;
-      (** shared translation-fragment cache; [None] re-generates every
-          fragment per job *)
   attribution : attribution option;
       (** miss-attribution state; [None] disables attribution *)
   on_store : (string -> Job.outcome -> unit) option;
@@ -52,8 +48,8 @@ val default_config : config
 (** No caches, no attribution. *)
 
 val with_cache : ?capacity:int -> config -> config
-(** [default: 256] — attach a fresh verdict cache, a fresh fragment
-    cache, and fresh miss-attribution state.  The attribution remembers
+(** [default: 256] — attach a fresh verdict cache and fresh
+    miss-attribution state.  The attribution remembers
     at most [capacity] structures and counts at most [capacity]
     fragment ids, dropping the entries written longest ago. *)
 
@@ -90,8 +86,7 @@ val run : ?cancel:(unit -> bool) -> config -> Job.request -> Job.outcome
       single-flight ({!Lru.find_or_lease}), so concurrent duplicates
       wait for the first computation and then hit, at any worker count;
       misses are attributed to the fragments that changed;
-    + realize the plan through the shared fragment cache and explore
-      with the request's state budget, wall-clock budget (deadline
+    + realize the plan and explore with the request's state budget, wall-clock budget (deadline
       [now + timeout_s]) and [cancel] polled before every expansion;
     + on a truncated exploration, degrade: [Cancelled] if [cancel]
       fired, otherwise the {!Fallback} analytic ladder produces a

@@ -6,10 +6,11 @@
     submission order.  Each job explores on the domain that runs it, so
     keep [workers] near the core count.
 
-    Concurrent jobs are safe because every shared structure below the
-    runner is domain-safe: each exploration owns its intern table,
-    node table and state store, and the verdict cache takes its own
-    lock.
+    Concurrent jobs share only the runner's verdict cache and miss
+    attribution, each behind its own lock.  Everything below the
+    runner has one owner: each job realizes its own translation, and
+    each exploration owns its intern table, node table and state
+    store.
 
     Cancellation is cooperative: {!cancel} flips a flag that is checked
     before the job starts and polled before every expansion of its

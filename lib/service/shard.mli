@@ -23,9 +23,9 @@ val create :
   Runner.config ->
   (t, string) result
 (** [create ~name config] builds a shard called [name] on [config],
-    always with its own verdict cache (LRU [capacity], default 256),
-    fragment cache and miss attribution — whatever caches [config]
-    carried are replaced.  With [?journal]
+    always with its own verdict cache (LRU [capacity], default 256)
+    and miss attribution — whatever caches [config] carried are
+    replaced.  With [?journal]
     the file at that path is opened ({!Journal.open_}, creating it if
     absent), its surviving records are replayed into the cache, and
     every future store is appended to it. *)

@@ -25,10 +25,6 @@ let parse_addr s =
               | _ -> Error (Printf.sprintf "address %S: bad port" s)))
       | _ -> Error (Printf.sprintf "address %S: unknown scheme %S" s scheme))
 
-let addr_to_string = function
-  | Unix_sock path -> "unix:" ^ path
-  | Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
-
 let sockaddr_of = function
   | Unix_sock path -> Unix.ADDR_UNIX path
   | Tcp (host, port) ->

@@ -21,8 +21,6 @@ type addr = Unix_sock of string | Tcp of string * int
 val parse_addr : string -> (addr, string) result
 (** [unix:PATH] or [tcp:HOST:PORT]. *)
 
-val addr_to_string : addr -> string
-
 val create : unit -> t
 
 val make : t -> Transport.t

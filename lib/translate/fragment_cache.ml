@@ -2,55 +2,20 @@
 
    The cache returns the previously generated fragment by physical
    identity when a spec's digest matches, so re-translating a model
-   after a local edit re-generates only the changed units.  Thread-safe:
-   the sensitivity sweeps probe it from one domain, but the service
-   layer shares one cache across worker domains. *)
+   after a local edit re-generates only the changed units.  A cache has
+   one owner: a sensitivity sweep, say, probes it from one domain. *)
 
-type t = {
-  table : (string, Fragment.t) Hashtbl.t;
-  mutex : Mutex.t;
-  mutable hits : int;
-  mutable misses : int;
-}
+type t = (string, Fragment.t) Hashtbl.t
 
-type counters = { hits : int; misses : int; size : int }
-
-let create () = { table = Hashtbl.create 64; mutex = Mutex.create (); hits = 0; misses = 0 }
-
-let with_lock t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let create () = Hashtbl.create 64
 
 let find_or_realize t (spec : Fragment.spec) : Fragment.t * bool =
   if not (Fragment.spec_cacheable spec) then (Fragment.realize spec, false)
   else
-  let digest = Fragment.spec_digest spec in
-  let cached = with_lock t (fun () -> Hashtbl.find_opt t.table digest) in
-  match cached with
-  | Some frag ->
-      with_lock t (fun () -> t.hits <- t.hits + 1);
-      (frag, true)
-  | None ->
-      (* Realize outside the lock: generation can be slow and concurrent
-         misses on distinct digests should not serialize.  A racing
-         duplicate realization is benign (last write wins, both results
-         are interchangeable). *)
-      let frag = Fragment.realize spec in
-      with_lock t (fun () ->
-          t.misses <- t.misses + 1;
-          Hashtbl.replace t.table digest frag);
-      (frag, false)
-
-let counters t =
-  with_lock t (fun () ->
-      { hits = t.hits; misses = t.misses; size = Hashtbl.length t.table })
-
-let clear t =
-  with_lock t (fun () ->
-      Hashtbl.reset t.table;
-      t.hits <- 0;
-      t.misses <- 0)
-
-let pp_counters ppf (c : counters) =
-  Fmt.pf ppf "%d reused, %d generated, %d distinct fragments" c.hits c.misses
-    c.size
+    let digest = Fragment.spec_digest spec in
+    match Hashtbl.find_opt t digest with
+    | Some frag -> (frag, true)
+    | None ->
+        let frag = Fragment.realize spec in
+        Hashtbl.replace t digest frag;
+        (frag, false)

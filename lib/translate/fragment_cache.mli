@@ -1,8 +1,9 @@
-(** A digest-addressed, thread-safe store of realized fragments:
-    unchanged translation units are reused by physical identity across
-    translations (sweep points, batch jobs), so they are not generated
-    again.  The store never evicts: it grows with every distinct
-    fragment a process realizes. *)
+(** A digest-addressed store of realized fragments: unchanged
+    translation units are reused by physical identity across
+    translations (sweep points), so they are not generated again.  The
+    store never evicts: it grows with every distinct fragment realized
+    through it, so give it a bounded job (one sweep), not a process.
+    Single-owner: use a cache on one domain only. *)
 
 type t
 
@@ -13,9 +14,3 @@ val find_or_realize : t -> Fragment.spec -> Fragment.t * bool
     one (stored for next time).  The boolean is [true] on reuse.
     Non-cacheable specs ({!Fragment.spec_cacheable}) bypass the store
     and always realize. *)
-
-type counters = { hits : int; misses : int; size : int }
-
-val counters : t -> counters
-val clear : t -> unit
-val pp_counters : counters Fmt.t

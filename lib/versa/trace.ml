@@ -21,10 +21,6 @@ let to_deadlock lts state = of_path (Lts.path_to lts state)
 
 let steps t = List.map (fun e -> e.step) t.entries
 let length t = List.length t.entries
-let final_state t =
-  match List.rev t.entries with
-  | [] -> 0 (* the initial state is always id 0 *)
-  | last :: _ -> last.state
 
 let duration t =
   List.length (List.filter Step.is_timed (steps t))
@@ -66,8 +62,3 @@ let pp_quantum ppf q =
 
 let pp ppf t =
   Fmt.pf ppf "@[<v>%a@]" Fmt.(list ~sep:cut pp_quantum) (quanta t)
-
-let pp_raw ppf t =
-  Fmt.pf ppf "@[<v>%a@]"
-    Fmt.(list ~sep:cut (fun ppf e -> Step.pp ppf e.step))
-    t.entries

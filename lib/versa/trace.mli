@@ -22,9 +22,6 @@ val steps : t -> Step.t list
 val length : t -> int
 (** Number of steps (timed and instantaneous). *)
 
-val final_state : t -> Lts.state_id
-(** The state the trace ends in; the initial state if it is empty. *)
-
 val duration : t -> int
 (** Number of time quanta elapsed along the trace. *)
 
@@ -37,6 +34,3 @@ val quanta : t -> quantum list
 
 val pp : t Fmt.t
 (** Timeline rendering, one line per quantum. *)
-
-val pp_raw : t Fmt.t
-(** One step per line, ungrouped. *)

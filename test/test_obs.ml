@@ -1,6 +1,6 @@
 (* Tests for the observability substrate: registry semantics (idempotent
    registration, kind clashes, muting), histogram bucket boundaries,
-   sharded-counter merges under genuinely concurrent domains (qcheck),
+   concurrent counter and histogram updates from several domains (qcheck),
    and the span tracer (well-nested events, valid Chrome trace_event
    JSON, recording through exceptions). *)
 

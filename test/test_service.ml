@@ -396,13 +396,14 @@ let test_runner_degrades_on_timeout () =
 
 (* A shard analyses model after model in one process, so whatever an
    analysis builds must be dropped with it.  500 distinct 4-thread RM
-   models, each with thread names of its own, run through the runner
-   with the verdict cache off; after a full major collection, the live
-   heap at model 500 may exceed the one at model 100 by a bound that
-   does not depend on the model count.  Keeping each model's interned
-   terms and labels costs about 6.6k words a model, 2.6M over these
-   400. *)
-let test_runner_memory_bounded () =
+   models, each with thread names of its own, run through the runner,
+   with the verdict cache off and on; after a full major collection,
+   the live heap at model 500 may exceed the one at model 100 by a
+   bound that does not depend on the model count.  Keeping each model's
+   interned terms and labels costs about 6.6k words a model, 2.6M over
+   these 400; keeping each model's realized fragments, about 590k. *)
+let runner_memory_bounded make_config () =
+  let config = make_config () in
   let live_words () =
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words
@@ -416,7 +417,7 @@ let test_runner_memory_bounded () =
   in
   let run seed =
     ignore
-      (Service.Runner.run Service.Runner.default_config
+      (Service.Runner.run config
          (Service.Job.request ~id:(string_of_int seed)
             (Service.Job.Inline (model seed))))
   in
@@ -428,9 +429,21 @@ let test_runner_memory_bounded () =
     run seed
   done;
   let growth = live_words () - at_100 in
+  (* [config] is read after the last measurement, so whatever the runner
+     keeps across jobs is live at both. *)
+  let kept = Obj.reachable_words (Obj.repr config) in
   if growth > 200_000 then
-    Alcotest.failf "live heap grew by %d words from model 100 to model 500"
-      growth
+    Alcotest.failf
+      "live heap grew by %d words from model 100 to model 500 (%d words \
+       reachable from the runner's config)"
+      growth kept
+
+let test_runner_memory_bounded =
+  runner_memory_bounded (fun () -> Service.Runner.default_config)
+
+let test_runner_memory_bounded_cached =
+  runner_memory_bounded (fun () ->
+      Service.Runner.with_cache Service.Runner.default_config)
 
 let test_runner_failure_is_an_outcome () =
   let o =
@@ -756,6 +769,9 @@ let () =
             test_protocol_zero_quantum_is_a_reply;
           Alcotest.test_case "miss attribution is bounded" `Quick
             test_attribution_bounded;
+          Alcotest.test_case
+            "memory bounded over 500 models with the verdict cache" `Quick
+            test_runner_memory_bounded_cached;
         ] );
       ( "scheduler",
         [
