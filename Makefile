@@ -4,7 +4,7 @@
 # ocamlformat are dev-time tools, not build dependencies — the gate
 # degrades gracefully where they are absent).
 
-.PHONY: all build test test-faults lint-invariants doc fmt-check check bench-obs bench-reduction bench-dist clean
+.PHONY: all build test test-faults lint-invariants doc fmt-check check bench-obs bench-reduction bench-dist mutants clean
 
 all: build
 
@@ -129,6 +129,15 @@ bench-obs:
 # cores; elsewhere the rows are recorded with the gate marked skipped.
 bench-dist:
 	dune exec bench/main.exe -- dist
+
+# Mutation check, outside `make check`: each test/mutants/*.patch breaks
+# the committed tree (HEAD, exported with git archive into a temporary
+# directory) in one way and names the checks that must fail on it; the
+# driver builds each mutant, runs its checks and prints a kill table
+# with timings.  Exits non-zero when a mutant survives a check, or its
+# patch does not apply or build.
+mutants:
+	sh test/mutants/run.sh
 
 clean:
 	dune clean

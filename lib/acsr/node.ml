@@ -1,7 +1,13 @@
 (* Slot nodes: per-exploration records of the distinct slot terms, with
    their compiled step sets.  See node.mli. *)
 
-type t = { term : Hproc.t; hash : int; par : bool; mutable steps : steps }
+type t = {
+  term : Hproc.t;
+  hash : int;
+  par : bool;
+  id : int;
+  mutable steps : steps;
+}
 
 and steps = {
   code : int array;
@@ -35,14 +41,24 @@ let uncompiled =
     timed = [||];
   }
 
-let dummy = { term = Hproc.nil; hash = 0; par = false; steps = uncompiled }
+let dummy =
+  { term = Hproc.nil; hash = 0; par = false; id = -1; steps = uncompiled }
 
-type table = { terms : Hproc.table; nodes : (int, t) Hashtbl.t (* by id *) }
+type table = {
+  terms : Hproc.table;
+  nodes : (int, t) Hashtbl.t;  (* by term id *)
+  mutable by_id : t array;  (* by node id; [dummy] past [size] *)
+}
 
 let[@inline] bit id = 1 lsl (id land 31)
 let resource_bit id = 1 lsl (id mod 63)
 
-let create terms = { terms; nodes = Hashtbl.create 1024 }
+(* [by_id] starts small: an array past 256 words would be allocated in
+   the major heap, and one such array per exploration moves the
+   collector's schedule for what is a few hundred nodes on most
+   models. *)
+let create terms =
+  { terms; nodes = Hashtbl.create 1024; by_id = Array.make 64 dummy }
 let terms tbl = tbl.terms
 
 let compile tbl raw =
@@ -126,11 +142,19 @@ let get tbl term =
   | Some n -> n
   | None ->
       let par = match Hproc.node term with Hproc.Par _ -> true | _ -> false in
-      let n = { term; hash = Hproc.hash term; par; steps = uncompiled } in
+      let id = Hashtbl.length tbl.nodes in
+      let n = { term; hash = Hproc.hash term; par; id; steps = uncompiled } in
       Hashtbl.add tbl.nodes (Hproc.id term) n;
+      if id = Array.length tbl.by_id then begin
+        let bigger = Array.make (2 * id) dummy in
+        Array.blit tbl.by_id 0 bigger 0 id;
+        tbl.by_id <- bigger
+      end;
+      tbl.by_id.(id) <- n;
       n
 
 let size tbl = Hashtbl.length tbl.nodes
+let by_id tbl = tbl.by_id
 
 let target tbl e =
   let n = e.target in

@@ -27,6 +27,9 @@ type t = private {
   term : Hproc.t;
   hash : int;  (** [Hproc.hash term] *)
   par : bool;  (** [term] is a [Par] *)
+  id : int;
+      (** dense in its table, in creation order: the first node a table
+          makes is 0, the next 1, and so on; -1 for {!dummy} *)
   mutable steps : steps;
       (** the term's unprioritized step set; {!uncompiled} until the
           successor kernel first reads it *)
@@ -118,7 +121,14 @@ val get : table -> Hproc.t -> t
     requests for one term return the same node. *)
 
 val size : table -> int
-(** Number of nodes in the table: the exploration's distinct slot terms. *)
+(** Number of nodes in the table: the exploration's distinct slot terms.
+    Node ids run over [\[0, size tbl)]. *)
+
+val by_id : table -> t array
+(** The table's nodes by {!field-id}: entry [i] is the node of id [i]
+    for [i < size tbl], {!dummy} beyond.  The array is the table's own
+    and is replaced when the table grows, so read it again after a
+    {!get} that may have created a node; do not mutate it. *)
 
 val target : table -> edge -> t
 (** The edge's target node: a field read once resolved, a {!get} the

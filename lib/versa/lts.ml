@@ -3,10 +3,12 @@
 
    States are closed process terms, interned into integer ids in BFS
    discovery order (the initial state has id 0).  Each state records its
-   BFS parent and arriving step, so that shortest diagnostic traces can
-   be rebuilt without re-exploration — this mirrors what the VERSA tool
-   reports to the user (paper, Section 5).  Outgoing (step, successor)
-   rows are kept only when the caller asks for edges.
+   BFS parent, so that shortest diagnostic traces can be rebuilt — this
+   mirrors what the VERSA tool reports to the user (paper, Section 5).
+   The step that arrives at a state is not stored: [path_to] finds it
+   again by re-expanding the state's parent, once per step of the one
+   path it is asked for.  Outgoing (step, successor) rows are kept only
+   when the caller asks for edges.
 
    The root is split once into its frame ([Acsr.Frame]: the restriction
    and the Par spine) and every state is kept as its vector of slot
@@ -14,10 +16,14 @@
    the exploration, from the node table of the build's
    [Semantics.cache]).  A node carries its term's hash and its compiled
    step set, so expanding a state reads node fields.  The visited set
-   ([Visited]) is an open-addressed table of state ids over the stored
-   vectors and their cached hashes: an intern mixes the slots' term
-   hashes once, compares a cached hash before it compares slots by
-   pointer, and never rebuilds or interns the spine.  Under orbit
+   ([Visited]) keeps each vector as its slots' node ids in an arena
+   outside the OCaml heap, with an open-addressed table of state ids
+   over them and their cached hashes: an intern mixes the slots' term
+   hashes once, compares a cached hash before it compares node ids, and
+   never rebuilds or interns the spine.  The store therefore holds no
+   OCaml value per state (without edges), and the collector neither
+   promotes nor marks it; a state's vector is decoded when it is
+   expanded.  Under orbit
    reduction the member slots hold their terms in their class
    representative's names (see [Sym] below).  A state's term is
    materialized only when a caller asks for it ([term], DOT export,
@@ -87,7 +93,9 @@ module Metrics = struct
 
   let store_bytes =
     Obs.Gauge.make
-      ~help:"Estimated bytes retained by the last exploration's state store"
+      ~help:
+        "Bytes of the last exploration's state store buffers, successor rows \
+         included"
       "versa_store_bytes"
 
   let frontier =
@@ -127,8 +135,8 @@ type state_id = int
 
 type stats = {
   wall_s : float;  (** total build time *)
-  expand_s : float;  (** computing successor rows *)
-  merge_s : float;  (** interning + BFS bookkeeping *)
+  expand_s : float;  (** computing successor rows, sampled; 0 untraced *)
+  merge_s : float;  (** interning + BFS bookkeeping; 0 untraced *)
   num_states : int;
   num_transitions : int;
   num_deadlocks : int;
@@ -138,7 +146,7 @@ type stats = {
   intern_misses : int;  (** state interns that discovered a new state *)
   hashcons_nodes : int;  (** the exploration's hash-cons table size *)
   slot_nodes : int;  (** distinct slot terms the exploration met *)
-  store_bytes : int;  (** estimated bytes retained by the state store *)
+  store_bytes : int;  (** bytes of the state store's buffers *)
   early_exit_depth : int option;
       (** BFS depth of the deadlock that stopped an early-exit run *)
   deadline_expired : bool;
@@ -177,10 +185,6 @@ let publish_stats s =
   if s.orbit_hits + s.orbit_misses > 0 then
     Obs.Histogram.observe Metrics.canon_seconds s.canon_s;
   Obs.Histogram.observe Metrics.wall s.wall_s
-
-let step_function semantics cache ~views defs frame =
-  Semantics.successors ~cache ~prioritize:(semantics = Prioritized) ~views defs
-    frame
 
 (* Symmetry (orbit) reduction.
 
@@ -224,16 +228,15 @@ module Sym = struct
     root : Node.t array;
         (* the root in the representative's names, not yet
            canonicalized; never mutated *)
-    defs : Defs.t;
   }
 
-  let of_spec spec ~cache ~frame ~raw_root ~defs =
+  let of_spec spec ~cache ~frame ~raw_root =
     if Symmetry.is_empty spec then None
     else begin
       let root = Array.copy raw_root in
       Symmetry.swap spec (Semantics.nodes cache) frame root;
       Some
-        { spec; cache; frame; views = Symmetry.views spec frame; root; defs }
+        { spec; cache; frame; views = Symmetry.views spec frame; root }
     end
 
   let canon s v = Symmetry.canon s.spec s.frame v
@@ -285,97 +288,89 @@ module Sym = struct
       (fun k -> Obs.Histogram.observe Metrics.orbit_size (float_of_int k))
       (Symmetry.class_sizes s.spec)
 
-  (* De-canonicalize a stored path [(step, state); ...] from the root.
+  (* De-canonicalize a path from the root, given as the ids of the
+     states it reaches, each the BFS child of the one before (the
+     root's for the first).
 
      Invariant maintained along the walk: [owners.(c).(j)] is the real
      member whose names class [c]'s position [j] of the current canonical
-     state carries, on the actual (unreduced) run from [root].  For
-     each stored edge we recompute the canonical state's *raw* successor
-     row, find the successor whose canonical form is the stored child —
-     one exists by construction, since the stored row was exactly that
-     row canonicalized — rename the step through [owners], and compose
+     state carries, on the actual (unreduced) run from [root].  For each
+     child we recompute the current state's *raw* successor row and take
+     the first successor whose canonical form is the child: the build
+     interned that row, canonicalized and deduplicated, in this order,
+     so this is the entry that discovered the child, and its step is
+     the arriving one.  We rename the step through [owners] and compose
      the child's permutation into [owners]: its position [j] now holds
      the tuple of position [perm.(j)].  State ids are left as they are
      (they index the canonical store); only steps are renamed, which is
      all trace consumers read. *)
-  let decanon_steps s ~semantics ~term_at path =
-    (* the build's cache: recomputed vectors share the stored ones' nodes *)
-    let next = step_function semantics s.cache ~views:s.views s.defs s.frame in
+  let decanon_steps s ~next ~state ids =
     let root = Array.copy s.root in
     let owners = ref (canon_w s root) in
     let cur = ref root in
     List.map
-      (fun (step, id) ->
-        let child = term_at id in
-        let raw_row = next !cur in
-        match
-          List.find_map
-            (fun (st, t) ->
-              if not (Step.equal st step) then None
-              else
-                let perm = canon_w s t in
-                if Frame.equal t child then Some perm else None)
-            raw_row
-        with
-        | None ->
-            (* unreachable by the invariant above; degrade to the
-               canonical step rather than raise inside diagnostics *)
-            cur := child;
-            (step, id)
-        | Some perm ->
-            let real = Symmetry.rename_step s.spec !owners step in
-            owners :=
-              Array.map2 (fun o p -> Array.map (fun j -> o.(j)) p) !owners perm;
-            cur := child;
-            (real, id))
-      path
+      (fun id ->
+        let child = state id in
+        let rec arriving = function
+          | [] -> invalid_arg "Lts.path_to: no step reaches the child"
+          | (step, t) :: rest ->
+              let perm = canon_w s t in
+              if Frame.equal t child then (step, perm) else arriving rest
+        in
+        let step, perm = arriving (next !cur) in
+        let real = Symmetry.rename_step s.spec !owners step in
+        owners :=
+          Array.map2 (fun o p -> Array.map (fun j -> o.(j)) p) !owners perm;
+        cur := child;
+        (real, id))
+      ids
 end
 
-(* The state store: flat growable arrays indexed by state id.  Per state
-   it keeps the slot vector (pointers into the build's node table) and
-   its hash, both in the visited set ([Visited]), and the BFS parent id
-   and the arriving step — enough to rebuild every shortest
-   counterexample path.  Successor rows, indexed by the expanded
-   state's id, are kept only when the caller asks for edges; without
-   them the store holds nothing per transition, which is what plain
-   schedulability queries need. *)
+(* The state store, indexed by state id.  Per state it keeps the slot
+   vector and its hash, in the visited set ([Visited]), and the BFS
+   parent id, in [pred]: int32 buffers outside the heap, which the
+   collector never scans.  That is enough to rebuild every shortest
+   counterexample path: the arriving steps are not kept, [path_to]
+   recomputes them.  Successor rows, indexed by the expanded state's
+   id, are kept only when the caller asks for edges; without them the
+   store holds no OCaml value per state or per transition, which is
+   what plain schedulability queries need. *)
 module Store = struct
+  type cells = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
   type t = {
     visited : Visited.t;  (* slot vector <-> state id *)
     edges : bool;
-    mutable pred : int array;  (* BFS parent; -1 for the root *)
-    mutable steps : Step.t array;  (* step from pred; slot 0 is a dummy *)
+    mutable pred : cells;  (* BFS parent; -1 for the root and past the last *)
     mutable rows : (Step.t * state_id) array array;
         (* successor rows of the expanded states; empty without edges *)
     mutable hits : int;
     mutable misses : int;
   }
 
-  let dummy_step = Step.Tau (None, 0)
+  (* [n] parent cells, all -1 *)
+  let no_parents n : cells =
+    let cells = Bigarray.(Array1.create int32 c_layout n) in
+    Bigarray.Array1.fill cells (-1l);
+    cells
 
-  let create ~edges =
+  let create nodes ~width ~edges =
     {
-      visited = Visited.create ();
+      visited = Visited.create nodes ~width;
       edges;
-      pred = Array.make 1024 (-1);
-      steps = Array.make 1024 dummy_step;
-      rows = (if edges then Array.make 1024 [||] else [||]);
+      pred = no_parents 64;
+      rows = (if edges then Array.make 64 [||] else [||]);
       hits = 0;
       misses = 0;
     }
 
   let length st = Visited.length st.visited
   let state st id = Visited.get st.visited id
+  let pred st id = Int32.to_int (Bigarray.Array1.get st.pred id)
 
-  let double dummy src =
-    let n = Array.length src in
-    let bigger = Array.make (2 * n) dummy in
-    Array.blit src 0 bigger 0 n;
-    bigger
-
-  (* Intern a successor; parent/step are recorded only on first
-     discovery, so the parent pointers always form the BFS tree. *)
-  let intern st slots ~pred ~step =
+  (* Intern a successor; its parent is recorded only on first discovery,
+     so the parent pointers always form the BFS tree. *)
+  let intern st slots ~pred =
     let fresh = length st in
     let id = Visited.intern st.visited slots in
     if id < fresh then begin
@@ -384,12 +379,13 @@ module Store = struct
     end
     else begin
       st.misses <- st.misses + 1;
-      if id = Array.length st.pred then begin
-        st.pred <- double (-1) st.pred;
-        st.steps <- double dummy_step st.steps
+      let n = Bigarray.Array1.dim st.pred in
+      if id = n then begin
+        let bigger = no_parents (2 * n) in
+        Bigarray.Array1.(blit st.pred (sub bigger 0 n));
+        st.pred <- bigger
       end;
-      st.pred.(id) <- pred;
-      st.steps.(id) <- step;
+      Bigarray.Array1.unsafe_set st.pred id (Int32.of_int pred);
       id
     end
 
@@ -398,12 +394,27 @@ module Store = struct
   let expand st id succs =
     if st.edges then begin
       let row =
-        List.map (fun (step, v) -> (step, intern st v ~pred:id ~step)) succs
+        List.map (fun (step, v) -> (step, intern st v ~pred:id)) succs
       in
-      if id = Array.length st.rows then st.rows <- double [||] st.rows;
+      if id = Array.length st.rows then begin
+        let bigger = Array.make (2 * id) [||] in
+        Array.blit st.rows 0 bigger 0 id;
+        st.rows <- bigger
+      end;
       st.rows.(id) <- Array.of_list row
     end
-    else List.iter (fun (step, v) -> ignore (intern st v ~pred:id ~step)) succs
+    else List.iter (fun (_, v) -> ignore (intern st v ~pred:id)) succs
+
+  (* The buffers' bytes: the visited set's and [pred], at their
+     allocated lengths; with edges, the rows array's slots and, per
+     row, a header word, and per transition a row slot and a three-word
+     (step, id) tuple.  The steps themselves are shared with the node
+     table's compiled step sets, or carry a renamed label. *)
+  let bytes st ~expanded ~transitions =
+    Visited.bytes st.visited
+    + (4 * Bigarray.Array1.dim st.pred)
+    + if st.edges then 8 * (Array.length st.rows + expanded + (4 * transitions))
+      else 0
 end
 
 type t = {
@@ -418,6 +429,9 @@ type t = {
   deadlock_ids : state_id list;  (** discovery order *)
   stats : stats;
   sym : Sym.t option;  (** present when symmetry reduction was active *)
+  next : Node.t array -> (Step.t * Node.t array) list;
+      (** the build's raw successor function, over its cache and views:
+          [path_to] re-expands with it *)
 }
 
 let num_states lts = Store.length lts.store
@@ -443,26 +457,41 @@ let is_deadlock lts id =
 
 let depth lts id =
   let rec up id d =
-    let p = lts.store.Store.pred.(id) in
+    let p = Store.pred lts.store id in
     if p < 0 then d else up p (d + 1)
   in
   up id 0
 
 (* Rebuild the BFS-shortest path from the initial state to [id] as a list
-   of (step, reached state). *)
+   of (step, reached state).  The parent pointers give the states; each
+   step is found again by re-expanding the parent: the build interned
+   the parent's row in row order and recorded the parent on first
+   discovery, so the first row entry whose successor is the child is
+   the one that discovered it, and its step is the arriving one.  Under
+   symmetry [Sym.decanon_steps] does the same on the raw rows, matching
+   successors by their canonical form. *)
 let path_to lts id =
   let st = lts.store in
   let rec up id acc =
-    let p = st.Store.pred.(id) in
-    if p < 0 then acc else up p ((st.Store.steps.(id), id) :: acc)
+    let p = Store.pred st id in
+    if p < 0 then acc else up p (id :: acc)
   in
-  let path = up id [] in
+  let ids = up id [] in
   match lts.sym with
-  | None -> path
-  | Some s ->
-      Sym.decanon_steps s ~semantics:lts.semantics
-        ~term_at:(Store.state st)
-        path
+  | None ->
+      let parent = ref 0 in
+      List.map
+        (fun id ->
+          let child = Store.state st id in
+          let step, _ =
+            List.find
+              (fun (_, v) -> Frame.equal v child)
+              (lts.next (Store.state st !parent))
+          in
+          parent := id;
+          (step, id))
+        ids
+  | Some s -> Sym.decanon_steps s ~next:lts.next ~state:(Store.state st) ids
 
 type build_config = {
   max_states : int option;  (** stop after discovering this many states *)
@@ -505,14 +534,21 @@ let build ?(config = default_config) ?(semantics = Prioritized)
     ~attrs:[ ("semantics", Fmt.str "%a" pp_semantics semantics) ]
   @@ fun () ->
   let t_start = Timed.Clock.gettimeofday () in
+  (* Splitting [expand_s] from [merge_s] costs two clock reads per
+     timed expansion, so only a traced run pays for it, and on the real
+     clock: a trace never moves a deadline's expiry on a virtual one.
+     It times one expansion in [sample_every] and scales the sum to all
+     of them; timing every one cost tracing 8% of [e6_unsched 6]. *)
+  let traced = Obs.Trace.active () and sample_every = 8 in
+  let t_real = if traced then Timed.Clock.now Timed.Clock.real else 0. in
   let cache = Semantics.make_cache () in
   let frame, raw_root =
     Frame.split (Semantics.nodes cache)
       (Hproc.of_proc (Semantics.terms cache) root)
   in
-  let sym = Sym.of_spec symmetry ~cache ~frame ~raw_root ~defs in
+  let sym = Sym.of_spec symmetry ~cache ~frame ~raw_root in
   let raw_next =
-    step_function semantics cache
+    Semantics.successors ~cache ~prioritize:(semantics = Prioritized)
       ~views:(match sym with None -> Semantics.no_views | Some s -> s.Sym.views)
       defs frame
   in
@@ -527,7 +563,9 @@ let build ?(config = default_config) ?(semantics = Prioritized)
         row
     | Some _ | None -> row
   in
-  let store = Store.create ~edges in
+  let store =
+    Store.create (Semantics.nodes cache) ~width:(Frame.width frame) ~edges
+  in
   let truncated = ref false in
   let deadlock_found = ref false in
   let deadlock_ids_rev = ref [] in
@@ -536,12 +574,12 @@ let build ?(config = default_config) ?(semantics = Prioritized)
   ignore
     (Store.intern store
        (match sym with None -> raw_root | Some s -> Sym.canonical_root s)
-       ~pred:(-1) ~step:Store.dummy_step);
+       ~pred:(-1));
   let deadline_hit = ref false in
   let over_budget () =
     budget_stop config ~len:(Store.length store) ~deadline_hit ()
   in
-  let expand_s = ref 0. in
+  let expand_s = ref 0. (* over the timed expansions *) in
   (* the frontier histogram, counted here and published with the other
      statistics; the overflow bucket is the last *)
   let frontier_counts =
@@ -579,9 +617,16 @@ let build ?(config = default_config) ?(semantics = Prioritized)
         incr depth;
         level_end := Store.length store
       end;
-      let t0 = Timed.Clock.gettimeofday () in
-      let s = expand (Store.state store id) in
-      expand_s := !expand_s +. (Timed.Clock.gettimeofday () -. t0);
+      let s =
+        if not traced || id mod sample_every <> 0 then
+          expand (Store.state store id)
+        else begin
+          let t0 = Timed.Clock.now Timed.Clock.real in
+          let s = expand (Store.state store id) in
+          expand_s := !expand_s +. (Timed.Clock.now Timed.Clock.real -. t0);
+          s
+        end
+      in
       if s == [] then begin
         deadlock_found := true;
         deadlock_ids_rev := id :: !deadlock_ids_rev;
@@ -595,11 +640,19 @@ let build ?(config = default_config) ?(semantics = Prioritized)
   done;
   let n = Store.length store in
   let wall_s = Timed.Clock.gettimeofday () -. t_start in
+  (* ids 0, [sample_every], ... below [head] were timed *)
+  let expand_s =
+    !expand_s *. float_of_int !head
+    /. float_of_int (max 1 ((!head + sample_every - 1) / sample_every))
+  in
   let stats =
     {
       wall_s;
-      expand_s = !expand_s;
-      merge_s = wall_s -. !expand_s;
+      expand_s;
+      merge_s =
+        (if traced then
+           Float.max 0. (Timed.Clock.now Timed.Clock.real -. t_real -. expand_s)
+         else 0.);
       num_states = n;
       num_transitions = !transitions;
       num_deadlocks = List.length !deadlock_ids_rev;
@@ -609,17 +662,8 @@ let build ?(config = default_config) ?(semantics = Prioritized)
       intern_misses = store.Store.misses;
       hashcons_nodes = Hproc.size (Semantics.terms cache);
       slot_nodes = Node.size (Semantics.nodes cache);
-      (* per state: the slot vector (a header and one word per slot)
-         and the vector-pointer, cached-hash, pred and step array slots;
-         the visited set's table, two to four slots per state; with
-         edges, per expanded state a rows slot and a row header, per
-         transition a row slot and a (step, id) tuple.  An estimate,
-         counted in words. *)
       store_bytes =
-        8
-        * (((5 + Frame.width frame) * n)
-          + Visited.capacity store.Store.visited
-          + if edges then (2 * !head) + (4 * !transitions) else 0);
+        Store.bytes store ~expanded:!head ~transitions:!transitions;
       early_exit_depth = !early_exit_depth;
       deadline_expired = !deadline_hit;
       orbit_hits = !orbit_hits;
@@ -641,6 +685,7 @@ let build ?(config = default_config) ?(semantics = Prioritized)
     deadlock_ids = List.rev !deadlock_ids_rev;
     stats;
     sym;
+    next = raw_next;
   }
 
 (* A truncated run was stopped either by [stop_at_deadlock] (an early

@@ -13,9 +13,11 @@
     for ({!term}).
 
     There is one exploration loop, {!build}.  Per state it keeps the
-    slot vector, the BFS parent and the arriving step in flat
-    arrays — enough for counts, deadlocks and every shortest
-    counterexample path.  Successor rows are kept only with
+    slot vector, as its slots' node ids, its hash and the BFS parent,
+    in flat 32-bit buffers outside the OCaml heap, which the collector
+    neither promotes nor marks — enough for counts, deadlocks and every
+    shortest counterexample path.  The step that arrives at a state is
+    not kept: {!path_to} recomputes it.  Successor rows are kept only with
     [~edges:true] (the default), for callers that walk the graph
     afterwards (DOT export, bisimulation); a plain schedulability query
     passes [~edges:false] and retains nothing per transition.  With
@@ -44,7 +46,7 @@
     of a class share slot nodes and each local state is compiled once
     per class; the kernel still emits real labels, and {!term} renames
     a state back into its real terms.  {!path_to}
-    de-canonicalizes the stored steps (composing the
+    de-canonicalizes the recomputed steps (composing the
     permutation witnesses along the path), so diagnostic traces name the
     real system's threads; state ids in the returned path index the
     canonical store.  Note that a reduced run's state {e numbering}
@@ -67,8 +69,19 @@ type t
 
 type stats = {
   wall_s : float;  (** total build time, seconds *)
-  expand_s : float;  (** successor computation, canonicalization included *)
-  merge_s : float;  (** interning and BFS bookkeeping: [wall_s - expand_s] *)
+  expand_s : float;
+      (** successor computation, canonicalization included.  Measured
+          only when an {!Obs.Trace} is active as the build starts, on
+          the real clock ({!Timed.Clock.real}) whatever the ambient one,
+          so that a trace never moves a virtual deadline: every eighth
+          expansion is timed and the sum scaled to all of them, so
+          tracing costs a quarter of a clock read per state.  0
+          untraced, which spares an untraced run any clock read per
+          state but the [deadline] check *)
+  merge_s : float;
+      (** interning and BFS bookkeeping: the build's real-clock time
+          minus [expand_s] (at least 0), under the same condition; 0
+          untraced *)
   num_states : int;
   num_transitions : int;
   num_deadlocks : int;
@@ -87,9 +100,10 @@ type stats = {
           symmetry reduction, where member slots are kept in their
           representative's names *)
   store_bytes : int;
-      (** estimated bytes retained by the state store: the slot vectors,
-          the flat parent/step arrays and the visited set, plus the
-          successor rows with [~edges:true] *)
+      (** bytes of the state store's buffers at their allocated lengths:
+          the visited set's arena, hashes and table and the parent
+          buffer, plus, with [~edges:true], the successor rows (the rows
+          array, a header word per row and four words per transition) *)
   early_exit_depth : int option;
       (** BFS depth of the first deadlock when [stop_at_deadlock] fired:
           the distance to the first deadline miss, which bounds the work
@@ -150,7 +164,13 @@ val deadlocks : t -> state_id list
     exactly when [not (truncated lts)].  Cached at build time: O(1). *)
 
 val path_to : t -> state_id -> (Step.t * state_id) list
-(** BFS-shortest path from the initial state, as (step, reached state). *)
+(** BFS-shortest path from the initial state, as (step, reached state).
+    The states come from the parent pointers.  Each step is recomputed
+    by re-expanding the state's parent with the build's cache (and
+    views): it is the step of the first entry of the parent's row, in
+    row order, whose successor (canonicalized, under symmetry) is the
+    state — the entry whose intern discovered it.  So a path costs one
+    expansion per step, and is the same with and without edges. *)
 
 (** {1 Building} *)
 
@@ -196,7 +216,7 @@ val build :
 
     [edges] (default [true]) keeps every expanded state's successor row
     for {!successors}; with [false] the store holds only the per-state
-    slot vector, parent and step.  Everything else — ids, counts, deadlocks,
+    slot vector, hash and parent.  Everything else — ids, counts, deadlocks,
     paths and every non-timing {!stats} field except [store_bytes] — is
     the same either way.  The run is traced as an [lts.build] span with
     edges and an [lts.check] span without.

@@ -280,6 +280,50 @@ let test_allocation_per_state () =
         2_000. );
     ]
 
+(* {1 What the store keeps}
+
+   The visited set keeps each state as its slots' node ids in an arena
+   outside the heap, and the parent pointers and hashes beside it; the
+   arriving steps are not kept at all.  So a run without edges
+   promotes almost nothing per state: 0.85 words on the second
+   exhaustive run of [e6_unsched 6] (31,537 states), where a store of
+   node-pointer vectors and boxed steps promoted 18.  Its buffers come
+   to about 71 bytes per state there, against 152 for the pointer
+   store.  Both are read on the second of two identical runs, after a
+   minor collection. *)
+
+let e6_unsched_6_second_run () =
+  let defs, system = tr_of (Gen.e6_unsched 6) in
+  let run () =
+    Versa.Lts.build
+      ~config:{ Versa.Lts.default_config with stop_at_deadlock = false }
+      ~edges:false defs system
+  in
+  ignore (run ());
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.promoted_words in
+  let lts = run () in
+  Gc.minor ();
+  let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+  (lts, promoted)
+
+let test_promoted_per_state () =
+  let lts, promoted = e6_unsched_6_second_run () in
+  let per_state = promoted /. float_of_int (Versa.Lts.num_states lts) in
+  if per_state > 3. then
+    Alcotest.failf "%.2f promoted words per state over %d states (at most 3)"
+      per_state (Versa.Lts.num_states lts)
+
+let test_store_bytes_per_state () =
+  let lts, _ = e6_unsched_6_second_run () in
+  let per_state =
+    float_of_int (Versa.Lts.stats lts).Versa.Lts.store_bytes
+    /. float_of_int (Versa.Lts.num_states lts)
+  in
+  if per_state > 100. then
+    Alcotest.failf "%.1f store bytes per state over %d states (at most 100)"
+      per_state (Versa.Lts.num_states lts)
+
 (* {1 Node tables belong to one exploration}
 
    Every exploration compiles the step sets of its slot terms into its
@@ -364,8 +408,14 @@ let test_node_tables_per_exploration () =
    and transition counts, truncation, deadlock ids, shortest
    counterexample paths, terms, the summary label and every non-timing
    [stats] field except [store_bytes].  Inputs include a budget-truncated
-   run, and five small schedulable and unschedulable models explored
-   with early exit on and off. *)
+   run, five small schedulable and unschedulable models explored
+   with early exit on and off, and a state with two steps to one
+   successor, which a path must take by the first. *)
+
+let two_steps_to_one_state () =
+  let next = Proc.act (action [ (cpu, 1) ]) Proc.nil in
+  ( Defs.empty,
+    Proc.choice (Proc.send (lbl "b") next) (Proc.send (lbl "a") next) )
 
 let agreement_inputs () =
   let models =
@@ -378,7 +428,10 @@ let agreement_inputs () =
     ]
   in
   reference_models ()
-  @ List.concat_map
+  @ ( "two steps to one state",
+      two_steps_to_one_state (),
+      { Versa.Lts.default_config with stop_at_deadlock = false } )
+    :: List.concat_map
       (fun (name, text) ->
         let tr = tr_of text in
         List.map
@@ -431,6 +484,39 @@ let check_edges_agree name (full : Versa.Lts.t) (compact : Versa.Lts.t) =
       if Versa.Lts.path_to full d <> Versa.Lts.path_to compact d then
         Alcotest.failf "%s: shortest path to deadlock %d differs" name d)
     (Versa.Lts.deadlocks full);
+  (* a path is recomputed, not stored: it must end at its state, take
+     [depth] steps, and arrive at each state by the step of the first
+     entry of its parent's kept row that reaches it, the entry whose
+     intern discovered it *)
+  List.iter
+    (fun d ->
+      let path = Versa.Lts.path_to compact d in
+      if List.length path <> Versa.Lts.depth full d then
+        Alcotest.failf "%s: path to %d is not %d steps" name d
+          (Versa.Lts.depth full d);
+      (match List.rev path with
+      | [] when d <> 0 -> Alcotest.failf "%s: empty path to %d" name d
+      | (_, last) :: _ when last <> d ->
+          Alcotest.failf "%s: path to %d ends at %d" name d last
+      | _ -> ());
+      ignore
+        (List.fold_left
+           (fun parent (step, id) ->
+             (match
+                Array.find_opt
+                  (fun (_, c) -> c = id)
+                  (Versa.Lts.successors full parent)
+              with
+             | Some (first, _) when Step.equal first step -> ()
+             | _ ->
+                 Alcotest.failf
+                   "%s: path to %d arrives at %d by another step than its \
+                    discovering row entry"
+                   name d id);
+             id)
+           0 path))
+    (List.init (min 21 (Versa.Lts.num_states full)) Fun.id
+    @ Versa.Lts.deadlocks full);
   for id = 0 to min 20 (Versa.Lts.num_states full - 1) do
     if Versa.Lts.term full id <> Versa.Lts.term compact id then
       Alcotest.failf "%s: term of state %d differs" name id;
@@ -1124,7 +1210,7 @@ let test_visited_collisions_and_growth () =
          colliding)
     @ List.filteri (fun j _ -> j >= c * gap) fillers
   in
-  let t = Versa.Visited.create () in
+  let t = Versa.Visited.create (Semantics.nodes cache) ~width:4 in
   let initial = Versa.Visited.capacity t in
   List.iteri
     (fun i v ->
@@ -1145,7 +1231,29 @@ let test_visited_collisions_and_growth () =
       Alcotest.(check bool) "the id holds its vector" true
         (Frame.equal v (Versa.Visited.get t i)))
     order;
-  Alcotest.(check int) "re-interning adds nothing" n (Versa.Visited.length t)
+  Alcotest.(check int) "re-interning adds nothing" n (Versa.Visited.length t);
+  (* [Hashtbl.hash] reads only the first ten arguments of a call, so
+     these two slot terms hash alike, and two vectors that differ only
+     in their last slot collide on the whole hash: the arena's compare
+     of node ids must still tell them apart *)
+  let twin k =
+    let call =
+      Proc.call "P" (List.init 12 (fun i -> e_int (if i = 11 then k else i)))
+    in
+    Array.init 4 (fun s ->
+        if s < 3 then pool.(s)
+        else Node.get (Semantics.nodes cache) (Hproc.of_proc terms call))
+  in
+  Alcotest.(check bool) "the twins differ" false
+    (Frame.equal (twin 0) (twin 1));
+  Alcotest.(check int) "the twins hash alike" (Frame.hash (twin 0))
+    (Frame.hash (twin 1));
+  Alcotest.(check int) "a twin gets the next id" n
+    (Versa.Visited.intern t (twin 0));
+  Alcotest.(check int) "its colliding twin gets its own id" (n + 1)
+    (Versa.Visited.intern t (twin 1));
+  Alcotest.(check int) "and each finds its own again" n
+    (Versa.Visited.intern t (twin 0))
 
 (* {1 Wall-clock budgets and cooperative cancellation} *)
 
@@ -1186,10 +1294,12 @@ let test_deadline_budget_truncates () =
     (Versa.Lts.stats full).Versa.Lts.deadline_expired
 
 (* A second-precision budget on the virtual clock: with every clock
-   observation costing 10 virtual ms, a 2.5 s deadline expires partway
-   through the exploration after exactly 250 observations — the
-   truncation point is deterministic, and the whole test runs in
-   wall-clock milliseconds. *)
+   observation costing 10 virtual ms, a 1 s deadline expires after
+   exactly 100 observations.  The exploration observes the clock once
+   per expansion, to check the deadline, so that is partway through
+   [cruise_control]'s 164 states — the truncation point is
+   deterministic, and the whole test runs in wall-clock
+   milliseconds. *)
 let test_virtual_deadline_is_deterministic () =
   let defs, system = tr_of (Gen.cruise_control ()) in
   let explore () =
@@ -1199,7 +1309,7 @@ let test_virtual_deadline_is_deterministic () =
       {
         Versa.Lts.default_config with
         stop_at_deadlock = false;
-        deadline = Some (Timed.Clock.gettimeofday () +. 2.5);
+        deadline = Some (Timed.Clock.gettimeofday () +. 1.);
       }
     in
     let c = Versa.Lts.build ~config ~edges:false defs system in
@@ -1217,7 +1327,67 @@ let test_virtual_deadline_is_deterministic () =
   Alcotest.(check bool) "replay flag" true expired';
   Alcotest.(check int) "identical truncation point" states states';
   Alcotest.(check bool) "states were explored before expiry" true (states > 0);
-  Alcotest.(check bool) "2x 2.5s of virtual budget in real ms" true (wall < 2.0)
+  Alcotest.(check bool) "2x 1s of virtual budget in real ms" true (wall < 2.0)
+
+(* An exploration reads the ambient clock a fixed number of times per
+   run, for its wall time, plus once before every expansion when a
+   deadline is set, to check it, and at no other point per state: a
+   per-state read would cost every run, and would move a virtual
+   deadline's expiry.  Under a simulator whose every observation
+   advances virtual time by one second, the virtual time a run consumes
+   is its number of reads.  Without a trace the loop does not split
+   successor computation from interning, so [expand_s] and [merge_s]
+   read 0; with one it times expansions on the real clock, so a trace
+   adds only its span's reads to a run, whatever its size. *)
+let test_clock_reads_per_run () =
+  let config = { Versa.Lts.default_config with stop_at_deadlock = false } in
+  let explore ?(traced = false) ?deadline text =
+    let defs, system = tr_of text in
+    let sim = Timed.Sim.create ~auto_advance:1. () in
+    Timed.Sim.with_clock sim @@ fun () ->
+    if traced then Obs.Trace.start ();
+    let before = Timed.Sim.now sim in
+    let lts =
+      Versa.Lts.build ~config:{ config with deadline } ~edges:false defs
+        system
+    in
+    let reads = int_of_float (Timed.Sim.now sim -. before) in
+    if traced then Obs.Trace.stop ();
+    (lts, reads)
+  in
+  let small, small_reads = explore (Gen.cruise_control ()) in
+  let large, large_reads = explore (Gen.e6_model 5) in
+  Alcotest.(check bool) "models of different sizes" true
+    (Versa.Lts.num_states small <> Versa.Lts.num_states large);
+  Alcotest.(check int) "reads per run, whatever the size" small_reads
+    large_reads;
+  Alcotest.(check int) "two reads per run" 2 small_reads;
+  let span_reads =
+    List.map
+      (fun (text, lts) ->
+        let timed, reads = explore ~deadline:1e12 text in
+        Alcotest.(check bool) "a far deadline does not truncate" false
+          (Versa.Lts.truncated timed);
+        Alcotest.(check int) "one more read per expansion with a deadline"
+          (small_reads + Versa.Lts.num_states lts)
+          reads;
+        let s = Versa.Lts.stats lts in
+        Alcotest.(check (float 0.)) "untraced expand_s" 0. s.Versa.Lts.expand_s;
+        Alcotest.(check (float 0.)) "untraced merge_s" 0. s.Versa.Lts.merge_s;
+        let traced, traced_reads = explore ~traced:true ~deadline:1e12 text in
+        Alcotest.(check int) "a trace explores the same states"
+          (Versa.Lts.num_states lts)
+          (Versa.Lts.num_states traced);
+        (traced, traced_reads - reads))
+      [ (Gen.cruise_control (), small); (Gen.e6_model 5, large) ]
+  in
+  match span_reads with
+  | [ (_, small_extra); (traced_large, large_extra) ] ->
+      Alcotest.(check int) "a trace adds as many reads to a small run as to \
+        a large one" small_extra large_extra;
+      Alcotest.(check bool) "traced expand_s" true
+        ((Versa.Lts.stats traced_large).Versa.Lts.expand_s > 0.)
+  | _ -> assert false
 
 let test_poll_cancels () =
   let defs, system = tr_of (Gen.cruise_control ()) in
@@ -1253,6 +1423,10 @@ let () =
             test_node_tables_per_exploration;
           Alcotest.test_case "stats independent of earlier explorations"
             `Quick test_stats_independent_of_history;
+          Alcotest.test_case "promoted words per state" `Quick
+            test_promoted_per_state;
+          Alcotest.test_case "store bytes per state" `Quick
+            test_store_bytes_per_state;
         ] );
       ( "on-the-fly",
         [
@@ -1272,6 +1446,8 @@ let () =
           Alcotest.test_case "virtual deadline is deterministic" `Quick
             test_virtual_deadline_is_deterministic;
           Alcotest.test_case "poll cancels" `Quick test_poll_cancels;
+          Alcotest.test_case "clock reads per run" `Quick
+            test_clock_reads_per_run;
         ] );
       ( "visited",
         [
