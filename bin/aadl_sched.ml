@@ -799,11 +799,6 @@ let acsr_cmd =
 
 (* {1 batch / serve: the analysis service layer} *)
 
-let service_config no_cache cache_size =
-  let config = Service.Runner.default_config in
-  if no_cache then config
-  else Service.Runner.with_cache ~capacity:cache_size config
-
 let no_cache_arg =
   Arg.(
     value & flag
@@ -823,18 +818,19 @@ let workers_arg =
           "Analysis jobs run concurrently, each on its own domain.  \
            Output order is always manifest order.")
 
+let verdict_count outcomes tag =
+  List.length
+    (List.filter
+       (fun (o : Service.Job.outcome) ->
+         Service.Job.verdict_tag o.verdict = tag)
+       outcomes)
+
 (* The batch summary that lands on stderr: one JSON object, so driving
    scripts can parse counters without scraping the human rendering (which
    is now opt-in via --stats). *)
 let batch_summary_json (config : Service.Runner.config)
     (outcomes : Service.Job.outcome list) ~elapsed =
   let open Service in
-  let count tag =
-    List.length
-      (List.filter
-         (fun (o : Job.outcome) -> Job.verdict_tag o.verdict = tag)
-         outcomes)
-  in
   let cache_json =
     match config.Runner.cache with
     | None -> Json.Null
@@ -871,7 +867,7 @@ let batch_summary_json (config : Service.Runner.config)
       ( "verdicts",
         Json.Obj
           (List.map
-             (fun tag -> (tag, Json.Int (count tag)))
+             (fun tag -> (tag, Json.Int (verdict_count outcomes tag)))
              [
                "schedulable"; "not_schedulable"; "bounded"; "unknown";
                "cancelled"; "error";
@@ -881,14 +877,56 @@ let batch_summary_json (config : Service.Runner.config)
       ("misses", misses_json);
     ]
 
+(* The tail of both batch paths: the outcomes in manifest order on
+   stdout, the JSON summary on stderr (plus the human rendering with
+   --stats), exit 1 when a job failed.  [via] names the service a
+   --connect run used; [config] is then one without a cache, so the
+   summary has no cache section — ask the service with {"op":"stats"}. *)
+let report_batch ?via (config : Service.Runner.config) outcomes ~elapsed
+    ~stats =
+  List.iter
+    (fun o ->
+      print_endline (Service.Json.to_string (Service.Job.outcome_to_json o)))
+    outcomes;
+  Fmt.epr "%s@."
+    (Service.Json.to_string (batch_summary_json config outcomes ~elapsed));
+  let count = verdict_count outcomes in
+  if stats then begin
+    Fmt.epr
+      "batch: %d jobs (%d schedulable, %d not schedulable, %d bounded, %d \
+       unknown, %d cancelled, %d errors) in %.2fs%s@."
+      (List.length outcomes) (count "schedulable") (count "not_schedulable")
+      (count "bounded") (count "unknown") (count "cancelled") (count "error")
+      elapsed
+      (match via with Some addr -> " via " ^ addr | None -> "");
+    match config.Service.Runner.cache with
+    | Some cache ->
+        Fmt.epr "cache: %a@." Service.Lru.pp_counters
+          (Service.Lru.counters cache);
+        Fmt.epr "misses: %a@." Service.Runner.pp_attribution
+          (Service.Runner.attribution_counters config)
+    | None -> ()
+  end;
+  if count "error" > 0 then 1 else 0
+
 (* batch --connect: forward every manifest entry to a live service (a
-   shard, a router, or a plain serve --listen) and print the replies in
-   manifest order.  Analysis happens remotely, so the local summary has
-   no cache section — ask the service with {"op":"stats"}. *)
-let run_batch_connect addr requests stats =
+   shard, a router, or a plain serve --listen) and collect the replies
+   in manifest order. *)
+let run_batch_connect addr requests =
   Obs.Trace.set_node "client";
   let socket = Service.Transport_socket.create () in
   let t0 = Timed.Clock.gettimeofday () in
+  let failed (r : Service.Job.request) reason =
+    {
+      Service.Job.id = r.id;
+      verdict =
+        Service.Job.Failed (Printf.sprintf "service %s: %s" addr reason);
+      states = 0;
+      cached = false;
+      degraded = false;
+      wall_s = 0.;
+    }
+  in
   let call_one (r : Service.Job.request) =
     (* Inside the span, the ambient context is this request's root, so
        the forwarded line carries it and the service's child spans
@@ -910,68 +948,19 @@ let run_batch_connect addr requests stats =
           Obs.Span.with_ ~name:"client.request" ~attrs:[ ("id", r.id) ]
             (fun () -> call_one r)
         with
-        | Error e ->
-            {
-              Service.Job.id = r.id;
-              verdict =
-                Service.Job.Failed
-                  (Printf.sprintf "service %s: %s" addr
-                     (Service.Transport.error_message e));
-              states = 0;
-              cached = false;
-              degraded = false;
-              wall_s = 0.;
-            }
+        | Error e -> failed r (Service.Transport.error_message e)
         | Ok reply -> (
             match
               Result.bind (Service.Json.parse reply)
                 Service.Job.outcome_of_json
             with
             | Ok o -> o
-            | Error msg ->
-                {
-                  Service.Job.id = r.id;
-                  verdict =
-                    Service.Job.Failed
-                      (Printf.sprintf "service %s: bad reply: %s" addr msg);
-                  states = 0;
-                  cached = false;
-                  degraded = false;
-                  wall_s = 0.;
-                }))
+            | Error msg -> failed r ("bad reply: " ^ msg)))
       requests
   in
   let elapsed = Timed.Clock.gettimeofday () -. t0 in
   Service.Transport_socket.stop socket;
-  List.iter
-    (fun o ->
-      print_endline (Service.Json.to_string (Service.Job.outcome_to_json o)))
-    outcomes;
-  Fmt.epr "%s@."
-    (Service.Json.to_string
-       (batch_summary_json Service.Runner.default_config outcomes ~elapsed));
-  if stats then begin
-    let count tag =
-      List.length
-        (List.filter
-           (fun (o : Service.Job.outcome) ->
-             Service.Job.verdict_tag o.verdict = tag)
-           outcomes)
-    in
-    Fmt.epr
-      "batch: %d jobs (%d schedulable, %d not schedulable, %d bounded, %d \
-       unknown, %d cancelled, %d errors) in %.2fs via %s@."
-      (List.length outcomes) (count "schedulable") (count "not_schedulable")
-      (count "bounded") (count "unknown") (count "cancelled") (count "error")
-      elapsed addr
-  end;
-  if
-    List.exists
-      (fun (o : Service.Job.outcome) ->
-        match o.verdict with Service.Job.Failed _ -> true | _ -> false)
-      outcomes
-  then 1
-  else 0
+  (outcomes, elapsed)
 
 let run_batch manifest workers no_cache cache_size timeout stats trace
     connect log_json =
@@ -991,7 +980,7 @@ let run_batch manifest workers no_cache cache_size timeout stats trace
   | Error msg ->
       Fmt.epr "manifest error: %s@." msg;
       2
-  | Ok requests ->
+  | Ok requests -> (
       (* relative model paths are relative to the manifest, not the cwd *)
       let dir = Filename.dirname manifest in
       let requests =
@@ -1009,51 +998,24 @@ let run_batch manifest workers no_cache cache_size timeout stats trace
           requests
       in
       match connect with
-      | Some addr -> run_batch_connect addr requests stats
+      | Some addr ->
+          let outcomes, elapsed = run_batch_connect addr requests in
+          report_batch ~via:addr Service.Runner.default_config outcomes
+            ~elapsed ~stats
       | None ->
-      let config = service_config no_cache cache_size in
-      let scheduler = Service.Scheduler.create ~workers config in
-      List.iter
-        (fun r -> ignore (Service.Scheduler.submit scheduler r))
-        requests;
-      let t0 = Timed.Clock.gettimeofday () in
-      let outcomes = Service.Scheduler.run_all scheduler in
-      let elapsed = Timed.Clock.gettimeofday () -. t0 in
-      List.iter
-        (fun o ->
-          print_endline (Service.Json.to_string (Service.Job.outcome_to_json o)))
-        outcomes;
-      Fmt.epr "%s@."
-        (Service.Json.to_string (batch_summary_json config outcomes ~elapsed));
-      if stats then begin
-        let count tag =
-          List.length
-            (List.filter
-               (fun (o : Service.Job.outcome) ->
-                 Service.Job.verdict_tag o.verdict = tag)
-               outcomes)
-        in
-        Fmt.epr
-          "batch: %d jobs (%d schedulable, %d not schedulable, %d bounded, \
-           %d unknown, %d cancelled, %d errors) in %.2fs@."
-          (List.length outcomes) (count "schedulable")
-          (count "not_schedulable") (count "bounded") (count "unknown")
-          (count "cancelled") (count "error") elapsed;
-        match config.Service.Runner.cache with
-        | Some cache ->
-            Fmt.epr "cache: %a@." Service.Lru.pp_counters
-              (Service.Lru.counters cache);
-            Fmt.epr "misses: %a@." Service.Runner.pp_attribution
-              (Service.Runner.attribution_counters config)
-        | None -> ()
-      end;
-      if
-        List.exists
-          (fun (o : Service.Job.outcome) ->
-            match o.verdict with Service.Job.Failed _ -> true | _ -> false)
-          outcomes
-      then 1
-      else 0
+          let config = Service.Runner.default_config in
+          let config =
+            if no_cache then config
+            else Service.Runner.with_cache ~capacity:cache_size config
+          in
+          let scheduler = Service.Scheduler.create ~workers config in
+          List.iter
+            (fun r -> ignore (Service.Scheduler.submit scheduler r))
+            requests;
+          let t0 = Timed.Clock.gettimeofday () in
+          let outcomes = Service.Scheduler.run_all scheduler in
+          let elapsed = Timed.Clock.gettimeofday () -. t0 in
+          report_batch config outcomes ~elapsed ~stats)
 
 let manifest_arg =
   Arg.(
@@ -1171,147 +1133,121 @@ let split_addrs s =
   String.split_on_char ',' s |> List.map String.trim
   |> List.filter (fun a -> a <> "")
 
-(* Bind the --metrics-listen scrape endpoint on [socket], fatal on a bad
-   or unbindable address (a silent scrape endpoint would be worse than
-   none). *)
-let start_scrape socket metrics_listen ~health =
-  match metrics_listen with
-  | None -> ()
-  | Some addr -> (
-      try Service.Scrape.start socket ~addr ~health with
-      | Invalid_argument msg ->
-          Fmt.epr "metrics-listen: %s@." msg;
-          exit 2
-      | Unix.Unix_error (e, _, _) ->
-          Fmt.epr "metrics-listen: %s: %s@." addr (Unix.error_message e);
-          exit 2)
+(* Run [bind], which binds a listener on [addr]; a bad or unbindable
+   address is fatal (exit 2), its message prefixed with [what]. *)
+let bind_or_exit what addr bind =
+  try bind () with
+  | Invalid_argument msg ->
+      Fmt.epr "%s: %s@." what msg;
+      exit 2
+  | Unix.Unix_error (e, _, _) ->
+      Fmt.epr "%s: %s: %s@." what addr (Unix.error_message e);
+      exit 2
 
-let run_serve no_cache cache_size trace listen route_to journal
-    metrics_listen log_json =
+(* The one endpoint runner behind serve and shard: answer [handler]'s
+   lines on the [listen] socket until it has answered a quit, or
+   without [listen] on stdio until then or the end of input, beside the
+   --metrics-listen scrape endpoint serving [health].  [socket] is the
+   process's socket transport (a router's calls to its shards go
+   through it too); it is stopped on return.  [cmd] prefixes bind
+   errors. *)
+let run_endpoint cmd socket ~listen ~metrics_listen ~handler ~stopping
+    ~health =
+  Option.iter
+    (fun addr ->
+      bind_or_exit cmd addr (fun () ->
+          Service.Transport_socket.serve socket addr handler))
+    listen;
+  Option.iter
+    (fun addr ->
+      bind_or_exit "metrics-listen" addr (fun () ->
+          Service.Scrape.start socket ~addr ~health))
+    metrics_listen;
+  match listen with
+  | Some _ -> serve_until_quit socket stopping
+  | None ->
+      stdio_handler_loop handler stopping;
+      Service.Transport_socket.stop socket
+
+(* One shard named [name] on stdio or the [listen] socket: a plain
+   serve and the shard subcommand.  A socket endpoint reports what its
+   journal replayed. *)
+let run_shard_endpoint cmd ~name ~listen ~journal ~cache_size
+    ~metrics_listen =
+  match
+    Service.Shard.create ?journal ~capacity:cache_size ~name
+      Service.Runner.default_config
+  with
+  | Error msg ->
+      Fmt.epr "%s: %s@." cmd msg;
+      2
+  | Ok shard ->
+      (match (listen, Service.Shard.recovery shard) with
+      | Some _, Some r ->
+          Fmt.epr "journal: replayed %d verdicts, %d bytes dropped%s@."
+            (List.length r.Service.Journal.replayed)
+            r.Service.Journal.dropped_bytes
+            (if r.Service.Journal.corrupt then " (CRC mismatch)" else "")
+      | _ -> ());
+      run_endpoint cmd
+        (Service.Transport_socket.create ())
+        ~listen ~metrics_listen
+        ~handler:(Service.Shard.handler shard)
+        ~stopping:(fun () -> Service.Shard.stopping shard)
+        ~health:(fun () -> Service.Shard.health shard);
+      Service.Shard.close shard;
+      0
+
+let run_serve cache_size trace listen route_to journal metrics_listen
+    log_json =
   with_log_json log_json @@ fun () ->
   with_trace trace @@ fun () ->
   match route_to with
+  | None ->
+      Obs.Trace.set_node "serve";
+      run_shard_endpoint "serve"
+        ~name:(Option.value ~default:"serve" listen)
+        ~listen ~journal ~cache_size ~metrics_listen
   | Some addrs -> (
       (* Router mode: front the listed shard endpoints.  The router
-         keeps no cache of its own — the shards do the caching. *)
+         keeps no cache of its own — the shards do the caching.  Its
+         endpoint name is the listen address. *)
       match split_addrs addrs with
       | [] ->
           Fmt.epr "serve: --route-to needs at least one address@.";
           2
-      | shards -> (
+      | shards ->
           Obs.Trace.set_node "router";
           let socket = Service.Transport_socket.create () in
-          let transport = Service.Transport_socket.make socket in
           let router =
-            Service.Router.create ?name:listen ~shards transport
+            Service.Router.create ?name:listen ~shards
+              (Service.Transport_socket.make socket)
           in
-          let stopping () = Service.Router.stopping router in
-          start_scrape socket metrics_listen ~health:(fun () ->
+          run_endpoint "serve" socket ~listen ~metrics_listen
+            ~handler:(Service.Router.handler router)
+            ~stopping:(fun () -> Service.Router.stopping router)
+            ~health:(fun () ->
               Service.Json.to_string (Service.Router.health_json router));
-          match listen with
-          | None ->
-              stdio_handler_loop (Service.Router.handler router) stopping;
-              Service.Transport_socket.stop socket;
-              0
-          | Some _ ->
-              (* The router's endpoint name is the listen address. *)
-              (try Service.Router.register router transport
-               with Invalid_argument msg ->
-                 Fmt.epr "serve: %s@." msg;
-                 exit 2);
-              serve_until_quit socket stopping;
-              0))
-  | None -> (
-      Obs.Trace.set_node "serve";
-      match listen with
-      | None when journal <> None -> (
-          (* stdio conversation, but with the shard stack so verdicts
-             persist across sessions *)
-          match
-            Service.Shard.create ?journal ~capacity:cache_size ~name:"serve"
-              Service.Runner.default_config
-          with
-          | Error msg ->
-              Fmt.epr "serve: %s@." msg;
-              2
-          | Ok shard ->
-              let scrape_socket = Service.Transport_socket.create () in
-              start_scrape scrape_socket metrics_listen ~health:(fun () ->
-                  Service.Shard.health shard);
-              stdio_handler_loop (Service.Shard.handler shard) (fun () ->
-                  Service.Shard.stopping shard);
-              Service.Transport_socket.stop scrape_socket;
-              Service.Shard.close shard;
-              0)
-      | None ->
-          let config = service_config no_cache cache_size in
-          (* The scrape health view shares [config] — and so the live
-             cache — with the serving loop's own protocol instance. *)
-          let health_protocol = Service.Protocol.create ~name:"serve" config in
-          let scrape_socket = Service.Transport_socket.create () in
-          start_scrape scrape_socket metrics_listen ~health:(fun () ->
-              Service.Json.to_string
-                (Service.Protocol.health_json health_protocol));
-          Service.Server.serve ~config stdin stdout;
-          Service.Transport_socket.stop scrape_socket;
-          0
-      | Some addr -> (
-          (* Single-shard socket service.  A shard always caches (the
-             journal replays into the cache); --no-cache is a stdio-only
-             knob. *)
-          match
-            Service.Shard.create ?journal ~capacity:cache_size ~name:addr
-              Service.Runner.default_config
-          with
-          | Error msg ->
-              Fmt.epr "serve: %s@." msg;
-              2
-          | Ok shard ->
-              (match Service.Shard.recovery shard with
-              | Some r when r.Service.Journal.replayed <> [] ->
-                  Fmt.epr "journal: replayed %d verdicts%s@."
-                    (List.length r.Service.Journal.replayed)
-                    (if r.Service.Journal.dropped_bytes > 0 then
-                       Printf.sprintf " (dropped %d damaged bytes)"
-                         r.Service.Journal.dropped_bytes
-                     else "")
-              | _ -> ());
-              let socket = Service.Transport_socket.create () in
-              (try
-                 Service.Transport_socket.serve socket addr
-                   (Service.Shard.handler shard)
-               with
-              | Invalid_argument msg ->
-                  Fmt.epr "serve: %s@." msg;
-                  exit 2
-              | Unix.Unix_error (e, _, _) ->
-                  Fmt.epr "serve: %s: %s@." addr (Unix.error_message e);
-                  exit 2);
-              start_scrape socket metrics_listen ~health:(fun () ->
-                  Service.Shard.health shard);
-              serve_until_quit socket (fun () ->
-                  Service.Shard.stopping shard);
-              Service.Shard.close shard;
-              0))
+          0)
 
 let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Long-lived analysis service: read one JSON request per line on \
-          stdin, answer one JSON outcome per line on stdout (same schema \
-          as $(b,batch)).  $(b,{\"op\": \"stats\"}) reports verdict-cache \
+         "Long-lived analysis service: one endpoint that answers each \
+          JSON request line with one JSON outcome line (same schema as \
+          $(b,batch)).  $(b,{\"op\": \"stats\"}) reports verdict-cache \
           counters; $(b,{\"op\": \"metrics\"}) the full metrics registry \
           (JSON plus a Prometheus text exposition); $(b,{\"op\": \"quit\"}) \
-          ends the session.  With $(b,--listen) the same conversation is \
-          served on a socket; with $(b,--route-to) this process routes \
-          requests across shard endpoints instead of analyzing locally.  \
+          ends the session.  The endpoint is fronted one of three ways: \
+          on stdin/stdout (the default), on a socket with $(b,--listen), \
+          or as a router with $(b,--route-to), which forwards each request \
+          to the shard endpoint that owns it instead of analyzing locally.  \
           $(b,--metrics-listen) additionally serves the process metrics \
           over HTTP for scraping.")
     Term.(
-      const run_serve $ no_cache_arg $ cache_size_arg $ trace_arg
-      $ listen_arg $ route_to_arg $ journal_arg
-      $ metrics_listen_arg $ log_json_arg)
+      const run_serve $ cache_size_arg $ trace_arg $ listen_arg
+      $ route_to_arg $ journal_arg $ metrics_listen_arg $ log_json_arg)
 
 let run_shard listen journal shard_name cache_size trace metrics_listen
     log_json =
@@ -1321,37 +1257,8 @@ let run_shard listen journal shard_name cache_size trace metrics_listen
   (* Node names end up in trace-context headers, which are split on
      '/', so slug the address ("unix:/tmp/x.sock" and the like). *)
   Obs.Trace.set_node (Service.Protocol.metric_slug name);
-  match
-    Service.Shard.create ?journal ~capacity:cache_size ~name
-      Service.Runner.default_config
-  with
-  | Error msg ->
-      Fmt.epr "shard: %s@." msg;
-      2
-  | Ok shard ->
-      (match Service.Shard.recovery shard with
-      | Some r ->
-          Fmt.epr "journal: replayed %d verdicts, %d bytes dropped%s@."
-            (List.length r.Service.Journal.replayed)
-            r.Service.Journal.dropped_bytes
-            (if r.Service.Journal.corrupt then " (CRC mismatch)" else "")
-      | None -> ());
-      let socket = Service.Transport_socket.create () in
-      (try
-         Service.Transport_socket.serve socket listen
-           (Service.Shard.handler shard)
-       with
-      | Invalid_argument msg ->
-          Fmt.epr "shard: %s@." msg;
-          exit 2
-      | Unix.Unix_error (e, _, _) ->
-          Fmt.epr "shard: %s: %s@." listen (Unix.error_message e);
-          exit 2);
-      start_scrape socket metrics_listen ~health:(fun () ->
-          Service.Shard.health shard);
-      serve_until_quit socket (fun () -> Service.Shard.stopping shard);
-      Service.Shard.close shard;
-      0
+  run_shard_endpoint "shard" ~name ~listen:(Some listen) ~journal ~cache_size
+    ~metrics_listen
 
 let shard_cmd =
   Cmd.v

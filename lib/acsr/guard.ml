@@ -13,16 +13,12 @@ type t =
 
 and cmp = Eq | Ne | Lt | Le | Gt | Ge
 
-let tt = True
-let ff = False
 let eq a b = Cmp (Eq, a, b)
-let ne a b = Cmp (Ne, a, b)
 let lt a b = Cmp (Lt, a, b)
 let le a b = Cmp (Le, a, b)
 let gt a b = Cmp (Gt, a, b)
 let ge a b = Cmp (Ge, a, b)
 let conj a b = And (a, b)
-let disj a b = Or (a, b)
 let neg a = Not a
 
 let eval_cmp op x y =

@@ -12,16 +12,12 @@ and cmp = Eq | Ne | Lt | Le | Gt | Ge
 
 (** {1 Constructors} *)
 
-val tt : t
-val ff : t
 val eq : Expr.t -> Expr.t -> t
-val ne : Expr.t -> Expr.t -> t
 val lt : Expr.t -> Expr.t -> t
 val le : Expr.t -> Expr.t -> t
 val gt : Expr.t -> Expr.t -> t
 val ge : Expr.t -> Expr.t -> t
 val conj : t -> t -> t
-val disj : t -> t -> t
 val neg : t -> t
 
 (** {1 Evaluation} *)

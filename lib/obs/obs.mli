@@ -247,8 +247,10 @@ end
 val sample_gc : unit -> unit
 (** Refresh the [runtime_gc_*] gauges (heap/top-heap words, lifetime
     allocated words, minor/major collection counts, compactions) from
-    [Gc.quick_stat].  Registers the gauges on first call, so processes
-    that never sample keep them out of their registry. *)
+    [Gc.quick_stat]; allocated words also count what the calling
+    domain's minor heap holds since its last collection.  Registers the
+    gauges on first call, so processes that never sample keep them out
+    of their registry. *)
 
 (** {1 Multi-process trace merging} *)
 

@@ -1,33 +1,12 @@
-(* Transport-independent request handling.  See protocol.mli. *)
+(* Wire helpers shared by the protocol's actors.  See protocol.mli. *)
 
-type t = {
-  config : Runner.config;
-  name : string;
-  started_at : float;
-  health_extra : (unit -> (string * Json.t) list) option;
-  spans : span_gate;
-}
-
-and span_gate = {
+type span_gate = {
   seen : (string, Obs.Context.t option) Hashtbl.t;
   gate_mutex : Mutex.t;
 }
 
-type reaction = Continue | Quit
-
 let make_span_gate () =
   { seen = Hashtbl.create 64; gate_mutex = Mutex.create () }
-
-let create ?(name = "service") ?health config =
-  {
-    config;
-    name;
-    started_at = Timed.Clock.gettimeofday ();
-    health_extra = health;
-    spans = make_span_gate ();
-  }
-
-let config t = t.config
 
 (* {1 Trace context on the wire}
 
@@ -178,89 +157,3 @@ let gc_json () =
       ( "major_collections",
         Json.Float (gauge_value "runtime_gc_major_collections") );
     ]
-
-let health_json t =
-  Obs.sample_gc ();
-  let c =
-    match t.config.Runner.cache with
-    | Some cache -> Lru.counters cache
-    | None ->
-        { Lru.hits = 0; misses = 0; evictions = 0; size = 0; capacity = 0 }
-  in
-  let lookups = c.Lru.hits + c.Lru.misses in
-  let hit_ratio =
-    if lookups = 0 then 0. else float_of_int c.Lru.hits /. float_of_int lookups
-  in
-  let extra = match t.health_extra with None -> [] | Some f -> f () in
-  Json.Obj
-    ([
-       ("ok", Json.Bool true);
-       ("endpoint", Json.String t.name);
-       ( "uptime_s",
-         Json.Float (Timed.Clock.gettimeofday () -. t.started_at) );
-       ("queue_depth", Json.Float (gauge_value "service_queue_depth"));
-       ( "cache",
-         Json.Obj
-           [
-             ("hits", Json.Int c.Lru.hits);
-             ("misses", Json.Int c.Lru.misses);
-             ("size", Json.Int c.Lru.size);
-             ("capacity", Json.Int c.Lru.capacity);
-             ("hit_ratio", Json.Float hit_ratio);
-           ] );
-       ("gc", gc_json ());
-     ]
-    @ extra)
-
-let dispatch t json =
-  match Option.bind (Json.member "op" json) Json.to_str with
-  | Some "stats" -> (Json.to_string (counters_json t.config), Continue)
-  | Some "metrics" ->
-      Obs.sample_gc ();
-      ( Json.to_string
-          (Json.Obj
-             [
-               ("metrics", metrics_json ());
-               ("prometheus", Json.String (Obs.render_prometheus ()));
-             ]),
-        Continue )
-  | Some "health" -> (Json.to_string (health_json t), Continue)
-  | Some "cluster-stats" ->
-      (* A lone service is a one-shard cluster: answering here lets
-         [cluster-stats] point at a plain [serve] endpoint too. *)
-      ( Json.to_string
-          (Json.Obj
-             [
-               ("reachable", Json.Int 1);
-               ("shard_count", Json.Int 1);
-               ( "shards",
-                 Json.Obj
-                   [
-                     ( t.name,
-                       Json.Obj
-                         [
-                           ("reachable", Json.Bool true);
-                           ("health", health_json t);
-                         ] );
-                   ] );
-             ]),
-        Continue )
-  | Some "quit" -> (Json.to_string (Json.Obj [ ("ok", Json.Bool true) ]), Quit)
-  | Some op -> (error_json (Printf.sprintf "unknown op %S" op), Continue)
-  | None -> (
-      match Job.request_of_json json with
-      | Error msg -> (error_json msg, Continue)
-      | Ok req ->
-          ( Json.to_string (Job.outcome_to_json (Runner.run t.config req)),
-            Continue ))
-
-let handle t line =
-  match Json.parse line with
-  | Error msg -> (error_json msg, Continue)
-  | Ok json ->
-      with_request_span t.spans ~name:"service.request" ~endpoint:t.name json
-        (fun () ->
-          Obs.Log.emit
-            ~fields:[ ("endpoint", t.name); ("op", op_label json) ]
-            "service.request";
-          dispatch t json)

@@ -1,64 +1,40 @@
-(** The service request protocol, independent of any transport.
+(** Wire helpers shared by every actor of the service protocol.
 
-    One request line in, one reply line out: requests are single-line
-    JSON documents; an object with an ["op"] field is a control request
-    ([stats], [metrics], [health], [cluster-stats], [quit]), anything
-    else is decoded as an analysis request ({!Job.request_of_json}) and
-    run.  The stdio {!Server} loop, the socket listener and the
-    sim-fabric endpoints all feed the same [handle] — which is what
-    makes the protocol testable on the fault fabric and deployable over
-    sockets without divergence.
+    The protocol is one request line in, one reply line out: requests
+    are single-line JSON documents; an object with an ["op"] field is
+    a control request, anything else an analysis request
+    ({!Job.request_of_json}).  {!Shard} is the one endpoint that
+    analyses, {!Router} fronts shards; both build their replies from
+    the helpers here, as does the client side of [batch --connect].
 
     {1 Trace context}
 
     Any request may carry a ["trace": "<trace_id>/<span_id>"] member —
     the sender's {!Obs.Context} in wire form.  While tracing is active,
-    [handle] opens a child span ([service.request]) parented on that
-    context, so a client request, the router hop and the owner shard's
-    work line up as one causally-linked timeline once the per-process
-    trace files are merged ({!Obs.Trace_merge}).  Requests without the
-    member trace exactly as before.  Transports may deliver a request
-    more than once (the sim fabric is at-least-once); a span is opened
-    at most once per distinct context header, so duplicated deliveries
-    do not mint duplicate spans. *)
-
-type t
-
-type reaction =
-  | Continue
-  | Quit  (** the peer asked the serving loop to stop *)
-
-val create :
-  ?name:string ->
-  ?health:(unit -> (string * Json.t) list) ->
-  Runner.config ->
-  t
-(** A protocol instance answering with [config]'s runner stack.  [name]
-    (default ["service"]) labels spans and the [health] reply;
-    [health] contributes extra members to the [{"op":"health"}] object
-    (a shard adds its journal stats there). *)
-
-val config : t -> Runner.config
-
-val handle : t -> string -> string * reaction
-(** [handle t line] answers one request.  Never raises: malformed JSON,
-    unknown ops and failed jobs all come back as JSON replies
-    ([{"error": ...}] or a [Failed] outcome).  Blank input is an error
-    reply (framing layers skip blank lines before calling). *)
+    an actor opens a child span for the request ({!with_request_span})
+    parented on that context, so a client request, the router hop and
+    the owner shard's work line up as one causally-linked timeline once
+    the per-process trace files are merged ({!Obs.Trace_merge}).
+    Requests without the member trace exactly as before.  Transports
+    may deliver a request more than once (the sim fabric is
+    at-least-once); a span is opened at most once per distinct context
+    header, so duplicated deliveries do not mint duplicate spans. *)
 
 val counters_json : Runner.config -> Json.t
-(** The cache/attribution counter object served for [{"op":"stats"}] —
-    exposed for aggregators (the {!Router} merges one per shard). *)
+(** The cache/attribution counter object a shard serves for
+    [{"op":"stats"}] (the {!Router} merges one reply per shard). *)
 
 val gc_json : unit -> Json.t
 (** The [runtime_gc_*] gauges as an object (call {!Obs.sample_gc}
     first) — shared by shard and router health replies. *)
 
-val health_json : t -> Json.t
-(** The [{"op":"health"}] reply object: [ok], [endpoint], [uptime_s]
-    (ambient {!Timed.Clock}), scheduler [queue_depth], cache counters
-    with [hit_ratio], [runtime_gc_*] gauge readings (freshly sampled via
-    {!Obs.sample_gc}), plus whatever the [health] callback adds. *)
+val metrics_json : unit -> Json.t
+(** The whole {!Obs} registry, one member per metric sorted by name;
+    histogram values carry [sum]/[count]/[buckets] members. *)
+
+val gauge_value : string -> float
+(** The current value of the gauge registered under this name, [0.]
+    when there is none. *)
 
 val error_json : string -> string
 (** The canonical one-line error reply. *)
@@ -71,6 +47,9 @@ val metric_slug : string -> string
 
     Shared by every protocol actor (shard, router) and the client side
     of [batch --connect]. *)
+
+val op_label : Json.t -> string
+(** The request's ["op"], or ["analyze"] for an analysis request. *)
 
 val trace_context : Json.t -> Obs.Context.t option
 (** The decoded ["trace"] member, if present and well-formed. *)

@@ -7,7 +7,8 @@ type t = {
   retries : int;
   call_timeout : float option;
   transport : Transport.t;
-  (* source digest + options fingerprint -> merkle key *)
+  (* source digest + options fingerprint -> merkle key, emptied past
+     [memo_limit] entries *)
   key_memo : (string, string) Hashtbl.t;
   memo_mutex : Mutex.t;
   stopping : bool Atomic.t;
@@ -83,6 +84,11 @@ let source_digest (req : Job.request) =
       | d -> Digest.to_hex d
       | exception Sys_error _ -> Digest.to_hex (Digest.string ("path:" ^ path)))
 
+(* A long-lived router keeps meeting new models: the memo forgets them
+   all past this size, as the span gate does, so its heap stays
+   bounded.  A forgotten key costs one model load to recompute. *)
+let memo_limit = 1024
+
 let routing_key t (req : Job.request) =
   let memo_key = source_digest req ^ "/" ^ Key.request_fingerprint req in
   Mutex.lock t.memo_mutex;
@@ -100,6 +106,8 @@ let routing_key t (req : Job.request) =
             memo_key
       in
       Mutex.lock t.memo_mutex;
+      if Hashtbl.length t.key_memo >= memo_limit then
+        Hashtbl.reset t.key_memo;
       Hashtbl.replace t.key_memo memo_key merkle;
       Mutex.unlock t.memo_mutex;
       merkle

@@ -42,7 +42,9 @@
 
     Routing keys are memoized by source-content digest + options
     fingerprint, so a duplicate-heavy workload plans each distinct
-    model once, not once per request. *)
+    model once, not once per request.  The memo is emptied when it
+    reaches 1,024 entries, so a long-lived router's heap does not grow
+    with every model it has routed. *)
 
 type t
 

@@ -1,17 +1,39 @@
-(** An owner shard: one runner/scheduler/LRU stack behind a transport
-    endpoint, with an optional persistent verdict {!Journal}.
+(** The one analysing endpoint: one runner/scheduler/LRU stack behind
+    the request protocol, with an optional persistent verdict
+    {!Journal}.
 
-    A shard owns a slice of the key space (the {!Router} decides
-    which); it answers the full {!Protocol} — analysis requests,
-    [stats], [metrics], [quit] — through any {!Transport}.  When given
-    a journal path it persists every stored verdict and pre-warms its
-    cache from the journal on startup, so a restarted shard keeps
-    answering repeats from cache.
+    Every endpoint that analyses is a shard: [aadl_sched shard], a plain
+    [aadl_sched serve] on stdio or [--listen] (named ["serve"] on stdio,
+    after its address on a socket), and the in-process endpoints of the
+    tests and benchmarks.  Behind a {!Router} a shard owns a slice of
+    the key space; alone it is a complete service.  {!handler} answers
+    one request line with one reply line, whatever the transport:
+
+    - an analysis request ({!Job.request_of_json} schema, the same as a
+      [batch] manifest line) — answered with the {!Job.outcome} object;
+    - [{"op": "stats"}] — the verdict-cache and miss-attribution
+      counters ({!Protocol.counters_json});
+    - [{"op": "metrics"}] — the full {!Obs} registry:
+      [{"metrics": {name: value, …}, "prometheus": "…"}];
+    - [{"op": "health"}] — see {!health};
+    - [{"op": "cluster-stats"}] — this shard as a one-shard cluster, in
+      the shape a router reports;
+    - [{"op": "quit"}] — [{"ok": true}], and {!stopping} latches.
+
+    Malformed lines, unknown ops and failed jobs are answered with
+    [{"error": …}] or a [Failed] outcome; the handler never raises.
+    A request carrying a ["trace"] context opens a [service.request]
+    span while tracing is active ({!Protocol.with_request_span}).
+
+    When given a journal path a shard persists every stored verdict and
+    pre-warms its cache from the journal on startup, so a restarted
+    shard keeps answering repeats from cache.
 
     Per-shard Obs metrics ([service_shard_<name>_requests_total],
     [..._journal_appends_total], [..._journal_replayed]) are registered
     when the shard is created, never at module load — the metric
-    registry of a process that creates no shards is unchanged. *)
+    registry of a process that creates no shards is unchanged; a plain
+    [serve] registers [service_shard_serve_requests_total]. *)
 
 type t
 
@@ -31,22 +53,22 @@ val create :
     every future store is appended to it. *)
 
 val name : t -> string
-val config : t -> Runner.config
-val journal : t -> Journal.t option
 
 val health : t -> string
-(** The [{"op":"health"}] reply as a one-line JSON string — role,
-    uptime, queue depth, cache counters, GC gauges and (with a journal)
-    path/size/records/compaction/replay stats.  Also served on the
-    [--metrics-listen] endpoint's [/health] path. *)
+(** The [{"op":"health"}] reply as a one-line JSON string — name,
+    uptime (ambient {!Timed.Clock}), scheduler queue depth, cache
+    counters with the hit ratio, freshly sampled [runtime_gc_*] gauges,
+    role and (with a journal) path/size/records/compaction/replay
+    stats.  Also served on the [--metrics-listen] endpoint's [/health]
+    path. *)
 
 val recovery : t -> Journal.recovery option
 (** What journal replay found at startup ([None] without a journal). *)
 
 val handler : t -> string -> string
-(** Answer one protocol request line.  [quit] replies [{"ok": true}]
-    and latches {!stopping}; the transport loop decides what to do with
-    that.  Never raises. *)
+(** Answer one protocol request line (see above).  [quit] latches
+    {!stopping}; the transport loop decides what to do with that.
+    Never raises. *)
 
 val stopping : t -> bool
 (** [true] once a [quit] request has been handled. *)

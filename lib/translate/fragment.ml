@@ -513,9 +513,3 @@ let plan ?(options = default_options) (root : Aadl.Instance.t) : plan =
 let digests (p : plan) =
   List.map (fun s -> (s.spec_id, s.spec_digest)) p.specs
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let pp_kind ppf = function
-  | Thread_unit -> Fmt.string ppf "thread"
-  | Queue -> Fmt.string ppf "queue"
-  | Stimulus -> Fmt.string ppf "stimulus"
-  | Modal_manager -> Fmt.string ppf "modal"

@@ -89,5 +89,3 @@ val realize : spec -> t
 val digests : plan -> (string * string) list
 (** [(id, digest)] per spec, sorted by id — the leaves of the service
     layer's Merkle cache key. *)
-
-val pp_kind : kind Fmt.t

@@ -109,10 +109,8 @@ let stimulus path feature = "Stim_" ^ of_path path ^ "_" ^ sanitize feature
 
 let dispatch_label path = Label.make ("dispatch_" ^ of_path path)
 let done_label path = Label.make ("done_" ^ of_path path)
-let complete_label path = Label.make ("complete_" ^ of_path path)
 let enqueue_label conn_name = Label.make (sanitize conn_name ^ "_q")
 let dequeue_label conn_name = Label.make (sanitize conn_name ^ "_deq")
-let overflow_label conn_name = Label.make (sanitize conn_name ^ "_overflow")
 
 (* {1 Resources} *)
 
@@ -136,24 +134,6 @@ type meaning =
   | Deactivate_of of string list
   | Mode_trigger of string  (** mode transition, e.g. "nominal -> degraded" *)
 
-let pp_meaning ppf = function
-  | Dispatch_of p -> Fmt.pf ppf "dispatch of thread %a" Aadl.Instance.pp_path p
-  | Done_of p -> Fmt.pf ppf "completion of thread %a" Aadl.Instance.pp_path p
-  | Complete_of p ->
-      Fmt.pf ppf "complete event of thread %a" Aadl.Instance.pp_path p
-  | Enqueue_on c -> Fmt.pf ppf "event arrival on connection %s" c
-  | Dequeue_on c -> Fmt.pf ppf "event consumption on connection %s" c
-  | Overflow_on c -> Fmt.pf ppf "queue overflow on connection %s" c
-  | Processor_use p ->
-      Fmt.pf ppf "execution on processor %a" Aadl.Instance.pp_path p
-  | Bus_use p -> Fmt.pf ppf "transfer on bus %a" Aadl.Instance.pp_path p
-  | Data_use p ->
-      Fmt.pf ppf "access to shared data %a" Aadl.Instance.pp_path p
-  | Activate_of p -> Fmt.pf ppf "activation of thread %a" Aadl.Instance.pp_path p
-  | Deactivate_of p ->
-      Fmt.pf ppf "deactivation of thread %a" Aadl.Instance.pp_path p
-  | Mode_trigger t -> Fmt.pf ppf "mode transition %s" t
-
 type registry = (string, meaning) Hashtbl.t
 
 let create_registry () : registry = Hashtbl.create 64
@@ -166,8 +146,6 @@ let register_resource reg res meaning =
   register reg (Resource.name res) meaning
 
 let lookup (reg : registry) name = Hashtbl.find_opt reg name
-let lookup_label reg label = lookup reg (Label.name label)
-let lookup_resource reg res = lookup reg (Resource.name res)
 
 let entries (reg : registry) =
   Hashtbl.fold (fun name meaning acc -> (name, meaning) :: acc) reg []

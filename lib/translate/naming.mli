@@ -45,10 +45,8 @@ val stimulus : string list -> string -> string
 
 val dispatch_label : string list -> Label.t
 val done_label : string list -> Label.t
-val complete_label : string list -> Label.t
 val enqueue_label : string -> Label.t
 val dequeue_label : string -> Label.t
-val overflow_label : string -> Label.t
 val processor_resource : string list -> Resource.t
 val bus_resource : string list -> Resource.t
 val data_resource : string list -> Resource.t
@@ -69,8 +67,6 @@ type meaning =
   | Deactivate_of of string list
   | Mode_trigger of string
 
-val pp_meaning : meaning Fmt.t
-
 type registry
 
 val create_registry : unit -> registry
@@ -78,8 +74,6 @@ val register : registry -> string -> meaning -> unit
 val register_label : registry -> Label.t -> meaning -> unit
 val register_resource : registry -> Resource.t -> meaning -> unit
 val lookup : registry -> string -> meaning option
-val lookup_label : registry -> Label.t -> meaning option
-val lookup_resource : registry -> Resource.t -> meaning option
 
 val entries : registry -> (string * meaning) list
 (** All bindings, sorted by name — the serializable content of a

@@ -117,6 +117,31 @@ let test_journal_crc_corruption () =
   Service.Journal.close j;
   Sys.remove path
 
+(* A damaged byte that leaves the record decodable — the outcome's id
+   "b" turned into "c" — is caught by the CRC alone. *)
+let test_journal_crc_decodable_damage () =
+  let path = temp_path ".journal" in
+  let j, _ = journal_exn (Service.Journal.open_ path) in
+  Service.Journal.append j ~key:"k1" (outcome "a");
+  let stats = Service.Journal.stats j in
+  Service.Journal.append j ~key:"k2" (outcome "b");
+  Service.Journal.close j;
+  let text = read_file path in
+  let start = stats.Service.Journal.bytes in
+  let rec find i =
+    if String.sub text i 3 = {|"b"|} then i + 1 else find (i + 1)
+  in
+  let data = Bytes.of_string text in
+  Bytes.set data (find start) 'c';
+  write_file path (Bytes.to_string data);
+  let j, r = journal_exn (Service.Journal.open_ path) in
+  Alcotest.(check bool) "flagged corrupt" true r.corrupt;
+  Alcotest.(check (list string))
+    "only the record before the damage replays" [ "a" ]
+    (List.map (fun (_, o) -> o.Service.Job.id) r.replayed);
+  Service.Journal.close j;
+  Sys.remove path
+
 (* Whatever damage lands past the magic — flipped bytes, a truncation at
    any offset, inserted or deleted bytes, a frame written twice — opening
    the journal never raises, replays the records of some prefix of what
@@ -920,6 +945,48 @@ let test_traced_replay_identical () =
 
 (* {1 Health and cluster ops over the sim} *)
 
+(* The router memoizes each distinct model's routing key.  A
+   long-lived router meets ever new models, so the memo must stay
+   bounded: routing 5,000 distinct inline models may not keep more than
+   about two memos' worth (1,024 entries, some 24 words each) of them
+   reachable from the router, and the first model still routes to the
+   same shard after the memo has been emptied. *)
+let test_route_memo_bounded () =
+  let sim = Timed.Sim.create () in
+  let transport =
+    Service.Transport_sim.make (Timed.Fabric.create ~seed:3 sim)
+  in
+  let router =
+    Service.Router.create ~shards:[ "shard0"; "shard1"; "shard2" ] transport
+  in
+  let request i =
+    Service.Job.request ~id:(string_of_int i)
+      (Service.Job.Inline
+         (Gen.periodic_system
+            [
+              {
+                Gen.name = Fmt.str "t%d" i;
+                period_ms = 10;
+                cet_min_ms = 1;
+                cet_max_ms = 2;
+                deadline_ms = 10;
+              };
+            ]))
+  in
+  let first = Service.Router.route router (request 0) in
+  let words () = Obj.reachable_words (Obj.repr router) in
+  let empty = words () in
+  for i = 1 to 5_000 do
+    ignore (Service.Router.route router (request i))
+  done;
+  let growth = words () - empty in
+  if growth > 50_000 then
+    Alcotest.failf "routing 5,000 models left %d words reachable from the router"
+      growth;
+  Alcotest.(check (pair string string))
+    "same owner and key after the memo was emptied" first
+    (Service.Router.route router (request 0))
+
 let test_health_ops () =
   let router, fabric, sim, _ = sim_service () in
   ignore router;
@@ -1195,6 +1262,8 @@ let () =
           Alcotest.test_case "shard restart keeps the cache warm" `Quick
             test_shard_warm_restart;
           QCheck_alcotest.to_alcotest qcheck_journal_damage;
+          Alcotest.test_case "CRC catches a record that still decodes" `Quick
+            test_journal_crc_decodable_damage;
         ] );
       ( "sim-protocol",
         [
@@ -1208,6 +1277,8 @@ let () =
             test_sim_shard_restart_mid_batch;
           Alcotest.test_case "health and cluster-stats ops" `Quick
             test_health_ops;
+          Alcotest.test_case "route key memo is bounded" `Quick
+            test_route_memo_bounded;
         ] );
       ( "fault-matrix",
         [

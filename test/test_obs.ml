@@ -447,6 +447,30 @@ let test_gc_gauges () =
       Alcotest.(check bool) "heap gauge is positive" true (v > 0.)
   | _ -> Alcotest.fail "runtime_gc_heap_words not registered"
 
+(* The allocated-words gauge counts the calling domain's minor heap
+   since its last collection: a 10,000-element list (30,000 words)
+   built with no minor collection in between moves it by that much,
+   give or take the sampling's own few words. *)
+let test_gc_allocated_words_uncollected () =
+  let allocated () =
+    Obs.sample_gc ();
+    match Obs.find "runtime_gc_allocated_words" with
+    | Some { Obs.value = Obs.Gauge_value v; _ } -> v
+    | _ -> Alcotest.fail "runtime_gc_allocated_words not registered"
+  in
+  Gc.minor ();
+  let minors = (Gc.quick_stat ()).Gc.minor_collections in
+  let before = allocated () in
+  let list = Sys.opaque_identity (List.init 10_000 Fun.id) in
+  let after = allocated () in
+  Alcotest.(check int)
+    "no minor collection in between" minors
+    (Gc.quick_stat ()).Gc.minor_collections;
+  Alcotest.(check int) "list built" 10_000 (List.length list);
+  let rise = after -. before in
+  if rise < 30_000. || rise > 32_000. then
+    Alcotest.failf "allocated words rose by %.0f for a 30,000-word list" rise
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_concurrent_counter_merge; prop_concurrent_histogram_merge ]
@@ -503,5 +527,7 @@ let () =
           Alcotest.test_case "log lines carry span ids" `Quick
             test_log_lines;
           Alcotest.test_case "gc gauges" `Quick test_gc_gauges;
+          Alcotest.test_case "allocated words count the minor heap" `Quick
+            test_gc_allocated_words_uncollected;
         ] );
     ]

@@ -5,6 +5,9 @@
    scheduler with cancellation, and the analytic fallback ladder. *)
 
 let light = Gen.periodic_system Gen.light_set
+
+(* The states [light]'s exploration visits under the default protocol. *)
+let light_states = 27
 let overloaded = Gen.periodic_system Gen.overloaded_set
 
 (* {1 JSON} *)
@@ -455,8 +458,13 @@ let test_runner_failure_is_an_outcome () =
   | Service.Job.Failed _ -> ()
   | v -> Alcotest.failf "expected error, got %s" (Service.Job.verdict_tag v)
 
+let shard name =
+  match Service.Shard.create ~name Service.Runner.default_config with
+  | Ok s -> s
+  | Error msg -> Alcotest.failf "shard %s: %s" name msg
+
 (* A model the front end rejects comes back as a located error outcome
-   from the protocol, like any failed job: it must not escape [handle]
+   from the shard, like any failed job: it must not escape [handler]
    (that would kill the serving connection without a reply). *)
 let test_protocol_rejected_model_is_a_reply () =
   let model = Gen.cruise_control () in
@@ -476,8 +484,7 @@ let test_protocol_rejected_model_is_a_reply () =
       (Service.Json.Obj
          [ ("id", Service.Json.String "ps"); ("model", Service.Json.String model) ])
   in
-  let proto = Service.Protocol.create Service.Runner.default_config in
-  let reply, _ = Service.Protocol.handle proto line in
+  let reply = Service.Shard.handler (shard "ps") line in
   let field name =
     match Service.Json.parse reply with
     | Ok json -> Option.bind (Service.Json.member name json) Service.Json.to_str
@@ -491,9 +498,9 @@ let test_protocol_rejected_model_is_a_reply () =
     (field "reason")
 
 (* A non-positive quantum is a rejected request, answered like a rejected
-   model: it must not escape [handle] either. *)
+   model: it must not escape [handler] either. *)
 let test_protocol_zero_quantum_is_a_reply () =
-  let proto = Service.Protocol.create Service.Runner.default_config in
+  let shard = shard "q" in
   List.iter
     (fun q ->
       let line =
@@ -505,7 +512,7 @@ let test_protocol_zero_quantum_is_a_reply () =
               ("quantum_us", Service.Json.Int q);
             ])
       in
-      let reply, _ = Service.Protocol.handle proto line in
+      let reply = Service.Shard.handler shard line in
       let field name =
         match Service.Json.parse reply with
         | Ok json ->
@@ -521,6 +528,106 @@ let test_protocol_zero_quantum_is_a_reply () =
               (Aadl.Time.make q Aadl.Time.Us)))
         (field "reason"))
     [ 0; -5 ]
+
+(* Property: a shard's handler answers every line with exactly one JSON
+   reply and never raises, whatever the line is — random bytes, a
+   truncated prefix of a valid request or op line, a request or op
+   whose fields have the wrong JSON type, or a whole valid op line.  It
+   latches [stopping] exactly when it has been sent a quit, and a
+   valid request sent afterwards still gets its pinned outcome. *)
+let qcheck_shard_handler_fuzz =
+  let module J = Service.Json in
+  let valid_request =
+    [
+      ("id", J.String "v");
+      ("model", J.String light);
+      ("protocol", J.String "edf");
+      ("quantum_us", J.Int 1000);
+      ("max_states", J.Int 10_000);
+      ("timeout_s", J.Float 30.);
+      ("priority", J.Int 1);
+    ]
+  in
+  let valid_ops =
+    List.map
+      (fun op -> [ ("op", J.String op) ])
+      [ "stats"; "metrics"; "health"; "cluster-stats"; "quit"; "route" ]
+    @ [ [ ("op", J.String "cluster-stats"); ("with_metrics", J.Bool true) ] ]
+  in
+  let valid_objects = valid_request :: valid_ops in
+  let line members = J.to_string (J.Obj members) in
+  let open QCheck.Gen in
+  let random_bytes = string_size ~gen:(char_range '\x00' '\xff') (0 -- 40) in
+  let prefix =
+    oneofl (List.map line valid_objects) >>= fun l ->
+    map (fun n -> String.sub l 0 n) (0 -- (String.length l - 1))
+  in
+  (* A value of any type but the one the field takes: numeric fields
+     never get a number (a valid quantum could make the run huge). *)
+  let wrong_value = function
+    | J.String _ ->
+        oneofl [ J.Int 7; J.Bool true; J.List [ J.String "x" ]; J.Obj [] ]
+    | J.Int _ | J.Float _ ->
+        oneofl [ J.String "10"; J.Bool false; J.List [ J.Int 1 ]; J.Obj [] ]
+    | _ -> oneofl [ J.Int 1; J.String "true"; J.List [] ]
+  in
+  let wrong_type =
+    oneofl valid_objects >>= fun members ->
+    int_bound (List.length members - 1) >>= fun i ->
+    let key, value = List.nth members i in
+    map
+      (fun v ->
+        line (List.mapi (fun j kv -> if j = i then (key, v) else kv) members))
+      (wrong_value value)
+  in
+  let gen_line =
+    frequency
+      [
+        (3, random_bytes);
+        (3, prefix);
+        (3, wrong_type);
+        (1, map line (oneofl valid_ops));
+      ]
+  in
+  let is_quit l =
+    match J.parse l with
+    | Ok json -> Option.bind (J.member "op" json) J.to_str = Some "quit"
+    | Error _ -> false
+  in
+  QCheck.Test.make ~count:300 ~name:"shard handler answers every line once"
+    (QCheck.make
+       ~print:QCheck.Print.(list string)
+       (list_size (1 -- 12) gen_line))
+    (fun lines ->
+      let t = shard "fuzz" in
+      let answer l =
+        match Service.Shard.handler t l with
+        | reply -> reply
+        | exception e ->
+            QCheck.Test.fail_reportf "%S raised %s" l (Printexc.to_string e)
+      in
+      let quit_sent = ref false in
+      List.iter
+        (fun l ->
+          let reply = answer l in
+          if String.contains reply '\n' then
+            QCheck.Test.fail_reportf "%S: reply spans lines: %S" l reply;
+          (match J.parse reply with
+          | Ok _ -> ()
+          | Error msg ->
+              QCheck.Test.fail_reportf "%S: reply %S is not JSON: %s" l reply
+                msg);
+          if is_quit l then quit_sent := true;
+          if Service.Shard.stopping t <> !quit_sent then
+            QCheck.Test.fail_reportf "%S: stopping is %b after quit sent: %b"
+              l (Service.Shard.stopping t) !quit_sent)
+        lines;
+      let after = line [ ("id", J.String "after"); ("model", J.String light) ] in
+      match J.parse (answer after) with
+      | Ok json ->
+          Option.bind (J.member "verdict" json) J.to_str = Some "schedulable"
+          && Option.bind (J.member "states" json) J.to_int = Some light_states
+      | Error _ -> false)
 
 (* {1 Scheduler} *)
 
@@ -795,4 +902,5 @@ let () =
           Alcotest.test_case "edf crossover and hierarchical" `Quick
             test_fallback_edf_crossover;
         ] );
+      ("shard", [ QCheck_alcotest.to_alcotest qcheck_shard_handler_fuzz ]);
     ]
