@@ -11,6 +11,7 @@ type t = {
 
 and steps = {
   code : int array;
+  code_id : int;
   offers : offer array;
   taus : edge array;
   timed : timed array;
@@ -36,6 +37,7 @@ let timed_width = 2
 let uncompiled =
   {
     code = [| 0; 0; 0; taus_at; taus_at; 0; 0 |];
+    code_id = -1;
     offers = [||];
     taus = [||];
     timed = [||];
@@ -44,10 +46,21 @@ let uncompiled =
 let dummy =
   { term = Hproc.nil; hash = 0; par = false; id = -1; steps = uncompiled }
 
+(* Code arrays by content: the hash reads every int, where
+   [Hashtbl.hash] reads only the first ten. *)
+module Codes = Hashtbl.Make (struct
+  type t = int array
+
+  let equal (a : t) b = a = b
+  let hash (a : t) =
+    Array.fold_left (fun h x -> (h * 65599) + x) 0 a land max_int
+end)
+
 type table = {
   terms : Hproc.table;
   nodes : (int, t) Hashtbl.t;  (* by term id *)
   mutable by_id : t array;  (* by node id; [dummy] past [size] *)
+  codes : int Codes.t;  (* code id by code *)
 }
 
 let[@inline] bit id = 1 lsl (id land 31)
@@ -58,7 +71,13 @@ let resource_bit id = 1 lsl (id mod 63)
    collector's schedule for what is a few hundred nodes on most
    models. *)
 let create terms =
-  { terms; nodes = Hashtbl.create 1024; by_id = Array.make 64 dummy }
+  {
+    terms;
+    nodes = Hashtbl.create 1024;
+    by_id = Array.make 64 dummy;
+    codes = Codes.create 64;
+  }
+
 let terms tbl = tbl.terms
 
 let compile tbl raw =
@@ -128,8 +147,18 @@ let compile tbl raw =
         action;
       next := start + 1 + (2 * List.length action))
     timed;
+  (* equal codes share one id *)
+  let code_id =
+    match Codes.find_opt tbl.codes code with
+    | Some id -> id
+    | None ->
+        let id = Codes.length tbl.codes in
+        Codes.add tbl.codes code id;
+        id
+  in
   {
     code;
+    code_id;
     offers = Array.map (fun (label, _, _, edge) -> { label; edge }) offers;
     taus = Array.map (fun (_, _, edge) -> edge) taus;
     timed;

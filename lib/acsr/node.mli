@@ -39,6 +39,14 @@ and steps = private {
   code : int array;
       (** the integers the successor kernel scans, so that a state's
           scan reads one array per slot: see {!section-code} *)
+  code_id : int;
+      (** the id of [code] in its table: step sets whose codes are
+          equal share it, others do not (-1 for {!uncompiled}).  Dense
+          from 0, in the order the codes were first compiled.  The
+          kernel's plans are keyed on these ids
+          ({!Semantics.successors}): equal codes give equal steps,
+          since label and resource ids name labels and resources one to
+          one within an exploration *)
   offers : offer array;  (** event steps *)
   taus : edge array;  (** internal steps *)
   timed : timed array;  (** timed actions *)
@@ -114,7 +122,9 @@ val terms : table -> Hproc.table
 
 val compile : table -> (Step.t * Hproc.t) list -> steps
 (** A step set split by kind, in list order, with unresolved targets,
-    and its code over the label and resource ids of {!terms}. *)
+    and its code over the label and resource ids of {!terms}, with the
+    code's id in the table: a code equal to one compiled before gets
+    that one's id. *)
 
 val get : table -> Hproc.t -> t
 (** The node of a term of {!terms}, created on first request; two

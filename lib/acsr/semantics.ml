@@ -192,73 +192,6 @@ let is_deadlocked defs p = steps defs p = []
    body, then intern the result) is memoized per (name, arguments).  It
    runs only while a step set is compiled. *)
 
-type cache = {
-  nodes : Node.table;
-      (** one node per slot term, with its compiled step set.  Sound
-          because a step set is a pure function of the term and the
-          fixed [defs] the cache is used with. *)
-  unfold : (string * int list, Hproc.t) Hashtbl.t;
-  (* The kernel's per-state scratch (see the kernel): integers only, so
-     that reusing it across states writes no pointer into the major
-     heap. *)
-  mutable epoch : int;  (** bumped once per kernel call *)
-  mutable stamp : int array;
-      (** by real label id: the epoch its offer bucket was last written
-          in; an older stamp means an empty bucket *)
-  mutable head : int array;
-      (** by real label id: the bucket's newest entry in [entries] *)
-  mutable entries : int array;  (** offer entries, [entry_width] each *)
-  mutable cands : int array;  (** candidates, [cand_width] each *)
-  mutable ncands : int;
-  mutable nentries : int;
-  mutable choice : int array;  (** the slots with a choice of timed step *)
-  mutable pick : int array;  (** by choice: the timed step picked *)
-  mutable base_mask : int;
-  mutable combos : int array;  (** timed combinations *)
-  mutable count : int;  (** of combinations *)
-  mutable parts : int array;  (** their choice parts' accesses *)
-  mutable used : int;  (** of [parts] *)
-  mutable rclock : int;
-  mutable rstamp : int array;
-      (** by resource id: the [rclock] its priority was written at *)
-  mutable rprio : int array;  (** by resource id *)
-}
-
-let make_cache () =
-  {
-    nodes = Node.create (Hproc.create ());
-    unfold = Hashtbl.create 256;
-    epoch = 0;
-    stamp = [||];
-    head = [||];
-    entries = [||];
-    cands = [||];
-    ncands = 0;
-    nentries = 0;
-    choice = [||];
-    pick = [||];
-    base_mask = 0;
-    combos = [||];
-    count = 0;
-    parts = [||];
-    used = 0;
-    rclock = 0;
-    rstamp = [||];
-    rprio = [||];
-  }
-
-let nodes cache = cache.nodes
-let terms cache = Node.terms cache.nodes
-
-let unfold_call cache defs name values =
-  let key = (name, values) and terms = terms cache in
-  match Hashtbl.find_opt cache.unfold key with
-  | Some h -> h
-  | None ->
-      let h = Hproc.of_proc terms (Defs.instantiate defs name values) in
-      Hashtbl.add cache.unfold key h;
-      h
-
 (* {2 The kernel}
 
    A translated system is [Restrict (L, P_0 || ... || P_{n-1})], and the
@@ -268,10 +201,13 @@ let unfold_call cache defs name values =
    Following the binary Par rule down the tree would build a successor
    for every offer at every level, most of which the restriction (an
    unsynchronized event on a label of [L]) or preemption (a timed step
-   beaten by another) then discard.  The kernel instead takes the n
-   slots and scans the integer code of each one's compiled step set
-   ([Node.steps.code]), recording candidates as integers (kind,
-   priority, label, slots, edge indices) in the cache's scratch:
+   beaten by another) then discard.  The kernel instead works in two
+   parts.
+
+   [select] takes the n slots and scans the integer code of each one's
+   compiled step set ([Node.steps.code]), recording candidates as
+   integers (kind, priority, label, slots, edge indices) in the cache's
+   scratch:
    - each slot's tau steps, and its event steps on labels not in [L]
      (a byte read of the frame by label id);
    - each pair of complementary events in slots i < j, as [tau@l]: an
@@ -279,38 +215,43 @@ let unfold_call cache defs name values =
      real label id, and paired with the complementary offers of earlier
      slots already chained there;
    - each choice of one timed step per slot with pairwise-disjoint
-     resources (none if some slot has no timed step; see
-     [timed_rows]).
+     resources (none if some slot has no timed step; see the timed
+     product).
    Every pair of leaves meets at exactly one Par node, so these are the
    binary rule's steps at the root, label for label and successor for
-   successor.  Preemption is then decided on the integers, and only the
-   survivors' steps and successor vectors are built: a copy of the
-   state's vector with one or two slots patched, or with every slot
-   ticking, each target read off its edge.  Preemption reads the set of
-   enabled labels alone, so filtering before sorting and deduplicating
-   yields exactly the list the binary rule, [sort_uniq] and
-   [Step.prioritize] give.  [Step.preempts] relates only steps of one
-   kind, and on the integers it reads:
+   successor.  Preemption is then decided on the integers, and the
+   survivors are written as a plan (see Plans): each one's step id and
+   the slots and edge indices it moves, sorted by step.  Preemption
+   reads the set of enabled labels alone, so filtering before sorting
+   and deduplicating yields exactly the list the binary rule,
+   [sort_uniq] and [Step.prioritize] give.  [Step.preempts] relates only
+   steps of one kind, and on the integers it reads:
    - a tau (or [tau@l]) is preempted iff some tau has a higher
      priority;
    - an event iff some event on its label, in its direction, has a
      higher priority;
    - a timed step iff some tau has a priority above 0 — then the
      product is not built at all — or another timed step preempts it
-     ([timed_rows]).
-   Rows are sorted by step, then slot by slot with
-   [Hproc.compare_structural]: over one frame that is the order of the
-   materialized terms, which mirrors the reference engine's
-   [sort_uniq Stdlib.compare].
+     (the timed product).
 
-   The kernel is the engine's only Par rule.  A slot whose term becomes
-   a [Par] stays one opaque slot: its step set is compiled from
-   [h_steps_at], which splits it into a frame of its own and runs the
-   kernel on that frame's nodes, with no restriction and no preemption.
-   A root that is not a system is a 1-slot frame, whose kernel result
-   is that slot's own step set.  Such a nested kernel runs only while
-   the outer one compiles its slots, before the outer one touches the
-   scratch, so one scratch serves both. *)
+   [build] turns a plan and the state's nodes into rows: a copy of the
+   state's vector with one or two slots patched, or with every slot
+   ticking, each target read off its edge.  Rows are sorted by step,
+   then slot by slot with [Hproc.compare_structural]: over one frame
+   that is the order of the materialized terms, which mirrors the
+   reference engine's [sort_uniq Stdlib.compare].  The plan lists them
+   by step already, so only rows of one step are compared by their
+   vectors.
+
+   [select] and [build] are the engine's only Par rule.  A slot whose
+   term becomes a [Par] stays one opaque slot: its step set is compiled
+   from [h_steps_at], which splits it into a frame of its own and runs
+   the kernel on that frame's nodes, with no restriction, no preemption
+   and no memo.  A root that is not a system is a 1-slot frame, whose
+   kernel result is that slot's own step set.  Such a nested kernel
+   runs only while the outer one compiles its slots, before the outer
+   one touches the scratch or writes a plan, so one scratch and one
+   plan buffer serve both. *)
 
 (* {2 Views}
 
@@ -362,9 +303,12 @@ let[@inline] view_of views i =
 
 (* Rows are sorted by step, then by the real terms of their vectors read
    through [views]: the first slot where two rows differ decides, in its
-   view's order. *)
+   view's order.  The rows of a plan take their steps from the
+   exploration's numbered steps, so rows of one step share it, and their
+   step, a timed one over every slot's resources in particular, is not
+   walked. *)
 let row_compare views (s1, (v1 : Node.t array)) (s2, (v2 : Node.t array)) =
-  let c = Step.compare s1 s2 in
+  let c = if s1 == s2 then 0 else Step.compare s1 s2 in
   if c <> 0 then c
   else
     let rec go i =
@@ -451,6 +395,294 @@ let[@inline] renamed_anywhere views id =
    search. *)
 let[@inline] renaming v id =
   if v.bits land Node.bit id = 0 then -1 else find v id
+
+(* {2 Plans}
+
+   A plan is the integer form of a state's rows: a record of int32
+   cells in the cache's plan buffer, which holds no pointer, so a memo
+   of thousands of plans gives the collector nothing to scan:
+   - its number of rows, then 1 when their steps are pairwise distinct
+     (the rows are then in order already) or 0 (rows of one step must
+     still be compared by their vectors);
+   - per row, from the last in step order to the first: its step id (by
+     [cache.steps]: one id per distinct step of the exploration), its
+     kind, then
+     - [p_tau]: its slot and the index of the slot's internal step;
+     - [p_offer]: its slot and the index of the slot's offer;
+     - [p_sync]: the two slots and their offers' indices;
+     - [p_tick]: per slot with more than one timed step, in slot order,
+       the index of the one picked; every other slot ticks its only one.
+   A plan names edges, never nodes: two states whose slots have equal
+   codes may step to different terms. *)
+
+(* Steps by structure.  [Hashtbl.hash] reads ten meaningful values, so
+   it would give the timed steps of one exploration, which share their
+   first resources, a handful of buckets; this hash reads the whole
+   action. *)
+module Steps = Hashtbl.Make (struct
+  type t = Step.t
+
+  let equal (a : t) b = a = b
+  let hash (s : t) = Hashtbl.hash_param 256 256 s
+end)
+
+(* Int32 cells in bytes, which the collector neither scans nor, unlike
+   a Bigarray's custom block, counts against its schedule: a memo's
+   buffers doubling as it grows would otherwise bring the next major
+   cycle closer each time. *)
+type cells = Bytes.t
+
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let cells n : cells = Bytes.create (4 * n)
+let[@inline] dim (c : cells) = Bytes.length c / 4
+let[@inline] cell (c : cells) i = Int32.to_int (get32 c (4 * i))
+let[@inline] set_cell (c : cells) i x = set32 c (4 * i) (Int32.of_int x)
+
+(* [n] cells, all 0 *)
+let zeros n : cells = Bytes.make (4 * n) '\000'
+
+(* [c], or a copy at least twice its size when it has fewer than [need]
+   cells *)
+let reserve (c : cells) need =
+  let n = dim c in
+  if need <= n then c
+  else begin
+    let b = cells (max need (2 * n)) in
+    Bytes.blit c 0 b 0 (4 * n);
+    b
+  end
+
+let p_tau = 0
+let p_offer = 1
+let p_sync = 2
+let p_tick = 3
+
+(* {2 The memo}
+
+   An exploration expands a state through [successors], which keeps the
+   plans it selects, keyed by the vector of the slots' code ids
+   ([Node.steps.code_id]), and builds the rows of a state whose key it
+   has met from the kept plan, without selecting again.
+
+   Soundness.  [select] reads, of a state, each slot's code and its
+   slot index (through the views) only; besides those, it reads the
+   frame's hidden map, the views and [prioritize], which a memo fixes
+   (it is made for one frame, one views value and one [prioritize]).
+   So a state's plan, up to step ids, is a function of its key.  The
+   steps themselves are too: a step is made of its code's label and
+   resource ids, priorities and direction, and those ids name labels
+   and resources one to one within the exploration's intern table, so
+   equal codes give equal steps, with the same step ids.  [build] reads
+   every target off the state's own edges.  A memoized exploration
+   therefore builds, in the same order, the rows an unmemoized one
+   builds: counts, deadlock ids and traces do not move.  A miss costs
+   one [select], as without the memo, plus one append. *)
+
+type memo = {
+  frame : Frame.t;
+  views : views;
+  prioritize : bool;
+  width : int;  (* of [frame] *)
+  mutable keys : cells;  (* by plan, [width] cells: its key *)
+  mutable hashes : cells;  (* by plan: its key's hash *)
+  mutable offsets : cells;  (* by plan: where its record starts *)
+  mutable table : cells;  (* plan + 1 by probe position; 0 is empty *)
+  mutable mask : int;  (* dim table - 1 *)
+  mutable len : int;  (* plans kept *)
+  mutable hits : int;
+  mutable misses : int;
+}
+
+(* Buffers start small: most explorations keep a few hundred plans. *)
+let make_memo ~frame ~views ~prioritize =
+  let width = Frame.width frame in
+  {
+    frame;
+    views;
+    prioritize;
+    width;
+    keys = cells (16 * width);
+    hashes = cells 16;
+    offsets = cells 16;
+    table = zeros 64;
+    mask = 63;
+    len = 0;
+    hits = 0;
+    misses = 0;
+  }
+
+(* The key hash, a slot at a time, and its last mix: 30 bits, which an
+   int32 cell keeps as they are. *)
+let[@inline] mix h code_id = (h + code_id + 1) * 0x9E3779B97F4A7C1
+
+let[@inline] finish h = (h lxor (h lsr 29)) land 0x3FFF_FFFF
+
+(* Cells [base + s .. base + width) of [keys] hold the code ids of
+   [slots]'s slots [s ..]. *)
+let rec same_key (keys : cells) base (slots : Node.t array) s width =
+  s = width
+  || cell keys (base + s) = (Array.unsafe_get slots s).Node.steps.code_id
+     && same_key keys base slots (s + 1) width
+
+(* The plan kept for [slots], whose key hash is [h], probing from
+   position [i]: its index, or [-1 - j] for the free position [j] at
+   which to keep it. *)
+let rec lookup m slots h i =
+  let e = cell m.table i in
+  if e = 0 then -1 - i
+  else
+    let p = e - 1 in
+    if cell m.hashes p = h && same_key m.keys (p * m.width) slots 0 m.width
+    then p
+    else lookup m slots h ((i + 1) land m.mask)
+
+(* Re-place every plan in a table twice the size, by its cached hash. *)
+let rehash m =
+  let size = 2 * dim m.table in
+  let table = zeros size and mask = size - 1 in
+  for p = 0 to m.len - 1 do
+    let i = ref (cell m.hashes p land mask) in
+    while cell table !i <> 0 do
+      i := (!i + 1) land mask
+    done;
+    set_cell table !i (p + 1)
+  done;
+  m.table <- table;
+  m.mask <- mask
+
+(* Keep the plan at [offset] for [slots], at free position [i]. *)
+let keep_plan m (slots : Node.t array) h i offset =
+  let p = m.len in
+  m.keys <- reserve m.keys ((p + 1) * m.width);
+  m.hashes <- reserve m.hashes (p + 1);
+  m.offsets <- reserve m.offsets (p + 1);
+  for s = 0 to m.width - 1 do
+    set_cell m.keys ((p * m.width) + s) slots.(s).Node.steps.code_id
+  done;
+  set_cell m.hashes p h;
+  set_cell m.offsets p offset;
+  set_cell m.table i (p + 1);
+  m.len <- p + 1;
+  if 2 * m.len > dim m.table then rehash m
+
+type cache = {
+  nodes : Node.table;
+      (** one node per slot term, with its compiled step set.  Sound
+          because a step set is a pure function of the term and the
+          fixed [defs] the cache is used with. *)
+  unfold : (string * int list, Hproc.t) Hashtbl.t;
+  step_ids : int Steps.t;  (** the plans' step ids *)
+  mutable steps : Step.t array;  (** by step id *)
+  mutable plans : cells;  (** plan records *)
+  mutable plans_len : int;
+      (** the kept plans' cells; a plan past it is the one being built *)
+  mutable memo : memo option;  (** of the last [successors] *)
+  (* The kernel's per-state scratch (see the kernel): integers only, so
+     that reusing it across states writes no pointer into the major
+     heap. *)
+  mutable epoch : int;  (** bumped once per [select] *)
+  mutable stamp : int array;
+      (** by real label id: the epoch its offer bucket was last written
+          in; an older stamp means an empty bucket *)
+  mutable head : int array;
+      (** by real label id: the bucket's newest entry in [entries] *)
+  mutable entries : int array;  (** offer entries, [entry_width] each *)
+  mutable cands : int array;  (** candidates, [cand_width] each *)
+  mutable ncands : int;
+  mutable nentries : int;
+  mutable survivors : int array;
+      (** the candidates and combinations that survive preemption, three
+          ints each: step id, plan kind, and candidate or combination *)
+  mutable nsurvivors : int;
+  mutable order : int array;  (** the survivors, sorted by step *)
+  mutable choice : int array;  (** the slots with a choice of timed step *)
+  mutable pick : int array;  (** by choice: the timed step picked *)
+  mutable base_mask : int;
+  mutable combos : int array;  (** timed combinations *)
+  mutable count : int;  (** of combinations *)
+  mutable parts : int array;  (** their choice parts' accesses *)
+  mutable used : int;  (** of [parts] *)
+  mutable rclock : int;
+  mutable rstamp : int array;
+      (** by resource id: the [rclock] its priority was written at *)
+  mutable rprio : int array;  (** by resource id *)
+}
+
+let make_cache () =
+  {
+    nodes = Node.create (Hproc.create ());
+    unfold = Hashtbl.create 256;
+    step_ids = Steps.create 64;
+    steps = [||];
+    plans = cells 256;
+    plans_len = 0;
+    memo = None;
+    epoch = 0;
+    stamp = [||];
+    head = [||];
+    entries = [||];
+    cands = [||];
+    ncands = 0;
+    nentries = 0;
+    survivors = [||];
+    nsurvivors = 0;
+    order = [||];
+    choice = [||];
+    pick = [||];
+    base_mask = 0;
+    combos = [||];
+    count = 0;
+    parts = [||];
+    used = 0;
+    rclock = 0;
+    rstamp = [||];
+    rprio = [||];
+  }
+
+let nodes cache = cache.nodes
+let terms cache = Node.terms cache.nodes
+
+type plan_stats = { plan_hits : int; plan_misses : int; plan_bytes : int }
+
+let plan_stats cache =
+  let buffer = Bytes.length cache.plans in
+  match cache.memo with
+  | None -> { plan_hits = 0; plan_misses = 0; plan_bytes = buffer }
+  | Some m ->
+      {
+        plan_hits = m.hits;
+        plan_misses = m.misses;
+        plan_bytes =
+          buffer
+          + Bytes.length m.keys + Bytes.length m.hashes
+          + Bytes.length m.offsets + Bytes.length m.table;
+      }
+
+let unfold_call cache defs name values =
+  let key = (name, values) and terms = terms cache in
+  match Hashtbl.find_opt cache.unfold key with
+  | Some h -> h
+  | None ->
+      let h = Hproc.of_proc terms (Defs.instantiate defs name values) in
+      Hashtbl.add cache.unfold key h;
+      h
+
+(* The id of step [s], numbered on first sight. *)
+let step_id cache s =
+  match Steps.find_opt cache.step_ids s with
+  | Some id -> id
+  | None ->
+      let id = Steps.length cache.step_ids in
+      if id = Array.length cache.steps then begin
+        let bigger = Array.make (max 16 (2 * id)) s in
+        Array.blit cache.steps 0 bigger 0 id;
+        cache.steps <- bigger
+      end;
+      cache.steps.(id) <- s;
+      Steps.add cache.step_ids s id;
+      id
 
 (* {2 Scratch}
 
@@ -575,8 +807,8 @@ let outranked (c : int array) nc kind id prio =
    equal priorities on both sides; a resource of either choice part is
    outside the base.  So base + x preempts base + y iff x preempts y.
    Only the combinations no other one preempts get their full action
-   (the base, built once per state, plus the choice part) and their
-   successor vector. *)
+   (the base, built once per selection, plus the choice part) and a
+   row in the plan. *)
 
 let[@inline] timed_mask (code : int array) m =
   code.(code.(Node.timed_at) + (Node.timed_width * m))
@@ -776,33 +1008,278 @@ let preempted cache w count y =
   done;
   !found
 
-(* The surviving combinations' rows, onto [rows]. *)
-let timed_rows cache ~prioritize (slots : Node.t array) rows =
-  let w = timed_base cache slots in
-  if w < 0 then rows
-  else begin
+(* Combinations [x] and [y] have equal choice parts: the same accesses,
+   in whatever order.  A part meets each resource once, so it is enough
+   that [x] has as many accesses as [y], each at [y]'s priority. *)
+let same_part cache w x y =
+  let ax = x * combo_width w and ay = y * combo_width w in
+  let n = cache.combos.(ax + 2) in
+  cache.combos.(ax) = cache.combos.(ay)
+  && n = cache.combos.(ay + 2)
+  && begin
+       stamp_part cache w y;
+       let start = cache.combos.(ax + 1) and ok = ref true and r = ref 0 in
+       while !ok && !r < n do
+         let id = cache.parts.(start + (2 * !r)) in
+         ok :=
+           id < Array.length cache.rstamp
+           && cache.rstamp.(id) = cache.rclock
+           && cache.rprio.(id) = cache.parts.(start + (2 * !r) + 1);
+         incr r
+       done;
+       !ok
+     end
+
+(* {2 Selection} *)
+
+(* Survivor [x] (a candidate, or a combination for [p_tick]) of plan
+   kind [kind] and step id [sid]. *)
+let survive cache ~sid ~kind x =
+  let at = 3 * cache.nsurvivors in
+  if at + 3 > Array.length cache.survivors then
+    cache.survivors <- grow cache.survivors (at + 3);
+  let s = cache.survivors in
+  s.(at) <- sid;
+  s.(at + 1) <- kind;
+  s.(at + 2) <- x;
+  cache.nsurvivors <- cache.nsurvivors + 1
+
+(* The step of candidate [x], with its real label *)
+let cand_step cache views (slots : Node.t array) x =
+  let c = cache.cands and at = x * cand_width in
+  let kind = c.(at) and prio = c.(at + 1) and k = c.(at + 3)
+  and i = c.(at + 4) and a = c.(at + 5) in
+  let s = slots.(i).Node.steps in
+  if kind = k_tau then
+    if k < 0 then s.taus.(a).step
+    else Step.Tau (Some (view_of views i).labels.(k), prio)
+  else
+    let o = s.offers.(a) in
+    if kind = k_sync then
+      Step.Tau
+        (Some (if k < 0 then o.label else (view_of views i).labels.(k)), prio)
+    else if k < 0 then o.edge.step
+    else
+      Step.Event
+        ( (view_of views i).labels.(k),
+          (if kind = k_in then Event.In else Event.Out),
+          prio )
+
+(* The survivors as a plan at [cache.plans_len], [w] the number of
+   choices of their combinations: sorted by step, the last first, so
+   that [build], consing its rows, lists them first to last.  Returns
+   where the plan ends. *)
+let write_plan cache w =
+  let n = cache.nsurvivors and s = cache.survivors and steps = cache.steps in
+  if Array.length cache.order < n then cache.order <- grow cache.order n;
+  let order = cache.order in
+  for r = 0 to n - 1 do
+    let sid = s.(3 * r) and q = ref r in
+    while
+      !q > 0
+      && s.(3 * order.(!q - 1)) <> sid
+      && Step.compare steps.(s.(3 * order.(!q - 1))) steps.(sid) < 0
+    do
+      order.(!q) <- order.(!q - 1);
+      decr q
+    done;
+    order.(!q) <- r
+  done;
+  let size = ref 2 and distinct = ref true in
+  for r = 0 to n - 1 do
+    let kind = s.((3 * order.(r)) + 1) in
+    size :=
+      !size + 2
+      + (if kind = p_tick then w else if kind = p_sync then 4 else 2);
+    if r > 0 && s.(3 * order.(r)) = s.(3 * order.(r - 1)) then
+      distinct := false
+  done;
+  let o = cache.plans_len in
+  cache.plans <- reserve cache.plans (o + !size);
+  let p = cache.plans and c = cache.cands and at = ref (o + 2) in
+  let put x =
+    set_cell p !at x;
+    incr at
+  in
+  set_cell p o n;
+  set_cell p (o + 1) (if !distinct then 1 else 0);
+  for r = 0 to n - 1 do
+    let e = 3 * order.(r) in
+    let kind = s.(e + 1) and x = s.(e + 2) in
+    put s.(e);
+    put kind;
+    if kind = p_tick then
+      for k = 0 to w - 1 do
+        put cache.combos.((x * combo_width w) + 3 + k)
+      done
+    else begin
+      let ca = x * cand_width in
+      put c.(ca + 4);
+      put c.(ca + 5);
+      if kind = p_sync then begin
+        put c.(ca + 6);
+        put c.(ca + 7)
+      end
+    end
+  done;
+  !at
+
+(* The plan of state [slots], compiled, written at [cache.plans_len];
+   returns where it ends.  Reads of the state only each slot's code and
+   its index, and steps its edges name (see the memo). *)
+let select cache ~prioritize ~views frame (slots : Node.t array) =
+  let n = Array.length slots in
+  (* the offers' label bits, by direction *)
+  let ins = ref 0 and outs = ref 0 in
+  for i = 0 to n - 1 do
+    let code = slots.(i).Node.steps.code in
+    ins := !ins lor code.(Node.ins);
+    outs := !outs lor code.(Node.outs)
+  done;
+  let ins = !ins and outs = !outs in
+  cache.epoch <- cache.epoch + 1;
+  cache.ncands <- 0;
+  cache.nentries <- 0;
+  cache.nsurvivors <- 0;
+  let epoch = cache.epoch and hidden = Frame.hidden frame in
+  (* plain loops over the slots' code *)
+  let top = ref min_int in
+  for i = 0 to n - 1 do
+    let code = slots.(i).Node.steps.code in
+    for t = 0 to code.(Node.num_taus) - 1 do
+      let at = Node.taus_at + (Node.tau_width * t) in
+      let id = code.(at) and prio = code.(at + 1) in
+      let k =
+        if renamed_anywhere views id then renaming (view_of views i) id else -1
+      in
+      if prio > !top then top := prio;
+      add_cand cache ~kind:k_tau ~prio ~id ~k ~i ~a:t ~j:0 ~b:0
+    done;
+    let offers = code.(Node.offers_at) in
+    for a = 0 to code.(Node.num_offers) - 1 do
+      let at = offers + (Node.offer_width * a) in
+      let stored = code.(at) and dir = code.(at + 1) and prio = code.(at + 2) in
+      (* unless some view renames [stored], it is the real id in every
+         slot, and no view is looked at *)
+      let any = renamed_anywhere views stored in
+      let k = if any then renaming (view_of views i) stored else -1 in
+      let id = if k < 0 then stored else (view_of views i).real.(k) in
+      (* a view renames through a swap, so an offer no view renames can
+         only pair with offers no view renames, stored on its own id: a
+         clear bit in the complementary mask rules pairing out, and its
+         bucket is never read *)
+      let complements = if dir = 0 then outs else ins in
+      if any || complements land Node.bit stored <> 0 then begin
+        let p = chain_offer cache ~epoch ~i ~a ~id ~k ~dir ~prio in
+        if p > !top then top := p
+      end;
+      if id >= Bytes.length hidden || Bytes.unsafe_get hidden id = '\000'
+      then
+        add_cand cache
+          ~kind:(if dir = 0 then k_in else k_out)
+          ~prio ~id ~k ~i ~a ~j:0 ~b:0
+    done
+  done;
+  (* preemption on the integers *)
+  let c = cache.cands and nc = cache.ncands and top = !top in
+  for x = 0 to nc - 1 do
+    let at = x * cand_width in
+    let kind = c.(at) and prio = c.(at + 1) in
+    if
+      (not prioritize)
+      || nc = 1
+      ||
+      if kind = k_tau || kind = k_sync then prio >= top
+      else not (outranked c nc kind c.(at + 2) prio)
+    then
+      survive cache
+        ~sid:(step_id cache (cand_step cache views slots x))
+        ~kind:
+          (if kind = k_tau then p_tau
+           else if kind = k_sync then p_sync
+           else p_offer)
+        x
+  done;
+  (* the timed product, unless a tau above priority 0 preempts it *)
+  let w = if prioritize && top > 0 then -1 else timed_base cache slots in
+  if w >= 0 then begin
     let count = combinations cache slots w in
     let base = if count > 0 then base_action slots else Action.Ground.idle in
-    let rows = ref rows in
+    let first = cache.nsurvivors in
     for y = 0 to count - 1 do
       if not (prioritize && count > 1 && preempted cache w count y) then begin
-        let v = Array.copy slots and part = ref base in
-        for i = 0 to Array.length slots - 1 do
-          let t = slots.(i).Node.steps.timed in
-          if Array.length t = 1 then v.(i) <- target cache.nodes t.(0).tick
+        (* actions are sorted sets, so a surviving combination with the
+           same choice part has the same step; only a new part is built
+           and looked up, which a timed step over many resources makes
+           worth a scan of the parts kept so far *)
+        let s = cache.survivors and r = ref first in
+        while
+          !r < cache.nsurvivors && not (same_part cache w s.((3 * !r) + 2) y)
+        do
+          incr r
         done;
-        for k = 0 to w - 1 do
-          let i = cache.choice.(k) in
-          let picked = cache.combos.((y * combo_width w) + 3 + k) in
-          let t = slots.(i).Node.steps.timed.(picked) in
-          v.(i) <- target cache.nodes t.tick;
-          part := union t.action !part
-        done;
-        rows := (Step.Action !part, v) :: !rows
+        let sid =
+          if !r < cache.nsurvivors then s.(3 * !r)
+          else begin
+            let part = ref base in
+            for k = 0 to w - 1 do
+              let i = cache.choice.(k) in
+              let picked = cache.combos.((y * combo_width w) + 3 + k) in
+              part := union slots.(i).Node.steps.timed.(picked).action !part
+            done;
+            step_id cache (Step.Action !part)
+          end
+        in
+        survive cache ~sid ~kind:p_tick y
       end
-    done;
-    !rows
-  end
+    done
+  end;
+  write_plan cache (max w 0)
+
+(* {2 Building} *)
+
+(* The rows of the plan at [o] for state [slots]. *)
+let build cache views (slots : Node.t array) o =
+  let p = cache.plans and nodes = cache.nodes and steps = cache.steps in
+  let rows = ref [] and at = ref (o + 2) in
+  for _ = 1 to cell p o do
+    let step = steps.(cell p !at) and kind = cell p (!at + 1) in
+    let v = Array.copy slots in
+    if kind = p_tick then begin
+      at := !at + 2;
+      for i = 0 to Array.length slots - 1 do
+        let t = slots.(i).Node.steps.timed in
+        if Array.length t = 1 then v.(i) <- target nodes t.(0).tick
+        else begin
+          v.(i) <- target nodes t.(cell p !at).tick;
+          incr at
+        end
+      done
+    end
+    else begin
+      let i = cell p (!at + 2) and a = cell p (!at + 3) in
+      let s = slots.(i).Node.steps in
+      if kind = p_tau then v.(i) <- target nodes s.taus.(a)
+      else begin
+        v.(i) <- target nodes s.offers.(a).edge;
+        if kind = p_sync then begin
+          let j = cell p (!at + 4) and b = cell p (!at + 5) in
+          v.(j) <- target nodes slots.(j).Node.steps.offers.(b).edge;
+          at := !at + 2
+        end
+      end;
+      at := !at + 4
+    end;
+    rows := (step, v) :: !rows
+  done;
+  if cell p (o + 1) = 1 then !rows
+  else
+    match !rows with
+    | ([] | [ _ ]) as rows -> rows
+    | [ r1; r2 ] as rows ->
+        let d = views.rows r1 r2 in
+        if d < 0 then rows else if d > 0 then [ r2; r1 ] else [ r1 ]
+    | rows -> List.sort_uniq views.rows rows
 
 let rec h_steps_at cache depth (defs : Defs.t) (p : Hproc.t) :
     (Step.t * Hproc.t) list =
@@ -902,128 +1379,64 @@ and h_scope_steps cache depth defs (s : Hproc.scope) =
    it, so an unguarded recursion through nested [Par]s still reaches
    [max_unfold_depth].  A failed compilation (unguarded recursion,
    unbound parameter) stores nothing, so the diagnostics of the
-   reference engine are preserved. *)
-and kernel cache depth defs ~prioritize ~views frame (slots : Node.t array) =
+   reference engine are preserved.  With a memo, a state whose key it
+   keeps a plan for is built from that plan; any other state's plan is
+   selected, kept, and built.  Without one the plan is selected past
+   the kept ones and dropped once built. *)
+and kernel cache depth defs ~prioritize ~views ~memo frame
+    (slots : Node.t array) =
   let n = Array.length slots in
-  (* compile the new nodes, and OR the offers' label bits by direction *)
-  let ins = ref 0 and outs = ref 0 in
+  (* compile the new nodes, and hash the key *)
+  let h = ref 0 in
   for i = 0 to n - 1 do
     let node = slots.(i) in
     if node.steps == Node.uncompiled then
       Node.set_steps node
         (Node.compile cache.nodes (h_steps_at cache depth defs node.term));
-    let code = node.steps.code in
-    ins := !ins lor code.(Node.ins);
-    outs := !outs lor code.(Node.outs)
+    h := mix !h node.steps.code_id
   done;
-  let ins = !ins and outs = !outs in
-  cache.epoch <- cache.epoch + 1;
-  cache.ncands <- 0;
-  cache.nentries <- 0;
-  let epoch = cache.epoch and hidden = Frame.hidden frame in
-  (* plain loops over the slots' code: this is the per-state path *)
-  let top = ref min_int in
-  for i = 0 to n - 1 do
-    let code = slots.(i).Node.steps.code in
-    for t = 0 to code.(Node.num_taus) - 1 do
-      let at = Node.taus_at + (Node.tau_width * t) in
-      let id = code.(at) and prio = code.(at + 1) in
-      let k =
-        if renamed_anywhere views id then renaming (view_of views i) id else -1
-      in
-      if prio > !top then top := prio;
-      add_cand cache ~kind:k_tau ~prio ~id ~k ~i ~a:t ~j:0 ~b:0
-    done;
-    let offers = code.(Node.offers_at) in
-    for a = 0 to code.(Node.num_offers) - 1 do
-      let at = offers + (Node.offer_width * a) in
-      let stored = code.(at) and dir = code.(at + 1) and prio = code.(at + 2) in
-      (* unless some view renames [stored], it is the real id in every
-         slot, and no view is looked at *)
-      let any = renamed_anywhere views stored in
-      let k = if any then renaming (view_of views i) stored else -1 in
-      let id = if k < 0 then stored else (view_of views i).real.(k) in
-      (* a view renames through a swap, so an offer no view renames can
-         only pair with offers no view renames, stored on its own id: a
-         clear bit in the complementary mask rules pairing out, and its
-         bucket is never read *)
-      let complements = if dir = 0 then outs else ins in
-      if any || complements land Node.bit stored <> 0 then begin
-        let p = chain_offer cache ~epoch ~i ~a ~id ~k ~dir ~prio in
-        if p > !top then top := p
-      end;
-      if id >= Bytes.length hidden || Bytes.unsafe_get hidden id = '\000'
-      then
-        add_cand cache
-          ~kind:(if dir = 0 then k_in else k_out)
-          ~prio ~id ~k ~i ~a ~j:0 ~b:0
-    done
-  done;
-  (* preemption on the integers, then the survivors' rows *)
-  let nodes = cache.nodes and c = cache.cands and nc = cache.ncands in
-  let top = !top in
-  let rows = ref [] in
-  for x = 0 to nc - 1 do
-    let at = x * cand_width in
-    let kind = c.(at) and prio = c.(at + 1) in
-    if
-      (not prioritize)
-      || nc = 1
-      ||
-      if kind = k_tau || kind = k_sync then prio >= top
-      else not (outranked c nc kind c.(at + 2) prio)
-    then begin
-      let k = c.(at + 3) and i = c.(at + 4) and a = c.(at + 5) in
-      let s = slots.(i).Node.steps and v = Array.copy slots in
-      let step =
-        if kind = k_tau then begin
-          let e = s.taus.(a) in
-          v.(i) <- target nodes e;
-          if k < 0 then e.step
-          else Step.Tau (Some (view_of views i).labels.(k), prio)
-        end
-        else begin
-          let o = s.offers.(a) in
-          v.(i) <- target nodes o.edge;
-          if kind = k_sync then begin
-            let j = c.(at + 6) in
-            let o' = slots.(j).Node.steps.offers.(c.(at + 7)) in
-            v.(j) <- target nodes o'.edge;
-            Step.Tau
-              (Some (if k < 0 then o.label else (view_of views i).labels.(k)),
-                prio)
-          end
-          else if k < 0 then o.edge.step
-          else
-            Step.Event
-              ( (view_of views i).labels.(k),
-                (if kind = k_in then Event.In else Event.Out),
-                prio )
-        end
-      in
-      rows := (step, v) :: !rows
-    end
-  done;
-  let rows =
-    if prioritize && top > 0 then !rows
-    else timed_rows cache ~prioritize slots !rows
-  in
-  match rows with
-  | [] | [ _ ] -> rows
-  | [ r1; r2 ] ->
-      let d = views.rows r1 r2 in
-      if d < 0 then rows else if d > 0 then [ r2; r1 ] else [ r1 ]
-  | _ -> List.sort_uniq views.rows rows
+  match memo with
+  | None ->
+      ignore (select cache ~prioritize ~views frame slots);
+      build cache views slots cache.plans_len
+  | Some m ->
+      let h = finish !h in
+      let p = lookup m slots h (h land m.mask) in
+      if p >= 0 then begin
+        m.hits <- m.hits + 1;
+        build cache views slots (cell m.offsets p)
+      end
+      else begin
+        m.misses <- m.misses + 1;
+        let o = cache.plans_len in
+        cache.plans_len <- select cache ~prioritize ~views frame slots;
+        keep_plan m slots h (-1 - p) o;
+        build cache views slots o
+      end
 
 (* The kernel on a term's own frame, its successors materialized. *)
 and materialized cache depth defs ~prioritize p =
   let frame, slots = Frame.split cache.nodes p in
   List.map
     (fun (s, v) -> (s, Frame.materialize frame v))
-    (kernel cache depth defs ~prioritize ~views:no_views frame slots)
+    (kernel cache depth defs ~prioritize ~views:no_views ~memo:None frame
+       slots)
 
-let successors ~cache ~prioritize ~views defs frame slots =
-  kernel cache 0 defs ~prioritize ~views frame slots
+(* The memo is made on the first call for a frame, views and
+   [prioritize], and kept in the cache until a call for others. *)
+let successors ~cache ~prioritize ~views defs frame =
+  let memo =
+    match cache.memo with
+    | Some m as memo
+      when m.frame == frame && m.views == views && m.prioritize = prioritize
+      ->
+        memo
+    | Some _ | None ->
+        let memo = Some (make_memo ~frame ~views ~prioritize) in
+        cache.memo <- memo;
+        memo
+  in
+  fun slots -> kernel cache 0 defs ~prioritize ~views ~memo frame slots
 
 let h_steps ~cache defs p = materialized cache 0 defs ~prioritize:false p
 let h_prioritized ~cache defs p = materialized cache 0 defs ~prioritize:true p

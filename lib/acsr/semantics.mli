@@ -36,16 +36,19 @@ val is_deadlocked : Defs.t -> Proc.t -> bool
     node, and compiled into event offers, internal steps and timed
     actions, each edge caching its target node once resolved, and into
     one int array of label ids, directions, priorities and resource
-    ids ({!Node.steps}).  Per state, the kernel scans those arrays and
-    keeps its candidates as integers: it pairs complementary offers
-    through a bucket per real label id, combines timed steps on
-    resource masks, applies restriction and preemption to the integers
-    — between timed combinations, on the part that differs between
-    them — and builds only the surviving steps and successors, each as
-    a copy of the vector with the moving slots patched.  The frame's
-    restriction and [Par] spine are never rebuilt or interned.  A [Par]
-    nested inside a slot is composed by the same kernel, without those
-    two filters.
+    ids ({!Node.steps}).  The kernel works in two parts.  {e Selection}
+    scans those arrays and keeps its candidates as integers: it pairs
+    complementary offers through a bucket per real label id, combines
+    timed steps on resource masks, applies restriction and preemption
+    to the integers — between timed combinations, on the part that
+    differs between them — and writes the survivors as a {e plan}: per
+    row, a step id and the slots and edge indices it moves, sorted by
+    step, in int32 buffers the collector does not scan.  {e Building}
+    turns a plan and the state's nodes into rows, each a copy of the
+    vector with the moving slots patched, every target read off the
+    state's own edge.  The frame's restriction and [Par] spine are
+    never rebuilt or interned.  A [Par] nested inside a slot is
+    composed by the same two parts, without those two filters.
     {!h_steps} and {!h_prioritized} split a root into its frame, run the
     kernel and materialize the successors. *)
 
@@ -55,7 +58,8 @@ type cache
     compiled step set — the memo of definition unfolding, keyed by
     (name, argument values), and the kernel's per-state scratch: the
     offer buckets, candidates and timed combinations, in int arrays
-    reused from state to state.  Sound only for a fixed [Defs.t]:
+    reused from state to state, and the plans {!successors} keeps.
+    Sound only for a fixed [Defs.t]:
     create one cache per exploration, and expand with it on one domain
     at a time, as the explorer does: the scratch is not shared. *)
 
@@ -124,7 +128,32 @@ val successors :
     of the same frame, made of nodes of [nodes cache].  Steps carry real
     labels.  Rows are deduplicated and sorted by step, then slot by slot
     in the views' order — over one frame, the order of the materialized
-    real terms. *)
+    real terms.
+
+    {b Plans and memo.}  Applied to [frame], [successors] returns a
+    function that memoizes the plans it selects in [cache], keyed by
+    the vector of the slots' code ids ({!Node.steps}[.code_id]): a
+    state whose key was met before is built from the kept plan, without
+    selecting again.  Selection reads of a state only each slot's code
+    and its index (through [views]); the frame's restriction, [views]
+    and [prioritize] are fixed per memo; and equal codes give equal
+    steps, since label and resource ids name labels and resources one
+    to one within the cache's intern table.  Targets are read off the
+    state's own edges.  So the rows, their order and everything an
+    exploration derives from them are those an unmemoized kernel gives.
+    The cache keeps one memo, for the last frame, views and
+    [prioritize] given: apply [successors] once per exploration, as
+    the explorer does, and expand with the function it returns. *)
+
+type plan_stats = {
+  plan_hits : int;  (** states built from a kept plan *)
+  plan_misses : int;  (** states whose plan was selected and kept *)
+  plan_bytes : int;  (** bytes of the plan buffers, key table included *)
+}
+
+val plan_stats : cache -> plan_stats
+(** The memo's tallies so far; zeros, and the plan buffer's bytes,
+    before {!successors} is applied. *)
 
 val h_steps : cache:cache -> Defs.t -> Hproc.t -> (Step.t * Hproc.t) list
 (** Unprioritized transition relation over hash-consed terms of

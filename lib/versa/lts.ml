@@ -98,6 +98,20 @@ module Metrics = struct
          included"
       "versa_store_bytes"
 
+  let plan_hits =
+    Obs.Counter.make ~help:"Expansions built from a memoized successor plan"
+      "versa_plan_hits_total"
+
+  let plan_misses =
+    Obs.Counter.make
+      ~help:"Expansions whose successor plan was selected and memoized"
+      "versa_plan_misses_total"
+
+  let plan_bytes =
+    Obs.Gauge.make
+      ~help:"Bytes of the last exploration's successor plan buffers"
+      "versa_plan_bytes"
+
   let frontier =
     Obs.Histogram.make ~help:"Frontier width at each expansion step"
       ~buckets:[ 1.; 10.; 100.; 1_000.; 10_000.; 100_000. ]
@@ -155,7 +169,10 @@ type stats = {
       (** successors the symmetry reduction folded onto a different orbit
           representative; 0 when symmetry is off or trivial *)
   orbit_misses : int;  (** successors that were already canonical *)
-  canon_s : float;  (** wall time spent canonicalizing states *)
+  canon_s : float;  (** time spent canonicalizing states, real clock *)
+  plan_hits : int;  (** expansions built from a memoized successor plan *)
+  plan_misses : int;  (** expansions whose plan was selected *)
+  plan_bytes : int;  (** bytes of the successor plan buffers *)
 }
 
 let states_per_sec s =
@@ -180,6 +197,9 @@ let publish_stats s =
     s.early_exit_depth;
   Obs.Gauge.set Metrics.hashcons_nodes (float_of_int s.hashcons_nodes);
   Obs.Gauge.set Metrics.store_bytes (float_of_int s.store_bytes);
+  Obs.Counter.incr ~by:s.plan_hits Metrics.plan_hits;
+  Obs.Counter.incr ~by:s.plan_misses Metrics.plan_misses;
+  Obs.Gauge.set Metrics.plan_bytes (float_of_int s.plan_bytes);
   Obs.Counter.incr ~by:s.orbit_hits Metrics.orbit_hits;
   Obs.Counter.incr ~by:s.orbit_misses Metrics.orbit_misses;
   if s.orbit_hits + s.orbit_misses > 0 then
@@ -553,13 +573,15 @@ let build ?(config = default_config) ?(semantics = Prioritized)
       defs frame
   in
   let orbit_hits = ref 0 and orbit_misses = ref 0 and canon_s = ref 0. in
+  (* canonicalization is timed on the real clock, as [expand_s] is: a
+     per-state read of the ambient one would move a virtual deadline *)
   let expand slots =
     let row = raw_next slots in
     match sym with
     | Some s when row != [] ->
-        let t0 = Timed.Clock.gettimeofday () in
+        let t0 = Timed.Clock.now Timed.Clock.real in
         let row = Sym.canon_row s ~hits:orbit_hits ~misses:orbit_misses row in
-        canon_s := !canon_s +. (Timed.Clock.gettimeofday () -. t0);
+        canon_s := !canon_s +. (Timed.Clock.now Timed.Clock.real -. t0);
         row
     | Some _ | None -> row
   in
@@ -645,6 +667,7 @@ let build ?(config = default_config) ?(semantics = Prioritized)
     !expand_s *. float_of_int !head
     /. float_of_int (max 1 ((!head + sample_every - 1) / sample_every))
   in
+  let plans = Semantics.plan_stats cache in
   let stats =
     {
       wall_s;
@@ -669,6 +692,9 @@ let build ?(config = default_config) ?(semantics = Prioritized)
       orbit_hits = !orbit_hits;
       orbit_misses = !orbit_misses;
       canon_s = !canon_s;
+      plan_hits = plans.Semantics.plan_hits;
+      plan_misses = plans.Semantics.plan_misses;
+      plan_bytes = plans.Semantics.plan_bytes;
     }
   in
   publish_stats stats;

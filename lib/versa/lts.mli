@@ -119,7 +119,19 @@ type stats = {
           components *)
   orbit_misses : int;
       (** successors that were already orbit-canonical *)
-  canon_s : float;  (** time spent canonicalizing successor rows *)
+  canon_s : float;
+      (** time spent canonicalizing successor rows, on the real clock
+          ({!Timed.Clock.real}), so that it reads no ambient clock per
+          state *)
+  plan_hits : int;
+      (** expansions built from a plan the successor kernel memoized
+          for an earlier state with the same slot codes
+          ({!Acsr.Semantics.successors}) *)
+  plan_misses : int;
+      (** expansions whose plan the kernel selected and memoized *)
+  plan_bytes : int;
+      (** bytes of the kernel's plan buffers and memo table at their
+          allocated lengths *)
 }
 
 val stats : t -> stats

@@ -324,6 +324,61 @@ let test_store_bytes_per_state () =
     Alcotest.failf "%.1f store bytes per state over %d states (at most 100)"
       per_state (Versa.Lts.num_states lts)
 
+(* The successor memo keeps one plan per vector of slot code ids, and
+   the translated models re-enter a few vectors in nearly every state:
+   on the exhaustive [e6_unsched 6] run, 29,203 of the 31,537
+   expansions are built from a kept plan.  Every expansion is a hit or
+   a miss, and a kept plan is never selected again. *)
+let test_plan_hits () =
+  let lts, _ = e6_unsched_6_second_run () in
+  let s = Versa.Lts.stats lts and n = Versa.Lts.num_states lts in
+  Alcotest.(check int) "one hit or miss per expansion" n
+    (s.Versa.Lts.plan_hits + s.Versa.Lts.plan_misses);
+  if float_of_int s.Versa.Lts.plan_hits < 0.92 *. float_of_int n then
+    Alcotest.failf "%d plan hits over %d expansions (at least 92%%)"
+      s.Versa.Lts.plan_hits n
+
+(* Timed preemption on hand-made products, against the reference
+   engine.  Each system has a slot with a choice of two timed steps and
+   a slot with one, so the product has two combinations:
+   - [{r:1}] against [{r:0, s:2}]: neither preempts the other, since the
+     second uses [r] at a lower priority, though it is higher on [s];
+   - [{r:1}] against [{r:1, s:1}]: the second preempts the first, being
+     strictly higher on [s], a resource the first does not use;
+   - [{r:1}] against [{r:2}]: the second preempts the first on [r]. *)
+let test_timed_preemption_cases () =
+  let r = Resource.make "r" and s = Resource.make "s"
+  and t = Resource.make "t" in
+  let system a b =
+    Proc.par_list
+      [
+        Proc.choice
+          (Proc.act (action a) Proc.nil)
+          (Proc.act (action b) Proc.nil);
+        Proc.act (action [ (t, 0) ]) Proc.nil;
+      ]
+  in
+  List.iter
+    (fun (name, a, b, expected) ->
+      let p = system a b in
+      let cache = Semantics.make_cache () in
+      let hashconsed =
+        List.map
+          (fun (st, h) -> (st, Hproc.to_proc h))
+          (Semantics.h_prioritized ~cache Defs.empty
+             (Hproc.of_proc (Semantics.terms cache) p))
+      in
+      let reference = Semantics.prioritized Defs.empty p in
+      Alcotest.(check int) (name ^ ": surviving combinations") expected
+        (List.length reference);
+      if hashconsed <> reference then
+        Alcotest.failf "%s: the kernel disagrees with the reference" name)
+    [
+      ("lower on a shared resource", [ (r, 1) ], [ (r, 0); (s, 2) ], 2);
+      ("strictly higher outside", [ (r, 1) ], [ (r, 1); (s, 1) ], 1);
+      ("higher on the same resource", [ (r, 1) ], [ (r, 2) ], 1);
+    ]
+
 (* {1 Node tables belong to one exploration}
 
    Every exploration compiles the step sets of its slot terms into its
@@ -1079,6 +1134,103 @@ let prop_many_resources_prioritized_agree =
     ~count:500 ~reference:Semantics.prioritized
     ~hashconsed:Semantics.h_prioritized gen_many_resources_system
 
+(* {2 Memoized plans}
+
+   [Semantics.successors] keeps the plan it selects for each vector of
+   slot code ids and builds every later state with the same codes from
+   that plan.  Every row a memoized exploration builds must be the row
+   that a fresh cache, which has no plan to reuse, selects and builds
+   for the same state: here, the prioritized steps of the state's real
+   term on a fresh cache, term for term and in order.  The exploration
+   runs breadth-first over the raw (uncanonicalized) states, up to
+   [bound] of them, through the orbit reduction's views when [symmetry]
+   is given. *)
+let memo_agrees ?(prepare = ignore) ?(symmetry = Symmetry.empty)
+    ?(bound = 120) defs root =
+  let cache = Semantics.make_cache () in
+  prepare (Semantics.terms cache);
+  let nodes = Semantics.nodes cache in
+  let frame, raw =
+    Frame.split nodes (Hproc.of_proc (Semantics.terms cache) root)
+  in
+  let to_real v =
+    let v = Array.copy v in
+    if not (Symmetry.is_empty symmetry) then
+      Symmetry.swap symmetry nodes frame v;
+    v
+  in
+  (* the swap is its own inverse: it also takes the real root to the
+     representative's names *)
+  let root = to_real raw in
+  let views =
+    if Symmetry.is_empty symmetry then Semantics.no_views
+    else Symmetry.views symmetry frame
+  in
+  let term v = Hproc.to_proc (Frame.materialize frame (to_real v)) in
+  let next = Semantics.successors ~cache ~prioritize:true ~views defs frame in
+  let seen = Hashtbl.create 64 and queue = Queue.create () in
+  let visit v =
+    let key = Array.map (fun (n : Node.t) -> n.id) v in
+    if Hashtbl.length seen < bound && not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      Queue.add v queue
+    end
+  in
+  visit root;
+  let ok = ref true in
+  while !ok && not (Queue.is_empty queue) do
+    let v = Queue.pop queue in
+    let rows = next v in
+    let fresh = Semantics.make_cache () in
+    prepare (Semantics.terms fresh);
+    let expected =
+      List.map
+        (fun (s, h) -> (s, Hproc.to_proc h))
+        (Semantics.h_prioritized ~cache:fresh defs
+           (Hproc.of_proc (Semantics.terms fresh) (term v)))
+    in
+    ok := List.map (fun (s, w) -> (s, term w)) rows = expected;
+    List.iter (fun (_, w) -> visit w) rows
+  done;
+  !ok
+
+let prop_memo_systems =
+  QCheck2.Test.make ~name:"memoized rows = fresh select+build (systems)"
+    ~count:150 gen_system (fun p -> memo_agrees Defs.empty p)
+
+let prop_memo_wide_labels =
+  QCheck2.Test.make
+    ~name:"memoized rows = fresh select+build (more labels than mask bits)"
+    ~count:150 gen_wide_system (fun p ->
+      memo_agrees ~prepare:number_wide_labels Defs.empty p)
+
+let prop_memo_many_resources =
+  QCheck2.Test.make
+    ~name:
+      "memoized rows = fresh select+build (more resources than mask bits)"
+    ~count:150 gen_many_resources_system (fun p ->
+      memo_agrees ~prepare:number_many_resources Defs.empty p)
+
+(* Replicated families, explored through the orbit reduction's views:
+   the members' slots hold their terms in the representative's names,
+   so members in equal local states share code ids while their steps
+   carry different real labels. *)
+let prop_memo_symmetric =
+  QCheck2.Test.make
+    ~name:"memoized rows = fresh select+build (families, through views)"
+    ~count:12
+    QCheck2.Gen.(pair (int_range 2 5) (int_range 60 130))
+    (fun (threads, u_pct) ->
+      let utilization = float_of_int u_pct /. 100. in
+      let tr =
+        Translate.Pipeline.translate
+          (Aadl.Instantiate.of_string
+             (Gen.replicated_family ~threads ~utilization ()))
+      in
+      (not (Symmetry.is_empty tr.Translate.Pipeline.symmetry))
+      && memo_agrees ~symmetry:tr.Translate.Pipeline.symmetry ~bound:200
+           tr.Translate.Pipeline.defs tr.Translate.Pipeline.system)
+
 (* [Step.compare] is written out; it must order steps as
    [Stdlib.compare] does, which the reference engine sorts by. *)
 let gen_step : Step.t QCheck2.Gen.t =
@@ -1157,6 +1309,10 @@ let qcheck_cases =
       prop_step_compare;
       prop_check_agrees_with_build;
       prop_check_early_exit_sound;
+      prop_memo_systems;
+      prop_memo_wide_labels;
+      prop_memo_many_resources;
+      prop_memo_symmetric;
     ]
 
 (* {1 The visited set} *)
@@ -1338,18 +1494,21 @@ let test_virtual_deadline_is_deterministic () =
    is its number of reads.  Without a trace the loop does not split
    successor computation from interning, so [expand_s] and [merge_s]
    read 0; with one it times expansions on the real clock, so a trace
-   adds only its span's reads to a run, whatever its size. *)
+   adds only its span's reads to a run, whatever its size.  An orbit
+   reduction times its canonicalizations on the real clock too, so a
+   symmetric run reads the ambient clock as often as any other. *)
 let test_clock_reads_per_run () =
   let config = { Versa.Lts.default_config with stop_at_deadlock = false } in
   let explore ?(traced = false) ?deadline text =
-    let defs, system = tr_of text in
+    let tr = Translate.Pipeline.translate (Aadl.Instantiate.of_string text) in
     let sim = Timed.Sim.create ~auto_advance:1. () in
     Timed.Sim.with_clock sim @@ fun () ->
     if traced then Obs.Trace.start ();
     let before = Timed.Sim.now sim in
     let lts =
-      Versa.Lts.build ~config:{ config with deadline } ~edges:false defs
-        system
+      Versa.Lts.build ~config:{ config with deadline }
+        ~symmetry:tr.Translate.Pipeline.symmetry ~edges:false
+        tr.Translate.Pipeline.defs tr.Translate.Pipeline.system
     in
     let reads = int_of_float (Timed.Sim.now sim -. before) in
     if traced then Obs.Trace.stop ();
@@ -1381,13 +1540,26 @@ let test_clock_reads_per_run () =
         (traced, traced_reads - reads))
       [ (Gen.cruise_control (), small); (Gen.e6_model 5, large) ]
   in
-  match span_reads with
+  (match span_reads with
   | [ (_, small_extra); (traced_large, large_extra) ] ->
       Alcotest.(check int) "a trace adds as many reads to a small run as to \
         a large one" small_extra large_extra;
       Alcotest.(check bool) "traced expand_s" true
         ((Versa.Lts.stats traced_large).Versa.Lts.expand_s > 0.)
-  | _ -> assert false
+  | _ -> assert false);
+  let family = Gen.replicated_family ~threads:4 ~utilization:0.9 () in
+  let sym, sym_reads = explore family in
+  let s = Versa.Lts.stats sym in
+  Alcotest.(check bool) "the family is explored reduced" true
+    (s.Versa.Lts.orbit_hits > 0);
+  Alcotest.(check int) "two reads per symmetric run" 2 sym_reads;
+  let timed, reads = explore ~deadline:1e12 family in
+  Alcotest.(check int) "a far deadline explores the same states"
+    (Versa.Lts.num_states sym) (Versa.Lts.num_states timed);
+  Alcotest.(check int)
+    "one more read per expansion of a symmetric run with a deadline"
+    (sym_reads + Versa.Lts.num_states sym)
+    reads
 
 let test_poll_cancels () =
   let defs, system = tr_of (Gen.cruise_control ()) in
@@ -1427,6 +1599,9 @@ let () =
             test_promoted_per_state;
           Alcotest.test_case "store bytes per state" `Quick
             test_store_bytes_per_state;
+          Alcotest.test_case "plan hits per expansion" `Quick test_plan_hits;
+          Alcotest.test_case "timed preemption cases" `Quick
+            test_timed_preemption_cases;
         ] );
       ( "on-the-fly",
         [
