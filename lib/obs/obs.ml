@@ -139,8 +139,6 @@ module Histogram = struct
       atomic_add_float h.h_sum v
     end
 
-  let bucket h v = bucket_of h v
-
   let add h ~counts ~sum =
     if Array.length counts <> Array.length h.h_bounds + 1 then
       invalid_arg "Obs.Histogram.add: one count per bucket";

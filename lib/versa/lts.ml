@@ -16,18 +16,19 @@
    the exploration, from the node table of the build's
    [Semantics.cache]).  A node carries its term's hash and its compiled
    step set, so expanding a state reads node fields.  The visited set
-   ([Visited]) keeps each vector as its slots' node ids in an arena
-   outside the OCaml heap, with an open-addressed table of state ids
+   ([Visited]) keeps each vector as its slots' node ids in byte chunks
+   the collector never scans, with an open-addressed table of state ids
    over them and their cached hashes: an intern mixes the slots' term
    hashes once, compares a cached hash before it compares node ids, and
    never rebuilds or interns the spine.  The store therefore holds no
    OCaml value per state (without edges), and the collector neither
-   promotes nor marks it; a state's vector is decoded when it is
-   expanded.  Under orbit
-   reduction the member slots hold their terms in their class
-   representative's names (see [Sym] below).  A state's term is
-   materialized only when a caller asks for it ([term], DOT export,
-   trace replay).
+   promotes nor scans it.  A state is expanded from the vector whose
+   intern discovered it, kept until then in a bounded ring ([Ring]);
+   only a state discovered while the ring was full is decoded from the
+   store.  Under orbit reduction the member slots hold their terms in
+   their class representative's names (see [Sym] below).  A state's
+   term is materialized only when a caller asks for it ([term], DOT
+   export, trace replay).
 
    The exploration runs on the calling domain: one loop expands the
    queued states in id order and interns their successors, so ids,
@@ -112,9 +113,12 @@ module Metrics = struct
       ~help:"Bytes of the last exploration's successor plan buffers"
       "versa_plan_bytes"
 
+  (* the frontier histogram's bounds, as integers for [build] *)
+  let frontier_bounds = [| 1; 10; 100; 1_000; 10_000; 100_000 |]
+
   let frontier =
     Obs.Histogram.make ~help:"Frontier width at each expansion step"
-      ~buckets:[ 1.; 10.; 100.; 1_000.; 10_000.; 100_000. ]
+      ~buckets:(Array.to_list (Array.map float_of_int frontier_bounds))
       "versa_explore_frontier_size"
 
   let wall =
@@ -346,39 +350,101 @@ module Sym = struct
       ids
 end
 
+(* The vectors of discovered, not yet expanded states, kept as their
+   discovering intern received them: the kernel's fresh successor
+   vector, canonicalized under symmetry.  Nothing mutates a vector
+   after its intern, so it equals the state's stored one.  Entry
+   [id land mask] holds the vector of [id], tagged with [id], from its
+   discovery to its expansion.  The kept ids are the frontier's, so two
+   of them share an entry only when the frontier is wider than the
+   ring: the ring then doubles, from 16 entries up to [words] words of
+   kept vectors (4,096 entries at 12 slots), which bounds what the
+   collector sees of it on a wide frontier; at that size a state whose
+   entry is taken is not kept, and is decoded from the store when it
+   is expanded.  The ring belongs to one build and is dropped with
+   it. *)
+module Ring = struct
+  type t = {
+    mutable vectors : Node.t array array;  (* [||] where none is kept *)
+    mutable ids : int array;  (* the id kept in each entry; -1 where none is *)
+    mutable mask : int;
+    most : int;  (* entries at most *)
+  }
+
+  let words = 65_536
+
+  (* a kept vector costs its [width] slots and a header word *)
+  let create ~width =
+    let rec fit n = if 2 * n * (width + 1) <= words then fit (2 * n) else n in
+    let most = fit 1 in
+    let n = min 16 most in
+    { vectors = Array.make n [||]; ids = Array.make n (-1); mask = n - 1; most }
+
+  (* Twice the entries; kept ids differ in their bits under the old
+     mask, so they do under the new one. *)
+  let grow r =
+    let n = 2 * (r.mask + 1) in
+    let vectors = Array.make n [||] and ids = Array.make n (-1) in
+    Array.iteri
+      (fun i id ->
+        if id >= 0 then begin
+          vectors.(id land (n - 1)) <- r.vectors.(i);
+          ids.(id land (n - 1)) <- id
+        end)
+      r.ids;
+    r.vectors <- vectors;
+    r.ids <- ids;
+    r.mask <- n - 1
+
+  (* Keep the vector of the state just discovered as [id]. *)
+  let rec keep r id v =
+    let i = id land r.mask in
+    if r.ids.(i) < 0 then begin
+      r.vectors.(i) <- v;
+      r.ids.(i) <- id
+    end
+    else if r.mask + 1 < r.most then begin
+      grow r;
+      keep r id v
+    end
+
+  let holds r id = r.ids.(id land r.mask) = id
+
+  (* The kept vector of [id], which [holds]; its entry is freed. *)
+  let take r id =
+    let i = id land r.mask in
+    let v = r.vectors.(i) in
+    r.vectors.(i) <- [||];
+    r.ids.(i) <- -1;
+    v
+end
+
 (* The state store, indexed by state id.  Per state it keeps the slot
    vector and its hash, in the visited set ([Visited]), and the BFS
-   parent id, in [pred]: int32 buffers outside the heap, which the
-   collector never scans.  That is enough to rebuild every shortest
-   counterexample path: the arriving steps are not kept, [path_to]
-   recomputes them.  Successor rows, indexed by the expanded state's
-   id, are kept only when the caller asks for edges; without them the
-   store holds no OCaml value per state or per transition, which is
-   what plain schedulability queries need. *)
+   parent id, in [pred]: int32 cells in byte chunks, which the
+   collector never scans and a growing store never copies.  That is
+   enough to rebuild every shortest counterexample path: the arriving
+   steps are not kept, [path_to] recomputes them.  Successor rows,
+   indexed by the expanded state's id, are kept only when the caller
+   asks for edges; without them the store holds no OCaml value per
+   state or per transition, which is what plain schedulability queries
+   need. *)
 module Store = struct
-  type cells = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
   type t = {
     visited : Visited.t;  (* slot vector <-> state id *)
     edges : bool;
-    mutable pred : cells;  (* BFS parent; -1 for the root and past the last *)
+    pred : Visited.Chunks.t;  (* BFS parent by id; -1 for the root *)
     mutable rows : (Step.t * state_id) array array;
         (* successor rows of the expanded states; empty without edges *)
     mutable hits : int;
     mutable misses : int;
   }
 
-  (* [n] parent cells, all -1 *)
-  let no_parents n : cells =
-    let cells = Bigarray.(Array1.create int32 c_layout n) in
-    Bigarray.Array1.fill cells (-1l);
-    cells
-
   let create nodes ~width ~edges =
     {
       visited = Visited.create nodes ~width;
       edges;
-      pred = no_parents 64;
+      pred = Visited.Chunks.create ~stride:1;
       rows = (if edges then Array.make 64 [||] else [||]);
       hits = 0;
       misses = 0;
@@ -386,11 +452,15 @@ module Store = struct
 
   let length st = Visited.length st.visited
   let state st id = Visited.get st.visited id
-  let pred st id = Int32.to_int (Bigarray.Array1.get st.pred id)
 
-  (* Intern a successor; its parent is recorded only on first discovery,
-     so the parent pointers always form the BFS tree. *)
-  let intern st slots ~pred =
+  let pred st id =
+    if id < 0 || id >= length st then invalid_arg "Lts.Store.pred";
+    Visited.Chunks.get st.pred id 0
+
+  (* Intern a successor; its parent is recorded, and its vector kept in
+     [ring], only on first discovery, so the parent pointers always
+     form the BFS tree. *)
+  let intern st ring slots ~pred =
     let fresh = length st in
     let id = Visited.intern st.visited slots in
     if id < fresh then begin
@@ -399,40 +469,44 @@ module Store = struct
     end
     else begin
       st.misses <- st.misses + 1;
-      let n = Bigarray.Array1.dim st.pred in
-      if id = n then begin
-        let bigger = no_parents (2 * n) in
-        Bigarray.Array1.(blit st.pred (sub bigger 0 n));
-        st.pred <- bigger
-      end;
-      Bigarray.Array1.unsafe_set st.pred id (Int32.of_int pred);
+      Visited.Chunks.reserve st.pred id;
+      Visited.Chunks.set st.pred id 0 pred;
+      Ring.keep ring id slots;
       id
     end
 
   (* Intern the successors of state [id], the next one to expand, in row
-     order; with edges, also keep its row. *)
-  let expand st id succs =
+     order; with edges, also keep its row.  The number of successors. *)
+  let rec intern_row st ring id n = function
+    | [] -> n
+    | (_, v) :: rest ->
+        ignore (intern st ring v ~pred:id);
+        intern_row st ring id (n + 1) rest
+
+  let expand st ring id succs =
     if st.edges then begin
       let row =
-        List.map (fun (step, v) -> (step, intern st v ~pred:id)) succs
+        Array.of_list
+          (List.map (fun (step, v) -> (step, intern st ring v ~pred:id)) succs)
       in
       if id = Array.length st.rows then begin
         let bigger = Array.make (2 * id) [||] in
         Array.blit st.rows 0 bigger 0 id;
         st.rows <- bigger
       end;
-      st.rows.(id) <- Array.of_list row
+      st.rows.(id) <- row;
+      Array.length row
     end
-    else List.iter (fun (_, v) -> ignore (intern st v ~pred:id)) succs
+    else intern_row st ring id 0 succs
 
-  (* The buffers' bytes: the visited set's and [pred], at their
-     allocated lengths; with edges, the rows array's slots and, per
-     row, a header word, and per transition a row slot and a three-word
-     (step, id) tuple.  The steps themselves are shared with the node
-     table's compiled step sets, or carry a renamed label. *)
+  (* The buffers' bytes: the visited set's and [pred]'s chunks in use;
+     with edges, the rows array's slots and, per row, a header word, and
+     per transition a row slot and a three-word (step, id) tuple.  The
+     steps themselves are shared with the node table's compiled step
+     sets, or carry a renamed label. *)
   let bytes st ~expanded ~transitions =
     Visited.bytes st.visited
-    + (4 * Bigarray.Array1.dim st.pred)
+    + Visited.Chunks.bytes st.pred
     + if st.edges then 8 * (Array.length st.rows + expanded + (4 * transitions))
       else 0
 end
@@ -585,16 +659,16 @@ let build ?(config = default_config) ?(semantics = Prioritized)
         row
     | Some _ | None -> row
   in
-  let store =
-    Store.create (Semantics.nodes cache) ~width:(Frame.width frame) ~edges
-  in
+  let width = Frame.width frame in
+  let store = Store.create (Semantics.nodes cache) ~width ~edges in
+  let ring = Ring.create ~width in
   let truncated = ref false in
   let deadlock_found = ref false in
   let deadlock_ids_rev = ref [] in
   let transitions = ref 0 in
   let peak_frontier = ref 0 in
   ignore
-    (Store.intern store
+    (Store.intern store ring
        (match sym with None -> raw_root | Some s -> Sym.canonical_root s)
        ~pred:(-1));
   let deadline_hit = ref false in
@@ -604,8 +678,13 @@ let build ?(config = default_config) ?(semantics = Prioritized)
   let expand_s = ref 0. (* over the timed expansions *) in
   (* the frontier histogram, counted here and published with the other
      statistics; the overflow bucket is the last *)
-  let frontier_counts =
-    Array.make (Obs.Histogram.bucket Metrics.frontier infinity + 1) 0
+  let bounds = Metrics.frontier_bounds in
+  let frontier_counts = Array.make (Array.length bounds + 1) 0 in
+  (* the first bucket whose bound covers [n], from [b] on *)
+  let rec bucket n b =
+    if b < Array.length bounds && n > Array.unsafe_get bounds b then
+      bucket n (b + 1)
+    else b
   in
   let frontier_sum = ref 0 in
   (* BFS levels are contiguous id ranges (ids are assigned in discovery
@@ -624,7 +703,7 @@ let build ?(config = default_config) ?(semantics = Prioritized)
   while (not !stop) && !head < Store.length store do
     let frontier = Store.length store - !head in
     if frontier > !peak_frontier then peak_frontier := frontier;
-    let b = Obs.Histogram.bucket Metrics.frontier (float_of_int frontier) in
+    let b = bucket frontier 0 in
     frontier_counts.(b) <- frontier_counts.(b) + 1;
     frontier_sum := !frontier_sum + frontier;
     if (config.stop_at_deadlock && !deadlock_found) || over_budget () then begin
@@ -639,12 +718,14 @@ let build ?(config = default_config) ?(semantics = Prioritized)
         incr depth;
         level_end := Store.length store
       end;
+      let slots =
+        if Ring.holds ring id then Ring.take ring id else Store.state store id
+      in
       let s =
-        if not traced || id mod sample_every <> 0 then
-          expand (Store.state store id)
+        if not traced || id mod sample_every <> 0 then expand slots
         else begin
           let t0 = Timed.Clock.now Timed.Clock.real in
-          let s = expand (Store.state store id) in
+          let s = expand slots in
           expand_s := !expand_s +. (Timed.Clock.now Timed.Clock.real -. t0);
           s
         end
@@ -655,8 +736,7 @@ let build ?(config = default_config) ?(semantics = Prioritized)
         if config.stop_at_deadlock && !early_exit_depth = None then
           early_exit_depth := Some !depth
       end;
-      Store.expand store id s;
-      transitions := !transitions + List.length s;
+      transitions := !transitions + Store.expand store ring id s;
       incr head
     end
   done;

@@ -14,8 +14,9 @@
 
     There is one exploration loop, {!build}.  Per state it keeps the
     slot vector, as its slots' node ids, its hash and the BFS parent,
-    in flat 32-bit buffers outside the OCaml heap, which the collector
-    neither promotes nor marks — enough for counts, deadlocks and every
+    in chunks of 32-bit cells that the collector neither promotes nor
+    scans and a growing store never copies — enough for counts,
+    deadlocks and every
     shortest counterexample path.  The step that arrives at a state is
     not kept: {!path_to} recomputes it.  Successor rows are kept only with
     [~edges:true] (the default), for callers that walk the graph
@@ -100,10 +101,11 @@ type stats = {
           symmetry reduction, where member slots are kept in their
           representative's names *)
   store_bytes : int;
-      (** bytes of the state store's buffers at their allocated lengths:
-          the visited set's arena, hashes and table and the parent
-          buffer, plus, with [~edges:true], the successor rows (the rows
-          array, a header word per row and four words per transition) *)
+      (** bytes of the state store's buffers: the chunks in use of the
+          visited set's arena and hashes and of the parent ids, the
+          probe table, plus, with [~edges:true], the successor rows (the
+          rows array, a header word per row and four words per
+          transition) *)
   early_exit_depth : int option;
       (** BFS depth of the first deadlock when [stop_at_deadlock] fired:
           the distance to the first deadline miss, which bounds the work

@@ -5,8 +5,9 @@
 # fresh temporary directory with `git archive`, applies the patch,
 # builds the mutated tree (a mutant that does not build proves
 # nothing), then runs each check there and expects it to fail.  It
-# prints one row per check with its time, and exits 1 when a patch does
-# not apply or build, or a check passes on its mutant.
+# prints one row per check with its time, then the number of mutants
+# and the total time, and exits 1 when a patch does not apply or
+# build, or a check passes on its mutant.
 #
 # Usage, from anywhere in the repository (`make mutants` runs all):
 #   sh test/mutants/run.sh [test/mutants/NAME.patch ...]
@@ -20,9 +21,10 @@ work=$(mktemp -d "${TMPDIR:-/tmp}/mutants.XXXXXX") || exit 2
 trap 'rm -rf "$work"' EXIT INT TERM
 now() { date +%s; }
 since() { echo "$(($(now) - $1))s"; }
-row() { printf '%-26s %-9s %6s  %s\n' "$1" "$2" "$3" "$4"; }
+row() { printf '%-28s %-9s %6s  %s\n' "$1" "$2" "$3" "$4"; }
 
 status=0
+start=$(now)
 row mutant result time check
 for patch in "$@"; do
   name=$(basename "$patch" .patch)
@@ -52,4 +54,5 @@ for patch in "$@"; do
   } || status=1
   rm -rf "$dir"
 done
+echo "mutants: $# in $(since "$start"), exit $status"
 exit "$status"

@@ -251,9 +251,14 @@ let test_nodes_per_state () =
    on [e6_model 5] (473 states) and 1,672 on a 16-thread replicated
    family explored with the orbit reduction (66 states), where a kernel
    that built every candidate and every combination as lists allocated
-   213 and 2,231.  [Gc.minor_words] repeats exactly on one domain; the
-   bounds leave about a third and a sixth of headroom.  The second of
-   two identical runs is measured. *)
+   213 and 2,231.  An expansion reads its state from the vector its
+   discovering intern kept, not from a fresh decode of the store, and
+   interns a row without a closure, so the exhaustive [e6_unsched 6]
+   run (31,537 states) allocates 36 words per state, where decoding
+   every expanded state allocated 57.  [Gc.minor_words] repeats exactly
+   on one domain; the first two bounds leave about a third and a sixth
+   of headroom, the third fails a store that decodes every state.  The
+   second of two identical runs is measured. *)
 
 let minor_words_per_state text =
   let tr = Translate.Pipeline.translate (Aadl.Instantiate.of_string text) in
@@ -278,12 +283,14 @@ let test_allocation_per_state () =
       ( "16-thread family, reduced",
         Gen.replicated_family ~threads:16 ~utilization:0.9 (),
         2_000. );
+      ("e6_unsched 6", Gen.e6_unsched 6, 50.);
     ]
 
 (* {1 What the store keeps}
 
-   The visited set keeps each state as its slots' node ids in an arena
-   outside the heap, and the parent pointers and hashes beside it; the
+   The visited set keeps each state as its slots' node ids in byte
+   chunks the collector never scans, and the parent pointers and hashes
+   beside it; the
    arriving steps are not kept at all.  So a run without edges
    promotes almost nothing per state: 0.85 words on the second
    exhaustive run of [e6_unsched 6] (31,537 states), where a store of
@@ -1411,6 +1418,140 @@ let test_visited_collisions_and_growth () =
   Alcotest.(check int) "and each finds its own again" n
     (Versa.Visited.intern t (twin 0))
 
+(* {1 Pinned explorations}
+
+   An expansion reads its state's vector from the ring of vectors kept
+   at discovery, or decodes it from the arena when the ring was full;
+   the arena, the hashes and the parent ids sit in fixed-size chunks.
+   These runs pin what an exploration computes, with and without
+   edges, on models that exercise both: a raw 12-thread family and an
+   unschedulable raw 9-thread one, whose peak frontiers (5,544 and
+   5,840 states) exceed the ring, and [e6_unsched 6], whose 31,537
+   states cross many chunk edges.  Each pin holds the state and
+   transition counts, the BFS levels, the deadlock ids (their count,
+   first, last and digest) and, per traced state, the length and
+   digest of its [path_to] trace; a family without deadlocks has some
+   of its states traced instead.  The values were computed by the store
+   that decoded every expanded state from a doubling arena. *)
+
+type pin = {
+  states : int;
+  transitions : int;
+  levels : int;
+  deadlocks : int * int * int * string;  (* count, first, last, digest *)
+  traces : (int * int * string) list;  (* id, path length, digest *)
+}
+
+let digest_of text = Digest.to_hex (Digest.string text)
+
+let pin_of lts ids =
+  let s = Versa.Lts.stats lts and d = Versa.Lts.deadlocks lts in
+  let trace id =
+    let path = Versa.Lts.path_to lts id in
+    ( id,
+      List.length path,
+      digest_of
+        (Fmt.str "%a" Fmt.(list ~sep:semi (pair ~sep:comma Step.pp int)) path)
+    )
+  in
+  {
+    states = s.Versa.Lts.num_states;
+    transitions = s.Versa.Lts.num_transitions;
+    levels = s.Versa.Lts.depth_levels;
+    deadlocks =
+      ( List.length d,
+        (match d with [] -> -1 | id :: _ -> id),
+        List.fold_left (fun _ id -> id) (-1) d,
+        digest_of (String.concat "," (List.map string_of_int d)) );
+    traces = List.map trace ids;
+  }
+
+let pp_pin ppf p =
+  let n, first, last, digest = p.deadlocks in
+  Fmt.pf ppf
+    "{ states = %d; transitions = %d; levels = %d;@ deadlocks = (%d, %d, %d, \
+     %S);@ traces = [ %a ] }"
+    p.states p.transitions p.levels n first last digest
+    Fmt.(
+      list ~sep:semi (fun ppf (id, len, d) -> pf ppf "(%d, %d, %S)" id len d))
+    p.traces
+
+let check_pinned name ?(peak_above = 0) text ~traced expected =
+  let defs, system = tr_of text in
+  let config = { Versa.Lts.default_config with stop_at_deadlock = false } in
+  List.iter
+    (fun edges ->
+      let lts = Versa.Lts.build ~config ~edges defs system in
+      let s = Versa.Lts.stats lts in
+      if s.Versa.Lts.peak_frontier <= peak_above then
+        Alcotest.failf "%s: peak frontier %d, not above %d" name
+          s.Versa.Lts.peak_frontier peak_above;
+      let got = pin_of lts (traced lts) in
+      if got <> expected then
+        Alcotest.failf "%s (edges %b):@ got %a" name edges pp_pin got)
+    [ true; false ]
+
+(* the first, a third, the middle and the last of the deadlocks, or
+   of the states when there is no deadlock *)
+let some_deadlocks lts =
+  let ids =
+    match Versa.Lts.deadlocks lts with
+    | [] -> List.init (Versa.Lts.num_states lts) Fun.id
+    | d -> d
+  in
+  let n = List.length ids in
+  List.sort_uniq compare (List.map (List.nth ids) [ 0; n / 3; n / 2; n - 1 ])
+
+let test_wide_frontier () =
+  check_pinned "12-thread family, raw" ~peak_above:4096
+    (Gen.replicated_family ~threads:12 ~utilization:0.96 ())
+    ~traced:some_deadlocks
+    {
+      states = 36862;
+      transitions = 98305;
+      levels = 49;
+      deadlocks = (0, -1, -1, "d41d8cd98f00b204e9800998ecf8427e");
+      traces =
+        [
+          (0, 0, "d41d8cd98f00b204e9800998ecf8427e");
+          (12287, 22, "f5b51278ee6937f5de50b36ed89f1058");
+          (18431, 24, "4145b5315e02556ab75fb4eaed82e593");
+          (36861, 48, "0aa562717eef5892950a85ec7ff9a75b");
+        ];
+    };
+  check_pinned "unschedulable 9-thread family, raw" ~peak_above:4096
+    (Gen.replicated_family ~threads:9 ~utilization:1.3 ())
+    ~traced:some_deadlocks
+    {
+      states = 23684;
+      transitions = 87138;
+      levels = 31;
+      deadlocks = (36, 23648, 23683, "0d3307a3c16dd917d3c04787fb0a5480");
+      traces =
+        [
+          (23648, 30, "73b3b05cc1b195737c9d8787e16cef8c");
+          (23660, 30, "48a753507eefa7d9bab967c218c5ad0b");
+          (23666, 30, "6ec602323f3db831f7d8d6f386c93b8e");
+          (23683, 30, "e080233c785e81d1fa89e7966c56ab21");
+        ];
+    }
+
+let test_chunk_edges () =
+  check_pinned "e6_unsched 6" (Gen.e6_unsched 6) ~traced:some_deadlocks
+    {
+      states = 31537;
+      transitions = 52775;
+      levels = 2184;
+      deadlocks = (741, 141, 31528, "6f1902b9f67ce20f3abaada347500215");
+      traces =
+        [
+          (141, 21, "61b11618ac17dda3a16929bbe5fa4afe");
+          (10599, 748, "f8953277a0601a1177a7519d8e0e0c80");
+          (15828, 1115, "de158cfb8a5541c5f66b61130efdfdbc");
+          (31528, 2182, "f997e058af80e099cfbc77fee487016b");
+        ];
+    }
+
 (* {1 Wall-clock budgets and cooperative cancellation} *)
 
 let test_deadline_budget_truncates () =
@@ -1628,6 +1769,11 @@ let () =
         [
           Alcotest.test_case "collisions and growth" `Quick
             test_visited_collisions_and_growth;
+        ] );
+      ( "store",
+        [
+          Alcotest.test_case "wide frontier" `Quick test_wide_frontier;
+          Alcotest.test_case "chunk edges" `Quick test_chunk_edges;
         ] );
       ("properties", qcheck_cases);
     ]
