@@ -252,10 +252,12 @@ let exp_e5 () =
         match r.Analysis.Latency.verdict with
         | Analysis.Latency.Latency_met -> "met"
         | Analysis.Latency.Latency_violated _ -> "violated"
+        | Analysis.Latency.Deadline_missed _ -> "missed"
         | Analysis.Latency.Latency_inconclusive _ -> "inconclusive"
       in
       Fmt.pr "%3d ms  %-8s  %6d@." bound_ms verdict
-        (Versa.Explorer.num_states r.Analysis.Latency.exploration))
+        (Versa.Explorer.num_states
+           r.Analysis.Latency.analysis.Analysis.Schedulability.exploration))
     [ 100; 60; 40; 30; 20 ]
 
 (* {1 E6: state-space scaling (Section 7 motivation)} *)

@@ -524,8 +524,8 @@ let run_latency file root_name quantum protocol trace from_thread to_thread
   let root = load_root file root_name in
   let options =
     {
-      Analysis.Latency.translation_options = translation_options quantum protocol;
-      max_states = 2_000_000;
+      Analysis.Schedulability.default_options with
+      translation_options = translation_options quantum protocol;
     }
   in
   let result =

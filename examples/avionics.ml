@@ -41,6 +41,7 @@ let () =
         (match l.Analysis.Latency.verdict with
         | Analysis.Latency.Latency_met -> "met"
         | Analysis.Latency.Latency_violated _ -> "violated"
+        | Analysis.Latency.Deadline_missed _ -> "deadline missed"
         | Analysis.Latency.Latency_inconclusive w -> "inconclusive: " ^ w))
     [ 16; 8; 6; 4 ];
   (* 4. sensitivity of the flight partition *)

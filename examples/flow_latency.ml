@@ -28,6 +28,7 @@ let () =
         match r.Analysis.Latency.verdict with
         | Analysis.Latency.Latency_met -> "met"
         | Analysis.Latency.Latency_violated _ -> "VIOLATED"
+        | Analysis.Latency.Deadline_missed _ -> "deadline missed"
         | Analysis.Latency.Latency_inconclusive why -> "inconclusive: " ^ why
       in
       Fmt.pr "bound %3d ms: %s@." bound_ms verdict)

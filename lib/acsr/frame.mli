@@ -12,7 +12,10 @@
     are not themselves a [Par], left to right.  A root that is not a
     system — neither a [Par] nor a [Restrict] over one — is a 1-slot
     frame.  A slot whose term later becomes a [Par] stays one opaque
-    slot. *)
+    slot, whose steps the kernel computes on a frame of its own and
+    without its memo ({!Semantics}); translated AADL models, latency
+    observers included, never have one, only textual ACSR models
+    can. *)
 
 type t
 

@@ -251,7 +251,11 @@ let is_deadlocked defs p = steps defs p = []
    kernel result is that slot's own step set.  Such a nested kernel
    runs only while the outer one compiles its slots, before the outer
    one touches the scratch or writes a plan, so one scratch and one
-   plan buffer serve both. *)
+   plan buffer serve both.  No AADL analysis reaches the nested path:
+   the translation composes every unit, a latency observer included,
+   under one restriction over one flat spine.  It serves textual ACSR
+   models, whose terms may nest [Par]s anywhere, and the wrappers
+   [h_steps] and [h_prioritized]. *)
 
 (* {2 Views}
 

@@ -114,13 +114,7 @@ let responses ppf ~options (root : Aadl.Instance.t)
   List.iter
     (fun (t : Translate.Workload.task) ->
       match
-        Response.worst_response
-          ~options:
-            {
-              Latency.translation_options =
-                options.schedulability.Schedulability.translation_options;
-              max_states = options.schedulability.Schedulability.max_states;
-            }
+        Response.worst_response ~options:options.schedulability
           ~thread:t.Translate.Workload.path root
       with
       | r ->

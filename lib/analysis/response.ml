@@ -16,23 +16,21 @@ type t = {
   deadline : int;
 }
 
-type options = Latency.options
-
-let default_options = Latency.default_options
-
 let met ~options ~thread ~bound_q ~quantum root =
   let bound = Aadl.Time.of_ns (bound_q * Aadl.Time.to_ns quantum) in
   let r = Latency.check ~options ~from_thread:thread ~to_thread:thread ~bound root in
   match r.Latency.verdict with
   | Latency.Latency_met -> true
-  | Latency.Latency_violated _ -> false
+  | Latency.Latency_violated _ | Latency.Deadline_missed _ -> false
   | Latency.Latency_inconclusive why ->
       Aadl.Diag.fail ~subject:thread "%s" why
 
-let worst_response ?(options = default_options) ~(thread : string list)
-    (root : Aadl.Instance.t) : t =
+let worst_response ?(options = Schedulability.default_options)
+    ~(thread : string list) (root : Aadl.Instance.t) : t =
   let quantum =
-    match options.Latency.translation_options.Translate.Pipeline.quantum with
+    match
+      options.Schedulability.translation_options.Translate.Pipeline.quantum
+    with
     | Some q -> q
     | None -> Translate.Workload.suggest_quantum root
   in

@@ -7,12 +7,8 @@ type t = {
   deadline : int;
 }
 
-type options = Latency.options
-
-val default_options : options
-
 val worst_response :
-  ?options:options -> thread:string list -> Aadl.Instance.t -> t
+  ?options:Schedulability.options -> thread:string list -> Aadl.Instance.t -> t
 (** The smallest dispatch-to-completion bound (in quanta) that holds on
     every path; [None] when the thread can miss its deadline.
     @raise Aadl.Diag.Error for unknown threads or inconclusive explorations. *)

@@ -22,33 +22,23 @@ open Acsr
 
 (* {1 Translation options} (the types [Pipeline] re-exports) *)
 
-type probe_point = Dispatched | Completed
-
-type probe = {
-  probe_thread : string list;
-  probe_point : probe_point;
-  probe_label : Label.t;
+type observer = {
+  from_thread : string list;
+  to_thread : string list;
+  bound : Aadl.Time.t;
 }
 
 type options = {
   quantum : Aadl.Time.t option;
   force_protocol : Aadl.Props.scheduling_protocol option;
-  probes : probe list;
+  observer : observer option;
 }
 
-let default_options = { quantum = None; force_protocol = None; probes = [] }
-
-let probes_for options path point =
-  List.filter_map
-    (fun p ->
-      if p.probe_point = point && Aadl.Name.equal_path p.probe_thread path
-      then Some p.probe_label
-      else None)
-    options.probes
+let default_options = { quantum = None; force_protocol = None; observer = None }
 
 (* {1 Fragments} *)
 
-type kind = Thread_unit | Queue | Stimulus | Modal_manager
+type kind = Thread_unit | Queue | Stimulus | Modal_manager | Observer
 
 type t = {
   kind : kind;
@@ -83,6 +73,15 @@ let spec_cacheable s = s.spec_cacheable
 
 let realize (s : spec) : t = s.build ()
 
+let spec ?(cacheable = true) kind id digest build =
+  {
+    spec_kind = kind;
+    spec_id = id;
+    spec_digest = digest;
+    spec_cacheable = cacheable;
+    build;
+  }
+
 (* {2 Digests}
 
    A digest covers every input the generation thunk reads: the task
@@ -111,6 +110,96 @@ let overflow_tag = function
   | Aadl.Props.Drop_newest -> "dropn"
   | Aadl.Props.Drop_oldest -> "dropo"
   | Aadl.Props.Error -> "error"
+
+(* {2 The latency observer} (paper, Section 5)
+
+   An observer is "triggered by an input event and, just like a
+   dispatcher process, deadlocks if the output event is not observed by
+   the flow deadline".  The trigger and the target are probe events
+   that the planned thread units fire: [flow_start] right after the
+   dispatch of the flow's first thread, [flow_end] right after the
+   completion of its last one.  The observer is one more unit of the
+   composition, and restricting both labels forces it to see every
+   occurrence.
+
+   The observer is non-pipelined: while a flow instance is being
+   tracked, further triggers are absorbed without starting a new
+   measurement (the paper notes pipelined flows need dynamically spawned
+   observers).
+
+     Obs       = start?.Wait(0) + end?.Obs + {}:Obs
+     Wait(k)   = end?.Obs + start?.Wait(k) + [k < L] {}:Wait(k+1)
+
+   At k = L with the end event unavailable the observer refuses to let
+   time pass: a deadlock, reported as the latency violation. *)
+
+let flow_start = Label.make "flow_start"
+let flow_end = Label.make "flow_end"
+let observer_name = "Obs_flow"
+let observer_wait = "Obs_flow_wait"
+
+let observer_defs ~bound =
+  let var_k = Expr.Var "k" in
+  let idle_to k = Proc.act Action.idle k in
+  let main_body =
+    Proc.choice_list
+      [
+        Proc.receive flow_start (Proc.call observer_wait [ Expr.Int 0 ]);
+        Proc.receive flow_end (Proc.call observer_name []);
+        idle_to (Proc.call observer_name []);
+      ]
+  in
+  let wait_body =
+    Proc.choice_list
+      [
+        Proc.receive flow_end (Proc.call observer_name []);
+        Proc.receive flow_start (Proc.call observer_wait [ var_k ]);
+        Proc.if_
+          Guard.(lt var_k (Expr.Int bound))
+          (idle_to (Proc.call observer_wait [ Expr.Add (var_k, Expr.Int 1) ]));
+      ]
+  in
+  [ (observer_name, [], main_body); (observer_wait, [ "k" ], wait_body) ]
+
+(* The bound in quanta and both endpoints are checked here, at plan
+   time, so a request names its mistake before anything is generated. *)
+let observer_spec ~(root : Aadl.Instance.t) ~quantum (wl : Workload.t)
+    (o : observer) : spec =
+  let bound = Aadl.Time.to_quanta_floor ~quantum o.bound in
+  if bound <= 0 then
+    Aadl.Diag.fail ~loc:root.Aadl.Instance.loc
+      "latency bound %a is smaller than the scheduling quantum %a"
+      Aadl.Time.pp o.bound Aadl.Time.pp quantum;
+  List.iter
+    (fun path ->
+      if Workload.find_task wl path = None then
+        Aadl.Diag.fail ~loc:root.Aadl.Instance.loc
+          "no thread %a in the model" Aadl.Instance.pp_path path)
+    [ o.from_thread; o.to_thread ];
+  let digest = digest_of [ "observer.v1"; string_of_int bound ] in
+  let build () =
+    {
+      kind = Observer;
+      id = "observer";
+      digest;
+      sym_digest = digest;
+      cacheable = true;
+      defs = observer_defs ~bound;
+      initials = [ Proc.call observer_name [] ];
+      restricted = [ flow_start; flow_end ];
+      entries = [];
+    }
+  in
+  spec Observer "observer" digest build
+
+let rec observer_waited (p : Proc.t) =
+  match p with
+  | Proc.Call (name, [ k ]) when name = observer_wait ->
+      Some (Expr.eval Expr.Env.empty k)
+  | Proc.Restrict (_, k) -> observer_waited k
+  | Proc.Par (a, b) -> (
+      match observer_waited a with Some _ as w -> w | None -> observer_waited b)
+  | _ -> None
 
 (* {2 Planning} *)
 
@@ -218,8 +307,13 @@ let thread_spec ~options ~scope ~modal ~all_assignments (task : Workload.task)
     | None -> []
     | Some m -> Modal.internal_triggers_of m ~thread:path
   in
-  let completion_probes = probes_for options path Completed in
-  let dispatch_probes = probes_for options path Dispatched in
+  let probes endpoint label =
+    match options.observer with
+    | Some o when Aadl.Name.equal_path (endpoint o) path -> [ label ]
+    | Some _ | None -> []
+  in
+  let completion_probes = probes (fun o -> o.to_thread) flow_end in
+  let dispatch_probes = probes (fun o -> o.from_thread) flow_start in
   (* Resolve scoped names now: planning claims names in deterministic
      model order, and the resolved names are part of the digest. *)
   let spath = Naming.scoped_path scope path in
@@ -309,13 +403,7 @@ let thread_spec ~options ~scope ~modal ~all_assignments (task : Workload.task)
       entries = Naming.entries registry;
     }
   in
-  {
-    spec_kind = Thread_unit;
-    spec_id;
-    spec_digest = digest;
-    spec_cacheable = true;
-    build;
-  }
+  spec Thread_unit spec_id digest build
 
 let queue_spec ~scope ~root (sc : Aadl.Semconn.t) : spec =
   let cname = Aadl.Semconn.name sc in
@@ -347,7 +435,7 @@ let queue_spec ~scope ~root (sc : Aadl.Semconn.t) : spec =
       entries = Naming.entries registry;
     }
   in
-  { spec_kind = Queue; spec_id; spec_digest = digest; spec_cacheable = true; build }
+  spec Queue spec_id digest build
 
 let stimulus_spec ~scope ~root ~quantum (sc : Aadl.Semconn.t) : spec =
   let cname = Aadl.Semconn.name sc in
@@ -381,13 +469,7 @@ let stimulus_spec ~scope ~root ~quantum (sc : Aadl.Semconn.t) : spec =
       entries = Naming.entries registry;
     }
   in
-  {
-    spec_kind = Stimulus;
-    spec_id;
-    spec_digest = digest;
-    spec_cacheable = true;
-    build;
-  }
+  spec Stimulus spec_id digest build
 
 (* The mode manager is a whole-model construct (it reads every mode
    transition and every mode-dependent thread), so it is regenerated on
@@ -421,13 +503,7 @@ let modal_spec m : spec =
       @ List.map Label.name frag.restricted)
   in
   let frag = { frag with digest; sym_digest = digest } in
-  {
-    spec_kind = Modal_manager;
-    spec_id = "modal";
-    spec_digest = digest;
-    spec_cacheable = false;
-    build = (fun () -> frag);
-  }
+  spec ~cacheable:false Modal_manager "modal" digest (fun () -> frag)
 
 let plan ?(options = default_options) (root : Aadl.Instance.t) : plan =
   (* bindings and connections are resolved here, once, for both the
@@ -503,11 +579,18 @@ let plan ?(options = default_options) (root : Aadl.Instance.t) : plan =
   let modal_specs =
     match modal with None -> [] | Some m -> [ modal_spec m ]
   in
+  let observer_specs =
+    match options.observer with
+    | None -> []
+    | Some o -> [ observer_spec ~root ~quantum wl o ]
+  in
   {
     root;
     workload = wl;
     assignments;
-    specs = thread_specs @ queue_specs @ stimulus_specs @ modal_specs;
+    specs =
+      thread_specs @ queue_specs @ stimulus_specs @ modal_specs
+      @ observer_specs;
   }
 
 let digests (p : plan) =

@@ -2,7 +2,8 @@
 
     One fragment per translation unit of the paper's Algorithm 1 — a
     thread's skeleton + dispatcher, a connection's queue process, a
-    device stimulus, or the mode manager — carrying its ACSR
+    device stimulus, the mode manager, or a latency observer (Section
+    5) — carrying its ACSR
     definitions, initial processes, the labels to restrict at the system
     level, the name-registry entries mapping its generated names back to
     AADL, and a stable digest of exactly the instance slice and derived
@@ -18,26 +19,26 @@ open Acsr
 
 (** {1 Translation options} (re-exported by [Pipeline]) *)
 
-type probe_point = Dispatched | Completed
-
-type probe = {
-  probe_thread : string list;
-  probe_point : probe_point;
-  probe_label : Label.t;
+type observer = {
+  from_thread : string list;
+  to_thread : string list;
+  bound : Aadl.Time.t;
 }
+(** A latency observer (paper, Section 5): measure from each dispatch of
+    [from_thread] to the next completion of [to_thread], and deadlock
+    when [bound] (floored to quanta) passes first. *)
 
 type options = {
   quantum : Aadl.Time.t option;
   force_protocol : Aadl.Props.scheduling_protocol option;
-  probes : probe list;
+  observer : observer option;
 }
 
 val default_options : options
-val probes_for : options -> string list -> probe_point -> Label.t list
 
 (** {1 Fragments} *)
 
-type kind = Thread_unit | Queue | Stimulus | Modal_manager
+type kind = Thread_unit | Queue | Stimulus | Modal_manager | Observer
 
 type t = {
   kind : kind;
@@ -71,7 +72,15 @@ type plan = {
 val plan : ?options:options -> Aadl.Instance.t -> plan
 (** Check the model and derive one spec per translation unit, claiming
     collision-proofed names ({!Naming.scope}) in deterministic model
-    order.  @raise Aadl.Diag.Error when the model is untranslatable. *)
+    order.  With an [observer], the thread units of its endpoints fire
+    the probes [flow_start] (after the dispatch of [from_thread]) and
+    [flow_end] (after the completion of [to_thread]), and one
+    [Observer] unit comes last: its initial process is [Obs_flow], and
+    it asks the composition to restrict both probe labels.  Without
+    one, no unit fires a probe.
+    @raise Aadl.Diag.Error when the model is untranslatable, an
+    observer endpoint is not a thread of the model, or its bound is
+    below one quantum. *)
 
 val spec_id : spec -> string
 val spec_digest : spec -> string
@@ -89,3 +98,11 @@ val realize : spec -> t
 val digests : plan -> (string * string) list
 (** [(id, digest)] per spec, sorted by id — the leaves of the service
     layer's Merkle cache key. *)
+
+val observer_waited : Proc.t -> int option
+(** The wait counter of the observer in a state term of a composition
+    with one: [Some k] while it times a flow instance that started [k]
+    quanta ago, [None] while it is idle or when there is no observer.
+    A deadlock with [Some bound] is the observer's own: the bound passed
+    before the flow completed.  Any other deadlock is a missed
+    deadline. *)

@@ -38,18 +38,16 @@ type t = {
   num_stimuli : int;
 }
 
-type probe_point = Fragment.probe_point = Dispatched | Completed
-
-type probe = Fragment.probe = {
-  probe_thread : string list;
-  probe_point : probe_point;
-  probe_label : Label.t;
+type observer = Fragment.observer = {
+  from_thread : string list;
+  to_thread : string list;
+  bound : Aadl.Time.t;
 }
 
 type options = Fragment.options = {
   quantum : Aadl.Time.t option;
   force_protocol : Aadl.Props.scheduling_protocol option;
-  probes : probe list;
+  observer : observer option;
 }
 
 let default_options = Fragment.default_options
@@ -228,10 +226,27 @@ let of_plan ?(cache : Fragment_cache.t option) (p : Fragment.plan) : t =
   in
   let registry = Naming.create_registry () in
   List.iter (fun f -> Naming.replay registry f.Fragment.entries) fragments;
-  let restricted =
-    Label.set_of_list
-      (List.concat_map (fun f -> f.Fragment.restricted) fragments)
+  (* A latency observer O is composed under the one restriction:
+     Restrict (L u S, P_0 || ... || O), where L is what the other units
+     restrict and S = {flow_start, flow_end}, rather than around the
+     system as Restrict (S, Restrict (L, P_0 || ...) || O), which made
+     the whole system one opaque slot of the explorer's frame.  The two
+     have the same transitions.  O offers labels of S only, so no offer of O
+     meets L; the probes are sends of S labels, which no unit receives
+     but O, and S is disjoint from L, so the inner restriction never
+     hides a probe.  Restricting L u S over the flat spine then keeps
+     and hides exactly the events the nested pair does, the timed
+     product of all slots is the product of the inner slots' product
+     with O's, and preemption, applied once at the root in both, sees
+     the same step set. *)
+  let restricted_by fs =
+    Label.set_of_list (List.concat_map (fun f -> f.Fragment.restricted) fs)
   in
+  let observers, units =
+    List.partition (fun f -> f.Fragment.kind = Fragment.Observer) fragments
+  in
+  assert (Label.Set.disjoint (restricted_by observers) (restricted_by units));
+  let restricted = restricted_by fragments in
   let processes = List.concat_map (fun f -> f.Fragment.initials) fragments in
   let system = Proc.restrict restricted (Proc.par_list processes) in
   let count k =

@@ -30,12 +30,10 @@ type t = {
   num_stimuli : int;
 }
 
-type probe_point = Fragment.probe_point = Dispatched | Completed
-
-type probe = Fragment.probe = {
-  probe_thread : string list;
-  probe_point : probe_point;
-  probe_label : Label.t;
+type observer = Fragment.observer = {
+  from_thread : string list;
+  to_thread : string list;
+  bound : Aadl.Time.t;
 }
 
 type options = Fragment.options = {
@@ -44,9 +42,9 @@ type options = Fragment.options = {
   force_protocol : Aadl.Props.scheduling_protocol option;
       (** override every processor's Scheduling_Protocol (for policy
           comparisons) *)
-  probes : probe list;
-      (** extra observable events fired at dispatch/completion of chosen
-          threads; not restricted, so an observer can synchronize on them *)
+  observer : observer option;
+      (** a latency observer composed as one more unit, under the same
+          restriction as the others (default none) *)
 }
 
 val default_options : options

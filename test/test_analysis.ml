@@ -247,8 +247,8 @@ let test_simulator_timeline_busy () =
 (* pin the quantum so observed quanta and RTA quanta agree *)
 let response_options =
   {
-    Analysis.Response.default_options with
-    Analysis.Latency.translation_options =
+    Analysis.Schedulability.default_options with
+    translation_options =
       {
         Translate.Pipeline.default_options with
         quantum = Some (Aadl.Time.of_ms 1);
@@ -290,11 +290,16 @@ let test_observed_none_when_missing () =
   Alcotest.(check (option int)) "t2 misses under RM" None
     obs.Analysis.Response.response
 
+(* On an unschedulable set every observed exploration reaches a missed
+   deadline, whichever thread it observes, so no bound holds: the
+   observed response is none for every thread, where RTA still bounds
+   the threads that meet their deadlines. *)
 let prop_observed_equals_rta =
-  QCheck2.Test.make ~name:"observed response = RTA response (RM)" ~count:6
-    QCheck2.Gen.(int_range 0 1000)
-    (fun seed ->
-      let specs = Gen.random_specs ~seed ~n:2 ~u:0.7 in
+  QCheck2.Test.make ~name:"observed response = RTA response (RM)" ~count:50
+    ~print:(fun (seed, n) -> Printf.sprintf "seed %d, %d threads" seed n)
+    QCheck2.Gen.(pair (int_range 0 1000) (int_range 2 4))
+    (fun (seed, n) ->
+      let specs = Gen.random_specs ~seed ~n ~u:0.7 in
       let text = Gen.periodic_system specs in
       let root = Aadl.Instantiate.of_string text in
       let rta =
@@ -308,7 +313,10 @@ let prop_observed_equals_rta =
                Analysis.Response.worst_response ~options:response_options
                  ~thread:tr.Analysis.Rta.task.Translate.Workload.path root
              in
-             obs.Analysis.Response.response = tr.Analysis.Rta.response)
+             obs.Analysis.Response.response
+             =
+             if rta.Analysis.Rta.schedulable then tr.Analysis.Rta.response
+             else None)
            rta.Analysis.Rta.per_task)
 
 (* {1 Sensitivity analysis (breakdown execution time)} *)
@@ -401,6 +409,62 @@ let test_latency_met_and_violated () =
       Alcotest.(check bool) "scenario nonempty" true
         (scenario.Analysis.Raise_trace.quanta <> [])
   | _ -> Alcotest.fail "expected a latency violation for a 2ms bound"
+
+(* A deadline miss before the bound is its own verdict: under RM, t2 of
+   the crossover set misses its 7 ms deadline at t=7, long before a
+   1,000 s bound could pass. *)
+let test_latency_deadline_missed () =
+  let root =
+    Aadl.Instantiate.of_string (Gen.periodic_system Gen.crossover_set)
+  in
+  let r =
+    Analysis.Latency.check ~from_thread:[ "t2_i" ] ~to_thread:[ "t2_i" ]
+      ~bound:(Aadl.Time.of_ms 1_000_000) root
+  in
+  match r.Analysis.Latency.verdict with
+  | Analysis.Latency.Deadline_missed { scenario; _ } ->
+      Alcotest.(check int) "missed at t2's deadline" 7
+        scenario.Analysis.Raise_trace.violation_time
+  | v ->
+      Alcotest.failf "expected a deadline miss, got %a"
+        Analysis.Latency.pp_verdict v
+
+(* The width of the frame the explorer splits a system into. *)
+let frame_width (system : Acsr.Proc.t) =
+  let cache = Acsr.Semantics.make_cache () in
+  Acsr.Frame.width
+    (fst
+       (Acsr.Frame.split
+          (Acsr.Semantics.nodes cache)
+          (Acsr.Hproc.of_proc (Acsr.Semantics.terms cache) system)))
+
+(* The observer is one more slot of the system's own frame: on
+   [e6_model 7] the check explores the states and transitions of the
+   composition around the system (10,964 and 22,265), over a frame one
+   slot wider than [analyze]'s, with one node per local state of a
+   slot.  Composed around the system, the observer's partner would be
+   one opaque slot holding the whole system, one node per state: 11,164
+   slot nodes. *)
+let test_latency_work_pin () =
+  let root = Aadl.Instantiate.of_string (Gen.e6_model 7) in
+  let r =
+    Analysis.Latency.check ~from_thread:[ "t7_i" ] ~to_thread:[ "t7_i" ]
+      ~bound:(Aadl.Time.of_ms 16) root
+  in
+  let analysis = r.Analysis.Latency.analysis in
+  let stats = Versa.Explorer.stats analysis.Analysis.Schedulability.exploration in
+  Alcotest.(check bool) "bound met" true
+    (r.Analysis.Latency.verdict = Analysis.Latency.Latency_met);
+  Alcotest.(check int) "states" 10_964 stats.Versa.Lts.num_states;
+  Alcotest.(check int) "transitions" 22_265 stats.Versa.Lts.num_transitions;
+  Alcotest.(check int) "slot nodes" 181 stats.Versa.Lts.slot_nodes;
+  let plain = Analysis.Schedulability.analyze root in
+  Alcotest.(check int) "frame width"
+    (frame_width
+       plain.Analysis.Schedulability.translation.Translate.Pipeline.system
+    + 1)
+    (frame_width
+       analysis.Analysis.Schedulability.translation.Translate.Pipeline.system)
 
 let test_latency_unknown_thread () =
   let root = Aadl.Instantiate.of_string (Gen.periodic_system Gen.light_set) in
@@ -565,6 +629,137 @@ let prop_ll_bound_implies_acsr_schedulable =
       u.Analysis.Utilization.verdict <> Analysis.Utilization.Schedulable
       || acsr_verdict Aadl.Props.Rate_monotonic specs)
 
+(* {1 Latency: one restriction = the nested composition}
+
+   The oracle composes the observer around the translated system, from
+   the same translation's fragments: [Restrict (S, Restrict (L, P_0 ||
+   ...) || Obs)], with [S] the observer's labels and [L] the others',
+   and explores it without orbit reduction.  The
+   check must reach the same verdict at the same violation time.
+   Without the orbit reduction the scenario is the same; with it, a
+   failing scenario is one of an orbit of equally short ones (any
+   member may play the part), so its length is compared.  A deadlock
+   the check calls a missed deadline must also be one of the model
+   without an observer. *)
+
+let nested_latency (options : Translate.Pipeline.options) root =
+  let tr = Translate.Pipeline.translate ~options root in
+  let observers, units =
+    List.partition
+      (fun f -> f.Translate.Fragment.kind = Translate.Fragment.Observer)
+      tr.Translate.Pipeline.fragments
+  in
+  let restricted fs =
+    Acsr.Label.set_of_list
+      (List.concat_map (fun f -> f.Translate.Fragment.restricted) fs)
+  in
+  let processes fs =
+    Acsr.Proc.par_list
+      (List.concat_map (fun f -> f.Translate.Fragment.initials) fs)
+  in
+  let system =
+    Acsr.Proc.restrict (restricted observers)
+      (Acsr.Proc.par
+         (Acsr.Proc.restrict (restricted units) (processes units))
+         (processes observers))
+  in
+  match
+    (Versa.Explorer.check_deadlock tr.Translate.Pipeline.defs system)
+      .Versa.Explorer.verdict
+  with
+  | Versa.Explorer.Deadlock_free -> `Met
+  | Versa.Explorer.Deadlock { trace; _ } ->
+      `Deadlock
+        (Analysis.Raise_trace.raise_trace
+           ~registry:tr.Translate.Pipeline.registry trace)
+  | Versa.Explorer.Inconclusive why -> `Inconclusive why
+
+let gen_latency_case =
+  QCheck2.Gen.(
+    let* family = bool in
+    let* symmetry = bool in
+    if family then
+      let* threads = int_range 2 4 in
+      let* u10 = int_range 6 11 in
+      let* probed = int_range 1 threads in
+      let* bound_ms = int_range 1 6 in
+      let member = [ Printf.sprintf "t%d_i" probed ] in
+      return
+        ( Gen.replicated_family ~threads
+            ~utilization:(float_of_int u10 /. 10.0)
+            (),
+          member,
+          member,
+          bound_ms,
+          symmetry )
+    else
+      let* specs = gen_taskset in
+      let n = List.length specs in
+      let* from_i = int_range 1 n in
+      let* to_i = int_range 1 n in
+      let* bound_ms = int_range 1 24 in
+      let path i = [ Printf.sprintf "t%d_i" i ] in
+      return
+        (Gen.periodic_system specs, path from_i, path to_i, bound_ms, symmetry))
+
+let prop_latency_equals_nested =
+  QCheck2.Test.make ~name:"latency verdict = nested observer composition"
+    ~count:100
+    ~print:(fun (text, from_thread, to_thread, bound_ms, symmetry) ->
+      Fmt.str "%a -> %a within %d ms, symmetry %b@.%s" Aadl.Instance.pp_path
+        from_thread Aadl.Instance.pp_path to_thread bound_ms symmetry text)
+    gen_latency_case
+    (fun (text, from_thread, to_thread, bound_ms, symmetry) ->
+      let root = Aadl.Instantiate.of_string text in
+      let bound = Aadl.Time.of_ms bound_ms in
+      let translation_options =
+        {
+          Translate.Pipeline.default_options with
+          quantum = Some (Aadl.Time.of_ms 1);
+        }
+      in
+      let oracle =
+        nested_latency
+          {
+            translation_options with
+            observer = Some { Translate.Pipeline.from_thread; to_thread; bound };
+          }
+          root
+      in
+      let options =
+        {
+          Analysis.Schedulability.default_options with
+          translation_options;
+          symmetry;
+        }
+      in
+      let r =
+        Analysis.Latency.check ~options ~from_thread ~to_thread ~bound root
+      in
+      let same (scenario : Analysis.Raise_trace.t)
+          (expected : Analysis.Raise_trace.t) =
+        if symmetry then
+          scenario.Analysis.Raise_trace.violation_time
+          = expected.Analysis.Raise_trace.violation_time
+          && List.length scenario.Analysis.Raise_trace.quanta
+             = List.length expected.Analysis.Raise_trace.quanta
+        else scenario = expected
+      in
+      match (r.Analysis.Latency.verdict, oracle) with
+      | Analysis.Latency.Latency_met, `Met -> true
+      | Analysis.Latency.Latency_violated { scenario; _ }, `Deadlock expected
+        ->
+          same scenario expected
+      | Analysis.Latency.Deadline_missed { scenario; _ }, `Deadlock expected ->
+          same scenario expected
+          && not
+               (Analysis.Schedulability.is_schedulable
+                  (Analysis.Schedulability.analyze ~options root))
+      | Analysis.Latency.Latency_inconclusive a, `Inconclusive b -> a = b
+      | v, _ ->
+          QCheck2.Test.fail_reportf "verdict %a disagrees with the oracle"
+            Analysis.Latency.pp_verdict v)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -573,6 +768,7 @@ let qcheck_cases =
       prop_acsr_agrees_with_edf_demand;
       prop_acsr_agrees_with_simulator;
       prop_ll_bound_implies_acsr_schedulable;
+      prop_latency_equals_nested;
     ]
 
 let () =
@@ -643,6 +839,10 @@ let () =
             test_latency_met_and_violated;
           Alcotest.test_case "unknown thread" `Quick
             test_latency_unknown_thread;
+          Alcotest.test_case "deadline miss is its own verdict" `Quick
+            test_latency_deadline_missed;
+          Alcotest.test_case "one frame with the system" `Quick
+            test_latency_work_pin;
         ] );
       ( "shared data",
         [

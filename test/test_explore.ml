@@ -438,6 +438,45 @@ let check_against_reference name defs root (res : Versa.Explorer.result) =
     (name ^ ": verdict") (deadlocks = [])
     (Versa.Explorer.is_deadlock_free res)
 
+(* The timed preemption cases above, explored: slot 0 of each system
+   chooses between [a] and [b] in state [P], and only [Q] follows [b];
+   slot 1 ticks on [t].  The product at [P] has exactly two
+   combinations, and [b]'s preempts [a]'s, so [P] has one successor
+   row, to [Q].  The exploration runs the memoized kernel
+   ([Semantics.successors]) on every state; its states, rows and
+   deadlocks must be the reference engine's. *)
+let test_timed_preemption_explored () =
+  let r = Resource.make "r" and s = Resource.make "s"
+  and t = Resource.make "t" in
+  List.iter
+    (fun (name, a, b) ->
+      let defs =
+        Defs.of_list
+          [
+            ( "P",
+              [],
+              Proc.choice
+                (Proc.act (action a) (Proc.call "P" []))
+                (Proc.act (action b) (Proc.call "Q" [])) );
+            ("Q", [], Proc.act (action [ (s, 1) ]) (Proc.call "P" []));
+            ("T", [], Proc.act (action [ (t, 0) ]) (Proc.call "T" []));
+          ]
+      in
+      let root = Proc.par (Proc.call "P" []) (Proc.call "T" []) in
+      let res =
+        Versa.Explorer.check_deadlock ~engine:Versa.Explorer.Full
+          ~stop_at_deadlock:false defs root
+      in
+      check_against_reference name defs root res;
+      Alcotest.(check int)
+        (name ^ ": one row per state")
+        (Versa.Lts.num_states res.Versa.Explorer.lts)
+        (Versa.Lts.num_transitions res.Versa.Explorer.lts))
+    [
+      ("strictly higher outside", [ (r, 1) ], [ (r, 1); (s, 1) ]);
+      ("higher on the same resource", [ (r, 1) ], [ (r, 2) ]);
+    ]
+
 let test_node_tables_per_exploration () =
   let explore (_, defs, root) =
     Versa.Explorer.check_deadlock ~engine:Versa.Explorer.Full
@@ -1743,6 +1782,8 @@ let () =
           Alcotest.test_case "plan hits per expansion" `Quick test_plan_hits;
           Alcotest.test_case "timed preemption cases" `Quick
             test_timed_preemption_cases;
+          Alcotest.test_case "timed preemption explored" `Quick
+            test_timed_preemption_explored;
         ] );
       ( "on-the-fly",
         [
